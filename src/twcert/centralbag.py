@@ -289,7 +289,7 @@ def covering_sequence(
 
 @dataclass(frozen=True)
 class DimensionPartition:
-    classes: tuple[tuple[int, ...], ...]  # indices into the sequence
+    classes: tuple[tuple[int, ...], ...]  # ascending indices into the sequence
     measured_a: int
     measured_t: int
     class_bound: int  # a * gamma(2t) + 1
@@ -417,21 +417,15 @@ def central_bag(
                     j for j in kept_so_far if set(center) & set(members[j].a)
                 )
                 drops.append(DropRecord(index=i, reason="center_hit", witness=witness))
-        bc = {i: set(members[i].bc_union) for i in admitted}
-        kept: list[int] = []
-        for i in admitted:
-            if any(bc[j] < bc[i] for j in admitted):
-                continue
-            if any(bc[j] == bc[i] for j in kept):
-                continue
-            kept.append(i)
-        kept.sort()
-        kept_set = set(kept)
-        for i in admitted:
-            if i in kept_set:
-                continue
-            shield = next(j for j in kept if bc[j] <= bc[i])
-            drops.append(DropRecord(index=i, reason="shield", witness=shield))
+        _, shields = make_primordial(
+            SeparationSequence(separations=tuple(members[i] for i in admitted))
+        )
+        shielded = {admitted[i] for i, _ in shields}
+        kept = [i for i in admitted if i not in shielded]
+        drops.extend(
+            DropRecord(index=admitted[i], reason="shield", witness=admitted[j])
+            for i, j in shields
+        )
         drops.sort(key=lambda d: d.index)
 
         prev_bag = set(bag)

@@ -12,16 +12,16 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .centralbag import run_master_pipeline
 from .certify import Certificate, canonical_json, graph_witness, recheck
-from .config import RunConfig, load_config
+from .config import Budget, RunConfig, load_config
 from .decompose import (
     NotChordal,
     chordal_td,
+    decompose_strip_structure,
     fuzzy_lci_td,
-    strip_assembly,
     validate_td,
 )
 from .detect import (
@@ -57,7 +57,7 @@ from .io import (
     write_graph_json,
     write_td,
 )
-from .separators import exact_treewidth, separation_number, treewidth_or_bounds
+from .separators import separation_number, treewidth_or_bounds
 from .suites import SUITES, verify_suite
 from .weights import WeightFunction, parse_fraction
 
@@ -98,101 +98,114 @@ def _dump_json(payload: Any, path: Optional[str]) -> None:
 # -- gen ------------------------------------------------------------------------
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    witness: dict[str, Any] = {"family": args.family}
-    if args.family == "wall":
-        g = wall(args.n, args.m)
-    elif args.family == "claw":
-        wit = subdivided_claw(args.t1, args.t2, args.t3)
-        g = wit.graph
-        witness.update(root=wit.root, legs=[list(l) for l in wit.legs])
-    elif args.family == "theta":
-        wit = theta(args.l1, args.l2, args.l3)
-        g = wit.graph
-        witness.update(ends=list(wit.ends), paths=[list(p) for p in wit.paths])
-    elif args.family == "pyramid":
-        wit = pyramid(args.l1, args.l2, args.l3)
-        g = wit.graph
-        witness.update(
-            apex=wit.apex,
-            triangle=list(wit.triangle),
-            paths=[list(p) for p in wit.paths],
-        )
-    elif args.family == "caterpillar":
-        legs = tuple(
-            tuple(int(x) for x in part.split(",") if x)
-            for part in (args.legs.split(";") if args.legs else [])
-        )
-        wit = caterpillar(CaterpillarSpec(args.spine, legs))
-        g = wit.graph
-        witness.update(
-            spine=list(wit.spine.vertices),
-            legs=[[v, list(leg)] for v, leg in wit.legs],
-        )
-    elif args.family == "creature":
-        wit = creature(args.k, args.t, args.spacing)
-        g = wit.graph
-        witness.update(
-            body=list(wit.body),
-            paths=[list(p) for p in wit.paths],
-            joints=list(wit.joints),
-        )
-    elif args.family == "cycle-lci":
-        model = cycle_interval_model(args.k)
-        lci = LciThickening(
-            model,
-            ThickeningSpec(
-                base=circular_interval_graph(model), sizes=(args.size,) * args.k
-            ),
-        )
-        g = lci.graph
-        witness.update(points=[str(p) for p in model.points])
-    elif args.family == "strip":
-        ss = strip_structure_instance(args.kind)
-        g = ss.host
-        witness.update(
-            pattern_n=ss.pattern_n,
-            pattern_edges=[list(e) for e in ss.pattern_edges],
-            eta=[list(s) for s in ss.eta],
-            eta_end=[[list(l), list(r)] for l, r in ss.eta_end],
-        )
-    else:
-        print(f"unknown family {args.family!r}", file=sys.stderr)
-        return USAGE_ERROR
+def _lists(seqs) -> list[list[int]]:
+    return [list(s) for s in seqs]
+
+
+def _gen_wall(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    return wall(args.n, args.m), {}
+
+
+def _gen_claw(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    wit = subdivided_claw(args.t1, args.t2, args.t3)
+    return wit.graph, {"root": wit.root, "legs": _lists(wit.legs)}
+
+
+def _gen_theta(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    wit = theta(args.l1, args.l2, args.l3)
+    return wit.graph, {"ends": list(wit.ends), "paths": _lists(wit.paths)}
+
+
+def _gen_pyramid(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    wit = pyramid(args.l1, args.l2, args.l3)
+    return wit.graph, {
+        "apex": wit.apex,
+        "triangle": list(wit.triangle),
+        "paths": _lists(wit.paths),
+    }
+
+
+def _gen_caterpillar(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    legs = tuple(
+        tuple(int(x) for x in part.split(",") if x)
+        for part in (args.legs.split(";") if args.legs else [])
+    )
+    wit = caterpillar(CaterpillarSpec(args.spine, legs))
+    return wit.graph, {
+        "spine": list(wit.spine.vertices),
+        "legs": [[v, list(leg)] for v, leg in wit.legs],
+    }
+
+
+def _gen_creature(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    wit = creature(args.k, args.t, args.spacing)
+    return wit.graph, {
+        "body": list(wit.body),
+        "paths": _lists(wit.paths),
+        "joints": list(wit.joints),
+    }
+
+
+def _gen_cycle_lci(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    model = cycle_interval_model(args.k)
+    base = circular_interval_graph(model)
+    lci = LciThickening(model, ThickeningSpec(base=base, sizes=(args.size,) * args.k))
+    return lci.graph, {"points": [str(p) for p in model.points]}
+
+
+def _gen_strip(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    ss = strip_structure_instance(args.kind)
+    return ss.host, {
+        "pattern_n": ss.pattern_n,
+        "pattern_edges": _lists(ss.pattern_edges),
+        "eta": _lists(ss.eta),
+        "eta_end": [[list(l), list(r)] for l, r in ss.eta_end],
+    }
+
+
+# family -> the instance and its witness fields
+GENERATORS: dict[str, Callable[[argparse.Namespace], tuple[Graph, dict[str, Any]]]] = {
+    "wall": _gen_wall,
+    "claw": _gen_claw,
+    "theta": _gen_theta,
+    "pyramid": _gen_pyramid,
+    "caterpillar": _gen_caterpillar,
+    "creature": _gen_creature,
+    "cycle-lci": _gen_cycle_lci,
+    "strip": _gen_strip,
+}
+
+
+def cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
+    g, fields = GENERATORS[args.family](args)
     _save_graph(g, args.output)
     if args.witness:
-        _dump_json(witness, args.witness)
+        _dump_json({"family": args.family, **fields}, args.witness)
     return 0
 
 
 # -- detect ---------------------------------------------------------------------
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
+# pattern -> exact search; every search runs under the configured budget
+DETECTORS: dict[str, Callable[[Graph, argparse.Namespace, Budget, RunConfig], Any]] = {
+    "theta": lambda g, a, bud, cfg: find_t_theta(g, a.t, bud),
+    "pyramid": lambda g, a, bud, cfg: find_t_pyramid(g, a.t, bud),
+    "claw": lambda g, a, bud, cfg: find_subdivided_claw(g, a.t1, a.t2, a.t3, bud),
+    "creature": lambda g, a, bud, cfg: find_creature(g, a.k, a.t, bud),
+    "wall-line": lambda g, a, bud, cfg: find_line_of_subdivided_wall(g, a.k, bud),
+    "induced": lambda g, a, bud, cfg: find_induced(
+        g, _load_graph(a.pattern_file), bud, max_pattern=cfg.max_pattern_nodes
+    ),
+}
+
+
+def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     g = _load_graph(args.input)
-    try:
-        if args.pattern == "theta":
-            match = find_t_theta(g, args.t)
-        elif args.pattern == "pyramid":
-            match = find_t_pyramid(g, args.t)
-        elif args.pattern == "claw":
-            match = find_subdivided_claw(g, args.t1, args.t2, args.t3)
-        elif args.pattern == "creature":
-            got = find_creature(g, args.k, args.t)
-            match = got
-        elif args.pattern == "wall-line":
-            match = find_line_of_subdivided_wall(g, args.k)
-        elif args.pattern == "induced":
-            if not args.pattern_file:
-                print("--pattern-file required for induced", file=sys.stderr)
-                return USAGE_ERROR
-            match = find_induced(g, _load_graph(args.pattern_file))
-        else:
-            print(f"unknown pattern {args.pattern!r}", file=sys.stderr)
-            return USAGE_ERROR
-    except (BudgetExhausted, CapExceeded) as exc:
-        _dump_json({"status": "budget", "detail": str(exc)}, args.output)
-        return 2
+    if args.pattern == "induced" and not args.pattern_file:
+        print("--pattern-file required for induced", file=sys.stderr)
+        return USAGE_ERROR
+    match = DETECTORS[args.pattern](g, args, Budget(cfg.search_budget), cfg)
     if match is None:
         _dump_json({"status": "absent"}, args.output)
         return 1
@@ -251,11 +264,7 @@ def cmd_tw(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_sep(args: argparse.Namespace, cfg: RunConfig) -> int:
     g = _load_graph(args.input)
     c = parse_fraction(args.c)
-    try:
-        value = separation_number(g, c, cap=cfg.max_sep_n)
-    except CapExceeded as exc:
-        _dump_json({"status": "budget", "detail": str(exc)}, args.output)
-        return 2
+    value = separation_number(g, c, cap=cfg.max_sep_n)
     _dump_json({"separation_number": value, "c": str(c)}, args.output)
     return 0
 
@@ -392,19 +401,7 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         ss = _strip_structure_from_json(data)
-        simple = Graph(
-            ss.pattern_n, [(a, b) for a, b in ss.pattern_edges if a != b]
-        )
-        _, td0 = exact_treewidth(simple, cap=cfg.max_tw_n)
-        strips = {}
-        for i in range(len(ss.pattern_edges)):
-            sg, _ = ss.strip_graph(i)
-            try:
-                strips[i] = chordal_td(sg)
-            except NotChordal:
-                strips[i] = exact_treewidth(sg, cap=cfg.max_tw_n)[1]
-        rep = strip_assembly(ss, td0, strips)
-        td = rep.td
+        td = decompose_strip_structure(ss, cap=cfg.max_tw_n).td
         host = ss.host
     else:
         print(f"unknown method {args.method!r}", file=sys.stderr)
@@ -446,7 +443,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return worst
 
 
-def cmd_recheck(args: argparse.Namespace) -> int:
+def cmd_recheck(args: argparse.Namespace, cfg: RunConfig) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     cert = data.get("certificate", data)
@@ -461,6 +458,18 @@ def cmd_recheck(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
+COMMANDS: dict[str, Callable[[argparse.Namespace, RunConfig], int]] = {
+    "gen": cmd_gen,
+    "detect": cmd_detect,
+    "tw": cmd_tw,
+    "sep": cmd_sep,
+    "centralbag": cmd_centralbag,
+    "decompose": cmd_decompose,
+    "verify": cmd_verify,
+    "recheck": cmd_recheck,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="twcert",
@@ -472,10 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a graph family instance")
-    gen.add_argument("family", choices=[
-        "wall", "claw", "theta", "pyramid", "caterpillar", "creature",
-        "cycle-lci", "strip",
-    ])
+    gen.add_argument("family", choices=list(GENERATORS))
     gen.add_argument("--n", type=int, default=3)
     gen.add_argument("--m", type=int, default=3)
     gen.add_argument("--t1", type=int, default=1)
@@ -495,8 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--witness")
 
     det = sub.add_parser("detect", help="exact induced pattern detection")
-    det.add_argument("--pattern", required=True,
-                     choices=["theta", "pyramid", "claw", "creature", "wall-line", "induced"])
+    det.add_argument("--pattern", required=True, choices=list(DETECTORS))
     det.add_argument("--pattern-file")
     det.add_argument("--t", type=int, default=2)
     det.add_argument("--t1", type=int, default=1)
@@ -560,29 +565,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "detect":
-            return cmd_detect(args)
-        if args.command == "tw":
-            return cmd_tw(args, cfg)
-        if args.command == "sep":
-            return cmd_sep(args, cfg)
-        if args.command == "centralbag":
-            return cmd_centralbag(args, cfg)
-        if args.command == "decompose":
-            return cmd_decompose(args, cfg)
-        if args.command == "verify":
-            return cmd_verify(args, cfg)
-        if args.command == "recheck":
-            return cmd_recheck(args)
+        return COMMANDS[args.command](args, cfg)
+    except (BudgetExhausted, CapExceeded) as exc:
+        _dump_json({"status": "budget", "detail": str(exc)}, args.output)
+        return 2
     except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

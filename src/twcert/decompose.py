@@ -306,11 +306,7 @@ def strip_assembly(
     end-sets of their pattern vertices, strip bags add both end-sets.
     """
     ss.validate()
-    # td0 must decompose the pattern graph (parallel edges collapse)
-    simple_pattern = Graph(
-        ss.pattern_n, [(a, b) for a, b in ss.pattern_edges if a != b]
-    )
-    rep = validate_td(simple_pattern, td0)
+    rep = validate_td(_pattern_graph(ss), td0)
     if not rep.ok:
         raise ValueError(f"pattern decomposition invalid: {rep.violations}")
     for i in range(len(ss.pattern_edges)):
@@ -381,3 +377,26 @@ def strip_assembly(
         bound_strip=bound_strip,
         bounds_hold=holds,
     )
+
+
+def _pattern_graph(ss: StripStructure) -> Graph:
+    """The pattern graph of a strip structure; parallel edges collapse."""
+    return Graph(ss.pattern_n, [(a, b) for a, b in ss.pattern_edges if a != b])
+
+
+def decompose_strip_structure(ss: StripStructure, cap: int) -> StripAssemblyReport:
+    """Assemble a decomposition of a strip structure's host from an exact
+    decomposition of its pattern graph and one per strip: a clique tree, or
+    an exact decomposition when the strip is not chordal.  The exact ones
+    raise CapExceeded above `cap` vertices."""
+    from .separators import exact_treewidth  # separators imports this module
+
+    _, td0 = exact_treewidth(_pattern_graph(ss), cap=cap)
+    strips = {}
+    for i in range(len(ss.pattern_edges)):
+        sg, _ = ss.strip_graph(i)
+        try:
+            strips[i] = chordal_td(sg)
+        except NotChordal:
+            strips[i] = exact_treewidth(sg, cap=cap)[1]
+    return strip_assembly(ss, td0, strips)

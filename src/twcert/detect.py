@@ -8,10 +8,10 @@ deterministic node budget and report exhaustion distinctly from absence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .config import Budget
+from .config import Budget, RunConfig
 from .generators import pyramid, subdivided_claw, theta, wall
 from .graphs import CapExceeded, Graph, bits, line_graph, mask_of, subdivide
 
@@ -31,7 +31,7 @@ class PatternMatch:
 
 
 def _default_budget(budget: Optional[Budget]) -> Budget:
-    return budget if budget is not None else Budget(5_000_000)
+    return budget if budget is not None else Budget(RunConfig.search_budget)
 
 
 # -- generic engine ---------------------------------------------------------
@@ -76,6 +76,38 @@ def iter_induced_maps(
     yield from place(0)
 
 
+# One member of a witness family: its parameters, its witness graph, and its
+# roles as vertex sequences of that graph, which a copy maps into the host.
+Member = tuple[
+    tuple[tuple[str, int], ...], Graph, tuple[tuple[str, Sequence[int]], ...]
+]
+
+
+def _first_copy(
+    g: Graph, name: str, family: Iterable[Member], budget: Optional[Budget]
+) -> Optional[PatternMatch]:
+    """Lexicographically first induced copy of the first family member that
+    embeds in g.  Members are tried in order and share one budget."""
+    bud = _default_budget(budget)
+    for params, pattern, roles in family:
+        for mapping in iter_induced_maps(g, pattern, bud):
+            return PatternMatch(
+                pattern=name,
+                params=params,
+                image=tuple(sorted(mapping)),
+                roles=tuple(
+                    (key, tuple(mapping[v] for v in seq)) for key, seq in roles
+                ),
+            )
+    return None
+
+
+def _numbered(
+    prefix: str, seqs: Sequence[Sequence[int]]
+) -> tuple[tuple[str, Sequence[int]], ...]:
+    return tuple((f"{prefix}{i+1}", seq) for i, seq in enumerate(seqs))
+
+
 def find_induced(
     g: Graph,
     pattern: Graph,
@@ -85,14 +117,8 @@ def find_induced(
     """Lexicographically first induced copy of an explicit pattern graph."""
     if pattern.n > max_pattern:
         raise CapExceeded(f"pattern has {pattern.n} vertices, cap {max_pattern}")
-    for mapping in iter_induced_maps(g, pattern, budget):
-        return PatternMatch(
-            pattern="induced",
-            params=(("n", pattern.n),),
-            image=tuple(sorted(mapping)),
-            roles=(("mapping", mapping),),
-        )
-    return None
+    member: Member = (("n", pattern.n),), pattern, (("mapping", range(pattern.n)),)
+    return _first_copy(g, "induced", [member], budget)
 
 
 def induced_copies(
@@ -133,25 +159,16 @@ def find_t_theta(
     paths of length >= t with no other edges between the paths."""
     if t < 2:
         raise ValueError("thetas need t >= 2")
-    bud = _default_budget(budget)
-    for l1, l2, l3 in _length_triples(t, g.n, floor2=True):
-        if 2 + (l1 - 1) + (l2 - 1) + (l3 - 1) > g.n:
-            continue
-        wit = theta(l1, l2, l3)
-        for mapping in iter_induced_maps(g, wit.graph, bud):
-            return PatternMatch(
-                pattern="theta",
-                params=(("l1", l1), ("l2", l2), ("l3", l3)),
-                image=tuple(sorted(mapping)),
-                roles=(
-                    ("ends", (mapping[0], mapping[1])),
-                    *(
-                        (f"path{i+1}", tuple(mapping[v] for v in p))
-                        for i, p in enumerate(wit.paths)
-                    ),
-                ),
-            )
-    return None
+
+    def family() -> Iterator[Member]:
+        for l1, l2, l3 in _length_triples(t, g.n, floor2=True):
+            if 2 + (l1 - 1) + (l2 - 1) + (l3 - 1) > g.n:
+                continue
+            wit = theta(l1, l2, l3)
+            roles = (("ends", wit.ends), *_numbered("path", wit.paths))
+            yield (("l1", l1), ("l2", l2), ("l3", l3)), wit.graph, roles
+
+    return _first_copy(g, "theta", family(), budget)
 
 
 def find_t_pyramid(
@@ -161,28 +178,22 @@ def find_t_pyramid(
     length >= t, at most one of them a single edge."""
     if t < 1:
         raise ValueError("pyramids need t >= 1")
-    bud = _default_budget(budget)
-    for l1, l2, l3 in _length_triples(t, g.n, floor2=False):
-        if sorted((l1, l2, l3))[1] < 2:
-            continue
-        if 4 + (l1 - 1) + (l2 - 1) + (l3 - 1) > g.n:
-            continue
-        wit = pyramid(l1, l2, l3)
-        for mapping in iter_induced_maps(g, wit.graph, bud):
-            return PatternMatch(
-                pattern="pyramid",
-                params=(("l1", l1), ("l2", l2), ("l3", l3)),
-                image=tuple(sorted(mapping)),
-                roles=(
-                    ("apex", (mapping[0],)),
-                    ("triangle", tuple(mapping[v] for v in wit.triangle)),
-                    *(
-                        (f"path{i+1}", tuple(mapping[v] for v in p))
-                        for i, p in enumerate(wit.paths)
-                    ),
-                ),
+
+    def family() -> Iterator[Member]:
+        for l1, l2, l3 in _length_triples(t, g.n, floor2=False):
+            if sorted((l1, l2, l3))[1] < 2:
+                continue
+            if 4 + (l1 - 1) + (l2 - 1) + (l3 - 1) > g.n:
+                continue
+            wit = pyramid(l1, l2, l3)
+            roles = (
+                ("apex", (wit.apex,)),
+                ("triangle", wit.triangle),
+                *_numbered("path", wit.paths),
             )
-    return None
+            yield (("l1", l1), ("l2", l2), ("l3", l3)), wit.graph, roles
+
+    return _first_copy(g, "pyramid", family(), budget)
 
 
 def find_subdivided_claw(
@@ -191,20 +202,12 @@ def find_subdivided_claw(
     """Induced copy of the three-legged spider with the given leg lengths;
     the root is matched first."""
     wit = subdivided_claw(t1, t2, t3)
-    for mapping in iter_induced_maps(g, wit.graph, budget):
-        return PatternMatch(
-            pattern="subdivided_claw",
-            params=(("t1", t1), ("t2", t2), ("t3", t3)),
-            image=tuple(sorted(mapping)),
-            roles=(
-                ("root", (mapping[0],)),
-                *(
-                    (f"leg{i+1}", tuple(mapping[v] for v in leg))
-                    for i, leg in enumerate(wit.legs)
-                ),
-            ),
-        )
-    return None
+    member: Member = (
+        (("t1", t1), ("t2", t2), ("t3", t3)),
+        wit.graph,
+        (("root", (wit.root,)), *_numbered("leg", wit.legs)),
+    )
+    return _first_copy(g, "subdivided_claw", [member], budget)
 
 
 # -- creatures -----------------------------------------------------------------
@@ -324,26 +327,19 @@ def find_line_of_subdivided_wall(
         raise CapExceeded("wall-line detection supports k in {2, 3}")
     bud = _default_budget(budget)
     base = wall(k, k)
-    m0 = base.m
-    if m0 > g.n:
-        return None
-    for total in range(m0, g.n + 1):
-        for lengths in _compositions(total - m0, m0):
-            bud.tick()
-            sub = subdivide(
-                base, {e: lengths[i] + 1 for i, e in enumerate(base.edges)}
-            )
-            pattern = line_graph(sub)
-            if pattern.n > g.n:
-                continue
-            for mapping in iter_induced_maps(g, pattern, bud):
-                return PatternMatch(
-                    pattern="line_of_subdivided_wall",
-                    params=(("k", k), ("edges", pattern.n)),
-                    image=tuple(sorted(mapping)),
-                    roles=(("mapping", mapping),),
+
+    def family() -> Iterator[Member]:
+        # the subdivision with `total` edges has a line graph on `total` vertices
+        for total in range(base.m, g.n + 1):
+            for lengths in _compositions(total - base.m, base.m):
+                bud.tick()
+                sub = subdivide(
+                    base, {e: lengths[i] + 1 for i, e in enumerate(base.edges)}
                 )
-    return None
+                roles = (("mapping", range(total)),)
+                yield (("k", k), ("edges", total)), line_graph(sub), roles
+
+    return _first_copy(g, "line_of_subdivided_wall", family(), bud)
 
 
 def _compositions(extra: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -441,7 +437,6 @@ def classify_connector(
     if len(set(xs)) != 3:
         raise ValueError("need three distinct vertices")
     h = _minimal_connector(g, xs)
-    h_set = set(h)
     nbrs = {x: tuple(v for v in h if g.has_edge(x, v)) for x in xs}
     matched: list[tuple[str, tuple[tuple[str, tuple[int, ...]], ...]]] = []
 
@@ -502,60 +497,18 @@ def classify_connector(
 
 
 def _spider_roles(g, h, xs, nbrs):
-    h_set = set(h)
     for a in h:
         legs = g.components(tuple(v for v in h if v != a)) if len(h) > 1 else []
         if len(legs) > 3:
             continue
-        taken = [False] * len(legs)
-        paths = []
-        ok = True
-        for x in xs:
-            nb = nbrs[x][0]
-            if nb == a:
-                paths.append((a, x))
-                continue
-            pick = None
-            for li, leg in enumerate(legs):
-                if nb in leg and not taken[li]:
-                    pick = li
-                    break
-            if pick is None:
-                ok = False
-                break
-            leg = legs[pick]
-            seq = _induces_path(g, leg)
-            if seq is None:
-                ok = False
-                break
-            # orient from the a-side; a must see exactly the first vertex
-            if g.has_edge(a, seq[-1]) and not g.has_edge(a, seq[0]):
-                seq = tuple(reversed(seq))
-            if not g.has_edge(a, seq[0]) or any(
-                g.has_edge(a, v) for v in seq[1:]
-            ):
-                ok = False
-                break
-            if seq[-1] != nb:
-                ok = False
-                break
-            taken[pick] = True
-            paths.append((a,) + seq + (x,))
-        if not ok or not all(taken):
-            continue
+        paths = _walk_legs(g, legs, (a, a, a), xs, nbrs)
         # no edges between distinct legs except possibly between the x's
-        if _legs_anticomplete(g, paths):
-            return (
-                ("apex", (a,)),
-                ("path1", paths[0]),
-                ("path2", paths[1]),
-                ("path3", paths[2]),
-            )
+        if paths is not None and _legs_anticomplete(g, paths):
+            return (("apex", (a,)), *_numbered("path", paths))
     return None
 
 
 def _triangle_roles(g, h, xs, nbrs):
-    h_set = set(h)
     for tri in combinations(sorted(h), 3):
         a1, a2, a3 = tri
         if not (g.has_edge(a1, a2) and g.has_edge(a1, a3) and g.has_edge(a2, a3)):
@@ -564,64 +517,48 @@ def _triangle_roles(g, h, xs, nbrs):
         legs = g.components(tuple(rest)) if rest else []
         if len(legs) > 3:
             continue
-        for perm in _permutations3(tri):
-            taken = [False] * len(legs)
-            paths = []
-            ok = True
-            for x, corner in zip(xs, perm):
-                nb = nbrs[x][0]
-                if nb == corner:
-                    paths.append((corner, x))
-                    continue
-                pick = None
-                for li, leg in enumerate(legs):
-                    if nb in leg and not taken[li]:
-                        pick = li
-                        break
-                if pick is None:
-                    ok = False
-                    break
-                seq = _induces_path(g, legs[pick])
-                if seq is None:
-                    ok = False
-                    break
-                if g.has_edge(corner, seq[-1]) and not g.has_edge(corner, seq[0]):
-                    seq = tuple(reversed(seq))
-                if (
-                    not g.has_edge(corner, seq[0])
-                    or any(g.has_edge(corner, v) for v in seq[1:])
-                    or seq[-1] != nb
-                ):
-                    ok = False
-                    break
-                # the leg may touch only its own corner
-                others = [c for c in tri if c != corner]
-                if any(g.has_edge(c, v) for c in others for v in seq):
-                    ok = False
-                    break
-                taken[pick] = True
-                paths.append((corner,) + seq + (x,))
-            if ok and all(taken):
-                if _legs_anticomplete(g, paths, shared_apex=False):
-                    return (
-                        ("triangle", perm),
-                        ("path1", paths[0]),
-                        ("path2", paths[1]),
-                        ("path3", paths[2]),
-                    )
+        for perm in permutations(tri):
+            paths = _walk_legs(g, legs, perm, xs, nbrs)
+            if paths is not None and _legs_anticomplete(g, paths, shared_apex=False):
+                return (("triangle", perm), *_numbered("path", paths))
     return None
 
 
-def _permutations3(tri):
-    a, b, c = tri
-    return [
-        (a, b, c),
-        (a, c, b),
-        (b, a, c),
-        (b, c, a),
-        (c, a, b),
-        (c, b, a),
-    ]
+def _walk_legs(g, legs, corners, xs, nbrs) -> Optional[list[tuple[int, ...]]]:
+    """Attach each x to its corner: directly when the corner is x's only
+    neighbor in the connector, otherwise along its own leg, an induced path
+    that the corner sees only at its first vertex and that ends at x's
+    neighbor.  A leg may touch no other corner, and every leg must be used;
+    None otherwise."""
+    taken = [False] * len(legs)
+    paths = []
+    for x, corner in zip(xs, corners):
+        nb = nbrs[x][0]
+        if nb == corner:
+            paths.append((corner, x))
+            continue
+        pick = next(
+            (li for li, leg in enumerate(legs) if nb in leg and not taken[li]), None
+        )
+        if pick is None:
+            return None
+        seq = _induces_path(g, legs[pick])
+        if seq is None:
+            return None
+        if g.has_edge(corner, seq[-1]) and not g.has_edge(corner, seq[0]):
+            seq = tuple(reversed(seq))
+        if (
+            not g.has_edge(corner, seq[0])
+            or any(g.has_edge(corner, v) for v in seq[1:])
+            or seq[-1] != nb
+        ):
+            return None
+        others = [c for c in corners if c != corner]
+        if any(g.has_edge(c, v) for c in others for v in seq):
+            return None
+        taken[pick] = True
+        paths.append((corner,) + seq + (x,))
+    return paths if all(taken) else None
 
 
 def _legs_anticomplete(g, paths, shared_apex: bool = True) -> bool:

@@ -25,11 +25,10 @@ from .centralbag import (
 from .certify import Certificate, graph_witness
 from .config import RunConfig
 from .decompose import (
-    NotChordal,
     chordal_td,
+    decompose_strip_structure,
     find_hole,
     fuzzy_lci_td,
-    strip_assembly,
     validate_td,
 )
 from .detect import (
@@ -209,7 +208,7 @@ def is_theta_set(g: Graph, vs: tuple[int, ...], t: int) -> bool:
     if g.has_edge(a, b):
         return False
     rest = [v for v in vs if v not in (a, b)]
-    comps = Graph_components_on(g, rest)
+    comps = g.components(rest)
     if len(comps) != 3:
         return False
     for comp in comps:
@@ -232,10 +231,6 @@ def is_theta_set(g: Graph, vs: tuple[int, ...], t: int) -> bool:
     return True
 
 
-def Graph_components_on(g: Graph, vs: Sequence[int]) -> list[tuple[int, ...]]:
-    return g.components(tuple(vs)) if vs else []
-
-
 def is_pyramid_set(g: Graph, vs: tuple[int, ...], t: int) -> bool:
     sub = {v: [u for u in vs if u != v and g.has_edge(u, v)] for v in vs}
     deg3 = [v for v in vs if len(sub[v]) == 3]
@@ -252,7 +247,7 @@ def is_pyramid_set(g: Graph, vs: tuple[int, ...], t: int) -> bool:
     if len(direct) > 1:
         return False
     rest = [v for v in vs if v != apex and v not in tri]
-    comps = Graph_components_on(g, rest)
+    comps = g.components(rest)
     if len(comps) != 3 - len(direct):
         return False
     lengths = [1] * len(direct)
@@ -292,7 +287,7 @@ def is_subdivided_claw_set(g: Graph, vs: tuple[int, ...], lens: tuple[int, int, 
     if len(deg3) != 1 or any(len(sub[v]) > 3 for v in vs):
         return False
     root = deg3[0]
-    comps = Graph_components_on(g, [v for v in vs if v != root])
+    comps = g.components([v for v in vs if v != root])
     if len(comps) != 3:
         return False
     got = []
@@ -772,16 +767,7 @@ def suite_strip_assembly(cfg: RunConfig) -> Certificate:
     bad: list[str] = []
     for kind in kinds:
         ss = strip_structure_instance(kind)
-        simple = Graph(ss.pattern_n, [(a, b) for a, b in ss.pattern_edges if a != b])
-        _, td0 = exact_treewidth(simple, cap=cfg.max_tw_n)
-        strips = {}
-        for i in range(len(ss.pattern_edges)):
-            sg, _ = ss.strip_graph(i)
-            try:
-                strips[i] = chordal_td(sg)
-            except NotChordal:
-                strips[i] = exact_treewidth(sg, cap=cfg.max_tw_n)[1]
-        rep = strip_assembly(ss, td0, strips)
+        rep = decompose_strip_structure(ss, cap=cfg.max_tw_n)
         val = validate_td(ss.host, rep.td)
         sound = True
         if ss.host.n <= cfg.max_tw_n:

@@ -1,0 +1,57 @@
+"""Every subcommand that hits a cap or a budget exits 2 with a `budget`
+status, and `detect` searches under the configured budget and pattern cap."""
+
+import json
+
+from twcert.cli import main
+
+
+def _run(tmp_path, argv, config=None):
+    out = tmp_path / "out.json"
+    prefix = []
+    if config is not None:
+        conf = tmp_path / "run.conf"
+        conf.write_text(config)
+        prefix = ["--config", str(conf)]
+    code = main(prefix + argv + ["-o", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def _wall(tmp_path, n, m):
+    path = tmp_path / f"wall{n}x{m}.json"
+    assert main(["gen", "wall", "--n", str(n), "--m", str(m), "-o", str(path)]) == 0
+    return str(path)
+
+
+def test_centralbag_above_transfer_cap_reports_budget(tmp_path):
+    pattern = tmp_path / "p3.json"
+    pattern.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}\n')
+    code, payload = _run(
+        tmp_path, ["centralbag", "-i", _wall(tmp_path, 4, 4), "--pattern", str(pattern)]
+    )
+    assert code == 2
+    assert payload == {
+        "status": "budget",
+        "detail": "transfer checks are exhaustive; capped at n=12",
+    }
+
+
+def test_detect_honours_search_budget(tmp_path):
+    argv = ["detect", "--pattern", "theta", "--t", "2", "-i", _wall(tmp_path, 4, 4)]
+    code, payload = _run(tmp_path, argv, config="search_budget=10\n")
+    assert code == 2
+    assert payload["status"] == "budget"
+    code, payload = _run(tmp_path, argv)
+    assert code == 0 and payload["status"] == "found"
+
+
+def test_detect_honours_max_pattern_nodes(tmp_path):
+    pattern = tmp_path / "p5.json"
+    pattern.write_text('{"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}\n')
+    argv = ["detect", "--pattern", "induced", "--pattern-file", str(pattern),
+            "-i", _wall(tmp_path, 3, 3)]
+    code, payload = _run(tmp_path, argv, config="max_pattern_nodes=3\n")
+    assert code == 2
+    assert payload == {"status": "budget", "detail": "pattern has 5 vertices, cap 3"}
+    code, payload = _run(tmp_path, argv)
+    assert code == 0 and payload["status"] == "found"

@@ -2,10 +2,13 @@
 
 import networkx as nx
 from hypothesis import given, settings
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from conftest import connected_graphs, graphs
 from twcert.decompose import is_chordal, validate_td
-from twcert.graphs import Graph, clique_number, line_graph
+from twcert.detect import induced_copies
+from twcert.generators import complete_graph, cycle_graph, path_graph, star_graph
+from twcert.graphs import Graph, clique_number, disjoint_union, line_graph
 from twcert.separators import exact_treewidth
 
 
@@ -52,3 +55,31 @@ def test_treewidth_upper_bounds_networkx_heuristic(g):
     width, _ = nx.algorithms.approximation.treewidth_min_fill_in(_to_nx(g))
     # a heuristic width can never undercut the optimum
     assert width >= tw
+
+
+# small patterns, including disconnected ones whose non-edges must map to
+# non-edges
+COPY_PATTERNS = [
+    path_graph(1),
+    path_graph(2),
+    Graph(2, []),
+    path_graph(3),
+    complete_graph(3),
+    path_graph(4),
+    cycle_graph(4),
+    star_graph(3),
+    disjoint_union(path_graph(2), path_graph(2)),
+    disjoint_union(path_graph(2), Graph(1, [])),
+]
+
+
+@given(graphs(max_n=7))
+@settings(max_examples=50, deadline=None)
+def test_induced_copies_match_networkx(g):
+    host = _to_nx(g)
+    for p in COPY_PATTERNS:
+        theirs = {
+            tuple(sorted(m))
+            for m in GraphMatcher(host, _to_nx(p)).subgraph_isomorphisms_iter()
+        }
+        assert induced_copies(g, p) == sorted(theirs)

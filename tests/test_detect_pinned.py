@@ -1,0 +1,156 @@
+"""Pinned results of the family detectors: the exact first match and the
+budget it used.  Members are tried in a fixed order under one shared budget,
+so a change to that order, or to where ticks are taken, shows here."""
+
+import pytest
+
+from twcert.config import Budget
+from twcert.detect import (
+    PatternMatch,
+    find_induced,
+    find_line_of_subdivided_wall,
+    find_subdivided_claw,
+    find_t_pyramid,
+    find_t_theta,
+)
+from twcert.generators import (
+    complete_bipartite,
+    cycle_graph,
+    path_graph,
+    pyramid,
+    subdivided_claw,
+    wall,
+)
+from twcert.graphs import disjoint_union
+
+CASES = {
+    "theta-t2-wall33": (
+        lambda b: find_t_theta(wall(3, 3), 2, b),
+        PatternMatch(
+            pattern="theta",
+            params=(("l1", 2), ("l2", 3), ("l3", 7)),
+            image=(0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11),
+            roles=(
+                ("ends", (1, 4)),
+                ("path1", (1, 5, 4)),
+                ("path2", (1, 0, 3, 4)),
+                ("path3", (1, 2, 7, 8, 11, 10, 9, 4)),
+            ),
+        ),
+        17963,
+    ),
+    "theta-t3-wall34": (
+        lambda b: find_t_theta(wall(3, 4), 3, b),
+        PatternMatch(
+            pattern="theta",
+            params=(("l1", 3), ("l2", 6), ("l3", 6)),
+            image=(0, 1, 2, 3, 4, 5, 7, 8, 10, 11, 12, 13, 14, 15),
+            roles=(
+                ("ends", (2, 13)),
+                ("path1", (2, 8, 7, 13)),
+                ("path2", (2, 1, 0, 4, 5, 12, 13)),
+                ("path3", (2, 3, 10, 11, 15, 14, 13)),
+            ),
+        ),
+        165543,
+    ),
+    "theta-t2-k23": (
+        lambda b: find_t_theta(complete_bipartite(2, 3), 2, b),
+        PatternMatch(
+            pattern="theta",
+            params=(("l1", 2), ("l2", 2), ("l3", 2)),
+            image=(0, 1, 2, 3, 4),
+            roles=(
+                ("ends", (0, 1)),
+                ("path1", (0, 2, 1)),
+                ("path2", (0, 3, 1)),
+                ("path3", (0, 4, 1)),
+            ),
+        ),
+        15,
+    ),
+    "theta-t2-c8-absent": (lambda b: find_t_theta(cycle_graph(8), 2, b), None, 56),
+    "pyramid-t1-found": (
+        lambda b: find_t_pyramid(
+            disjoint_union(path_graph(2), pyramid(1, 2, 3).graph), 1, b
+        ),
+        PatternMatch(
+            pattern="pyramid",
+            params=(("l1", 1), ("l2", 2), ("l3", 3)),
+            image=(2, 3, 4, 5, 6, 7, 8),
+            roles=(
+                ("apex", (2,)),
+                ("triangle", (3, 4, 5)),
+                ("path1", (2, 3)),
+                ("path2", (2, 6, 4)),
+                ("path3", (2, 7, 8, 5)),
+            ),
+        ),
+        222,
+    ),
+    "pyramid-t1-wall33-absent": (lambda b: find_t_pyramid(wall(3, 3), 1, b), None, 13824),
+    "claw-123-wall44": (
+        lambda b: find_subdivided_claw(wall(4, 4), 1, 2, 3, b),
+        PatternMatch(
+            pattern="subdivided_claw",
+            params=(("t1", 1), ("t2", 2), ("t3", 3)),
+            image=(0, 1, 2, 3, 5, 6, 13),
+            roles=(
+                ("root", (1,)),
+                ("leg1", (0,)),
+                ("leg2", (2, 3)),
+                ("leg3", (6, 5, 13)),
+            ),
+        ),
+        37,
+    ),
+    "claw-111-c6-absent": (
+        lambda b: find_subdivided_claw(cycle_graph(6), 1, 1, 1, b), None, 6
+    ),
+    "wall-line-k2-c8": (
+        lambda b: find_line_of_subdivided_wall(cycle_graph(8), 2, b),
+        PatternMatch(
+            pattern="line_of_subdivided_wall",
+            params=(("k", 2), ("edges", 8)),
+            image=(0, 1, 2, 3, 4, 5, 6, 7),
+            roles=(("mapping", (0, 1, 7, 2, 6, 3, 4, 5)),),
+        ),
+        32928,
+    ),
+    "wall-line-k2-wall33": (
+        lambda b: find_line_of_subdivided_wall(wall(3, 3), 2, b),
+        PatternMatch(
+            pattern="line_of_subdivided_wall",
+            params=(("k", 2), ("edges", 5)),
+            image=(0, 1, 3, 4, 5),
+            roles=(("mapping", (0, 1, 3, 5, 4)),),
+        ),
+        1124,
+    ),
+    "wall-line-k2-spider-absent": (
+        lambda b: find_line_of_subdivided_wall(subdivided_claw(2, 2, 2).graph, 2, b),
+        None,
+        3738,
+    ),
+    "induced-p5-wall44": (
+        lambda b: find_induced(wall(4, 4), path_graph(5), b),
+        PatternMatch(
+            pattern="induced",
+            params=(("n", 5),),
+            image=(0, 1, 2, 3, 10),
+            roles=(("mapping", (0, 1, 2, 3, 10)),),
+        ),
+        21,
+    ),
+    "induced-c4-wall33-absent": (
+        lambda b: find_induced(wall(3, 3), cycle_graph(4), b), None, 1092
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_family_detector_pinned(name):
+    search, expected, used = CASES[name]
+    budget = Budget(10**7)
+    assert search(budget) == expected
+    assert budget.used == used
