@@ -22,7 +22,7 @@ class RunConfig:
     max_tw_n: int = 14
     max_sep_n: int = 10
     max_pattern_nodes: int = 24
-    search_budget: int = 5_000_000  # search-node budget per stage, deterministic
+    search_budget: int = 5_000_000  # ticks per search, deterministic (see Budget)
     seed: int = 7
     c: Fraction = Fraction(1, 2)
     d: int = 2
@@ -74,7 +74,13 @@ def load_config(path: str | None = None, **overrides: object) -> RunConfig:
 
 
 class Budget:
-    """Deterministic search-node budget shared by one search invocation."""
+    """Deterministic search-node budget shared by one search invocation.
+
+    In the induced-subgraph engine (``detect.iter_induced_maps``) one tick is
+    one host vertex considered for one pattern vertex, whether the candidate
+    filter keeps it or not; ``find_creature`` ticks once per search node.
+    Exceeding ``limit`` raises ``BudgetExhausted``.
+    """
 
     __slots__ = ("limit", "used")
 

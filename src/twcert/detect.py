@@ -41,39 +41,62 @@ def iter_induced_maps(
     g: Graph, pattern: Graph, budget: Optional[Budget] = None
 ) -> Iterator[tuple[int, ...]]:
     """All injective maps pattern -> g preserving adjacency and non-adjacency,
-    in lexicographic order of the mapping tuple."""
-    bud = _default_budget(budget)
-    k = pattern.n
-    if k > g.n:
-        return
-    assigned: list[int] = []
-    used = 0
+    in lexicographic order of the mapping tuple.
 
-    def place(i: int) -> Iterator[tuple[int, ...]]:
-        nonlocal used
+    Pattern vertices are placed in id order.  The candidates for pattern
+    vertex i form one host bitmask: the vertices of large enough degree, not
+    yet used, adjacent to the images of i's earlier pattern neighbours and
+    non-adjacent to the images of its earlier non-neighbours.  They are tried
+    in ascending id order.
+
+    One budget tick is one host vertex considered for one pattern vertex,
+    whether the filter keeps it or not: placing vertex i costs n ticks (n the
+    host size), taken in bulk up to each candidate before descending into it
+    and for the rest at the end.  No mapping is yielded between the skipped
+    vertices and their bulk tick, so ``Budget.used`` at every yield, and the
+    prefix of mappings before ``BudgetExhausted``, are those of testing one
+    host vertex per tick.
+    """
+    bud = _default_budget(budget)
+    n, k = g.n, pattern.n
+    if k > n:
+        return
+    nbr = [g.neighbor_mask(v) for v in g.vertices]
+    # at_least[d]: host vertices of degree >= d, for every pattern degree d
+    at_least = [0] * (max(g.max_degree(), pattern.max_degree()) + 1)
+    for v in g.vertices:
+        at_least[g.degree(v)] |= 1 << v
+    for d in range(len(at_least) - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    base = [at_least[pattern.degree(i)] for i in range(k)]
+    earlier_adj = [[j for j in range(i) if pattern.has_edge(i, j)] for i in range(k)]
+    earlier_non = [
+        [j for j in range(i) if not pattern.has_edge(i, j)] for i in range(k)
+    ]
+    assigned = [0] * k
+
+    def place(i: int, used: int) -> Iterator[tuple[int, ...]]:
         if i == k:
             yield tuple(assigned)
             return
-        pdeg = pattern.degree(i)
-        pmask = pattern.neighbor_mask(i)
-        for cand in g.vertices:
-            bud.tick()
-            if used >> cand & 1 or g.degree(cand) < pdeg:
-                continue
-            ok = True
-            for j in range(i):
-                if bool(pmask >> j & 1) != g.has_edge(assigned[j], cand):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assigned.append(cand)
-            used |= 1 << cand
-            yield from place(i + 1)
-            assigned.pop()
-            used &= ~(1 << cand)
+        cand = base[i] & ~used
+        for j in earlier_adj[i]:
+            cand &= nbr[assigned[j]]
+        for j in earlier_non[i]:
+            cand &= ~nbr[assigned[j]]
+        ticked = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            c = low.bit_length() - 1
+            bud.tick(c + 1 - ticked)
+            ticked = c + 1
+            assigned[i] = c
+            yield from place(i + 1, used | low)
+        if ticked < n:
+            bud.tick(n - ticked)
 
-    yield from place(0)
+    yield from place(0, 0)
 
 
 # One member of a witness family: its parameters, its witness graph, and its
@@ -138,18 +161,16 @@ def contains_induced(g: Graph, pattern: Graph, budget: Optional[Budget] = None) 
 # -- specialised detectors ----------------------------------------------------
 
 
-def _length_triples(t: int, max_total: int, floor2: bool) -> Iterator[tuple[int, int, int]]:
-    """Non-decreasing length triples with bounded total interior size."""
+def _length_triples(
+    t: int, max_sum: int, floor2: bool
+) -> Iterator[tuple[int, int, int]]:
+    """Non-decreasing length triples, each at least t (and at least 2 when
+    floor2, else 1), by increasing sum up to max_sum."""
     lo = max(t, 2) if floor2 else max(t, 1)
-    for total in range(3 * lo, 3 * max_total + 1):
-        for l1 in range(lo, total + 1):
-            for l2 in range(l1, total + 1):
-                l3 = total - l1 - l2
-                if l3 < l2:
-                    break
-                if l3 > max_total:
-                    continue
-                yield l1, l2, l3
+    for total in range(3 * lo, max_sum + 1):
+        for l1 in range(lo, total // 3 + 1):
+            for l2 in range(l1, (total - l1) // 2 + 1):
+                yield l1, l2, total - l1 - l2
 
 
 def find_t_theta(
@@ -161,9 +182,8 @@ def find_t_theta(
         raise ValueError("thetas need t >= 2")
 
     def family() -> Iterator[Member]:
-        for l1, l2, l3 in _length_triples(t, g.n, floor2=True):
-            if 2 + (l1 - 1) + (l2 - 1) + (l3 - 1) > g.n:
-                continue
+        # a theta has l1 + l2 + l3 - 1 vertices
+        for l1, l2, l3 in _length_triples(t, g.n + 1, floor2=True):
             wit = theta(l1, l2, l3)
             roles = (("ends", wit.ends), *_numbered("path", wit.paths))
             yield (("l1", l1), ("l2", l2), ("l3", l3)), wit.graph, roles
@@ -180,10 +200,9 @@ def find_t_pyramid(
         raise ValueError("pyramids need t >= 1")
 
     def family() -> Iterator[Member]:
-        for l1, l2, l3 in _length_triples(t, g.n, floor2=False):
+        # a pyramid has l1 + l2 + l3 + 1 vertices
+        for l1, l2, l3 in _length_triples(t, g.n - 1, floor2=False):
             if sorted((l1, l2, l3))[1] < 2:
-                continue
-            if 4 + (l1 - 1) + (l2 - 1) + (l3 - 1) > g.n:
                 continue
             wit = pyramid(l1, l2, l3)
             roles = (

@@ -6,7 +6,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from conftest import connected_graphs, graphs
 from twcert.decompose import is_chordal, validate_td
-from twcert.detect import induced_copies
+from twcert.detect import induced_copies, iter_induced_maps
 from twcert.generators import complete_graph, cycle_graph, path_graph, star_graph
 from twcert.graphs import Graph, clique_number, disjoint_union, line_graph
 from twcert.separators import exact_treewidth
@@ -83,3 +83,15 @@ def test_induced_copies_match_networkx(g):
             for m in GraphMatcher(host, _to_nx(p)).subgraph_isomorphisms_iter()
         }
         assert induced_copies(g, p) == sorted(theirs)
+
+
+@given(graphs(max_n=7), graphs(max_n=5))
+@settings(max_examples=100, deadline=None)
+def test_induced_maps_order_matches_networkx(g, p):
+    # networkx maps host -> pattern; invert to the engine's pattern -> host
+    # tuples, whose lexicographic order the engine promises
+    theirs = []
+    for m in GraphMatcher(_to_nx(g), _to_nx(p)).subgraph_isomorphisms_iter():
+        inverse = {v: u for u, v in m.items()}
+        theirs.append(tuple(inverse[i] for i in range(p.n)))
+    assert list(iter_induced_maps(g, p)) == sorted(theirs)
