@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from .certify import FAIL, HYPOTHESIS_UNMET, PASS
 from .config import Budget
 from .detect import induced_copies, verify_forcer, find_induced
 from .graphs import CapExceeded, Graph, bits, geometric_ball_bound, lex_key, mask_of
@@ -205,12 +206,6 @@ class SeparationSequence:
             t = max(t, g.diameter_of(s.c))
         return (max(counts.values(), default=0), t)
 
-    def is_strongly_laminar(self) -> bool:
-        return all(
-            not (set(s1.c) & set(s2.c))
-            for s1, s2 in combinations(self.separations, 2)
-        )
-
     def is_laminar(self) -> bool:
         return all(
             relation(s1, s2).non_crossing
@@ -293,10 +288,6 @@ class DimensionPartition:
     measured_a: int
     measured_t: int
     class_bound: int  # a * gamma(2t) + 1
-
-    @property
-    def dimension_upper(self) -> int:
-        return len(self.classes)
 
 
 def dimension_partition(g: Graph, seq: SeparationSequence) -> DimensionPartition:
@@ -518,13 +509,31 @@ class ConditionalCheck:
     hypothesis_met: bool
     hypothesis_notes: tuple[str, ...]
     conclusion_holds: Optional[bool]
-    status: str  # "pass" | "fail" | "hypothesis-unmet"
+
+    @property
+    def status(self) -> str:
+        """Hypothesis-unmet, else pass exactly when the conclusion holds; an
+        unmeasured conclusion (None) under a met hypothesis is a fail."""
+        if not self.hypothesis_met:
+            return HYPOTHESIS_UNMET
+        return PASS if self.conclusion_holds else FAIL
 
 
-def _status(hyp: bool, concl: Optional[bool]) -> str:
-    if not hyp:
-        return "hypothesis-unmet"
-    return "pass" if concl else "fail"
+def _bag_has_no_small_separator(
+    g: Graph, result: CentralBagResult, c: Fraction, limit: int
+) -> Optional[bool]:
+    """Whether the bag, under its propagated weights, has no balanced
+    separator of size <= limit; None when the bag is empty or its weights do
+    not sum to one."""
+    from .separators import min_balanced_separator
+
+    if not result.bag or sum(result.weights.values(), Fraction(0)) != 1:
+        return None
+    sub, sub_vs = g.induced_subgraph(result.bag)
+    w_bag = WeightFunction(
+        tuple(range(sub.n)), tuple(result.weights[v] for v in sub_vs)
+    )
+    return min_balanced_separator(sub, w_bag, c, max_size=limit, cap=sub.n) is None
 
 
 def check_bag_separator_transfer(
@@ -543,7 +552,7 @@ def check_bag_separator_transfer(
     arithmetic side conditions, recorded in the hypothesis notes.  Unmet
     hypotheses are reported as such, never as pass or fail.
     """
-    from .separators import has_balanced_separator_of_size, min_balanced_separator
+    from .separators import has_balanced_separator_of_size
 
     check_balance_parameter(c)
     if g.n > 12:
@@ -568,7 +577,6 @@ def check_bag_separator_transfer(
                 base_notes + [f"d >= gamma(t+1) = {gamma_t1}: {d >= gamma_t1}"]
             ),
             conclusion_holds=concl,
-            status=_status(hyp, concl),
         )
     )
 
@@ -597,7 +605,6 @@ def check_bag_separator_transfer(
                 ]
             ),
             conclusion_holds=concl,
-            status=_status(hyp, concl),
         )
     )
 
@@ -620,7 +627,6 @@ def check_bag_separator_transfer(
                 ]
             ),
             conclusion_holds=concl,
-            status=_status(hyp, concl),
         )
     )
 
@@ -633,18 +639,7 @@ def check_bag_separator_transfer(
         and result.algebra_holds
         and all(lvl.restricted_a_loosely_laminar for lvl in result.levels)
     )
-    concl: Optional[bool] = None
-    if result.bag and sum(result.weights.values(), Fraction(0)) == 1:
-        sub, sub_vs = g.induced_subgraph(result.bag)
-        w_bag = WeightFunction(
-            tuple(range(sub.n)),
-            tuple(result.weights[v] for v in sub_vs),
-        )
-        bound = Fraction(d, gamma_t**k) if k else Fraction(d)
-        limit = int(bound)
-        concl = (
-            min_balanced_separator(sub, w_bag, c, max_size=limit, cap=sub.n) is None
-        )
+    limit = int(Fraction(d, gamma_t**k))
     checks.append(
         ConditionalCheck(
             claim="no small balanced separator survives in the bag",
@@ -653,8 +648,7 @@ def check_bag_separator_transfer(
                 base_notes
                 + [f"d >= gamma(t+1)*gamma(t)^k = {needed_d}: {d >= needed_d}"]
             ),
-            conclusion_holds=concl,
-            status=_status(hyp, concl),
+            conclusion_holds=_bag_has_no_small_separator(g, result, c, limit),
         )
     )
     return checks
@@ -740,21 +734,19 @@ def clique_central_bag(
 ) -> CliqueBagReport:
     """Single-level central bag over the clique covering, with the measured
     clique-cutset-freeness of the bag and the conditional separator bound."""
-    from .separators import has_balanced_separator_of_size, min_balanced_separator
+    from .separators import has_balanced_separator_of_size
 
     covering, _ = clique_covering(g, w)
+    a, t = covering.goodness(g)
     partition = DimensionPartition(
         classes=(tuple(range(len(covering))),) if len(covering) else (),
-        measured_a=max(
-            [sum(1 for s in covering.separations if s.anchor == v) for v in g.vertices]
-            or [0]
-        ),
-        measured_t=max([g.diameter_of(s.c) for s in covering.separations] or [0]),
+        measured_a=a,
+        measured_t=t,
         class_bound=0,
     )
     result = central_bag(g, w, covering, partition)
     bag = result.bag
-    sub, sub_vs = g.induced_subgraph(bag)
+    sub, _ = g.induced_subgraph(bag)
     no_cutset = len(clique_cutsets(sub)) == 0
     # neighborhoods of the outside components must be cliques of the graph
     outside = set(range(g.n)) - set(bag)
@@ -767,13 +759,7 @@ def clique_central_bag(
     delta = g.max_degree()
     no_sep = not has_balanced_separator_of_size(g, w, c, d)
     hyp = no_sep and d > delta
-    concl: Optional[bool] = None
-    if bag and sum(result.weights.values(), Fraction(0)) == 1:
-        w_bag = WeightFunction(
-            tuple(range(sub.n)), tuple(result.weights[v] for v in sub_vs)
-        )
-        limit = int(Fraction(d, 1 + delta))
-        concl = min_balanced_separator(sub, w_bag, c, max_size=limit, cap=sub.n) is None
+    limit = int(Fraction(d, 1 + delta))
     checks = (
         ConditionalCheck(
             claim="clique bag keeps no small balanced separator",
@@ -782,8 +768,7 @@ def clique_central_bag(
                 f"no balanced separator of size <= {d}: {no_sep}",
                 f"d > Delta = {delta}: {d > delta}",
             ),
-            conclusion_holds=concl,
-            status=_status(hyp, concl),
+            conclusion_holds=_bag_has_no_small_separator(g, result, c, limit),
         ),
         ConditionalCheck(
             claim="clique bag has no clique cutset",
@@ -793,7 +778,6 @@ def clique_central_bag(
                 f"d > Delta = {delta}: {d > delta}",
             ),
             conclusion_holds=no_cutset,
-            status=_status(hyp, no_cutset),
         ),
     )
     return CliqueBagReport(
@@ -838,9 +822,9 @@ class PipelineReport:
     symbolic_bound: str  # "2*N*gamma(t+1)^e" with the instantiated numbers
     treewidth_within_symbolic_bound: Optional[bool]
     transfer_checks: tuple[ConditionalCheck, ...]
-    sequence: "SeparationSequence" = SeparationSequence(separations=())
-    partition: Optional[DimensionPartition] = None
-    result: Optional[CentralBagResult] = None
+    sequence: SeparationSequence
+    partition: DimensionPartition
+    result: CentralBagResult
 
 
 def run_master_pipeline(
@@ -894,10 +878,10 @@ def run_master_pipeline(
     checks = check_bag_separator_transfer(g, w, c, d, seq, partition, result)
     return PipelineReport(
         pattern_copies=len(seq),
-        goodness=seq.goodness(g) if len(seq) else (0, 0),
+        goodness=(partition.measured_a, partition.measured_t),
         dimension_classes=len(partition.classes),
         dimension_bound_holds=len(partition.classes) <= dim_bound,
-        anchor_bound_holds=(seq.goodness(g)[0] if len(seq) else 0) <= a_bound,
+        anchor_bound_holds=partition.measured_a <= a_bound,
         bag=result.bag,
         algebra_holds=result.algebra_holds,
         audit_complete=audit_is_complete(g, seq, result),

@@ -64,6 +64,24 @@ class Certificate:
             Assertion(check_id, description, status, witness or {})
         )
 
+    def expect(
+        self,
+        check_id: str,
+        description: str,
+        got: Any,
+        expected: Any,
+        hypothesis_met: bool = True,
+    ) -> None:
+        """Record an `equal` witness; the status is `got == expected`, the
+        same comparison `recheck` makes."""
+        self.add(
+            check_id,
+            description,
+            got == expected,
+            {"kind": "equal", "got": got, "expected": expected},
+            hypothesis_met,
+        )
+
     def record_input(self, name: str, payload: Any) -> None:
         self.inputs[name] = sha256_of(payload)
 

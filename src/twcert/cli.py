@@ -15,7 +15,13 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .centralbag import run_master_pipeline
-from .certify import Certificate, canonical_json, graph_witness, recheck
+from .certify import (
+    Certificate,
+    canonical_json,
+    graph_witness,
+    recheck,
+    weights_witness,
+)
 from .config import Budget, RunConfig, load_config
 from .decompose import (
     NotChordal,
@@ -83,7 +89,11 @@ def _load_weights(path: Optional[str], g: Graph) -> WeightFunction:
     if path is None:
         return WeightFunction.uniform(g)
     with open(path, "r", encoding="utf-8") as fh:
-        return WeightFunction.from_json(json.load(fh))
+        pairs = json.load(fh, object_pairs_hook=tuple)  # keeps repeated keys
+    keys = sorted(k for k, _ in pairs) if isinstance(pairs, tuple) else None
+    if keys != sorted(str(v) for v in g.vertices):
+        raise ValueError(f"{path}: weights must name each vertex 0..{g.n - 1} once")
+    return WeightFunction.from_json(dict(pairs))
 
 
 def _dump_json(payload: Any, path: Optional[str]) -> None:
@@ -284,46 +294,36 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
     cert = Certificate(command=["centralbag", args.input], seed=cfg.seed)
     cert.record_input("graph", graph_witness(g))
     cert.record_input("pattern", graph_witness(pattern))
-    cert.add(
-        "bag.algebra",
-        "per-level bag algebra holds",
-        rep.algebra_holds,
-        {"kind": "equal", "got": rep.algebra_holds, "expected": True},
+    cert.expect("bag.algebra", "per-level bag algebra holds", rep.algebra_holds, True)
+    cert.expect(
+        "bag.audit", "every dropped separation is justified", rep.audit_complete, True
     )
-    cert.add(
-        "bag.audit",
-        "every dropped separation is justified",
-        rep.audit_complete,
-        {"kind": "equal", "got": rep.audit_complete, "expected": True},
-    )
-    cert.add(
+    cert.expect(
         "bag.dimension",
         "class count stays within the ball bound",
         rep.dimension_bound_holds,
-        {"kind": "equal", "got": rep.dimension_bound_holds, "expected": True},
+        True,
     )
     for i, (premise, clean) in enumerate(zip(rep.forcer_premises, rep.bag_forcer_free)):
-        cert.add(
+        cert.expect(
             f"bag.forcer.{i}",
             "verified forcer absent from the bag",
             clean,
-            {"kind": "equal", "got": clean, "expected": True},
+            True,
             hypothesis_met=premise,
         )
     for chk in rep.transfer_checks:
-        cert.add(
+        cert.expect(
             "bag.transfer",
             chk.claim,
             chk.conclusion_holds,
-            {"kind": "equal", "got": chk.conclusion_holds, "expected": True},
+            True,
             hypothesis_met=chk.hypothesis_met,
         )
     result = rep.result
     payload = {
         "bag": list(rep.bag),
-        "bag_weights": {str(v): str(x) for v, x in sorted(result.weights.items())}
-        if result
-        else {},
+        "bag_weights": weights_witness(result.weights),
         "bag_treewidth": rep.bag_treewidth,
         "sequence": [
             {
@@ -337,16 +337,12 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
             for s in rep.sequence.separations
         ],
         "skipped_copies": [list(r.copy) for r in rep.sequence.skipped],
-        "partition": [list(cls) for cls in rep.partition.classes]
-        if rep.partition
-        else [],
-        "generator": [list(cls) for cls in result.generator] if result else [],
+        "partition": [list(cls) for cls in rep.partition.classes],
+        "generator": [list(cls) for cls in result.generator],
         "drops": [
             {"index": d.index, "reason": d.reason, "witness": d.witness}
             for d in result.drops
-        ]
-        if result
-        else [],
+        ],
         "classes": rep.dimension_classes,
         "goodness": list(rep.goodness),
         "symbolic_bound": rep.symbolic_bound,
@@ -403,9 +399,6 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
         ss = _strip_structure_from_json(data)
         td = decompose_strip_structure(ss, cap=cfg.max_tw_n).td
         host = ss.host
-    else:
-        print(f"unknown method {args.method!r}", file=sys.stderr)
-        return USAGE_ERROR
     check = validate_td(host, td)
     if args.td:
         with open(args.td, "w", encoding="utf-8") as fh:
@@ -554,13 +547,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    overrides: dict[str, Any] = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "c", None) not in (None, "1/2") and args.command == "verify":
-        overrides["c"] = parse_fraction(args.c)
+    verify_c = args.c if args.command == "verify" else None
     try:
-        cfg = load_config(args.config, **overrides)
+        cfg = load_config(
+            args.config,
+            seed=args.seed,
+            c=None if verify_c is None else parse_fraction(verify_c),
+        )
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR

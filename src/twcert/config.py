@@ -34,15 +34,7 @@ class RunConfig:
         check_balance_parameter(self.c)
 
 
-_INT_KEYS = {
-    "max_clique_n",
-    "max_tw_n",
-    "max_sep_n",
-    "max_pattern_nodes",
-    "search_budget",
-    "seed",
-    "d",
-}
+_INT_KEYS = {f.name for f in fields(RunConfig) if f.type == "int"}
 
 
 def parse_config_file(path: str) -> dict[str, object]:

@@ -124,13 +124,6 @@ class Graph:
 
     # -- neighborhoods and connectivity ----------------------------------
 
-    def set_neighbor_mask(self, vs_mask: int) -> int:
-        """Open neighborhood N(X) as a mask."""
-        m = 0
-        for v in bits(vs_mask):
-            m |= self._masks[v]
-        return m & ~vs_mask
-
     def neighborhood(self, x: Iterable[int], d: int) -> tuple[int, ...]:
         """All vertices at distance at most d from the set x (d=0 gives x)."""
         xs = self._check_vertices(x)

@@ -177,10 +177,8 @@ def exact_treewidth(g: Graph, cap: int = 14) -> tuple[int, TreeDecomposition]:
     tw = [0] * size
     choice = [0] * size
     tw[0] = -1
-    order_by_popcount = sorted(range(size), key=lambda s: s.bit_count())
-    for s_mask in order_by_popcount:
-        if s_mask == 0:
-            continue
+    # every proper subset of s_mask is a smaller number, so is already done
+    for s_mask in range(1, size):
         best = n
         best_v = -1
         rest = s_mask

@@ -352,11 +352,11 @@ def suite_anchors(cfg: RunConfig) -> Certificate:
     """Wall facts and treewidth anchor values, plus subdivision invariance."""
     cert = _new_cert("anchors", cfg)
     w33 = wall(3, 3)
-    cert.add(
+    cert.expect(
         "wall.count",
         "the 3x3 wall has 12 vertices and max degree 3",
-        w33.n == 12 and w33.max_degree() == 3,
-        {"kind": "equal", "got": [w33.n, w33.max_degree()], "expected": [12, 3]},
+        [w33.n, w33.max_degree()],
+        [12, 3],
     )
     tw, td = exact_treewidth(w33, cap=cfg.max_tw_n)
     cert.add(
@@ -373,34 +373,26 @@ def suite_anchors(cfg: RunConfig) -> Certificate:
     )
     sub = full_subdivision(w33, 2)
     bounds = treewidth_bounds(sub)
-    cert.add(
+    cert.expect(
         "wall.subdivision-invariant",
         "fully subdividing the 3x3 wall preserves treewidth 3",
-        bounds.exact == tw,
-        {"kind": "equal", "got": [bounds.lower, bounds.upper], "expected": [tw, tw]},
+        [bounds.lower, bounds.upper],
+        [tw, tw],
     )
     for name, g, want in [
         ("k4", complete_graph(4), 3),
         ("k33", complete_bipartite(3, 3), 3),
     ]:
         got, wtd = exact_treewidth(g, cap=cfg.max_tw_n)
-        cert.add(
-            f"anchor.{name}",
-            f"treewidth of {name} is {want}",
-            got == want,
-            {"kind": "equal", "got": got, "expected": want},
-        )
+        cert.expect(f"anchor.{name}", f"treewidth of {name} is {want}", got, want)
     rng = random.Random(cfg.seed)
     trees_ok = True
     for _ in range(10):
         tr = random_tree(rng, rng.randint(2, 10))
         if exact_treewidth(tr, cap=cfg.max_tw_n)[0] != 1:
             trees_ok = False
-    cert.add(
-        "anchor.trees",
-        "seeded random trees all have treewidth 1",
-        trees_ok,
-        {"kind": "equal", "got": trees_ok, "expected": True},
+    cert.expect(
+        "anchor.trees", "seeded random trees all have treewidth 1", trees_ok, True
     )
     # subdivision invariance over the small catalog, via the bound sandwich
     ok = True
@@ -414,11 +406,11 @@ def suite_anchors(cfg: RunConfig) -> Certificate:
             exact = exact_treewidth(full_subdivision(g, 2), cap=cfg.max_tw_n)[0]
         if exact is not None and exact != max(twg, 1):
             ok = False
-    cert.add(
+    cert.expect(
         "catalog.subdivision-invariant",
         "treewidth is invariant under full subdivision across the catalog",
         ok,
-        {"kind": "equal", "got": ok, "expected": True},
+        True,
     )
     return cert
 
@@ -441,23 +433,23 @@ def suite_harvey_wood(cfg: RunConfig, max_n: int = 7) -> Certificate:
             uniform_fails.append(idx)
         if not rep.small_separator_found_for_all:
             weight_fails.append(idx)
-    cert.add(
+    cert.expect(
         "bridge.upper",
         "tw + 1 is at most sep/(1-c) on every catalog graph",
-        not violations,
-        {"kind": "equal", "got": violations, "expected": []},
+        violations,
+        [],
     )
-    cert.add(
+    cert.expect(
         "bridge.uniform",
         "tw is at most (1/(1-c)) times the worst uniform-weight separator size",
-        not uniform_fails,
-        {"kind": "equal", "got": uniform_fails, "expected": []},
+        uniform_fails,
+        [],
     )
-    cert.add(
+    cert.expect(
         "bridge.weighted",
         "every seeded normal weight admits a balanced separator of size tw+1",
-        not weight_fails,
-        {"kind": "equal", "got": weight_fails, "expected": []},
+        weight_fails,
+        [],
     )
     return cert
 
@@ -492,11 +484,11 @@ def suite_bag_algebra(cfg: RunConfig, count: int = 200) -> Certificate:
         result = central_bag(g, w, seq, partition)
         if not result.algebra_holds or result.escaped_weight != 0:
             bad.append(idx)
-    cert.add(
+    cert.expect(
         "bag.algebra",
         "every seeded run keeps cuts in the bag, a connected bag, and unit weight",
-        not bad,
-        {"kind": "equal", "got": bad, "expected": []},
+        bad,
+        [],
     )
     return cert
 
@@ -513,11 +505,11 @@ def suite_bag_audit(cfg: RunConfig, count: int = 120) -> Certificate:
         total_drops += len(result.drops)
         if not audit_is_complete(g, seq, result):
             bad.append(idx)
-    cert.add(
+    cert.expect(
         "bag.audit",
         "all drop records re-validate as shields or center hits",
-        not bad,
-        {"kind": "equal", "got": [bad, total_drops], "expected": [[], total_drops]},
+        [bad, total_drops],
+        [[], total_drops],
     )
     return cert
 
@@ -567,27 +559,19 @@ def suite_conditional_bags(cfg: RunConfig) -> Certificate:
             ]
             if measured and all(measured):
                 n_all_conclusions_true += 1
-        cert.add(
+        statuses = [chk.status for chk in all_checks]
+        cert.expect(
             f"conditional.{name}",
-            f"statuses on {name}: " + ",".join(chk.status for chk in all_checks),
-            all(chk.status != "fail" for chk in all_checks),
-            {
-                "kind": "equal",
-                "got": [chk.status for chk in all_checks].count("fail"),
-                "expected": 0,
-            },
-            hypothesis_met=True,
+            f"statuses on {name}: " + ",".join(statuses),
+            statuses.count("fail"),
+            0,
         )
-    cert.add(
+    cert.expect(
         "conditional.exercised",
         "enough instances confirm the no-separator hypothesis, and on at least "
         "one of them every measured conclusion holds",
-        n_no_sep_met >= 3 and n_all_conclusions_true >= 1,
-        {
-            "kind": "equal",
-            "got": [n_no_sep_met >= 3, n_all_conclusions_true >= 1],
-            "expected": [True, True],
-        },
+        [n_no_sep_met >= 3, n_all_conclusions_true >= 1],
+        [True, True],
     )
     return cert
 
@@ -635,15 +619,11 @@ def suite_forcer_claw(cfg: RunConfig, count: int = 50) -> Certificate:
             holds.append(rep.holds)
             checked += 1
             nonvacuous += int(rep.copies_checked > 0)
-        cert.add(
+        cert.expect(
             f"forcer.claw.b{b}",
             f"shortened spider plus a far vertex forces the path on {count} clean graphs",
-            all(holds) and checked == count and nonvacuous >= 4,
-            {
-                "kind": "equal",
-                "got": [sum(holds), checked, nonvacuous >= 4],
-                "expected": [count, count, True],
-            },
+            [sum(holds), checked, nonvacuous >= 4],
+            [count, count, True],
         )
     return cert
 
@@ -675,15 +655,11 @@ def suite_forcer_theta(cfg: RunConfig, count: int = 50) -> Certificate:
         rep = verify_forcer(g, forcer, x_pattern)
         holds.append(rep.holds)
         nonvacuous += int(rep.copies_checked > 0)
-    cert.add(
+    cert.expect(
         "forcer.theta",
         f"the depth-2 spider forces the claw on {count} theta/pyramid-free graphs",
-        all(holds) and len(holds) == count and nonvacuous >= 4,
-        {
-            "kind": "equal",
-            "got": [sum(holds), len(holds), nonvacuous >= 4],
-            "expected": [count, count, True],
-        },
+        [sum(holds), len(holds), nonvacuous >= 4],
+        [count, count, True],
     )
     return cert
 
@@ -704,11 +680,11 @@ def suite_constructions(cfg: RunConfig) -> Certificate:
             bad.append(idx)
         if not all(g.is_clique(b) for b in td.bags):
             bad.append(idx)
-    cert.add(
+    cert.expect(
         "chordal.width",
         "100 seeded chordal graphs decompose into clique trees of width omega-1",
-        not bad,
-        {"kind": "equal", "got": bad, "expected": []},
+        bad,
+        [],
     )
 
     bad_lci: list[str] = []
@@ -743,11 +719,11 @@ def suite_constructions(cfg: RunConfig) -> Certificate:
             ok = val.width >= exact_treewidth(g, cap=cfg.max_tw_n)[0]
         if not ok:
             bad_lci.append(name)
-    cert.add(
+    cert.expect(
         "lci.width",
         "thickened interval decompositions validate within 4*Delta+3 and above the oracle",
-        not bad_lci,
-        {"kind": "equal", "got": bad_lci, "expected": []},
+        bad_lci,
+        [],
     )
     return cert
 
@@ -774,11 +750,11 @@ def suite_strip_assembly(cfg: RunConfig) -> Certificate:
             sound = val.width >= exact_treewidth(ss.host, cap=cfg.max_tw_n)[0]
         if not (val.ok and rep.bounds_hold and sound):
             bad.append(kind)
-    cert.add(
+    cert.expect(
         "strip.assembly",
         "every generator-provided strip structure assembles into a valid decomposition",
-        not bad,
-        {"kind": "equal", "got": bad, "expected": []},
+        bad,
+        [],
     )
     return cert
 
@@ -824,40 +800,40 @@ def suite_detectors(cfg: RunConfig, max_n: int = 8) -> Certificate:
         if hole_found != (find_line_of_subdivided_wall(g, 2) is not None):
             mism["wall-line"].append(idx)
     for key, lst in mism.items():
-        cert.add(
+        cert.expect(
             f"detect.cross.{key}",
             f"specialised {key} detector agrees with the subset oracle on the catalog",
-            not lst,
-            {"kind": "equal", "got": lst, "expected": []},
+            lst,
+            [],
         )
     k23 = complete_bipartite(2, 3)
     hit = find_t_theta(k23, 2)
-    cert.add(
+    cert.expect(
         "detect.k23",
         "the complete bipartite graph on 2+3 vertices is a 2-theta",
-        hit is not None and hit.image == tuple(range(5)),
-        {"kind": "equal", "got": None if hit is None else list(hit.image), "expected": [0, 1, 2, 3, 4]},
+        None if hit is None else list(hit.image),
+        [0, 1, 2, 3, 4],
     )
     spiders_ok = True
     for t in (0, 1, 2):
         sp = subdivided_claw(t + 1, t + 1, t + 1).graph
         if find_creature(sp, 3, t) is None:
             spiders_ok = False
-    cert.add(
+    cert.expect(
         "detect.spider-creature",
         "the uniform spider with legs t+1 is a (3,t)-creature for t in {0,1,2}",
         spiders_ok,
-        {"kind": "equal", "got": spiders_ok, "expected": True},
+        True,
     )
     mono_bad: list[int] = []
     for idx, g in enumerate(catalog):
         if find_t_theta(g, 3) is not None and find_t_theta(g, 2) is None:
             mono_bad.append(idx)
-    cert.add(
+    cert.expect(
         "detect.monotone",
         "finding a longer theta implies finding a shorter one",
-        not mono_bad,
-        {"kind": "equal", "got": mono_bad, "expected": []},
+        mono_bad,
+        [],
     )
     return cert
 
@@ -877,28 +853,18 @@ def suite_pipeline(cfg: RunConfig) -> Certificate:
         rep = run_master_pipeline(
             g, pattern, forcers=[], c=cfg.c, d=cfg.d, tw_cap=cfg.max_tw_n
         )
-        ok = (
-            rep.algebra_holds
-            and rep.audit_complete
-            and rep.dimension_bound_holds
-            and rep.anchor_bound_holds
-            and all(chk.status != "fail" for chk in rep.transfer_checks)
-            and rep.treewidth_within_symbolic_bound in (True, None)
-        )
-        cert.add(
+        cert.expect(
             f"pipeline.{name}",
             f"pipeline on {name}: bag size {len(rep.bag)}, {rep.dimension_classes} classes",
-            ok,
-            {
-                "kind": "equal",
-                "got": [
-                    rep.algebra_holds,
-                    rep.audit_complete,
-                    rep.dimension_bound_holds,
-                    rep.anchor_bound_holds,
-                ],
-                "expected": [True, True, True, True],
-            },
+            [
+                rep.algebra_holds,
+                rep.audit_complete,
+                rep.dimension_bound_holds,
+                rep.anchor_bound_holds,
+                [chk.status for chk in rep.transfer_checks].count("fail"),
+                rep.treewidth_within_symbolic_bound in (True, None),
+            ],
+            [True, True, True, True, 0, True],
         )
     # forcer elimination along the pipeline, on a spider-free instance
     host = complete_graph(6)
@@ -907,16 +873,11 @@ def suite_pipeline(cfg: RunConfig) -> Certificate:
     rep = run_master_pipeline(
         host, path_graph(3), forcers=[forcer], c=cfg.c, d=cfg.d, tw_cap=cfg.max_tw_n
     )
-    cert.add(
+    cert.expect(
         "pipeline.forcer",
         "a verified forcer never survives into the central bag",
-        all(p for p in rep.forcer_premises)
-        and all(cln in (True, None) for cln in rep.bag_forcer_free),
-        {
-            "kind": "equal",
-            "got": [list(rep.forcer_premises), list(rep.bag_forcer_free)],
-            "expected": [[True], [True]],
-        },
+        [list(rep.forcer_premises), list(rep.bag_forcer_free)],
+        [[True], [True]],
     )
     return cert
 
@@ -930,11 +891,11 @@ def suite_creatures(cfg: RunConfig) -> Certificate:
         wit = creature(k, t, spacing)
         if find_creature(wit.graph, k, t) is None:
             ok = False
-    cert.add(
+    cert.expect(
         "creature.roundtrip",
         "generated creatures are re-detected at their own parameters",
         ok,
-        {"kind": "equal", "got": ok, "expected": True},
+        True,
     )
     claw = star_graph(3)
     found = True
@@ -952,11 +913,11 @@ def suite_creatures(cfg: RunConfig) -> Certificate:
         tri = find_induced(g, cycle_graph(3)) is not None
         if not (spider or tri):
             found = False
-    cert.add(
+    cert.expect(
         "creature.caterpillar",
         "desk-scale creatures contain a subdivided claw or a triangle",
         found,
-        {"kind": "equal", "got": found, "expected": True},
+        True,
     )
     return cert
 
