@@ -17,6 +17,11 @@ from .certify import FAIL, HYPOTHESIS_UNMET, PASS
 from .config import Budget
 from .detect import induced_copies, verify_forcer, find_induced
 from .graphs import CapExceeded, Graph, bits, geometric_ball_bound, lex_key, mask_of
+from .separators import (
+    has_balanced_separator_of_size,
+    min_balanced_separator,
+    treewidth_or_bounds,
+)
 from .weights import WeightFunction, check_balance_parameter
 
 
@@ -525,8 +530,6 @@ def _bag_has_no_small_separator(
     """Whether the bag, under its propagated weights, has no balanced
     separator of size <= limit; None when the bag is empty or its weights do
     not sum to one."""
-    from .separators import min_balanced_separator
-
     if not result.bag or sum(result.weights.values(), Fraction(0)) != 1:
         return None
     sub, sub_vs = g.induced_subgraph(result.bag)
@@ -550,10 +553,9 @@ def check_bag_separator_transfer(
     The shared hypothesis (no balanced separator of size at most d) is
     checked exhaustively; each conclusion additionally needs its own
     arithmetic side conditions, recorded in the hypothesis notes.  Unmet
-    hypotheses are reported as such, never as pass or fail.
+    hypotheses are reported as such, never as pass or fail.  `partition` is
+    `dimension_partition(g, seq)`, whose measured t the bounds use.
     """
-    from .separators import has_balanced_separator_of_size
-
     check_balance_parameter(c)
     if g.n > 12:
         raise CapExceeded("transfer checks are exhaustive; capped at n=12")
@@ -561,7 +563,7 @@ def check_bag_separator_transfer(
     no_sep = not has_balanced_separator_of_size(g, w, c, d)
     base_notes = [f"no balanced separator of size <= {d}: {no_sep}"]
     members = seq.separations
-    a_meas, t_meas = seq.goodness(g) if members else (0, 0)
+    t_meas = partition.measured_t
     gamma_t1 = geometric_ball_bound(delta, t_meas + 1)
     gamma_t = geometric_ball_bound(delta, t_meas)
     checks: list[ConditionalCheck] = []
@@ -734,8 +736,6 @@ def clique_central_bag(
 ) -> CliqueBagReport:
     """Single-level central bag over the clique covering, with the measured
     clique-cutset-freeness of the bag and the conditional separator bound."""
-    from .separators import has_balanced_separator_of_size
-
     covering, _ = clique_covering(g, w)
     a, t = covering.goodness(g)
     partition = DimensionPartition(
@@ -844,8 +844,6 @@ def run_master_pipeline(
     with N one more than the bag's measured treewidth and t one more than the
     pattern size, which keeps the pattern smaller than t.
     """
-    from .separators import treewidth_or_bounds
-
     if w is None:
         w = WeightFunction.uniform(g)
     seq = covering_sequence(g, w, pattern, budget)

@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
+from .decompose import TreeDecomposition, validate_td
+from .detect import breaks, contains_induced
 from .graphs import Graph
 from .io import graph_from_json, graph_to_json
+from .separators import has_balanced_separator_of_size, is_balanced_separator
 from .weights import WeightFunction
 
 PASS = "pass"
@@ -143,9 +146,18 @@ def weights_witness(w: dict[int, Fraction]) -> dict[str, str]:
 # -- recheck -------------------------------------------------------------------
 
 
-def _recheck_td(w: dict[str, Any]) -> bool:
-    from .decompose import TreeDecomposition, validate_td
+def td_witness(g: Graph, td: TreeDecomposition, width_at_most: int) -> dict[str, Any]:
+    """The `td-valid` witness: td decomposes g with width at most the bound."""
+    return {
+        "kind": "td-valid",
+        "graph": graph_witness(g),
+        "bags": [list(b) for b in td.bags],
+        "tree_edges": [list(e) for e in td.tree_edges],
+        "width_at_most": width_at_most,
+    }
 
+
+def _recheck_td(w: dict[str, Any]) -> bool:
     g = graph_from_json(w["graph"])
     td = TreeDecomposition(
         bags=tuple(tuple(b) for b in w["bags"]),
@@ -169,16 +181,12 @@ def _recheck_pattern_found(w: dict[str, Any]) -> bool:
 
 
 def _recheck_separator(w: dict[str, Any]) -> bool:
-    from .separators import is_balanced_separator
-
     g = graph_from_json(w["graph"])
     weights = WeightFunction.from_json(w["weights"])
     return is_balanced_separator(g, weights, Fraction(w["c"]), tuple(w["separator"]))
 
 
 def _recheck_no_separator(w: dict[str, Any]) -> bool:
-    from .separators import has_balanced_separator_of_size
-
     g = graph_from_json(w["graph"])
     weights = WeightFunction.from_json(w["weights"])
     return not has_balanced_separator_of_size(
@@ -195,15 +203,11 @@ def _recheck_equal(w: dict[str, Any]) -> bool:
 
 
 def _recheck_breaks(w: dict[str, Any]) -> bool:
-    from .detect import breaks
-
     g = graph_from_json(w["graph"])
     return breaks(g, tuple(w["x"]), tuple(w["y"]))
 
 
 def _recheck_pattern_absent(w: dict[str, Any]) -> bool:
-    from .detect import contains_induced
-
     g = graph_from_json(w["graph"])
     pattern = graph_from_json(w["pattern"])
     return not contains_induced(g, pattern)

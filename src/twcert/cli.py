@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, TypeVar
 
 from .centralbag import run_master_pipeline
 from .certify import (
@@ -20,6 +20,7 @@ from .certify import (
     canonical_json,
     graph_witness,
     recheck,
+    td_witness,
     weights_witness,
 )
 from .config import Budget, RunConfig, load_config
@@ -58,7 +59,6 @@ from .graphs import BudgetExhausted, CapExceeded, Graph
 from .io import (
     graph_from_json,
     read_gr,
-    read_graph_json,
     write_gr,
     write_graph_json,
     write_td,
@@ -69,12 +69,25 @@ from .weights import WeightFunction, parse_fraction
 
 USAGE_ERROR = 64
 
+T = TypeVar("T")
+
+
+def _load_json(path: str, build: Callable[[Any], T], **load_kw: Any) -> T:
+    """Build objects from a JSON input file.  A file of the wrong shape is a
+    usage error that names the file (exit 64), never a traceback."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh, **load_kw)
+        return build(data)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed input: {exc!r}") from exc
+
 
 def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        if path.endswith(".gr"):
+    if path.endswith(".gr"):
+        with open(path, "r", encoding="utf-8") as fh:
             return read_gr(fh)
-        return read_graph_json(fh)
+    return _load_json(path, graph_from_json)
 
 
 def _save_graph(g: Graph, path: str) -> None:
@@ -88,12 +101,14 @@ def _save_graph(g: Graph, path: str) -> None:
 def _load_weights(path: Optional[str], g: Graph) -> WeightFunction:
     if path is None:
         return WeightFunction.uniform(g)
-    with open(path, "r", encoding="utf-8") as fh:
-        pairs = json.load(fh, object_pairs_hook=tuple)  # keeps repeated keys
-    keys = sorted(k for k, _ in pairs) if isinstance(pairs, tuple) else None
-    if keys != sorted(str(v) for v in g.vertices):
-        raise ValueError(f"{path}: weights must name each vertex 0..{g.n - 1} once")
-    return WeightFunction.from_json(dict(pairs))
+
+    def build(pairs: Any) -> WeightFunction:
+        keys = sorted(k for k, _ in pairs) if isinstance(pairs, tuple) else None
+        if keys != sorted(str(v) for v in g.vertices):
+            raise ValueError(f"weights must name each vertex 0..{g.n - 1} once")
+        return WeightFunction.from_json(dict(pairs))
+
+    return _load_json(path, build, object_pairs_hook=tuple)  # keeps repeated keys
 
 
 def _dump_json(payload: Any, path: Optional[str]) -> None:
@@ -248,18 +263,11 @@ def cmd_tw(args: argparse.Namespace, cfg: RunConfig) -> int:
             write_td(bounds.td, g.n, fh)
     cert = Certificate(command=["tw", args.input], seed=cfg.seed)
     cert.record_input("graph", graph_witness(g))
-    rep = validate_td(g, bounds.td)
     cert.add(
         "tw.witness",
         f"witness decomposition of width {bounds.upper} validates",
-        rep.ok,
-        {
-            "kind": "td-valid",
-            "graph": graph_witness(g),
-            "bags": [list(b) for b in bounds.td.bags],
-            "tree_edges": [list(e) for e in bounds.td.tree_edges],
-            "width_at_most": bounds.upper,
-        },
+        validate_td(g, bounds.td).ok,
+        td_witness(g, bounds.td, bounds.upper),
     )
     payload = {
         "lower": bounds.lower,
@@ -355,6 +363,23 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
 # -- decompose ---------------------------------------------------------------------
 
 
+def _lci_from_json(data: dict[str, Any]) -> LciThickening:
+    model = CircularIntervalModel(
+        points=tuple(Fraction(p) for p in data["points"]),
+        arcs=tuple((Fraction(s), Fraction(e)) for s, e in data["arcs"]),
+    )
+    base = graph_from_json(data["base"]) if "base" in data else None
+    spec = ThickeningSpec(
+        base=base if base is not None else circular_interval_graph(model),
+        sizes=tuple(data.get("sizes", [1] * len(model.points))),
+        fuzz=tuple(tuple(p) for p in data.get("fuzz", [])),
+        patterns=tuple(
+            tuple(tuple(c) for c in pat) for pat in data.get("patterns", [])
+        ),
+    )
+    return LciThickening(model, spec)
+
+
 def _strip_structure_from_json(data: dict[str, Any]) -> StripStructure:
     return StripStructure(
         host=graph_from_json(data["host"]),
@@ -375,28 +400,11 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
             return 1
         host = g
     elif args.method == "lci":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        model = CircularIntervalModel(
-            points=tuple(Fraction(p) for p in data["points"]),
-            arcs=tuple((Fraction(s), Fraction(e)) for s, e in data["arcs"]),
-        )
-        base = graph_from_json(data["base"]) if "base" in data else None
-        spec = ThickeningSpec(
-            base=base if base is not None else circular_interval_graph(model),
-            sizes=tuple(data.get("sizes", [1] * len(model.points))),
-            fuzz=tuple(tuple(p) for p in data.get("fuzz", [])),
-            patterns=tuple(
-                tuple(tuple(c) for c in pat) for pat in data.get("patterns", [])
-            ),
-        )
-        lci = LciThickening(model, spec)
+        lci = _load_json(args.input, _lci_from_json)
         host = lci.graph
         td = fuzzy_lci_td(lci).td
     elif args.method == "strip":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        ss = _strip_structure_from_json(data)
+        ss = _load_json(args.input, _strip_structure_from_json)
         td = decompose_strip_structure(ss, cap=cfg.max_tw_n).td
         host = ss.host
     check = validate_td(host, td)
@@ -419,12 +427,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     worst = 0
     for name in names:
         try:
-            if name == "harvey-wood" and args.max_n:
-                from .suites import suite_harvey_wood
-
-                cert = suite_harvey_wood(cfg, max_n=args.max_n)
-            else:
-                cert = verify_suite(name, cfg)
+            cert = verify_suite(name, cfg)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return USAGE_ERROR
@@ -436,10 +439,16 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return worst
 
 
-def cmd_recheck(args: argparse.Namespace, cfg: RunConfig) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _certificate_from_json(data: Any) -> dict[str, Any]:
+    """A certificate, bare or under a command output's `certificate` key."""
     cert = data.get("certificate", data)
+    if not isinstance(cert, dict) or not isinstance(cert.get("assertions"), list):
+        raise ValueError("not a certificate: no 'assertions' list")
+    return cert
+
+
+def cmd_recheck(args: argparse.Namespace, cfg: RunConfig) -> int:
+    cert = _load_json(args.input, _certificate_from_json)
     checked, confirmed, problems = recheck(cert)
     _dump_json(
         {"checked": checked, "confirmed": confirmed, "problems": problems},
@@ -532,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a named verification battery")
     ver.add_argument("suite", help=f"one of: all, {', '.join(sorted(SUITES))}")
     ver.add_argument("-o", "--output")
-    ver.add_argument("--max-n", type=int, dest="max_n")
     ver.add_argument("--c", default=None)
 
     rec = sub.add_parser("recheck", help="re-validate a certificate from witnesses")

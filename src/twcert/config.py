@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
+from .graphs import BudgetExhausted
 from .weights import check_balance_parameter, parse_fraction
 
 ENV_CONFIG = "TWCERT_CONFIG"
@@ -83,6 +84,4 @@ class Budget:
     def tick(self, amount: int = 1) -> None:
         self.used += amount
         if self.used > self.limit:
-            from .graphs import BudgetExhausted
-
             raise BudgetExhausted(f"search budget of {self.limit} nodes exhausted")

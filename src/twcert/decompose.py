@@ -4,10 +4,10 @@ circular-interval constructions, and strip-structure assembly."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .generators import LciThickening, StripStructure
-from .graphs import Graph, mask_of
+from .graphs import Graph, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -33,22 +33,6 @@ class TreeDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
 
-    def tree_is_connected(self) -> bool:
-        if self.n_nodes == 0:
-            return False
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for a, b in self.tree_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_nodes
-
 
 @dataclass(frozen=True)
 class TdReport:
@@ -62,7 +46,23 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdReport:
     problems: list[str] = []
     if td.n_nodes == 0:
         return TdReport(g.n == 0, -1, ("decomposition has no nodes",) if g.n else ())
-    if not td.tree_is_connected():
+    tadj: list[list[int]] = [[] for _ in range(td.n_nodes)]
+    for a, b in td.tree_edges:
+        tadj[a].append(b)
+        tadj[b].append(a)
+
+    def tree_connects(nodes: list[int]) -> bool:
+        seen = {nodes[0]}
+        stack = [nodes[0]]
+        node_set = set(nodes)
+        while stack:
+            for w in tadj[stack.pop()]:
+                if w in node_set and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(nodes)
+
+    if not tree_connects(list(range(td.n_nodes))):
         problems.append("decomposition tree is not connected")
     covered = set()
     for bag in td.bags:
@@ -78,29 +78,67 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdReport:
         need = 1 << u | 1 << v
         if not any(bm & need == need for bm in bag_masks):
             problems.append(f"edge ({u},{v}) inside no bag")
-    tadj: list[list[int]] = [[] for _ in range(td.n_nodes)]
-    for a, b in td.tree_edges:
-        tadj[a].append(b)
-        tadj[b].append(a)
     for v in g.vertices:
         nodes = [t for t in range(td.n_nodes) if bag_masks[t] >> v & 1]
-        if not nodes:
-            continue
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        node_set = set(nodes)
-        while stack:
-            for w in tadj[stack.pop()]:
-                if w in node_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(nodes):
+        if nodes and not tree_connects(nodes):
             problems.append(f"bags containing vertex {v} induce a disconnected subtree")
     return TdReport(not problems, td.width, tuple(problems))
 
 
 def single_bag_td(g: Graph) -> TreeDecomposition:
     return TreeDecomposition(bags=(tuple(range(g.n)),), tree_edges=())
+
+
+# -- elimination orderings -------------------------------------------------------
+
+
+# picks the next vertex to eliminate from the fill masks and the alive mask
+Pick = Callable[[Sequence[int], int], int]
+
+
+def eliminate(g: Graph, pick: Pick) -> tuple[TreeDecomposition, bool]:
+    """Eliminate every vertex of g in its fill-in graph, in the order `pick`
+    chooses; the decomposition every elimination order witnesses.
+
+    `pick` sees each vertex's fill-graph neighbours among the alive vertices
+    (entries of eliminated vertices are stale) and the alive mask.  Node i's
+    bag is the i-th eliminated vertex plus its neighbours at that moment;
+    node i joins the node of its earliest-eliminated later neighbour, or node
+    i+1 when it has none.  The flag says whether any fill edge was added, so
+    it is False exactly for a perfect elimination ordering.  The empty graph
+    gives the single empty bag.
+    """
+    masks = list(g._masks)
+    alive = g.full_mask()
+    pos: dict[int, int] = {}
+    bags: list[tuple[int, ...]] = []
+    later: list[int] = []
+    filled = False
+    for i in g.vertices:
+        v = pick(masks, alive)
+        nb = masks[v]
+        alive ^= 1 << v
+        for a in bits(nb):
+            grown = masks[a] | nb & ~(1 << a)
+            filled |= grown != masks[a]
+            masks[a] = grown & ~(1 << v)
+        pos[v] = i
+        bags.append(tuple(bits(nb | 1 << v)))
+        later.append(nb)
+    edges: list[tuple[int, int]] = []
+    for i, nb in enumerate(later):
+        if nb:
+            edges.append((i, min(pos[w] for w in bits(nb))))
+        elif i + 1 < g.n:
+            edges.append((i, i + 1))
+    td = TreeDecomposition(bags=tuple(bags) or ((),), tree_edges=tuple(sorted(edges)))
+    return td, filled
+
+
+def along(order: Iterable[int]) -> Pick:
+    """The pick that eliminates in a fixed order."""
+    it = iter(order)
+    return lambda masks, alive: next(it)
 
 
 # -- chordal graphs ------------------------------------------------------------
@@ -125,19 +163,6 @@ def maximum_cardinality_search(g: Graph) -> list[int]:
     return order
 
 
-def is_perfect_elimination_ordering(g: Graph, order: Sequence[int]) -> bool:
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [w for w in g.neighbors(v) if pos[w] > pos[v]]
-        if not later:
-            continue
-        first = min(later, key=lambda w: pos[w])
-        rest = mask_of(w for w in later if w != first)
-        if g.neighbor_mask(first) & rest != rest:
-            return False
-    return True
-
-
 def find_hole(g: Graph) -> Optional[tuple[int, ...]]:
     """Some chordless cycle of length >= 4, or None if the graph is chordal."""
     for u, v in g.edges:
@@ -145,21 +170,10 @@ def find_hole(g: Graph) -> Optional[tuple[int, ...]]:
             if w == u or g.has_edge(u, w):
                 continue
             allowed = g.full_mask() & ~((g.neighbor_mask(v) | 1 << v) & ~(1 << u) & ~(1 << w))
-            dist = g.bfs_distances(w, allowed=allowed)
-            if dist[u] < 0:
+            path = g.shortest_path(w, u, allowed=allowed)  # avoids N[v]
+            if path is None:
                 continue
-            # lexicographically minimal shortest w-u path avoiding N[v]
-            path = [u]
-            cur = u
-            while cur != w:
-                cur = min(
-                    x
-                    for x in g.neighbors(cur)
-                    if allowed >> x & 1 and dist[x] == dist[cur] - 1
-                )
-                path.append(cur)
-            cycle = [v] + path  # v-u-...-w-v
-            hole = _shrink_to_hole(g, cycle)
+            hole = _shrink_to_hole(g, [v, *reversed(path)])  # v-u-...-w-v
             if hole is not None:
                 return hole
     return None
@@ -198,29 +212,18 @@ class NotChordal(ValueError):
 def chordal_td(g: Graph) -> TreeDecomposition:
     """Clique-tree decomposition of a chordal graph: every bag is a clique
     and the width equals the clique number minus one."""
-    if g.n == 0:
-        return TreeDecomposition(bags=((),), tree_edges=())
-    order = maximum_cardinality_search(g)
-    if not is_perfect_elimination_ordering(g, order):
+    td, filled = eliminate(g, along(maximum_cardinality_search(g)))
+    if filled:
         hole = find_hole(g)
         assert hole is not None
         raise NotChordal(hole)
-    pos = {v: i for i, v in enumerate(order)}
-    bags: list[tuple[int, ...]] = []
-    edges: list[tuple[int, int]] = []
-    for i, v in enumerate(order):
-        later = sorted(w for w in g.neighbors(v) if pos[w] > pos[v])
-        bags.append(tuple(sorted([v] + later)))
-        if later:
-            parent = min(later, key=lambda w: pos[w])
-            edges.append((i, pos[parent]))
-        elif i + 1 < len(order):
-            edges.append((i, i + 1))
-    return TreeDecomposition(bags=tuple(bags), tree_edges=tuple(sorted(edges)))
+    return td
 
 
 def is_chordal(g: Graph) -> bool:
-    return is_perfect_elimination_ordering(g, maximum_cardinality_search(g))
+    """Chordal exactly when the MCS order is a perfect elimination ordering,
+    i.e. eliminating along it adds no fill edge."""
+    return not eliminate(g, along(maximum_cardinality_search(g)))[1]
 
 
 # -- thickened circular-interval decompositions ---------------------------------
@@ -261,15 +264,12 @@ def fuzzy_lci_td(lci: LciThickening) -> LciTdReport:
     cut_set = sorted(cut)
     rest = [v for v in range(g.n) if v not in set(cut_set)]
     sub, sub_vs = completed.induced_subgraph(rest)
-    if sub.n == 0:
-        inner = TreeDecomposition(bags=((),), tree_edges=())
-    else:
-        try:
-            inner = chordal_td(sub)
-        except NotChordal as exc:
-            raise LciConstructionError(
-                f"cut graph not chordal (hole {exc.hole}); model={model}, spec={spec}"
-            ) from exc
+    try:
+        inner = chordal_td(sub)
+    except NotChordal as exc:
+        raise LciConstructionError(
+            f"cut graph not chordal (hole {exc.hole}); model={model}, spec={spec}"
+        ) from exc
     bags = tuple(
         tuple(sorted(set(cut_set) | {sub_vs[x] for x in bag})) for bag in inner.bags
     )

@@ -219,9 +219,12 @@ class Graph:
                 best = max(best, dist[v])
         return best
 
-    def shortest_path(self, u: int, v: int) -> Optional[tuple[int, ...]]:
-        """Lexicographically minimal shortest u-v path; shortest paths are induced."""
-        dist = self.bfs_distances(u)
+    def shortest_path(
+        self, u: int, v: int, allowed: Optional[int] = None
+    ) -> Optional[tuple[int, ...]]:
+        """Lexicographically minimal shortest u-v path within `allowed` (every
+        vertex by default); shortest paths are induced."""
+        dist = self.bfs_distances(u, allowed)
         if dist[v] < 0:
             return None
         path = [v]

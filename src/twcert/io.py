@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from typing import TextIO
 
+from .decompose import TreeDecomposition
 from .graphs import Graph
 
 
@@ -70,9 +71,7 @@ def write_td(td, n_graph: int, fh: TextIO) -> None:
         fh.write(f"{a + 1} {b + 1}\n")
 
 
-def read_td(fh: TextIO):
-    from .decompose import TreeDecomposition
-
+def read_td(fh: TextIO) -> TreeDecomposition:
     n_bags = None
     bags: dict[int, tuple[int, ...]] = {}
     edges: list[tuple[int, int]] = []

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .decompose import TreeDecomposition
+from .decompose import TreeDecomposition, along, eliminate
 from .graphs import CapExceeded, Graph, bits, mask_of
 from .weights import WeightFunction, check_balance_parameter
 
@@ -138,28 +138,6 @@ def _reach_q(g: Graph, v: int, s_mask: int) -> int:
     return out & ~s_mask & ~(1 << v)
 
 
-def _elimination_td(g: Graph, order: Sequence[int]) -> TreeDecomposition:
-    """Bags from eliminating along `order` in the fill-in graph."""
-    masks = list(g._masks)
-    pos = {v: i for i, v in enumerate(order)}
-    bags: list[tuple[int, ...]] = []
-    edges: list[tuple[int, int]] = []
-    for i, v in enumerate(order):
-        nb = masks[v]
-        bag = tuple(sorted([v] + list(bits(nb))))
-        bags.append(bag)
-        neigh = list(bits(nb))
-        for a in neigh:
-            masks[a] |= nb & ~(1 << a)
-            masks[a] &= ~(1 << v)
-        later = [w for w in neigh if pos[w] > i]
-        if later:
-            edges.append((i, pos[min(later, key=lambda w: pos[w])]))
-        elif i + 1 < len(order):
-            edges.append((i, i + 1))
-    return TreeDecomposition(bags=tuple(bags), tree_edges=tuple(sorted(edges)))
-
-
 def exact_treewidth(g: Graph, cap: int = 14) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a witness decomposition.
 
@@ -170,8 +148,6 @@ def exact_treewidth(g: Graph, cap: int = 14) -> tuple[int, TreeDecomposition]:
     if g.n > cap:
         raise CapExceeded(f"exact treewidth capped at n={cap}, got {g.n}")
     n = g.n
-    if n == 0:
-        return -1, TreeDecomposition(bags=((),), tree_edges=())
     full = (1 << n) - 1
     size = full + 1
     tw = [0] * size
@@ -200,8 +176,7 @@ def exact_treewidth(g: Graph, cap: int = 14) -> tuple[int, TreeDecomposition]:
         v = choice[s_mask]
         order_rev.append(v)
         s_mask ^= 1 << v
-    order = list(reversed(order_rev))
-    td = _elimination_td(g, order)
+    td, _ = eliminate(g, along(reversed(order_rev)))
     assert td.width == tw[full]
     return tw[full], td
 
@@ -231,25 +206,17 @@ def contraction_degeneracy(g: Graph) -> int:
     return best
 
 
-def min_fill_order(g: Graph) -> list[int]:
-    adj: list[set[int]] = [set(g.neighbors(v)) for v in g.vertices]
-    alive = set(g.vertices)
-    order: list[int] = []
-    while alive:
-        def fill(v: int) -> int:
-            nb = [u for u in adj[v] if u in alive]
-            return sum(
-                1 for a, b in combinations(nb, 2) if b not in adj[a]
-            )
+def _min_fill(masks: Sequence[int], alive: int) -> int:
+    """Minimum-fill pick: fewest missing edges among the alive neighbours,
+    then alive degree, then id."""
 
-        v = min(alive, key=lambda u: (fill(u), len([x for x in adj[u] if x in alive]), u))
-        nb = [u for u in adj[v] if u in alive]
-        for a, b in combinations(nb, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-        alive.remove(v)
-        order.append(v)
-    return order
+    def key(v: int) -> tuple[int, int, int]:
+        nb = masks[v]
+        # each missing edge is counted from both ends; a is never in masks[a]
+        missing = sum((nb & ~masks[a]).bit_count() - 1 for a in bits(nb))
+        return missing, nb.bit_count(), v
+
+    return min(bits(alive), key=key)
 
 
 @dataclass(frozen=True)
@@ -268,7 +235,7 @@ def treewidth_bounds(g: Graph) -> TreewidthBounds:
     minimum-fill elimination upper bound."""
     if g.n == 0:
         return TreewidthBounds(-1, -1, TreeDecomposition(bags=((),), tree_edges=()))
-    td = _elimination_td(g, min_fill_order(g))
+    td, _ = eliminate(g, _min_fill)
     return TreewidthBounds(contraction_degeneracy(g), td.width, td)
 
 

@@ -22,7 +22,7 @@ from .centralbag import (
     dimension_partition,
     run_master_pipeline,
 )
-from .certify import Certificate, graph_witness
+from .certify import Certificate, graph_witness, td_witness
 from .config import RunConfig
 from .decompose import (
     chordal_td,
@@ -32,6 +32,7 @@ from .decompose import (
     validate_td,
 )
 from .detect import (
+    _directed_induced_paths,
     find_creature,
     find_induced,
     find_line_of_subdivided_wall,
@@ -305,8 +306,6 @@ def is_subdivided_claw_set(g: Graph, vs: tuple[int, ...], lens: tuple[int, int, 
 def creature_exists_bruteforce(g: Graph, k: int, t: int) -> bool:
     """Body-first enumeration: fix a connected candidate body, then pack k
     admissible joint-oriented paths around it."""
-    from .detect import _directed_induced_paths
-
     paths = _directed_induced_paths(g, t)
     full = g.full_mask()
     for body_mask in range(1, full + 1):
@@ -363,13 +362,7 @@ def suite_anchors(cfg: RunConfig) -> Certificate:
         "wall.treewidth",
         "the 3x3 wall has treewidth 3",
         tw == 3,
-        {
-            "kind": "td-valid",
-            "graph": graph_witness(w33),
-            "bags": [list(b) for b in td.bags],
-            "tree_edges": [list(e) for e in td.tree_edges],
-            "width_at_most": 3,
-        },
+        td_witness(w33, td, 3),
     )
     sub = full_subdivision(w33, 2)
     bounds = treewidth_bounds(sub)

@@ -131,3 +131,32 @@ def test_verify_c_flag_overrides_config(tmp_path, monkeypatch, flag, want):
 def test_malformed_verify_c_is_a_usage_error(tmp_path):
     argv = ["verify", "anchors", "--c", "abc", "-o", str(tmp_path / "o.json")]
     assert main(argv) == USAGE_ERROR
+
+
+def _null_weights(tmp_path):
+    n = json.loads(open(_wall(tmp_path, 2, 2)).read())["n"]
+    return json.dumps({str(v): None for v in range(n)})
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["centralbag", "-i", "WALL22", "--pattern", "P2", "--weights", "FILE"], None),
+        (["decompose", "--method", "lci", "-i", "FILE"], "{}"),
+        (["decompose", "--method", "strip", "-i", "FILE"], "{}"),
+        (["tw", "-i", "FILE"], '{"n": null, "edges": []}'),
+        (["tw", "-i", "FILE"], '{"n": 3, "edges": [[0, "a"]]}'),
+        (["recheck", "-i", "FILE"], "[]"),
+        (["recheck", "-i", "FILE"], "{}"),  # not a certificate: no assertions list
+    ],
+    ids=["null-weight", "lci-empty", "strip-empty", "null-n", "string-vertex",
+         "recheck-list", "recheck-empty"],
+)
+def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(_null_weights(tmp_path) if text is None else text)
+    files = {"FILE": str(path), "WALL22": _wall(tmp_path, 2, 2), "P2": _p2(tmp_path)}
+    out = tmp_path / "out.json"
+    assert main([files.get(a, a) for a in argv] + ["-o", str(out)]) == USAGE_ERROR
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
