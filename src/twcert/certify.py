@@ -225,22 +225,39 @@ _RECHECKERS: dict[str, Callable[[dict[str, Any]], bool]] = {
 }
 
 
+def _is_record(a: Any) -> bool:
+    """An assertion record of the shape `Certificate.to_json` writes."""
+    return (
+        isinstance(a, dict)
+        and isinstance(a.get("check"), str)
+        and isinstance(a.get("status"), str)
+        and a["status"] in _STATUSES
+        and isinstance(a.get("witness", {}), dict)
+    )
+
+
 def recheck(cert: dict[str, Any]) -> tuple[int, int, list[str]]:
     """Re-validate every pass/fail assertion from its stored witness.
 
     Returns (checked, confirmed, problems).  Assertions whose witness has a
     `kind` key are dispatched to the matching validator; records without a
-    re-checkable witness are skipped.
+    re-checkable witness are skipped, and malformed records are problems.
     """
     checked = 0
     confirmed = 0
     problems: list[str] = []
-    for a in cert.get("assertions", []):
+    for i, a in enumerate(cert.get("assertions", [])):
+        if not _is_record(a):
+            problems.append(
+                f"assertion {i}: not a record with a check, a known status "
+                "and a witness object"
+            )
+            continue
         witness = a.get("witness", {})
         kind = witness.get("kind")
         if kind is None or a["status"] not in (PASS, FAIL):
             continue
-        fn = _RECHECKERS.get(kind)
+        fn = _RECHECKERS.get(kind) if isinstance(kind, str) else None
         if fn is None:
             problems.append(f"{a['check']}: no validator for witness kind {kind!r}")
             continue

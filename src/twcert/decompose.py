@@ -73,7 +73,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdReport:
     for v in g.vertices:
         if v not in covered:
             problems.append(f"vertex {v} in no bag")
-    bag_masks = [mask_of(b) for b in td.bags]
+    bag_masks = [mask_of(v for v in b if 0 <= v < g.n) for b in td.bags]
     for u, v in g.edges:
         need = 1 << u | 1 << v
         if not any(bm & need == need for bm in bag_masks):

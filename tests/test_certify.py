@@ -103,3 +103,53 @@ def test_hypothesis_unmet_never_rechecked_as_verdict():
              hypothesis_met=False)
     checked, confirmed, problems = recheck(json.loads(cert.dumps()))
     assert checked == 0 and not problems
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        1,
+        {"check": "x", "witness": {"kind": "equal", "got": 1, "expected": 1}},
+        {"check": "x", "status": "maybe", "witness": {}},
+        {"check": "x", "status": "pass", "witness": [1]},
+        {"check": "x", "status": ["pass"], "witness": {}},
+        {"status": "pass", "witness": {"kind": "equal", "got": 1, "expected": 1}},
+    ],
+    ids=["int", "no-status", "unknown-status", "list-witness", "list-status",
+         "no-check"],
+)
+def test_recheck_reports_malformed_record(entry):
+    sound = {"check": "y", "status": "pass",
+             "witness": {"kind": "equal", "got": 2, "expected": 2}}
+    checked, confirmed, problems = recheck({"assertions": [sound, entry]})
+    assert (checked, confirmed) == (1, 1)
+    assert problems == [
+        "assertion 1: not a record with a check, a known status and a witness object"
+    ]
+
+
+def test_recheck_reports_unhashable_witness_kind():
+    entry = {"check": "x", "status": "pass", "witness": {"kind": ["equal"]}}
+    assert recheck({"assertions": [entry]})[2] == [
+        "x: no validator for witness kind ['equal']"
+    ]
+
+
+def test_recheck_td_witness_with_negative_vertex_fails():
+    g = path_graph(2)
+    cert = Certificate(command=["x"], seed=0)
+    cert.add(
+        "tw.witness",
+        "a tampered witness",
+        True,
+        {
+            "kind": "td-valid",
+            "graph": graph_witness(g),
+            "bags": [[-1, 0, 1]],
+            "tree_edges": [],
+            "width_at_most": 2,
+        },
+    )
+    checked, confirmed, problems = recheck(json.loads(cert.dumps()))
+    assert (checked, confirmed) == (1, 0)
+    assert problems == ["tw.witness: stored status pass but witness rechecks as fail"]

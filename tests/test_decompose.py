@@ -208,3 +208,12 @@ def test_oracle_never_beaten_by_constructions():
     tw, _ = exact_treewidth(g)
     td = single_bag_td(g)
     assert validate_td(g, td).width >= tw
+
+
+def test_validate_reports_out_of_range_vertices():
+    edge = Graph(2, [(0, 1)])
+    rep = validate_td(edge, TreeDecomposition(bags=((-1, 0, 1),), tree_edges=()))
+    assert not rep.ok
+    assert rep.violations == ("bag vertex -1 out of range",)
+    rep = validate_td(edge, TreeDecomposition(bags=((0, 1, 5),), tree_edges=()))
+    assert rep.violations == ("bag vertex 5 out of range",)

@@ -141,3 +141,22 @@ def test_cli_decompose_chordal_witnesses_hole(tmp_path, capsys):
     g.write_text('{"n": 4, "edges": [[0,1],[1,2],[2,3],[0,3]]}\n')
     assert main(["decompose", "--method", "chordal", "-i", str(g)]) == 1
     assert "hole" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"assertions": [1]}',
+        '{"assertions": [{"check": "x", "witness": '
+        '{"kind": "equal", "got": 1, "expected": 1}}]}',
+    ],
+    ids=["int-entry", "no-status"],
+)
+def test_cli_recheck_reports_malformed_assertion(tmp_path, text):
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    out = tmp_path / "rc.json"
+    assert main(["recheck", "-i", str(path), "-o", str(out)]) == 1
+    rc = json.loads(out.read_text())
+    assert rc["checked"] == 0 and len(rc["problems"]) == 1
+    assert rc["problems"][0].startswith("assertion 0: not a record")
