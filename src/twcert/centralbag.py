@@ -92,8 +92,7 @@ def canonical_separation(g: Graph, w: WeightFunction, x: Iterable[int]) -> Separ
     if outside == 0:
         raise DegenerateSeparation(f"N[{xs}] covers every vertex")
     comps = g.component_masks(outside)
-    best_weight = max(w.of_mask(cm) for cm in comps)
-    b_mask = next(cm for cm in comps if w.of_mask(cm) == best_weight)
+    b_mask = max(comps, key=w.of_mask)  # the first heaviest, in component order
     nb = 0
     for v in bits(b_mask):
         nb |= g.neighbor_mask(v)
@@ -118,8 +117,7 @@ def clique_separation(g: Graph, w: WeightFunction, k: Iterable[int]) -> Separati
     comps = g.component_masks(outside)
     if len(comps) < 2:
         raise ValueError("clique is not a cutset")
-    best_weight = max(w.of_mask(cm) for cm in comps)
-    b_mask = next(cm for cm in comps if w.of_mask(cm) == best_weight)
+    b_mask = max(comps, key=w.of_mask)  # the first heaviest, in component order
     a_mask = outside & ~b_mask
     return Separation(
         a=tuple(bits(a_mask)),

@@ -20,7 +20,7 @@ from .detect import breaks, contains_induced
 from .graphs import Graph
 from .io import graph_from_json, graph_to_json
 from .separators import has_balanced_separator_of_size, is_balanced_separator
-from .weights import WeightFunction
+from .weights import WeightFunction, parse_fraction
 
 PASS = "pass"
 FAIL = "fail"
@@ -183,19 +183,20 @@ def _recheck_pattern_found(w: dict[str, Any]) -> bool:
 def _recheck_separator(w: dict[str, Any]) -> bool:
     g = graph_from_json(w["graph"])
     weights = WeightFunction.from_json(w["weights"])
-    return is_balanced_separator(g, weights, Fraction(w["c"]), tuple(w["separator"]))
+    c = parse_fraction(w["c"])
+    return is_balanced_separator(g, weights, c, tuple(w["separator"]))
 
 
 def _recheck_no_separator(w: dict[str, Any]) -> bool:
     g = graph_from_json(w["graph"])
     weights = WeightFunction.from_json(w["weights"])
     return not has_balanced_separator_of_size(
-        g, weights, Fraction(w["c"]), int(w["size"])
+        g, weights, parse_fraction(w["c"]), int(w["size"])
     )
 
 
 def _recheck_inequality(w: dict[str, Any]) -> bool:
-    return Fraction(w["lhs"]) <= Fraction(w["rhs"])
+    return parse_fraction(w["lhs"]) <= parse_fraction(w["rhs"])
 
 
 def _recheck_equal(w: dict[str, Any]) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Any, Callable, Optional, TypeVar
 
 from .centralbag import run_master_pipeline
@@ -365,8 +364,8 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _lci_from_json(data: dict[str, Any]) -> LciThickening:
     model = CircularIntervalModel(
-        points=tuple(Fraction(p) for p in data["points"]),
-        arcs=tuple((Fraction(s), Fraction(e)) for s, e in data["arcs"]),
+        points=tuple(parse_fraction(p) for p in data["points"]),
+        arcs=tuple((parse_fraction(s), parse_fraction(e)) for s, e in data["arcs"]),
     )
     base = graph_from_json(data["base"]) if "base" in data else None
     spec = ThickeningSpec(

@@ -264,38 +264,9 @@ class Graph:
 
 @dataclass(frozen=True)
 class Path:
-    """A path given by its vertex sequence; length counts edges."""
+    """A path given by its vertex sequence."""
 
     vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def ends(self) -> tuple[int, int]:
-        return self.vertices[0], self.vertices[-1]
-
-    def interior(self) -> tuple[int, ...]:
-        return self.vertices[1:-1]
-
-    def validate(self, g: Graph, induced: bool = False) -> None:
-        vs = self.vertices
-        if len(set(vs)) != len(vs):
-            raise ValueError("path repeats a vertex")
-        for a, b in zip(vs, vs[1:]):
-            if not g.has_edge(a, b):
-                raise ValueError(f"consecutive vertices {a},{b} not adjacent")
-        if induced and not self.is_induced_in(g):
-            raise ValueError("path has a chord")
-
-    def is_induced_in(self, g: Graph) -> bool:
-        vs = self.vertices
-        for i, u in enumerate(vs):
-            for v in vs[i + 2 :]:
-                if g.has_edge(u, v):
-                    return False
-        return True
 
 
 # -- derived constructions ------------------------------------------------
@@ -397,96 +368,3 @@ def independence_number(g: Graph, cap: int = 64) -> int:
 def geometric_ball_bound(delta: int, radius: int) -> int:
     """1 + delta + ... + delta**radius, the max ball size at a given degree."""
     return sum(delta**i for i in range(radius + 1))
-
-
-def long_induced_path(
-    g: Graph, ell: int, search_budget: int = 2_000_000
-) -> Optional[Path]:
-    """An induced path on at least ell vertices, if one can be found.
-
-    A shortest path to a BFS-eccentric vertex is chordless, and whenever
-    n >= 1 + sum(Delta^i for i <= ell-2) such a vertex at distance ell-1
-    exists, so in that regime the result is guaranteed.  Below the
-    threshold an exhaustive search is attempted before giving up.
-    """
-    if ell < 2:
-        raise ValueError("need ell >= 2")
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    best: Optional[tuple[int, int, int]] = None  # (-dist, src, dst)
-    for src in g.vertices:
-        dist = g.bfs_distances(src)
-        far = max(range(g.n), key=lambda v: (dist[v], -v))
-        cand = (-dist[far], src, far)
-        if best is None or cand < best:
-            best = cand
-    _, src, far = best  # type: ignore[misc]
-    if -best[0] + 1 >= ell:
-        return Path(g.shortest_path(src, far))  # type: ignore[arg-type]
-
-    # exhaustive fallback: depth-first growth of induced paths
-    ticks = 0
-
-    def extend(path: list[int], used: int, blocked: int) -> Optional[list[int]]:
-        nonlocal ticks
-        ticks += 1
-        if ticks > search_budget:
-            raise BudgetExhausted("induced-path search budget exhausted")
-        if len(path) >= ell:
-            return path
-        tail = path[-1]
-        for w in g.neighbors(tail):
-            if used >> w & 1 or blocked >> w & 1:
-                continue
-            # w may touch only the current tail
-            if g.neighbor_mask(w) & used & ~(1 << tail):
-                continue
-            got = extend(path + [w], used | 1 << w, blocked)
-            if got is not None:
-                return got
-        return None
-
-    for start in g.vertices:
-        got = extend([start], 1 << start, 0)
-        if got is not None:
-            return Path(tuple(got))
-    return None
-
-
-class NoNeighborOnPath(ValueError):
-    """The attachment vertex has no neighbor on the given path."""
-
-
-class PathTooShort(ValueError):
-    """The given path is shorter than t*(1+Delta)-1."""
-
-
-def attach_free_subpath(g: Graph, p: Path, z: int, t: int) -> Path:
-    """A length-t subpath of p whose only neighbor of z is its first vertex.
-
-    Requires z off the path with at least one and at most Delta neighbors
-    on it, and p of length at least t*(1+Delta)-1; a window with the
-    single-contact property then always exists.
-    """
-    if t <= 0:
-        raise ValueError("need t > 0")
-    p.validate(g, induced=True)
-    if z in p.vertices:
-        raise ValueError("attachment vertex lies on the path")
-    on_path = [v for v in p.vertices if g.has_edge(z, v)]
-    if not on_path:
-        raise NoNeighborOnPath(f"vertex {z} has no neighbor on the path")
-    delta = g.max_degree()
-    if len(on_path) > delta:
-        raise ValueError("more than Delta neighbors on the path")
-    if p.length < t * (1 + delta) - 1:
-        raise PathTooShort(
-            f"path length {p.length} below t*(1+Delta)-1 = {t * (1 + delta) - 1}"
-        )
-    for seq in (p.vertices, tuple(reversed(p.vertices))):
-        for i in range(len(seq) - t):
-            window = seq[i : i + t + 1]
-            hits = [v for v in window if g.has_edge(z, v)]
-            if hits == [window[0]]:
-                return Path(window)
-    raise AssertionError("guaranteed subpath not found; preconditions violated?")

@@ -1,5 +1,8 @@
 """Exact weighted balanced separators, separation number, and treewidth.
 
+Every balanced-separator question (a weighted minimum separator, the
+separation number) is one increasing-size subset search, `_first_subset`.
+
 The treewidth solver is the repo-wide oracle: dynamic programming over
 vertex subsets along elimination orders, pruned against the minimum-fill
 width, returning a witness decomposition.
@@ -13,11 +16,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .decompose import TreeDecomposition, along, eliminate
 from .graphs import CapExceeded, Graph, bits, mask_of
 from .weights import WeightFunction, check_balance_parameter
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,19 @@ def is_balanced_separator(
     return all(wt <= c for _, wt in component_weights(g, w, x_mask))
 
 
+def _first_subset(
+    n: int, lo: int, hi: int, test: Callable[[int], Optional[T]]
+) -> Optional[tuple[tuple[int, ...], T]]:
+    """The lexicographically first of the smallest X, lo <= |X| <= hi, whose
+    test(mask of X) is not None, paired with that value; None if none is."""
+    for k in range(lo, hi + 1):
+        for xs in combinations(range(n), k):
+            found = test(mask_of(xs))
+            if found is not None:
+                return xs, found
+    return None
+
+
 def min_balanced_separator(
     g: Graph,
     w: WeightFunction,
@@ -69,20 +87,21 @@ def min_balanced_separator(
     check_balance_parameter(c)
     if g.n > cap:
         raise CapExceeded(f"separator search capped at n={cap}, got {g.n}")
+
+    def balanced(x_mask: int) -> Optional[list[tuple[int, Fraction]]]:
+        parts = component_weights(g, w, x_mask)
+        return parts if all(wt <= c for _, wt in parts) else None
+
     top = g.n if max_size is None else min(max_size, g.n)
-    for k in range(top + 1):
-        for xs in combinations(range(g.n), k):
-            x_mask = mask_of(xs)
-            parts = component_weights(g, w, x_mask)
-            if all(wt <= c for _, wt in parts):
-                return SeparatorCertificate(
-                    separator=xs,
-                    c=c,
-                    component_weights=tuple(
-                        (tuple(bits(cm)), wt) for cm, wt in parts
-                    ),
-                )
-    return None
+    hit = _first_subset(g.n, 0, top, balanced)
+    if hit is None:
+        return None
+    xs, parts = hit
+    return SeparatorCertificate(
+        separator=xs,
+        c=c,
+        component_weights=tuple((tuple(bits(cm)), wt) for cm, wt in parts),
+    )
 
 
 def has_balanced_separator_of_size(
@@ -105,25 +124,16 @@ def separation_number(g: Graph, c: Fraction, cap: int = 10) -> int:
     best = 0
     full = g.full_mask()
     for s_mask in range(full + 1):
-        s_size = s_mask.bit_count()
-        limit = c * s_size
+        limit = c * s_mask.bit_count()
 
-        def admits(k: int) -> bool:
-            for xs in combinations(range(g.n), k):
-                x_mask = mask_of(xs)
-                if all(
-                    (comp & s_mask).bit_count() <= limit
-                    for comp in g.component_masks(full & ~x_mask)
-                ):
-                    return True
-            return False
+        def balances(x_mask: int) -> Optional[bool]:
+            comps = g.component_masks(full & ~x_mask)
+            return all((comp & s_mask).bit_count() <= limit for comp in comps) or None
 
-        if admits(best):
-            continue
-        k = best + 1
-        while not admits(k):
-            k += 1
-        best = k
+        # X = V always balances, so a smallest X of size >= best exists
+        hit = _first_subset(g.n, best, g.n, balances)
+        assert hit is not None
+        best = len(hit[0])
     return best
 
 
@@ -270,8 +280,7 @@ class HarveyWoodReport:
     sep: int
     c: Fraction
     upper_bound_holds: bool  # tw + 1 <= sep / (1 - c)
-    uniform_k: int  # max over uniform weights of the min separator size
-    uniform_bound_holds: bool  # tw <= uniform_k / (1 - c)
+    uniform_bound_holds: bool  # tw <= sep / (1 - c), the uniform-weight route
     small_separator_found_for_all: bool  # every sampled w admits size <= tw+1
     weights_tried: int
 
@@ -296,9 +305,15 @@ def harvey_wood_check(
     """Cross-check the separation-number and balanced-separator bridges.
 
     Computes tw and the separation number exactly, checks
-    tw + 1 <= sep/(1-c), evaluates the uniform-weight route, and verifies
-    that seeded normal weight functions all admit a balanced separator of
-    size at most tw + 1 (one of the witness bags always works).
+    tw + 1 <= sep/(1-c) and the uniform-weight route tw <= sep/(1-c), and
+    verifies that seeded normal weight functions all admit a balanced
+    separator of size at most tw + 1 (one of the witness bags always works).
+
+    The uniform-weight route needs no search of its own: under the uniform
+    weight on a non-empty Y a component weighs |comp & Y| / |Y|, so it is
+    at most c exactly when |comp & Y| <= c|Y|, separation_number's test for
+    S = Y.  The worst minimum uniform-weight separator over all Y is
+    therefore the separation number (S = empty needs X = empty).
     """
     check_balance_parameter(c)
     if g.n > cap:
@@ -306,15 +321,7 @@ def harvey_wood_check(
     tw, td = exact_treewidth(g, cap=cap)
     sep = separation_number(g, c, cap=cap)
     upper = Fraction(tw + 1) <= Fraction(sep) / (1 - c)
-
-    uniform_k = 0
-    full = g.full_mask()
-    for y_mask in range(1, full + 1):
-        w_y = WeightFunction.uniform(g, support=bits(y_mask))
-        cert = min_balanced_separator(g, w_y, c, cap=g.n)
-        assert cert is not None
-        uniform_k = max(uniform_k, cert.size)
-    uniform_ok = Fraction(tw) <= Fraction(uniform_k) / (1 - c)
+    uniform_ok = Fraction(tw) <= Fraction(sep) / (1 - c)
 
     rng = random.Random(seed)
     all_small = True
@@ -335,7 +342,6 @@ def harvey_wood_check(
         sep=sep,
         c=c,
         upper_bound_holds=upper,
-        uniform_k=uniform_k,
         uniform_bound_holds=uniform_ok,
         small_separator_found_for_all=all_small,
         weights_tried=n_weights,

@@ -32,16 +32,11 @@ class WeightFunction:
         return cls(dom, tuple(Fraction(mapping[v]) for v in dom))
 
     @classmethod
-    def uniform(cls, g: Graph, support: Iterable[int] | None = None) -> "WeightFunction":
-        """1/|Y| on the support Y (default: all vertices), 0 elsewhere."""
-        sup = set(range(g.n) if support is None else support)
-        if not sup:
-            raise ValueError("uniform weight needs a non-empty support")
-        share = Fraction(1, len(sup))
-        return cls(
-            tuple(range(g.n)),
-            tuple(share if v in sup else Fraction(0) for v in range(g.n)),
-        )
+    def uniform(cls, g: Graph) -> "WeightFunction":
+        """1/n on every vertex."""
+        if not g.n:
+            raise ValueError("uniform weight needs a non-empty graph")
+        return cls(tuple(range(g.n)), (Fraction(1, g.n),) * g.n)
 
     def __getitem__(self, v: int) -> Fraction:
         try:
@@ -80,12 +75,17 @@ class WeightFunction:
 
     @classmethod
     def from_json(cls, data: Mapping[str, str]) -> "WeightFunction":
-        return cls.from_mapping({int(k): Fraction(v) for k, v in data.items()})
+        return cls.from_mapping({int(k): parse_fraction(v) for k, v in data.items()})
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Parse "num/den" (or an integer) into an exact Fraction."""
-    return Fraction(text.strip())
+def parse_fraction(text: str | float) -> Fraction:
+    """Parse "num/den" (or an integer) into an exact Fraction.  A zero
+    denominator or an infinite JSON number is a ValueError like any other
+    malformed value."""
+    try:
+        return Fraction(text)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"{text!r} is not a finite fraction") from None
 
 
 def check_balance_parameter(c: Fraction) -> Fraction:

@@ -3,18 +3,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import connected_graphs, graphs
+from conftest import graphs
 from twcert.graphs import (
     Graph,
-    Path,
-    attach_free_subpath,
     clique_number,
     full_subdivision,
     independence_number,
     line_graph,
-    long_induced_path,
-    NoNeighborOnPath,
-    PathTooShort,
     subdivide,
 )
 from twcert.generators import (
@@ -153,64 +148,6 @@ def test_clique_cap():
 
     with pytest.raises(CapExceeded):
         clique_number(complete_graph(8), cap=7)
-
-
-def test_long_induced_path_guaranteed_cases():
-    p6 = path_graph(6)
-    got = long_induced_path(p6, 6)
-    assert got is not None and len(got.vertices) >= 6
-    k13 = star_graph(3)
-    got = long_induced_path(k13, 3)
-    assert got is not None and len(got.vertices) >= 3
-    assert got.is_induced_in(k13)
-
-
-def test_long_induced_path_below_threshold_still_found():
-    # the wall misses the ball bound for 4 vertices but contains long paths
-    g = wall(3, 3)
-    got = long_induced_path(g, 4)
-    assert got is not None and len(got.vertices) >= 4
-    assert got.is_induced_in(g)
-
-
-@given(connected_graphs(max_n=7))
-@settings(max_examples=40)
-def test_long_induced_path_respects_ball_bound(g):
-    delta = g.max_degree()
-    ell = 3
-    threshold = 1 + sum(delta**i for i in range(ell - 1))
-    got = long_induced_path(g, ell)
-    if g.n >= threshold:
-        assert got is not None and len(got.vertices) >= ell
-    if got is not None:
-        got.validate(g, induced=True)
-
-
-def test_attach_free_subpath_direct():
-    # path 0..5 plus z=6 adjacent to vertex 0 only
-    g = Graph(7, [(i, i + 1) for i in range(5)] + [(6, 0)])
-    p = Path(tuple(range(6)))
-    got = attach_free_subpath(g, p, 6, 2)
-    assert got.vertices == (0, 1, 2)
-
-
-def test_attach_free_subpath_windows_scanned():
-    # z adjacent to both ends; a mid-window must be found on either side
-    g = Graph(9, [(i, i + 1) for i in range(7)] + [(8, 0), (8, 7)])
-    p = Path(tuple(range(8)))
-    got = attach_free_subpath(g, p, 8, 2)
-    hits = [v for v in got.vertices if g.has_edge(8, v)]
-    assert hits == [got.vertices[0]]
-
-
-def test_attach_free_subpath_errors_distinct():
-    g = Graph(7, [(i, i + 1) for i in range(5)])
-    p = Path(tuple(range(6)))
-    with pytest.raises(NoNeighborOnPath):
-        attach_free_subpath(g, p, 6, 2)
-    g2 = Graph(4, [(0, 1), (1, 2), (3, 0)])
-    with pytest.raises(PathTooShort):
-        attach_free_subpath(g2, Path((0, 1, 2)), 3, 2)
 
 
 def test_lexicographic_component_order():

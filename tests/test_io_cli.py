@@ -160,3 +160,36 @@ def test_cli_recheck_reports_malformed_assertion(tmp_path, text):
     rc = json.loads(out.read_text())
     assert rc["checked"] == 0 and len(rc["problems"]) == 1
     assert rc["problems"][0].startswith("assertion 0: not a record")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sep", "-i", "{g}", "--c", "1/0"],
+        ["verify", "harvey-wood", "--c", "1/0"],
+        ["centralbag", "-i", "{g}", "--pattern", "{p}", "--c", "1/0"],
+        ["--config", "{conf}", "sep", "-i", "{g}"],
+        ["centralbag", "-i", "{g}", "--pattern", "{p}", "--weights", "{w}"],
+        ["decompose", "--method", "lci", "-i", "{lci}"],
+        ["centralbag", "-i", "{g}", "--pattern", "{p}", "--weights", "{winf}"],
+    ],
+    ids=[
+        "sep-c", "verify-c", "centralbag-c", "config-c", "weights-file", "lci-model",
+        "weights-infinity",
+    ],
+)
+def test_cli_non_finite_fraction_is_usage_error(tmp_path, capsys, argv):
+    files = {
+        "g": '{"n": 2, "edges": [[0, 1]]}',
+        "p": '{"n": 1, "edges": []}',
+        "conf": "c=1/0\n",
+        "w": '{"0": "1/0", "1": "0"}',
+        "lci": '{"points": ["0", "1/0"], "arcs": [["0", "1/2"]]}',
+        "winf": '{"0": Infinity, "1": 0}',
+    }
+    paths = {}
+    for key, text in files.items():
+        paths[key] = tmp_path / key
+        paths[key].write_text(text)
+    assert main([arg.format(**paths) for arg in argv]) == 64
+    assert "is not a finite fraction" in capsys.readouterr().err

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from twcert.generators import path_graph
+from twcert.graphs import Graph
 from twcert.weights import WeightFunction, check_balance_parameter, parse_fraction
 
 
@@ -14,12 +15,9 @@ def test_uniform_is_normal():
     assert w.of([0, 1]) == Fraction(2, 5)
 
 
-def test_uniform_on_support():
-    g = path_graph(5)
-    w = WeightFunction.uniform(g, support=[1, 3])
-    assert w[1] == Fraction(1, 2) and w[0] == 0
-    assert w.is_normal()
-    assert w.w_max == Fraction(1, 2)
+def test_uniform_rejects_empty_graph():
+    with pytest.raises(ValueError):
+        WeightFunction.uniform(Graph(0, []))
 
 
 def test_json_roundtrip():
