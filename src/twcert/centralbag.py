@@ -390,8 +390,17 @@ def central_bag(
         raise ValueError("weight function must be normal")
     members = seq.separations
     bag = set(range(g.n))
-    weights: dict[int, Fraction] = w.as_dict()
-    escaped = Fraction(0)
+    # weights travel as integer numerators over w.denominator
+    den = w.denominator
+    weights: dict[int, int] = dict(w.numerators)
+    escaped = 0
+    texts: dict[int, str] = {}  # numerator -> str of its reduced Fraction
+
+    def text(x: int) -> str:
+        if x not in texts:
+            texts[x] = str(Fraction(x, den))
+        return texts[x]
+
     levels: list[LevelRecord] = []
     all_drops: list[DropRecord] = []
     generator: list[tuple[int, ...]] = []
@@ -431,7 +440,7 @@ def central_bag(
         for i in kept:
             a_here = (set(members[i].a) & prev_bag) - seen_a
             seen_a |= set(members[i].a) & prev_bag
-            fresh = sum((weights[v] for v in a_here), Fraction(0))
+            fresh = sum(weights[v] for v in a_here)
             anchor = members[i].anchor
             assert anchor is not None
             if anchor in bag:
@@ -449,19 +458,18 @@ def central_bag(
         )
         cut_ok = all(set(members[i].c) & prev_bag <= bag for i in kept)
         connected = g.is_connected_set(tuple(sorted(bag))) if bag else False
-        total = sum(weights.values(), Fraction(0))
         levels.append(
             LevelRecord(
                 kept=tuple(kept),
                 drops=tuple(drops),
                 bag_after=tuple(sorted(bag)),
                 weight_after=tuple(
-                    (v, str(weights[v])) for v in sorted(weights)
+                    (v, text(weights[v])) for v in sorted(weights)
                 ),
                 restricted_a_loosely_laminar=restricted.is_a_loosely_laminar(),
                 cut_in_bag=cut_ok,
                 bag_connected=connected,
-                weight_total_one=(total == 1),
+                weight_total_one=(sum(weights.values()) == den),
             )
         )
         generator.append(tuple(kept))
@@ -470,11 +478,11 @@ def central_bag(
 
     return CentralBagResult(
         bag=tuple(sorted(bag)),
-        weights=weights,
+        weights={v: Fraction(x, den) for v, x in weights.items()},
         generator=tuple(generator),
         levels=tuple(levels),
         drops=tuple(all_drops),
-        escaped_weight=escaped,
+        escaped_weight=Fraction(escaped, den),
     )
 
 
@@ -613,7 +621,8 @@ def check_bag_separator_transfer(
         SeparationSequence(separations=tuple(members[i] for i in cls))
         for cls in result.generator
     ]
-    hyp = no_sep and d >= gamma_t1 and all(cs.is_laminar() for cs in kept_seqs)
+    kept_laminar = all(cs.is_laminar() for cs in kept_seqs)
+    hyp = no_sep and d >= gamma_t1 and kept_laminar
     concl = all(cs.is_a_laminar() for cs in kept_seqs)
     checks.append(
         ConditionalCheck(
@@ -623,7 +632,7 @@ def check_bag_separator_transfer(
                 base_notes
                 + [
                     f"d >= gamma(t+1) = {gamma_t1}: {d >= gamma_t1}",
-                    f"kept classes laminar: {all(cs.is_laminar() for cs in kept_seqs)}",
+                    f"kept classes laminar: {kept_laminar}",
                 ]
             ),
             conclusion_holds=concl,

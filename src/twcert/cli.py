@@ -339,7 +339,7 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "b": list(s.b),
                 "center": list(s.center or ()),
                 "anchor": s.anchor,
-                "skew": [str(w.of(s.a)), str(w.of(s.b))],
+                "skew": [str(x) for x in s.skew(w)],
             }
             for s in rep.sequence.separations
         ],
@@ -471,6 +471,13 @@ COMMANDS: dict[str, Callable[[argparse.Namespace, RunConfig], int]] = {
 }
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="twcert",
@@ -528,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--forcer", action="append", help="forcer graph file; repeatable")
     cb.add_argument("--weights", help='vertex weights JSON {"0": "1/7", ...}')
     cb.add_argument("--c", default="1/2")
-    cb.add_argument("--d", type=int, default=2)
+    cb.add_argument("--d", type=_non_negative_int, default=2)
     cb.add_argument("-o", "--output")
 
     dec = sub.add_parser("decompose", help="constructive tree decompositions")

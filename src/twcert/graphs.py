@@ -131,24 +131,34 @@ class Graph:
             raise ValueError("radius must be non-negative")
         cur = mask_of(xs)
         for _ in range(d):
-            nxt = cur
-            for v in bits(cur):
-                nxt |= self._masks[v]
+            nxt = cur | self._adjacent(cur)
             if nxt == cur:
                 break
             cur = nxt
         return tuple(bits(cur))
 
+    def _adjacent(self, mask: int) -> int:
+        """Union of the neighbour masks of the vertices in `mask`."""
+        masks = self._masks
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= masks[low.bit_length() - 1]
+            mask ^= low
+        return out
+
     def reach_mask(self, seed: int, allowed: int) -> int:
-        """Vertices of `allowed` reachable from `seed & allowed` inside `allowed`."""
-        cur = seed & allowed
-        while True:
-            nxt = cur
-            for v in bits(cur):
-                nxt |= self._masks[v] & allowed
-            if nxt == cur:
-                return cur
-            cur = nxt
+        """Vertices of `allowed` reachable from `seed & allowed` inside `allowed`.
+
+        Breadth-first over masks: each round expands only the frontier (the
+        vertices added by the previous round), so every reached vertex has its
+        neighbour mask read once, O(|reach| + rounds) big-int operations.
+        """
+        cur = frontier = seed & allowed
+        while frontier:
+            frontier = self._adjacent(frontier) & allowed & ~cur
+            cur |= frontier
+        return cur
 
     def component_masks(self, allowed: int) -> list[int]:
         """Connected components of the induced subgraph on `allowed`, by min id."""
@@ -194,29 +204,33 @@ class Graph:
         d = 0
         while frontier:
             d += 1
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self._masks[v]
-            nxt &= allowed & ~seen
+            nxt = self._adjacent(frontier) & allowed & ~seen
             for v in bits(nxt):
                 dist[v] = d
             seen |= nxt
             frontier = nxt
         return dist
 
-    def distance(self, u: int, v: int) -> int:
-        return self.bfs_distances(u)[v]
-
     def diameter_of(self, s: Iterable[int]) -> int:
-        """Max distance in the whole graph between two vertices of s."""
+        """Max distance in the whole graph between two vertices of s.
+
+        One mask BFS per vertex u of s, stopped at the round that reaches the
+        last vertex of s: that round's depth is u's eccentricity within s.
+        The cost is |s| searches, each only as deep as that eccentricity.
+        """
         vs = self._check_vertices(s)
+        target = mask_of(vs)
         best = 0
         for u in vs:
-            dist = self.bfs_distances(u)
-            for v in vs:
-                if dist[v] < 0:
+            seen = frontier = 1 << u
+            depth = 0
+            while target & ~seen:
+                if not frontier:
                     raise ValueError("set spans disconnected parts of the graph")
-                best = max(best, dist[v])
+                frontier = self._adjacent(frontier) & ~seen
+                seen |= frontier
+                depth += 1
+            best = max(best, depth)
         return best
 
     def shortest_path(

@@ -128,6 +128,20 @@ def test_cli_centralbag_certificate(tmp_path):
     assert rc["problems"] == [] and rc["checked"] == rc["confirmed"]
 
 
+def test_cli_centralbag_rejects_negative_d(tmp_path):
+    g = tmp_path / "w.json"
+    pat = tmp_path / "p1.json"
+    out = tmp_path / "cb.json"
+    main(["gen", "wall", "--n", "3", "--m", "3", "-o", str(g)])
+    pat.write_text('{"n": 1, "edges": []}\n')
+    code = main([
+        "centralbag", "-i", str(g), "--pattern", str(pat), "--d", "-1",
+        "-o", str(out),
+    ])
+    assert code == 64
+    assert not out.exists()
+
+
 def test_cli_verify_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

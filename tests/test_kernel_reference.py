@@ -1,0 +1,170 @@
+"""Differential tests: the frontier-only graph kernels and the integer weight
+sums against test-local copies of the code they replaced.
+
+The references are the earlier kernels: a `reach_mask` that re-walks every
+reached vertex each round, a `diameter_of` that runs one full-graph
+`bfs_distances` per vertex and reads a distance list, and `WeightFunction`
+sums that add the stored `Fraction` values one by one.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import graphs
+from twcert.graphs import Graph, bits
+from twcert.weights import WeightFunction
+
+
+def ref_reach_mask(g: Graph, seed: int, allowed: int) -> int:
+    cur = seed & allowed
+    while True:
+        nxt = cur
+        for v in bits(cur):
+            nxt |= g.neighbor_mask(v) & allowed
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def ref_component_masks(g: Graph, allowed: int) -> list[int]:
+    comps = []
+    rest = allowed
+    while rest:
+        comp = ref_reach_mask(g, rest & -rest, allowed)
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
+def ref_bfs_distances(g: Graph, source: int) -> list[int]:
+    dist = [-1] * g.n
+    dist[source] = 0
+    frontier = seen = 1 << source
+    d = 0
+    while frontier:
+        d += 1
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= g.neighbor_mask(v)
+        nxt &= ~seen
+        for v in bits(nxt):
+            dist[v] = d
+        seen |= nxt
+        frontier = nxt
+    return dist
+
+
+def ref_diameter_of(g: Graph, vs: tuple[int, ...]) -> int:
+    best = 0
+    for u in vs:
+        dist = ref_bfs_distances(g, u)
+        for v in vs:
+            if dist[v] < 0:
+                raise ValueError("set spans disconnected parts of the graph")
+            best = max(best, dist[v])
+    return best
+
+
+def ref_of_mask(w: WeightFunction, mask: int) -> Fraction:
+    total = Fraction(0)
+    for v, x in zip(w.domain, w.values):
+        if mask >> v & 1:
+            total += x
+    return total
+
+
+def ref_of(w: WeightFunction, vs: list[int]) -> Fraction:
+    d = dict(zip(w.domain, w.values))
+    return sum((d[v] for v in vs), Fraction(0))
+
+
+def ref_total(w: WeightFunction) -> Fraction:
+    return sum(w.values, Fraction(0))
+
+
+def outcome(fn, *args) -> tuple[str, str]:
+    """(type name, str) of a call's result or of the exception it raised."""
+    try:
+        return ("value", str(fn(*args)))
+    except (KeyError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@st.composite
+def graph_and_masks(draw, max_n=10):
+    g = draw(graphs(min_n=1, max_n=max_n))
+    full = g.full_mask()
+    seed = draw(st.integers(0, full))
+    allowed = draw(st.integers(0, full))
+    return g, seed, allowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_masks())
+def test_reach_and_components_match_reference(case):
+    g, seed, allowed = case
+    assert g.reach_mask(seed, allowed) == ref_reach_mask(g, seed, allowed)
+    assert g.component_masks(allowed) == ref_component_masks(g, allowed)
+    assert g.component_masks(g.full_mask()) == ref_component_masks(g, g.full_mask())
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_masks())
+def test_diameter_matches_reference(case):
+    g, s_mask, _ = case
+    vs = tuple(bits(s_mask))
+    assert outcome(g.diameter_of, vs) == outcome(ref_diameter_of, g, vs)
+
+
+def test_diameter_of_disconnected_set_raises():
+    g = Graph(4, [(0, 1), (2, 3)])
+    assert g.diameter_of((0, 1)) == ref_diameter_of(g, (0, 1)) == 1
+    for fn in (g.diameter_of, lambda vs: ref_diameter_of(g, vs)):
+        with pytest.raises(ValueError, match="disconnected parts"):
+            fn((1, 2))
+
+
+@st.composite
+def weights_and_queries(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    domain = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    values = [
+        draw(st.fractions(min_value=0, max_value=3, max_denominator=12))
+        for _ in domain
+    ]
+    if values and draw(st.booleans()) and sum(values):
+        total = sum(values)
+        values = [x / total for x in values]
+    w = WeightFunction(tuple(sorted(domain)), tuple(values))
+    # masks may carry bits outside the domain and beyond n
+    mask = draw(st.integers(0, (1 << (n + 3)) - 1))
+    vs = draw(st.lists(st.integers(0, n), max_size=2 * n))
+    return w, mask, vs
+
+
+@settings(max_examples=400, deadline=None)
+@given(weights_and_queries())
+def test_weight_sums_match_reference(case):
+    w, mask, vs = case
+    assert outcome(w.of_mask, mask) == outcome(ref_of_mask, w, mask)
+    assert outcome(w.of, vs) == outcome(ref_of, w, vs)
+    in_domain = [v for v in vs if v in w.domain]
+    assert outcome(w.of, in_domain) == outcome(ref_of, w, in_domain)
+    assert str(w.total) == str(ref_total(w))
+    assert w.total == ref_total(w)
+    assert w.is_normal() == (ref_total(w) == 1)
+    ref = dict(zip(w.domain, w.values))
+    for v in set(vs):
+        if v in ref:
+            assert str(w[v]) == str(ref[v]) and w[v] == ref[v]
+        else:
+            with pytest.raises(KeyError, match=f"vertex {v} outside weight domain"):
+                w[v]
+
+
+def test_weight_function_rejects_repeated_domain_vertex():
+    with pytest.raises(ValueError):
+        WeightFunction((0, 0), (Fraction(1, 2), Fraction(1, 2)))
