@@ -56,10 +56,6 @@ class Separation:
             raise ValueError("center must lie in the cut")
 
     @property
-    def a_mask(self) -> int:
-        return mask_of(self.a)
-
-    @property
     def bc_union(self) -> tuple[int, ...]:
         return tuple(sorted(self.b + self.c))
 
@@ -97,9 +93,8 @@ def canonical_separation(g: Graph, w: WeightFunction, x: Iterable[int]) -> Separ
     for v in bits(b_mask):
         nb |= g.neighbor_mask(v)
     c_mask = mask_of(xs) | (closed & nb & ~b_mask)
-    a_mask = g.full_mask() & ~b_mask & ~c_mask
     return Separation(
-        a=tuple(bits(a_mask)),
+        a=tuple(bits(g.full_mask() & ~b_mask & ~c_mask)),
         c=tuple(bits(c_mask)),
         b=tuple(bits(b_mask)),
         center=xs,
@@ -118,9 +113,8 @@ def clique_separation(g: Graph, w: WeightFunction, k: Iterable[int]) -> Separati
     if len(comps) < 2:
         raise ValueError("clique is not a cutset")
     b_mask = max(comps, key=w.of_mask)  # the first heaviest, in component order
-    a_mask = outside & ~b_mask
     return Separation(
-        a=tuple(bits(a_mask)),
+        a=tuple(bits(outside & ~b_mask)),
         c=ks,
         b=tuple(bits(b_mask)),
         center=ks,
@@ -169,6 +163,13 @@ def relation(s1: Separation, s2: Separation) -> RelationFlags:
     )
 
 
+def all_pairs(seps: Sequence[Separation], flag: str) -> bool:
+    """Whether every pair of the separations has the `RelationFlags` field
+    `flag` set: "non_crossing" tests laminarity, "a_non_crossing"
+    A-laminarity and "a_loosely_non_crossing" A-loose laminarity."""
+    return all(getattr(relation(s1, s2), flag) for s1, s2 in combinations(seps, 2))
+
+
 def is_shield(s1: Separation, s2: Separation) -> bool:
     """s1 shields s2 when B(s1) together with C(s1) fits inside B(s2) + C(s2);
     a shielded separation contributes nothing to the central bag."""
@@ -208,24 +209,6 @@ class SeparationSequence:
             counts[s.anchor] = counts.get(s.anchor, 0) + 1
             t = max(t, g.diameter_of(s.c))
         return (max(counts.values(), default=0), t)
-
-    def is_laminar(self) -> bool:
-        return all(
-            relation(s1, s2).non_crossing
-            for s1, s2 in combinations(self.separations, 2)
-        )
-
-    def is_a_laminar(self) -> bool:
-        return all(
-            relation(s1, s2).a_non_crossing
-            for s1, s2 in combinations(self.separations, 2)
-        )
-
-    def is_a_loosely_laminar(self) -> bool:
-        return all(
-            relation(s1, s2).a_loosely_non_crossing
-            for s1, s2 in combinations(self.separations, 2)
-        )
 
 
 def make_primordial(
@@ -333,14 +316,12 @@ class DropRecord:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One class applied to the current bag: what was kept, what was dropped,
-    and the measured conclusions of the one-level bag algebra."""
+    """One class applied to the current bag: the four measured conclusions
+    of the one-level bag algebra.  The class's kept members are its entry in
+    `CentralBagResult.generator`, and its drops are in `CentralBagResult.drops`.
+    """
 
-    kept: tuple[int, ...]
-    drops: tuple[DropRecord, ...]
-    bag_after: tuple[int, ...]
-    weight_after: tuple[tuple[int, str], ...]  # (vertex, exact weight)
-    restricted_a_loosely_laminar: bool
+    restricted_a_loosely_laminar: bool  # kept members, cut to the previous bag
     cut_in_bag: bool  # C(S) cap previous bag lands inside the new bag
     bag_connected: bool
     weight_total_one: bool
@@ -382,7 +363,11 @@ def central_bag(
     Per class: members whose center left the current bag are dropped with a
     center-hit witness, the rest reduce to earliest inclusion-minimal B+C
     representatives, and the level weight rule charges each anchor with the
-    fresh part of its A side.  An empty sequence leaves the whole graph.
+    fresh part of its A side.  Each level records four measured flags: the
+    kept members, restricted to the previous bag, are pairwise A-loosely
+    non-crossing; their cuts inside the previous bag stay in the new bag; the
+    new bag is connected; its weights sum to one.  An empty sequence leaves
+    the whole graph.
     """
     if not g.is_connected():
         raise ValueError("graph must be connected")
@@ -394,13 +379,6 @@ def central_bag(
     den = w.denominator
     weights: dict[int, int] = dict(w.numerators)
     escaped = 0
-    texts: dict[int, str] = {}  # numerator -> str of its reduced Fraction
-
-    def text(x: int) -> str:
-        if x not in texts:
-            texts[x] = str(Fraction(x, den))
-        return texts[x]
-
     levels: list[LevelRecord] = []
     all_drops: list[DropRecord] = []
     generator: list[tuple[int, ...]] = []
@@ -453,20 +431,14 @@ def central_bag(
                 escaped += weights[v]
         weights = new_weights
 
-        restricted = SeparationSequence(
-            separations=tuple(members[i].restricted(prev_bag) for i in kept)
-        )
+        restricted = [members[i].restricted(prev_bag) for i in kept]
         cut_ok = all(set(members[i].c) & prev_bag <= bag for i in kept)
         connected = g.is_connected_set(tuple(sorted(bag))) if bag else False
         levels.append(
             LevelRecord(
-                kept=tuple(kept),
-                drops=tuple(drops),
-                bag_after=tuple(sorted(bag)),
-                weight_after=tuple(
-                    (v, text(weights[v])) for v in sorted(weights)
+                restricted_a_loosely_laminar=all_pairs(
+                    restricted, "a_loosely_non_crossing"
                 ),
-                restricted_a_loosely_laminar=restricted.is_a_loosely_laminar(),
                 cut_in_bag=cut_ok,
                 bag_connected=connected,
                 weight_total_one=(sum(weights.values()) == den),
@@ -518,7 +490,6 @@ def audit_is_complete(
 class ConditionalCheck:
     claim: str
     hypothesis_met: bool
-    hypothesis_notes: tuple[str, ...]
     conclusion_holds: Optional[bool]
 
     @property
@@ -558,16 +529,16 @@ def check_bag_separator_transfer(
 
     The shared hypothesis (no balanced separator of size at most d) is
     checked exhaustively; each conclusion additionally needs its own
-    arithmetic side conditions, recorded in the hypothesis notes.  Unmet
-    hypotheses are reported as such, never as pass or fail.  `partition` is
-    `dimension_partition(g, seq)`, whose measured t the bounds use.
+    arithmetic side conditions on d and the measured t, which are part of
+    its `hypothesis_met`.  Unmet hypotheses are reported as such, never as
+    pass or fail.  `partition` is `dimension_partition(g, seq)`, whose
+    measured t the bounds use.
     """
     check_balance_parameter(c)
     if g.n > 12:
         raise CapExceeded("transfer checks are exhaustive; capped at n=12")
     delta = g.max_degree()
     no_sep = not has_balanced_separator_of_size(g, w, c, d)
-    base_notes = [f"no balanced separator of size <= {d}: {no_sep}"]
     members = seq.separations
     t_meas = partition.measured_t
     gamma_t1 = geometric_ball_bound(delta, t_meas + 1)
@@ -581,18 +552,11 @@ def check_bag_separator_transfer(
         ConditionalCheck(
             claim="canonical separations have heavy B side",
             hypothesis_met=hyp,
-            hypothesis_notes=tuple(
-                base_notes + [f"d >= gamma(t+1) = {gamma_t1}: {d >= gamma_t1}"]
-            ),
             conclusion_holds=concl,
         )
     )
 
     # strongly laminar classes are laminar
-    cls_seqs = [
-        SeparationSequence(separations=tuple(members[i] for i in cls))
-        for cls in partition.classes
-    ]
     hyp = (
         no_sep
         and d >= gamma_t1
@@ -600,41 +564,30 @@ def check_bag_separator_transfer(
             g.is_connected_set(s.c) and len(s.c) <= d for s in members
         )
     )
-    concl = all(cs.is_laminar() for cs in cls_seqs)
+    concl = all(
+        all_pairs([members[i] for i in cls], "non_crossing")
+        for cls in partition.classes
+    )
     checks.append(
         ConditionalCheck(
             claim="strongly laminar classes are laminar",
             hypothesis_met=hyp,
-            hypothesis_notes=tuple(
-                base_notes
-                + [
-                    f"d >= gamma(t+1) = {gamma_t1}: {d >= gamma_t1}",
-                    f"all cuts connected with size <= d",
-                ]
-            ),
             conclusion_holds=concl,
         )
     )
 
     # primordial laminar classes are A-laminar (checked on the kept members)
-    kept_seqs = [
-        SeparationSequence(separations=tuple(members[i] for i in cls))
-        for cls in result.generator
-    ]
-    kept_laminar = all(cs.is_laminar() for cs in kept_seqs)
-    hyp = no_sep and d >= gamma_t1 and kept_laminar
-    concl = all(cs.is_a_laminar() for cs in kept_seqs)
+    kept = [[members[i] for i in cls] for cls in result.generator]
+    hyp = (
+        no_sep
+        and d >= gamma_t1
+        and all(all_pairs(cls, "non_crossing") for cls in kept)
+    )
+    concl = all(all_pairs(cls, "a_non_crossing") for cls in kept)
     checks.append(
         ConditionalCheck(
             claim="primordial laminar classes are A-laminar",
             hypothesis_met=hyp,
-            hypothesis_notes=tuple(
-                base_notes
-                + [
-                    f"d >= gamma(t+1) = {gamma_t1}: {d >= gamma_t1}",
-                    f"kept classes laminar: {kept_laminar}",
-                ]
-            ),
             conclusion_holds=concl,
         )
     )
@@ -653,10 +606,6 @@ def check_bag_separator_transfer(
         ConditionalCheck(
             claim="no small balanced separator survives in the bag",
             hypothesis_met=hyp,
-            hypothesis_notes=tuple(
-                base_notes
-                + [f"d >= gamma(t+1)*gamma(t)^k = {needed_d}: {d >= needed_d}"]
-            ),
             conclusion_holds=_bag_has_no_small_separator(g, result, c, limit),
         )
     )
@@ -667,7 +616,6 @@ def check_bag_separator_transfer(
 class ForcerEliminationReport:
     premise_holds: bool
     bag_clean: Optional[bool]
-    offending_copy: Optional[tuple[int, ...]]
 
 
 def forcer_elimination_check(
@@ -682,19 +630,12 @@ def forcer_elimination_check(
     carry no copy of any verified forcer for that pattern."""
     premise = verify_forcer(g, forcer, pattern, budget).holds
     if not premise:
-        return ForcerEliminationReport(
-            premise_holds=False, bag_clean=None, offending_copy=None
-        )
+        return ForcerEliminationReport(premise_holds=False, bag_clean=None)
     if not result.bag:
-        return ForcerEliminationReport(True, True, None)
-    sub, sub_vs = g.induced_subgraph(result.bag)
-    hit = find_induced(sub, forcer, budget)
-    if hit is None:
-        return ForcerEliminationReport(True, True, None)
+        return ForcerEliminationReport(premise_holds=True, bag_clean=True)
+    sub, _ = g.induced_subgraph(result.bag)
     return ForcerEliminationReport(
-        premise_holds=True,
-        bag_clean=False,
-        offending_copy=tuple(sorted(sub_vs[i] for i in hit.image)),
+        premise_holds=True, bag_clean=find_induced(sub, forcer, budget) is None
     )
 
 
@@ -771,19 +712,11 @@ def clique_central_bag(
         ConditionalCheck(
             claim="clique bag keeps no small balanced separator",
             hypothesis_met=hyp,
-            hypothesis_notes=(
-                f"no balanced separator of size <= {d}: {no_sep}",
-                f"d > Delta = {delta}: {d > delta}",
-            ),
             conclusion_holds=_bag_has_no_small_separator(g, result, c, limit),
         ),
         ConditionalCheck(
             claim="clique bag has no clique cutset",
             hypothesis_met=hyp,
-            hypothesis_notes=(
-                f"no balanced separator of size <= {d}: {no_sep}",
-                f"d > Delta = {delta}: {d > delta}",
-            ),
             conclusion_holds=no_cutset,
         ),
     )

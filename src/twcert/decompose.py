@@ -289,9 +289,7 @@ def fuzzy_lci_td(lci: LciThickening) -> LciTdReport:
 class StripAssemblyReport:
     td: TreeDecomposition
     hub_nodes: tuple[int, ...]  # nodes carried over from the pattern decomposition
-    bound_hub: int  # per-node bound |bag0|*(Delta+1)^2
-    bound_strip: int  # per-node bound |bag_e| + |end u| + |end v|
-    bounds_hold: bool
+    bounds_hold: bool  # hub bags <= |bag0|*(Delta+1)^2, strip bags <= |bag_e| + |ends|
 
 
 def strip_assembly(
@@ -327,9 +325,11 @@ def strip_assembly(
                 hub_bag_of[t].update(ss.eta_end[i][slot])
     bags.extend(tuple(sorted(b)) for b in hub_bag_of)
     tree_edges.extend(td0.tree_edges)
-    hub_nodes = tuple(range(td0.n_nodes))
+    holds = all(
+        len(hub_bag_of[t]) <= len(td0.bags[t]) * (delta + 1) ** 2
+        for t in range(td0.n_nodes)
+    )
 
-    bound_strip = 0
     offset = td0.n_nodes
     for i, (a, b) in enumerate(ss.pattern_edges):
         std = strip_tds[i]
@@ -347,35 +347,14 @@ def strip_assembly(
         for t in range(std.n_nodes):
             bag = tuple(sorted({sub_vs[x] for x in std.bags[t]} | set(add)))
             bags.append(bag)
-            bound_strip = max(
-                bound_strip, len(std.bags[t]) + len(left) + len(right)
-            )
+            holds = holds and len(bag) <= len(std.bags[t]) + len(left) + len(right)
         tree_edges.extend((offset + x, offset + y) for x, y in std.tree_edges)
         tree_edges.append((s_e, offset + t_e))
         offset += std.n_nodes
 
     td = TreeDecomposition(bags=tuple(bags), tree_edges=tuple(tree_edges))
-    bound_hub = max(
-        (len(td0.bags[t]) * (delta + 1) ** 2 for t in hub_nodes), default=0
-    )
-    holds = all(
-        len(bags[t]) <= len(td0.bags[t]) * (delta + 1) ** 2 for t in hub_nodes
-    )
-    # strip bags respect their additive bound by construction; re-check anyway
-    pos = td0.n_nodes
-    for i in range(len(ss.pattern_edges)):
-        std = strip_tds[i]
-        left, right = ss.eta_end[i]
-        for t in range(std.n_nodes):
-            if len(bags[pos + t]) > len(std.bags[t]) + len(left) + len(right):
-                holds = False
-        pos += std.n_nodes
     return StripAssemblyReport(
-        td=td,
-        hub_nodes=hub_nodes,
-        bound_hub=bound_hub,
-        bound_strip=bound_strip,
-        bounds_hold=holds,
+        td=td, hub_nodes=tuple(range(td0.n_nodes)), bounds_hold=holds
     )
 
 

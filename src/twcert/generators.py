@@ -649,10 +649,10 @@ def parallel_edge_strip_structure() -> StripStructure:
     )
 
 
-def strip_structure_instance(kind: str, host: Optional[Graph] = None) -> StripStructure:
+def strip_structure_instance(kind: str) -> StripStructure:
     """Named structures used by the assembly tests; all pass the validator."""
     if kind == "trivial_single_edge":
-        ss = trivial_strip_structure(host if host is not None else path_graph(4))
+        ss = trivial_strip_structure(path_graph(4))
     elif kind.startswith("line_graph_of:"):
         name = kind.split(":", 1)[1]
         patterns = {

@@ -57,7 +57,6 @@ from .generators import (
     strip_structure_instance,
     subdivided_claw,
     single_interval_model,
-    theta,
     wall,
 )
 from .graphs import (
@@ -707,7 +706,7 @@ def suite_constructions(cfg: RunConfig) -> Certificate:
         g = lci.graph
         rep = fuzzy_lci_td(lci)
         val = validate_td(g, rep.td)
-        ok = val.ok and val.width <= 4 * g.max_degree() + 3
+        ok = val.ok and val.width <= rep.width_bound
         if ok and g.n <= cfg.max_tw_n:
             ok = val.width >= exact_treewidth(g, cap=cfg.max_tw_n)[0]
         if not ok:

@@ -53,7 +53,7 @@ def test_expect_status_is_the_witness_comparison():
     ],
 )
 def test_conditional_status_follows_hypothesis_and_conclusion(hyp, concl, status):
-    assert ConditionalCheck("claim", hyp, (), concl).status == status
+    assert ConditionalCheck("claim", hyp, concl).status == status
 
 
 def test_every_certificate_rechecks_without_problems(tmp_path):
@@ -77,7 +77,7 @@ def test_pipeline_failed_transfer_is_a_confirmed_fail(monkeypatch):
 
     def with_failed_transfer(*args, **kwargs):
         rep = real(*args, **kwargs)
-        failed = ConditionalCheck("a conclusion that fails", True, (), False)
+        failed = ConditionalCheck("a conclusion that fails", True, False)
         return dataclasses.replace(
             rep, transfer_checks=rep.transfer_checks + (failed,)
         )
