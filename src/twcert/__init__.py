@@ -6,13 +6,12 @@ subgraph detectors, constructive tree decompositions, and a certificate
 format that makes every verdict re-checkable.
 """
 
-from .graphs import BudgetExhausted, CapExceeded, Graph, Path
+from .graphs import BudgetExhausted, CapExceeded, Graph
 from .weights import WeightFunction
 
 __all__ = [
     "BudgetExhausted",
     "CapExceeded",
     "Graph",
-    "Path",
     "WeightFunction",
 ]

@@ -156,7 +156,7 @@ def _gen_caterpillar(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
     )
     wit = caterpillar(CaterpillarSpec(args.spine, legs))
     return wit.graph, {
-        "spine": list(wit.spine.vertices),
+        "spine": list(wit.spine),
         "legs": [[v, list(leg)] for v, leg in wit.legs],
     }
 

@@ -29,8 +29,17 @@ class RunConfig:
     d: int = 2
 
     def __post_init__(self) -> None:
+        # seed and d may be 0 (random.Random(0) is a seed, and d is a
+        # distance, as for centralbag --d); a negative seed is refused
+        # because random.Random(-s) equals random.Random(s).
         for f in fields(self):
-            if f.type == "int" and getattr(self, f.name) <= 0:
+            if f.type != "int":
+                continue
+            value = getattr(self, f.name)
+            if f.name in ("seed", "d"):
+                if value < 0:
+                    raise ValueError(f"{f.name} must be non-negative")
+            elif value <= 0:
                 raise ValueError(f"{f.name} must be positive")
         check_balance_parameter(self.c)
 

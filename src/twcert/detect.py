@@ -8,7 +8,6 @@ deterministic node budget and report exhaustion distinctly from absence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import Budget, RunConfig
@@ -373,231 +372,6 @@ def _compositions(extra: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(extra + 1):
         for rest in _compositions(extra - first, parts - 1):
             yield (first,) + rest
-
-
-# -- three-leaves connectors ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConnectorOutcome:
-    """Classification of a minimal connected subgraph attaching to three
-    vertices: a path/hole seen twice plus a third attachment (i), a spider
-    with an apex (ii), or a triangle with three paths (iii)."""
-
-    variant: str  # "i", "ii", "iii"
-    connector: tuple[int, ...]
-    matched: tuple[str, ...]  # every variant whose conditions held
-    roles: tuple[tuple[str, tuple[int, ...]], ...] = ()
-
-    def role(self, name: str) -> tuple[int, ...]:
-        for key, value in self.roles:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-
-def _minimal_connector(g: Graph, xs: tuple[int, int, int]) -> tuple[int, ...]:
-    x_mask = mask_of(xs)
-    allowed = g.full_mask() & ~x_mask
-
-    def sees_all(comp: int) -> bool:
-        return all(g.neighbor_mask(x) & comp for x in xs)
-
-    current = None
-    for comp in g.component_masks(allowed):
-        if sees_all(comp):
-            current = comp
-            break
-    if current is None:
-        raise ValueError("no component attaches to all three vertices")
-    while True:
-        shrunk = False
-        for v in bits(current):
-            rest = current & ~(1 << v)
-            for comp in g.component_masks(rest):
-                if sees_all(comp):
-                    current = comp
-                    shrunk = True
-                    break
-            if shrunk:
-                break
-        if not shrunk:
-            return tuple(bits(current))
-
-
-def _induces_path(g: Graph, vs: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Order vs as an induced path of g, or None."""
-    if len(vs) == 1:
-        return (vs[0],)
-    sub_deg = {
-        v: sum(1 for u in vs if u != v and g.has_edge(u, v)) for v in vs
-    }
-    ends = sorted(v for v in vs if sub_deg[v] == 1)
-    if len(ends) != 2 or any(sub_deg[v] != 2 for v in vs if v not in ends):
-        return None
-    order = [ends[0]]
-    seen = {ends[0]}
-    while len(order) < len(vs):
-        nxt = [u for u in vs if u not in seen and g.has_edge(order[-1], u)]
-        if len(nxt) != 1:
-            return None
-        order.append(nxt[0])
-        seen.add(nxt[0])
-    return tuple(order) if order[-1] == ends[1] else None
-
-
-def classify_connector(
-    g: Graph, x1: int, x2: int, x3: int
-) -> ConnectorOutcome:
-    """Compute an inclusion-minimal connected attachment to three vertices and
-    classify its shape; the first matching variant in order i, ii, iii wins
-    and all matches are recorded."""
-    xs = (x1, x2, x3)
-    if len(set(xs)) != 3:
-        raise ValueError("need three distinct vertices")
-    h = _minimal_connector(g, xs)
-    nbrs = {x: tuple(v for v in h if g.has_edge(x, v)) for x in xs}
-    matched: list[tuple[str, tuple[tuple[str, tuple[int, ...]], ...]]] = []
-
-    # variant (i): h is a path hit at opposite ends by two of the vertices
-    ordered = _induces_path(g, h)
-    if ordered is not None:
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            kdx = 3 - i - j
-            xi, xj, xk = xs[i], xs[j], xs[kdx]
-            if (
-                nbrs[xi] == (ordered[0],)
-                and nbrs[xj] == (ordered[-1],)
-                or nbrs[xi] == (ordered[-1],)
-                and nbrs[xj] == (ordered[0],)
-                or (len(h) == 1 and nbrs[xi] == nbrs[xj] == (ordered[0],))
-            ):
-                kn = nbrs[xk]
-                two_nonadj = any(
-                    not g.has_edge(a, b) for a, b in combinations(kn, 2)
-                )
-                two_adj = len(kn) == 2 and g.has_edge(kn[0], kn[1])
-                if two_nonadj or two_adj:
-                    seq = ordered if nbrs[xi] == (ordered[0],) else tuple(reversed(ordered))
-                    roles = (
-                        ("path", (xi,) + seq + (xj,)),
-                        ("third", (xk,)),
-                        ("third_neighbors", kn),
-                        ("hole", (int(g.has_edge(xi, xj)),)),
-                    )
-                    matched.append(("i", roles))
-                    break
-
-    # variant (ii): spider with apex a, legs ending at each vertex's neighbor
-    if all(len(nbrs[x]) == 1 for x in xs):
-        got = _spider_roles(g, h, xs, nbrs)
-        if got is not None:
-            matched.append(("ii", got))
-
-    # variant (iii): triangle with three disjoint attachment paths
-    if all(len(nbrs[x]) == 1 for x in xs):
-        got = _triangle_roles(g, h, xs, nbrs)
-        if got is not None:
-            matched.append(("iii", got))
-
-    if not matched:
-        raise AssertionError(
-            f"minimal connector {h} escaped the trichotomy for {xs}"
-        )
-    order = {"i": 0, "ii": 1, "iii": 2}
-    matched.sort(key=lambda item: order[item[0]])
-    variant, roles = matched[0]
-    return ConnectorOutcome(
-        variant=variant,
-        connector=h,
-        matched=tuple(v for v, _ in matched),
-        roles=roles,
-    )
-
-
-def _spider_roles(g, h, xs, nbrs):
-    for a in h:
-        legs = g.components(tuple(v for v in h if v != a)) if len(h) > 1 else []
-        if len(legs) > 3:
-            continue
-        paths = _walk_legs(g, legs, (a, a, a), xs, nbrs)
-        # no edges between distinct legs except possibly between the x's
-        if paths is not None and _legs_anticomplete(g, paths):
-            return (("apex", (a,)), *_numbered("path", paths))
-    return None
-
-
-def _triangle_roles(g, h, xs, nbrs):
-    for tri in combinations(sorted(h), 3):
-        a1, a2, a3 = tri
-        if not (g.has_edge(a1, a2) and g.has_edge(a1, a3) and g.has_edge(a2, a3)):
-            continue
-        rest = [v for v in h if v not in tri]
-        legs = g.components(tuple(rest)) if rest else []
-        if len(legs) > 3:
-            continue
-        for perm in permutations(tri):
-            paths = _walk_legs(g, legs, perm, xs, nbrs)
-            if paths is not None and _legs_anticomplete(g, paths, shared_apex=False):
-                return (("triangle", perm), *_numbered("path", paths))
-    return None
-
-
-def _walk_legs(g, legs, corners, xs, nbrs) -> Optional[list[tuple[int, ...]]]:
-    """Attach each x to its corner: directly when the corner is x's only
-    neighbor in the connector, otherwise along its own leg, an induced path
-    that the corner sees only at its first vertex and that ends at x's
-    neighbor.  A leg may touch no other corner, and every leg must be used;
-    None otherwise."""
-    taken = [False] * len(legs)
-    paths = []
-    for x, corner in zip(xs, corners):
-        nb = nbrs[x][0]
-        if nb == corner:
-            paths.append((corner, x))
-            continue
-        pick = next(
-            (li for li, leg in enumerate(legs) if nb in leg and not taken[li]), None
-        )
-        if pick is None:
-            return None
-        seq = _induces_path(g, legs[pick])
-        if seq is None:
-            return None
-        if g.has_edge(corner, seq[-1]) and not g.has_edge(corner, seq[0]):
-            seq = tuple(reversed(seq))
-        if (
-            not g.has_edge(corner, seq[0])
-            or any(g.has_edge(corner, v) for v in seq[1:])
-            or seq[-1] != nb
-        ):
-            return None
-        others = [c for c in corners if c != corner]
-        if any(g.has_edge(c, v) for c in others for v in seq):
-            return None
-        taken[pick] = True
-        paths.append((corner,) + seq + (x,))
-    return paths if all(taken) else None
-
-
-def _legs_anticomplete(g, paths, shared_apex: bool = True) -> bool:
-    """No edges between distinct attachment paths beyond the allowed ones:
-    the pair of attached vertices always, and the corner pair when the paths
-    start at triangle corners rather than a shared apex."""
-    for pi, pj in combinations(paths, 2):
-        side_i = pi[1:] if shared_apex else pi
-        side_j = pj[1:] if shared_apex else pj
-        for u in side_i:
-            for v in side_j:
-                if u == v:
-                    continue
-                if {u, v} == {pi[-1], pj[-1]}:
-                    continue
-                if not shared_apex and {u, v} == {pi[0], pj[0]}:
-                    continue
-                if g.has_edge(u, v):
-                    return False
-    return True
 
 
 # -- breaks and forcers -------------------------------------------------------------

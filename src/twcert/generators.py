@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graphs import Graph, Path, line_graph
+from .graphs import Graph, line_graph
 
 
 # -- plain named families ---------------------------------------------------
@@ -197,7 +197,7 @@ class CaterpillarSpec:
 @dataclass(frozen=True)
 class CaterpillarWitness:
     graph: Graph
-    spine: Path
+    spine: tuple[int, ...]
     legs: tuple[tuple[int, tuple[int, ...]], ...]  # (spine vertex, leg vertices)
 
 
@@ -215,7 +215,7 @@ def caterpillar(spec: CaterpillarSpec) -> CaterpillarWitness:
             legs.append((i, tuple(leg)))
     g = Graph(nxt, edges)
     assert g.max_degree() <= 3
-    return CaterpillarWitness(g, Path(tuple(range(n_spine))), tuple(legs))
+    return CaterpillarWitness(g, tuple(range(n_spine)), tuple(legs))
 
 
 # -- creatures ----------------------------------------------------------------

@@ -8,7 +8,6 @@ bitmasks; the bitmasks drive all the exhaustive searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -257,16 +256,6 @@ class Graph:
         ]
         return Graph(len(vs), sub_edges), vs
 
-    def complement(self) -> "Graph":
-        return Graph(
-            self.n,
-            [
-                (u, v)
-                for u, v in combinations(range(self.n), 2)
-                if not self.has_edge(u, v)
-            ],
-        )
-
     def is_clique(self, s: Iterable[int]) -> bool:
         vs = self._check_vertices(s)
         return all(self.has_edge(u, v) for u, v in combinations(vs, 2))
@@ -274,13 +263,6 @@ class Graph:
     def is_anticomplete(self, x: Iterable[int], y: Iterable[int]) -> bool:
         my = mask_of(y)
         return all(not self._masks[v] & my for v in x)
-
-
-@dataclass(frozen=True)
-class Path:
-    """A path given by its vertex sequence."""
-
-    vertices: tuple[int, ...]
 
 
 # -- derived constructions ------------------------------------------------
@@ -373,10 +355,6 @@ def clique_number(g: Graph, cap: int = 64) -> int:
 
     expand(g.full_mask(), 0)
     return best
-
-
-def independence_number(g: Graph, cap: int = 64) -> int:
-    return clique_number(g.complement(), cap=cap)
 
 
 def geometric_ball_bound(delta: int, radius: int) -> int:

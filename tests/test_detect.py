@@ -5,7 +5,6 @@ from conftest import connected_graphs
 from twcert.config import Budget
 from twcert.detect import (
     breaks,
-    classify_connector,
     find_creature,
     find_induced,
     find_line_of_subdivided_wall,
@@ -120,83 +119,6 @@ def test_breaks_examples():
     assert not breaks(p5, [0], [2])
     with pytest.raises(ValueError):
         breaks(p5, [0], [0, 2])
-
-
-def test_classify_connector_apex():
-    out = classify_connector(star_graph(3), 1, 2, 3)
-    assert out.variant == "ii"
-    assert out.role("apex") == (0,)
-    assert set(out.matched) == {"ii"}
-
-
-def test_classify_connector_triangle():
-    g = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
-    out = classify_connector(g, 3, 4, 5)
-    assert out.variant == "iii"
-    assert sorted(out.role("triangle")) == [0, 1, 2]
-
-
-def test_classify_connector_path_case():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (4, 1), (4, 2)])
-    out = classify_connector(g, 0, 3, 4)
-    assert out.variant == "i"
-    assert out.role("third") == (4,)
-    kn = out.role("third_neighbors")
-    assert len(kn) == 2 and g.has_edge(*kn)
-
-
-def test_classify_connector_nonadjacent_case():
-    # third vertex with two non-adjacent neighbors on the path
-    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 1), (5, 3)])
-    out = classify_connector(g, 0, 4, 5)
-    assert out.variant == "i"
-
-
-def test_classify_connector_minimality():
-    # minimal connector must shrink the full component
-    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 5)])
-    out = classify_connector(g, 0, 3, 6)
-    h = set(out.connector)
-    for v in h:
-        rest = tuple(sorted(h - {v}))
-        ok = False
-        for comp in g.components(rest) if rest else []:
-            if all(
-                any(g.has_edge(x, u) for u in comp) for x in (0, 3, 6)
-            ):
-                ok = True
-        assert not ok, f"connector not minimal: {v} removable"
-
-
-def test_classify_connector_requires_connector():
-    with pytest.raises(ValueError):
-        classify_connector(path_graph(4), 0, 1, 3)
-
-
-@given(connected_graphs(min_n=5, max_n=7))
-@settings(max_examples=40, deadline=None)
-def test_classify_connector_witness_is_sound(g):
-    xs = (0, 1, 2)
-    x_mask = {0, 1, 2}
-    cands = [
-        comp
-        for comp in g.components(tuple(v for v in g.vertices if v not in x_mask))
-        if all(any(g.has_edge(x, u) for u in comp) for x in xs)
-    ]
-    if not cands:
-        return
-    out = classify_connector(g, *xs)
-    h = set(out.connector)
-    assert all(any(g.has_edge(x, u) for u in h) for x in xs)
-    assert g.is_connected_set(out.connector)
-    if out.variant == "ii":
-        apex = out.role("apex")[0]
-        paths = [out.role(f"path{i}") for i in (1, 2, 3)]
-        assert {p[0] for p in paths} == {apex}
-        assert {p[-1] for p in paths} == set(xs)
-        for p in paths:
-            for a, b in zip(p, p[1:]):
-                assert g.has_edge(a, b)
 
 
 def test_verify_forcer_vacuous_and_real():

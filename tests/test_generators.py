@@ -98,7 +98,7 @@ def test_caterpillar_specs():
     assert g.n == 5 and g.m == 4 and g.max_degree() <= 3
     assert g.is_connected()
     # all degree-3 vertices lie on the spine
-    spine = set(w.spine.vertices)
+    spine = set(w.spine)
     assert all(v in spine for v in g.vertices if g.degree(v) == 3)
 
 

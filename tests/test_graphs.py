@@ -8,7 +8,6 @@ from twcert.graphs import (
     Graph,
     clique_number,
     full_subdivision,
-    independence_number,
     line_graph,
     subdivide,
 )
@@ -125,11 +124,8 @@ def test_subdivision_preserves_treewidth_small():
 
 def test_clique_and_independence_numbers():
     assert clique_number(complete_graph(4)) == 4
-    assert independence_number(complete_graph(4)) == 1
     assert clique_number(cycle_graph(5)) == 2
-    assert independence_number(cycle_graph(5)) == 2
     assert clique_number(complete_bipartite(2, 3)) == 2
-    assert independence_number(complete_bipartite(2, 3)) == 3
 
 
 @given(graphs(max_n=7))

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from twcert.cli import main
+from twcert.config import load_config
 from twcert.decompose import TreeDecomposition
 from twcert.generators import complete_bipartite, wall
 from twcert.io import (
@@ -207,3 +208,26 @@ def test_cli_non_finite_fraction_is_usage_error(tmp_path, capsys, argv):
         paths[key].write_text(text)
     assert main([arg.format(**paths) for arg in argv]) == 64
     assert "is not a finite fraction" in capsys.readouterr().err
+
+
+def test_cli_seed_zero_is_a_seed(tmp_path, capsys):
+    out = tmp_path / "anchors.json"
+    assert main(["--seed", "0", "verify", "anchors", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 0
+    assert main(["--seed", "-1", "verify", "anchors"]) == 64
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["seed=0", "d=0"])
+def test_config_file_takes_zero_seed_and_d(tmp_path, line):
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    key = line.split("=")[0]
+    assert getattr(load_config(str(conf)), key) == 0
+
+
+def test_config_zero_cap_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("max_tw_n=0\n")
+    assert main(["--config", str(conf), "verify", "anchors"]) == 64
+    assert "max_tw_n must be positive" in capsys.readouterr().err
