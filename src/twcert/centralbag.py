@@ -88,7 +88,7 @@ def canonical_separation(g: Graph, w: WeightFunction, x: Iterable[int]) -> Separ
     if outside == 0:
         raise DegenerateSeparation(f"N[{xs}] covers every vertex")
     comps = g.component_masks(outside)
-    b_mask = max(comps, key=w.of_mask)  # the first heaviest, in component order
+    b_mask = max(comps, key=w.numerator_of_mask)  # the first heaviest, in component order
     nb = 0
     for v in bits(b_mask):
         nb |= g.neighbor_mask(v)
@@ -112,7 +112,7 @@ def clique_separation(g: Graph, w: WeightFunction, k: Iterable[int]) -> Separati
     comps = g.component_masks(outside)
     if len(comps) < 2:
         raise ValueError("clique is not a cutset")
-    b_mask = max(comps, key=w.of_mask)  # the first heaviest, in component order
+    b_mask = max(comps, key=w.numerator_of_mask)  # the first heaviest, in component order
     return Separation(
         a=tuple(bits(outside & ~b_mask)),
         c=ks,

@@ -74,11 +74,17 @@ class WeightFunction:
         nums = self.numerators
         return Fraction(sum(nums[v] for v in vs), self.denominator)
 
+    def numerator_of_mask(self, mask: int) -> int:
+        """w of the vertices whose bits are set, times `denominator`; bits
+        outside the domain are ignored.  Every weight shares the one
+        denominator, so these integers order masks as their weights do."""
+        get = self.numerators.get
+        return sum(get(v, 0) for v in bits(mask))
+
     def of_mask(self, mask: int) -> Fraction:
         """w of the vertices whose bits are set; bits outside the domain are
         ignored."""
-        get = self.numerators.get
-        return Fraction(sum(get(v, 0) for v in bits(mask)), self.denominator)
+        return Fraction(self.numerator_of_mask(mask), self.denominator)
 
     @property
     def total(self) -> Fraction:

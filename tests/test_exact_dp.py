@@ -1,10 +1,11 @@
-"""The pruned treewidth DP against the unpruned one it replaced.
+"""The memoised treewidth search against the subset DPs it replaced.
 
 `reference_treewidth` is the subset DP without the min-fill ceiling: every
-candidate of every state is evaluated.  Pruning may only skip candidates
-that could never be picked, so the width, the bags and the tree edges must
-all be equal.  The pinned `_reach_q` counts show pruning that is lost, which
-the outputs alone cannot."""
+candidate of every state is evaluated.  `pruned_treewidth` is the bottom-up
+DP pruned against the min-fill ceiling that the search replaced.  Pruning
+may only skip candidates that could never be picked, so the width, the bags
+and the tree edges must all be equal.  The pinned counts of expanded states
+show pruning that is lost, which the outputs alone cannot."""
 
 import random
 from itertools import combinations
@@ -13,11 +14,19 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
-from twcert import separators
 from twcert.decompose import along, eliminate
 from twcert.generators import complete_graph, wall
-from twcert.graphs import Graph
-from twcert.separators import _reach_q, exact_treewidth
+from twcert.graphs import CapExceeded, Graph, bits
+from twcert.separators import _min_fill, exact_treewidth
+
+
+def _reach_q(g: Graph, v: int, s_mask: int) -> int:
+    """Vertices outside s and v seen from v through s (elimination degree)."""
+    comp = g.reach_mask(g.neighbor_mask(v) & s_mask, s_mask)
+    out = g.neighbor_mask(v)
+    for u in bits(comp):
+        out |= g.neighbor_mask(u)
+    return out & ~s_mask & ~(1 << v)
 
 
 def reference_treewidth(g: Graph):
@@ -42,6 +51,56 @@ def reference_treewidth(g: Graph):
         order_rev.append(choice[s_mask])
         s_mask ^= 1 << choice[s_mask]
     td, _ = eliminate(g, along(reversed(order_rev)))
+    return tw[full], td
+
+
+def pruned_treewidth(g: Graph, cap: int = 14):
+    """The bottom-up subset DP pruned against the min-fill ceiling, as
+    `exact_treewidth` computed it before the memoised search."""
+    if g.n > cap:
+        raise CapExceeded(f"exact treewidth capped at n={cap}, got {g.n}")
+    n = g.n
+    full = (1 << n) - 1
+    size = full + 1
+    tw = [0] * size
+    choice = [0] * size
+    tw[0] = -1
+    # Each state stores min(its value, ceiling).  A skipped candidate has
+    # val >= best, so the strict `<` below could never have picked it.  A
+    # state worth more than the min-fill width ub keeps `ceiling` and
+    # choice -1; every state on the traceback from `full` is worth at most
+    # tw(G) <= ub < ceiling, so it keeps its exact value and its lowest-id
+    # choice, and the order and the decomposition are those of the full DP.
+    # ub <= n - 1, so the ceiling never exceeds the unpruned start n.
+    ceiling = eliminate(g, _min_fill)[0].width + 1
+    # every proper subset of s_mask is a smaller number, so is already done
+    for s_mask in range(1, size):
+        best = ceiling
+        best_v = -1
+        rest = s_mask
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            prev = s_mask ^ low
+            # N(v) minus prev lies inside Q(prev, v)
+            if tw[prev] >= best or (g.neighbor_mask(v) & ~prev).bit_count() >= best:
+                continue
+            q = _reach_q(g, v, prev).bit_count()
+            val = tw[prev] if tw[prev] > q else q
+            if val < best:
+                best = val
+                best_v = v
+        tw[s_mask] = best
+        choice[s_mask] = best_v
+    order_rev: list[int] = []
+    s_mask = full
+    while s_mask:
+        v = choice[s_mask]
+        order_rev.append(v)
+        s_mask ^= 1 << v
+    td, _ = eliminate(g, along(reversed(order_rev)))
+    assert td.width == tw[full]
     return tw[full], td
 
 
@@ -89,22 +148,51 @@ def test_matches_unpruned_dp_on_seeded_graphs(n, p, seed):
     assert_same(random_graph(n, p, seed))
 
 
+def relabel(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
 @pytest.mark.parametrize(
-    "g,calls",
+    "g",
+    [relabel(wall(3, 4), 1), relabel(wall(2, 6), 2), relabel(wall(4, 2), 3)]
+    + [random_graph(n, p, 10 * n + k) for n in (15, 16) for k, p in enumerate((0.1, 0.2, 0.35, 0.6))]
+    + [
+        Graph(16, []),
+        Graph(16, [(2 * i, 2 * i + 1) for i in range(8)]),
+        Graph(16, [(0, i) for i in range(1, 16)]),
+        Graph(16, [(i, (i + 1) % 16) for i in range(16)]),
+    ],
+    ids=["wall34", "wall26", "wall42"]
+    + [f"rand-n{n}-p{p}" for n in (15, 16) for p in (0.1, 0.2, 0.35, 0.6)]
+    + ["edgeless16", "matching16", "star16", "cycle16"],
+)
+def test_matches_pruned_dp(g):
+    tw, td = exact_treewidth(g, cap=g.n)
+    ref_tw, ref_td = pruned_treewidth(g, cap=g.n)
+    assert tw == ref_tw
+    assert td.bags == ref_td.bags
+    assert td.tree_edges == ref_td.tree_edges
+
+
+@pytest.mark.parametrize(
+    "g,states",
     [
-        (wall(3, 4), 46590),  # 524288 = 16 * 2**15 unpruned
-        (random_graph(14, 0.3, 7), 3501),  # 114688 = 14 * 2**13 unpruned
+        (wall(3, 4), 870),  # 46590 _reach_q calls in the bottom-up DP
+        (random_graph(14, 0.3, 7), 4817),  # 3501 _reach_q calls
     ],
     ids=["wall34", "rand-n14-seed7"],
 )
-def test_reach_q_calls_pinned(monkeypatch, g, calls):
+def test_states_expanded_pinned(monkeypatch, g, states):
     count = 0
+    component_masks = Graph.component_masks
 
     def counting(*args):
         nonlocal count
         count += 1
-        return _reach_q(*args)
+        return component_masks(*args)
 
-    monkeypatch.setattr(separators, "_reach_q", counting)
+    monkeypatch.setattr(Graph, "component_masks", counting)
     exact_treewidth(g, cap=g.n)
-    assert count == calls
+    assert count == states

@@ -4,7 +4,8 @@ sums against test-local copies of the code they replaced.
 The references are the earlier kernels: a `reach_mask` that re-walks every
 reached vertex each round, a `diameter_of` that runs one full-graph
 `bfs_distances` per vertex and reads a distance list, and `WeightFunction`
-sums that add the stored `Fraction` values one by one.
+sums that add the stored `Fraction` values one by one.  The heaviest
+component is checked against the `Fraction` max it was chosen by before.
 """
 
 from fractions import Fraction
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from twcert.graphs import Graph, bits
+from twcert.centralbag import DegenerateSeparation, canonical_separation, clique_separation
+from twcert.graphs import Graph, bits, mask_of
 from twcert.weights import WeightFunction
 
 
@@ -168,3 +170,42 @@ def test_weight_sums_match_reference(case):
 def test_weight_function_rejects_repeated_domain_vertex():
     with pytest.raises(ValueError):
         WeightFunction((0, 0), (Fraction(1, 2), Fraction(1, 2)))
+
+
+@st.composite
+def graph_weights_and_center(draw, max_n=10):
+    g = draw(graphs(min_n=1, max_n=max_n))
+    # few distinct values, so that components often tie on weight
+    values = [
+        draw(st.fractions(min_value=0, max_value=2, max_denominator=4))
+        for _ in g.vertices
+    ]
+    w = WeightFunction(tuple(g.vertices), tuple(values))
+    allowed = draw(st.integers(0, g.full_mask()))
+    x = draw(st.integers(0, g.n - 1))
+    return g, w, allowed, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_weights_and_center())
+def test_heaviest_component_matches_fraction_max(case):
+    g, w, allowed, x = case
+
+    def ref_heaviest(comps):
+        return max(comps, key=lambda m: ref_of_mask(w, m))
+
+    comps = g.component_masks(allowed)
+    for comp in comps:
+        assert Fraction(w.numerator_of_mask(comp), w.denominator) == ref_of_mask(w, comp)
+    if comps:
+        assert max(comps, key=w.numerator_of_mask) == ref_heaviest(comps)
+    rest = g.component_masks(g.full_mask() & ~(1 << x))
+    if len(rest) >= 2:  # a single vertex is a clique; here it is a cutset
+        assert clique_separation(g, w, [x]).b == tuple(bits(ref_heaviest(rest)))
+    try:
+        sep = canonical_separation(g, w, [x])
+    except DegenerateSeparation:
+        return
+    closed = mask_of(g.neighborhood([x], 1))
+    outside = g.component_masks(g.full_mask() & ~closed)
+    assert sep.b == tuple(bits(ref_heaviest(outside)))
