@@ -89,10 +89,7 @@ def canonical_separation(g: Graph, w: WeightFunction, x: Iterable[int]) -> Separ
         raise DegenerateSeparation(f"N[{xs}] covers every vertex")
     comps = g.component_masks(outside)
     b_mask = max(comps, key=w.numerator_of_mask)  # the first heaviest, in component order
-    nb = 0
-    for v in bits(b_mask):
-        nb |= g.neighbor_mask(v)
-    c_mask = mask_of(xs) | (closed & nb & ~b_mask)
+    c_mask = mask_of(xs) | (closed & g._adjacent(b_mask) & ~b_mask)
     return Separation(
         a=tuple(bits(g.full_mask() & ~b_mask & ~c_mask)),
         c=tuple(bits(c_mask)),

@@ -280,9 +280,8 @@ def cmd_tw(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_sep(args: argparse.Namespace, cfg: RunConfig) -> int:
     g = _load_graph(args.input)
-    c = parse_fraction(args.c)
-    value = separation_number(g, c, cap=cfg.max_sep_n)
-    _dump_json({"separation_number": value, "c": str(c)}, args.output)
+    value = separation_number(g, cfg.c, cap=cfg.max_sep_n)
+    _dump_json({"separation_number": value, "c": str(cfg.c)}, args.output)
     return 0
 
 
@@ -294,9 +293,8 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
     pattern = _load_graph(args.pattern)
     forcers = [_load_graph(p) for p in args.forcer or []]
     w = _load_weights(args.weights, g)
-    c = parse_fraction(args.c)
     rep = run_master_pipeline(
-        g, pattern, forcers, c=c, d=args.d, w=w, tw_cap=cfg.max_tw_n
+        g, pattern, forcers, c=cfg.c, d=cfg.d, w=w, tw_cap=cfg.max_tw_n
     )
     cert = Certificate(command=["centralbag", args.input], seed=cfg.seed)
     cert.record_input("graph", graph_witness(g))
@@ -471,13 +469,6 @@ COMMANDS: dict[str, Callable[[argparse.Namespace, RunConfig], int]] = {
 }
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="twcert",
@@ -526,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sep = sub.add_parser("sep", help="exact separation number")
     sep.add_argument("-i", "--input", required=True)
-    sep.add_argument("--c", default="1/2")
+    sep.add_argument("--c", help="balance parameter (config key c)")
     sep.add_argument("-o", "--output")
 
     cb = sub.add_parser("centralbag", help="run the central-bag pipeline")
@@ -534,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--pattern", required=True, help="pattern graph file")
     cb.add_argument("--forcer", action="append", help="forcer graph file; repeatable")
     cb.add_argument("--weights", help='vertex weights JSON {"0": "1/7", ...}')
-    cb.add_argument("--c", default="1/2")
-    cb.add_argument("--d", type=_non_negative_int, default=2)
+    cb.add_argument("--c", help="balance parameter (config key c)")
+    cb.add_argument("--d", type=int, help="separator size bound (config key d)")
     cb.add_argument("-o", "--output")
 
     dec = sub.add_parser("decompose", help="constructive tree decompositions")
@@ -547,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a named verification battery")
     ver.add_argument("suite", help=f"one of: all, {', '.join(sorted(SUITES))}")
     ver.add_argument("-o", "--output")
-    ver.add_argument("--c", default=None)
+    ver.add_argument("--c", help="balance parameter (config key c)")
 
     rec = sub.add_parser("recheck", help="re-validate a certificate from witnesses")
     rec.add_argument("-i", "--input", required=True)
@@ -561,12 +552,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    verify_c = args.c if args.command == "verify" else None
+    c = getattr(args, "c", None)
     try:
         cfg = load_config(
             args.config,
             seed=args.seed,
-            c=None if verify_c is None else parse_fraction(verify_c),
+            c=None if c is None else parse_fraction(c),
+            d=getattr(args, "d", None),
         )
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

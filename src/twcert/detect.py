@@ -153,10 +153,6 @@ def induced_copies(
     return sorted(seen)
 
 
-def contains_induced(g: Graph, pattern: Graph, budget: Optional[Budget] = None) -> bool:
-    return find_induced(g, pattern, budget) is not None
-
-
 # -- specialised detectors ----------------------------------------------------
 
 
@@ -387,10 +383,7 @@ def breaks(g: Graph, x: Iterable[int], y: Iterable[int]) -> bool:
     closed = mask_of(g.neighborhood(xs, 1))
     y_mask = mask_of(ys)
     for comp in g.component_masks(g.full_mask() & ~closed):
-        around = comp
-        for v in bits(comp):
-            around |= g.neighbor_mask(v)
-        if y_mask & around == y_mask:
+        if y_mask & (comp | g._adjacent(comp)) == y_mask:
             return False
     return True
 

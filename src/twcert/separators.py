@@ -328,7 +328,8 @@ def harvey_wood_check(
     Computes tw and the separation number exactly, checks
     tw + 1 <= sep/(1-c) and the uniform-weight route tw <= sep/(1-c), and
     verifies that seeded normal weight functions all admit a balanced
-    separator of size at most tw + 1 (one of the witness bags always works).
+    separator of size at most tw + 1 (one of the witness bags always works,
+    so a weight that no bag balances is recorded as a failure).
 
     The uniform-weight route needs no search of its own: under the uniform
     weight on a non-empty Y a component weighs |comp & Y| / |Y|, so it is
@@ -353,9 +354,6 @@ def harvey_wood_check(
         total = sum(raw)
         w = WeightFunction(tuple(g.vertices), tuple(x / total for x in raw))
         found = balanced_separator_from_td(g, w, c, td)
-        if found is None:
-            found_cert = min_balanced_separator(g, w, c, max_size=tw + 1, cap=g.n)
-            found = None if found_cert is None else found_cert.separator
         if found is None or len(found) > tw + 1:
             all_small = False
     return HarveyWoodReport(

@@ -78,25 +78,6 @@ def test_recheck_catches_tampering():
     assert checked == 1 and confirmed == 0 and problems
 
 
-def test_recheck_no_separator_witness():
-    g = wall(2, 2)
-    cert = Certificate(command=["x"], seed=0)
-    cert.add(
-        "nosep",
-        "no balanced separator of size 0",
-        True,
-        {
-            "kind": "no-separator-up-to-size",
-            "graph": graph_witness(g),
-            "weights": {str(v): "1/4" for v in range(4)},
-            "c": "1/2",
-            "size": 0,
-        },
-    )
-    checked, confirmed, problems = recheck(json.loads(cert.dumps()))
-    assert (checked, confirmed, problems) == (1, 1, [])
-
-
 def test_hypothesis_unmet_never_rechecked_as_verdict():
     cert = Certificate(command=["x"], seed=0)
     cert.add("h", "gated claim", True, {"kind": "equal", "got": 1, "expected": 2},

@@ -1,8 +1,10 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from twcert import cli
 from twcert.cli import main
 from twcert.config import load_config
 from twcert.decompose import TreeDecomposition
@@ -231,3 +233,28 @@ def test_config_zero_cap_is_usage_error(tmp_path, capsys):
     conf.write_text("max_tw_n=0\n")
     assert main(["--config", str(conf), "verify", "anchors"]) == 64
     assert "max_tw_n must be positive" in capsys.readouterr().err
+
+
+def test_sep_and_centralbag_read_c_and_d_from_config(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "run.conf"
+    conf.write_text("c=2/3\nd=0\n")
+    g = tmp_path / "w.json"
+    pat = tmp_path / "p1.json"
+    main(["gen", "wall", "--n", "2", "--m", "2", "-o", str(g)])
+    pat.write_text('{"n": 1, "edges": []}\n')
+    capsys.readouterr()
+    assert main(["--config", str(conf), "sep", "-i", str(g)]) == 0
+    assert '"c":"2/3"' in capsys.readouterr().out
+
+    seen = []
+    real = cli.run_master_pipeline
+
+    def record(*args, **kwargs):
+        seen.append((kwargs["c"], kwargs["d"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_master_pipeline", record)
+    argv = ["--config", str(conf), "centralbag", "-i", str(g), "--pattern", str(pat),
+            "-o", str(tmp_path / "cb.json")]
+    assert main(argv) in (0, 2)
+    assert seen == [(Fraction(2, 3), 0)]
