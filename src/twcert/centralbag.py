@@ -348,6 +348,13 @@ class CentralBagResult:
         return tuple(sorted(cur))
 
 
+def _require_connected_and_normal(g: Graph, w: WeightFunction) -> None:
+    if not g.is_connected():
+        raise ValueError("graph must be connected")
+    if not w.is_normal():
+        raise ValueError("weight function must be normal")
+
+
 def central_bag(
     g: Graph,
     w: WeightFunction,
@@ -366,10 +373,7 @@ def central_bag(
     new bag is connected; its weights sum to one.  An empty sequence leaves
     the whole graph.
     """
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    if not w.is_normal():
-        raise ValueError("weight function must be normal")
+    _require_connected_and_normal(g, w)
     members = seq.separations
     bag = set(range(g.n))
     # weights travel as integer numerators over w.denominator
@@ -513,6 +517,16 @@ def _bag_has_no_small_separator(
     return min_balanced_separator(sub, w_bag, c, max_size=limit, cap=sub.n) is None
 
 
+def no_small_separator(g: Graph, w: WeightFunction, c: Fraction, d: int) -> bool:
+    """The hypothesis every conditional claim shares: g has no c-balanced
+    separator of size at most d under w.  The search is exhaustive, so it is
+    capped at n = 12."""
+    check_balance_parameter(c)
+    if g.n > 12:
+        raise CapExceeded("transfer checks are exhaustive; capped at n=12")
+    return not has_balanced_separator_of_size(g, w, c, d)
+
+
 def check_bag_separator_transfer(
     g: Graph,
     w: WeightFunction,
@@ -521,21 +535,18 @@ def check_bag_separator_transfer(
     seq: SeparationSequence,
     partition: DimensionPartition,
     result: CentralBagResult,
+    no_sep: bool,
 ) -> list[ConditionalCheck]:
     """Measure the conditional conclusions on a small instance.
 
-    The shared hypothesis (no balanced separator of size at most d) is
-    checked exhaustively; each conclusion additionally needs its own
-    arithmetic side conditions on d and the measured t, which are part of
-    its `hypothesis_met`.  Unmet hypotheses are reported as such, never as
-    pass or fail.  `partition` is `dimension_partition(g, seq)`, whose
-    measured t the bounds use.
+    `no_sep` is the shared hypothesis, `no_small_separator(g, w, c, d)`;
+    each conclusion additionally needs its own arithmetic side conditions on
+    d and the measured t, which are part of its `hypothesis_met`.  Unmet
+    hypotheses are reported as such, never as pass or fail.  `partition` is
+    `dimension_partition(g, seq)`, whose measured t the bounds use.
     """
     check_balance_parameter(c)
-    if g.n > 12:
-        raise CapExceeded("transfer checks are exhaustive; capped at n=12")
     delta = g.max_degree()
-    no_sep = not has_balanced_separator_of_size(g, w, c, d)
     members = seq.separations
     t_meas = partition.measured_t
     gamma_t1 = geometric_ball_bound(delta, t_meas + 1)
@@ -677,10 +688,11 @@ class CliqueBagReport:
 
 
 def clique_central_bag(
-    g: Graph, w: WeightFunction, c: Fraction = Fraction(1, 2), d: int = 1
+    g: Graph, w: WeightFunction, c: Fraction, d: int, no_sep: bool
 ) -> CliqueBagReport:
     """Single-level central bag over the clique covering, with the measured
-    clique-cutset-freeness of the bag and the conditional separator bound."""
+    clique-cutset-freeness of the bag and the conditional separator bound;
+    `no_sep` is `no_small_separator(g, w, c, d)`."""
     covering, _ = clique_covering(g, w)
     a, t = covering.goodness(g)
     partition = DimensionPartition(
@@ -702,7 +714,6 @@ def clique_central_bag(
             n_ok = False
 
     delta = g.max_degree()
-    no_sep = not has_balanced_separator_of_size(g, w, c, d)
     hyp = no_sep and d > delta
     limit = int(Fraction(d, 1 + delta))
     checks = (
@@ -745,13 +756,8 @@ def leq_power_bound(value: int, coeff: int, base: int, exponent: int) -> bool:
 
 @dataclass(frozen=True)
 class PipelineReport:
-    pattern_copies: int
-    goodness: tuple[int, int]
-    dimension_classes: int
     dimension_bound_holds: bool
     anchor_bound_holds: bool
-    bag: tuple[int, ...]
-    algebra_holds: bool
     audit_complete: bool
     forcer_premises: tuple[bool, ...]
     bag_forcer_free: tuple[Optional[bool], ...]
@@ -779,10 +785,15 @@ def run_master_pipeline(
 
     The symbolic bound instantiates 2*N*gamma(t+1)**(Delta**(t*t)*gamma(2t)+1)
     with N one more than the bag's measured treewidth and t one more than the
-    pattern size, which keeps the pattern smaller than t.
+    pattern size, which keeps the pattern smaller than t.  Usage errors, then
+    the n = 12 cap of `no_small_separator`, are raised before any stage runs.
     """
     if w is None:
         w = WeightFunction.uniform(g)
+    if not pattern.is_connected():
+        raise ValueError("pattern must be connected")
+    _require_connected_and_normal(g, w)
+    no_sep = no_small_separator(g, w, c, d)
     seq = covering_sequence(g, w, pattern, budget)
     partition = dimension_partition(g, seq)
     result = central_bag(g, w, seq, partition)
@@ -790,12 +801,9 @@ def run_master_pipeline(
     t_param = pattern.n + 1
     a_bound = delta ** (t_param * t_param)
     dim_bound = a_bound * geometric_ball_bound(delta, 2 * t_param) + 1
-    premises = []
-    clean = []
-    for f in forcers:
-        rep = forcer_elimination_check(g, w, pattern, f, result, budget)
-        premises.append(rep.premise_holds)
-        clean.append(rep.bag_clean)
+    forcer_reps = [
+        forcer_elimination_check(g, w, pattern, f, result, budget) for f in forcers
+    ]
     bag_tw: Optional[int] = None
     within: Optional[bool] = None
     symbolic = ""
@@ -810,18 +818,13 @@ def run_master_pipeline(
             host = treewidth_or_bounds(g, cap=tw_cap)
             if host.exact is not None:
                 within = leq_power_bound(host.exact, 2 * n_big, gamma_t1, dim_bound)
-    checks = check_bag_separator_transfer(g, w, c, d, seq, partition, result)
+    checks = check_bag_separator_transfer(g, w, c, d, seq, partition, result, no_sep)
     return PipelineReport(
-        pattern_copies=len(seq),
-        goodness=(partition.measured_a, partition.measured_t),
-        dimension_classes=len(partition.classes),
         dimension_bound_holds=len(partition.classes) <= dim_bound,
         anchor_bound_holds=partition.measured_a <= a_bound,
-        bag=result.bag,
-        algebra_holds=result.algebra_holds,
         audit_complete=audit_is_complete(g, seq, result),
-        forcer_premises=tuple(premises),
-        bag_forcer_free=tuple(clean),
+        forcer_premises=tuple(r.premise_holds for r in forcer_reps),
+        bag_forcer_free=tuple(r.bag_clean for r in forcer_reps),
         bag_treewidth=bag_tw,
         symbolic_bound=symbolic,
         treewidth_within_symbolic_bound=within,

@@ -299,7 +299,8 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
     cert = Certificate(command=["centralbag", args.input], seed=cfg.seed)
     cert.record_input("graph", graph_witness(g))
     cert.record_input("pattern", graph_witness(pattern))
-    cert.expect("bag.algebra", "per-level bag algebra holds", rep.algebra_holds, True)
+    result, partition = rep.result, rep.partition
+    cert.expect("bag.algebra", "per-level bag algebra holds", result.algebra_holds, True)
     cert.expect(
         "bag.audit", "every dropped separation is justified", rep.audit_complete, True
     )
@@ -325,9 +326,8 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
             True,
             hypothesis_met=chk.hypothesis_met,
         )
-    result = rep.result
     payload = {
-        "bag": list(rep.bag),
+        "bag": list(result.bag),
         "bag_weights": weights_witness(result.weights),
         "bag_treewidth": rep.bag_treewidth,
         "sequence": [
@@ -342,14 +342,14 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
             for s in rep.sequence.separations
         ],
         "skipped_copies": [list(r.copy) for r in rep.sequence.skipped],
-        "partition": [list(cls) for cls in rep.partition.classes],
+        "partition": [list(cls) for cls in partition.classes],
         "generator": [list(cls) for cls in result.generator],
         "drops": [
             {"index": d.index, "reason": d.reason, "witness": d.witness}
             for d in result.drops
         ],
-        "classes": rep.dimension_classes,
-        "goodness": list(rep.goodness),
+        "classes": len(partition.classes),
+        "goodness": [partition.measured_a, partition.measured_t],
         "symbolic_bound": rep.symbolic_bound,
         "certificate": cert.to_json(),
     }

@@ -337,7 +337,9 @@ def find_line_of_subdivided_wall(
     edge-length vectors in graded lexicographic order up to that budget is
     exhaustive; absence means no member of the family embeds.
     """
-    if k < 2 or k > 3:
+    if k < 2:
+        raise ValueError("walls need k >= 2")
+    if k > 3:
         raise CapExceeded("wall-line detection supports k in {2, 3}")
     bud = _default_budget(budget)
     base = wall(k, k)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graphs import Graph, line_graph
 
@@ -229,38 +229,25 @@ class CreatureWitness:
     joints: tuple[int, ...]
 
 
-def creature(
-    k: int, t: int, joint_spacing: int = 2, body: Optional[Graph] = None
-) -> CreatureWitness:
+def creature(k: int, t: int, joint_spacing: int = 2) -> CreatureWitness:
     """A canonical creature: connected body plus k anticomplete length-t paths.
 
-    Each path touches the body only through its joint end.  By default the
-    body is a path with attachment points joint_spacing apart; an arbitrary
-    connected body can be supplied instead (attachment points are then
-    spread over its vertices).
+    Each path touches the body only through its joint end.  The body is a
+    path with attachment points joint_spacing apart.
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
     if joint_spacing < 1:
         raise ValueError("joint spacing must be positive")
-    if body is None:
-        body_n = (k - 1) * joint_spacing + 1
-        body_edges = [(i, i + 1) for i in range(body_n - 1)]
-        attach = [i * joint_spacing for i in range(k)]
-    else:
-        if not body.is_connected():
-            raise ValueError("body must be connected")
-        body_n = body.n
-        body_edges = list(body.edges)
-        attach = [i % body_n for i in range(k)]
-    edges = list(body_edges)
+    body_n = (k - 1) * joint_spacing + 1
+    edges = [(i, i + 1) for i in range(body_n - 1)]
     nxt = body_n
     paths: list[tuple[int, ...]] = []
     joints: list[int] = []
     for i in range(k):
         pv = list(range(nxt, nxt + t + 1))
         nxt += t + 1
-        edges.append((attach[i], pv[0]))
+        edges.append((i * joint_spacing, pv[0]))
         edges.extend(zip(pv, pv[1:]))
         paths.append(tuple(pv))
         joints.append(pv[0])

@@ -20,6 +20,7 @@ from .centralbag import (
     clique_central_bag,
     covering_sequence,
     dimension_partition,
+    no_small_separator,
     run_master_pipeline,
 )
 from .certify import Certificate, graph_witness, td_witness
@@ -70,7 +71,6 @@ from .graphs import (
 from .separators import (
     exact_treewidth,
     harvey_wood_check,
-    has_balanced_separator_of_size,
     treewidth_bounds,
 )
 from .weights import WeightFunction
@@ -375,7 +375,7 @@ def suite_anchors(cfg: RunConfig) -> Certificate:
         ("k4", complete_graph(4), 3),
         ("k33", complete_bipartite(3, 3), 3),
     ]:
-        got, wtd = exact_treewidth(g, cap=cfg.max_tw_n)
+        got = exact_treewidth(g, cap=cfg.max_tw_n)[0]
         cert.expect(f"anchor.{name}", f"treewidth of {name} is {want}", got, want)
     rng = random.Random(cfg.seed)
     trees_ok = True
@@ -392,10 +392,10 @@ def suite_anchors(cfg: RunConfig) -> Certificate:
         if g.n < 2 or g.m == 0:
             continue
         twg = exact_treewidth(g, cap=cfg.max_tw_n)[0]
-        sb = treewidth_bounds(full_subdivision(g, 2))
-        exact = sb.exact
-        if exact is None and full_subdivision(g, 2).n <= cfg.max_tw_n:
-            exact = exact_treewidth(full_subdivision(g, 2), cap=cfg.max_tw_n)[0]
+        sg = full_subdivision(g, 2)
+        exact = treewidth_bounds(sg).exact
+        if exact is None and sg.n <= cfg.max_tw_n:
+            exact = exact_treewidth(sg, cap=cfg.max_tw_n)[0]
         if exact is not None and exact != max(twg, 1):
             ok = False
     cert.expect(
@@ -535,12 +535,14 @@ def suite_conditional_bags(cfg: RunConfig) -> Certificate:
     n_no_sep_met = 0
     n_all_conclusions_true = 0
     for name, g, w, pattern, d in _conditional_instances(cfg):
-        no_sep = not has_balanced_separator_of_size(g, w, cfg.c, d)
+        no_sep = no_small_separator(g, w, cfg.c, d)
         seq = covering_sequence(g, w, pattern)
         partition = dimension_partition(g, seq)
         result = central_bag(g, w, seq, partition)
-        checks = check_bag_separator_transfer(g, w, cfg.c, d, seq, partition, result)
-        clique_rep = clique_central_bag(g, w, cfg.c, d)
+        checks = check_bag_separator_transfer(
+            g, w, cfg.c, d, seq, partition, result, no_sep
+        )
+        clique_rep = clique_central_bag(g, w, cfg.c, d, no_sep)
         all_checks = list(checks) + list(clique_rep.checks)
         if no_sep:
             n_no_sep_met += 1
@@ -604,17 +606,15 @@ def suite_forcer_claw(cfg: RunConfig, count: int = 50) -> Certificate:
             ]
         corpus = pattern_free_corpus(cfg.seed + b, count, clean, extras=extras)
         holds = []
-        checked = 0
         nonvacuous = 0
         for g in corpus:
             rep = verify_forcer(g, forcer, x_pattern)
             holds.append(rep.holds)
-            checked += 1
             nonvacuous += int(rep.copies_checked > 0)
         cert.expect(
             f"forcer.claw.b{b}",
             f"shortened spider plus a far vertex forces the path on {count} clean graphs",
-            [sum(holds), checked, nonvacuous >= 4],
+            [sum(holds), len(holds), nonvacuous >= 4],
             [count, count, True],
         )
     return cert
@@ -847,9 +847,10 @@ def suite_pipeline(cfg: RunConfig) -> Certificate:
         )
         cert.expect(
             f"pipeline.{name}",
-            f"pipeline on {name}: bag size {len(rep.bag)}, {rep.dimension_classes} classes",
+            f"pipeline on {name}: bag size {len(rep.result.bag)}, "
+            f"{len(rep.partition.classes)} classes",
             [
-                rep.algebra_holds,
+                rep.result.algebra_holds,
                 rep.audit_complete,
                 rep.dimension_bound_holds,
                 rep.anchor_bound_holds,

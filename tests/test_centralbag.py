@@ -35,6 +35,7 @@ from twcert.generators import (
     wall,
 )
 from twcert.graphs import Graph
+from twcert.separators import has_balanced_separator_of_size
 from twcert.weights import WeightFunction
 
 HALF = Fraction(1, 2)
@@ -215,7 +216,8 @@ def test_clique_covering_and_bag_p3():
     covering, _ = clique_covering(g, w)
     assert len(covering) == 1
     assert covering[0].c == (1,)
-    rep = clique_central_bag(g, w)
+    no_sep = not has_balanced_separator_of_size(g, w, HALF, 1)
+    rep = clique_central_bag(g, w, HALF, 1, no_sep)
     assert rep.result.bag == (0, 1)
     assert rep.result.weights == {0: Fraction(1, 3), 1: Fraction(2, 3)}
     assert rep.no_clique_cutset
@@ -224,7 +226,8 @@ def test_clique_covering_and_bag_p3():
 
 def test_clique_bag_no_cutset_on_c4():
     g = cycle_graph(4)
-    rep = clique_central_bag(g, WeightFunction.uniform(g))
+    w = WeightFunction.uniform(g)
+    rep = clique_central_bag(g, w, HALF, 1, not has_balanced_separator_of_size(g, w, HALF, 1))
     assert rep.covering_size == 0
     assert rep.result.bag == tuple(range(4))
     assert rep.no_clique_cutset
@@ -236,7 +239,7 @@ def test_clique_bag_bookkeeping(g):
     """Unconditional invariants hold on any input; the measured laws are only
     promised once the reduced covering is actually A-loosely laminar."""
     w = WeightFunction.uniform(g)
-    rep = clique_central_bag(g, w)
+    rep = clique_central_bag(g, w, HALF, 1, not has_balanced_separator_of_size(g, w, HALF, 1))
     res = rep.result
     assert sum(res.weights.values()) + res.escaped_weight == 1
     covering, _ = clique_covering(g, w)
@@ -254,7 +257,8 @@ def test_transfer_checks_never_fail_with_met_hypotheses():
     seq = covering_sequence(g, w, path_graph(1))
     part = dimension_partition(g, seq)
     result = central_bag(g, w, seq, part)
-    checks = check_bag_separator_transfer(g, w, HALF, 1, seq, part, result)
+    no_sep = not has_balanced_separator_of_size(g, w, HALF, 1)
+    checks = check_bag_separator_transfer(g, w, HALF, 1, seq, part, result, no_sep)
     assert all(chk.status in ("pass", "hypothesis-unmet") for chk in checks)
     # every measured conclusion on this instance is true
     assert all(chk.conclusion_holds for chk in checks if chk.conclusion_holds is not None)
@@ -266,7 +270,8 @@ def test_transfer_reports_hypothesis_unmet_not_pass():
     seq = covering_sequence(g, w, path_graph(1))
     part = dimension_partition(g, seq)
     result = central_bag(g, w, seq, part)
-    checks = check_bag_separator_transfer(g, w, HALF, 2, seq, part, result)
+    no_sep = not has_balanced_separator_of_size(g, w, HALF, 2)
+    checks = check_bag_separator_transfer(g, w, HALF, 2, seq, part, result, no_sep)
     assert all(chk.status == "hypothesis-unmet" for chk in checks)
 
 
@@ -313,8 +318,8 @@ def test_leq_power_bound_lazy():
 def test_master_pipeline_wall():
     g = wall(3, 3)
     rep = run_master_pipeline(g, path_graph(1), [], c=HALF, d=2)
-    assert rep.pattern_copies == 12
-    assert rep.algebra_holds and rep.audit_complete
+    assert len(rep.sequence) == 12
+    assert rep.result.algebra_holds and rep.audit_complete
     assert rep.dimension_bound_holds and rep.anchor_bound_holds
     assert rep.treewidth_within_symbolic_bound in (True, None)
     assert all(chk.status != "fail" for chk in rep.transfer_checks)
@@ -323,8 +328,8 @@ def test_master_pipeline_wall():
 def test_master_pipeline_empty_covering():
     g = path_graph(5)
     rep = run_master_pipeline(g, complete_graph(3), [], c=HALF, d=1)
-    assert rep.pattern_copies == 0
-    assert rep.bag == tuple(range(5))
+    assert len(rep.sequence) == 0
+    assert rep.result.bag == tuple(range(5))
 
 
 def test_epsilon_skew_bookkeeping(p7):

@@ -126,7 +126,8 @@ def test_all_pairs_matches_reference_methods(corpus):
 
 def test_transfer_conclusions_match_reference_methods(corpus):
     for g, w, d, seq, part, result in corpus:
-        checks = check_bag_separator_transfer(g, w, HALF, d, seq, part, result)
+        no_sep = not has_balanced_separator_of_size(g, w, HALF, d)
+        checks = check_bag_separator_transfer(g, w, HALF, d, seq, part, result, no_sep)
         by_claim = {chk.claim: chk for chk in checks}
         classes = by_claim["strongly laminar classes are laminar"]
         assert classes.conclusion_holds == all(
@@ -136,7 +137,6 @@ def test_transfer_conclusions_match_reference_methods(corpus):
         primordial = by_claim["primordial laminar classes are A-laminar"]
         assert primordial.conclusion_holds == all(r["a_non_crossing"] for r in kept)
         gamma_t1 = geometric_ball_bound(g.max_degree(), part.measured_t + 1)
-        no_sep = not has_balanced_separator_of_size(g, w, HALF, d)
         assert primordial.hypothesis_met == (
             no_sep and d >= gamma_t1 and all(r["non_crossing"] for r in kept)
         )

@@ -55,3 +55,11 @@ def test_detect_honours_max_pattern_nodes(tmp_path):
     assert payload == {"status": "budget", "detail": "pattern has 5 vertices, cap 3"}
     code, payload = _run(tmp_path, argv)
     assert code == 0 and payload["status"] == "found"
+
+
+def test_wall_line_k_below_two_is_a_usage_error(tmp_path):
+    argv = ["detect", "--pattern", "wall-line", "-i", _wall(tmp_path, 3, 3)]
+    assert main(argv + ["--k", "1"]) == 64  # no k x k wall exists for k < 2
+    code, payload = _run(tmp_path, argv + ["--k", "4"])
+    assert code == 2
+    assert payload == {"status": "budget", "detail": "wall-line detection supports k in {2, 3}"}
