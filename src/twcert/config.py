@@ -81,6 +81,8 @@ class Budget:
     In the induced-subgraph engine (``detect.iter_induced_maps``) one tick is
     one host vertex considered for one pattern vertex, whether the candidate
     filter keeps it or not; ``find_creature`` ticks once per search node.
+    In a family search, a member whose search an earlier member has already
+    failed is charged the same steps at once (``detect._first_copy``).
     Exceeding ``limit`` raises ``BudgetExhausted``.
     """
 

@@ -8,7 +8,7 @@ deterministic node budget and report exhaustion distinctly from absence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .config import Budget, RunConfig
 from .generators import pyramid, subdivided_claw, theta, wall
@@ -38,7 +38,7 @@ def _default_budget(budget: Optional[Budget]) -> Budget:
 
 def iter_induced_maps(
     g: Graph, pattern: Graph, budget: Optional[Budget] = None
-) -> Iterator[tuple[int, ...]]:
+) -> Generator[tuple[int, ...], None, Optional[int]]:
     """All injective maps pattern -> g preserving adjacency and non-adjacency,
     in lexicographic order of the mapping tuple.
 
@@ -55,11 +55,15 @@ def iter_induced_maps(
     vertices and their bulk tick, so ``Budget.used`` at every yield, and the
     prefix of mappings before ``BudgetExhausted``, are those of testing one
     host vertex per tick.
+
+    The generator's return value (``StopIteration.value``) is the deepest
+    pattern index it tried to place (k once it has yielded a mapping), or
+    None when k > n and it tried none.
     """
     bud = _default_budget(budget)
     n, k = g.n, pattern.n
     if k > n:
-        return
+        return None
     nbr = [g.neighbor_mask(v) for v in g.vertices]
     # at_least[d]: host vertices of degree >= d, for every pattern degree d
     at_least = [0] * (max(g.max_degree(), pattern.max_degree()) + 1)
@@ -72,7 +76,8 @@ def iter_induced_maps(
     earlier_non = [
         [j for j in range(i) if not pattern.has_edge(i, j)] for i in range(k)
     ]
-    assigned = [0] * k
+    # assigned[i] stays -1 until some branch places pattern vertex i
+    assigned = [-1] * k
 
     def place(i: int, used: int) -> Iterator[tuple[int, ...]]:
         if i == k:
@@ -96,6 +101,7 @@ def iter_induced_maps(
             bud.tick(n - ticked)
 
     yield from place(0, 0)
+    return k - assigned.count(-1)
 
 
 # One member of a witness family: its parameters, its witness graph, and its
@@ -109,18 +115,43 @@ def _first_copy(
     g: Graph, name: str, family: Iterable[Member], budget: Optional[Budget]
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of the first family member that
-    embeds in g.  Members are tried in order and share one budget."""
+    embeds in g.  Members are tried in order and share one budget.
+
+    The engine's work at pattern vertex i depends only on g, the degree of i
+    and which earlier pattern vertices i is adjacent to.  So when a member's
+    search yields nothing and places no vertex beyond d, every later member
+    whose vertices 0..d match it in both respects runs the same search.  A
+    member whose search an earlier member has already failed is charged the
+    same steps at once and skipped, unless the charge would exhaust the
+    budget: then it runs, so ``BudgetExhausted`` comes at the same step.
+    """
     bud = _default_budget(budget)
+    # (degree, earlier-neighbour mask) of vertices 0..d -> steps of that search
+    failed: dict[tuple[tuple[int, int], ...], int] = {}
     for params, pattern, roles in family:
-        for mapping in iter_induced_maps(g, pattern, bud):
-            return PatternMatch(
-                pattern=name,
-                params=params,
-                image=tuple(sorted(mapping)),
-                roles=tuple(
-                    (key, tuple(mapping[v] for v in seq)) for key, seq in roles
-                ),
-            )
+        if pattern.n > g.n:
+            continue  # no copy, and the engine charges nothing
+        sig = tuple(
+            (pattern.degree(i), pattern.neighbor_mask(i) & ((1 << i) - 1))
+            for i in pattern.vertices
+        )
+        steps = next((s for key, s in failed.items() if sig[: len(key)] == key), None)
+        if steps is not None and steps <= bud.limit - bud.used:
+            bud.tick(steps)
+            continue
+        start = bud.used
+        maps = iter_induced_maps(g, pattern, bud)
+        try:
+            mapping = next(maps)
+        except StopIteration as done:
+            failed[sig[: done.value + 1]] = bud.used - start
+            continue
+        return PatternMatch(
+            pattern=name,
+            params=params,
+            image=tuple(sorted(mapping)),
+            roles=tuple((key, tuple(mapping[v] for v in seq)) for key, seq in roles),
+        )
     return None
 
 
@@ -197,7 +228,7 @@ def find_t_pyramid(
     def family() -> Iterator[Member]:
         # a pyramid has l1 + l2 + l3 + 1 vertices
         for l1, l2, l3 in _length_triples(t, g.n - 1, floor2=False):
-            if sorted((l1, l2, l3))[1] < 2:
+            if l2 < 2:  # l1 = l2 = 1: two single-edge paths
                 continue
             wit = pyramid(l1, l2, l3)
             roles = (

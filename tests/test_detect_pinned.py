@@ -145,6 +145,39 @@ CASES = {
     "induced-c4-wall33-absent": (
         lambda b: find_induced(wall(3, 3), cycle_graph(4), b), None, 1092
     ),
+    "pyramid-t1-wall44-absent": (
+        lambda b: find_t_pyramid(wall(4, 4), 1, b), None, 3865128
+    ),
+    "theta-t3-wall44": (
+        lambda b: find_t_theta(wall(4, 4), 3, b),
+        PatternMatch(
+            pattern="theta",
+            params=(("l1", 3), ("l2", 3), ("l3", 11)),
+            image=(1, 2, 3, 5, 6, 7, 9, 10, 13, 14, 15, 17, 18, 21, 22, 23),
+            roles=(
+                ("ends", (6, 14)),
+                ("path1", (6, 5, 13, 14)),
+                ("path2", (6, 7, 15, 14)),
+                ("path3", (6, 1, 2, 3, 10, 9, 17, 18, 23, 22, 21, 14)),
+            ),
+        ),
+        1496794,
+    ),
+    "theta-t2-wall45": (
+        lambda b: find_t_theta(wall(4, 5), 2, b),
+        PatternMatch(
+            pattern="theta",
+            params=(("l1", 2), ("l2", 3), ("l3", 9)),
+            image=(0, 1, 2, 5, 6, 7, 9, 10, 16, 17, 18, 19, 20),
+            roles=(
+                ("ends", (1, 6)),
+                ("path1", (1, 7, 6)),
+                ("path2", (1, 0, 5, 6)),
+                ("path3", (1, 2, 9, 10, 20, 19, 18, 17, 16, 6)),
+            ),
+        ),
+        1578143,
+    ),
 }
 
 

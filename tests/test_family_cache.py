@@ -1,0 +1,149 @@
+"""The family detectors against a plain member-by-member loop over
+`iter_induced_maps`: the table of failed prefixes in `detect._first_copy`
+changes neither the match, nor `Budget.used`, nor the outcome (a match,
+None or `BudgetExhausted`) under any budget limit."""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import graphs
+from twcert import detect
+from twcert.config import Budget
+from twcert.detect import (
+    PatternMatch,
+    find_line_of_subdivided_wall,
+    find_t_pyramid,
+    find_t_theta,
+    iter_induced_maps,
+)
+from twcert.generators import wall
+from twcert.graphs import BudgetExhausted
+
+FAMILIES = {
+    "theta-t2": lambda g, b: find_t_theta(g, 2, b),
+    "theta-t3": lambda g, b: find_t_theta(g, 3, b),
+    "pyramid-t1": lambda g, b: find_t_pyramid(g, 1, b),
+    "pyramid-t2": lambda g, b: find_t_pyramid(g, 2, b),
+    "wall-line-k2": lambda g, b: find_line_of_subdivided_wall(g, 2, b),
+}
+WALLS = {"wall33": wall(3, 3), "wall34": wall(3, 4)}
+
+
+@contextmanager
+def reference_detectors(spans: list[tuple[int, int]]):
+    """Run the detectors with every member searched in full, appending the
+    budget span (used before, used after) of each member that fails."""
+
+    def first_copy(g, name, family, budget):
+        for params, pattern, roles in family:
+            start = budget.used
+            for mapping in iter_induced_maps(g, pattern, budget):
+                return PatternMatch(
+                    pattern=name,
+                    params=params,
+                    image=tuple(sorted(mapping)),
+                    roles=tuple(
+                        (key, tuple(mapping[v] for v in seq)) for key, seq in roles
+                    ),
+                )
+            spans.append((start, budget.used))
+        return None
+
+    with mock.patch.object(detect, "_first_copy", first_copy):
+        yield
+
+
+class ChargeLog(Budget):
+    """A budget that logs (used before, amount) of every tick."""
+
+    def __init__(self, limit: int) -> None:
+        super().__init__(limit)
+        self.log: list[tuple[int, int]] = []
+
+    def tick(self, amount: int = 1) -> None:
+        self.log.append((self.used, amount))
+        super().tick(amount)
+
+
+def outcome(search, g, limit):
+    budget = Budget(limit)
+    try:
+        result = search(g, budget)
+    except BudgetExhausted:
+        result = BudgetExhausted
+    return result, budget.used
+
+
+def reference_outcome(search, g, limit, spans=None):
+    with reference_detectors([] if spans is None else spans):
+        return outcome(search, g, limit)
+
+
+def first_copy_of(patterns):
+    """A search over the family of the given patterns, in that order."""
+    members = [
+        ((("member", i),), p, (("mapping", range(p.n)),))
+        for i, p in enumerate(patterns)
+    ]
+    return lambda g, b: detect._first_copy(g, "family", members, b)
+
+
+@pytest.mark.parametrize("host", sorted(WALLS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_walls_match_reference(family, host):
+    search, g = FAMILIES[family], WALLS[host]
+    spans: list[tuple[int, int]] = []
+    result, total = reference_outcome(search, g, 10**8, spans)
+    assert outcome(search, g, 10**8) == (result, total)
+    # the middle of every fourth failed member, and just short of the total
+    limits = [start + (end - start) // 2 for start, end in spans[::4]]
+    for limit in limits + [0, total - 1]:
+        assert outcome(search, g, limit) == reference_outcome(search, g, limit)
+
+
+@pytest.mark.parametrize("host", sorted(WALLS))
+def test_overrunning_charge_runs_the_member(host):
+    """A limit inside a member the table serves: the charge would overrun, so
+    the member runs and stops at the same step as the reference.  Engine ticks
+    are at most n each, so a larger tick is a table charge."""
+    search, g = FAMILIES["pyramid-t1"], WALLS[host]
+    budget = ChargeLog(10**8)
+    assert search(g, budget) is None
+    charges = [(used, amount) for used, amount in budget.log if amount > 2 * g.n]
+    assert charges
+    for used, amount in charges[:: max(1, len(charges) // 6)]:
+        limit = used + amount // 2
+        assert outcome(search, g, limit) == reference_outcome(search, g, limit)
+        assert outcome(search, g, limit)[0] is BudgetExhausted
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=graphs(min_n=1, max_n=9), family=st.sampled_from(sorted(FAMILIES)), data=st.data()
+)
+def test_random_hosts_match_reference(g, family, data):
+    search = FAMILIES[family]
+    result, total = reference_outcome(search, g, 10**8)
+    assert outcome(search, g, 10**8) == (result, total)
+    limit = data.draw(st.integers(0, max(0, total - 1)))
+    assert outcome(search, g, limit) == reference_outcome(search, g, limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=graphs(min_n=1, max_n=8),
+    patterns=st.lists(graphs(min_n=1, max_n=5), min_size=2, max_size=8),
+    data=st.data(),
+)
+def test_random_families_match_reference(g, patterns, data):
+    """Small random members share prefixes that differ only in degree, or
+    only in earlier neighbours, far more often than the named families."""
+    search = first_copy_of(patterns)
+    result, total = reference_outcome(search, g, 10**8)
+    assert outcome(search, g, 10**8) == (result, total)
+    limit = data.draw(st.integers(0, max(0, total - 1)))
+    assert outcome(search, g, limit) == reference_outcome(search, g, limit)
