@@ -4,10 +4,11 @@ Every balanced-separator question (a weighted minimum separator, the
 separation number) is one increasing-size subset search, `_first_subset`.
 
 The treewidth solver is the repo-wide oracle: a memoised top-down search
-over elimination prefixes, bounded by the minimum-fill width, returning a
-witness decomposition.  Its memo takes one byte per vertex subset plus the
-states solved exactly; it is fast on sparse graphs and slower than a plain
-table over all 2^n subsets on dense ones (see `exact_treewidth`).
+over elimination prefixes, bounded by the minimum-fill width and seeded by
+one bottom-up pass over the prefixes worth less than that width, returning
+a witness decomposition.  Its memo takes one byte per vertex subset plus
+the states solved exactly; it is slowest where minimum fill overshoots the
+treewidth (see `exact_treewidth`).
 For instances above the cap a certified lower/upper bound pair is produced
 instead (contraction degeneracy vs. minimum-fill elimination).
 """
@@ -125,12 +126,14 @@ def separation_number(g: Graph, c: Fraction, cap: int = 10) -> int:
         raise CapExceeded(f"separation number capped at n={cap}, got {g.n}")
     best = 0
     full = g.full_mask()
+    num, den = c.numerator, c.denominator
     for s_mask in range(full + 1):
-        limit = c * s_mask.bit_count()
+        # |comp & S| <= c|S|, in integers
+        limit = num * s_mask.bit_count()
 
         def balances(x_mask: int) -> Optional[bool]:
             comps = g.component_masks(full & ~x_mask)
-            return all((comp & s_mask).bit_count() <= limit for comp in comps) or None
+            return all((comp & s_mask).bit_count() * den <= limit for comp in comps) or None
 
         # X = V always balances, so a smallest X of size >= best exists
         hit = _first_subset(g.n, best, g.n, balances)
@@ -142,6 +145,40 @@ def separation_number(g: Graph, c: Fraction, cap: int = 10) -> int:
 # -- exact treewidth -------------------------------------------------------------
 
 
+def _refutation_floor(g: Graph, bound: int) -> bytearray:
+    """One byte per vertex subset s: 0 when TW(s) < bound, else bound.
+
+    TW(s) < bound exactly when s can be built from the empty set one vertex
+    at a time, each added vertex v seeing fewer than `bound` vertices
+    outside: |N(C) - s| < bound for C the component of v in G[s].  One
+    depth-first pass from the empty set zeroes those states.  When `bound`
+    is the min-fill width and min-fill is optimal they are typically few,
+    and the full vertex set is not among them.
+    """
+    full = g.full_mask()
+    # the empty graph's min-fill width is -1; its one state is zeroed anyway
+    floor = bytearray([max(bound, 0)]) * (full + 1)
+    floor[0] = 0
+    masks = g._masks
+    reach_mask = g.reach_mask
+    adjacent = g._adjacent
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        rest = full & ~s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            t = s | low
+            # N(v) - t lies inside the boundary of v's component
+            if not floor[t] or (masks[low.bit_length() - 1] & ~t).bit_count() >= bound:
+                continue
+            if (adjacent(reach_mask(low, t)) & ~t).bit_count() < bound:
+                floor[t] = 0
+                stack.append(t)
+    return floor
+
+
 def exact_treewidth(g: Graph, cap: int = 14) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a witness decomposition.
 
@@ -151,13 +188,17 @@ def exact_treewidth(g: Graph, cap: int = 14) -> tuple[int, TreeDecomposition]:
     vertices v sees when it is eliminated after s - v, is the boundary of
     v's component in G[s].  Each state is searched under the best width
     still worth beating and given up as soon as it cannot beat it, so only
-    the prefixes the answer depends on are expanded.  The memo is a dict of
-    the states solved exactly plus one byte per vertex subset, so memory
-    still doubles with each vertex.  Time depends on edge density: on a
-    2-vCPU Xeon a 16-vertex graph takes about 0.02 s at density 0.2 and
-    0.04 s at maximum degree 3, where a bottom-up table over all 2^n subsets
-    takes 0.15-0.2 s; dense graphs are slower than that table, 1.3-1.5
-    times at density 0.35 and 2.3-3 times at 0.5-0.7 (0.4-0.9 s).
+    the prefixes the answer depends on are expanded.  Before the search,
+    `_refutation_floor` enumerates bottom-up the prefixes worth less than
+    the min-fill width ub and marks every other prefix refuted at ub, so
+    once a width of ub is in hand the search skips those in O(1).  The memo
+    is a dict of the states solved exactly plus one byte per vertex subset,
+    so memory still doubles with each vertex.  On a 2-vCPU Xeon the median
+    16-vertex random graph takes 2-25 ms at every edge density from 0.1 to
+    0.9 (83-937 ms without the bottom-up pass) and K16 takes 1.5 ms.  Time
+    grows when min-fill overshoots tw: the full vertex set is then worth
+    less than ub, the pass enumerates thousands of prefixes, and the search
+    below ub gets no help from it (up to 0.52 s on those graphs).
     Instances larger than `cap` raise CapExceeded; use treewidth_bounds for
     those.
     """
@@ -165,7 +206,8 @@ def exact_treewidth(g: Graph, cap: int = 14) -> tuple[int, TreeDecomposition]:
         raise CapExceeded(f"exact treewidth capped at n={cap}, got {g.n}")
     full = g.full_mask()
     exact = {0: (-1, -1)}  # state -> (TW, lowest-id minimising choice)
-    floor = bytearray(full + 1)  # the largest bound each state was refuted at
+    ub = eliminate(g, _min_fill)[0].width
+    floor = _refutation_floor(g, ub)  # the largest bound each state was refuted at
     component_masks = g.component_masks
     adjacent = g._adjacent
 
@@ -214,8 +256,8 @@ def exact_treewidth(g: Graph, cap: int = 14) -> tuple[int, TreeDecomposition]:
     # under.  The ceiling is the min-fill width ub + 1, and every state on the
     # traceback from `full` is worth at most tw(G) <= ub, so each was solved
     # exactly: the order and the decomposition are those of the unpruned DP.
-    ceiling = eliminate(g, _min_fill)[0].width + 1
-    width = value(full, ceiling) if full else -1
+    # A floor of ub is a true refutation, so the same holds with it seeded.
+    width = value(full, ub + 1) if full else -1
     order_rev: list[int] = []
     s_mask = full
     while s_mask:

@@ -5,7 +5,9 @@ candidate of every state is evaluated.  `pruned_treewidth` is the bottom-up
 DP pruned against the min-fill ceiling that the search replaced.  Pruning
 may only skip candidates that could never be picked, so the width, the bags
 and the tree edges must all be equal.  The pinned counts of expanded states
-show pruning that is lost, which the outputs alone cannot."""
+and of `Graph.reach_mask` calls show pruning that is lost, which the outputs
+alone cannot.  `_refutation_floor`, the bottom-up pass that seeds the
+search, is checked state by state against the reference table."""
 
 import random
 from itertools import combinations
@@ -17,7 +19,7 @@ from conftest import graphs
 from twcert.decompose import along, eliminate
 from twcert.generators import complete_graph, wall
 from twcert.graphs import CapExceeded, Graph, bits
-from twcert.separators import _min_fill, exact_treewidth
+from twcert.separators import _min_fill, _refutation_floor, exact_treewidth
 
 
 def _reach_q(g: Graph, v: int, s_mask: int) -> int:
@@ -30,6 +32,8 @@ def _reach_q(g: Graph, v: int, s_mask: int) -> int:
 
 
 def reference_treewidth(g: Graph):
+    """(tw, td, table): table[s] is TW(s), the width of the best
+    elimination of the prefix s."""
     n = g.n
     full = (1 << n) - 1
     tw = [0] * (full + 1)
@@ -51,7 +55,7 @@ def reference_treewidth(g: Graph):
         order_rev.append(choice[s_mask])
         s_mask ^= 1 << choice[s_mask]
     td, _ = eliminate(g, along(reversed(order_rev)))
-    return tw[full], td
+    return tw[full], td, tw
 
 
 def pruned_treewidth(g: Graph, cap: int = 14):
@@ -111,7 +115,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 def assert_same(g: Graph) -> None:
     tw, td = exact_treewidth(g)
-    ref_tw, ref_td = reference_treewidth(g)
+    ref_tw, ref_td, _ = reference_treewidth(g)
     assert tw == ref_tw
     assert td.bags == ref_td.bags
     assert td.tree_edges == ref_td.tree_edges
@@ -141,8 +145,9 @@ def test_matches_unpruned_dp_on_edge_cases(g):
     assert_same(g)
 
 
+# on the last, min-fill (6) overshoots tw (5), so the full set is below ub
 @pytest.mark.parametrize(
-    "n,p,seed", [(13, 0.25, 1), (13, 0.4, 2), (14, 0.2, 3), (14, 0.35, 4)]
+    "n,p,seed", [(13, 0.25, 1), (13, 0.4, 2), (14, 0.2, 3), (14, 0.35, 4), (13, 0.4, 6)]
 )
 def test_matches_unpruned_dp_on_seeded_graphs(n, p, seed):
     assert_same(random_graph(n, p, seed))
@@ -163,10 +168,14 @@ def relabel(g: Graph, seed: int) -> Graph:
         Graph(16, [(2 * i, 2 * i + 1) for i in range(8)]),
         Graph(16, [(0, i) for i in range(1, 16)]),
         Graph(16, [(i, (i + 1) % 16) for i in range(16)]),
-    ],
+    ]
+    # min-fill overshoots tw on the first two (7 vs 6, 8 vs 7)
+    + [random_graph(14, 0.35, 7), random_graph(14, 0.5, 6), complete_graph(16)]
+    + [random_graph(16, 0.7, 164)],
     ids=["wall34", "wall26", "wall42"]
     + [f"rand-n{n}-p{p}" for n in (15, 16) for p in (0.1, 0.2, 0.35, 0.6)]
-    + ["edgeless16", "matching16", "star16", "cycle16"],
+    + ["edgeless16", "matching16", "star16", "cycle16"]
+    + ["rand-n14-p0.35-seed7", "rand-n14-p0.5-seed6", "k16", "rand-n16-p0.7"],
 )
 def test_matches_pruned_dp(g):
     tw, td = exact_treewidth(g, cap=g.n)
@@ -177,22 +186,40 @@ def test_matches_pruned_dp(g):
 
 
 @pytest.mark.parametrize(
-    "g,states",
+    "g,states,reaches",
     [
-        (wall(3, 4), 870),  # 46590 _reach_q calls in the bottom-up DP
-        (random_graph(14, 0.3, 7), 4817),  # 3501 _reach_q calls
+        (wall(3, 4), 31, 322),  # 46590 _reach_q calls in the bottom-up DP
+        (random_graph(14, 0.3, 7), 87, 403),  # 3501 _reach_q calls
+        (complete_graph(16), 16, 16),
+        # 7 edges, a 7-vertex component holding a triangle, 9 isolated vertices
+        (random_graph(16, 0.1, 105), 29, 5272),
     ],
-    ids=["wall34", "rand-n14-seed7"],
+    ids=["wall34", "rand-n14-seed7", "k16", "disconnected-n16-seed105"],
 )
-def test_states_expanded_pinned(monkeypatch, g, states):
-    count = 0
-    component_masks = Graph.component_masks
+def test_states_expanded_pinned(monkeypatch, g, states, reaches):
+    counts = {"component_masks": 0, "reach_mask": 0}
 
-    def counting(*args):
-        nonlocal count
-        count += 1
-        return component_masks(*args)
+    def counting(name):
+        method = getattr(Graph, name)
 
-    monkeypatch.setattr(Graph, "component_masks", counting)
+        def counted(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(Graph, name, counting(name))
     exact_treewidth(g, cap=g.n)
-    assert count == states
+    assert counts == {"component_masks": states, "reach_mask": reaches}
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_n=0, max_n=10))
+def test_refutation_floor_matches_reference_table(g):
+    """For every bound b the bottom-up pass leaves b on the prefixes s with
+    TW(s) >= b and 0 on the rest, so for b >= 1 its zeros, the states it
+    reached, are exactly {s : TW(s) < b}."""
+    _, _, table = reference_treewidth(g)
+    for b in range(g.n + 1):
+        assert list(_refutation_floor(g, b)) == [b if t >= b else 0 for t in table]
