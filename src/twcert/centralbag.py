@@ -34,6 +34,10 @@ class Separation:
 
     Canonical separations carry their center (the generating set) and an
     anchor vertex inside the center that will collect the A-side weight.
+    `__post_init__` also stores each side as a vertex bitmask, `a_mask`,
+    `c_mask` and `b_mask`, which the relations and the central bag work on.
+    They are not dataclass fields, so equality, hashing and `repr` still see
+    only the tuples.
     """
 
     a: tuple[int, ...]
@@ -41,6 +45,11 @@ class Separation:
     b: tuple[int, ...]
     center: Optional[tuple[int, ...]] = None
     anchor: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a_mask", mask_of(self.a))
+        object.__setattr__(self, "c_mask", mask_of(self.c))
+        object.__setattr__(self, "b_mask", mask_of(self.b))
 
     def validate(self, g: Graph) -> None:
         parts = (set(self.a), set(self.c), set(self.b))
@@ -80,18 +89,20 @@ def canonical_separation(g: Graph, w: WeightFunction, x: Iterable[int]) -> Separ
     """B is the lexicographically minimum largest-weight component of
     g minus N[X]; the cut is X together with the neighborhood boundary of B;
     the anchor is the least vertex of X."""
-    xs = lex_key(x)
-    if not g.is_connected_set(xs):
+    xs = g._check_vertices(x)
+    x_mask = mask_of(xs)
+    if not g.is_connected_mask(x_mask):
         raise ValueError("center must be connected")
-    closed = mask_of(g.neighborhood(xs, 1))
-    outside = g.full_mask() & ~closed
+    closed = x_mask | g._adjacent(x_mask)
+    full = g.full_mask()
+    outside = full & ~closed
     if outside == 0:
         raise DegenerateSeparation(f"N[{xs}] covers every vertex")
     comps = g.component_masks(outside)
     b_mask = max(comps, key=w.numerator_of_mask)  # the first heaviest, in component order
-    c_mask = mask_of(xs) | (closed & g._adjacent(b_mask) & ~b_mask)
+    c_mask = x_mask | (closed & g._adjacent(b_mask) & ~b_mask)
     return Separation(
-        a=tuple(bits(g.full_mask() & ~b_mask & ~c_mask)),
+        a=tuple(bits(full & ~b_mask & ~c_mask)),
         c=tuple(bits(c_mask)),
         b=tuple(bits(b_mask)),
         center=xs,
@@ -140,8 +151,8 @@ def relation(s1: Separation, s2: Separation) -> RelationFlags:
     The symmetric variants may exchange the roles of A and B on either side;
     the A-variants keep the stored skew convention fixed.
     """
-    a1, c1, b1 = mask_of(s1.a), mask_of(s1.c), mask_of(s1.b)
-    a2, c2, b2 = mask_of(s2.a), mask_of(s2.c), mask_of(s2.b)
+    a1, c1, b1 = s1.a_mask, s1.c_mask, s1.b_mask
+    a2, c2, b2 = s2.a_mask, s2.c_mask, s2.b_mask
     a_loose = not (a1 & c2) and not (a2 & c1)
     a_non = a_loose and not (a1 & a2)
     loose = False
@@ -170,7 +181,7 @@ def all_pairs(seps: Sequence[Separation], flag: str) -> bool:
 def is_shield(s1: Separation, s2: Separation) -> bool:
     """s1 shields s2 when B(s1) together with C(s1) fits inside B(s2) + C(s2);
     a shielded separation contributes nothing to the central bag."""
-    return set(s1.bc_union) <= set(s2.bc_union)
+    return not (s1.b_mask | s1.c_mask) & ~(s2.b_mask | s2.c_mask)
 
 
 # -- sequences ----------------------------------------------------------------------
@@ -204,7 +215,7 @@ class SeparationSequence:
             if s.anchor is None:
                 raise ValueError("sequence member lacks an anchor")
             counts[s.anchor] = counts.get(s.anchor, 0) + 1
-            t = max(t, g.diameter_of(s.c))
+            t = max(t, g.diameter_of_mask(s.c_mask))
         return (max(counts.values(), default=0), t)
 
 
@@ -217,21 +228,21 @@ def make_primordial(
     pairs justifying every drop.
     """
     members = seq.separations
-    bc = [set(s.bc_union) for s in members]
-    minimal: list[int] = []
-    for i in range(len(members)):
-        if any(bc[j] < bc[i] for j in range(len(members))):
+    bc = [s.b_mask | s.c_mask for s in members]
+    kept: list[int] = []
+    for i, m in enumerate(bc):
+        # no B+C strictly inside this one, and none equal to it kept earlier
+        if any(o != m and not o & ~m for o in bc):
             continue
-        if any(bc[j] == bc[i] for j in minimal):
+        if any(bc[j] == m for j in kept):
             continue
-        minimal.append(i)
-    kept = sorted(minimal)
+        kept.append(i)
     drops: list[tuple[int, int]] = []
     kept_set = set(kept)
-    for i in range(len(members)):
+    for i, m in enumerate(bc):
         if i in kept_set:
             continue
-        shield = next(j for j in kept if bc[j] <= bc[i])
+        shield = next(j for j in kept if not bc[j] & ~m)
         drops.append((i, shield))
     return (
         SeparationSequence(
@@ -282,7 +293,7 @@ def dimension_partition(g: Graph, seq: SeparationSequence) -> DimensionPartition
     """
     members = seq.separations
     a, t = seq.goodness(g) if members else (0, 0)
-    masks = [mask_of(s.c) for s in members]
+    masks = [s.c_mask for s in members]
     colour: list[int] = []
     for i in range(len(members)):
         used = {colour[j] for j in range(i) if masks[j] & masks[i]}
@@ -341,11 +352,11 @@ class CentralBagResult:
         )
 
     def recompute_bag(self, g: Graph, seq: SeparationSequence) -> tuple[int, ...]:
-        cur = set(range(g.n))
+        cur = g.full_mask()
         for cls in self.generator:
             for i in cls:
-                cur &= set(seq[i].bc_union)
-        return tuple(sorted(cur))
+                cur &= seq[i].b_mask | seq[i].c_mask
+        return tuple(bits(cur))
 
 
 def _require_connected_and_normal(g: Graph, w: WeightFunction) -> None:
@@ -375,7 +386,7 @@ def central_bag(
     """
     _require_connected_and_normal(g, w)
     members = seq.separations
-    bag = set(range(g.n))
+    bag = g.full_mask()
     # weights travel as integer numerators over w.denominator
     den = w.denominator
     weights: dict[int, int] = dict(w.numerators)
@@ -392,12 +403,11 @@ def central_bag(
             center = members[i].center
             if center is None:
                 raise ValueError("covering-sequence members must carry centers")
-            if set(center) <= bag:
+            center_mask = mask_of(center)
+            if not center_mask & ~bag:
                 admitted.append(i)
             else:
-                witness = next(
-                    j for j in kept_so_far if set(center) & set(members[j].a)
-                )
+                witness = next(j for j in kept_so_far if center_mask & members[j].a_mask)
                 drops.append(DropRecord(index=i, reason="center_hit", witness=witness))
         _, shields = make_primordial(
             SeparationSequence(separations=tuple(members[i] for i in admitted))
@@ -410,38 +420,37 @@ def central_bag(
         )
         drops.sort(key=lambda d: d.index)
 
-        prev_bag = set(bag)
+        prev_bag = bag
         for i in kept:
-            bag &= set(members[i].bc_union)
+            bag &= members[i].b_mask | members[i].c_mask
         # order-dependent weight rule on the previous bag
-        new_weights = {v: weights[v] for v in bag}
-        seen_a: set[int] = set()
+        new_weights = {v: weights[v] for v in bits(bag)}
+        seen_a = 0
         for i in kept:
-            a_here = (set(members[i].a) & prev_bag) - seen_a
-            seen_a |= set(members[i].a) & prev_bag
-            fresh = sum(weights[v] for v in a_here)
+            a_prev = members[i].a_mask & prev_bag
+            fresh = sum(weights[v] for v in bits(a_prev & ~seen_a))
+            seen_a |= a_prev
             anchor = members[i].anchor
             assert anchor is not None
-            if anchor in bag:
+            if bag >> anchor & 1:
                 new_weights[anchor] = new_weights[anchor] + fresh
             else:
                 escaped += fresh
         # weight lost to cut vertices that fell out of the bag
-        for v in prev_bag - bag:
-            if v not in seen_a:
-                escaped += weights[v]
+        escaped += sum(weights[v] for v in bits(prev_bag & ~bag & ~seen_a))
         weights = new_weights
 
-        restricted = [members[i].restricted(prev_bag) for i in kept]
-        cut_ok = all(set(members[i].c) & prev_bag <= bag for i in kept)
-        connected = g.is_connected_set(tuple(sorted(bag))) if bag else False
+        # A-loose laminarity of the kept members restricted to prev_bag
+        a_loose = all(
+            not (s1.a_mask & s2.c_mask | s2.a_mask & s1.c_mask) & prev_bag
+            for s1, s2 in combinations([members[i] for i in kept], 2)
+        )
+        cut_ok = all(not members[i].c_mask & prev_bag & ~bag for i in kept)
         levels.append(
             LevelRecord(
-                restricted_a_loosely_laminar=all_pairs(
-                    restricted, "a_loosely_non_crossing"
-                ),
+                restricted_a_loosely_laminar=a_loose,
                 cut_in_bag=cut_ok,
-                bag_connected=connected,
+                bag_connected=g.is_connected_mask(bag),
                 weight_total_one=(sum(weights.values()) == den),
             )
         )
@@ -450,7 +459,7 @@ def central_bag(
         all_drops.extend(drops)
 
     return CentralBagResult(
-        bag=tuple(sorted(bag)),
+        bag=tuple(bits(bag)),
         weights={v: Fraction(x, den) for v, x in weights.items()},
         generator=tuple(generator),
         levels=tuple(levels),
@@ -477,7 +486,7 @@ def audit_is_complete(
                 return False
         elif d.reason == "center_hit":
             center = members[d.index].center or ()
-            if not set(center) & set(members[d.witness].a):
+            if not mask_of(center) & members[d.witness].a_mask:
                 return False
         else:
             return False
@@ -569,7 +578,7 @@ def check_bag_separator_transfer(
         no_sep
         and d >= gamma_t1
         and all(
-            g.is_connected_set(s.c) and len(s.c) <= d for s in members
+            g.is_connected_mask(s.c_mask) and len(s.c) <= d for s in members
         )
     )
     concl = all(

@@ -180,15 +180,15 @@ class Graph:
         return [tuple(bits(c)) for c in self.component_masks(allowed)]
 
     def is_connected_set(self, s: Iterable[int]) -> bool:
-        m = mask_of(self._check_vertices(s))
-        if m == 0:
-            return False
-        return self.reach_mask(m & -m, m) == m
+        return self.is_connected_mask(mask_of(self._check_vertices(s)))
+
+    def is_connected_mask(self, mask: int) -> bool:
+        """Whether the vertices of `mask` induce a connected subgraph; the
+        empty set is not connected."""
+        return mask != 0 and self.reach_mask(mask & -mask, mask) == mask
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        return self.is_connected_set(range(self.n))
+        return self.is_connected_mask(self.full_mask())
 
     def bfs_distances(self, source: int, allowed: Optional[int] = None) -> list[int]:
         """Distances from source within `allowed` (-1 for unreachable)."""
@@ -217,10 +217,13 @@ class Graph:
         last vertex of s: that round's depth is u's eccentricity within s.
         The cost is |s| searches, each only as deep as that eccentricity.
         """
-        vs = self._check_vertices(s)
-        target = mask_of(vs)
+        return self.diameter_of_mask(mask_of(self._check_vertices(s)))
+
+    def diameter_of_mask(self, target: int) -> int:
+        """`diameter_of` for the vertices of `target`, which must be vertices
+        of the graph."""
         best = 0
-        for u in vs:
+        for u in bits(target):
             seen = frontier = 1 << u
             depth = 0
             while target & ~seen:

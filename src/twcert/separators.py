@@ -5,10 +5,11 @@ separation number) is one increasing-size subset search, `_first_subset`.
 
 The treewidth solver is the repo-wide oracle: a memoised top-down search
 over elimination prefixes, bounded by the minimum-fill width and seeded by
-one bottom-up pass over the prefixes worth less than that width, returning
-a witness decomposition.  Its memo takes one byte per vertex subset plus
-the states solved exactly; it is slowest where minimum fill overshoots the
-treewidth (see `exact_treewidth`).
+bottom-up passes over the prefixes worth less than that width, lowered
+until it is the treewidth, returning a witness decomposition.  Its memo
+takes one byte per vertex subset plus the states solved exactly; the extra
+passes make it slowest where minimum fill overshoots the treewidth (see
+`exact_treewidth`).
 For instances above the cap a certified lower/upper bound pair is produced
 instead (contraction degeneracy vs. minimum-fill elimination).
 """
@@ -120,6 +121,8 @@ def separation_number(g: Graph, c: Fraction, cap: int = 10) -> int:
 
     Full enumeration over all S; complementary subsets are not interchangeable
     (S = V and S = empty already need different k), so nothing is skipped.
+    The components of G - X do not depend on S, so those of each candidate
+    X are built once and kept: at most 2^cap lists.
     """
     check_balance_parameter(c)
     if g.n > cap:
@@ -127,12 +130,15 @@ def separation_number(g: Graph, c: Fraction, cap: int = 10) -> int:
     best = 0
     full = g.full_mask()
     num, den = c.numerator, c.denominator
+    comps_of: dict[int, list[int]] = {}
     for s_mask in range(full + 1):
         # |comp & S| <= c|S|, in integers
         limit = num * s_mask.bit_count()
 
         def balances(x_mask: int) -> Optional[bool]:
-            comps = g.component_masks(full & ~x_mask)
+            comps = comps_of.get(x_mask)
+            if comps is None:
+                comps = comps_of[x_mask] = g.component_masks(full & ~x_mask)
             return all((comp & s_mask).bit_count() * den <= limit for comp in comps) or None
 
         # X = V always balances, so a smallest X of size >= best exists
@@ -145,7 +151,9 @@ def separation_number(g: Graph, c: Fraction, cap: int = 10) -> int:
 # -- exact treewidth -------------------------------------------------------------
 
 
-def _refutation_floor(g: Graph, bound: int) -> bytearray:
+def _refutation_floor(
+    g: Graph, bound: int, above: Optional[bytearray] = None
+) -> bytearray:
     """One byte per vertex subset s: 0 when TW(s) < bound, else bound.
 
     TW(s) < bound exactly when s can be built from the empty set one vertex
@@ -154,10 +162,18 @@ def _refutation_floor(g: Graph, bound: int) -> bytearray:
     depth-first pass from the empty set zeroes those states.  When `bound`
     is the min-fill width and min-fill is optimal they are typically few,
     and the full vertex set is not among them.
+
+    `above`, the table of a pass at a larger bound, keeps its refutations:
+    a state it refuted keeps that larger bound instead of `bound`.
     """
     full = g.full_mask()
-    # the empty graph's min-fill width is -1; its one state is zeroed anyway
-    floor = bytearray([max(bound, 0)]) * (full + 1)
+    if above is None:
+        # the empty graph's min-fill width is -1; its one state is zeroed anyway
+        floor = bytearray([max(bound, 0)]) * (full + 1)
+    else:
+        # the states `above` left at 0 start at `bound`; the pass never
+        # reaches a state refuted at the larger bound
+        floor = above.translate(bytes([bound]) + bytes(range(1, 256)))
     floor[0] = 0
     masks = g._masks
     reach_mask = g.reach_mask
@@ -191,14 +207,18 @@ def exact_treewidth(g: Graph, cap: int = 14) -> tuple[int, TreeDecomposition]:
     the prefixes the answer depends on are expanded.  Before the search,
     `_refutation_floor` enumerates bottom-up the prefixes worth less than
     the min-fill width ub and marks every other prefix refuted at ub, so
-    once a width of ub is in hand the search skips those in O(1).  The memo
-    is a dict of the states solved exactly plus one byte per vertex subset,
-    so memory still doubles with each vertex.  On a 2-vCPU Xeon the median
-    16-vertex random graph takes 2-25 ms at every edge density from 0.1 to
-    0.9 (83-937 ms without the bottom-up pass) and K16 takes 1.5 ms.  Time
-    grows when min-fill overshoots tw: the full vertex set is then worth
-    less than ub, the pass enumerates thousands of prefixes, and the search
-    below ub gets no help from it (up to 0.52 s on those graphs).
+    once a width of ub is in hand the search skips those in O(1).  When
+    min-fill overshoots tw the pass reaches the full vertex set, so it is
+    run again at ub - 1, ub - 2, ... until it does not, which leaves ub = tw;
+    each prefix keeps the largest bound it was refuted at.
+    The memo is a dict of the states solved exactly plus one byte per
+    vertex subset, so memory still doubles with each vertex.  On a 2-vCPU
+    Xeon the median 16-vertex random graph takes 2-29 ms at every edge
+    density from 0.1 to 0.9 (42-900 ms without the bottom-up pass) and K16
+    takes 1.2 ms.  An overshoot costs the wasted pass at the min-fill width,
+    thousands of prefixes: the slowest overshooting graph of the README's
+    16-vertex sweep takes 154 ms (535 ms with the table seeded at the
+    min-fill width alone).
     Instances larger than `cap` raise CapExceeded; use treewidth_bounds for
     those.
     """
@@ -208,6 +228,12 @@ def exact_treewidth(g: Graph, cap: int = 14) -> tuple[int, TreeDecomposition]:
     exact = {0: (-1, -1)}  # state -> (TW, lowest-id minimising choice)
     ub = eliminate(g, _min_fill)[0].width
     floor = _refutation_floor(g, ub)  # the largest bound each state was refuted at
+    # a pass that reaches `full` shows tw < ub: seed again one lower, keeping
+    # the refutations at the larger bounds, until ub = tw (a bound of 0
+    # refutes nothing, so the loop stops there)
+    while ub > 0 and not floor[full]:
+        ub -= 1
+        floor = _refutation_floor(g, ub, floor)
     component_masks = g.component_masks
     adjacent = g._adjacent
 
@@ -253,10 +279,10 @@ def exact_treewidth(g: Graph, cap: int = 14) -> tuple[int, TreeDecomposition]:
     # A candidate is skipped only when it cannot be strictly better than the
     # best so far, and the scan runs in ascending id, so a state solved
     # exactly gets the lowest-id minimiser, whatever bound it was solved
-    # under.  The ceiling is the min-fill width ub + 1, and every state on the
-    # traceback from `full` is worth at most tw(G) <= ub, so each was solved
-    # exactly: the order and the decomposition are those of the unpruned DP.
-    # A floor of ub is a true refutation, so the same holds with it seeded.
+    # under.  The ceiling is ub + 1, and every state on the traceback from
+    # `full` is worth at most tw(G) = ub, so each was solved exactly: the
+    # order and the decomposition are those of the unpruned DP.  A floor of
+    # ub is a true refutation, so the same holds with it seeded.
     width = value(full, ub + 1) if full else -1
     order_rev: list[int] = []
     s_mask = full
@@ -390,11 +416,11 @@ def harvey_wood_check(
     rng = random.Random(seed)
     all_small = True
     for _ in range(n_weights):
-        raw = [Fraction(rng.randint(0, 8)) for _ in g.vertices]
+        raw = [rng.randint(0, 8) for _ in g.vertices]
         if sum(raw) == 0:
-            raw[0] = Fraction(1)
+            raw[0] = 1
         total = sum(raw)
-        w = WeightFunction(tuple(g.vertices), tuple(x / total for x in raw))
+        w = WeightFunction(tuple(g.vertices), tuple(Fraction(x, total) for x in raw))
         found = balanced_separator_from_td(g, w, c, td)
         if found is None or len(found) > tw + 1:
             all_small = False

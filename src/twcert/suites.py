@@ -133,11 +133,11 @@ def seeded_catalog(max_n: int, seed: int, per_n: int = 10) -> list[Graph]:
 
 
 def random_weights(rng: random.Random, g: Graph) -> WeightFunction:
-    raw = [Fraction(rng.randint(0, 6)) for _ in g.vertices]
+    raw = [rng.randint(0, 6) for _ in g.vertices]
     if sum(raw) == 0:
-        raw[rng.randrange(g.n)] = Fraction(1)
+        raw[rng.randrange(g.n)] = 1
     total = sum(raw)
-    return WeightFunction(tuple(g.vertices), tuple(x / total for x in raw))
+    return WeightFunction(tuple(g.vertices), tuple(Fraction(x, total) for x in raw))
 
 
 def chordal_growth(rng: random.Random, n: int, max_clique: int = 5) -> Graph:

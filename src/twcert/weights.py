@@ -34,7 +34,7 @@ class WeightFunction:
     def __post_init__(self) -> None:
         if len(self.domain) != len(self.values):
             raise ValueError("domain/value length mismatch")
-        if any(v < 0 for v in self.values):
+        if any(v.numerator < 0 for v in self.values):
             raise ValueError("weights must be non-negative")
         den = lcm(*(v.denominator for v in self.values))
         nums = {

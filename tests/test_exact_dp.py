@@ -153,6 +153,23 @@ def test_matches_unpruned_dp_on_seeded_graphs(n, p, seed):
     assert_same(random_graph(n, p, seed))
 
 
+# min-fill overshoots tw by one on each: the pass at the min-fill width
+# reaches the full vertex set, so the table is seeded again one lower
+@pytest.mark.parametrize(
+    "n,p,seed",
+    [(9, 0.5, 25), (10, 0.4, 70), (10, 0.8, 131), (11, 0.4, 90), (12, 0.3, 46),
+     (12, 0.5, 12), (12, 0.6, 28)],
+)
+def test_matches_unpruned_dp_where_min_fill_overshoots(n, p, seed):
+    g = random_graph(n, p, seed)
+    tw, td = exact_treewidth(g)
+    ref_tw, ref_td, _ = reference_treewidth(g)
+    assert eliminate(g, _min_fill)[0].width == ref_tw + 1
+    assert tw == ref_tw
+    assert td.bags == ref_td.bags
+    assert td.tree_edges == ref_td.tree_edges
+
+
 def relabel(g: Graph, seed: int) -> Graph:
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
@@ -193,8 +210,13 @@ def test_matches_pruned_dp(g):
         (complete_graph(16), 16, 16),
         # 7 edges, a 7-vertex component holding a triangle, 9 isolated vertices
         (random_graph(16, 0.1, 105), 29, 5272),
+        # min-fill overshoots tw by one: 87 and 1146 states when the pass
+        # one lower drops the refutations of the pass at the min-fill width
+        (random_graph(12, 0.6, 28), 12, 1780),
+        (random_graph(13, 0.4, 6), 13, 1458),
     ],
-    ids=["wall34", "rand-n14-seed7", "k16", "disconnected-n16-seed105"],
+    ids=["wall34", "rand-n14-seed7", "k16", "disconnected-n16-seed105",
+         "overshoot-n12-seed28", "overshoot-n13-seed6"],
 )
 def test_states_expanded_pinned(monkeypatch, g, states, reaches):
     counts = {"component_masks": 0, "reach_mask": 0}
@@ -223,3 +245,16 @@ def test_refutation_floor_matches_reference_table(g):
     _, _, table = reference_treewidth(g)
     for b in range(g.n + 1):
         assert list(_refutation_floor(g, b)) == [b if t >= b else 0 for t in table]
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_n=0, max_n=10))
+def test_chained_refutation_floor_keeps_larger_bounds(g):
+    """A pass at b given the table of the pass at b + 1 leaves b + 1 where
+    TW(s) >= b + 1, b where TW(s) = b and 0 where TW(s) < b."""
+    _, _, table = reference_treewidth(g)
+    for b in range(g.n):
+        chained = _refutation_floor(g, b, _refutation_floor(g, b + 1))
+        assert list(chained) == [
+            b + 1 if t > b else b if t == b else 0 for t in table
+        ]

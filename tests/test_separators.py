@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs
+from twcert import separators
+from twcert.centralbag import no_small_separator
+from twcert.config import RunConfig
 from twcert.decompose import validate_td
 from twcert.generators import (
     complete_bipartite,
@@ -25,6 +28,7 @@ from twcert.separators import (
     treewidth_bounds,
     treewidth_or_bounds,
 )
+from twcert.suites import suite_harvey_wood
 from twcert.weights import WeightFunction
 
 HALF = Fraction(1, 2)
@@ -172,3 +176,29 @@ def test_balanced_separator_from_td():
     bag = balanced_separator_from_td(g, w, HALF, td)
     assert bag is not None and len(bag) <= tw + 1
     assert is_balanced_separator(g, w, HALF, bag)
+
+
+def _no_separator_in_wall33() -> None:
+    g = wall(3, 3)
+    assert no_small_separator(g, WeightFunction.uniform(g), HALF, 2)
+
+
+@pytest.mark.parametrize(
+    "run,calls",
+    [(lambda: suite_harvey_wood(RunConfig()), 1636), (_no_separator_in_wall33, 79)],
+    ids=["suite-harvey-wood", "no-small-separator-wall33"],
+)
+def test_subsets_tested_pinned(monkeypatch, run, calls):
+    """The balanced-separator searches test each subset through one
+    `component_weights` call, which the benchmark counts as
+    `separators.subsets_tested`; the pins keep that count like for like."""
+    count = [0]
+    original = separators.component_weights
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(separators, "component_weights", counted)
+    run()
+    assert count[0] == calls
