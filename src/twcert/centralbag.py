@@ -8,7 +8,7 @@ distinguish a failed hypothesis from a failed conclusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -35,9 +35,11 @@ class Separation:
     Canonical separations carry their center (the generating set) and an
     anchor vertex inside the center that will collect the A-side weight.
     `__post_init__` also stores each side as a vertex bitmask, `a_mask`,
-    `c_mask` and `b_mask`, which the relations and the central bag work on.
-    They are not dataclass fields, so equality, hashing and `repr` still see
-    only the tuples.
+    `c_mask` and `b_mask`, which the relations and the central bag work on:
+    the init-only `masks` when a constructor already has them (they must be
+    the masks of the tuples), else built from the tuples.  They are not
+    dataclass fields, so equality, hashing and `repr` still see only the
+    tuples.
     """
 
     a: tuple[int, ...]
@@ -45,11 +47,14 @@ class Separation:
     b: tuple[int, ...]
     center: Optional[tuple[int, ...]] = None
     anchor: Optional[int] = None
+    masks: InitVar[Optional[tuple[int, int, int]]] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a_mask", mask_of(self.a))
-        object.__setattr__(self, "c_mask", mask_of(self.c))
-        object.__setattr__(self, "b_mask", mask_of(self.b))
+    def __post_init__(self, masks: Optional[tuple[int, int, int]]) -> None:
+        if masks is None:
+            masks = mask_of(self.a), mask_of(self.c), mask_of(self.b)
+        object.__setattr__(self, "a_mask", masks[0])
+        object.__setattr__(self, "c_mask", masks[1])
+        object.__setattr__(self, "b_mask", masks[2])
 
     def validate(self, g: Graph) -> None:
         parts = (set(self.a), set(self.c), set(self.b))
@@ -101,12 +106,14 @@ def canonical_separation(g: Graph, w: WeightFunction, x: Iterable[int]) -> Separ
     comps = g.component_masks(outside)
     b_mask = max(comps, key=w.numerator_of_mask)  # the first heaviest, in component order
     c_mask = x_mask | (closed & g._adjacent(b_mask) & ~b_mask)
+    a_mask = full & ~b_mask & ~c_mask
     return Separation(
-        a=tuple(bits(full & ~b_mask & ~c_mask)),
+        a=tuple(bits(a_mask)),
         c=tuple(bits(c_mask)),
         b=tuple(bits(b_mask)),
         center=xs,
         anchor=xs[0],
+        masks=(a_mask, c_mask, b_mask),
     )
 
 
@@ -116,17 +123,20 @@ def clique_separation(g: Graph, w: WeightFunction, k: Iterable[int]) -> Separati
     ks = lex_key(k)
     if not g.is_clique(ks):
         raise ValueError("cut must be a clique")
-    outside = g.full_mask() & ~mask_of(ks)
+    c_mask = mask_of(ks)
+    outside = g.full_mask() & ~c_mask
     comps = g.component_masks(outside)
     if len(comps) < 2:
         raise ValueError("clique is not a cutset")
     b_mask = max(comps, key=w.numerator_of_mask)  # the first heaviest, in component order
+    a_mask = outside & ~b_mask
     return Separation(
-        a=tuple(bits(outside & ~b_mask)),
+        a=tuple(bits(a_mask)),
         c=ks,
         b=tuple(bits(b_mask)),
         center=ks,
         anchor=ks[0],
+        masks=(a_mask, c_mask, b_mask),
     )
 
 

@@ -8,10 +8,18 @@ deterministic node budget and report exhaustion distinctly from absence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .config import Budget, RunConfig
-from .generators import pyramid, subdivided_claw, theta, wall
+from .generators import (
+    _pyramid_shape,
+    _theta_shape,
+    pyramid,
+    subdivided_claw,
+    theta,
+    wall,
+)
 from .graphs import CapExceeded, Graph, bits, line_graph, mask_of, subdivide
 
 
@@ -42,19 +50,22 @@ def iter_induced_maps(
     """All injective maps pattern -> g preserving adjacency and non-adjacency,
     in lexicographic order of the mapping tuple.
 
-    Pattern vertices are placed in id order.  The candidates for pattern
-    vertex i form one host bitmask: the vertices of large enough degree, not
-    yet used, adjacent to the images of i's earlier pattern neighbours and
-    non-adjacent to the images of its earlier non-neighbours.  They are tried
-    in ascending id order.
+    Pattern vertices are placed in id order by one loop over an explicit
+    stack.  The candidates for pattern vertex i form one host bitmask: the
+    vertices of large enough degree, not yet used, adjacent to the images of
+    i's earlier pattern neighbours and non-adjacent to the images of its
+    earlier non-neighbours.  They are tried in ascending id order.
 
-    One budget tick is one host vertex considered for one pattern vertex,
-    whether the filter keeps it or not: placing vertex i costs n ticks (n the
-    host size), taken in bulk up to each candidate before descending into it
-    and for the rest at the end.  No mapping is yielded between the skipped
-    vertices and their bulk tick, so ``Budget.used`` at every yield, and the
-    prefix of mappings before ``BudgetExhausted``, are those of testing one
-    host vertex per tick.
+    One budget step is one host vertex considered for one pattern vertex,
+    whether the filter keeps it or not: placing vertex i costs n steps (n the
+    host size), the ones up to each candidate counted before descending into
+    it and the rest at the end.  The engine keeps a running count of its
+    steps and charges it in batches: with one ``Budget.tick`` before every
+    yield and at the end, and at once when the count passes what is left of
+    the limit.  So ``Budget.used`` at every yield, at the end and at
+    ``BudgetExhausted``, and the prefix of mappings before it, are those of
+    charging one step at a time.  What is left is read again after every
+    yield, so a caller may tick the same budget between mappings.
 
     The generator's return value (``StopIteration.value``) is the deepest
     pattern index it tried to place (k once it has yielded a mapping), or
@@ -64,7 +75,11 @@ def iter_induced_maps(
     n, k = g.n, pattern.n
     if k > n:
         return None
+    if k == 0:
+        yield ()
+        return 0
     nbr = [g.neighbor_mask(v) for v in g.vertices]
+    non = [~m for m in nbr]
     # at_least[d]: host vertices of degree >= d, for every pattern degree d
     at_least = [0] * (max(g.max_degree(), pattern.max_degree()) + 1)
     for v in g.vertices:
@@ -72,43 +87,78 @@ def iter_induced_maps(
     for d in range(len(at_least) - 2, -1, -1):
         at_least[d] |= at_least[d + 1]
     base = [at_least[pattern.degree(i)] for i in range(k)]
-    earlier_adj = [[j for j in range(i) if pattern.has_edge(i, j)] for i in range(k)]
-    earlier_non = [
-        [j for j in range(i) if not pattern.has_edge(i, j)] for i in range(k)
-    ]
-    # assigned[i] stays -1 until some branch places pattern vertex i
+    earlier_adj: list[tuple[int, ...]] = []
+    earlier_non: list[tuple[int, ...]] = []
+    for i in range(k):
+        before = (1 << i) - 1
+        adj = pattern.neighbor_mask(i) & before
+        earlier_adj.append(tuple(bits(adj)))
+        earlier_non.append(tuple(bits(before & ~adj)))
+    # per pattern vertex i: its current image (-1 until some branch places
+    # it), its candidates not yet tried, the host vertices considered for it
+    # so far, and the host vertices the images of 0..i-1 take
     assigned = [-1] * k
-
-    def place(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            yield tuple(assigned)
-            return
-        cand = base[i] & ~used
-        for j in earlier_adj[i]:
-            cand &= nbr[assigned[j]]
-        for j in earlier_non[i]:
-            cand &= ~nbr[assigned[j]]
-        ticked = 0
-        while cand:
+    cands = [0] * k
+    ticked = [0] * k
+    used = [0] * k
+    last = k - 1
+    owed = 0  # steps taken and not yet charged
+    room = bud.limit - bud.used
+    cands[0] = base[0]
+    i = 0
+    while True:
+        cand = cands[i]
+        if cand:
             low = cand & -cand
-            cand ^= low
+            cands[i] = cand ^ low
             c = low.bit_length() - 1
-            bud.tick(c + 1 - ticked)
-            ticked = c + 1
+            owed += c + 1 - ticked[i]
+            if owed > room:
+                bud.tick(owed)  # raises BudgetExhausted
+            ticked[i] = c + 1
             assigned[i] = c
-            yield from place(i + 1, used | low)
-        if ticked < n:
-            bud.tick(n - ticked)
-
-    yield from place(0, 0)
+            if i == last:
+                bud.tick(owed)
+                owed = 0
+                yield tuple(assigned)
+                room = bud.limit - bud.used
+                continue
+            taken = used[i] | low
+            i += 1
+            cand = base[i] & ~taken
+            for j in earlier_adj[i]:
+                cand &= nbr[assigned[j]]
+            for j in earlier_non[i]:
+                cand &= non[assigned[j]]
+            cands[i] = cand
+            ticked[i] = 0
+            used[i] = taken
+        else:
+            owed += n - ticked[i]
+            if owed > room:
+                bud.tick(owed)  # raises BudgetExhausted
+            if i == 0:
+                break
+            i -= 1
+    if owed:
+        bud.tick(owed)
     return k - assigned.count(-1)
 
 
-# One member of a witness family: its parameters, its witness graph, and its
-# roles as vertex sequences of that graph, which a copy maps into the host.
+Params = tuple[tuple[str, int], ...]
+Roles = tuple[tuple[str, Sequence[int]], ...]
+# One member of a witness family: its parameters, its vertex count and edge
+# list, and a function that builds its witness graph and its roles (vertex
+# sequences of that graph, which a copy maps into the host).  The function
+# runs only when the member is searched.
 Member = tuple[
-    tuple[tuple[str, int], ...], Graph, tuple[tuple[str, Sequence[int]], ...]
+    Params, int, Sequence[tuple[int, int]], Callable[[], tuple[Graph, Roles]]
 ]
+
+
+def _built(params: Params, pattern: Graph, roles: Roles) -> Member:
+    """A member whose witness graph already exists."""
+    return params, pattern.n, pattern.edges, lambda: (pattern, roles)
 
 
 def _first_copy(
@@ -124,21 +174,30 @@ def _first_copy(
     member whose search an earlier member has already failed is charged the
     same steps at once and skipped, unless the charge would exhaust the
     budget: then it runs, so ``BudgetExhausted`` comes at the same step.
+    A member's degrees and earlier neighbours are read from its edge list,
+    and its graph is built only when it runs.
     """
     bud = _default_budget(budget)
     # (degree, earlier-neighbour mask) of vertices 0..d -> steps of that search
     failed: dict[tuple[tuple[int, int], ...], int] = {}
-    for params, pattern, roles in family:
-        if pattern.n > g.n:
+    for params, k, edges, build in family:
+        if k > g.n:
             continue  # no copy, and the engine charges nothing
-        sig = tuple(
-            (pattern.degree(i), pattern.neighbor_mask(i) & ((1 << i) - 1))
-            for i in pattern.vertices
-        )
+        degree = [0] * k
+        earlier = [0] * k
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+            if u < v:
+                earlier[v] |= 1 << u
+            else:
+                earlier[u] |= 1 << v
+        sig = tuple(zip(degree, earlier))
         steps = next((s for key, s in failed.items() if sig[: len(key)] == key), None)
         if steps is not None and steps <= bud.limit - bud.used:
             bud.tick(steps)
             continue
+        pattern, roles = build()
         start = bud.used
         maps = iter_induced_maps(g, pattern, bud)
         try:
@@ -155,9 +214,7 @@ def _first_copy(
     return None
 
 
-def _numbered(
-    prefix: str, seqs: Sequence[Sequence[int]]
-) -> tuple[tuple[str, Sequence[int]], ...]:
+def _numbered(prefix: str, seqs: Sequence[Sequence[int]]) -> Roles:
     return tuple((f"{prefix}{i+1}", seq) for i, seq in enumerate(seqs))
 
 
@@ -170,7 +227,7 @@ def find_induced(
     """Lexicographically first induced copy of an explicit pattern graph."""
     if pattern.n > max_pattern:
         raise CapExceeded(f"pattern has {pattern.n} vertices, cap {max_pattern}")
-    member: Member = (("n", pattern.n),), pattern, (("mapping", range(pattern.n)),)
+    member = _built((("n", pattern.n),), pattern, (("mapping", range(pattern.n)),))
     return _first_copy(g, "induced", [member], budget)
 
 
@@ -199,6 +256,10 @@ def _length_triples(
                 yield l1, l2, total - l1 - l2
 
 
+def _length_params(lengths: tuple[int, int, int]) -> Params:
+    return tuple(zip(("l1", "l2", "l3"), lengths))
+
+
 def find_t_theta(
     g: Graph, t: int, budget: Optional[Budget] = None
 ) -> Optional[PatternMatch]:
@@ -207,12 +268,15 @@ def find_t_theta(
     if t < 2:
         raise ValueError("thetas need t >= 2")
 
+    def build(lengths: tuple[int, int, int]) -> tuple[Graph, Roles]:
+        wit = theta(*lengths)
+        return wit.graph, (("ends", wit.ends), *_numbered("path", wit.paths))
+
     def family() -> Iterator[Member]:
         # a theta has l1 + l2 + l3 - 1 vertices
-        for l1, l2, l3 in _length_triples(t, g.n + 1, floor2=True):
-            wit = theta(l1, l2, l3)
-            roles = (("ends", wit.ends), *_numbered("path", wit.paths))
-            yield (("l1", l1), ("l2", l2), ("l3", l3)), wit.graph, roles
+        for lengths in _length_triples(t, g.n + 1, floor2=True):
+            n, edges, _ = _theta_shape(*lengths)
+            yield _length_params(lengths), n, edges, partial(build, lengths)
 
     return _first_copy(g, "theta", family(), budget)
 
@@ -225,18 +289,22 @@ def find_t_pyramid(
     if t < 1:
         raise ValueError("pyramids need t >= 1")
 
+    def build(lengths: tuple[int, int, int]) -> tuple[Graph, Roles]:
+        wit = pyramid(*lengths)
+        roles = (
+            ("apex", (wit.apex,)),
+            ("triangle", wit.triangle),
+            *_numbered("path", wit.paths),
+        )
+        return wit.graph, roles
+
     def family() -> Iterator[Member]:
         # a pyramid has l1 + l2 + l3 + 1 vertices
-        for l1, l2, l3 in _length_triples(t, g.n - 1, floor2=False):
-            if l2 < 2:  # l1 = l2 = 1: two single-edge paths
+        for lengths in _length_triples(t, g.n - 1, floor2=False):
+            if lengths[1] < 2:  # l1 = l2 = 1: two single-edge paths
                 continue
-            wit = pyramid(l1, l2, l3)
-            roles = (
-                ("apex", (wit.apex,)),
-                ("triangle", wit.triangle),
-                *_numbered("path", wit.paths),
-            )
-            yield (("l1", l1), ("l2", l2), ("l3", l3)), wit.graph, roles
+            n, edges, _ = _pyramid_shape(*lengths)
+            yield _length_params(lengths), n, edges, partial(build, lengths)
 
     return _first_copy(g, "pyramid", family(), budget)
 
@@ -247,7 +315,7 @@ def find_subdivided_claw(
     """Induced copy of the three-legged spider with the given leg lengths;
     the root is matched first."""
     wit = subdivided_claw(t1, t2, t3)
-    member: Member = (
+    member = _built(
         (("t1", t1), ("t2", t2), ("t3", t3)),
         wit.graph,
         (("root", (wit.root,)), *_numbered("leg", wit.legs)),
@@ -384,7 +452,7 @@ def find_line_of_subdivided_wall(
                     base, {e: lengths[i] + 1 for i, e in enumerate(base.edges)}
                 )
                 roles = (("mapping", range(total)),)
-                yield (("k", k), ("edges", total)), line_graph(sub), roles
+                yield _built((("k", k), ("edges", total)), line_graph(sub), roles)
 
     return _first_copy(g, "line_of_subdivided_wall", family(), bud)
 

@@ -114,6 +114,12 @@ def subdivided_claw(t1: int, t2: int, t3: int) -> ClawWitness:
     return ClawWitness(Graph(nxt, edges), 0, tuple(legs))
 
 
+# A witness graph before it is built: vertex count, edge list, and its paths
+# as vertex sequences.  The family detectors read a member's shape and build
+# its graph only when they search it.
+_Shape = tuple[int, list[tuple[int, int]], tuple[tuple[int, ...], ...]]
+
+
 @dataclass(frozen=True)
 class ThetaWitness:
     graph: Graph
@@ -123,19 +129,33 @@ class ThetaWitness:
 
 def theta(l1: int, l2: int, l3: int) -> ThetaWitness:
     """Two vertices joined by three internally disjoint paths, lengths >= 2."""
+    n, edges, paths = _theta_shape(l1, l2, l3)
+    return ThetaWitness(Graph(n, edges), (0, 1), paths)
+
+
+def _theta_shape(l1: int, l2: int, l3: int) -> _Shape:
+    """Vertex count, edge list and paths of ``theta(l1, l2, l3)``."""
     if min(l1, l2, l3) < 2:
         raise ValueError("theta paths must have length at least 2")
-    a, b = 0, 1
-    nxt = 2
-    edges: list[tuple[int, int]] = []
+    return _joined_paths(0, (1, 1, 1), (l1, l2, l3), 2, [])
+
+
+def _joined_paths(
+    start: int,
+    ends: Sequence[int],
+    lengths: Sequence[int],
+    nxt: int,
+    edges: list[tuple[int, int]],
+) -> _Shape:
+    """Add a path of each length from start to the matching end, numbering
+    the inner vertices from nxt on: (vertex count, edges, paths)."""
     paths: list[tuple[int, ...]] = []
-    for ell in (l1, l2, l3):
-        inner = list(range(nxt, nxt + ell - 1))
+    for end, ell in zip(ends, lengths):
+        chain = [start, *range(nxt, nxt + ell - 1), end]
         nxt += ell - 1
-        chain = [a] + inner + [b]
         edges.extend(zip(chain, chain[1:]))
         paths.append(tuple(chain))
-    return ThetaWitness(Graph(nxt, edges), (a, b), tuple(paths))
+    return nxt, edges, tuple(paths)
 
 
 @dataclass(frozen=True)
@@ -148,22 +168,17 @@ class PyramidWitness:
 
 def pyramid(l1: int, l2: int, l3: int) -> PyramidWitness:
     """Apex joined to a triangle by three paths, at most one of length one."""
+    n, edges, paths = _pyramid_shape(l1, l2, l3)
+    return PyramidWitness(Graph(n, edges), 0, (1, 2, 3), paths)
+
+
+def _pyramid_shape(l1: int, l2: int, l3: int) -> _Shape:
+    """Vertex count, edge list and paths of ``pyramid(l1, l2, l3)``."""
     if min(l1, l2, l3) < 1:
         raise ValueError("pyramid paths must have length at least 1")
     if sorted((l1, l2, l3))[1] < 2:
         raise ValueError("at least two pyramid paths must have length >= 2")
-    apex = 0
-    tri = (1, 2, 3)
-    nxt = 4
-    edges = [(1, 2), (1, 3), (2, 3)]
-    paths: list[tuple[int, ...]] = []
-    for corner, ell in zip(tri, (l1, l2, l3)):
-        inner = list(range(nxt, nxt + ell - 1))
-        nxt += ell - 1
-        chain = [apex] + inner + [corner]
-        edges.extend(zip(chain, chain[1:]))
-        paths.append(tuple(chain))
-    return PyramidWitness(Graph(nxt, edges), apex, tri, tuple(paths))
+    return _joined_paths(0, (1, 2, 3), (l1, l2, l3), 4, [(1, 2), (1, 3), (2, 3)])
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
-"""The bitmask engine against the per-candidate loop it replaced: the same
-mappings in the same order, the same budget ticks, and the same prefix of
-mappings before `BudgetExhausted` under every limit."""
+"""The engine against two references: the per-candidate loop of the first
+engine, and the recursive bitmask engine that the one-loop engine replaced.
+Both must give the same mappings in the same order, the same budget ticks,
+and the same prefix of mappings before `BudgetExhausted` under every limit;
+the recursive one also the same return value, the same `Budget.used` at every
+yield, and the same outcome when the caller ticks the budget between yields."""
 
-from typing import Iterator
+from typing import Generator, Iterator, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
 from twcert.config import Budget
-from twcert.detect import iter_induced_maps
+from twcert.detect import _default_budget, iter_induced_maps
 from twcert.graphs import BudgetExhausted, Graph
 
 
@@ -107,3 +110,102 @@ def test_engine_ticks_match_reference(g, pattern, data):
         cut = _prefix_lengths(ref_ledger)[limit]
         assert _until_exhausted(iter_induced_maps, g, pattern, limit) == maps[:cut]
         assert _until_exhausted(reference_maps, g, pattern, limit) == maps[:cut]
+
+
+def recursive_maps(
+    g: Graph, pattern: Graph, budget: Optional[Budget] = None
+) -> Generator[tuple[int, ...], None, Optional[int]]:
+    """The bitmask engine as it was before the one-loop rewrite: a chain of
+    recursive generators ticking the budget once per candidate."""
+    bud = _default_budget(budget)
+    n, k = g.n, pattern.n
+    if k > n:
+        return None
+    nbr = [g.neighbor_mask(v) for v in g.vertices]
+    # at_least[d]: host vertices of degree >= d, for every pattern degree d
+    at_least = [0] * (max(g.max_degree(), pattern.max_degree()) + 1)
+    for v in g.vertices:
+        at_least[g.degree(v)] |= 1 << v
+    for d in range(len(at_least) - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    base = [at_least[pattern.degree(i)] for i in range(k)]
+    earlier_adj = [[j for j in range(i) if pattern.has_edge(i, j)] for i in range(k)]
+    earlier_non = [
+        [j for j in range(i) if not pattern.has_edge(i, j)] for i in range(k)
+    ]
+    # assigned[i] stays -1 until some branch places pattern vertex i
+    assigned = [-1] * k
+
+    def place(i: int, used: int) -> Iterator[tuple[int, ...]]:
+        if i == k:
+            yield tuple(assigned)
+            return
+        cand = base[i] & ~used
+        for j in earlier_adj[i]:
+            cand &= nbr[assigned[j]]
+        for j in earlier_non[i]:
+            cand &= ~nbr[assigned[j]]
+        ticked = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            c = low.bit_length() - 1
+            bud.tick(c + 1 - ticked)
+            ticked = c + 1
+            assigned[i] = c
+            yield from place(i + 1, used | low)
+        if ticked < n:
+            bud.tick(n - ticked)
+
+    yield from place(0, 0)
+    return k - assigned.count(-1)
+
+
+def _drive(engine, g: Graph, pattern: Graph, limit: int, extra=()):
+    """Run the engine under `Budget(limit)`, ticking `extra[i]` after the
+    i-th mapping (cycling).  Returns each mapping with `Budget.used` right
+    after it came out, then how the run ended with `Budget.used` then: the
+    generator's return value, or `BudgetExhausted`."""
+    budget = Budget(limit)
+    maps = engine(g, pattern, budget)
+    got = []
+    try:
+        while True:
+            try:
+                mapping = next(maps)
+            except StopIteration as done:
+                return got, ("returned", done.value), budget.used
+            got.append((mapping, budget.used))
+            if extra:
+                budget.tick(extra[(len(got) - 1) % len(extra)])
+    except BudgetExhausted:
+        return got, BudgetExhausted, budget.used
+
+
+@given(graphs(max_n=7), graphs(min_n=0, max_n=5))
+@settings(max_examples=100, deadline=None)
+def test_engine_matches_recursive_reference_under_every_limit(g, pattern):
+    full = _drive(iter_induced_maps, g, pattern, 10**9)
+    assert full == _drive(recursive_maps, g, pattern, 10**9)
+    for limit in range(full[2]):
+        assert _drive(iter_induced_maps, g, pattern, limit) == _drive(
+            recursive_maps, g, pattern, limit
+        )
+
+
+@given(
+    graphs(max_n=8),
+    graphs(min_n=0, max_n=5),
+    st.lists(st.integers(0, 20), min_size=1, max_size=4),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_caller_ticks_between_yields_match_recursive_reference(
+    g, pattern, extra, data
+):
+    full = _drive(iter_induced_maps, g, pattern, 10**9, extra)
+    assert full == _drive(recursive_maps, g, pattern, 10**9, extra)
+    limit = data.draw(st.integers(0, full[2]), label="limit")
+    assert _drive(iter_induced_maps, g, pattern, limit, extra) == _drive(
+        recursive_maps, g, pattern, limit, extra
+    )
