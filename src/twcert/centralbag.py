@@ -32,21 +32,21 @@ from .weights import WeightFunction, check_balance_parameter
 class Separation:
     """An ordered triple (A, C, B): disjoint, covering, A anticomplete to B.
 
-    Canonical separations carry their center (the generating set) and an
-    anchor vertex inside the center that will collect the A-side weight.
-    `__post_init__` also stores each side as a vertex bitmask, `a_mask`,
-    `c_mask` and `b_mask`, which the relations and the central bag work on:
-    the init-only `masks` when a constructor already has them (they must be
-    the masks of the tuples), else built from the tuples.  They are not
-    dataclass fields, so equality, hashing and `repr` still see only the
+    Every separation carries its center (the generating set) and an anchor
+    vertex inside the center that will collect the A-side weight; both are
+    required.  `__post_init__` also stores each side as a vertex bitmask,
+    `a_mask`, `c_mask` and `b_mask`, which the relations and the central bag
+    work on: the init-only `masks` when a constructor already has them (they
+    must be the masks of the tuples), else built from the tuples.  They are
+    not dataclass fields, so equality, hashing and `repr` still see only the
     tuples.
     """
 
     a: tuple[int, ...]
     c: tuple[int, ...]
     b: tuple[int, ...]
-    center: Optional[tuple[int, ...]] = None
-    anchor: Optional[int] = None
+    center: tuple[int, ...]
+    anchor: int
     masks: InitVar[Optional[tuple[int, int, int]]] = None
 
     def __post_init__(self, masks: Optional[tuple[int, int, int]]) -> None:
@@ -56,34 +56,8 @@ class Separation:
         object.__setattr__(self, "c_mask", masks[1])
         object.__setattr__(self, "b_mask", masks[2])
 
-    def validate(self, g: Graph) -> None:
-        parts = (set(self.a), set(self.c), set(self.b))
-        if parts[0] | parts[1] | parts[2] != set(range(g.n)):
-            raise ValueError("separation does not cover the vertex set")
-        if len(self.a) + len(self.c) + len(self.b) != g.n:
-            raise ValueError("separation parts overlap")
-        if not g.is_anticomplete(self.a, self.b):
-            raise ValueError("A side has an edge to B side")
-        if self.anchor is not None and self.anchor not in self.c:
-            raise ValueError("anchor must lie in the cut")
-        if self.center is not None and not set(self.center) <= set(self.c):
-            raise ValueError("center must lie in the cut")
-
-    @property
-    def bc_union(self) -> tuple[int, ...]:
-        return tuple(sorted(self.b + self.c))
-
     def skew(self, w: WeightFunction) -> tuple[Fraction, Fraction]:
         return w.of(self.a), w.of(self.b)
-
-    def restricted(self, domain: set[int]) -> "Separation":
-        return Separation(
-            a=tuple(v for v in self.a if v in domain),
-            c=tuple(v for v in self.c if v in domain),
-            b=tuple(v for v in self.b if v in domain),
-            center=self.center,
-            anchor=self.anchor,
-        )
 
 
 class DegenerateSeparation(ValueError):
@@ -149,10 +123,6 @@ class RelationFlags:
     loosely_non_crossing: bool
     a_non_crossing: bool
     a_loosely_non_crossing: bool
-
-    @property
-    def crossing(self) -> bool:
-        return not self.loosely_non_crossing
 
 
 def relation(s1: Separation, s2: Separation) -> RelationFlags:
@@ -222,8 +192,6 @@ class SeparationSequence:
         counts: dict[int, int] = {}
         t = 0
         for s in self.separations:
-            if s.anchor is None:
-                raise ValueError("sequence member lacks an anchor")
             counts[s.anchor] = counts.get(s.anchor, 0) + 1
             t = max(t, g.diameter_of_mask(s.c_mask))
         return (max(counts.values(), default=0), t)
@@ -410,10 +378,7 @@ def central_bag(
         admitted: list[int] = []
         drops: list[DropRecord] = []
         for i in cls:
-            center = members[i].center
-            if center is None:
-                raise ValueError("covering-sequence members must carry centers")
-            center_mask = mask_of(center)
+            center_mask = mask_of(members[i].center)
             if not center_mask & ~bag:
                 admitted.append(i)
             else:
@@ -441,7 +406,6 @@ def central_bag(
             fresh = sum(weights[v] for v in bits(a_prev & ~seen_a))
             seen_a |= a_prev
             anchor = members[i].anchor
-            assert anchor is not None
             if bag >> anchor & 1:
                 new_weights[anchor] = new_weights[anchor] + fresh
             else:
@@ -495,8 +459,7 @@ def audit_is_complete(
             if not is_shield(members[d.witness], members[d.index]):
                 return False
         elif d.reason == "center_hit":
-            center = members[d.index].center or ()
-            if not mask_of(center) & members[d.witness].a_mask:
+            if not mask_of(members[d.index].center) & members[d.witness].a_mask:
                 return False
         else:
             return False
@@ -573,7 +536,7 @@ def check_bag_separator_transfer(
     checks: list[ConditionalCheck] = []
 
     # heavy-side conclusion: every canonical separation has w(B) > c
-    hyp = no_sep and d >= gamma_t1 and all(s.center is not None for s in members)
+    hyp = no_sep and d >= gamma_t1
     concl = all(w.of(s.b) > c for s in members) if members else True
     checks.append(
         ConditionalCheck(

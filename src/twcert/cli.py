@@ -2,7 +2,8 @@
 
 Subcommands: gen, detect, tw, sep, centralbag, decompose, verify, recheck.
 Exit codes: 0 all-pass / found, 1 any-fail / absent, 2 budget or hypothesis
-unmet, 64 usage error.  Every run that produces verdicts can write a
+unmet, 64 usage error (a malformed input, or a path that cannot be opened,
+read or written).  Every run that produces verdicts can write a
 certificate JSON whose pass/fail entries re-validate from their witnesses.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Optional, TypeVar
+from typing import Any, Callable, Optional, TextIO, TypeVar
 
 from .centralbag import run_master_pipeline
 from .certify import (
@@ -71,21 +72,23 @@ USAGE_ERROR = 64
 T = TypeVar("T")
 
 
-def _load_json(path: str, build: Callable[[Any], T], **load_kw: Any) -> T:
-    """Build objects from a JSON input file.  A file of the wrong shape is a
-    usage error that names the file (exit 64), never a traceback."""
+def _load_file(path: str, parse: Callable[[TextIO], T]) -> T:
+    """Parse an input file.  A file of the wrong shape is a usage error that
+    names the file (exit 64), never a traceback."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, **load_kw)
-        return build(data)
+            return parse(fh)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed input: {exc!r}") from exc
 
 
+def _load_json(path: str, build: Callable[[Any], T], **load_kw: Any) -> T:
+    return _load_file(path, lambda fh: build(json.load(fh, **load_kw)))
+
+
 def _load_graph(path: str) -> Graph:
     if path.endswith(".gr"):
-        with open(path, "r", encoding="utf-8") as fh:
-            return read_gr(fh)
+        return _load_file(path, read_gr)
     return _load_json(path, graph_from_json)
 
 
@@ -335,7 +338,7 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "a": list(s.a),
                 "c": list(s.c),
                 "b": list(s.b),
-                "center": list(s.center or ()),
+                "center": list(s.center),
                 "anchor": s.anchor,
                 "skew": [str(x) for x in s.skew(w)],
             }
@@ -564,12 +567,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        return COMMANDS[args.command](args, cfg)
-    except (BudgetExhausted, CapExceeded) as exc:
-        _dump_json({"status": "budget", "detail": str(exc)}, args.output)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        try:
+            return COMMANDS[args.command](args, cfg)
+        except (BudgetExhausted, CapExceeded) as exc:
+            _dump_json({"status": "budget", "detail": str(exc)}, args.output)
+            return 2
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"file error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

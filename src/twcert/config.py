@@ -83,10 +83,12 @@ class Budget:
     filter keeps it or not.  The engine charges its ticks in batches, before
     every mapping it yields, at its end and as soon as they would exceed
     ``limit``, so ``used`` is exact at every yield, at the end and at
-    exhaustion.  ``find_creature`` ticks once per search node.  In a family
-    search, a member whose search an earlier member has already failed is
-    charged the same steps at once and its graph is never built
-    (``detect._first_copy``).  Exceeding ``limit`` raises ``BudgetExhausted``.
+    exhaustion.  ``find_creature`` ticks once per path prefix it extends
+    while enumerating the induced paths, then once per node of its
+    path-tuple search.  In a family search, a member whose search an earlier
+    member has already failed is charged the same steps at once and its
+    graph is never built (``detect._first_copy``).  Exceeding ``limit``
+    raises ``BudgetExhausted``.
     """
 
     __slots__ = ("limit", "used")

@@ -85,10 +85,6 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdReport:
     return TdReport(not problems, td.width, tuple(problems))
 
 
-def single_bag_td(g: Graph) -> TreeDecomposition:
-    return TreeDecomposition(bags=(tuple(range(g.n)),), tree_edges=())
-
-
 # -- elimination orderings -------------------------------------------------------
 
 
@@ -218,12 +214,6 @@ def chordal_td(g: Graph) -> TreeDecomposition:
         assert hole is not None
         raise NotChordal(hole)
     return td
-
-
-def is_chordal(g: Graph) -> bool:
-    """Chordal exactly when the MCS order is a perfect elimination ordering,
-    i.e. eliminating along it adds no fill edge."""
-    return not eliminate(g, along(maximum_cardinality_search(g)))[1]
 
 
 # -- thickened circular-interval decompositions ---------------------------------

@@ -30,12 +30,6 @@ class PatternMatch:
     image: tuple[int, ...]
     roles: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
-    def role(self, name: str) -> tuple[int, ...]:
-        for key, value in self.roles:
-            if key == name:
-                return value
-        raise KeyError(name)
-
 
 def _default_budget(budget: Optional[Budget]) -> Budget:
     return budget if budget is not None else Budget(RunConfig.search_budget)
@@ -326,28 +320,38 @@ def find_subdivided_claw(
 # -- creatures -----------------------------------------------------------------
 
 
-def _directed_induced_paths(g: Graph, t: int) -> list[tuple[int, ...]]:
-    """All induced paths on t+1 vertices as tuples (joint end first)."""
+def _directed_induced_paths(
+    g: Graph, t: int, budget: Optional[Budget] = None
+) -> list[tuple[int, ...]]:
+    """All induced paths on t+1 vertices as tuples (joint end first).
+
+    Depth first over path prefixes on an explicit stack of neighbour
+    iterators, so t costs no recursion depth.  Each prefix extended by one
+    vertex is one step of `budget`, when one is given.
+    """
     if t == 0:
         return [(v,) for v in g.vertices]
+    tick = budget.tick if budget is not None else lambda: None
     out: list[tuple[int, ...]] = []
-
-    def grow(path: list[int], used: int) -> None:
-        if len(path) == t + 1:
-            out.append(tuple(path))
-            return
-        tail = path[-1]
-        for w in g.neighbors(tail):
-            if used >> w & 1:
-                continue
-            if g.neighbor_mask(w) & used & ~(1 << tail):
-                continue
-            path.append(w)
-            grow(path, used | 1 << w)
-            path.pop()
-
     for v in g.vertices:
-        grow([v], 1 << v)
+        path = [v]
+        used = 1 << v
+        stack = [iter(g.neighbors(v))]
+        while stack:
+            for w in stack[-1]:
+                if used >> w & 1 or g.neighbor_mask(w) & used & ~(1 << path[-1]):
+                    continue
+                tick()
+                if len(path) == t:
+                    out.append((*path, w))
+                    continue
+                path.append(w)
+                used |= 1 << w
+                stack.append(iter(g.neighbors(w)))
+                break
+            else:
+                stack.pop()
+                used &= ~(1 << path.pop())
     return sorted(out)
 
 
@@ -378,7 +382,7 @@ def find_creature(
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
     bud = _default_budget(budget)
-    paths = _directed_induced_paths(g, t)
+    paths = _directed_induced_paths(g, t, bud)
     full = g.full_mask()
 
     def body_for(chosen: list[tuple[int, ...]]) -> Optional[tuple[int, ...]]:

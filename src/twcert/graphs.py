@@ -179,9 +179,6 @@ class Graph:
         allowed = self.full_mask() if s is None else mask_of(self._check_vertices(s))
         return [tuple(bits(c)) for c in self.component_masks(allowed)]
 
-    def is_connected_set(self, s: Iterable[int]) -> bool:
-        return self.is_connected_mask(mask_of(self._check_vertices(s)))
-
     def is_connected_mask(self, mask: int) -> bool:
         """Whether the vertices of `mask` induce a connected subgraph; the
         empty set is not connected."""
@@ -210,18 +207,15 @@ class Graph:
             frontier = nxt
         return dist
 
-    def diameter_of(self, s: Iterable[int]) -> int:
-        """Max distance in the whole graph between two vertices of s.
-
-        One mask BFS per vertex u of s, stopped at the round that reaches the
-        last vertex of s: that round's depth is u's eccentricity within s.
-        The cost is |s| searches, each only as deep as that eccentricity.
-        """
-        return self.diameter_of_mask(mask_of(self._check_vertices(s)))
-
     def diameter_of_mask(self, target: int) -> int:
-        """`diameter_of` for the vertices of `target`, which must be vertices
-        of the graph."""
+        """Max distance in the whole graph between two vertices of `target`,
+        which must be vertices of the graph.
+
+        One mask BFS per vertex u of the target, stopped at the round that
+        reaches its last vertex: that round's depth is u's eccentricity within
+        the target.  The cost is one search per vertex, each only as deep as
+        that eccentricity.
+        """
         best = 0
         for u in bits(target):
             seen = frontier = 1 << u
@@ -262,10 +256,6 @@ class Graph:
     def is_clique(self, s: Iterable[int]) -> bool:
         vs = self._check_vertices(s)
         return all(self.has_edge(u, v) for u, v in combinations(vs, 2))
-
-    def is_anticomplete(self, x: Iterable[int], y: Iterable[int]) -> bool:
-        my = mask_of(y)
-        return all(not self._masks[v] & my for v in x)
 
 
 # -- derived constructions ------------------------------------------------

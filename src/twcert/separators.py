@@ -37,10 +37,6 @@ class SeparatorCertificate:
     c: Fraction
     component_weights: tuple[tuple[tuple[int, ...], Fraction], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.separator)
-
 
 def _require_normal(w: WeightFunction) -> None:
     if not w.is_normal():

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 
 from conftest import connected_graphs
 from twcert.centralbag import (
+    RelationFlags,
+    Separation,
     SeparationSequence,
     audit_is_complete,
     canonical_separation,
@@ -34,11 +36,26 @@ from twcert.generators import (
     subdivided_claw,
     wall,
 )
-from twcert.graphs import Graph
+from twcert.graphs import Graph, mask_of
 from twcert.separators import has_balanced_separator_of_size
 from twcert.weights import WeightFunction
 
 HALF = Fraction(1, 2)
+
+
+def assert_separation(g: Graph, s: Separation) -> None:
+    """A, C and B are disjoint and cover g, A is anticomplete to B, and the
+    anchor and the center lie in the cut."""
+    a, c, b = mask_of(s.a), mask_of(s.c), mask_of(s.b)
+    assert a | c | b == g.full_mask()
+    assert len(s.a) + len(s.c) + len(s.b) == g.n
+    assert all(not g.neighbor_mask(v) & b for v in s.a)
+    assert c >> s.anchor & 1
+    assert not mask_of(s.center) & ~c
+
+
+def crossing(flags: RelationFlags) -> bool:
+    return not flags.loosely_non_crossing
 
 
 @pytest.fixture
@@ -55,7 +72,18 @@ def test_canonical_separation_p7(p7):
     assert s.c == (2, 3)
     assert s.a == (4, 5, 6)
     assert s.anchor == 3 and s.center == (3,)
-    s.validate(g)
+    assert_separation(g, s)
+
+
+def test_separation_requires_center_and_anchor():
+    with pytest.raises(TypeError):
+        Separation(a=(0,), c=(1,), b=(2,))
+    with pytest.raises(TypeError):
+        Separation(a=(0,), c=(1,), b=(2,), center=(1,))
+    with pytest.raises(TypeError):
+        Separation(a=(0,), c=(1,), b=(2,), anchor=1)
+    s = Separation(a=(0,), c=(1,), b=(2,), center=(1,), anchor=1)
+    assert_separation(path_graph(3), s)
 
 
 def test_canonical_separation_p3():
@@ -78,7 +106,7 @@ def test_relation_flags(p7):
     assert flags.a_loosely_non_crossing
     assert flags.a_non_crossing
     assert flags.non_crossing and flags.loosely_non_crossing
-    assert not flags.crossing
+    assert not crossing(flags)
 
 
 def test_relation_crossing_witness():
@@ -353,4 +381,4 @@ def test_wall_covering_goodness():
     seq = covering_sequence(g, w, path_graph(1))
     a, t = seq.goodness(g)
     assert a == 1  # every vertex anchors exactly its own separation
-    assert t == max(g.diameter_of(s.c) for s in seq.separations)
+    assert t == max(g.diameter_of_mask(mask_of(s.c)) for s in seq.separations)

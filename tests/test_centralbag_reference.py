@@ -16,6 +16,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import bc_union, restricted
 from twcert.centralbag import (
     SeparationSequence,
     all_pairs,
@@ -82,9 +83,9 @@ def restricted_levels(g, seq, result):
     bag = set(range(g.n))
     out = []
     for cls in result.generator:
-        out.append([seq[i].restricted(bag) for i in cls])
+        out.append([restricted(seq[i], bag) for i in cls])
         for i in cls:
-            bag &= set(seq[i].bc_union)
+            bag &= set(bc_union(seq[i]))
     return out
 
 

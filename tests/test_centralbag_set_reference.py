@@ -3,13 +3,15 @@ set-based code they replaced.
 
 `relation`, `is_shield`, `make_primordial`, `central_bag` and
 `audit_is_complete` once rebuilt sets and masks from the `Separation`
-tuples on every call; they are kept here, verbatim, as the reference (each
-calls the reference copies of the others).  `Separation` now carries
-`a_mask`, `c_mask` and `b_mask`, which the production code reads instead.
-On seeded triples shaped like the `bag-algebra` suite's and on the 3x3 and
-4x4 walls with paths P2-P4, every pairwise relation and shield, the
-primordial reduction and the whole `CentralBagResult`, drops included,
-must be equal.  Restricting a level's A-loose test to the previous bag
+tuples on every call; they are kept here as the reference (each calls the
+reference copies of the others), verbatim but for the set helpers
+`bc_union`, `restricted` and `is_connected_set`, which `Separation` and
+`Graph` no longer have: the first two come from `conftest`, the last is a
+mask test.  `Separation` now carries `a_mask`, `c_mask` and `b_mask`,
+which the production code reads instead.  On seeded triples shaped like the
+`bag-algebra` suite's and on the 3x3 and 4x4 walls with paths P2-P4, every
+pairwise relation and shield, the primordial reduction and the whole
+`CentralBagResult`, drops included, must be equal.  Restricting a level's A-loose test to the previous bag
 changes no flag on that corpus, so one hand-built sequence pins it.
 """
 
@@ -22,6 +24,7 @@ from typing import Sequence
 
 import pytest
 
+from conftest import bc_union, restricted
 from twcert import centralbag as cb
 from twcert.centralbag import (
     CentralBagResult,
@@ -78,7 +81,7 @@ def all_pairs(seps: Sequence[Separation], flag: str) -> bool:
 def is_shield(s1: Separation, s2: Separation) -> bool:
     """s1 shields s2 when B(s1) together with C(s1) fits inside B(s2) + C(s2);
     a shielded separation contributes nothing to the central bag."""
-    return set(s1.bc_union) <= set(s2.bc_union)
+    return set(bc_union(s1)) <= set(bc_union(s2))
 
 
 def make_primordial(
@@ -90,7 +93,7 @@ def make_primordial(
     pairs justifying every drop.
     """
     members = seq.separations
-    bc = [set(s.bc_union) for s in members]
+    bc = [set(bc_union(s)) for s in members]
     minimal: list[int] = []
     for i in range(len(members)):
         if any(bc[j] < bc[i] for j in range(len(members))):
@@ -159,7 +162,7 @@ def central_bag(
 
         prev_bag = set(bag)
         for i in kept:
-            bag &= set(members[i].bc_union)
+            bag &= set(bc_union(members[i]))
         # order-dependent weight rule on the previous bag
         new_weights = {v: weights[v] for v in bag}
         seen_a: set[int] = set()
@@ -179,13 +182,13 @@ def central_bag(
                 escaped += weights[v]
         weights = new_weights
 
-        restricted = [members[i].restricted(prev_bag) for i in kept]
+        cut_down = [restricted(members[i], prev_bag) for i in kept]
         cut_ok = all(set(members[i].c) & prev_bag <= bag for i in kept)
-        connected = g.is_connected_set(tuple(sorted(bag))) if bag else False
+        connected = g.is_connected_mask(mask_of(bag)) if bag else False
         levels.append(
             LevelRecord(
                 restricted_a_loosely_laminar=all_pairs(
-                    restricted, "a_loosely_non_crossing"
+                    cut_down, "a_loosely_non_crossing"
                 ),
                 cut_in_bag=cut_ok,
                 bag_connected=connected,

@@ -3,15 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import connected_graphs
+from conftest import connected_graphs, is_chordal, single_bag_td
 from twcert.decompose import (
     NotChordal,
     TreeDecomposition,
     chordal_td,
     find_hole,
     fuzzy_lci_td,
-    is_chordal,
-    single_bag_td,
     strip_assembly,
     validate_td,
 )

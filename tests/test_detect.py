@@ -1,9 +1,15 @@
+import json
+import sys
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import connected_graphs
+from conftest import connected_graphs, graphs
+from twcert.cli import main
 from twcert.config import Budget
 from twcert.detect import (
+    _directed_induced_paths,
     breaks,
     find_creature,
     find_induced,
@@ -42,7 +48,7 @@ def test_find_induced_semantics():
 def test_find_induced_lexicographic_first():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     hit = find_induced(g, path_graph(3))
-    assert hit.role("mapping") == (0, 1, 2)
+    assert dict(hit.roles)["mapping"] == (0, 1, 2)
 
 
 def test_induced_copies_are_sets_in_order():
@@ -64,7 +70,7 @@ def test_theta_detector():
     assert find_t_theta(theta(3, 3, 3).graph, 3) is not None
     assert find_t_theta(complete_graph(5), 2) is None
     m = find_t_theta(complete_bipartite(2, 3), 2)
-    a, b = m.role("ends")
+    a, b = dict(m.roles)["ends"]
     assert not complete_bipartite(2, 3).has_edge(a, b)
 
 
@@ -80,12 +86,12 @@ def test_subdivided_claw_detector():
     w33 = wall(3, 3)
     hit = find_subdivided_claw(w33, 1, 1, 1)
     assert hit is not None
-    root = hit.role("root")[0]
+    root = dict(hit.roles)["root"][0]
     assert w33.degree(root) == 3
     assert find_subdivided_claw(cycle_graph(3), 1, 1, 1) is None
     s = subdivided_claw(2, 2, 2)
     hit = find_subdivided_claw(s.graph, 2, 2, 2)
-    assert hit.role("root") == (0,)
+    assert dict(hit.roles)["root"] == (0,)
 
 
 def test_creature_detector():
@@ -98,6 +104,79 @@ def test_creature_detector():
     assert find_creature(cycle_graph(3), 3, 0) is None
     wit = creature(4, 2, 2)
     assert find_creature(wit.graph, 4, 2) is not None
+
+
+def recursive_paths(g: Graph, t: int) -> tuple[list[tuple[int, ...]], int]:
+    """The recursive path enumeration the explicit-stack one replaced, with
+    the number of path prefixes it extends."""
+    if t == 0:
+        return [(v,) for v in g.vertices], 0
+    out: list[tuple[int, ...]] = []
+    extended = 0
+
+    def grow(path: list[int], used: int) -> None:
+        nonlocal extended
+        if len(path) == t + 1:
+            out.append(tuple(path))
+            return
+        tail = path[-1]
+        for w in g.neighbors(tail):
+            if used >> w & 1:
+                continue
+            if g.neighbor_mask(w) & used & ~(1 << tail):
+                continue
+            extended += 1
+            path.append(w)
+            grow(path, used | 1 << w)
+            path.pop()
+
+    for v in g.vertices:
+        grow([v], 1 << v)
+    return sorted(out), extended
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_n=1, max_n=9), st.integers(0, 6))
+def test_creature_paths_match_recursive_reference(g, t):
+    want, extended = recursive_paths(g, t)
+    bud = Budget(10**9)
+    assert _directed_induced_paths(g, t, bud) == want
+    assert _directed_induced_paths(g, t) == want  # the oracle's unbudgeted call
+    assert bud.used == extended
+
+
+def test_creature_path_enumeration_is_charged_to_the_budget():
+    # 224,692 induced paths on 15 vertices: the budget stops their
+    # enumeration at the eleventh prefix, before any path tuple is searched
+    bud = Budget(10)
+    with pytest.raises(BudgetExhausted) as exc:
+        find_creature(wall(7, 7), 3, 14, bud)
+    assert bud.used == 11
+    assert exc.traceback[-2].name == "_directed_induced_paths"
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_creature_path_length_needs_no_recursion_depth(tmp_path):
+    # 100 spare frames: a path enumeration one frame deep per vertex would
+    # need 150 more
+    g, out = tmp_path / "cat.json", tmp_path / "det.json"
+    assert main(["gen", "caterpillar", "--spine", "200", "-o", str(g)]) == 0
+    argv = ["detect", "--pattern", "creature", "--k", "1", "--t", "150",
+            "-i", str(g), "-o", str(out)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        code = main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert len(json.loads(out.read_text())["paths"][0]) == 151
 
 
 def test_wall_line_detector():

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import graphs, is_chordal
 from twcert.decompose import (
     NotChordal,
     TreeDecomposition,
     along,
     chordal_td,
     eliminate,
-    is_chordal,
     maximum_cardinality_search,
 )
 from twcert.graphs import Graph, bits, mask_of

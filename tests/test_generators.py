@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import anticomplete
 from twcert.generators import (
     CaterpillarSpec,
     CircularIntervalModel,
@@ -115,7 +116,7 @@ def test_creature_witnesses():
             for v in p[1:]:
                 assert not any(wit.graph.has_edge(v, b) for b in body)
         for p1, p2 in combinations(wit.paths, 2):
-            assert wit.graph.is_anticomplete(p1, p2)
+            assert anticomplete(wit.graph, p1, p2)
 
 
 def test_circular_interval_c5():

@@ -3,10 +3,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
+from conftest import anticomplete, graphs
 from twcert.graphs import (
     Graph,
     clique_number,
+    mask_of,
     full_subdivision,
     line_graph,
     subdivide,
@@ -74,9 +75,9 @@ def test_components_partition_and_anticomplete(g):
     assert sorted(seen) == list(range(g.n))
     for comp in comps:
         if len(comp) > 1:
-            assert g.is_connected_set(comp)
+            assert g.is_connected_mask(mask_of(comp))
     for c1, c2 in combinations(comps, 2):
-        assert g.is_anticomplete(c1, c2)
+        assert anticomplete(g, c1, c2)
 
 
 def test_line_graph_small_cases():

@@ -107,9 +107,28 @@ def test_cli_sep(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["separation_number"] == 1
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     assert main(["detect", "--pattern", "induced", "-i", "missing.json"]) == 64
     assert main(["verify", "not-a-suite"]) == 64
+    # a path that cannot be read or written is a usage error that names it
+    g = tmp_path / "g.json"
+    assert main(["gen", "wall", "--n", "4", "--m", "4", "-o", str(g)]) == 0
+    conf = tmp_path / "tiny.conf"
+    conf.write_text("search_budget=10\n")
+    folder = str(tmp_path)
+    missing = str(tmp_path / "absent" / "a.json")
+    for argv, named in [
+        (["tw", "-i", folder], folder),
+        (["tw", "-i", str(g), "-o", folder], folder),
+        (["gen", "wall", "-o", folder], folder),
+        (["verify", "anchors", "-o", missing], missing),
+        # the budget handler's own output write
+        (["--config", str(conf), "detect", "--pattern", "theta", "--t", "2",
+          "-i", str(g), "-o", folder], folder),
+    ]:
+        capsys.readouterr()
+        assert main(argv) == 64, argv
+        assert named in capsys.readouterr().err, argv
 
 
 def test_cli_centralbag_certificate(tmp_path):

@@ -129,7 +129,7 @@ def check_against_reference(g: Graph, c: Fraction, seed: int) -> None:
         assert min_balanced_separator(
             g, w, c, max_size=1, cap=g.n
         ) == ref_min_balanced_separator(g, w, c, max_size=1)
-        uniform_k = max(uniform_k, ref.size)
+        uniform_k = max(uniform_k, len(ref.separator))
     assert uniform_k == separation_number(g, c, cap=g.n)
     report = ref_harvey_wood(g, c, seed, uniform_k)
     assert harvey_wood_check(g, c, seed=seed, cap=g.n) == report

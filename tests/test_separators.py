@@ -57,7 +57,7 @@ def test_min_balanced_separator_values():
     assert cert.separator == (2,)
     k6 = complete_graph(6)
     cert = min_balanced_separator(k6, WeightFunction.uniform(k6), HALF)
-    assert cert.size == 3  # a K3 remainder weighs exactly 1/2
+    assert len(cert.separator) == 3  # a K3 remainder weighs exactly 1/2
     # the lone component of a single vertex weighs 1 > c, so the vertex
     # itself is the minimum separator
     single = Graph(1, [])
@@ -70,7 +70,7 @@ def test_min_separator_is_minimum_and_lex_first():
     g = cycle_graph(6)
     u = WeightFunction.uniform(g)
     cert = min_balanced_separator(g, u, HALF)
-    assert cert.size == 2
+    assert len(cert.separator) == 2
     # no size-1 separator exists; the lexicographically first pair wins
     for v in g.vertices:
         assert not is_balanced_separator(g, u, HALF, [v])

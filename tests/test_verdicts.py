@@ -139,21 +139,26 @@ def _null_weights(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, text",
+    "argv, text, suffix",
     [
-        (["centralbag", "-i", "WALL22", "--pattern", "P2", "--weights", "FILE"], None),
-        (["decompose", "--method", "lci", "-i", "FILE"], "{}"),
-        (["decompose", "--method", "strip", "-i", "FILE"], "{}"),
-        (["tw", "-i", "FILE"], '{"n": null, "edges": []}'),
-        (["tw", "-i", "FILE"], '{"n": 3, "edges": [[0, "a"]]}'),
-        (["recheck", "-i", "FILE"], "[]"),
-        (["recheck", "-i", "FILE"], "{}"),  # not a certificate: no assertions list
+        (["centralbag", "-i", "WALL22", "--pattern", "P2", "--weights", "FILE"], None, ".json"),
+        (["decompose", "--method", "lci", "-i", "FILE"], "{}", ".json"),
+        (["decompose", "--method", "strip", "-i", "FILE"], "{}", ".json"),
+        (["tw", "-i", "FILE"], '{"n": null, "edges": []}', ".json"),
+        (["tw", "-i", "FILE"], '{"n": 3, "edges": [[0, "a"]]}', ".json"),
+        (["recheck", "-i", "FILE"], "[]", ".json"),
+        (["recheck", "-i", "FILE"], "{}", ".json"),  # not a certificate: no assertions list
+        (["tw", "-i", "FILE"], "p tw 3 1\n1\n", ".gr"),  # one endpoint
+        (["tw", "-i", "FILE"], "1 2\n", ".gr"),  # no header
+        (["tw", "-i", "FILE"], "p tw 2 1\n1 x\n", ".gr"),
+        (["centralbag", "-i", "WALL22", "--pattern", "FILE"], "p tw 2 1\n1 3\n", ".gr"),
     ],
     ids=["null-weight", "lci-empty", "strip-empty", "null-n", "string-vertex",
-         "recheck-list", "recheck-empty"],
+         "recheck-list", "recheck-empty", "gr-one-endpoint", "gr-no-header",
+         "gr-non-integer", "gr-pattern-out-of-range"],
 )
-def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, argv, text):
-    path = tmp_path / "input.json"
+def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, argv, text, suffix):
+    path = tmp_path / f"input{suffix}"
     path.write_text(_null_weights(tmp_path) if text is None else text)
     files = {"FILE": str(path), "WALL22": _wall(tmp_path, 2, 2), "P2": _p2(tmp_path)}
     out = tmp_path / "out.json"
