@@ -117,45 +117,26 @@ def clique_separation(g: Graph, w: WeightFunction, k: Iterable[int]) -> Separati
 # -- pairwise relations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationFlags:
-    non_crossing: bool
-    loosely_non_crossing: bool
-    a_non_crossing: bool
-    a_loosely_non_crossing: bool
-
-
-def relation(s1: Separation, s2: Separation) -> RelationFlags:
-    """Evaluate every emptiness pattern between two separations.
-
-    The symmetric variants may exchange the roles of A and B on either side;
-    the A-variants keep the stored skew convention fixed.
-    """
-    a1, c1, b1 = s1.a_mask, s1.c_mask, s1.b_mask
-    a2, c2, b2 = s2.a_mask, s2.c_mask, s2.b_mask
-    a_loose = not (a1 & c2) and not (a2 & c1)
-    a_non = a_loose and not (a1 & a2)
-    loose = False
-    non = False
-    for x1 in (a1, b1):
-        for x2 in (a2, b2):
-            if not (x1 & c2) and not (x2 & c1):
-                loose = True
-                if not (x1 & x2):
-                    non = True
-    return RelationFlags(
-        non_crossing=non,
-        loosely_non_crossing=loose,
-        a_non_crossing=a_non,
-        a_loosely_non_crossing=a_loose,
+def is_laminar(seps: Sequence[Separation]) -> bool:
+    """Every pair is non-crossing: some side of the one and some side of the
+    other, each side A or B, are disjoint and each misses the other's cut."""
+    return all(
+        any(
+            not (x1 & s2.c_mask or x2 & s1.c_mask or x1 & x2)
+            for x1 in (s1.a_mask, s1.b_mask)
+            for x2 in (s2.a_mask, s2.b_mask)
+        )
+        for s1, s2 in combinations(seps, 2)
     )
 
 
-def all_pairs(seps: Sequence[Separation], flag: str) -> bool:
-    """Whether every pair of the separations has the `RelationFlags` field
-    `flag` set: "non_crossing" tests laminarity, "a_non_crossing"
-    A-laminarity and "a_loosely_non_crossing" A-loose laminarity."""
-    return all(getattr(relation(s1, s2), flag) for s1, s2 in combinations(seps, 2))
+def is_a_laminar(seps: Sequence[Separation]) -> bool:
+    """Every pair is A-non-crossing: as non-crossing, with the stored skew
+    kept, so the sides are the two A sides."""
+    return all(
+        not (s1.a_mask & (s2.c_mask | s2.a_mask) or s2.a_mask & s1.c_mask)
+        for s1, s2 in combinations(seps, 2)
+    )
 
 
 def is_shield(s1: Separation, s2: Separation) -> bool:
@@ -168,17 +149,12 @@ def is_shield(s1: Separation, s2: Separation) -> bool:
 
 
 @dataclass(frozen=True)
-class SkipRecord:
-    copy: tuple[int, ...]
-    reason: str
-
-
-@dataclass(frozen=True)
 class SeparationSequence:
-    """An ordered sequence of separations; the order matters for weights."""
+    """An ordered sequence of separations; the order matters for weights.
+    `skipped` holds the pattern copies left out as degenerate."""
 
     separations: tuple[Separation, ...]
-    skipped: tuple[SkipRecord, ...] = ()
+    skipped: tuple[tuple[int, ...], ...] = ()
 
     def __len__(self) -> int:
         return len(self.separations)
@@ -238,16 +214,16 @@ def covering_sequence(
 ) -> SeparationSequence:
     """Canonical separations at every induced copy of the pattern, in
     lexicographic order of the copies; degenerate copies (whose closed
-    neighborhood is everything) are skipped with an audit note."""
+    neighborhood is everything) are skipped and listed in `skipped`."""
     if not pattern.is_connected():
         raise ValueError("pattern must be connected")
     seps: list[Separation] = []
-    skips: list[SkipRecord] = []
+    skips: list[tuple[int, ...]] = []
     for copy in induced_copies(g, pattern, budget):
         try:
             seps.append(canonical_separation(g, w, copy))
         except DegenerateSeparation:
-            skips.append(SkipRecord(copy=copy, reason="degenerate"))
+            skips.append(copy)
     return SeparationSequence(separations=tuple(seps), skipped=tuple(skips))
 
 
@@ -259,7 +235,6 @@ class DimensionPartition:
     classes: tuple[tuple[int, ...], ...]  # ascending indices into the sequence
     measured_a: int
     measured_t: int
-    class_bound: int  # a * gamma(2t) + 1
 
 
 def dimension_partition(g: Graph, seq: SeparationSequence) -> DimensionPartition:
@@ -284,10 +259,7 @@ def dimension_partition(g: Graph, seq: SeparationSequence) -> DimensionPartition
         tuple(i for i in range(len(members)) if colour[i] == c)
         for c in range(n_classes)
     )
-    bound = a * geometric_ball_bound(g.max_degree(), 2 * t) + 1
-    return DimensionPartition(
-        classes=classes, measured_a=a, measured_t=t, class_bound=bound
-    )
+    return DimensionPartition(classes=classes, measured_a=a, measured_t=t)
 
 
 # -- the central bag engine ------------------------------------------------------------
@@ -348,10 +320,12 @@ def central_bag(
     g: Graph,
     w: WeightFunction,
     seq: SeparationSequence,
-    partition: DimensionPartition,
+    classes: Sequence[Sequence[int]],
 ) -> CentralBagResult:
     """Intersect the kept separations class by class, propagating weights
-    through the anchors.
+    through the anchors.  `classes` are ascending index tuples into `seq`,
+    applied in order: `dimension_partition(g, seq).classes`, or one class
+    of the whole sequence.
 
     Per class: members whose center left the current bag are dropped with a
     center-hit witness, the rest reduce to earliest inclusion-minimal B+C
@@ -374,7 +348,7 @@ def central_bag(
     generator: list[tuple[int, ...]] = []
     kept_so_far: list[int] = []
 
-    for cls in partition.classes:
+    for cls in classes:
         admitted: list[int] = []
         drops: list[DropRecord] = []
         for i in cls:
@@ -554,10 +528,7 @@ def check_bag_separator_transfer(
             g.is_connected_mask(s.c_mask) and len(s.c) <= d for s in members
         )
     )
-    concl = all(
-        all_pairs([members[i] for i in cls], "non_crossing")
-        for cls in partition.classes
-    )
+    concl = all(is_laminar([members[i] for i in cls]) for cls in partition.classes)
     checks.append(
         ConditionalCheck(
             claim="strongly laminar classes are laminar",
@@ -571,9 +542,9 @@ def check_bag_separator_transfer(
     hyp = (
         no_sep
         and d >= gamma_t1
-        and all(all_pairs(cls, "non_crossing") for cls in kept)
+        and all(is_laminar(cls) for cls in kept)
     )
-    concl = all(all_pairs(cls, "a_non_crossing") for cls in kept)
+    concl = all(is_a_laminar(cls) for cls in kept)
     checks.append(
         ConditionalCheck(
             claim="primordial laminar classes are A-laminar",
@@ -660,45 +631,22 @@ def clique_covering(
     return make_primordial(SeparationSequence(separations=seps))
 
 
-@dataclass(frozen=True)
-class CliqueBagReport:
-    covering_size: int
-    result: CentralBagResult
-    no_clique_cutset: bool
-    outside_neighborhoods_are_cliques: bool
-    checks: tuple[ConditionalCheck, ...]
-
-
 def clique_central_bag(
     g: Graph, w: WeightFunction, c: Fraction, d: int, no_sep: bool
-) -> CliqueBagReport:
-    """Single-level central bag over the clique covering, with the measured
-    clique-cutset-freeness of the bag and the conditional separator bound;
-    `no_sep` is `no_small_separator(g, w, c, d)`."""
+) -> tuple[ConditionalCheck, ConditionalCheck]:
+    """The two conditional claims on the single-level central bag over the
+    clique covering: under its propagated weights the bag has no balanced
+    separator of size at most d / (1 + Delta), and it has no clique cutset.
+    Both need `no_sep`, which is `no_small_separator(g, w, c, d)`, and
+    d > Delta."""
     covering, _ = clique_covering(g, w)
-    a, t = covering.goodness(g)
-    partition = DimensionPartition(
-        classes=(tuple(range(len(covering))),) if len(covering) else (),
-        measured_a=a,
-        measured_t=t,
-        class_bound=0,
-    )
-    result = central_bag(g, w, covering, partition)
-    bag = result.bag
-    sub, _ = g.induced_subgraph(bag)
-    no_cutset = len(clique_cutsets(sub)) == 0
-    # neighborhoods of the outside components must be cliques of the graph
-    outside = set(range(g.n)) - set(bag)
-    n_ok = True
-    for comp in g.components(tuple(sorted(outside))) if outside else []:
-        boundary = set(g.neighborhood(comp, 1)) - set(comp)
-        if not g.is_clique(tuple(sorted(boundary))):
-            n_ok = False
-
+    classes = (tuple(range(len(covering))),) if len(covering) else ()
+    result = central_bag(g, w, covering, classes)
+    sub, _ = g.induced_subgraph(result.bag)
     delta = g.max_degree()
     hyp = no_sep and d > delta
     limit = int(Fraction(d, 1 + delta))
-    checks = (
+    return (
         ConditionalCheck(
             claim="clique bag keeps no small balanced separator",
             hypothesis_met=hyp,
@@ -707,15 +655,8 @@ def clique_central_bag(
         ConditionalCheck(
             claim="clique bag has no clique cutset",
             hypothesis_met=hyp,
-            conclusion_holds=no_cutset,
+            conclusion_holds=not clique_cutsets(sub),
         ),
-    )
-    return CliqueBagReport(
-        covering_size=len(covering),
-        result=result,
-        no_clique_cutset=no_cutset,
-        outside_neighborhoods_are_cliques=n_ok,
-        checks=checks,
     )
 
 
@@ -778,7 +719,7 @@ def run_master_pipeline(
     no_sep = no_small_separator(g, w, c, d)
     seq = covering_sequence(g, w, pattern, budget)
     partition = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, partition)
+    result = central_bag(g, w, seq, partition.classes)
     delta = g.max_degree()
     t_param = pattern.n + 1
     a_bound = delta ** (t_param * t_param)

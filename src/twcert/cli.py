@@ -344,7 +344,7 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
             }
             for s in rep.sequence.separations
         ],
-        "skipped_copies": [list(r.copy) for r in rep.sequence.skipped],
+        "skipped_copies": _lists(rep.sequence.skipped),
         "partition": [list(cls) for cls in partition.classes],
         "generator": [list(cls) for cls in result.generator],
         "drops": [

@@ -57,12 +57,12 @@ def parse_config_file(path: str) -> dict[str, object]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in _INT_KEYS:
-                out[key] = int(value)
-            elif key == "c":
-                out[key] = parse_fraction(value)
-            else:
+            if key not in _INT_KEYS and key != "c":
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                out[key] = int(value) if key in _INT_KEYS else parse_fraction(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
     return out
 
 

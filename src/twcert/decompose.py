@@ -226,8 +226,6 @@ class LciConstructionError(RuntimeError):
 @dataclass(frozen=True)
 class LciTdReport:
     td: TreeDecomposition
-    completed_graph: Graph
-    cut_clique: tuple[int, ...]
     width_bound: int  # 4*Delta + 3 for the thickened graph
 
 
@@ -264,12 +262,7 @@ def fuzzy_lci_td(lci: LciThickening) -> LciTdReport:
         tuple(sorted(set(cut_set) | {sub_vs[x] for x in bag})) for bag in inner.bags
     )
     td = TreeDecomposition(bags=bags, tree_edges=inner.tree_edges)
-    return LciTdReport(
-        td=td,
-        completed_graph=completed,
-        cut_clique=tuple(cut_set),
-        width_bound=4 * g.max_degree() + 3,
-    )
+    return LciTdReport(td=td, width_bound=4 * g.max_degree() + 3)
 
 
 # -- strip-structure assembly ----------------------------------------------------
@@ -277,8 +270,7 @@ def fuzzy_lci_td(lci: LciThickening) -> LciTdReport:
 
 @dataclass(frozen=True)
 class StripAssemblyReport:
-    td: TreeDecomposition
-    hub_nodes: tuple[int, ...]  # nodes carried over from the pattern decomposition
+    td: TreeDecomposition  # hub nodes first, one per pattern decomposition node
     bounds_hold: bool  # hub bags <= |bag0|*(Delta+1)^2, strip bags <= |bag_e| + |ends|
 
 
@@ -343,9 +335,7 @@ def strip_assembly(
         offset += std.n_nodes
 
     td = TreeDecomposition(bags=tuple(bags), tree_edges=tuple(tree_edges))
-    return StripAssemblyReport(
-        td=td, hub_nodes=tuple(range(td0.n_nodes)), bounds_hold=holds
-    )
+    return StripAssemblyReport(td=td, bounds_hold=holds)
 
 
 def _pattern_graph(ss: StripStructure) -> Graph:

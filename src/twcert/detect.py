@@ -25,10 +25,8 @@ from .graphs import CapExceeded, Graph, bits, line_graph, mask_of, subdivide
 
 @dataclass(frozen=True)
 class PatternMatch:
-    pattern: str
-    params: tuple[tuple[str, int], ...]
     image: tuple[int, ...]
-    roles: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    roles: tuple[tuple[str, tuple[int, ...]], ...]
 
 
 def _default_budget(budget: Optional[Budget]) -> Budget:
@@ -139,27 +137,25 @@ def iter_induced_maps(
     return k - assigned.count(-1)
 
 
-Params = tuple[tuple[str, int], ...]
 Roles = tuple[tuple[str, Sequence[int]], ...]
-# One member of a witness family: its parameters, its vertex count and edge
-# list, and a function that builds its witness graph and its roles (vertex
-# sequences of that graph, which a copy maps into the host).  The function
-# runs only when the member is searched.
-Member = tuple[
-    Params, int, Sequence[tuple[int, int]], Callable[[], tuple[Graph, Roles]]
-]
+# One member of a witness family: its vertex count and edge list, and a
+# function that builds its witness graph and its roles (vertex sequences of
+# that graph, which a copy maps into the host).  The function runs only when
+# the member is searched.
+Member = tuple[int, Sequence[tuple[int, int]], Callable[[], tuple[Graph, Roles]]]
 
 
-def _built(params: Params, pattern: Graph, roles: Roles) -> Member:
+def _built(pattern: Graph, roles: Roles) -> Member:
     """A member whose witness graph already exists."""
-    return params, pattern.n, pattern.edges, lambda: (pattern, roles)
+    return pattern.n, pattern.edges, lambda: (pattern, roles)
 
 
 def _first_copy(
-    g: Graph, name: str, family: Iterable[Member], budget: Optional[Budget]
+    g: Graph, family: Iterable[Member], budget: Optional[Budget]
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of the first family member that
-    embeds in g.  Members are tried in order and share one budget.
+    embeds in g, as its image and its roles mapped into g.  Members are
+    tried in order and share one budget.
 
     The engine's work at pattern vertex i depends only on g, the degree of i
     and which earlier pattern vertices i is adjacent to.  So when a member's
@@ -174,7 +170,7 @@ def _first_copy(
     bud = _default_budget(budget)
     # (degree, earlier-neighbour mask) of vertices 0..d -> steps of that search
     failed: dict[tuple[tuple[int, int], ...], int] = {}
-    for params, k, edges, build in family:
+    for k, edges, build in family:
         if k > g.n:
             continue  # no copy, and the engine charges nothing
         degree = [0] * k
@@ -200,8 +196,6 @@ def _first_copy(
             failed[sig[: done.value + 1]] = bud.used - start
             continue
         return PatternMatch(
-            pattern=name,
-            params=params,
             image=tuple(sorted(mapping)),
             roles=tuple((key, tuple(mapping[v] for v in seq)) for key, seq in roles),
         )
@@ -221,8 +215,8 @@ def find_induced(
     """Lexicographically first induced copy of an explicit pattern graph."""
     if pattern.n > max_pattern:
         raise CapExceeded(f"pattern has {pattern.n} vertices, cap {max_pattern}")
-    member = _built((("n", pattern.n),), pattern, (("mapping", range(pattern.n)),))
-    return _first_copy(g, "induced", [member], budget)
+    member = _built(pattern, (("mapping", range(pattern.n)),))
+    return _first_copy(g, [member], budget)
 
 
 def induced_copies(
@@ -250,10 +244,6 @@ def _length_triples(
                 yield l1, l2, total - l1 - l2
 
 
-def _length_params(lengths: tuple[int, int, int]) -> Params:
-    return tuple(zip(("l1", "l2", "l3"), lengths))
-
-
 def find_t_theta(
     g: Graph, t: int, budget: Optional[Budget] = None
 ) -> Optional[PatternMatch]:
@@ -270,9 +260,9 @@ def find_t_theta(
         # a theta has l1 + l2 + l3 - 1 vertices
         for lengths in _length_triples(t, g.n + 1, floor2=True):
             n, edges, _ = _theta_shape(*lengths)
-            yield _length_params(lengths), n, edges, partial(build, lengths)
+            yield n, edges, partial(build, lengths)
 
-    return _first_copy(g, "theta", family(), budget)
+    return _first_copy(g, family(), budget)
 
 
 def find_t_pyramid(
@@ -298,9 +288,9 @@ def find_t_pyramid(
             if lengths[1] < 2:  # l1 = l2 = 1: two single-edge paths
                 continue
             n, edges, _ = _pyramid_shape(*lengths)
-            yield _length_params(lengths), n, edges, partial(build, lengths)
+            yield n, edges, partial(build, lengths)
 
-    return _first_copy(g, "pyramid", family(), budget)
+    return _first_copy(g, family(), budget)
 
 
 def find_subdivided_claw(
@@ -309,12 +299,8 @@ def find_subdivided_claw(
     """Induced copy of the three-legged spider with the given leg lengths;
     the root is matched first."""
     wit = subdivided_claw(t1, t2, t3)
-    member = _built(
-        (("t1", t1), ("t2", t2), ("t3", t3)),
-        wit.graph,
-        (("root", (wit.root,)), *_numbered("leg", wit.legs)),
-    )
-    return _first_copy(g, "subdivided_claw", [member], budget)
+    member = _built(wit.graph, (("root", (wit.root,)), *_numbered("leg", wit.legs)))
+    return _first_copy(g, [member], budget)
 
 
 # -- creatures -----------------------------------------------------------------
@@ -359,7 +345,6 @@ def _directed_induced_paths(
 class CreatureMatch:
     body: tuple[int, ...]
     paths: tuple[tuple[int, ...], ...]  # joint first
-    joints: tuple[int, ...]
 
     @property
     def image(self) -> tuple[int, ...]:
@@ -401,18 +386,15 @@ def find_creature(
                 return tuple(bits(comp))
         return None
 
-    def choose(start: int, chosen: list[tuple[int, ...]], used: int) -> Optional[CreatureMatch]:
-        bud.tick()
-        if len(chosen) == k:
-            body = body_for(chosen)
-            if body is not None:
-                return CreatureMatch(
-                    body=body,
-                    paths=tuple(chosen),
-                    joints=tuple(p[0] for p in chosen),
-                )
-            return None
-        for idx in range(start, len(paths)):
+    # Depth first over tuples of paths in increasing index order, on an
+    # explicit stack of index iterators, so k costs no recursion depth.
+    # One tick per search node: the empty tuple and each tuple extended.
+    bud.tick()
+    chosen: list[tuple[int, ...]] = []
+    used = 0  # vertices of the chosen paths
+    stack = [iter(range(len(paths)))]
+    while stack:
+        for idx in stack[-1]:
             p = paths[idx]
             pm = mask_of(p)
             if pm & used:
@@ -420,12 +402,21 @@ def find_creature(
             # pairwise anticomplete to the already chosen paths
             if any(g.neighbor_mask(v) & used for v in p):
                 continue
-            got = choose(idx + 1, chosen + [p], used | pm)
-            if got is not None:
-                return got
-        return None
-
-    return choose(0, [], 0)
+            bud.tick()
+            if len(chosen) + 1 == k:
+                body = body_for([*chosen, p])
+                if body is not None:
+                    return CreatureMatch(body=body, paths=(*chosen, p))
+                continue
+            chosen.append(p)
+            used |= pm
+            stack.append(iter(range(idx + 1, len(paths))))
+            break
+        else:
+            stack.pop()
+            if chosen:
+                used ^= mask_of(chosen.pop())
+    return None
 
 
 # -- line graphs of subdivided walls ---------------------------------------------
@@ -456,9 +447,9 @@ def find_line_of_subdivided_wall(
                     base, {e: lengths[i] + 1 for i, e in enumerate(base.edges)}
                 )
                 roles = (("mapping", range(total)),)
-                yield _built((("k", k), ("edges", total)), line_graph(sub), roles)
+                yield _built(line_graph(sub), roles)
 
-    return _first_copy(g, "line_of_subdivided_wall", family(), bud)
+    return _first_copy(g, family(), bud)
 
 
 def _compositions(extra: int, parts: int) -> Iterator[tuple[int, ...]]:

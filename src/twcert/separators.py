@@ -20,22 +20,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence
 
 from .decompose import TreeDecomposition, along, eliminate
 from .graphs import CapExceeded, Graph, bits, mask_of
 from .weights import WeightFunction, check_balance_parameter
-
-T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class SeparatorCertificate:
-    """A balanced separator with the component weights it certifies."""
-
-    separator: tuple[int, ...]
-    c: Fraction
-    component_weights: tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
 def _require_normal(w: WeightFunction) -> None:
@@ -61,15 +50,14 @@ def is_balanced_separator(
 
 
 def _first_subset(
-    n: int, lo: int, hi: int, test: Callable[[int], Optional[T]]
-) -> Optional[tuple[tuple[int, ...], T]]:
-    """The lexicographically first of the smallest X, lo <= |X| <= hi, whose
-    test(mask of X) is not None, paired with that value; None if none is."""
+    n: int, lo: int, hi: int, test: Callable[[int], bool]
+) -> Optional[tuple[int, ...]]:
+    """The lexicographically first of the smallest X, lo <= |X| <= hi, that
+    passes test(mask of X); None if none does."""
     for k in range(lo, hi + 1):
         for xs in combinations(range(n), k):
-            found = test(mask_of(xs))
-            if found is not None:
-                return xs, found
+            if test(mask_of(xs)):
+                return xs
     return None
 
 
@@ -79,29 +67,21 @@ def min_balanced_separator(
     c: Fraction,
     max_size: Optional[int] = None,
     cap: int = 16,
-) -> Optional[SeparatorCertificate]:
-    """Minimum-cardinality balanced separator by increasing-size subset search;
-    ties resolve to the lexicographically first subset.  With max_size set,
-    returns None when no separator that small exists."""
+) -> Optional[tuple[int, ...]]:
+    """Minimum-cardinality balanced separator by increasing-size subset search,
+    as a sorted vertex tuple; ties resolve to the lexicographically first
+    subset.  With max_size set, returns None when no separator that small
+    exists.  Each subset tested costs one `component_weights` call."""
     _require_normal(w)
     check_balance_parameter(c)
     if g.n > cap:
         raise CapExceeded(f"separator search capped at n={cap}, got {g.n}")
 
-    def balanced(x_mask: int) -> Optional[list[tuple[int, Fraction]]]:
-        parts = component_weights(g, w, x_mask)
-        return parts if all(wt <= c for _, wt in parts) else None
+    def balanced(x_mask: int) -> bool:
+        return all(wt <= c for _, wt in component_weights(g, w, x_mask))
 
     top = g.n if max_size is None else min(max_size, g.n)
-    hit = _first_subset(g.n, 0, top, balanced)
-    if hit is None:
-        return None
-    xs, parts = hit
-    return SeparatorCertificate(
-        separator=xs,
-        c=c,
-        component_weights=tuple((tuple(bits(cm)), wt) for cm, wt in parts),
-    )
+    return _first_subset(g.n, 0, top, balanced)
 
 
 def has_balanced_separator_of_size(
@@ -131,16 +111,16 @@ def separation_number(g: Graph, c: Fraction, cap: int = 10) -> int:
         # |comp & S| <= c|S|, in integers
         limit = num * s_mask.bit_count()
 
-        def balances(x_mask: int) -> Optional[bool]:
+        def balances(x_mask: int) -> bool:
             comps = comps_of.get(x_mask)
             if comps is None:
                 comps = comps_of[x_mask] = g.component_masks(full & ~x_mask)
-            return all((comp & s_mask).bit_count() * den <= limit for comp in comps) or None
+            return all((comp & s_mask).bit_count() * den <= limit for comp in comps)
 
         # X = V always balances, so a smallest X of size >= best exists
         hit = _first_subset(g.n, best, g.n, balances)
         assert hit is not None
-        best = len(hit[0])
+        best = len(hit)
     return best
 
 
@@ -361,13 +341,9 @@ def treewidth_or_bounds(g: Graph, cap: int = 14) -> TreewidthBounds:
 
 @dataclass(frozen=True)
 class HarveyWoodReport:
-    tw: int
-    sep: int
-    c: Fraction
     upper_bound_holds: bool  # tw + 1 <= sep / (1 - c)
     uniform_bound_holds: bool  # tw <= sep / (1 - c), the uniform-weight route
     small_separator_found_for_all: bool  # every sampled w admits size <= tw+1
-    weights_tried: int
 
 
 def balanced_separator_from_td(
@@ -421,11 +397,7 @@ def harvey_wood_check(
         if found is None or len(found) > tw + 1:
             all_small = False
     return HarveyWoodReport(
-        tw=tw,
-        sep=sep,
-        c=c,
         upper_bound_holds=upper,
         uniform_bound_holds=uniform_ok,
         small_separator_found_for_all=all_small,
-        weights_tried=n_weights,
     )

@@ -473,7 +473,7 @@ def suite_bag_algebra(cfg: RunConfig, count: int = 200) -> Certificate:
     for idx, (g, pattern, w) in enumerate(_bag_corpus(cfg, count)):
         seq = covering_sequence(g, w, pattern)
         partition = dimension_partition(g, seq)
-        result = central_bag(g, w, seq, partition)
+        result = central_bag(g, w, seq, partition.classes)
         if not result.algebra_holds or result.escaped_weight != 0:
             bad.append(idx)
     cert.expect(
@@ -493,7 +493,7 @@ def suite_bag_audit(cfg: RunConfig, count: int = 120) -> Certificate:
     for idx, (g, pattern, w) in enumerate(_bag_corpus(cfg, count)):
         seq = covering_sequence(g, w, pattern)
         partition = dimension_partition(g, seq)
-        result = central_bag(g, w, seq, partition)
+        result = central_bag(g, w, seq, partition.classes)
         total_drops += len(result.drops)
         if not audit_is_complete(g, seq, result):
             bad.append(idx)
@@ -538,12 +538,11 @@ def suite_conditional_bags(cfg: RunConfig) -> Certificate:
         no_sep = no_small_separator(g, w, cfg.c, d)
         seq = covering_sequence(g, w, pattern)
         partition = dimension_partition(g, seq)
-        result = central_bag(g, w, seq, partition)
+        result = central_bag(g, w, seq, partition.classes)
         checks = check_bag_separator_transfer(
             g, w, cfg.c, d, seq, partition, result, no_sep
         )
-        clique_rep = clique_central_bag(g, w, cfg.c, d, no_sep)
-        all_checks = list(checks) + list(clique_rep.checks)
+        all_checks = [*checks, *clique_central_bag(g, w, cfg.c, d, no_sep)]
         if no_sep:
             n_no_sep_met += 1
             measured = [

@@ -1,8 +1,16 @@
+from dataclasses import dataclass
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from twcert.centralbag import Separation
+from twcert.centralbag import (
+    CentralBagResult,
+    Separation,
+    SeparationSequence,
+    central_bag,
+    clique_covering,
+    clique_cutsets,
+)
 from twcert.decompose import (
     TreeDecomposition,
     along,
@@ -10,6 +18,7 @@ from twcert.decompose import (
     maximum_cardinality_search,
 )
 from twcert.graphs import Graph, mask_of
+from twcert.weights import WeightFunction
 
 
 @st.composite
@@ -66,3 +75,57 @@ def restricted(s: Separation, domain: set[int]) -> Separation:
         center=s.center,
         anchor=s.anchor,
     )
+
+
+@dataclass(frozen=True)
+class RelationFlags:
+    non_crossing: bool
+    loosely_non_crossing: bool
+    a_non_crossing: bool
+    a_loosely_non_crossing: bool
+
+
+def relation(s1: Separation, s2: Separation) -> RelationFlags:
+    """Evaluate every emptiness pattern between two separations, from their
+    tuples.
+
+    The symmetric variants may exchange the roles of A and B on either side;
+    the A-variants keep the stored skew convention fixed.  The package keeps
+    only the two it tests, as `is_laminar` and `is_a_laminar`.
+    """
+    a1, c1, b1 = mask_of(s1.a), mask_of(s1.c), mask_of(s1.b)
+    a2, c2, b2 = mask_of(s2.a), mask_of(s2.c), mask_of(s2.b)
+    a_loose = not (a1 & c2) and not (a2 & c1)
+    a_non = a_loose and not (a1 & a2)
+    loose = False
+    non = False
+    for x1 in (a1, b1):
+        for x2 in (a2, b2):
+            if not (x1 & c2) and not (x2 & c1):
+                loose = True
+                if not (x1 & x2):
+                    non = True
+    return RelationFlags(
+        non_crossing=non,
+        loosely_non_crossing=loose,
+        a_non_crossing=a_non,
+        a_loosely_non_crossing=a_loose,
+    )
+
+
+def clique_bag(
+    g: Graph, w: WeightFunction
+) -> tuple[SeparationSequence, CentralBagResult, bool, bool]:
+    """The clique covering, its single-level central bag, and two measured
+    properties of that bag: it has no clique cutset, and every component of
+    g outside it has a clique of g as its neighbourhood."""
+    covering, _ = clique_covering(g, w)
+    classes = (tuple(range(len(covering))),) if len(covering) else ()
+    result = central_bag(g, w, covering, classes)
+    sub, _ = g.induced_subgraph(result.bag)
+    outside = tuple(sorted(set(g.vertices) - set(result.bag)))
+    cliques = all(
+        g.is_clique(tuple(sorted(set(g.neighborhood(comp, 1)) - set(comp))))
+        for comp in (g.components(outside) if outside else [])
+    )
+    return covering, result, not clique_cutsets(sub), cliques

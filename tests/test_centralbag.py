@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import connected_graphs
+from conftest import RelationFlags, clique_bag, connected_graphs, relation
 from twcert.centralbag import (
-    RelationFlags,
     Separation,
     SeparationSequence,
     audit_is_complete,
@@ -23,10 +22,11 @@ from twcert.centralbag import (
     dimension_partition,
     DegenerateSeparation,
     forcer_elimination_check,
+    is_a_laminar,
+    is_laminar,
     is_shield,
     leq_power_bound,
     make_primordial,
-    relation,
     run_master_pipeline,
 )
 from twcert.generators import (
@@ -36,7 +36,7 @@ from twcert.generators import (
     subdivided_claw,
     wall,
 )
-from twcert.graphs import Graph, mask_of
+from twcert.graphs import Graph, geometric_ball_bound, mask_of
 from twcert.separators import has_balanced_separator_of_size
 from twcert.weights import WeightFunction
 
@@ -104,8 +104,8 @@ def test_relation_flags(p7):
     s2 = canonical_separation(g, w, [5])
     flags = relation(s1, s2)
     assert flags.a_loosely_non_crossing
-    assert flags.a_non_crossing
-    assert flags.non_crossing and flags.loosely_non_crossing
+    assert flags.a_non_crossing and is_a_laminar([s1, s2])
+    assert flags.non_crossing and flags.loosely_non_crossing and is_laminar([s1, s2])
     assert not crossing(flags)
 
 
@@ -119,6 +119,7 @@ def test_relation_crossing_witness():
     s2 = canonical_separation(g, w, [5])
     flags = relation(s1, s2)
     assert not flags.a_loosely_non_crossing  # C(s2) = {4,5} meets A(s1)
+    assert not is_a_laminar([s1, s2])
 
 
 def test_shield_reflexive_and_primordial(p7):
@@ -153,8 +154,10 @@ def test_covering_sequence_p7(p7):
 def test_covering_sequence_skips_degenerate():
     g = complete_graph(4)
     seq = covering_sequence(g, WeightFunction.uniform(g), path_graph(1))
-    assert len(seq) == 0 and len(seq.skipped) == 4
-    assert all(rec.reason == "degenerate" for rec in seq.skipped)
+    assert len(seq) == 0 and seq.skipped == ((0,), (1,), (2,), (3,))
+    for copy in seq.skipped:
+        with pytest.raises(DegenerateSeparation):
+            canonical_separation(g, WeightFunction.uniform(g), copy)
 
 
 def test_no_pattern_copies_leaves_whole_graph(p7):
@@ -162,7 +165,7 @@ def test_no_pattern_copies_leaves_whole_graph(p7):
     seq = covering_sequence(g, w, complete_graph(3))
     assert len(seq) == 0
     partition = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, partition)
+    result = central_bag(g, w, seq, partition.classes)
     assert result.bag == tuple(range(7))
     assert result.weights == w.as_dict()
 
@@ -179,14 +182,16 @@ def test_dimension_partition_p7(p7):
         for i in range(len(cuts)):
             for j in range(i + 1, len(cuts)):
                 assert not cuts[i] & cuts[j]
-    assert len(part.classes) <= part.class_bound
+    # at most a * gamma(2t) + 1 classes
+    bound = part.measured_a * geometric_ball_bound(g.max_degree(), 2 * part.measured_t) + 1
+    assert len(part.classes) <= bound
 
 
 def test_central_bag_p7_full_trace(p7):
     g, w = p7
     seq = covering_sequence(g, w, path_graph(1))
     part = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, part)
+    result = central_bag(g, w, seq, part.classes)
     assert result.bag == (2, 3)
     assert result.weights == {2: Fraction(3, 7), 3: Fraction(4, 7)}
     assert result.generator == ((2, 5), (4,), (3,))
@@ -201,7 +206,7 @@ def test_central_bag_single_separation(p7):
     s = canonical_separation(g, w, [3])
     seq = SeparationSequence(separations=(s,))
     part = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, part)
+    result = central_bag(g, w, seq, part.classes)
     assert result.bag == (0, 1, 2, 3)
     assert result.weights[3] == Fraction(1, 7) + Fraction(3, 7)
     assert sum(result.weights.values()) == 1
@@ -211,7 +216,7 @@ def test_cut_stays_in_level_bag(p7):
     g, w = p7
     seq = covering_sequence(g, w, path_graph(1))
     part = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, part)
+    result = central_bag(g, w, seq, part.classes)
     for lvl in result.levels:
         assert lvl.cut_in_bag and lvl.bag_connected and lvl.weight_total_one
 
@@ -222,7 +227,7 @@ def test_audit_complete_on_random_graphs(g):
     w = WeightFunction.uniform(g)
     seq = covering_sequence(g, w, path_graph(2))
     part = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, part)
+    result = central_bag(g, w, seq, part.classes)
     assert audit_is_complete(g, seq, result)
     assert result.recompute_bag(g, seq) == result.bag
     # kept separations are pairwise cut-disjoint within each class
@@ -245,20 +250,22 @@ def test_clique_covering_and_bag_p3():
     assert len(covering) == 1
     assert covering[0].c == (1,)
     no_sep = not has_balanced_separator_of_size(g, w, HALF, 1)
-    rep = clique_central_bag(g, w, HALF, 1, no_sep)
-    assert rep.result.bag == (0, 1)
-    assert rep.result.weights == {0: Fraction(1, 3), 1: Fraction(2, 3)}
-    assert rep.no_clique_cutset
-    assert rep.outside_neighborhoods_are_cliques
+    _, res, no_cutset, cliques = clique_bag(g, w)
+    assert res.bag == (0, 1)
+    assert res.weights == {0: Fraction(1, 3), 1: Fraction(2, 3)}
+    assert no_cutset and cliques
+    assert clique_central_bag(g, w, HALF, 1, no_sep)[1].conclusion_holds
 
 
 def test_clique_bag_no_cutset_on_c4():
     g = cycle_graph(4)
     w = WeightFunction.uniform(g)
-    rep = clique_central_bag(g, w, HALF, 1, not has_balanced_separator_of_size(g, w, HALF, 1))
-    assert rep.covering_size == 0
-    assert rep.result.bag == tuple(range(4))
-    assert rep.no_clique_cutset
+    covering, res, no_cutset, _ = clique_bag(g, w)
+    assert len(covering) == 0
+    assert res.bag == tuple(range(4))
+    assert no_cutset
+    no_sep = not has_balanced_separator_of_size(g, w, HALF, 1)
+    assert clique_central_bag(g, w, HALF, 1, no_sep)[1].conclusion_holds
 
 
 @given(connected_graphs(min_n=3, max_n=8))
@@ -267,16 +274,16 @@ def test_clique_bag_bookkeeping(g):
     """Unconditional invariants hold on any input; the measured laws are only
     promised once the reduced covering is actually A-loosely laminar."""
     w = WeightFunction.uniform(g)
-    rep = clique_central_bag(g, w, HALF, 1, not has_balanced_separator_of_size(g, w, HALF, 1))
-    res = rep.result
+    covering, res, no_cutset, cliques = clique_bag(g, w)
+    checks = clique_central_bag(g, w, HALF, 1, not has_balanced_separator_of_size(g, w, HALF, 1))
+    assert checks[1].conclusion_holds == no_cutset
     assert sum(res.weights.values()) + res.escaped_weight == 1
-    covering, _ = clique_covering(g, w)
     assert audit_is_complete(g, covering, res)
     assert res.recompute_bag(g, covering) == res.bag
     if all(lvl.restricted_a_loosely_laminar for lvl in res.levels):
         assert sum(res.weights.values()) == 1
-        assert rep.no_clique_cutset
-        assert rep.outside_neighborhoods_are_cliques
+        assert no_cutset
+        assert cliques
 
 
 def test_transfer_checks_never_fail_with_met_hypotheses():
@@ -284,7 +291,7 @@ def test_transfer_checks_never_fail_with_met_hypotheses():
     w = WeightFunction.uniform(g)
     seq = covering_sequence(g, w, path_graph(1))
     part = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, part)
+    result = central_bag(g, w, seq, part.classes)
     no_sep = not has_balanced_separator_of_size(g, w, HALF, 1)
     checks = check_bag_separator_transfer(g, w, HALF, 1, seq, part, result, no_sep)
     assert all(chk.status in ("pass", "hypothesis-unmet") for chk in checks)
@@ -297,7 +304,7 @@ def test_transfer_reports_hypothesis_unmet_not_pass():
     w = WeightFunction.uniform(g)
     seq = covering_sequence(g, w, path_graph(1))
     part = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, part)
+    result = central_bag(g, w, seq, part.classes)
     no_sep = not has_balanced_separator_of_size(g, w, HALF, 2)
     checks = check_bag_separator_transfer(g, w, HALF, 2, seq, part, result, no_sep)
     assert all(chk.status == "hypothesis-unmet" for chk in checks)
@@ -311,7 +318,7 @@ def test_forcer_elimination_on_spider_free_host():
     forcer = Graph(inner.n + 1, list(inner.edges))
     seq = covering_sequence(host, w, pattern)
     part = dimension_partition(host, seq)
-    result = central_bag(host, w, seq, part)
+    result = central_bag(host, w, seq, part.classes)
     rep = forcer_elimination_check(host, w, pattern, forcer, result)
     assert rep.premise_holds
     assert rep.bag_clean in (True, None)
@@ -330,7 +337,7 @@ def test_forcer_elimination_premise_gate():
             g,
             w,
             covering_sequence(g, w, path_graph(1)),
-            dimension_partition(g, covering_sequence(g, w, path_graph(1))),
+            dimension_partition(g, covering_sequence(g, w, path_graph(1))).classes,
         ),
     )
     assert not rep.premise_holds and rep.bag_clean is None
@@ -373,6 +380,7 @@ def test_relation_identical_empty_a_all_flags():
     flags = relation(s, s)
     assert flags.non_crossing and flags.loosely_non_crossing
     assert flags.a_non_crossing and flags.a_loosely_non_crossing
+    assert is_laminar([s, s]) and is_a_laminar([s, s])
 
 
 def test_wall_covering_goodness():

@@ -7,8 +7,11 @@ tuples on every call; they are kept here as the reference (each calls the
 reference copies of the others), verbatim but for the set helpers
 `bc_union`, `restricted` and `is_connected_set`, which `Separation` and
 `Graph` no longer have: the first two come from `conftest`, the last is a
-mask test.  `Separation` now carries `a_mask`, `c_mask` and `b_mask`,
-which the production code reads instead.  On seeded triples shaped like the
+mask test.  `relation` and its `RelationFlags` are in `conftest` too, since
+the package now keeps only the two flags it tests, as `is_laminar` and
+`is_a_laminar`, and `central_bag` takes the partition's classes.
+`Separation` now carries `a_mask`, `c_mask` and `b_mask`, which the
+production code reads instead.  On seeded triples shaped like the
 `bag-algebra` suite's and on the 3x3 and 4x4 walls with paths P2-P4, every
 pairwise relation and shield, the primordial reduction and the whole
 `CentralBagResult`, drops included, must be equal.  Restricting a level's A-loose test to the previous bag
@@ -24,14 +27,12 @@ from typing import Sequence
 
 import pytest
 
-from conftest import bc_union, restricted
+from conftest import bc_union, relation, restricted
 from twcert import centralbag as cb
 from twcert.centralbag import (
     CentralBagResult,
-    DimensionPartition,
     DropRecord,
     LevelRecord,
-    RelationFlags,
     Separation,
     SeparationSequence,
     _require_connected_and_normal,
@@ -43,32 +44,6 @@ from twcert.generators import path_graph, wall
 from twcert.graphs import Graph, mask_of
 from twcert.suites import _bag_corpus, random_weights
 from twcert.weights import WeightFunction
-
-
-def relation(s1: Separation, s2: Separation) -> RelationFlags:
-    """Evaluate every emptiness pattern between two separations.
-
-    The symmetric variants may exchange the roles of A and B on either side;
-    the A-variants keep the stored skew convention fixed.
-    """
-    a1, c1, b1 = mask_of(s1.a), mask_of(s1.c), mask_of(s1.b)
-    a2, c2, b2 = mask_of(s2.a), mask_of(s2.c), mask_of(s2.b)
-    a_loose = not (a1 & c2) and not (a2 & c1)
-    a_non = a_loose and not (a1 & a2)
-    loose = False
-    non = False
-    for x1 in (a1, b1):
-        for x2 in (a2, b2):
-            if not (x1 & c2) and not (x2 & c1):
-                loose = True
-                if not (x1 & x2):
-                    non = True
-    return RelationFlags(
-        non_crossing=non,
-        loosely_non_crossing=loose,
-        a_non_crossing=a_non,
-        a_loosely_non_crossing=a_loose,
-    )
 
 
 def all_pairs(seps: Sequence[Separation], flag: str) -> bool:
@@ -121,7 +96,7 @@ def central_bag(
     g: Graph,
     w: WeightFunction,
     seq: SeparationSequence,
-    partition: DimensionPartition,
+    classes: Sequence[Sequence[int]],
 ) -> CentralBagResult:
     _require_connected_and_normal(g, w)
     members = seq.separations
@@ -135,7 +110,7 @@ def central_bag(
     generator: list[tuple[int, ...]] = []
     kept_so_far: list[int] = []
 
-    for cls in partition.classes:
+    for cls in classes:
         admitted: list[int] = []
         drops: list[DropRecord] = []
         for i in cls:
@@ -254,7 +229,7 @@ def test_corpus_exercises_every_drop_and_level_kind():
     reasons, levels = set(), 0
     for g, pattern, w in TRIPLES:
         seq = covering_sequence(g, w, pattern)
-        result = central_bag(g, w, seq, dimension_partition(g, seq))
+        result = central_bag(g, w, seq, dimension_partition(g, seq).classes)
         reasons |= {d.reason for d in result.drops}
         levels = max(levels, len(result.levels))
     assert reasons == {"shield", "center_hit"}
@@ -269,12 +244,14 @@ def test_mask_engine_matches_set_reference(idx):
         assert (s.a_mask, s.c_mask, s.b_mask) == (mask_of(s.a), mask_of(s.c), mask_of(s.b))
     for s1 in seq.separations:
         for s2 in seq.separations:
-            assert cb.relation(s1, s2) == relation(s1, s2)
+            flags = relation(s1, s2)
+            assert cb.is_laminar([s1, s2]) == flags.non_crossing
+            assert cb.is_a_laminar([s1, s2]) == flags.a_non_crossing
             assert cb.is_shield(s1, s2) == is_shield(s1, s2)
     assert cb.make_primordial(seq) == make_primordial(seq)
-    partition = dimension_partition(g, seq)
-    result = cb.central_bag(g, w, seq, partition)
-    assert result == central_bag(g, w, seq, partition)
+    classes = dimension_partition(g, seq).classes
+    result = cb.central_bag(g, w, seq, classes)
+    assert result == central_bag(g, w, seq, classes)
     assert cb.audit_is_complete(g, seq, result) == audit_is_complete(g, seq, result)
     assert result.recompute_bag(g, seq) == result.bag
 
@@ -289,11 +266,9 @@ def test_level_flag_restricts_to_previous_bag():
     s1 = Separation(a=(0, 1, 2, 3), c=(4,), b=(5, 6), center=(4,), anchor=4)
     s2 = Separation(a=(6,), c=(1, 5), b=(0, 2, 3, 4), center=(5,), anchor=5)
     seq = SeparationSequence(separations=(s0, s1, s2))
-    partition = DimensionPartition(
-        classes=((0,), (1, 2)), measured_a=1, measured_t=0, class_bound=0
-    )
-    result = cb.central_bag(g, w, seq, partition)
-    assert result == central_bag(g, w, seq, partition)
+    classes = ((0,), (1, 2))
+    result = cb.central_bag(g, w, seq, classes)
+    assert result == central_bag(g, w, seq, classes)
     assert result.generator == ((0,), (1, 2))
-    assert not cb.relation(s1, s2).a_loosely_non_crossing
+    assert not relation(s1, s2).a_loosely_non_crossing
     assert result.levels[1].restricted_a_loosely_laminar

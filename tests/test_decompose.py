@@ -136,8 +136,15 @@ def test_fuzzy_lci_thickened_with_fuzz():
     assert val.ok
     assert val.width <= 4 * g.max_degree() + 3
     assert val.width >= exact_treewidth(g)[0]
-    # the cut clique really is a clique of the completed graph
-    assert rep.completed_graph.is_clique(rep.cut_clique)
+    # the cut clique, the blocks on the first arc, really is a clique of the
+    # completed graph (the fuzzy blocks made complete), and is in every bag
+    extra = [(a, b) for u, v in spec.fuzz for a in spec.block(u) for b in spec.block(v)]
+    completed = Graph(g.n, list(g.edges) + extra)
+    cut = sorted(
+        x for u in range(base.n) if model.contains(0, model.points[u]) for x in spec.block(u)
+    )
+    assert completed.is_clique(cut)
+    assert all(set(cut) <= set(bag) for bag in rep.td.bags)
 
 
 def test_fuzzy_lci_single_interval_is_chordal_case():
@@ -177,7 +184,7 @@ def test_strip_assembly_all_instances():
         if ss.host.n <= 14:
             assert val.width >= exact_treewidth(ss.host)[0]
         delta = ss.host.max_degree()
-        for t in rep.hub_nodes:
+        for t in range(td0.n_nodes):  # the hub nodes come first
             assert len(rep.td.bags[t]) <= len(td0.bags[t]) * (delta + 1) ** 2
 
 

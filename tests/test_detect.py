@@ -9,6 +9,7 @@ from conftest import connected_graphs, graphs
 from twcert.cli import main
 from twcert.config import Budget
 from twcert.detect import (
+    CreatureMatch,
     _directed_induced_paths,
     breaks,
     find_creature,
@@ -32,7 +33,8 @@ from twcert.generators import (
     theta,
     wall,
 )
-from twcert.graphs import BudgetExhausted, Graph, line_graph
+from twcert.graphs import BudgetExhausted, Graph, bits, line_graph, mask_of
+from twcert.io import write_graph_json
 
 
 def test_find_induced_semantics():
@@ -177,6 +179,75 @@ def test_creature_path_length_needs_no_recursion_depth(tmp_path):
         sys.setrecursionlimit(limit)
     assert code == 0
     assert len(json.loads(out.read_text())["paths"][0]) == 151
+
+
+def recursive_creature(g: Graph, k: int, t: int, budget: Budget):
+    """`find_creature` with the recursive path-tuple search the explicit-stack
+    one replaced: one frame and one tick per search node."""
+    paths = _directed_induced_paths(g, t, budget)
+
+    def body_for(chosen):
+        blocked = 0
+        for p in chosen:
+            blocked |= mask_of(p)
+            for v in p[1:]:
+                blocked |= g.neighbor_mask(v)
+        allowed = g.full_mask() & ~blocked
+        if not allowed:
+            return None
+        for comp in g.component_masks(allowed):
+            if all(g.neighbor_mask(p[0]) & comp for p in chosen):
+                return tuple(bits(comp))
+        return None
+
+    def choose(start, chosen, used):
+        budget.tick()
+        if len(chosen) == k:
+            body = body_for(chosen)
+            return None if body is None else CreatureMatch(body, tuple(chosen))
+        for idx in range(start, len(paths)):
+            p = paths[idx]
+            pm = mask_of(p)
+            if pm & used or any(g.neighbor_mask(v) & used for v in p):
+                continue
+            got = choose(idx + 1, chosen + [p], used | pm)
+            if got is not None:
+                return got
+        return None
+
+    return choose(0, [], 0)
+
+
+def creature_outcome(search, g, k, t, limit):
+    budget = Budget(limit)
+    try:
+        result = search(g, k, t, budget)
+    except BudgetExhausted:
+        result = BudgetExhausted
+    return result, budget.used
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_n=1, max_n=9), st.integers(1, 4), st.integers(0, 3), st.integers(0, 80))
+def test_creature_search_matches_recursive_reference(g, k, t, limit):
+    # the same match and ticks to the end, and the same exhaustion point
+    # under a small limit
+    for lim in (10**9, limit):
+        assert creature_outcome(find_creature, g, k, t, lim) == creature_outcome(
+            recursive_creature, g, k, t, lim
+        )
+
+
+def test_creature_count_needs_no_recursion_depth(tmp_path):
+    # 1100 leaves of a 1200-leaf star: a search one frame deep per chosen
+    # path overflows the default recursion limit
+    star, out = tmp_path / "star.json", tmp_path / "det.json"
+    with open(star, "w", encoding="utf-8") as fh:
+        write_graph_json(star_graph(1200), fh)
+    argv = ["detect", "--pattern", "creature", "--k", "1100", "--t", "0",
+            "-i", str(star), "-o", str(out)]
+    assert main(argv) == 0
+    assert len(json.loads(out.read_text())["paths"]) == 1100
 
 
 def test_wall_line_detector():

@@ -38,14 +38,12 @@ def reference_detectors(spans: list[tuple[int, int]]):
     """Run the detectors with every member searched in full, appending the
     budget span (used before, used after) of each member that fails."""
 
-    def first_copy(g, name, family, budget):
-        for params, _, _, build in family:
+    def first_copy(g, family, budget):
+        for _, _, build in family:
             pattern, roles = build()
             start = budget.used
             for mapping in iter_induced_maps(g, pattern, budget):
                 return PatternMatch(
-                    pattern=name,
-                    params=params,
                     image=tuple(sorted(mapping)),
                     roles=tuple(
                         (key, tuple(mapping[v] for v in seq)) for key, seq in roles
@@ -110,11 +108,8 @@ def reference_outcome(search, g, limit, spans=None):
 
 def first_copy_of(patterns):
     """A search over the family of the given patterns, in that order."""
-    members = [
-        detect._built((("member", i),), p, (("mapping", range(p.n)),))
-        for i, p in enumerate(patterns)
-    ]
-    return lambda g, b: detect._first_copy(g, "family", members, b)
+    members = [detect._built(p, (("mapping", range(p.n)),)) for p in patterns]
+    return lambda g, b: detect._first_copy(g, members, b)
 
 
 @pytest.mark.parametrize("host", sorted(WALLS))

@@ -254,6 +254,21 @@ def test_config_zero_cap_is_usage_error(tmp_path, capsys):
     assert "max_tw_n must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line,detail",
+    [
+        ("search_budget=abc", "search_budget: invalid literal for int()"),
+        ("c=1/0", "c: '1/0' is not a finite fraction"),
+    ],
+    ids=["int", "fraction"],
+)
+def test_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, detail):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"# run settings\n{line}\n")
+    assert main(["--config", str(conf), "verify", "anchors"]) == 64
+    assert capsys.readouterr().err.startswith(f"config error: {conf}:2: {detail}")
+
+
 def test_sep_and_centralbag_read_c_and_d_from_config(tmp_path, capsys, monkeypatch):
     conf = tmp_path / "run.conf"
     conf.write_text("c=2/3\nd=0\n")

@@ -42,8 +42,8 @@ def test_members_are_built_only_when_searched(name):
 
     with mock.patch.multiple(
         detect,
-        _first_copy=lambda g, label, family, budget: first_copy(
-            g, label, members_of(family), budget
+        _first_copy=lambda g, family, budget: first_copy(
+            g, members_of(family), budget
         ),
         theta=counted("built", detect.theta, counts),
         pyramid=counted("built", detect.pyramid, counts),

@@ -19,7 +19,6 @@ from conftest import graphs
 from twcert.graphs import Graph, bits, mask_of
 from twcert.separators import (
     HarveyWoodReport,
-    SeparatorCertificate,
     balanced_separator_from_td,
     component_weights,
     exact_treewidth,
@@ -45,19 +44,13 @@ def uniform_on(g: Graph, support: list[int]) -> WeightFunction:
 
 def ref_min_balanced_separator(
     g: Graph, w: WeightFunction, c: Fraction, max_size: Optional[int] = None
-) -> Optional[SeparatorCertificate]:
+) -> Optional[tuple[int, ...]]:
     top = g.n if max_size is None else min(max_size, g.n)
     for k in range(top + 1):
         for xs in combinations(range(g.n), k):
             parts = component_weights(g, w, mask_of(xs))
             if all(wt <= c for _, wt in parts):
-                return SeparatorCertificate(
-                    separator=xs,
-                    c=c,
-                    component_weights=tuple(
-                        (tuple(bits(cm)), wt) for cm, wt in parts
-                    ),
-                )
+                return xs
     return None
 
 
@@ -103,18 +96,13 @@ def ref_harvey_wood(
         w = WeightFunction(tuple(g.vertices), tuple(x / total for x in raw))
         found = balanced_separator_from_td(g, w, c, td)
         if found is None:
-            cert = ref_min_balanced_separator(g, w, c, max_size=tw + 1)
-            found = None if cert is None else cert.separator
+            found = ref_min_balanced_separator(g, w, c, max_size=tw + 1)
         if found is None or len(found) > tw + 1:
             all_small = False
     return HarveyWoodReport(
-        tw=tw,
-        sep=sep,
-        c=c,
         upper_bound_holds=Fraction(tw + 1) <= Fraction(sep) / (1 - c),
         uniform_bound_holds=Fraction(tw) <= Fraction(uniform_k) / (1 - c),
         small_separator_found_for_all=all_small,
-        weights_tried=n_weights,
     )
 
 
@@ -129,8 +117,8 @@ def check_against_reference(g: Graph, c: Fraction, seed: int) -> None:
         assert min_balanced_separator(
             g, w, c, max_size=1, cap=g.n
         ) == ref_min_balanced_separator(g, w, c, max_size=1)
-        uniform_k = max(uniform_k, len(ref.separator))
-    assert uniform_k == separation_number(g, c, cap=g.n)
+        uniform_k = max(uniform_k, len(ref))
+    assert uniform_k == separation_number(g, c, cap=g.n) == ref_separation_number(g, c)
     report = ref_harvey_wood(g, c, seed, uniform_k)
     assert harvey_wood_check(g, c, seed=seed, cap=g.n) == report
 

@@ -17,9 +17,10 @@ from twcert.generators import (
     star_graph,
     wall,
 )
-from twcert.graphs import CapExceeded, Graph
+from twcert.graphs import CapExceeded, Graph, mask_of
 from twcert.separators import (
     balanced_separator_from_td,
+    component_weights,
     exact_treewidth,
     harvey_wood_check,
     is_balanced_separator,
@@ -53,28 +54,28 @@ def test_is_balanced_separator_examples():
 
 def test_min_balanced_separator_values():
     p5 = path_graph(5)
-    cert = min_balanced_separator(p5, WeightFunction.uniform(p5), HALF)
-    assert cert.separator == (2,)
+    assert min_balanced_separator(p5, WeightFunction.uniform(p5), HALF) == (2,)
     k6 = complete_graph(6)
-    cert = min_balanced_separator(k6, WeightFunction.uniform(k6), HALF)
-    assert len(cert.separator) == 3  # a K3 remainder weighs exactly 1/2
+    sep = min_balanced_separator(k6, WeightFunction.uniform(k6), HALF)
+    assert len(sep) == 3  # a K3 remainder weighs exactly 1/2
     # the lone component of a single vertex weighs 1 > c, so the vertex
     # itself is the minimum separator
     single = Graph(1, [])
-    cert = min_balanced_separator(single, WeightFunction.uniform(single), HALF)
-    assert cert.separator == (0,)
-    assert all(wt <= HALF for _, wt in cert.component_weights)
+    w = WeightFunction.uniform(single)
+    sep = min_balanced_separator(single, w, HALF)
+    assert sep == (0,)
+    assert all(wt <= HALF for _, wt in component_weights(single, w, mask_of(sep)))
 
 
 def test_min_separator_is_minimum_and_lex_first():
     g = cycle_graph(6)
     u = WeightFunction.uniform(g)
-    cert = min_balanced_separator(g, u, HALF)
-    assert len(cert.separator) == 2
+    sep = min_balanced_separator(g, u, HALF)
+    assert len(sep) == 2
     # no size-1 separator exists; the lexicographically first pair wins
     for v in g.vertices:
         assert not is_balanced_separator(g, u, HALF, [v])
-    assert cert.separator == (0, 2)
+    assert sep == (0, 2)
 
 
 def test_separation_number_values():
@@ -161,10 +162,12 @@ def test_cap_exceeded_reports():
 
 def test_harvey_wood_examples():
     rep = harvey_wood_check(path_graph(5), HALF)
-    assert rep.tw == 1 and rep.upper_bound_holds
-    assert Fraction(rep.tw + 1) <= Fraction(rep.sep) / (1 - HALF)
+    tw, sep = exact_treewidth(path_graph(5))[0], separation_number(path_graph(5), HALF)
+    assert tw == 1 and rep.upper_bound_holds
+    assert Fraction(tw + 1) <= Fraction(sep) / (1 - HALF)
     rep = harvey_wood_check(complete_graph(4), HALF)
-    assert rep.tw == 3 and rep.sep == 2 and rep.upper_bound_holds  # tight: 4 <= 4
+    tw, sep = exact_treewidth(complete_graph(4))[0], separation_number(complete_graph(4), HALF)
+    assert tw == 3 and sep == 2 and rep.upper_bound_holds  # tight: 4 <= 4
     rep = harvey_wood_check(cycle_graph(4), HALF)
     assert rep.upper_bound_holds and rep.small_separator_found_for_all
 
