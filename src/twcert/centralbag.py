@@ -17,11 +17,7 @@ from .certify import FAIL, HYPOTHESIS_UNMET, PASS
 from .config import Budget
 from .detect import induced_copies, verify_forcer, find_induced
 from .graphs import CapExceeded, Graph, bits, geometric_ball_bound, lex_key, mask_of
-from .separators import (
-    has_balanced_separator_of_size,
-    min_balanced_separator,
-    treewidth_or_bounds,
-)
+from .separators import min_balanced_separator, treewidth_or_bounds
 from .weights import WeightFunction, check_balance_parameter
 
 
@@ -80,15 +76,7 @@ def canonical_separation(g: Graph, w: WeightFunction, x: Iterable[int]) -> Separ
     comps = g.component_masks(outside)
     b_mask = max(comps, key=w.numerator_of_mask)  # the first heaviest, in component order
     c_mask = x_mask | (closed & g._adjacent(b_mask) & ~b_mask)
-    a_mask = full & ~b_mask & ~c_mask
-    return Separation(
-        a=tuple(bits(a_mask)),
-        c=tuple(bits(c_mask)),
-        b=tuple(bits(b_mask)),
-        center=xs,
-        anchor=xs[0],
-        masks=(a_mask, c_mask, b_mask),
-    )
+    return _separation(full & ~b_mask & ~c_mask, c_mask, b_mask, xs)
 
 
 def clique_separation(g: Graph, w: WeightFunction, k: Iterable[int]) -> Separation:
@@ -103,13 +91,20 @@ def clique_separation(g: Graph, w: WeightFunction, k: Iterable[int]) -> Separati
     if len(comps) < 2:
         raise ValueError("clique is not a cutset")
     b_mask = max(comps, key=w.numerator_of_mask)  # the first heaviest, in component order
-    a_mask = outside & ~b_mask
+    return _separation(outside & ~b_mask, c_mask, b_mask, ks)
+
+
+def _separation(
+    a_mask: int, c_mask: int, b_mask: int, center: tuple[int, ...]
+) -> Separation:
+    """The separation with these side masks, anchored at the least vertex of
+    its center."""
     return Separation(
         a=tuple(bits(a_mask)),
-        c=ks,
+        c=tuple(bits(c_mask)),
         b=tuple(bits(b_mask)),
-        center=ks,
-        anchor=ks[0],
+        center=center,
+        anchor=center[0],
         masks=(a_mask, c_mask, b_mask),
     )
 
@@ -156,12 +151,6 @@ class SeparationSequence:
     separations: tuple[Separation, ...]
     skipped: tuple[tuple[int, ...], ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.separations)
-
-    def __getitem__(self, i: int) -> Separation:
-        return self.separations[i]
-
     def goodness(self, g: Graph) -> tuple[int, int]:
         """Measured (a, t): max separations anchored at one vertex and max
         cut diameter."""
@@ -173,16 +162,14 @@ class SeparationSequence:
         return (max(counts.values(), default=0), t)
 
 
-def make_primordial(
-    seq: SeparationSequence,
-) -> tuple[SeparationSequence, list[tuple[int, int]]]:
-    """Keep the earliest separation for each inclusion-minimal B+C value.
+def make_primordial(bc: Sequence[int]) -> list[tuple[int, int]]:
+    """Reduce separations, given as their B+C masks in sequence order, to
+    the earliest separation for each inclusion-minimal B+C value.
 
-    Returns the reduced sequence plus (dropped index, shielding kept index)
-    pairs justifying every drop.
+    Returns a (dropped index, shielding kept index) pair for every dropped
+    separation, in index order; the members no pair drops are kept.  An
+    already primordial list loses none, so the reduction is idempotent.
     """
-    members = seq.separations
-    bc = [s.b_mask | s.c_mask for s in members]
     kept: list[int] = []
     for i, m in enumerate(bc):
         # no B+C strictly inside this one, and none equal to it kept earlier
@@ -191,19 +178,12 @@ def make_primordial(
         if any(bc[j] == m for j in kept):
             continue
         kept.append(i)
-    drops: list[tuple[int, int]] = []
     kept_set = set(kept)
-    for i, m in enumerate(bc):
-        if i in kept_set:
-            continue
-        shield = next(j for j in kept if not bc[j] & ~m)
-        drops.append((i, shield))
-    return (
-        SeparationSequence(
-            separations=tuple(members[i] for i in kept), skipped=seq.skipped
-        ),
-        drops,
-    )
+    return [
+        (i, next(j for j in kept if not bc[j] & ~m))
+        for i, m in enumerate(bc)
+        if i not in kept_set
+    ]
 
 
 def covering_sequence(
@@ -230,36 +210,26 @@ def covering_sequence(
 # -- dimension partitioning -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DimensionPartition:
-    classes: tuple[tuple[int, ...], ...]  # ascending indices into the sequence
-    measured_a: int
-    measured_t: int
-
-
-def dimension_partition(g: Graph, seq: SeparationSequence) -> DimensionPartition:
-    """Greedy colouring of the cut-intersection graph, in sequence order.
+def dimension_partition(seq: SeparationSequence) -> tuple[tuple[int, ...], ...]:
+    """Greedy colouring of the cut-intersection graph, in sequence order;
+    returns the colour classes as ascending index tuples into the sequence.
 
     Cuts in one colour class are pairwise disjoint, so each class is
-    strongly laminar; the class count is at most a * gamma(2t) + 1 where
-    gamma counts a degree-Delta ball.
+    strongly laminar; the class count is at most a * gamma(2t) + 1, where
+    (a, t) is `seq.goodness(g)` and gamma counts a degree-Delta ball.
     """
-    members = seq.separations
-    a, t = seq.goodness(g) if members else (0, 0)
-    masks = [s.c_mask for s in members]
+    masks = [s.c_mask for s in seq.separations]
     colour: list[int] = []
-    for i in range(len(members)):
-        used = {colour[j] for j in range(i) if masks[j] & masks[i]}
+    for i, m in enumerate(masks):
+        used = {colour[j] for j in range(i) if masks[j] & m}
         c = 0
         while c in used:
             c += 1
         colour.append(c)
     n_classes = max(colour) + 1 if colour else 0
-    classes = tuple(
-        tuple(i for i in range(len(members)) if colour[i] == c)
-        for c in range(n_classes)
+    return tuple(
+        tuple(i for i in range(len(masks)) if colour[i] == c) for c in range(n_classes)
     )
-    return DimensionPartition(classes=classes, measured_a=a, measured_t=t)
 
 
 # -- the central bag engine ------------------------------------------------------------
@@ -305,7 +275,7 @@ class CentralBagResult:
         cur = g.full_mask()
         for cls in self.generator:
             for i in cls:
-                cur &= seq[i].b_mask | seq[i].c_mask
+                cur &= seq.separations[i].b_mask | seq.separations[i].c_mask
         return tuple(bits(cur))
 
 
@@ -324,8 +294,8 @@ def central_bag(
 ) -> CentralBagResult:
     """Intersect the kept separations class by class, propagating weights
     through the anchors.  `classes` are ascending index tuples into `seq`,
-    applied in order: `dimension_partition(g, seq).classes`, or one class
-    of the whole sequence.
+    applied in order: `dimension_partition(seq)`, or one class of the whole
+    sequence.
 
     Per class: members whose center left the current bag are dropped with a
     center-hit witness, the rest reduce to earliest inclusion-minimal B+C
@@ -358,8 +328,8 @@ def central_bag(
             else:
                 witness = next(j for j in kept_so_far if center_mask & members[j].a_mask)
                 drops.append(DropRecord(index=i, reason="center_hit", witness=witness))
-        _, shields = make_primordial(
-            SeparationSequence(separations=tuple(members[i] for i in admitted))
+        shields = make_primordial(
+            [members[i].b_mask | members[i].c_mask for i in admitted]
         )
         shielded = {admitted[i] for i, _ in shields}
         kept = [i for i in admitted if i not in shielded]
@@ -480,7 +450,7 @@ def no_small_separator(g: Graph, w: WeightFunction, c: Fraction, d: int) -> bool
     check_balance_parameter(c)
     if g.n > 12:
         raise CapExceeded("transfer checks are exhaustive; capped at n=12")
-    return not has_balanced_separator_of_size(g, w, c, d)
+    return min_balanced_separator(g, w, c, max_size=d, cap=g.n) is None
 
 
 def check_bag_separator_transfer(
@@ -489,7 +459,8 @@ def check_bag_separator_transfer(
     c: Fraction,
     d: int,
     seq: SeparationSequence,
-    partition: DimensionPartition,
+    classes: Sequence[Sequence[int]],
+    t: int,
     result: CentralBagResult,
     no_sep: bool,
 ) -> list[ConditionalCheck]:
@@ -498,15 +469,15 @@ def check_bag_separator_transfer(
     `no_sep` is the shared hypothesis, `no_small_separator(g, w, c, d)`;
     each conclusion additionally needs its own arithmetic side conditions on
     d and the measured t, which are part of its `hypothesis_met`.  Unmet
-    hypotheses are reported as such, never as pass or fail.  `partition` is
-    `dimension_partition(g, seq)`, whose measured t the bounds use.
+    hypotheses are reported as such, never as pass or fail.  `classes` is
+    `dimension_partition(seq)` and `t` the measured cut diameter, the second
+    entry of `seq.goodness(g)`; the bounds use both.
     """
     check_balance_parameter(c)
     delta = g.max_degree()
     members = seq.separations
-    t_meas = partition.measured_t
-    gamma_t1 = geometric_ball_bound(delta, t_meas + 1)
-    gamma_t = geometric_ball_bound(delta, t_meas)
+    gamma_t1 = geometric_ball_bound(delta, t + 1)
+    gamma_t = geometric_ball_bound(delta, t)
     checks: list[ConditionalCheck] = []
 
     # heavy-side conclusion: every canonical separation has w(B) > c
@@ -528,7 +499,7 @@ def check_bag_separator_transfer(
             g.is_connected_mask(s.c_mask) and len(s.c) <= d for s in members
         )
     )
-    concl = all(is_laminar([members[i] for i in cls]) for cls in partition.classes)
+    concl = all(is_laminar([members[i] for i in cls]) for cls in classes)
     checks.append(
         ConditionalCheck(
             claim="strongly laminar classes are laminar",
@@ -554,7 +525,7 @@ def check_bag_separator_transfer(
     )
 
     # the bag admits no small balanced separator for the propagated weights
-    k = len(partition.classes)
+    k = len(classes)
     needed_d = gamma_t1 * gamma_t**k
     hyp = (
         no_sep
@@ -573,12 +544,6 @@ def check_bag_separator_transfer(
     return checks
 
 
-@dataclass(frozen=True)
-class ForcerEliminationReport:
-    premise_holds: bool
-    bag_clean: Optional[bool]
-
-
 def forcer_elimination_check(
     g: Graph,
     w: WeightFunction,
@@ -586,18 +551,16 @@ def forcer_elimination_check(
     forcer: Graph,
     result: CentralBagResult,
     budget: Optional[Budget] = None,
-) -> ForcerEliminationReport:
+) -> tuple[bool, Optional[bool]]:
     """After bag construction at a pattern's covering sequence, the bag should
-    carry no copy of any verified forcer for that pattern."""
-    premise = verify_forcer(g, forcer, pattern, budget).holds
-    if not premise:
-        return ForcerEliminationReport(premise_holds=False, bag_clean=None)
+    carry no copy of any verified forcer for that pattern.  Returns whether
+    the forcer premise holds and, when it does, whether the bag is clean."""
+    if not verify_forcer(g, forcer, pattern, budget).holds:
+        return False, None
     if not result.bag:
-        return ForcerEliminationReport(premise_holds=True, bag_clean=True)
+        return True, True
     sub, _ = g.induced_subgraph(result.bag)
-    return ForcerEliminationReport(
-        premise_holds=True, bag_clean=find_induced(sub, forcer, budget) is None
-    )
+    return True, find_induced(sub, forcer, budget) is None
 
 
 # -- clique coverings ------------------------------------------------------------------
@@ -620,28 +583,18 @@ def clique_cutsets(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def clique_covering(
-    g: Graph, w: WeightFunction
-) -> tuple[SeparationSequence, list[tuple[int, int]]]:
-    """Primordial sequence of clique separations shielding every clique
-    separation of the graph."""
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    seps = tuple(clique_separation(g, w, k) for k in clique_cutsets(g))
-    return make_primordial(SeparationSequence(separations=seps))
-
-
 def clique_central_bag(
     g: Graph, w: WeightFunction, c: Fraction, d: int, no_sep: bool
 ) -> tuple[ConditionalCheck, ConditionalCheck]:
     """The two conditional claims on the single-level central bag over the
-    clique covering: under its propagated weights the bag has no balanced
+    clique separations: under its propagated weights the bag has no balanced
     separator of size at most d / (1 + Delta), and it has no clique cutset.
     Both need `no_sep`, which is `no_small_separator(g, w, c, d)`, and
-    d > Delta."""
-    covering, _ = clique_covering(g, w)
-    classes = (tuple(range(len(covering))),) if len(covering) else ()
-    result = central_bag(g, w, covering, classes)
+    d > Delta.  The bag's primordial reduction keeps the clique covering:
+    the earliest separation for each inclusion-minimal B+C."""
+    seps = tuple(clique_separation(g, w, k) for k in clique_cutsets(g))
+    seq = SeparationSequence(separations=seps)
+    result = central_bag(g, w, seq, (range(len(seps)),))
     sub, _ = g.induced_subgraph(result.bag)
     delta = g.max_degree()
     hyp = no_sep and d > delta
@@ -689,7 +642,8 @@ class PipelineReport:
     treewidth_within_symbolic_bound: Optional[bool]
     transfer_checks: tuple[ConditionalCheck, ...]
     sequence: SeparationSequence
-    partition: DimensionPartition
+    classes: tuple[tuple[int, ...], ...]  # dimension_partition(sequence)
+    goodness: tuple[int, int]  # sequence.goodness(g): (a, t)
     result: CentralBagResult
 
 
@@ -718,8 +672,8 @@ def run_master_pipeline(
     _require_connected_and_normal(g, w)
     no_sep = no_small_separator(g, w, c, d)
     seq = covering_sequence(g, w, pattern, budget)
-    partition = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, partition.classes)
+    classes = dimension_partition(seq)
+    result = central_bag(g, w, seq, classes)
     delta = g.max_degree()
     t_param = pattern.n + 1
     a_bound = delta ** (t_param * t_param)
@@ -741,18 +695,22 @@ def run_master_pipeline(
             host = treewidth_or_bounds(g, cap=tw_cap)
             if host.exact is not None:
                 within = leq_power_bound(host.exact, 2 * n_big, gamma_t1, dim_bound)
-    checks = check_bag_separator_transfer(g, w, c, d, seq, partition, result, no_sep)
+    a_meas, t_meas = seq.goodness(g)
+    checks = check_bag_separator_transfer(
+        g, w, c, d, seq, classes, t_meas, result, no_sep
+    )
     return PipelineReport(
-        dimension_bound_holds=len(partition.classes) <= dim_bound,
-        anchor_bound_holds=partition.measured_a <= a_bound,
+        dimension_bound_holds=len(classes) <= dim_bound,
+        anchor_bound_holds=a_meas <= a_bound,
         audit_complete=audit_is_complete(g, seq, result),
-        forcer_premises=tuple(r.premise_holds for r in forcer_reps),
-        bag_forcer_free=tuple(r.bag_clean for r in forcer_reps),
+        forcer_premises=tuple(premise for premise, _ in forcer_reps),
+        bag_forcer_free=tuple(clean for _, clean in forcer_reps),
         bag_treewidth=bag_tw,
         symbolic_bound=symbolic,
         treewidth_within_symbolic_bound=within,
         transfer_checks=tuple(checks),
         sequence=seq,
-        partition=partition,
+        classes=classes,
+        goodness=(a_meas, t_meas),
         result=result,
     )

@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Optional, TextIO, TypeVar
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Optional, TextIO, TypeVar
 
 from .centralbag import run_master_pipeline
 from .certify import (
@@ -92,8 +93,18 @@ def _load_graph(path: str) -> Graph:
     return _load_json(path, graph_from_json)
 
 
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """The file to write an output to; no path, or "-", is standard output."""
+    if path is None or path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+
+
 def _save_graph(g: Graph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         if path.endswith(".gr"):
             write_gr(g, fh)
         else:
@@ -115,11 +126,8 @@ def _load_weights(path: Optional[str], g: Graph) -> WeightFunction:
 
 def _dump_json(payload: Any, path: Optional[str]) -> None:
     text = canonical_json(payload)
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 # -- gen ------------------------------------------------------------------------
@@ -261,7 +269,7 @@ def cmd_tw(args: argparse.Namespace, cfg: RunConfig) -> int:
     g = _load_graph(args.input)
     bounds = treewidth_or_bounds(g, cap=cfg.max_tw_n)
     if args.td:
-        with open(args.td, "w", encoding="utf-8") as fh:
+        with _output(args.td) as fh:
             write_td(bounds.td, g.n, fh)
     cert = Certificate(command=["tw", args.input], seed=cfg.seed)
     cert.record_input("graph", graph_witness(g))
@@ -302,7 +310,7 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
     cert = Certificate(command=["centralbag", args.input], seed=cfg.seed)
     cert.record_input("graph", graph_witness(g))
     cert.record_input("pattern", graph_witness(pattern))
-    result, partition = rep.result, rep.partition
+    result = rep.result
     cert.expect("bag.algebra", "per-level bag algebra holds", result.algebra_holds, True)
     cert.expect(
         "bag.audit", "every dropped separation is justified", rep.audit_complete, True
@@ -345,14 +353,14 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
             for s in rep.sequence.separations
         ],
         "skipped_copies": _lists(rep.sequence.skipped),
-        "partition": [list(cls) for cls in partition.classes],
+        "partition": [list(cls) for cls in rep.classes],
         "generator": [list(cls) for cls in result.generator],
         "drops": [
             {"index": d.index, "reason": d.reason, "witness": d.witness}
             for d in result.drops
         ],
-        "classes": len(partition.classes),
-        "goodness": [partition.measured_a, partition.measured_t],
+        "classes": len(rep.classes),
+        "goodness": list(rep.goodness),
         "symbolic_bound": rep.symbolic_bound,
         "certificate": cert.to_json(),
     }
@@ -409,7 +417,7 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
         host = ss.host
     check = validate_td(host, td)
     if args.td:
-        with open(args.td, "w", encoding="utf-8") as fh:
+        with _output(args.td) as fh:
             write_td(td, host.n, fh)
     _dump_json(
         {"status": "ok" if check.ok else "fail", "width": check.width,
@@ -432,7 +440,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
             print(str(exc), file=sys.stderr)
             return USAGE_ERROR
         out = None
-        if args.output:
+        if args.output and args.output != "-":  # "-" is standard output
             out = args.output if len(names) == 1 else f"{args.output}.{name}.json"
         _dump_json(cert.to_json(), out)
         worst = max(worst, cert.exit_code())

@@ -60,9 +60,11 @@ def parse_config_file(path: str) -> dict[str, object]:
             if key not in _INT_KEYS and key != "c":
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                out[key] = int(value) if key in _INT_KEYS else parse_fraction(value)
+                parsed = int(value) if key in _INT_KEYS else parse_fraction(value)
+                RunConfig(**{key: parsed})  # RunConfig's range rules
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
+            out[key] = parsed
     return out
 
 

@@ -84,13 +84,6 @@ def min_balanced_separator(
     return _first_subset(g.n, 0, top, balanced)
 
 
-def has_balanced_separator_of_size(
-    g: Graph, w: WeightFunction, c: Fraction, d: int
-) -> bool:
-    """Exhaustive: does any X with |X| <= d balance every leftover component?"""
-    return min_balanced_separator(g, w, c, max_size=d, cap=g.n) is not None
-
-
 def separation_number(g: Graph, c: Fraction, cap: int = 10) -> int:
     """Smallest k such that every vertex subset S admits an X, |X| <= k,
     leaving every component with at most c|S| vertices of S.

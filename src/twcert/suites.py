@@ -472,8 +472,7 @@ def suite_bag_algebra(cfg: RunConfig, count: int = 200) -> Certificate:
     bad: list[int] = []
     for idx, (g, pattern, w) in enumerate(_bag_corpus(cfg, count)):
         seq = covering_sequence(g, w, pattern)
-        partition = dimension_partition(g, seq)
-        result = central_bag(g, w, seq, partition.classes)
+        result = central_bag(g, w, seq, dimension_partition(seq))
         if not result.algebra_holds or result.escaped_weight != 0:
             bad.append(idx)
     cert.expect(
@@ -492,8 +491,7 @@ def suite_bag_audit(cfg: RunConfig, count: int = 120) -> Certificate:
     total_drops = 0
     for idx, (g, pattern, w) in enumerate(_bag_corpus(cfg, count)):
         seq = covering_sequence(g, w, pattern)
-        partition = dimension_partition(g, seq)
-        result = central_bag(g, w, seq, partition.classes)
+        result = central_bag(g, w, seq, dimension_partition(seq))
         total_drops += len(result.drops)
         if not audit_is_complete(g, seq, result):
             bad.append(idx)
@@ -537,10 +535,11 @@ def suite_conditional_bags(cfg: RunConfig) -> Certificate:
     for name, g, w, pattern, d in _conditional_instances(cfg):
         no_sep = no_small_separator(g, w, cfg.c, d)
         seq = covering_sequence(g, w, pattern)
-        partition = dimension_partition(g, seq)
-        result = central_bag(g, w, seq, partition.classes)
+        classes = dimension_partition(seq)
+        result = central_bag(g, w, seq, classes)
+        _, t = seq.goodness(g)
         checks = check_bag_separator_transfer(
-            g, w, cfg.c, d, seq, partition, result, no_sep
+            g, w, cfg.c, d, seq, classes, t, result, no_sep
         )
         all_checks = [*checks, *clique_central_bag(g, w, cfg.c, d, no_sep)]
         if no_sep:
@@ -847,7 +846,7 @@ def suite_pipeline(cfg: RunConfig) -> Certificate:
         cert.expect(
             f"pipeline.{name}",
             f"pipeline on {name}: bag size {len(rep.result.bag)}, "
-            f"{len(rep.partition.classes)} classes",
+            f"{len(rep.classes)} classes",
             [
                 rep.result.algebra_holds,
                 rep.audit_complete,

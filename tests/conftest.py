@@ -1,5 +1,6 @@
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from hypothesis import strategies as st
 
@@ -8,8 +9,9 @@ from twcert.centralbag import (
     Separation,
     SeparationSequence,
     central_bag,
-    clique_covering,
     clique_cutsets,
+    clique_separation,
+    make_primordial,
 )
 from twcert.decompose import (
     TreeDecomposition,
@@ -113,19 +115,49 @@ def relation(s1: Separation, s2: Separation) -> RelationFlags:
     )
 
 
+def primordial(
+    seps: Sequence[Separation],
+) -> tuple[list[Separation], list[tuple[int, int]]]:
+    """`make_primordial` on separations: the kept members, in order, and the
+    (dropped index, shielding kept index) pairs."""
+    drops = make_primordial([s.b_mask | s.c_mask for s in seps])
+    dropped = {i for i, _ in drops}
+    return [s for i, s in enumerate(seps) if i not in dropped], drops
+
+
+def clique_separations(g: Graph, w: WeightFunction) -> SeparationSequence:
+    """The separation at every clique cutset, in cutset order."""
+    return SeparationSequence(
+        separations=tuple(clique_separation(g, w, k) for k in clique_cutsets(g))
+    )
+
+
+def clique_covering(
+    g: Graph, w: WeightFunction
+) -> tuple[SeparationSequence, list[tuple[int, int]]]:
+    """The primordial reduction of the clique separations, run on its own
+    before any bag is built: the kept members as a sequence, plus the
+    (dropped index, shielding kept index) pairs.  The package reduces them
+    only inside `central_bag`."""
+    if not g.is_connected():
+        raise ValueError("graph must be connected")
+    kept, drops = primordial(clique_separations(g, w).separations)
+    return SeparationSequence(separations=tuple(kept)), drops
+
+
 def clique_bag(
     g: Graph, w: WeightFunction
 ) -> tuple[SeparationSequence, CentralBagResult, bool, bool]:
-    """The clique covering, its single-level central bag, and two measured
-    properties of that bag: it has no clique cutset, and every component of
-    g outside it has a clique of g as its neighbourhood."""
-    covering, _ = clique_covering(g, w)
-    classes = (tuple(range(len(covering))),) if len(covering) else ()
-    result = central_bag(g, w, covering, classes)
+    """The clique separations, their single-level central bag as
+    `clique_central_bag` builds it, and two measured properties of that bag:
+    it has no clique cutset, and every component of g outside it has a
+    clique of g as its neighbourhood."""
+    seq = clique_separations(g, w)
+    result = central_bag(g, w, seq, (range(len(seq.separations)),))
     sub, _ = g.induced_subgraph(result.bag)
     outside = tuple(sorted(set(g.vertices) - set(result.bag)))
     cliques = all(
         g.is_clique(tuple(sorted(set(g.neighborhood(comp, 1)) - set(comp))))
         for comp in (g.components(outside) if outside else [])
     )
-    return covering, result, not clique_cutsets(sub), cliques
+    return seq, result, not clique_cutsets(sub), cliques

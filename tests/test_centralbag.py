@@ -2,12 +2,20 @@
 these tests pin that full trace, then check the measured laws on random
 instances."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import RelationFlags, clique_bag, connected_graphs, relation
+from conftest import (
+    RelationFlags,
+    clique_bag,
+    clique_covering,
+    connected_graphs,
+    primordial,
+    relation,
+)
 from twcert.centralbag import (
     Separation,
     SeparationSequence,
@@ -16,7 +24,6 @@ from twcert.centralbag import (
     central_bag,
     check_bag_separator_transfer,
     clique_central_bag,
-    clique_covering,
     clique_cutsets,
     covering_sequence,
     dimension_partition,
@@ -26,9 +33,10 @@ from twcert.centralbag import (
     is_laminar,
     is_shield,
     leq_power_bound,
-    make_primordial,
+    no_small_separator,
     run_master_pipeline,
 )
+from twcert.config import RunConfig
 from twcert.generators import (
     complete_graph,
     cycle_graph,
@@ -37,7 +45,7 @@ from twcert.generators import (
     wall,
 )
 from twcert.graphs import Graph, geometric_ball_bound, mask_of
-from twcert.separators import has_balanced_separator_of_size
+from twcert.suites import _bag_corpus, random_weights
 from twcert.weights import WeightFunction
 
 HALF = Fraction(1, 2)
@@ -129,8 +137,7 @@ def test_shield_reflexive_and_primordial(p7):
     s_small = canonical_separation(g, w, [1])
     # bc(s) = {0,1,2,3} is contained in bc(s_small) = {1,...,6}? no; build
     # a nested pair explicitly
-    seq = SeparationSequence(separations=(s_small, s))
-    reduced, drops = make_primordial(seq)
+    reduced, drops = primordial((s_small, s))
     assert len(reduced) + len(drops) == 2
 
 
@@ -139,7 +146,7 @@ def test_make_primordial_keeps_earliest():
     w = WeightFunction.uniform(g)
     s0 = canonical_separation(g, w, [0])  # bc covers everything
     s2 = canonical_separation(g, w, [2])
-    seq, drops = make_primordial(SeparationSequence(separations=(s0, s2)))
+    seq, drops = primordial((s0, s2))
     assert len(seq) == 1 and seq[0] == s2
     assert drops == [(0, 1)]  # s2 (kept index 1 in input) shields s0
 
@@ -147,14 +154,14 @@ def test_make_primordial_keeps_earliest():
 def test_covering_sequence_p7(p7):
     g, w = p7
     seq = covering_sequence(g, w, path_graph(1))
-    assert len(seq) == 7 and not seq.skipped
+    assert len(seq.separations) == 7 and not seq.skipped
     assert seq.goodness(g) == (1, 1)
 
 
 def test_covering_sequence_skips_degenerate():
     g = complete_graph(4)
     seq = covering_sequence(g, WeightFunction.uniform(g), path_graph(1))
-    assert len(seq) == 0 and seq.skipped == ((0,), (1,), (2,), (3,))
+    assert len(seq.separations) == 0 and seq.skipped == ((0,), (1,), (2,), (3,))
     for copy in seq.skipped:
         with pytest.raises(DegenerateSeparation):
             canonical_separation(g, WeightFunction.uniform(g), copy)
@@ -163,9 +170,8 @@ def test_covering_sequence_skips_degenerate():
 def test_no_pattern_copies_leaves_whole_graph(p7):
     g, w = p7
     seq = covering_sequence(g, w, complete_graph(3))
-    assert len(seq) == 0
-    partition = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, partition.classes)
+    assert len(seq.separations) == 0
+    result = central_bag(g, w, seq, dimension_partition(seq))
     assert result.bag == tuple(range(7))
     assert result.weights == w.as_dict()
 
@@ -173,25 +179,25 @@ def test_no_pattern_copies_leaves_whole_graph(p7):
 def test_dimension_partition_p7(p7):
     g, w = p7
     seq = covering_sequence(g, w, path_graph(1))
-    part = dimension_partition(g, seq)
-    assert part.classes == ((0, 2, 5), (1, 4, 6), (3,))
-    assert part.measured_a == 1 and part.measured_t == 1
+    classes = dimension_partition(seq)
+    assert classes == ((0, 2, 5), (1, 4, 6), (3,))
+    a, t = seq.goodness(g)
+    assert a == 1 and t == 1
     # strongly laminar classes: cuts pairwise disjoint
-    for cls in part.classes:
-        cuts = [set(seq[i].c) for i in cls]
+    for cls in classes:
+        cuts = [set(seq.separations[i].c) for i in cls]
         for i in range(len(cuts)):
             for j in range(i + 1, len(cuts)):
                 assert not cuts[i] & cuts[j]
     # at most a * gamma(2t) + 1 classes
-    bound = part.measured_a * geometric_ball_bound(g.max_degree(), 2 * part.measured_t) + 1
-    assert len(part.classes) <= bound
+    bound = a * geometric_ball_bound(g.max_degree(), 2 * t) + 1
+    assert len(classes) <= bound
 
 
 def test_central_bag_p7_full_trace(p7):
     g, w = p7
     seq = covering_sequence(g, w, path_graph(1))
-    part = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, part.classes)
+    result = central_bag(g, w, seq, dimension_partition(seq))
     assert result.bag == (2, 3)
     assert result.weights == {2: Fraction(3, 7), 3: Fraction(4, 7)}
     assert result.generator == ((2, 5), (4,), (3,))
@@ -205,8 +211,7 @@ def test_central_bag_single_separation(p7):
     g, w = p7
     s = canonical_separation(g, w, [3])
     seq = SeparationSequence(separations=(s,))
-    part = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, part.classes)
+    result = central_bag(g, w, seq, dimension_partition(seq))
     assert result.bag == (0, 1, 2, 3)
     assert result.weights[3] == Fraction(1, 7) + Fraction(3, 7)
     assert sum(result.weights.values()) == 1
@@ -215,8 +220,7 @@ def test_central_bag_single_separation(p7):
 def test_cut_stays_in_level_bag(p7):
     g, w = p7
     seq = covering_sequence(g, w, path_graph(1))
-    part = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, part.classes)
+    result = central_bag(g, w, seq, dimension_partition(seq))
     for lvl in result.levels:
         assert lvl.cut_in_bag and lvl.bag_connected and lvl.weight_total_one
 
@@ -226,13 +230,12 @@ def test_cut_stays_in_level_bag(p7):
 def test_audit_complete_on_random_graphs(g):
     w = WeightFunction.uniform(g)
     seq = covering_sequence(g, w, path_graph(2))
-    part = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, part.classes)
+    result = central_bag(g, w, seq, dimension_partition(seq))
     assert audit_is_complete(g, seq, result)
     assert result.recompute_bag(g, seq) == result.bag
     # kept separations are pairwise cut-disjoint within each class
     for cls in result.generator:
-        cuts = [set(seq[i].c) for i in cls]
+        cuts = [set(seq.separations[i].c) for i in cls]
         for i in range(len(cuts)):
             for j in range(i + 1, len(cuts)):
                 assert not cuts[i] & cuts[j]
@@ -247,9 +250,9 @@ def test_clique_covering_and_bag_p3():
     g = path_graph(3)
     w = WeightFunction.uniform(g)
     covering, _ = clique_covering(g, w)
-    assert len(covering) == 1
-    assert covering[0].c == (1,)
-    no_sep = not has_balanced_separator_of_size(g, w, HALF, 1)
+    assert len(covering.separations) == 1
+    assert covering.separations[0].c == (1,)
+    no_sep = no_small_separator(g, w, HALF, 1)
     _, res, no_cutset, cliques = clique_bag(g, w)
     assert res.bag == (0, 1)
     assert res.weights == {0: Fraction(1, 3), 1: Fraction(2, 3)}
@@ -261,10 +264,10 @@ def test_clique_bag_no_cutset_on_c4():
     g = cycle_graph(4)
     w = WeightFunction.uniform(g)
     covering, res, no_cutset, _ = clique_bag(g, w)
-    assert len(covering) == 0
+    assert len(covering.separations) == 0
     assert res.bag == tuple(range(4))
     assert no_cutset
-    no_sep = not has_balanced_separator_of_size(g, w, HALF, 1)
+    no_sep = no_small_separator(g, w, HALF, 1)
     assert clique_central_bag(g, w, HALF, 1, no_sep)[1].conclusion_holds
 
 
@@ -275,7 +278,7 @@ def test_clique_bag_bookkeeping(g):
     promised once the reduced covering is actually A-loosely laminar."""
     w = WeightFunction.uniform(g)
     covering, res, no_cutset, cliques = clique_bag(g, w)
-    checks = clique_central_bag(g, w, HALF, 1, not has_balanced_separator_of_size(g, w, HALF, 1))
+    checks = clique_central_bag(g, w, HALF, 1, no_small_separator(g, w, HALF, 1))
     assert checks[1].conclusion_holds == no_cutset
     assert sum(res.weights.values()) + res.escaped_weight == 1
     assert audit_is_complete(g, covering, res)
@@ -286,14 +289,36 @@ def test_clique_bag_bookkeeping(g):
         assert cliques
 
 
+def test_clique_bag_one_pass_matches_two_pass():
+    """`clique_central_bag` hands every clique separation to `central_bag`,
+    whose primordial reduction is idempotent: reducing first with the
+    clique covering, then building the bag, keeps the same members and gives
+    the same bag and weights."""
+    rng = random.Random(5)
+    reduced = 0
+    for g, _, _ in _bag_corpus(RunConfig(), 120):
+        for w in (WeightFunction.uniform(g), random_weights(rng, g)):
+            seq, one_pass, _, _ = clique_bag(g, w)
+            covering, drops = clique_covering(g, w)
+            n = len(covering.separations)
+            two_pass = central_bag(g, w, covering, (tuple(range(n)),) if n else ())
+            assert one_pass.bag == two_pass.bag
+            assert one_pass.weights == two_pass.weights
+            kept = [seq.separations[i] for cls in one_pass.generator for i in cls]
+            assert kept == list(covering.separations)
+            reduced += bool(drops)
+    assert reduced  # the reduction drops members on some graphs
+
+
 def test_transfer_checks_never_fail_with_met_hypotheses():
     g = cycle_graph(9)
     w = WeightFunction.uniform(g)
     seq = covering_sequence(g, w, path_graph(1))
-    part = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, part.classes)
-    no_sep = not has_balanced_separator_of_size(g, w, HALF, 1)
-    checks = check_bag_separator_transfer(g, w, HALF, 1, seq, part, result, no_sep)
+    classes = dimension_partition(seq)
+    result = central_bag(g, w, seq, classes)
+    no_sep = no_small_separator(g, w, HALF, 1)
+    _, t = seq.goodness(g)
+    checks = check_bag_separator_transfer(g, w, HALF, 1, seq, classes, t, result, no_sep)
     assert all(chk.status in ("pass", "hypothesis-unmet") for chk in checks)
     # every measured conclusion on this instance is true
     assert all(chk.conclusion_holds for chk in checks if chk.conclusion_holds is not None)
@@ -303,10 +328,11 @@ def test_transfer_reports_hypothesis_unmet_not_pass():
     g = path_graph(6)  # has small balanced separators: hypothesis fails
     w = WeightFunction.uniform(g)
     seq = covering_sequence(g, w, path_graph(1))
-    part = dimension_partition(g, seq)
-    result = central_bag(g, w, seq, part.classes)
-    no_sep = not has_balanced_separator_of_size(g, w, HALF, 2)
-    checks = check_bag_separator_transfer(g, w, HALF, 2, seq, part, result, no_sep)
+    classes = dimension_partition(seq)
+    result = central_bag(g, w, seq, classes)
+    no_sep = no_small_separator(g, w, HALF, 2)
+    _, t = seq.goodness(g)
+    checks = check_bag_separator_transfer(g, w, HALF, 2, seq, classes, t, result, no_sep)
     assert all(chk.status == "hypothesis-unmet" for chk in checks)
 
 
@@ -317,30 +343,20 @@ def test_forcer_elimination_on_spider_free_host():
     inner = subdivided_claw(1, 1, 1).graph
     forcer = Graph(inner.n + 1, list(inner.edges))
     seq = covering_sequence(host, w, pattern)
-    part = dimension_partition(host, seq)
-    result = central_bag(host, w, seq, part.classes)
-    rep = forcer_elimination_check(host, w, pattern, forcer, result)
-    assert rep.premise_holds
-    assert rep.bag_clean in (True, None)
+    result = central_bag(host, w, seq, dimension_partition(seq))
+    premise, clean = forcer_elimination_check(host, w, pattern, forcer, result)
+    assert premise
+    assert clean in (True, None)
 
 
 def test_forcer_elimination_premise_gate():
     # on a long path, one endpoint of an edge does not break the other
     g = path_graph(8)
     w = WeightFunction.uniform(g)
-    rep = forcer_elimination_check(
-        g,
-        w,
-        path_graph(1),
-        path_graph(2),
-        central_bag(
-            g,
-            w,
-            covering_sequence(g, w, path_graph(1)),
-            dimension_partition(g, covering_sequence(g, w, path_graph(1))).classes,
-        ),
-    )
-    assert not rep.premise_holds and rep.bag_clean is None
+    seq = covering_sequence(g, w, path_graph(1))
+    result = central_bag(g, w, seq, dimension_partition(seq))
+    premise, clean = forcer_elimination_check(g, w, path_graph(1), path_graph(2), result)
+    assert not premise and clean is None
 
 
 def test_leq_power_bound_lazy():
@@ -353,7 +369,7 @@ def test_leq_power_bound_lazy():
 def test_master_pipeline_wall():
     g = wall(3, 3)
     rep = run_master_pipeline(g, path_graph(1), [], c=HALF, d=2)
-    assert len(rep.sequence) == 12
+    assert len(rep.sequence.separations) == 12
     assert rep.result.algebra_holds and rep.audit_complete
     assert rep.dimension_bound_holds and rep.anchor_bound_holds
     assert rep.treewidth_within_symbolic_bound in (True, None)
@@ -363,7 +379,7 @@ def test_master_pipeline_wall():
 def test_master_pipeline_empty_covering():
     g = path_graph(5)
     rep = run_master_pipeline(g, complete_graph(3), [], c=HALF, d=1)
-    assert len(rep.sequence) == 0
+    assert len(rep.sequence.separations) == 0
     assert rep.result.bag == tuple(range(5))
 
 

@@ -28,10 +28,10 @@ from twcert.centralbag import (
     dimension_partition,
     is_a_laminar,
     is_laminar,
+    no_small_separator,
 )
 from twcert.generators import path_graph
 from twcert.graphs import geometric_ball_bound
-from twcert.separators import has_balanced_separator_of_size
 from twcert.suites import random_connected, random_weights
 from twcert.weights import WeightFunction
 
@@ -87,9 +87,9 @@ def restricted_levels(g, seq, result):
     bag = set(range(g.n))
     out = []
     for cls in result.generator:
-        out.append([restricted(seq[i], bag) for i in cls])
+        out.append([restricted(seq.separations[i], bag) for i in cls])
         for i in cls:
-            bag &= set(bc_union(seq[i]))
+            bag &= set(bc_union(seq.separations[i]))
     return out
 
 
@@ -98,18 +98,19 @@ def corpus():
     out = []
     for g, w, pattern, d in instances():
         seq = covering_sequence(g, w, pattern)
-        part = dimension_partition(g, seq)
-        result = central_bag(g, w, seq, part.classes)
-        out.append((g, w, d, seq, part, result))
+        classes = dimension_partition(seq)
+        result = central_bag(g, w, seq, classes)
+        out.append((g, w, d, seq, classes, result))
     return out
 
 
 def test_all_pairs_matches_reference_methods(corpus):
     outcomes = {kind: {flag: [] for flag in FLAGS} for kind in ("whole", "class")}
-    for g, w, d, seq, part, result in corpus:
-        groups = [("whole", list(seq.separations))]
-        groups += [("class", [seq[i] for i in cls]) for cls in part.classes]
-        groups += [("kept", [seq[i] for i in cls]) for cls in result.generator]
+    for g, w, d, seq, classes, result in corpus:
+        members = seq.separations
+        groups = [("whole", list(members))]
+        groups += [("class", [members[i] for i in cls]) for cls in classes]
+        groups += [("kept", [members[i] for i in cls]) for cls in result.generator]
         levels = restricted_levels(g, seq, result)
         assert len(levels) == len(result.levels)
         for lvl, restricted in zip(result.levels, levels):
@@ -131,18 +132,22 @@ def test_all_pairs_matches_reference_methods(corpus):
 
 
 def test_transfer_conclusions_match_reference_methods(corpus):
-    for g, w, d, seq, part, result in corpus:
-        no_sep = not has_balanced_separator_of_size(g, w, HALF, d)
-        checks = check_bag_separator_transfer(g, w, HALF, d, seq, part, result, no_sep)
-        by_claim = {chk.claim: chk for chk in checks}
-        classes = by_claim["strongly laminar classes are laminar"]
-        assert classes.conclusion_holds == all(
-            reference([seq[i] for i in cls])["non_crossing"] for cls in part.classes
+    for g, w, d, seq, classes, result in corpus:
+        members = seq.separations
+        no_sep = no_small_separator(g, w, HALF, d)
+        _, t = seq.goodness(g)
+        checks = check_bag_separator_transfer(
+            g, w, HALF, d, seq, classes, t, result, no_sep
         )
-        kept = [reference([seq[i] for i in cls]) for cls in result.generator]
+        by_claim = {chk.claim: chk for chk in checks}
+        strong = by_claim["strongly laminar classes are laminar"]
+        assert strong.conclusion_holds == all(
+            reference([members[i] for i in cls])["non_crossing"] for cls in classes
+        )
+        kept = [reference([members[i] for i in cls]) for cls in result.generator]
         primordial = by_claim["primordial laminar classes are A-laminar"]
         assert primordial.conclusion_holds == all(r["a_non_crossing"] for r in kept)
-        gamma_t1 = geometric_ball_bound(g.max_degree(), part.measured_t + 1)
+        gamma_t1 = geometric_ball_bound(g.max_degree(), t + 1)
         assert primordial.hypothesis_met == (
             no_sep and d >= gamma_t1 and all(r["non_crossing"] for r in kept)
         )

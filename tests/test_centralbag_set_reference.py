@@ -9,7 +9,9 @@ reference copies of the others), verbatim but for the set helpers
 `Graph` no longer have: the first two come from `conftest`, the last is a
 mask test.  `relation` and its `RelationFlags` are in `conftest` too, since
 the package now keeps only the two flags it tests, as `is_laminar` and
-`is_a_laminar`, and `central_bag` takes the partition's classes.
+`is_a_laminar`, and `central_bag` takes the partition's classes.  The
+package's `make_primordial` takes the B+C masks and returns only the drop
+pairs, so it is compared with the reference's pairs.
 `Separation` now carries `a_mask`, `c_mask` and `b_mask`, which the
 production code reads instead.  On seeded triples shaped like the
 `bag-algebra` suite's and on the 3x3 and 4x4 walls with paths P2-P4, every
@@ -229,7 +231,7 @@ def test_corpus_exercises_every_drop_and_level_kind():
     reasons, levels = set(), 0
     for g, pattern, w in TRIPLES:
         seq = covering_sequence(g, w, pattern)
-        result = central_bag(g, w, seq, dimension_partition(g, seq).classes)
+        result = central_bag(g, w, seq, dimension_partition(seq))
         reasons |= {d.reason for d in result.drops}
         levels = max(levels, len(result.levels))
     assert reasons == {"shield", "center_hit"}
@@ -248,8 +250,9 @@ def test_mask_engine_matches_set_reference(idx):
             assert cb.is_laminar([s1, s2]) == flags.non_crossing
             assert cb.is_a_laminar([s1, s2]) == flags.a_non_crossing
             assert cb.is_shield(s1, s2) == is_shield(s1, s2)
-    assert cb.make_primordial(seq) == make_primordial(seq)
-    classes = dimension_partition(g, seq).classes
+    bc = [s.b_mask | s.c_mask for s in seq.separations]
+    assert cb.make_primordial(bc) == make_primordial(seq)[1]
+    classes = dimension_partition(seq)
     result = cb.central_bag(g, w, seq, classes)
     assert result == central_bag(g, w, seq, classes)
     assert cb.audit_is_complete(g, seq, result) == audit_is_complete(g, seq, result)

@@ -17,6 +17,7 @@ from twcert.io import (
     write_graph_json,
     write_td,
 )
+from twcert.suites import SUITES
 
 
 def _roundtrip_json(g):
@@ -259,8 +260,11 @@ def test_config_zero_cap_is_usage_error(tmp_path, capsys):
     [
         ("search_budget=abc", "search_budget: invalid literal for int()"),
         ("c=1/0", "c: '1/0' is not a finite fraction"),
+        ("c=2", "c: balance parameter c must lie in [1/2, 1), got 2"),
+        ("search_budget=0", "search_budget: search_budget must be positive"),
+        ("seed=-1", "seed: seed must be non-negative"),
     ],
-    ids=["int", "fraction"],
+    ids=["int", "fraction", "c-range", "budget-range", "seed-range"],
 )
 def test_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, detail):
     conf = tmp_path / "run.conf"
@@ -292,3 +296,38 @@ def test_sep_and_centralbag_read_c_and_d_from_config(tmp_path, capsys, monkeypat
             "-o", str(tmp_path / "cb.json")]
     assert main(argv) in (0, 2)
     assert seen == [(Fraction(2, 3), 0)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "wall", "--n", "3", "--m", "3", "-o", "{out}"],
+        ["tw", "-i", "claw.json", "--td", "{out}", "-o", "tw.json"],
+        ["decompose", "--method", "chordal", "-i", "claw.json", "--td", "{out}",
+         "-o", "d.json"],
+        ["verify", "anchors", "-o", "{out}"],
+    ],
+    ids=["gen", "tw-td", "decompose-td", "verify"],
+)
+def test_dash_output_is_stdout(tmp_path, monkeypatch, capsys, argv):
+    """`-` as an output path writes to standard output the bytes that a file
+    path receives, and creates no file named `-`."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "claw", "-o", "claw.json"]) == 0
+    code = main([a.replace("{out}", "file.out") for a in argv])
+    capsys.readouterr()
+    assert main([a.replace("{out}", "-") for a in argv]) == code
+    assert capsys.readouterr().out == (tmp_path / "file.out").read_text()
+    assert not list(tmp_path.glob("-*"))
+
+
+def test_verify_all_dash_output_is_stdout(tmp_path, monkeypatch, capsys):
+    """`verify all -o -` prints every suite's certificate, in suite order,
+    as `verify all` with no -o does, and writes no `-.<suite>.json` file."""
+    monkeypatch.chdir(tmp_path)
+    code = main(["verify", "all", "-o", "run"])
+    capsys.readouterr()
+    assert main(["verify", "all", "-o", "-"]) == code
+    files = [(tmp_path / f"run.{name}.json").read_text() for name in sorted(SUITES)]
+    assert capsys.readouterr().out == "".join(files)
+    assert not list(tmp_path.glob("-*"))

@@ -4,7 +4,7 @@ and the shared no-small-separator hypothesis, before any stage runs."""
 import json
 import sys
 
-from twcert import centralbag, separators
+from twcert import centralbag
 from twcert.cli import USAGE_ERROR, main
 from twcert.config import RunConfig
 from twcert.suites import verify_suite
@@ -68,7 +68,7 @@ def test_usage_errors_beat_the_cap(tmp_path):
 
 
 def test_conditional_bags_searches_once_per_instance(monkeypatch):
-    real = separators.has_balanced_separator_of_size
+    real = centralbag.no_small_separator
     calls = []
 
     def counted(*args, **kwargs):
@@ -76,8 +76,8 @@ def test_conditional_bags_searches_once_per_instance(monkeypatch):
         return real(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        bound = getattr(module, "has_balanced_separator_of_size", None)
+        bound = getattr(module, "no_small_separator", None)
         if name.startswith("twcert") and bound is real:
-            monkeypatch.setattr(module, "has_balanced_separator_of_size", counted)
+            monkeypatch.setattr(module, "no_small_separator", counted)
     verify_suite("conditional-bags", RunConfig())
     assert len(calls) == 9

@@ -44,7 +44,6 @@ ALLOWED = {
     "io.read_td": RESERVED,
     "centralbag.CentralBagResult.recompute_bag": RESERVED,
     "certify._recheck_pattern_found": RESERVED,
-    "centralbag.SeparationSequence.__getitem__": DUNDER,
     "graphs.Graph.__hash__": DUNDER,
     "graphs.Graph.__repr__": DUNDER,
 }
