@@ -87,10 +87,12 @@ class Budget:
     ``limit``, so ``used`` is exact at every yield, at the end and at
     exhaustion.  ``find_creature`` ticks once per path prefix it extends
     while enumerating the induced paths, then once per node of its
-    path-tuple search.  In a family search, a member whose search an earlier
-    member has already failed is charged the same steps at once and its
-    graph is never built (``detect._first_copy``).  Exceeding ``limit``
-    raises ``BudgetExhausted``.
+    path-tuple search.  In a family search (``detect._first_copy``) a member
+    with no copy is searched on a trie of search trees it shares with the
+    earlier members and charged, in one tick, exactly the steps the engine
+    would take for it; a member that embeds, or whose charge would exceed
+    ``limit``, runs through the engine itself.  Exceeding ``limit`` raises
+    ``BudgetExhausted``.
     """
 
     __slots__ = ("limit", "used")

@@ -7,8 +7,10 @@ deterministic node budget and report exhaustion distinctly from absence.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .config import Budget, RunConfig
@@ -35,6 +37,41 @@ def _default_budget(budget: Optional[Budget]) -> Budget:
 
 # -- generic engine ---------------------------------------------------------
 
+Filter = tuple[list[int], list[tuple[int, ...]], list[tuple[int, ...]]]
+
+
+def _host_masks(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """The host's neighbour masks, their complements, and at_least[d], the
+    host vertices of degree >= d for d up to the maximum degree."""
+    nbr = [g.neighbor_mask(v) for v in g.vertices]
+    at_least = [0] * (g.max_degree() + 1)
+    for v in g.vertices:
+        at_least[g.degree(v)] |= 1 << v
+    for d in range(len(at_least) - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    return nbr, [~m for m in nbr], at_least
+
+
+def _filter(
+    degree: Sequence[int], earlier: Sequence[int], at_least: list[int]
+) -> Filter:
+    """The engine's candidate filter for a pattern whose vertex i has degree
+    ``degree[i]`` and earlier neighbours ``earlier[i]`` (a mask of 0..i-1),
+    on a host whose vertices of degree >= d are ``at_least[d]`` (none when d
+    is past the end).
+
+    The candidates for pattern vertex i are ``base[i]`` (the host vertices
+    of large enough degree), minus the vertices the images of 0..i-1 take,
+    AND the host neighbour mask of the image of each j in ``adj[i]`` (i's
+    earlier neighbours), AND the complement of that of each j in ``non[i]``
+    (its earlier non-neighbours).
+    """
+    top = len(at_least)
+    base = [at_least[d] if d < top else 0 for d in degree]
+    adj = [tuple(bits(mask)) for mask in earlier]
+    non = [tuple(bits((1 << i) - 1 & ~mask)) for i, mask in enumerate(earlier)]
+    return base, adj, non
+
 
 def iter_induced_maps(
     g: Graph, pattern: Graph, budget: Optional[Budget] = None
@@ -43,10 +80,11 @@ def iter_induced_maps(
     in lexicographic order of the mapping tuple.
 
     Pattern vertices are placed in id order by one loop over an explicit
-    stack.  The candidates for pattern vertex i form one host bitmask: the
-    vertices of large enough degree, not yet used, adjacent to the images of
-    i's earlier pattern neighbours and non-adjacent to the images of its
-    earlier non-neighbours.  They are tried in ascending id order.
+    stack.  The candidates for pattern vertex i form one host bitmask (see
+    ``_filter``): the vertices of large enough degree, not yet used,
+    adjacent to the images of i's earlier pattern neighbours and non-adjacent
+    to the images of its earlier non-neighbours.  They are tried in ascending
+    id order.
 
     One budget step is one host vertex considered for one pattern vertex,
     whether the filter keeps it or not: placing vertex i costs n steps (n the
@@ -70,22 +108,12 @@ def iter_induced_maps(
     if k == 0:
         yield ()
         return 0
-    nbr = [g.neighbor_mask(v) for v in g.vertices]
-    non = [~m for m in nbr]
-    # at_least[d]: host vertices of degree >= d, for every pattern degree d
-    at_least = [0] * (max(g.max_degree(), pattern.max_degree()) + 1)
-    for v in g.vertices:
-        at_least[g.degree(v)] |= 1 << v
-    for d in range(len(at_least) - 2, -1, -1):
-        at_least[d] |= at_least[d + 1]
-    base = [at_least[pattern.degree(i)] for i in range(k)]
-    earlier_adj: list[tuple[int, ...]] = []
-    earlier_non: list[tuple[int, ...]] = []
-    for i in range(k):
-        before = (1 << i) - 1
-        adj = pattern.neighbor_mask(i) & before
-        earlier_adj.append(tuple(bits(adj)))
-        earlier_non.append(tuple(bits(before & ~adj)))
+    nbr, non, at_least = _host_masks(g)
+    base, earlier_adj, earlier_non = _filter(
+        [pattern.degree(i) for i in range(k)],
+        [pattern.neighbor_mask(i) & ((1 << i) - 1) for i in range(k)],
+        at_least,
+    )
     # per pattern vertex i: its current image (-1 until some branch places
     # it), its candidates not yet tried, the host vertices considered for it
     # so far, and the host vertices the images of 0..i-1 take
@@ -141,13 +169,111 @@ Roles = tuple[tuple[str, Sequence[int]], ...]
 # One member of a witness family: its vertex count and edge list, and a
 # function that builds its witness graph and its roles (vertex sequences of
 # that graph, which a copy maps into the host).  The function runs only when
-# the member is searched.
+# the member is searched by `iter_induced_maps`.
 Member = tuple[int, Sequence[tuple[int, int]], Callable[[], tuple[Graph, Roles]]]
 
 
 def _built(pattern: Graph, roles: Roles) -> Member:
     """A member whose witness graph already exists."""
     return pattern.n, pattern.edges, lambda: (pattern, roles)
+
+
+class _Level:
+    """A trie node of `_first_copy`: the search-tree nodes at one pattern
+    level, in lexicographic order, as parallel columns (the index of each
+    node's parent one level up, its host vertex).  The root stands for
+    level -1 and holds one node, the empty assignment.  ``total`` counts the
+    tree nodes from the root down to this level, and ``next`` holds the trie
+    nodes of the next level by signature entry."""
+
+    __slots__ = ("up", "depth", "total", "parent", "vertex", "next")
+
+    def __init__(self, up: Optional[_Level], parent: array, vertex: array) -> None:
+        self.up = up
+        self.depth = up.depth + 1 if up else 0
+        self.total = (up.total if up else 0) + len(vertex)
+        self.parent = parent
+        self.vertex = vertex
+        self.next: dict[tuple[int, int], _Level] = {}
+
+
+def _grow(
+    trie: _Level,
+    degree: Sequence[int],
+    earlier: Sequence[int],
+    host: tuple[list[int], list[int], list[int]],
+    cap: int,
+) -> Optional[list[tuple[array, array]]]:
+    """The search-tree levels p..k-1 of the member with the given signature
+    below the trie node `trie` at depth p (levels 0..p-1), as (parent,
+    vertex) columns, or None when the member embeds (some node reaches level
+    k-1) or the tree would hold more than `cap` nodes below `trie`.  The
+    loop is the engine's, with the nodes of level p-1 in place of the
+    candidates of level p-1."""
+    p, k = trie.depth, len(degree)
+    if cap < 0:
+        return None
+    if not trie.vertex:
+        return []  # an earlier member's search died at level p-1
+    if p == k:
+        return None
+    nbr, non, at_least = host
+    base, earlier_adj, earlier_non = _filter(degree, earlier, at_least)
+    path = [trie]  # path[L]: the trie node of level L-1
+    while path[-1].up:
+        path.append(path[-1].up)
+    path.reverse()
+    grown = [(array("i"), array("i")) for _ in range(p, k)]
+    assigned = [0] * k
+    used = [0] * (k + 1)  # used[i]: the host vertices the images of 0..i-1 take
+    cands = [0] * k
+    at = [-1] * (k + 1)  # at[i]: the index of the node of level i-1 being extended
+    last = k - 1
+    tops = len(trie.vertex)
+    top = -1
+    i = p - 1
+    while True:
+        if i < p:
+            # the next node of level p-1: assign levels 0..p-1 from it,
+            # walking its parents only while they change
+            top += 1
+            if top == tops:
+                return grown
+            level, node = p, top
+            while level and at[level] != node:
+                at[level] = node
+                assigned[level - 1] = path[level].vertex[node]
+                node = path[level].parent[node]
+                level -= 1
+            for j in range(level, p):
+                used[j + 1] = used[j] | 1 << assigned[j]
+            taken = used[p]
+        else:
+            cand = cands[i]
+            if not cand:
+                i -= 1
+                continue
+            if i == last:
+                return None
+            cap -= 1
+            if cap < 0:
+                return None
+            low = cand & -cand
+            cands[i] = cand ^ low
+            c = low.bit_length() - 1
+            parents, vertices = grown[i - p]
+            at[i + 1] = len(vertices)
+            parents.append(at[i])
+            vertices.append(c)
+            assigned[i] = c
+            used[i + 1] = taken = used[i] | low
+        i += 1
+        cand = base[i] & ~taken
+        for j in earlier_adj[i]:
+            cand &= nbr[assigned[j]]
+        for j in earlier_non[i]:
+            cand &= non[assigned[j]]
+        cands[i] = cand
 
 
 def _first_copy(
@@ -157,21 +283,30 @@ def _first_copy(
     embeds in g, as its image and its roles mapped into g.  Members are
     tried in order and share one budget.
 
-    The engine's work at pattern vertex i depends only on g, the degree of i
-    and which earlier pattern vertices i is adjacent to.  So when a member's
-    search yields nothing and places no vertex beyond d, every later member
-    whose vertices 0..d match it in both respects runs the same search.  A
-    member whose search an earlier member has already failed is charged the
-    same steps at once and skipped, unless the charge would exhaust the
-    budget: then it runs, so ``BudgetExhausted`` comes at the same step.
-    A member's degrees and earlier neighbours are read from its edge list,
-    and its graph is built only when it runs.
+    The engine's search tree down to pattern vertex i depends only on g and,
+    for each of the vertices 0..i, its degree and its earlier neighbours:
+    the member's signature.  So the members share one trie keyed by
+    signature entries, whose node at depth L+1 holds the tree nodes at level
+    L (see `_Level`).  A member walks the trie along its signature as far as
+    it goes, to depth p, and grows levels p..k-1 below it with the engine's
+    candidate filter.  When no node reaches level k-1 the member has no
+    copy: it is charged in one tick what the engine would charge, n steps
+    for placing vertex 0 and n more below each of its nodes, and its new
+    levels are linked into the trie, down to the first empty one.  So at
+    most one tree node is stored per n steps charged.
+
+    A member runs through `iter_induced_maps` instead when it embeds, or
+    when its charge would exceed what is left of the budget, so the match,
+    ``Budget.used`` and ``BudgetExhausted`` are those of running every
+    member in turn.  A member's signature is read from its edge list, and
+    its graph is built only when it runs through the engine.
     """
     bud = _default_budget(budget)
-    # (degree, earlier-neighbour mask) of vertices 0..d -> steps of that search
-    failed: dict[tuple[tuple[int, int], ...], int] = {}
+    n = g.n
+    host = _host_masks(g)
+    root = _Level(None, array("i", [-1]), array("i", [-1]))
     for k, edges, build in family:
-        if k > g.n:
+        if k > n:
             continue  # no copy, and the engine charges nothing
         degree = [0] * k
         earlier = [0] * k
@@ -182,23 +317,32 @@ def _first_copy(
                 earlier[v] |= 1 << u
             else:
                 earlier[u] |= 1 << v
-        sig = tuple(zip(degree, earlier))
-        steps = next((s for key, s in failed.items() if sig[: len(key)] == key), None)
-        if steps is not None and steps <= bud.limit - bud.used:
-            bud.tick(steps)
+        trie = root
+        for entry in zip(degree, earlier):
+            below = trie.next.get(entry)
+            if below is None:
+                break
+            trie = below
+        cap = (bud.limit - bud.used) // max(n, 1) - trie.total
+        grown = _grow(trie, degree, earlier, host, cap)
+        if grown is not None:
+            # link the new levels down to the first empty one: the levels
+            # below it are empty too, so trie.total counts every tree node
+            for level, (parents, vertices) in enumerate(grown, trie.depth):
+                entry = degree[level], earlier[level]
+                trie.next[entry] = trie = _Level(trie, parents, vertices)
+                if not vertices:
+                    break
+            bud.tick(n * trie.total)
             continue
         pattern, roles = build()
-        start = bud.used
-        maps = iter_induced_maps(g, pattern, bud)
-        try:
-            mapping = next(maps)
-        except StopIteration as done:
-            failed[sig[: done.value + 1]] = bud.used - start
-            continue
-        return PatternMatch(
-            image=tuple(sorted(mapping)),
-            roles=tuple((key, tuple(mapping[v] for v in seq)) for key, seq in roles),
-        )
+        for mapping in iter_induced_maps(g, pattern, bud):
+            return PatternMatch(
+                image=tuple(sorted(mapping)),
+                roles=tuple(
+                    (key, tuple(mapping[v] for v in seq)) for key, seq in roles
+                ),
+            )
     return None
 
 
@@ -319,25 +463,36 @@ def _directed_induced_paths(
         return [(v,) for v in g.vertices]
     tick = budget.tick if budget is not None else lambda: None
     out: list[tuple[int, ...]] = []
+    # near[w]: the path vertices adjacent to w, plus 2 when w is on the path,
+    # so a neighbour w of the tail extends the path exactly when near[w] == 1
+    near = [0] * g.n
+    nbrs = [g.neighbors(v) for v in g.vertices]
     for v in g.vertices:
         path = [v]
-        used = 1 << v
-        stack = [iter(g.neighbors(v))]
+        near[v] += 2
+        for x in nbrs[v]:
+            near[x] += 1
+        stack = [iter(nbrs[v])]
         while stack:
             for w in stack[-1]:
-                if used >> w & 1 or g.neighbor_mask(w) & used & ~(1 << path[-1]):
+                if near[w] != 1:
                     continue
                 tick()
                 if len(path) == t:
                     out.append((*path, w))
                     continue
                 path.append(w)
-                used |= 1 << w
-                stack.append(iter(g.neighbors(w)))
+                near[w] += 2
+                for x in nbrs[w]:
+                    near[x] += 1
+                stack.append(iter(nbrs[w]))
                 break
             else:
                 stack.pop()
-                used &= ~(1 << path.pop())
+                w = path.pop()
+                near[w] -= 2
+                for x in nbrs[w]:
+                    near[x] -= 1
     return sorted(out)
 
 
@@ -438,18 +593,38 @@ def find_line_of_subdivided_wall(
     bud = _default_budget(budget)
     base = wall(k, k)
 
+    def build(lengths: tuple[int, ...]) -> tuple[Graph, Roles]:
+        sub = subdivide(base, {e: lengths[i] + 1 for i, e in enumerate(base.edges)})
+        return line_graph(sub), (("mapping", range(sub.m)),)
+
     def family() -> Iterator[Member]:
         # the subdivision with `total` edges has a line graph on `total` vertices
         for total in range(base.m, g.n + 1):
             for lengths in _compositions(total - base.m, base.m):
                 bud.tick()
-                sub = subdivide(
-                    base, {e: lengths[i] + 1 for i, e in enumerate(base.edges)}
-                )
-                roles = (("mapping", range(total)),)
-                yield _built(line_graph(sub), roles)
+                yield total, _line_edges(base, lengths), partial(build, lengths)
 
     return _first_copy(g, family(), bud)
+
+
+def _line_edges(base: Graph, lengths: Sequence[int]) -> list[tuple[int, int]]:
+    """Edge list of ``line_graph(subdivide(base, ...))`` when base edge i
+    gets lengths[i] new vertices, read off the lengths: the subdivision's
+    edges in sorted order are the line graph's vertices, and two of them
+    are adjacent when they share an end."""
+    nxt = base.n
+    edges: list[tuple[int, int]] = []
+    for (u, v), extra in zip(base.edges, lengths):
+        # subdivide numbers the new vertices of each base edge in turn
+        chain = [u, *range(nxt, nxt + extra), v]
+        nxt += extra
+        edges.extend((a, b) if a < b else (b, a) for a, b in zip(chain, chain[1:]))
+    edges.sort()
+    incident: list[list[int]] = [[] for _ in range(nxt)]
+    for i, (a, b) in enumerate(edges):
+        incident[a].append(i)
+        incident[b].append(i)
+    return [(i, j) for ends in incident for i, j in combinations(ends, 2)]
 
 
 def _compositions(extra: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -1,7 +1,8 @@
 """The family detectors against a plain member-by-member loop over
-`iter_induced_maps`: the table of failed prefixes in `detect._first_copy`
+`iter_induced_maps`: the trie of search trees in `detect._first_copy`
 changes neither the match, nor `Budget.used`, nor the outcome (a match,
-None or `BudgetExhausted`) under any budget limit."""
+None or `BudgetExhausted`) under any budget limit, and it stores at most one
+tree node per n steps charged."""
 
 from contextlib import contextmanager
 from unittest import mock
@@ -21,7 +22,7 @@ from twcert.detect import (
     iter_induced_maps,
 )
 from twcert.generators import wall
-from twcert.graphs import BudgetExhausted
+from twcert.graphs import BudgetExhausted, Graph
 
 FAMILIES = {
     "theta-t2": lambda g, b: find_t_theta(g, 2, b),
@@ -167,3 +168,73 @@ def test_random_families_match_reference(g, patterns, data):
     assert outcome(search, g, 10**8) == (result, total)
     limit = data.draw(st.integers(0, max(0, total - 1)))
     assert outcome(search, g, limit) == reference_outcome(search, g, limit)
+
+
+@st.composite
+def subcubic_graphs(draw, min_n=10, max_n=16):
+    """Random graphs of maximum degree 3, where many theta members share long
+    prefixes and fail deep: three stubs per vertex, paired in a random order,
+    dropping loops, repeated pairs and a random tail of the pairs."""
+    n = draw(st.integers(min_n, max_n))
+    stubs = draw(st.permutations([v for v in range(n) for _ in range(3)]))
+    pairs = list(zip(stubs[::2], stubs[1::2]))
+    kept = pairs[: draw(st.integers(n, len(pairs)))]
+    return Graph(n, {(min(e), max(e)) for e in kept if e[0] != e[1]})
+
+
+def charges(search, g):
+    """The ticks taken outside the engine, as (used before, amount)."""
+    budget = ChargeLog(10**8)
+    with engine_flagged():
+        search(g, budget)
+    return budget.log
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    g=subcubic_graphs(),
+    family=st.sampled_from(["theta-t2", "theta-t3", "pyramid-t1"]),
+    data=st.data(),
+)
+def test_subcubic_hosts_match_reference(g, family, data):
+    """Limits inside the last charge the trie takes: that member's charge
+    would overrun, so it runs through the engine and stops where the
+    reference does."""
+    search = FAMILIES[family]
+    result, total = reference_outcome(search, g, 10**8)
+    assert outcome(search, g, 10**8) == (result, total)
+    log = charges(search, g)
+    used, amount = log[-1] if log else (0, total + 1)
+    limit = data.draw(st.integers(used, used + amount - 1))
+    assert outcome(search, g, limit) == reference_outcome(search, g, limit)
+
+
+def stored_nodes(search, g):
+    """The tree nodes a search stores in its trie (the root's one included),
+    and the steps it charges."""
+    made = []
+
+    class Recorded(detect._Level):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            made.append(self)
+
+    budget = Budget(10**8)
+    with mock.patch.object(detect, "_Level", Recorded):
+        search(g, budget)
+    return sum(len(level.vertex) for level in made), budget.used
+
+
+@pytest.mark.parametrize("host", sorted(WALLS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_walls_store_one_node_per_n_steps(family, host):
+    g = WALLS[host]
+    stored, used = stored_nodes(FAMILIES[family], g)
+    assert 1 <= stored <= used // g.n + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=subcubic_graphs(), family=st.sampled_from(sorted(FAMILIES)))
+def test_random_hosts_store_one_node_per_n_steps(g, family):
+    stored, used = stored_nodes(FAMILIES[family], g)
+    assert stored <= used // g.n + 1
