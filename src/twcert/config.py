@@ -19,7 +19,6 @@ ENV_CONFIG = "TWCERT_CONFIG"
 
 @dataclass(frozen=True)
 class RunConfig:
-    max_clique_n: int = 64
     max_tw_n: int = 14
     max_sep_n: int = 10
     max_pattern_nodes: int = 24

@@ -9,20 +9,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations
-from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import Budget, RunConfig
-from .generators import (
-    _pyramid_shape,
-    _theta_shape,
-    pyramid,
-    subdivided_claw,
-    theta,
-    wall,
-)
-from .graphs import CapExceeded, Graph, bits, line_graph, mask_of, subdivide
+from .generators import _pyramid_shape, _theta_shape, subdivided_claw, wall
+from .graphs import CapExceeded, Graph, bits, line_edges, mask_of, subdivided_edges
 
 
 @dataclass(frozen=True)
@@ -75,7 +66,7 @@ def _filter(
 
 def iter_induced_maps(
     g: Graph, pattern: Graph, budget: Optional[Budget] = None
-) -> Generator[tuple[int, ...], None, Optional[int]]:
+) -> Iterator[tuple[int, ...]]:
     """All injective maps pattern -> g preserving adjacency and non-adjacency,
     in lexicographic order of the mapping tuple.
 
@@ -96,18 +87,14 @@ def iter_induced_maps(
     ``BudgetExhausted``, and the prefix of mappings before it, are those of
     charging one step at a time.  What is left is read again after every
     yield, so a caller may tick the same budget between mappings.
-
-    The generator's return value (``StopIteration.value``) is the deepest
-    pattern index it tried to place (k once it has yielded a mapping), or
-    None when k > n and it tried none.
     """
     bud = _default_budget(budget)
     n, k = g.n, pattern.n
     if k > n:
-        return None
+        return
     if k == 0:
         yield ()
-        return 0
+        return
     nbr, non, at_least = _host_masks(g)
     base, earlier_adj, earlier_non = _filter(
         [pattern.degree(i) for i in range(k)],
@@ -162,20 +149,13 @@ def iter_induced_maps(
             i -= 1
     if owed:
         bud.tick(owed)
-    return k - assigned.count(-1)
 
 
 Roles = tuple[tuple[str, Sequence[int]], ...]
-# One member of a witness family: its vertex count and edge list, and a
-# function that builds its witness graph and its roles (vertex sequences of
-# that graph, which a copy maps into the host).  The function runs only when
-# the member is searched by `iter_induced_maps`.
-Member = tuple[int, Sequence[tuple[int, int]], Callable[[], tuple[Graph, Roles]]]
-
-
-def _built(pattern: Graph, roles: Roles) -> Member:
-    """A member whose witness graph already exists."""
-    return pattern.n, pattern.edges, lambda: (pattern, roles)
+Paths = Sequence[Sequence[int]]
+# One member of a witness family: its vertex count, its edge list, and the
+# vertex sequences its roles are read from (a copy maps them into the host).
+Member = tuple[int, Sequence[tuple[int, int]], Paths]
 
 
 class _Level:
@@ -277,11 +257,14 @@ def _grow(
 
 
 def _first_copy(
-    g: Graph, family: Iterable[Member], budget: Optional[Budget]
+    g: Graph,
+    family: Iterable[Member],
+    roles: Callable[[Paths], Roles],
+    budget: Optional[Budget],
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of the first family member that
-    embeds in g, as its image and its roles mapped into g.  Members are
-    tried in order and share one budget.
+    embeds in g, as its image and its roles (``roles`` of its paths) mapped
+    into g.  Members are tried in order and share one budget.
 
     The engine's search tree down to pattern vertex i depends only on g and,
     for each of the vertices 0..i, its degree and its earlier neighbours:
@@ -298,14 +281,15 @@ def _first_copy(
     A member runs through `iter_induced_maps` instead when it embeds, or
     when its charge would exceed what is left of the budget, so the match,
     ``Budget.used`` and ``BudgetExhausted`` are those of running every
-    member in turn.  A member's signature is read from its edge list, and
-    its graph is built only when it runs through the engine.
+    member in turn.  A member's signature is read from its edge list, its
+    graph is built only when it runs through the engine, and its roles only
+    when it matches.
     """
     bud = _default_budget(budget)
     n = g.n
     host = _host_masks(g)
     root = _Level(None, array("i", [-1]), array("i", [-1]))
-    for k, edges, build in family:
+    for k, edges, paths in family:
         if k > n:
             continue  # no copy, and the engine charges nothing
         degree = [0] * k
@@ -335,19 +319,24 @@ def _first_copy(
                     break
             bud.tick(n * trie.total)
             continue
-        pattern, roles = build()
-        for mapping in iter_induced_maps(g, pattern, bud):
+        for mapping in iter_induced_maps(g, Graph(k, edges), bud):
             return PatternMatch(
                 image=tuple(sorted(mapping)),
                 roles=tuple(
-                    (key, tuple(mapping[v] for v in seq)) for key, seq in roles
+                    (key, tuple(mapping[v] for v in seq))
+                    for key, seq in roles(paths)
                 ),
             )
     return None
 
 
-def _numbered(prefix: str, seqs: Sequence[Sequence[int]]) -> Roles:
+def _numbered(prefix: str, seqs: Paths) -> Roles:
     return tuple((f"{prefix}{i+1}", seq) for i, seq in enumerate(seqs))
+
+
+def _whole(paths: Paths) -> Roles:
+    """The roles of a member whose one path is its whole vertex order."""
+    return (("mapping", paths[0]),)
 
 
 def find_induced(
@@ -359,8 +348,8 @@ def find_induced(
     """Lexicographically first induced copy of an explicit pattern graph."""
     if pattern.n > max_pattern:
         raise CapExceeded(f"pattern has {pattern.n} vertices, cap {max_pattern}")
-    member = _built(pattern, (("mapping", range(pattern.n)),))
-    return _first_copy(g, [member], budget)
+    member = pattern.n, pattern.edges, (range(pattern.n),)
+    return _first_copy(g, [member], _whole, budget)
 
 
 def induced_copies(
@@ -396,17 +385,13 @@ def find_t_theta(
     if t < 2:
         raise ValueError("thetas need t >= 2")
 
-    def build(lengths: tuple[int, int, int]) -> tuple[Graph, Roles]:
-        wit = theta(*lengths)
-        return wit.graph, (("ends", wit.ends), *_numbered("path", wit.paths))
+    def roles(paths: Paths) -> Roles:
+        # each path runs from one end to the other
+        return (("ends", (paths[0][0], paths[0][-1])), *_numbered("path", paths))
 
-    def family() -> Iterator[Member]:
-        # a theta has l1 + l2 + l3 - 1 vertices
-        for lengths in _length_triples(t, g.n + 1, floor2=True):
-            n, edges, _ = _theta_shape(*lengths)
-            yield n, edges, partial(build, lengths)
-
-    return _first_copy(g, family(), budget)
+    # a theta has l1 + l2 + l3 - 1 vertices
+    lengths = _length_triples(t, g.n + 1, floor2=True)
+    return _first_copy(g, (_theta_shape(*ls) for ls in lengths), roles, budget)
 
 
 def find_t_pyramid(
@@ -417,24 +402,22 @@ def find_t_pyramid(
     if t < 1:
         raise ValueError("pyramids need t >= 1")
 
-    def build(lengths: tuple[int, int, int]) -> tuple[Graph, Roles]:
-        wit = pyramid(*lengths)
-        roles = (
-            ("apex", (wit.apex,)),
-            ("triangle", wit.triangle),
-            *_numbered("path", wit.paths),
+    def roles(paths: Paths) -> Roles:
+        # each path runs from the apex to a corner of the triangle
+        return (
+            ("apex", (paths[0][0],)),
+            ("triangle", tuple(p[-1] for p in paths)),
+            *_numbered("path", paths),
         )
-        return wit.graph, roles
 
-    def family() -> Iterator[Member]:
-        # a pyramid has l1 + l2 + l3 + 1 vertices
-        for lengths in _length_triples(t, g.n - 1, floor2=False):
-            if lengths[1] < 2:  # l1 = l2 = 1: two single-edge paths
-                continue
-            n, edges, _ = _pyramid_shape(*lengths)
-            yield n, edges, partial(build, lengths)
-
-    return _first_copy(g, family(), budget)
+    # a pyramid has l1 + l2 + l3 + 1 vertices; l1 = l2 = 1 would give two
+    # single-edge paths
+    family = (
+        _pyramid_shape(*ls)
+        for ls in _length_triples(t, g.n - 1, floor2=False)
+        if ls[1] >= 2
+    )
+    return _first_copy(g, family, roles, budget)
 
 
 def find_subdivided_claw(
@@ -443,8 +426,12 @@ def find_subdivided_claw(
     """Induced copy of the three-legged spider with the given leg lengths;
     the root is matched first."""
     wit = subdivided_claw(t1, t2, t3)
-    member = _built(wit.graph, (("root", (wit.root,)), *_numbered("leg", wit.legs)))
-    return _first_copy(g, [member], budget)
+
+    def roles(legs: Paths) -> Roles:
+        return (("root", (wit.root,)), *_numbered("leg", legs))
+
+    member = wit.graph.n, wit.graph.edges, wit.legs
+    return _first_copy(g, [member], roles, budget)
 
 
 # -- creatures -----------------------------------------------------------------
@@ -593,38 +580,15 @@ def find_line_of_subdivided_wall(
     bud = _default_budget(budget)
     base = wall(k, k)
 
-    def build(lengths: tuple[int, ...]) -> tuple[Graph, Roles]:
-        sub = subdivide(base, {e: lengths[i] + 1 for i, e in enumerate(base.edges)})
-        return line_graph(sub), (("mapping", range(sub.m)),)
-
     def family() -> Iterator[Member]:
         # the subdivision with `total` edges has a line graph on `total` vertices
         for total in range(base.m, g.n + 1):
-            for lengths in _compositions(total - base.m, base.m):
+            for extra in _compositions(total - base.m, base.m):
                 bud.tick()
-                yield total, _line_edges(base, lengths), partial(build, lengths)
+                sub = subdivided_edges(base.n, base.edges, extra)
+                yield total, line_edges(*sub), (range(total),)
 
-    return _first_copy(g, family(), bud)
-
-
-def _line_edges(base: Graph, lengths: Sequence[int]) -> list[tuple[int, int]]:
-    """Edge list of ``line_graph(subdivide(base, ...))`` when base edge i
-    gets lengths[i] new vertices, read off the lengths: the subdivision's
-    edges in sorted order are the line graph's vertices, and two of them
-    are adjacent when they share an end."""
-    nxt = base.n
-    edges: list[tuple[int, int]] = []
-    for (u, v), extra in zip(base.edges, lengths):
-        # subdivide numbers the new vertices of each base edge in turn
-        chain = [u, *range(nxt, nxt + extra), v]
-        nxt += extra
-        edges.extend((a, b) if a < b else (b, a) for a, b in zip(chain, chain[1:]))
-    edges.sort()
-    incident: list[list[int]] = [[] for _ in range(nxt)]
-    for i, (a, b) in enumerate(edges):
-        incident[a].append(i)
-        incident[b].append(i)
-    return [(i, j) for ends in incident for i, j in combinations(ends, 2)]
+    return _first_copy(g, family(), _whole, bud)
 
 
 def _compositions(extra: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -566,20 +566,14 @@ class StripStructure:
                 raise ValueError(
                     f"host edge ({x},{y}) crosses strips {i},{j} outside end-sets"
                 )
-        # degree-driven bounds follow from (S1)+(S2) but are checked explicitly
+        # (S2) bounds every end-set in a union by Delta+1, the size of the
+        # largest host clique; a loop's second end-set lies in no union,
+        # because `incident` lists a loop once, so the bound is checked here
         delta = self.host.max_degree()
         for i, (left, right) in enumerate(self.eta_end):
             for side in (left, right):
                 if len(side) > delta + 1:
                     raise ValueError(f"end-set of strip {i} exceeds Delta+1")
-        for v in range(self.pattern_n):
-            busy = sum(
-                1 for i, slot in self.incident(v) if self.eta_end[i][slot]
-            )
-            if busy > delta + 1:
-                raise ValueError(
-                    f"more than Delta+1 non-empty end-sets at pattern vertex {v}"
-                )
 
     def strip_graph(self, i: int) -> tuple[Graph, tuple[int, ...]]:
         return self.host.induced_subgraph(self.eta[i])

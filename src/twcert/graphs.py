@@ -271,18 +271,35 @@ def disjoint_union(*parts: Graph) -> Graph:
     return Graph(n, edges)
 
 
+def line_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Edge list of the line graph of the simple graph on 0..n-1 with the
+    given edges: line-graph vertex i is the i-th edge in sorted order, each
+    written (low, high), and two are adjacent when they share an end."""
+    ordered = sorted((u, v) if u < v else (v, u) for u, v in edges)
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(ordered):
+        incident[u].append(i)
+        incident[v].append(i)
+    return [pair for ends in incident for pair in combinations(ends, 2)]
+
+
 def line_graph(g: Graph) -> Graph:
     """Line graph: one vertex per edge of g, ordered by the sorted edge pairs."""
-    edges = g.edges
-    index = {e: i for i, e in enumerate(edges)}
-    out = []
-    for (u, v), i in index.items():
-        for (x, y), j in index.items():
-            if j <= i:
-                continue
-            if u in (x, y) or v in (x, y):
-                out.append((i, j))
-    return Graph(len(edges), out)
+    return Graph(g.m, line_edges(g.n, g.edges))
+
+
+def subdivided_edges(
+    n: int, edges: Iterable[tuple[int, int]], extra: Iterable[int]
+) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and edge list after putting extra[i] new vertices on
+    edge i (u, v): the path u, new..., v, its new vertices numbered from n
+    on, edge by edge."""
+    out: list[tuple[int, int]] = []
+    for (u, v), k in zip(edges, extra):
+        chain = [u, *range(n, n + k), v]
+        n += k
+        out.extend(zip(chain, chain[1:]))
+    return n, out
 
 
 def subdivide(g: Graph, lengths: Mapping[tuple[int, int], int]) -> Graph:
@@ -291,22 +308,17 @@ def subdivide(g: Graph, lengths: Mapping[tuple[int, int], int]) -> Graph:
     New vertices are appended after the originals, processing edges in
     sorted order; a graph with all lengths 1 is an identical copy.
     """
+    present = set(g.edges)
     norm: dict[tuple[int, int], int] = {}
     for (u, v), ell in lengths.items():
         e = (u, v) if u < v else (v, u)
-        if e not in set(g.edges):
+        if e not in present:
             raise ValueError(f"{e} is not an edge of the graph")
         if ell < 1:
             raise ValueError("subdivision length must be positive")
         norm[e] = ell
-    nxt = g.n
-    edges: list[tuple[int, int]] = []
-    for u, v in g.edges:
-        ell = norm.get((u, v), 1)
-        chain = [u] + list(range(nxt, nxt + ell - 1)) + [v]
-        nxt += ell - 1
-        edges.extend(zip(chain, chain[1:]))
-    return Graph(nxt, edges)
+    extra = [norm.get(e, 1) - 1 for e in g.edges]
+    return Graph(*subdivided_edges(g.n, g.edges, extra))
 
 
 def full_subdivision(g: Graph, ell: int = 2) -> Graph:
@@ -314,10 +326,8 @@ def full_subdivision(g: Graph, ell: int = 2) -> Graph:
     return subdivide(g, {e: ell for e in g.edges})
 
 
-def clique_number(g: Graph, cap: int = 64) -> int:
+def clique_number(g: Graph) -> int:
     """Exact clique number by branch and bound with a greedy colouring bound."""
-    if g.n > cap:
-        raise CapExceeded(f"clique search capped at n={cap}, got {g.n}")
     best = 0
 
     def greedy_order(cand: int) -> list[tuple[int, int]]:

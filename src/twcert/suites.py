@@ -665,7 +665,7 @@ def suite_constructions(cfg: RunConfig) -> Certificate:
         g = chordal_growth(rng, n)
         td = chordal_td(g)
         rep = validate_td(g, td)
-        omega = clique_number(g, cap=cfg.max_clique_n)
+        omega = clique_number(g)
         if not rep.ok or rep.width != omega - 1:
             bad.append(idx)
         if not all(g.is_clique(b) for b in td.bags):

@@ -2,10 +2,10 @@
 engine, and the recursive bitmask engine that the one-loop engine replaced.
 Both must give the same mappings in the same order, the same budget ticks,
 and the same prefix of mappings before `BudgetExhausted` under every limit;
-the recursive one also the same return value, the same `Budget.used` at every
-yield, and the same outcome when the caller ticks the budget between yields."""
+the recursive one also the same `Budget.used` at every yield, and the same
+outcome when the caller ticks the budget between yields."""
 
-from typing import Generator, Iterator, Optional
+from typing import Iterator, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,13 +114,13 @@ def test_engine_ticks_match_reference(g, pattern, data):
 
 def recursive_maps(
     g: Graph, pattern: Graph, budget: Optional[Budget] = None
-) -> Generator[tuple[int, ...], None, Optional[int]]:
+) -> Iterator[tuple[int, ...]]:
     """The bitmask engine as it was before the one-loop rewrite: a chain of
     recursive generators ticking the budget once per candidate."""
     bud = _default_budget(budget)
     n, k = g.n, pattern.n
     if k > n:
-        return None
+        return
     nbr = [g.neighbor_mask(v) for v in g.vertices]
     # at_least[d]: host vertices of degree >= d, for every pattern degree d
     at_least = [0] * (max(g.max_degree(), pattern.max_degree()) + 1)
@@ -158,14 +158,13 @@ def recursive_maps(
             bud.tick(n - ticked)
 
     yield from place(0, 0)
-    return k - assigned.count(-1)
 
 
 def _drive(engine, g: Graph, pattern: Graph, limit: int, extra=()):
     """Run the engine under `Budget(limit)`, ticking `extra[i]` after the
     i-th mapping (cycling).  Returns each mapping with `Budget.used` right
-    after it came out, then how the run ended with `Budget.used` then: the
-    generator's return value, or `BudgetExhausted`."""
+    after it came out, then how the run ended with `Budget.used` then:
+    "returned", or `BudgetExhausted`."""
     budget = Budget(limit)
     maps = engine(g, pattern, budget)
     got = []
@@ -173,8 +172,8 @@ def _drive(engine, g: Graph, pattern: Graph, limit: int, extra=()):
         while True:
             try:
                 mapping = next(maps)
-            except StopIteration as done:
-                return got, ("returned", done.value), budget.used
+            except StopIteration:
+                return got, "returned", budget.used
             got.append((mapping, budget.used))
             if extra:
                 budget.tick(extra[(len(got) - 1) % len(extra)])

@@ -39,15 +39,15 @@ def reference_detectors(spans: list[tuple[int, int]]):
     """Run the detectors with every member searched in full, appending the
     budget span (used before, used after) of each member that fails."""
 
-    def first_copy(g, family, budget):
-        for _, _, build in family:
-            pattern, roles = build()
+    def first_copy(g, family, roles, budget):
+        for n, edges, paths in family:
             start = budget.used
-            for mapping in iter_induced_maps(g, pattern, budget):
+            for mapping in iter_induced_maps(g, Graph(n, edges), budget):
                 return PatternMatch(
                     image=tuple(sorted(mapping)),
                     roles=tuple(
-                        (key, tuple(mapping[v] for v in seq)) for key, seq in roles
+                        (key, tuple(mapping[v] for v in seq))
+                        for key, seq in roles(paths)
                     ),
                 )
             spans.append((start, budget.used))
@@ -83,8 +83,8 @@ def engine_flagged():
             budget.in_engine = True
             try:
                 mapping = next(maps)
-            except StopIteration as done:
-                return done.value
+            except StopIteration:
+                return
             finally:
                 budget.in_engine = False
             yield mapping
@@ -109,8 +109,8 @@ def reference_outcome(search, g, limit, spans=None):
 
 def first_copy_of(patterns):
     """A search over the family of the given patterns, in that order."""
-    members = [detect._built(p, (("mapping", range(p.n)),)) for p in patterns]
-    return lambda g, b: detect._first_copy(g, members, b)
+    members = [(p.n, p.edges, (range(p.n),)) for p in patterns]
+    return lambda g, b: detect._first_copy(g, members, detect._whole, b)
 
 
 @pytest.mark.parametrize("host", sorted(WALLS))

@@ -8,6 +8,7 @@ from twcert.generators import (
     CaterpillarSpec,
     CircularIntervalModel,
     LciThickening,
+    StripStructure,
     ThickeningSpec,
     caterpillar,
     circular_interval_graph,
@@ -234,3 +235,17 @@ def test_strip_validator_rejects_broken():
     )
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def test_strip_validator_bounds_a_loop_end_set():
+    """A loop's second end-set is in no (S2) union, so only the explicit
+    Delta+1 bound rejects it."""
+    ss = StripStructure(
+        host=path_graph(4),
+        pattern_n=1,
+        pattern_edges=((0, 0),),
+        eta=((0, 1, 2, 3),),
+        eta_end=(((0,), (0, 1, 2, 3)),),
+    )
+    with pytest.raises(ValueError, match="exceeds Delta\\+1"):
+        ss.validate()

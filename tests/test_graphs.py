@@ -140,13 +140,6 @@ def test_clique_number_matches_bruteforce(g):
     assert clique_number(g) == best
 
 
-def test_clique_cap():
-    from twcert.graphs import CapExceeded
-
-    with pytest.raises(CapExceeded):
-        clique_number(complete_graph(8), cap=7)
-
-
 def test_lexicographic_component_order():
     g = Graph(6, [(0, 5), (1, 2), (3, 4)])
     assert g.components() == [(0, 5), (1, 2), (3, 4)]

@@ -263,8 +263,9 @@ def test_config_zero_cap_is_usage_error(tmp_path, capsys):
         ("c=2", "c: balance parameter c must lie in [1/2, 1), got 2"),
         ("search_budget=0", "search_budget: search_budget must be positive"),
         ("seed=-1", "seed: seed must be non-negative"),
+        ("max_clique_n=64", "unknown key 'max_clique_n'"),
     ],
-    ids=["int", "fraction", "c-range", "budget-range", "seed-range"],
+    ids=["int", "fraction", "c-range", "budget-range", "seed-range", "removed-key"],
 )
 def test_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, detail):
     conf = tmp_path / "run.conf"

@@ -3,18 +3,22 @@ how many witness graphs it builds and how many members run through the
 plain engine.  A member that has no copy is searched on the trie of search
 trees in `detect._first_copy`, from its edge list alone; only a member that
 runs through `iter_induced_maps` (it embeds, or its charge would overrun the
-budget) has its graph built."""
+budget) has its graph built.  The members' edge lists, `line_graph` and
+`subdivide` are checked against the plain constructions they replaced."""
 
 from collections import Counter
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import graphs
 from twcert import detect
 from twcert.config import Budget
 from twcert.detect import find_line_of_subdivided_wall, find_t_pyramid, find_t_theta
 from twcert.generators import subdivided_claw, wall
-from twcert.graphs import line_graph, subdivide
+from twcert.graphs import Graph, line_graph, subdivide
 
 # the line graph of the 2x2 wall with two edges subdivided, which holds a copy
 LINE_HOST = line_graph(subdivide(wall(2, 2), {(0, 1): 3, (1, 3): 2}))
@@ -59,12 +63,10 @@ def test_members_are_built_only_when_searched(name):
 
     with mock.patch.multiple(
         detect,
-        _first_copy=lambda g, family, budget: first_copy(
-            g, members_of(family), budget
+        _first_copy=lambda g, family, roles, budget: first_copy(
+            g, members_of(family), roles, budget
         ),
-        theta=counted("built", detect.theta, counts),
-        pyramid=counted("built", detect.pyramid, counts),
-        line_graph=counted("built", detect.line_graph, counts),
+        Graph=counted("built", detect.Graph, counts),
         iter_induced_maps=counted("plain", detect.iter_induced_maps, counts),
     ):
         search(Budget(10**7))
@@ -75,14 +77,71 @@ def test_members_are_built_only_when_searched(name):
     )
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_line_edges_match_the_line_graph(k):
-    """The wall-line family's edge lists are those of the graphs it builds,
-    in the same vertex numbering."""
+def reference_line_graph(g: Graph) -> Graph:
+    """The line graph by testing every pair of edges for a shared end."""
+    edges = g.edges
+    index = {e: i for i, e in enumerate(edges)}
+    out = []
+    for (u, v), i in index.items():
+        for (x, y), j in index.items():
+            if j <= i:
+                continue
+            if u in (x, y) or v in (x, y):
+                out.append((i, j))
+    return Graph(len(edges), out)
+
+
+def reference_subdivide(g: Graph, lengths: dict[tuple[int, int], int]) -> Graph:
+    """The subdivision built one edge at a time, new vertices numbered from
+    g.n in sorted edge order."""
+    nxt = g.n
+    edges: list[tuple[int, int]] = []
+    for u, v in g.edges:
+        ell = lengths.get((u, v), 1)
+        chain = [u] + list(range(nxt, nxt + ell - 1)) + [v]
+        nxt += ell - 1
+        edges.extend(zip(chain, chain[1:]))
+    return Graph(nxt, edges)
+
+
+def wall_line_members(k: int, n: int) -> list[detect.Member]:
+    """The members the wall-line family offers on a host of n vertices."""
+    members: list[detect.Member] = []
+
+    def collect(g, family, roles, budget):
+        members.extend(family)
+
+    with mock.patch.object(detect, "_first_copy", collect):
+        find_line_of_subdivided_wall(Graph(n, []), k)
+    return members
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(max_n=9), data=st.data())
+def test_line_graph_and_subdivide_match_reference(g, data):
+    """Both number the new vertices as the plain constructions do."""
+    keys = st.sampled_from(g.edges) if g.edges else st.nothing()
+    lengths = data.draw(st.dictionaries(keys, st.integers(1, 4)), label="lengths")
+    sub = subdivide(g, lengths)
+    assert sub == reference_subdivide(g, lengths)
+    assert line_graph(g) == reference_line_graph(g)
+    assert line_graph(sub) == reference_line_graph(sub)
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.sampled_from([2, 3]), extra=st.integers(0, 3))
+def test_wall_line_members_match_reference(k, extra):
+    """Each member's edge list is that of the line graph of its subdivision
+    of the k x k wall, in the same vertex numbering, and its roles read the
+    whole vertex order."""
     base = wall(k, k)
-    for extra in range(4):
-        for lengths in detect._compositions(extra, base.m):
-            sub = subdivide(base, {e: lengths[i] + 1 for i, e in enumerate(base.edges)})
-            edges = detect._line_edges(base, lengths)
-            assert len(edges) == len(set(edges))
-            assert line_graph(sub).edges == tuple(sorted(edges))
+    members = wall_line_members(k, base.m + extra)
+    # the new vertices per base edge, in the family's order
+    spreads = [s for x in range(extra + 1) for s in detect._compositions(x, base.m)]
+    assert len(members) == len(spreads)
+    for (n, edges, paths), spread in zip(members, spreads):
+        lengths = {e: x + 1 for e, x in zip(base.edges, spread)}
+        ref = reference_line_graph(reference_subdivide(base, lengths))
+        assert n == ref.n
+        assert tuple(sorted(edges)) == ref.edges
+        assert detect._whole(paths) == (("mapping", range(n)),)
