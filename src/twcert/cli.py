@@ -173,7 +173,7 @@ def _gen_caterpillar(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
 
 
 def _gen_creature(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
-    wit = creature(args.k, args.t, args.spacing)
+    wit = creature(3 if args.k is None else args.k, args.t, args.spacing)
     return wit.graph, {
         "body": list(wit.body),
         "paths": _lists(wit.paths),
@@ -182,9 +182,10 @@ def _gen_creature(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
 
 
 def _gen_cycle_lci(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
-    model = cycle_interval_model(args.k)
+    model = cycle_interval_model(4 if args.k is None else args.k)
     base = circular_interval_graph(model)
-    lci = LciThickening(model, ThickeningSpec(base=base, sizes=(args.size,) * args.k))
+    sizes = (args.size,) * len(model.points)
+    lci = LciThickening(model, ThickeningSpec(base=base, sizes=sizes))
     return lci.graph, {"points": [str(p) for p in model.points]}
 
 
@@ -480,87 +481,90 @@ COMMANDS: dict[str, Callable[[argparse.Namespace, RunConfig], int]] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="twcert",
-        description="treewidth certification toolkit: generators, detectors, "
-        "separators, central bags, and tree decompositions",
-    )
-    ap.add_argument("--config", help="key=value config file (env TWCERT_CONFIG)")
-    ap.add_argument("--seed", type=int, help="seed for seeded corpora")
-    sub = ap.add_subparsers(dest="command", required=True)
+# Built once, at import: building the argparse tree takes about 25 times as long
+# as parsing one argument list, and `main` may run many times in one process.
+# Parsing leaves the parser unchanged; each call gets a fresh namespace.
+_PARSER = argparse.ArgumentParser(
+    prog="twcert",
+    description="treewidth certification toolkit: generators, detectors, "
+    "separators, central bags, and tree decompositions",
+)
+_PARSER.add_argument("--config", help="key=value config file (env TWCERT_CONFIG)")
+_PARSER.add_argument("--seed", type=int, help="seed for seeded corpora")
+_sub = _PARSER.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="emit a graph family instance")
-    gen.add_argument("family", choices=list(GENERATORS))
-    gen.add_argument("--n", type=int, default=3)
-    gen.add_argument("--m", type=int, default=3)
-    gen.add_argument("--t1", type=int, default=1)
-    gen.add_argument("--t2", type=int, default=1)
-    gen.add_argument("--t3", type=int, default=1)
-    gen.add_argument("--l1", type=int, default=2)
-    gen.add_argument("--l2", type=int, default=2)
-    gen.add_argument("--l3", type=int, default=2)
-    gen.add_argument("--spine", type=int, default=2)
-    gen.add_argument("--legs", default="", help='per spine vertex, e.g. "1;2,1;"')
-    gen.add_argument("--k", type=int, default=3)
-    gen.add_argument("--t", type=int, default=1)
-    gen.add_argument("--spacing", type=int, default=2)
-    gen.add_argument("--size", type=int, default=1)
-    gen.add_argument("--kind", default="trivial_single_edge")
-    gen.add_argument("-o", "--output", required=True)
-    gen.add_argument("--witness")
+_cmd = _sub.add_parser("gen", help="emit a graph family instance")
+_cmd.add_argument("family", choices=list(GENERATORS))
+_cmd.add_argument("--n", type=int, default=3)
+_cmd.add_argument("--m", type=int, default=3)
+_cmd.add_argument("--t1", type=int, default=1)
+_cmd.add_argument("--t2", type=int, default=1)
+_cmd.add_argument("--t3", type=int, default=1)
+_cmd.add_argument("--l1", type=int, default=2)
+_cmd.add_argument("--l2", type=int, default=2)
+_cmd.add_argument("--l3", type=int, default=2)
+_cmd.add_argument("--spine", type=int, default=2)
+_cmd.add_argument("--legs", default="", help='per spine vertex, e.g. "1;2,1;"')
+_cmd.add_argument(
+    "--k", type=int, help="creature paths (default 3); cycle-lci points (default 4)"
+)
+_cmd.add_argument("--t", type=int, default=1)
+_cmd.add_argument("--spacing", type=int, default=2)
+_cmd.add_argument("--size", type=int, default=1)
+_cmd.add_argument("--kind", default="trivial_single_edge")
+_cmd.add_argument("-o", "--output", required=True)
+_cmd.add_argument("--witness")
 
-    det = sub.add_parser("detect", help="exact induced pattern detection")
-    det.add_argument("--pattern", required=True, choices=list(DETECTORS))
-    det.add_argument("--pattern-file")
-    det.add_argument("--t", type=int, default=2)
-    det.add_argument("--t1", type=int, default=1)
-    det.add_argument("--t2", type=int, default=1)
-    det.add_argument("--t3", type=int, default=1)
-    det.add_argument("--k", type=int, default=3)
-    det.add_argument("-i", "--input", required=True)
-    det.add_argument("-o", "--output")
+_cmd = _sub.add_parser("detect", help="exact induced pattern detection")
+_cmd.add_argument("--pattern", required=True, choices=list(DETECTORS))
+_cmd.add_argument("--pattern-file")
+_cmd.add_argument("--t", type=int, default=2)
+_cmd.add_argument("--t1", type=int, default=1)
+_cmd.add_argument("--t2", type=int, default=1)
+_cmd.add_argument("--t3", type=int, default=1)
+_cmd.add_argument("--k", type=int, default=3)
+_cmd.add_argument("-i", "--input", required=True)
+_cmd.add_argument("-o", "--output")
 
-    tw = sub.add_parser("tw", help="exact treewidth or certified bounds")
-    tw.add_argument("-i", "--input", required=True)
-    tw.add_argument("-o", "--output")
-    tw.add_argument("--td", help="write the witness decomposition (.td)")
+_cmd = _sub.add_parser("tw", help="exact treewidth or certified bounds")
+_cmd.add_argument("-i", "--input", required=True)
+_cmd.add_argument("-o", "--output")
+_cmd.add_argument("--td", help="write the witness decomposition (.td)")
 
-    sep = sub.add_parser("sep", help="exact separation number")
-    sep.add_argument("-i", "--input", required=True)
-    sep.add_argument("--c", help="balance parameter (config key c)")
-    sep.add_argument("-o", "--output")
+_cmd = _sub.add_parser("sep", help="exact separation number")
+_cmd.add_argument("-i", "--input", required=True)
+_cmd.add_argument("--c", help="balance parameter (config key c)")
+_cmd.add_argument("-o", "--output")
 
-    cb = sub.add_parser("centralbag", help="run the central-bag pipeline")
-    cb.add_argument("-i", "--input", required=True)
-    cb.add_argument("--pattern", required=True, help="pattern graph file")
-    cb.add_argument("--forcer", action="append", help="forcer graph file; repeatable")
-    cb.add_argument("--weights", help='vertex weights JSON {"0": "1/7", ...}')
-    cb.add_argument("--c", help="balance parameter (config key c)")
-    cb.add_argument("--d", type=int, help="separator size bound (config key d)")
-    cb.add_argument("-o", "--output")
+_cmd = _sub.add_parser("centralbag", help="run the central-bag pipeline")
+_cmd.add_argument("-i", "--input", required=True)
+_cmd.add_argument("--pattern", required=True, help="pattern graph file")
+_cmd.add_argument("--forcer", action="append", help="forcer graph file; repeatable")
+_cmd.add_argument("--weights", help='vertex weights JSON {"0": "1/7", ...}')
+_cmd.add_argument("--c", help="balance parameter (config key c)")
+_cmd.add_argument("--d", type=int, help="separator size bound (config key d)")
+_cmd.add_argument("-o", "--output")
 
-    dec = sub.add_parser("decompose", help="constructive tree decompositions")
-    dec.add_argument("--method", required=True, choices=["chordal", "lci", "strip"])
-    dec.add_argument("-i", "--input", required=True)
-    dec.add_argument("--td", help="write the decomposition (.td)")
-    dec.add_argument("-o", "--output")
+_cmd = _sub.add_parser("decompose", help="constructive tree decompositions")
+_cmd.add_argument("--method", required=True, choices=["chordal", "lci", "strip"])
+_cmd.add_argument("-i", "--input", required=True)
+_cmd.add_argument("--td", help="write the decomposition (.td)")
+_cmd.add_argument("-o", "--output")
 
-    ver = sub.add_parser("verify", help="run a named verification battery")
-    ver.add_argument("suite", help=f"one of: all, {', '.join(sorted(SUITES))}")
-    ver.add_argument("-o", "--output")
-    ver.add_argument("--c", help="balance parameter (config key c)")
+_cmd = _sub.add_parser("verify", help="run a named verification battery")
+_cmd.add_argument("suite", help=f"one of: all, {', '.join(sorted(SUITES))}")
+_cmd.add_argument("-o", "--output")
+_cmd.add_argument("--c", help="balance parameter (config key c)")
 
-    rec = sub.add_parser("recheck", help="re-validate a certificate from witnesses")
-    rec.add_argument("-i", "--input", required=True)
-    rec.add_argument("-o", "--output")
-    return ap
+_cmd = _sub.add_parser("recheck", help="re-validate a certificate from witnesses")
+_cmd.add_argument("-i", "--input", required=True)
+_cmd.add_argument("-o", "--output")
+del _sub, _cmd
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     c = getattr(args, "c", None)

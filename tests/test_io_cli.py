@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -332,3 +333,20 @@ def test_verify_all_dash_output_is_stdout(tmp_path, monkeypatch, capsys):
     files = [(tmp_path / f"run.{name}.json").read_text() for name in sorted(SUITES)]
     assert capsys.readouterr().out == "".join(files)
     assert not list(tmp_path.glob("-*"))
+
+
+def test_gen_k_defaults_per_family(tmp_path):
+    """Without `--k`, `gen cycle-lci` builds the 4-point model and `gen
+    creature` the 3-path creature it always built."""
+    def gen(*argv):
+        out, wit = tmp_path / "g.json", tmp_path / "w.json"
+        assert main(["gen", *argv, "-o", str(out), "--witness", str(wit)]) == 0
+        return out.read_bytes(), wit.read_bytes()
+
+    assert gen("cycle-lci") == gen("cycle-lci", "--k", "4")
+    assert gen("cycle-lci", "--size", "2") == gen("cycle-lci", "--k", "4", "--size", "2")
+    assert gen("creature") == gen("creature", "--k", "3")
+    graph, _ = gen("creature")
+    assert hashlib.sha256(graph).hexdigest() == (
+        "dc09d6227f1764c9f9c52df308fd3a6b0a0512eea3991000608e40575adc09ab"
+    )
