@@ -8,20 +8,25 @@ distinguish a failed hypothesis from a failed conclusion.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .certify import FAIL, HYPOTHESIS_UNMET, PASS
 from .config import Budget
 from .detect import induced_copies, verify_forcer, find_induced
 from .graphs import CapExceeded, Graph, bits, geometric_ball_bound, lex_key, mask_of
 from .separators import min_balanced_separator, treewidth_or_bounds
-from .weights import WeightFunction, check_balance_parameter
+from .weights import WeightFunction, check_balance_parameter, numerator_sum
 
 
 # -- separations ----------------------------------------------------------------
+
+
+# each vertex tuple of a separation and the bitmask attribute that mirrors it
+_MASK_OF = {"a": "a_mask", "c": "c_mask", "b": "b_mask", "center": "center_mask"}
+_TUPLE_OF = {m: t for t, m in _MASK_OF.items()}
 
 
 @dataclass(frozen=True)
@@ -30,12 +35,15 @@ class Separation:
 
     Every separation carries its center (the generating set) and an anchor
     vertex inside the center that will collect the A-side weight; both are
-    required.  `__post_init__` also stores each side as a vertex bitmask,
-    `a_mask`, `c_mask` and `b_mask`, which the relations and the central bag
-    work on: the init-only `masks` when a constructor already has them (they
-    must be the masks of the tuples), else built from the tuples.  They are
-    not dataclass fields, so equality, hashing and `repr` still see only the
-    tuples.
+    required.  Each of `a`, `c`, `b` and `center` is mirrored by a vertex
+    bitmask, `a_mask`, `c_mask`, `b_mask` and `center_mask`, which the
+    relations and the central bag work on.  A separation built with the
+    constructor stores the tuples, and `__getattr__` builds each mask on its
+    first read; one the engine builds (`_separation`) stores only the masks
+    and the anchor, and each tuple is built, ascending, on its first read.
+    Either way a value is computed once and then stored.  The masks are not
+    dataclass fields, so equality, hashing and `repr` see only the five
+    fields, and are the same for both kinds.
     """
 
     a: tuple[int, ...]
@@ -43,14 +51,21 @@ class Separation:
     b: tuple[int, ...]
     center: tuple[int, ...]
     anchor: int
-    masks: InitVar[Optional[tuple[int, int, int]]] = None
 
-    def __post_init__(self, masks: Optional[tuple[int, int, int]]) -> None:
-        if masks is None:
-            masks = mask_of(self.a), mask_of(self.c), mask_of(self.b)
-        object.__setattr__(self, "a_mask", masks[0])
-        object.__setattr__(self, "c_mask", masks[1])
-        object.__setattr__(self, "b_mask", masks[2])
+    def __getattr__(self, name: str) -> Any:
+        """Build a side or center tuple, or its mask, from the other form;
+        Python calls this only for an attribute not stored yet."""
+        stored = self.__dict__
+        if name in _MASK_OF and _MASK_OF[name] in stored:
+            value: Any = tuple(bits(stored[_MASK_OF[name]]))
+        elif name in _TUPLE_OF and _TUPLE_OF[name] in stored:
+            value = mask_of(stored[_TUPLE_OF[name]])
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        stored[name] = value
+        return value
 
     def skew(self, w: WeightFunction) -> tuple[Fraction, Fraction]:
         return w.of(self.a), w.of(self.b)
@@ -63,20 +78,42 @@ class DegenerateSeparation(ValueError):
 def canonical_separation(g: Graph, w: WeightFunction, x: Iterable[int]) -> Separation:
     """B is the lexicographically minimum largest-weight component of
     g minus N[X]; the cut is X together with the neighborhood boundary of B;
-    the anchor is the least vertex of X."""
-    xs = g._check_vertices(x)
-    x_mask = mask_of(xs)
+    the anchor is the least vertex of X.
+
+    X is checked as a mask: every vertex in range (else the least one out of
+    range is named), no vertex twice (the mask has one bit per vertex), and
+    connected, in that order."""
+    xs = tuple(x)
+    n = g.n
+    x_mask = 0
+    for v in xs:
+        if not 0 <= v < n:
+            least = min(u for u in xs if not 0 <= u < n)
+            raise ValueError(f"vertex {least} out of range for n={n}")
+        x_mask |= 1 << v
+    if x_mask.bit_count() != len(xs):
+        raise ValueError("duplicate vertices in set")
     if not g.is_connected_mask(x_mask):
         raise ValueError("center must be connected")
-    closed = x_mask | g._adjacent(x_mask)
+    around = g._adjacent(x_mask) & ~x_mask
     full = g.full_mask()
-    outside = full & ~closed
+    outside = full & ~x_mask & ~around
     if outside == 0:
-        raise DegenerateSeparation(f"N[{xs}] covers every vertex")
+        raise DegenerateSeparation(f"N[{tuple(bits(x_mask))}] covers every vertex")
     comps = g.component_masks(outside)
-    b_mask = max(comps, key=w.numerator_of_mask)  # the first heaviest, in component order
-    c_mask = x_mask | (closed & g._adjacent(b_mask) & ~b_mask)
-    return _separation(full & ~b_mask & ~c_mask, c_mask, b_mask, xs)
+    # the first heaviest, in component order
+    b_mask = comps[0] if len(comps) == 1 else max(comps, key=w.numerator_of_mask)
+    # B is a component of g - N[X], so its boundary lies in N(X): keep the
+    # vertices of N(X) with a neighbour in B
+    c_mask = x_mask
+    nbrs = g._masks
+    rest = around
+    while rest:
+        low = rest & -rest
+        if nbrs[low.bit_length() - 1] & b_mask:
+            c_mask |= low
+        rest ^= low
+    return _separation(full & ~b_mask & ~c_mask, c_mask, b_mask, x_mask)
 
 
 def clique_separation(g: Graph, w: WeightFunction, k: Iterable[int]) -> Separation:
@@ -91,22 +128,23 @@ def clique_separation(g: Graph, w: WeightFunction, k: Iterable[int]) -> Separati
     if len(comps) < 2:
         raise ValueError("clique is not a cutset")
     b_mask = max(comps, key=w.numerator_of_mask)  # the first heaviest, in component order
-    return _separation(outside & ~b_mask, c_mask, b_mask, ks)
+    return _separation(outside & ~b_mask, c_mask, b_mask, c_mask)
 
 
-def _separation(
-    a_mask: int, c_mask: int, b_mask: int, center: tuple[int, ...]
-) -> Separation:
-    """The separation with these side masks, anchored at the least vertex of
-    its center."""
-    return Separation(
-        a=tuple(bits(a_mask)),
-        c=tuple(bits(c_mask)),
-        b=tuple(bits(b_mask)),
-        center=center,
-        anchor=center[0],
-        masks=(a_mask, c_mask, b_mask),
+def _separation(a_mask: int, c_mask: int, b_mask: int, center_mask: int) -> Separation:
+    """The separation with these side and center masks, anchored at the
+    least vertex of its center.  It skips the dataclass constructor and
+    stores only the masks and the anchor; `Separation.__getattr__` builds
+    each tuple when it is first read."""
+    s = object.__new__(Separation)
+    s.__dict__.update(
+        a_mask=a_mask,
+        c_mask=c_mask,
+        b_mask=b_mask,
+        center_mask=center_mask,
+        anchor=(center_mask & -center_mask).bit_length() - 1,
     )
+    return s
 
 
 # -- pairwise relations -----------------------------------------------------------
@@ -194,7 +232,13 @@ def covering_sequence(
 ) -> SeparationSequence:
     """Canonical separations at every induced copy of the pattern, in
     lexicographic order of the copies; degenerate copies (whose closed
-    neighborhood is everything) are skipped and listed in `skipped`."""
+    neighborhood is everything) are skipped and listed in `skipped`.
+
+    Each copy goes through `canonical_separation`, so every center is checked
+    the same way a caller's is.  The separations are engine-built: they hold
+    their side and center masks, which the partition, the central bag and
+    the audit read, and build their vertex tuples only when a caller (the
+    `centralbag` output, the transfer checks) reads them."""
     if not pattern.is_connected():
         raise ValueError("pattern must be connected")
     seps: list[Separation] = []
@@ -214,22 +258,25 @@ def dimension_partition(seq: SeparationSequence) -> tuple[tuple[int, ...], ...]:
     """Greedy colouring of the cut-intersection graph, in sequence order;
     returns the colour classes as ascending index tuples into the sequence.
 
-    Cuts in one colour class are pairwise disjoint, so each class is
-    strongly laminar; the class count is at most a * gamma(2t) + 1, where
-    (a, t) is `seq.goodness(g)` and gamma counts a degree-Delta ball.
+    Each separation takes the least colour none of whose earlier cuts meets
+    its own.  A colour keeps the union mask of its cuts, so that test is one
+    AND per colour.  Cuts in one colour class are pairwise disjoint, so each
+    class is strongly laminar; the class count is at most a * gamma(2t) + 1,
+    where (a, t) is `seq.goodness(g)` and gamma counts a degree-Delta ball.
     """
-    masks = [s.c_mask for s in seq.separations]
-    colour: list[int] = []
-    for i, m in enumerate(masks):
-        used = {colour[j] for j in range(i) if masks[j] & m}
-        c = 0
-        while c in used:
-            c += 1
-        colour.append(c)
-    n_classes = max(colour) + 1 if colour else 0
-    return tuple(
-        tuple(i for i in range(len(masks)) if colour[i] == c) for c in range(n_classes)
-    )
+    unions: list[int] = []
+    classes: list[list[int]] = []
+    for i, s in enumerate(seq.separations):
+        m = s.c_mask
+        for c, union in enumerate(unions):
+            if not union & m:
+                unions[c] = union | m
+                classes[c].append(i)
+                break
+        else:
+            unions.append(m)
+            classes.append([i])
+    return tuple(tuple(cls) for cls in classes)
 
 
 # -- the central bag engine ------------------------------------------------------------
@@ -305,58 +352,74 @@ def central_bag(
     non-crossing; their cuts inside the previous bag stay in the new bag; the
     new bag is connected; its weights sum to one.  An empty sequence leaves
     the whole graph.
+
+    The weights are integer numerators over `w.denominator` in one list
+    indexed by vertex, updated in place: a level reads every charge from the
+    previous bag's weights, then zeroes the vertices that left the bag and
+    adds the charges to the anchors that stayed.  So the list sums to the
+    bag's weight.  With no class applied, the result keeps `w`'s weights in
+    domain order.
     """
     _require_connected_and_normal(g, w)
     members = seq.separations
     bag = g.full_mask()
-    # weights travel as integer numerators over w.denominator
     den = w.denominator
-    weights: dict[int, int] = dict(w.numerators)
+    nums = w.numerators
+    # a graph vertex outside the domain is a KeyError once a class applies
+    weights = [nums[v] for v in range(g.n)] if classes else []
     escaped = 0
     levels: list[LevelRecord] = []
     all_drops: list[DropRecord] = []
     generator: list[tuple[int, ...]] = []
     kept_so_far: list[int] = []
+    connected = True  # the whole graph, checked above
 
     for cls in classes:
         admitted: list[int] = []
         drops: list[DropRecord] = []
         for i in cls:
-            center_mask = mask_of(members[i].center)
+            center_mask = members[i].center_mask
             if not center_mask & ~bag:
                 admitted.append(i)
             else:
                 witness = next(j for j in kept_so_far if center_mask & members[j].a_mask)
                 drops.append(DropRecord(index=i, reason="center_hit", witness=witness))
-        shields = make_primordial(
-            [members[i].b_mask | members[i].c_mask for i in admitted]
-        )
-        shielded = {admitted[i] for i, _ in shields}
-        kept = [i for i in admitted if i not in shielded]
-        drops.extend(
-            DropRecord(index=admitted[i], reason="shield", witness=admitted[j])
-            for i, j in shields
-        )
+        kept = admitted  # one member is its own primordial reduction
+        if len(admitted) > 1:
+            shields = make_primordial(
+                [members[i].b_mask | members[i].c_mask for i in admitted]
+            )
+            shielded = {admitted[i] for i, _ in shields}
+            kept = [i for i in admitted if i not in shielded]
+            drops.extend(
+                DropRecord(index=admitted[i], reason="shield", witness=admitted[j])
+                for i, j in shields
+            )
         drops.sort(key=lambda d: d.index)
 
         prev_bag = bag
         for i in kept:
             bag &= members[i].b_mask | members[i].c_mask
-        # order-dependent weight rule on the previous bag
-        new_weights = {v: weights[v] for v in bits(bag)}
+        # order-dependent weight rule, read from the previous bag's weights
+        charges: list[tuple[int, int]] = []
         seen_a = 0
         for i in kept:
             a_prev = members[i].a_mask & prev_bag
-            fresh = sum(weights[v] for v in bits(a_prev & ~seen_a))
+            fresh = numerator_sum(weights, a_prev & ~seen_a)
+            charges.append((members[i].anchor, fresh))
             seen_a |= a_prev
-            anchor = members[i].anchor
+        # weight lost to cut vertices that fell out of the bag
+        escaped += numerator_sum(weights, prev_bag & ~bag & ~seen_a)
+        gone = prev_bag & ~bag
+        while gone:
+            low = gone & -gone
+            weights[low.bit_length() - 1] = 0
+            gone ^= low
+        for anchor, fresh in charges:
             if bag >> anchor & 1:
-                new_weights[anchor] = new_weights[anchor] + fresh
+                weights[anchor] += fresh
             else:
                 escaped += fresh
-        # weight lost to cut vertices that fell out of the bag
-        escaped += sum(weights[v] for v in bits(prev_bag & ~bag & ~seen_a))
-        weights = new_weights
 
         # A-loose laminarity of the kept members restricted to prev_bag
         a_loose = all(
@@ -364,21 +427,27 @@ def central_bag(
             for s1, s2 in combinations([members[i] for i in kept], 2)
         )
         cut_ok = all(not members[i].c_mask & prev_bag & ~bag for i in kept)
+        if bag != prev_bag:
+            connected = g.is_connected_mask(bag)
         levels.append(
             LevelRecord(
                 restricted_a_loosely_laminar=a_loose,
                 cut_in_bag=cut_ok,
-                bag_connected=g.is_connected_mask(bag),
-                weight_total_one=(sum(weights.values()) == den),
+                bag_connected=connected,
+                weight_total_one=(sum(weights) == den),
             )
         )
         generator.append(tuple(kept))
         kept_so_far.extend(kept)
         all_drops.extend(drops)
 
+    if levels:
+        bag_weights = {v: Fraction(weights[v], den) for v in bits(bag)}
+    else:
+        bag_weights = {v: Fraction(x, den) for v, x in nums.items()}
     return CentralBagResult(
         bag=tuple(bits(bag)),
-        weights={v: Fraction(x, den) for v, x in weights.items()},
+        weights=bag_weights,
         generator=tuple(generator),
         levels=tuple(levels),
         drops=tuple(all_drops),
@@ -403,7 +472,7 @@ def audit_is_complete(
             if not is_shield(members[d.witness], members[d.index]):
                 return False
         elif d.reason == "center_hit":
-            if not mask_of(members[d.index].center) & members[d.witness].a_mask:
+            if not members[d.index].center_mask & members[d.witness].a_mask:
                 return False
         else:
             return False

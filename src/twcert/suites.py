@@ -304,31 +304,38 @@ def is_subdivided_claw_set(g: Graph, vs: tuple[int, ...], lens: tuple[int, int, 
 
 def creature_exists_bruteforce(g: Graph, k: int, t: int) -> bool:
     """Body-first enumeration: fix a connected candidate body, then pack k
-    admissible joint-oriented paths around it."""
-    paths = _directed_induced_paths(g, t)
+    admissible joint-oriented paths around it.
+
+    Each path's masks are built once, not per body: its vertices, the
+    neighbours of its joint, the neighbours of its other vertices, and its
+    vertices with all their neighbours.  A path is admissible for a body it
+    misses, that its joint touches and no other vertex does; two packed
+    paths are disjoint and anticomplete."""
+    nbr = g.neighbor_mask
+    paths = []
+    for p in _directed_induced_paths(g, t):
+        pm = mask_of(p)
+        rest = 0
+        for v in p[1:]:
+            rest |= nbr(v)
+        joint = nbr(p[0])
+        paths.append((pm, joint, rest, pm | joint | rest))
     full = g.full_mask()
     for body_mask in range(1, full + 1):
         if g.reach_mask(body_mask & -body_mask, body_mask) != body_mask:
             continue
-        ok_paths = []
-        for p in paths:
-            pm = mask_of(p)
-            if pm & body_mask:
-                continue
-            if not g.neighbor_mask(p[0]) & body_mask:
-                continue
-            if any(g.neighbor_mask(v) & body_mask for v in p[1:]):
-                continue
-            ok_paths.append((p, pm))
+        ok_paths = [
+            (pm, closed)
+            for pm, joint, rest, closed in paths
+            if joint & body_mask and not (pm | rest) & body_mask
+        ]
 
         def pack(start: int, used: int, left: int) -> bool:
             if left == 0:
                 return True
             for idx in range(start, len(ok_paths)):
-                p, pm = ok_paths[idx]
-                if pm & used:
-                    continue
-                if any(g.neighbor_mask(v) & used for v in p):
+                pm, closed = ok_paths[idx]
+                if closed & used:
                     continue
                 if pack(idx + 1, used | pm, left - 1):
                     return True

@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .graphs import Graph, bits, lex_key
+from .graphs import Graph, lex_key
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,13 @@ class WeightFunction:
     numerator, `denominator` is the lcm of the weights' denominators, and
     `numerator_total` is the numerators' sum.  A sum of k weights then costs k
     integer additions and one reduced `Fraction`, instead of k `Fraction`
-    additions with a gcd each, and returns the same reduced `Fraction`.  These
-    attributes are not dataclass fields, so equality, hashing and `repr` still
-    see only `domain` and `values`; callers must not mutate `numerators`.
+    additions with a gcd each, and returns the same reduced `Fraction`.
+    `numerator_list` holds the same numerators indexed by vertex, 0 up to
+    the largest domain vertex, with 0 at every vertex outside the domain:
+    mask sums read it by bit position, with no dict lookup per vertex.
+    These attributes are not dataclass fields, so equality, hashing and
+    `repr` still see only `domain` and `values`; callers must not mutate
+    `numerators` or `numerator_list`.
     """
 
     domain: tuple[int, ...]
@@ -43,7 +47,12 @@ class WeightFunction:
         }
         if len(nums) != len(self.domain):
             raise ValueError("domain lists a vertex twice")
+        by_vertex = [0] * (max(self.domain, default=-1) + 1)
+        for u, x in nums.items():
+            if u >= 0:  # no mask holds a negative vertex
+                by_vertex[u] = x
         object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "numerator_list", by_vertex)
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "numerator_total", sum(nums.values()))
 
@@ -78,8 +87,8 @@ class WeightFunction:
         """w of the vertices whose bits are set, times `denominator`; bits
         outside the domain are ignored.  Every weight shares the one
         denominator, so these integers order masks as their weights do."""
-        get = self.numerators.get
-        return sum(get(v, 0) for v in bits(mask))
+        nums = self.numerator_list
+        return numerator_sum(nums, mask & ((1 << len(nums)) - 1))
 
     def of_mask(self, mask: int) -> Fraction:
         """w of the vertices whose bits are set; bits outside the domain are
@@ -103,6 +112,18 @@ class WeightFunction:
     @classmethod
     def from_json(cls, data: Mapping[str, str]) -> "WeightFunction":
         return cls.from_mapping({int(k): parse_fraction(v) for k, v in data.items()})
+
+
+def numerator_sum(numerators: Sequence[int], mask: int) -> int:
+    """The sum of `numerators[v]` over the set bits v of `mask`, each of
+    which must index `numerators`: a vertex-indexed list such as
+    `WeightFunction.numerator_list`."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += numerators[low.bit_length() - 1]
+        mask ^= low
+    return total
 
 
 def parse_fraction(text: str | float) -> Fraction:
