@@ -14,7 +14,6 @@ from itertools import combinations
 from typing import Any, Iterable, Optional, Sequence
 
 from .certify import FAIL, HYPOTHESIS_UNMET, PASS
-from .config import Budget
 from .detect import induced_copies, verify_forcer, find_induced
 from .graphs import CapExceeded, Graph, bits, geometric_ball_bound, lex_key, mask_of
 from .separators import min_balanced_separator, treewidth_or_bounds
@@ -225,10 +224,7 @@ def make_primordial(bc: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def covering_sequence(
-    g: Graph,
-    w: WeightFunction,
-    pattern: Graph,
-    budget: Optional[Budget] = None,
+    g: Graph, w: WeightFunction, pattern: Graph
 ) -> SeparationSequence:
     """Canonical separations at every induced copy of the pattern, in
     lexicographic order of the copies; degenerate copies (whose closed
@@ -243,7 +239,7 @@ def covering_sequence(
         raise ValueError("pattern must be connected")
     seps: list[Separation] = []
     skips: list[tuple[int, ...]] = []
-    for copy in induced_copies(g, pattern, budget):
+    for copy in induced_copies(g, pattern):
         try:
             seps.append(canonical_separation(g, w, copy))
         except DegenerateSeparation:
@@ -455,9 +451,7 @@ def central_bag(
     )
 
 
-def audit_is_complete(
-    g: Graph, seq: SeparationSequence, result: CentralBagResult
-) -> bool:
+def audit_is_complete(seq: SeparationSequence, result: CentralBagResult) -> bool:
     """Re-validate every drop: a shield witness must actually shield, and a
     center-hit witness's A side must actually meet the dropped center."""
     members = seq.separations
@@ -509,7 +503,7 @@ def _bag_has_no_small_separator(
     w_bag = WeightFunction(
         tuple(range(sub.n)), tuple(result.weights[v] for v in sub_vs)
     )
-    return min_balanced_separator(sub, w_bag, c, max_size=limit, cap=sub.n) is None
+    return min_balanced_separator(sub, w_bag, c, max_size=limit) is None
 
 
 def no_small_separator(g: Graph, w: WeightFunction, c: Fraction, d: int) -> bool:
@@ -519,7 +513,7 @@ def no_small_separator(g: Graph, w: WeightFunction, c: Fraction, d: int) -> bool
     check_balance_parameter(c)
     if g.n > 12:
         raise CapExceeded("transfer checks are exhaustive; capped at n=12")
-    return min_balanced_separator(g, w, c, max_size=d, cap=g.n) is None
+    return min_balanced_separator(g, w, c, max_size=d) is None
 
 
 def check_bag_separator_transfer(
@@ -614,22 +608,17 @@ def check_bag_separator_transfer(
 
 
 def forcer_elimination_check(
-    g: Graph,
-    w: WeightFunction,
-    pattern: Graph,
-    forcer: Graph,
-    result: CentralBagResult,
-    budget: Optional[Budget] = None,
+    g: Graph, pattern: Graph, forcer: Graph, result: CentralBagResult
 ) -> tuple[bool, Optional[bool]]:
     """After bag construction at a pattern's covering sequence, the bag should
     carry no copy of any verified forcer for that pattern.  Returns whether
     the forcer premise holds and, when it does, whether the bag is clean."""
-    if not verify_forcer(g, forcer, pattern, budget).holds:
+    if not verify_forcer(g, forcer, pattern).holds:
         return False, None
     if not result.bag:
         return True, True
     sub, _ = g.induced_subgraph(result.bag)
-    return True, find_induced(sub, forcer, budget) is None
+    return True, find_induced(sub, forcer) is None
 
 
 # -- clique coverings ------------------------------------------------------------------
@@ -723,7 +712,6 @@ def run_master_pipeline(
     c: Fraction,
     d: int,
     w: Optional[WeightFunction] = None,
-    budget: Optional[Budget] = None,
     tw_cap: int = 14,
 ) -> PipelineReport:
     """Covering sequence, goodness, partition, central bag, forcer freeness,
@@ -733,6 +721,8 @@ def run_master_pipeline(
     with N one more than the bag's measured treewidth and t one more than the
     pattern size, which keeps the pattern smaller than t.  Usage errors, then
     the n = 12 cap of `no_small_separator`, are raised before any stage runs.
+    The covering sequence and each forcer check search under their own
+    default budget of `RunConfig.search_budget` steps.
     """
     if w is None:
         w = WeightFunction.uniform(g)
@@ -740,16 +730,14 @@ def run_master_pipeline(
         raise ValueError("pattern must be connected")
     _require_connected_and_normal(g, w)
     no_sep = no_small_separator(g, w, c, d)
-    seq = covering_sequence(g, w, pattern, budget)
+    seq = covering_sequence(g, w, pattern)
     classes = dimension_partition(seq)
     result = central_bag(g, w, seq, classes)
     delta = g.max_degree()
     t_param = pattern.n + 1
     a_bound = delta ** (t_param * t_param)
     dim_bound = a_bound * geometric_ball_bound(delta, 2 * t_param) + 1
-    forcer_reps = [
-        forcer_elimination_check(g, w, pattern, f, result, budget) for f in forcers
-    ]
+    forcer_reps = [forcer_elimination_check(g, pattern, f, result) for f in forcers]
     bag_tw: Optional[int] = None
     within: Optional[bool] = None
     symbolic = ""
@@ -771,7 +759,7 @@ def run_master_pipeline(
     return PipelineReport(
         dimension_bound_holds=len(classes) <= dim_bound,
         anchor_bound_holds=a_meas <= a_bound,
-        audit_complete=audit_is_complete(g, seq, result),
+        audit_complete=audit_is_complete(seq, result),
         forcer_premises=tuple(premise for premise, _ in forcer_reps),
         bag_forcer_free=tuple(clean for _, clean in forcer_reps),
         bag_treewidth=bag_tw,

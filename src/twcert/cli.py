@@ -26,6 +26,7 @@ from .certify import (
 )
 from .config import Budget, RunConfig, load_config
 from .decompose import (
+    LciConstructionError,
     NotChordal,
     chordal_td,
     decompose_strip_structure,
@@ -410,8 +411,12 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
         host = g
     elif args.method == "lci":
         lci = _load_json(args.input, _lci_from_json)
+        try:
+            td = fuzzy_lci_td(lci).td
+        except LciConstructionError as exc:
+            _dump_json({"status": "fail", "hole": list(exc.hole)}, args.output)
+            return 1
         host = lci.graph
-        td = fuzzy_lci_td(lci).td
     elif args.method == "strip":
         ss = _load_json(args.input, _strip_structure_from_json)
         td = decompose_strip_structure(ss, cap=cfg.max_tw_n).td

@@ -219,8 +219,9 @@ def chordal_td(g: Graph) -> TreeDecomposition:
 # -- thickened circular-interval decompositions ---------------------------------
 
 
-class LciConstructionError(RuntimeError):
-    """The cut graph failed to be chordal; dumps the instance for diagnosis."""
+class LciConstructionError(NotChordal):
+    """The cut graph failed to be chordal; `hole` is a chordless cycle of it
+    in host vertex ids."""
 
 
 @dataclass(frozen=True)
@@ -235,6 +236,8 @@ def fuzzy_lci_td(lci: LciThickening) -> LciTdReport:
     Completing the fuzzy blocks gives a circular interval graph; deleting
     every block on the first arc cuts the circle, the remainder is chordal,
     and re-adding the cut clique to every bag decomposes the whole graph.
+    A remainder that is not chordal (the first arc may hold no point, so
+    nothing is cut) raises LciConstructionError with one of its holes.
     """
     g = lci.graph
     spec = lci.spec
@@ -255,9 +258,7 @@ def fuzzy_lci_td(lci: LciThickening) -> LciTdReport:
     try:
         inner = chordal_td(sub)
     except NotChordal as exc:
-        raise LciConstructionError(
-            f"cut graph not chordal (hole {exc.hole}); model={model}, spec={spec}"
-        ) from exc
+        raise LciConstructionError(tuple(sub_vs[x] for x in exc.hole)) from exc
     bags = tuple(
         tuple(sorted(set(cut_set) | {sub_vs[x] for x in bag})) for bag in inner.bags
     )

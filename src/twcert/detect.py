@@ -630,16 +630,12 @@ class ForcerReport:
     counterexample: Optional[tuple[int, ...]] = None
 
 
-def verify_forcer(
-    g: Graph,
-    forcer_pattern: Graph,
-    x_pattern: Graph,
-    budget: Optional[Budget] = None,
-) -> ForcerReport:
+def verify_forcer(g: Graph, forcer_pattern: Graph, x_pattern: Graph) -> ForcerReport:
     """Check that every induced copy Y of the forcer contains an induced copy
     X' of the inner pattern with X' breaking Y minus X'.  The first violating
-    copy is returned as a counterexample."""
-    bud = _default_budget(budget)
+    copy is returned as a counterexample.  The search runs under the default
+    budget of `RunConfig.search_budget` ticks."""
+    bud = Budget(RunConfig.search_budget)
     count = 0
     for y in induced_copies(g, forcer_pattern, bud):
         count += 1

@@ -534,7 +534,9 @@ class StripStructure:
             for side in (left, right):
                 if not set(side) <= strip:
                     raise ValueError(f"end-set of strip {i} leaves the strip")
-        # (S2) at each pattern vertex the union of end-sets is a host clique
+        # (S2) at each pattern vertex the union of end-sets is a host clique;
+        # at[x] collects the pattern vertices where an end-set holds x
+        at: list[set[int]] = [set() for _ in range(self.host.n)]
         for v in range(self.pattern_n):
             union: list[int] = []
             for i, slot in self.incident(v):
@@ -543,26 +545,13 @@ class StripStructure:
                 raise ValueError(f"end-sets at pattern vertex {v} overlap")
             if not self.host.is_clique(union):
                 raise ValueError(f"end-set union at pattern vertex {v} is not a clique")
-        # (S3) cross-strip edges only through a shared endpoint's end-sets
+            for x in union:
+                at[x].add(v)
+        # (S3) a cross-strip edge joins end-sets at a shared pattern vertex
         strip_of = {x: i for i, strip in enumerate(self.eta) for x in strip}
-        endsets = [
-            (frozenset(left), frozenset(right)) for left, right in self.eta_end
-        ]
         for x, y in self.host.edges:
             i, j = strip_of[x], strip_of[y]
-            if i == j:
-                continue
-            # need a shared pattern vertex with x, y in the matching end-sets
-            ok = False
-            for v in range(self.pattern_n):
-                slots_i = [s for e, s in self.incident(v) if e == i]
-                slots_j = [s for e, s in self.incident(v) if e == j]
-                if any(x in endsets[i][s] for s in slots_i) and any(
-                    y in endsets[j][s] for s in slots_j
-                ):
-                    ok = True
-                    break
-            if not ok:
+            if i != j and not at[x] & at[y]:
                 raise ValueError(
                     f"host edge ({x},{y}) crosses strips {i},{j} outside end-sets"
                 )

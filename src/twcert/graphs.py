@@ -187,10 +187,8 @@ class Graph:
     def is_connected(self) -> bool:
         return self.is_connected_mask(self.full_mask())
 
-    def bfs_distances(self, source: int, allowed: Optional[int] = None) -> list[int]:
+    def bfs_distances(self, source: int, allowed: int) -> list[int]:
         """Distances from source within `allowed` (-1 for unreachable)."""
-        if allowed is None:
-            allowed = self.full_mask()
         dist = [-1] * self.n
         if not allowed >> source & 1:
             return dist
@@ -229,11 +227,9 @@ class Graph:
             best = max(best, depth)
         return best
 
-    def shortest_path(
-        self, u: int, v: int, allowed: Optional[int] = None
-    ) -> Optional[tuple[int, ...]]:
-        """Lexicographically minimal shortest u-v path within `allowed` (every
-        vertex by default); shortest paths are induced."""
+    def shortest_path(self, u: int, v: int, allowed: int) -> Optional[tuple[int, ...]]:
+        """Lexicographically minimal shortest u-v path within `allowed`;
+        shortest paths are induced."""
         dist = self.bfs_distances(u, allowed)
         if dist[v] < 0:
             return None
@@ -321,9 +317,9 @@ def subdivide(g: Graph, lengths: Mapping[tuple[int, int], int]) -> Graph:
     return Graph(*subdivided_edges(g.n, g.edges, extra))
 
 
-def full_subdivision(g: Graph, ell: int = 2) -> Graph:
-    """Subdivide every edge to length ell."""
-    return subdivide(g, {e: ell for e in g.edges})
+def full_subdivision(g: Graph) -> Graph:
+    """Subdivide every edge to length 2."""
+    return subdivide(g, {e: 2 for e in g.edges})
 
 
 def clique_number(g: Graph) -> int:

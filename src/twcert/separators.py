@@ -66,16 +66,14 @@ def min_balanced_separator(
     w: WeightFunction,
     c: Fraction,
     max_size: Optional[int] = None,
-    cap: int = 16,
 ) -> Optional[tuple[int, ...]]:
     """Minimum-cardinality balanced separator by increasing-size subset search,
     as a sorted vertex tuple; ties resolve to the lexicographically first
     subset.  With max_size set, returns None when no separator that small
-    exists.  Each subset tested costs one `component_weights` call."""
+    exists.  Each subset tested costs one `component_weights` call.  The
+    search has no size cap of its own: its callers bound the input."""
     _require_normal(w)
     check_balance_parameter(c)
-    if g.n > cap:
-        raise CapExceeded(f"separator search capped at n={cap}, got {g.n}")
 
     def balanced(x_mask: int) -> bool:
         return all(wt <= c for _, wt in component_weights(g, w, x_mask))
@@ -353,14 +351,12 @@ def harvey_wood_check(
     g: Graph,
     c: Fraction,
     seed: int = 7,
-    n_weights: int = 20,
-    cap: int = 8,
 ) -> HarveyWoodReport:
     """Cross-check the separation-number and balanced-separator bridges.
 
     Computes tw and the separation number exactly, checks
     tw + 1 <= sep/(1-c) and the uniform-weight route tw <= sep/(1-c), and
-    verifies that seeded normal weight functions all admit a balanced
+    verifies that 20 seeded normal weight functions all admit a balanced
     separator of size at most tw + 1 (one of the witness bags always works,
     so a weight that no bag balances is recorded as a failure).
 
@@ -369,18 +365,17 @@ def harvey_wood_check(
     at most c exactly when |comp & Y| <= c|Y|, separation_number's test for
     S = Y.  The worst minimum uniform-weight separator over all Y is
     therefore the separation number (S = empty needs X = empty).
+    Every search here is exhaustive with no size cap: callers keep g small.
     """
     check_balance_parameter(c)
-    if g.n > cap:
-        raise CapExceeded(f"bridge check capped at n={cap}, got {g.n}")
-    tw, td = exact_treewidth(g, cap=cap)
-    sep = separation_number(g, c, cap=cap)
+    tw, td = exact_treewidth(g, cap=g.n)
+    sep = separation_number(g, c, cap=g.n)
     upper = Fraction(tw + 1) <= Fraction(sep) / (1 - c)
     uniform_ok = Fraction(tw) <= Fraction(sep) / (1 - c)
 
     rng = random.Random(seed)
     all_small = True
-    for _ in range(n_weights):
+    for _ in range(20):
         raw = [rng.randint(0, 8) for _ in g.vertices]
         if sum(raw) == 0:
             raw[0] = 1

@@ -140,15 +140,15 @@ def random_weights(rng: random.Random, g: Graph) -> WeightFunction:
     return WeightFunction(tuple(g.vertices), tuple(Fraction(x, total) for x in raw))
 
 
-def chordal_growth(rng: random.Random, n: int, max_clique: int = 5) -> Graph:
+def chordal_growth(rng: random.Random, n: int) -> Graph:
     """Grow a chordal graph by repeatedly attaching a simplicial vertex to a
-    clique of an already-built graph."""
+    clique of an already-built graph, with cliques of at most 5 vertices."""
     edges: list[tuple[int, int]] = []
     cliques: list[tuple[int, ...]] = [(0,)]
     for u in range(1, n):
         base = list(rng.choice(cliques))
         rng.shuffle(base)
-        take = base[: rng.randint(1, min(len(base), max_clique - 1))]
+        take = base[: rng.randint(1, min(len(base), 4))]
         edges.extend((v, u) for v in take)
         cliques.append(tuple(sorted(take + [u])))
     return Graph(n, edges)
@@ -159,15 +159,15 @@ def pattern_free_corpus(
     count: int,
     is_clean: Callable[[Graph], bool],
     extras: Sequence[Graph] = (),
-    n_range: tuple[int, int] = (6, 9),
 ) -> list[Graph]:
-    """Seeded graphs filtered by a detector-based cleanliness predicate."""
+    """Seeded graphs on 6 to 9 vertices filtered by a detector-based
+    cleanliness predicate."""
     rng = random.Random(seed)
     out = [g for g in extras if is_clean(g)]
     tries = 0
     while len(out) < count and tries < 400 * count:
         tries += 1
-        n = rng.randint(*n_range)
+        n = rng.randint(6, 9)
         g = random_connected(rng, n, rng.choice([0.35, 0.5, 0.65, 0.8]))
         if g is None:
             continue
@@ -370,7 +370,7 @@ def suite_anchors(cfg: RunConfig) -> Certificate:
         tw == 3,
         td_witness(w33, td, 3),
     )
-    sub = full_subdivision(w33, 2)
+    sub = full_subdivision(w33)
     bounds = treewidth_bounds(sub)
     cert.expect(
         "wall.subdivision-invariant",
@@ -399,7 +399,7 @@ def suite_anchors(cfg: RunConfig) -> Certificate:
         if g.n < 2 or g.m == 0:
             continue
         twg = exact_treewidth(g, cap=cfg.max_tw_n)[0]
-        sg = full_subdivision(g, 2)
+        sg = full_subdivision(g)
         exact = treewidth_bounds(sg).exact
         if exact is None and sg.n <= cfg.max_tw_n:
             exact = exact_treewidth(sg, cap=cfg.max_tw_n)[0]
@@ -414,18 +414,18 @@ def suite_anchors(cfg: RunConfig) -> Certificate:
     return cert
 
 
-def suite_harvey_wood(cfg: RunConfig, max_n: int = 7) -> Certificate:
+def suite_harvey_wood(cfg: RunConfig) -> Certificate:
     """Separation number vs treewidth, and small balanced separators for
-    seeded weight functions, across the whole catalog."""
+    seeded weight functions, across the whole catalog up to 7 vertices."""
     cert = _new_cert("harvey-wood", cfg)
-    catalog = seeded_catalog(max_n, cfg.seed, per_n=6)
+    catalog = seeded_catalog(7, cfg.seed, per_n=6)
     cert.record_input("catalog", [graph_witness(g) for g in catalog])
     c = cfg.c
     violations: list[int] = []
     weight_fails: list[int] = []
     uniform_fails: list[int] = []
     for idx, g in enumerate(catalog):
-        rep = harvey_wood_check(g, c, seed=cfg.seed + idx, n_weights=20, cap=max_n)
+        rep = harvey_wood_check(g, c, seed=cfg.seed + idx)
         if not rep.upper_bound_holds:
             violations.append(idx)
         if not rep.uniform_bound_holds:
@@ -472,12 +472,12 @@ def _bag_corpus(cfg: RunConfig, count: int) -> list[tuple[Graph, Graph, WeightFu
     return triples
 
 
-def suite_bag_algebra(cfg: RunConfig, count: int = 200) -> Certificate:
-    """Per-level bag algebra on seeded triples: cuts stay in the bag, the bag
-    is connected, and the propagated weights sum to exactly one."""
+def suite_bag_algebra(cfg: RunConfig) -> Certificate:
+    """Per-level bag algebra on 200 seeded triples: cuts stay in the bag, the
+    bag is connected, and the propagated weights sum to exactly one."""
     cert = _new_cert("bag-algebra", cfg)
     bad: list[int] = []
-    for idx, (g, pattern, w) in enumerate(_bag_corpus(cfg, count)):
+    for idx, (g, pattern, w) in enumerate(_bag_corpus(cfg, 200)):
         seq = covering_sequence(g, w, pattern)
         result = central_bag(g, w, seq, dimension_partition(seq))
         if not result.algebra_holds or result.escaped_weight != 0:
@@ -491,16 +491,17 @@ def suite_bag_algebra(cfg: RunConfig, count: int = 200) -> Certificate:
     return cert
 
 
-def suite_bag_audit(cfg: RunConfig, count: int = 120) -> Certificate:
-    """Every dropped separation re-validates against its stored justification."""
+def suite_bag_audit(cfg: RunConfig) -> Certificate:
+    """On 120 seeded triples, every dropped separation re-validates against
+    its stored justification."""
     cert = _new_cert("bag-audit", cfg)
     bad: list[int] = []
     total_drops = 0
-    for idx, (g, pattern, w) in enumerate(_bag_corpus(cfg, count)):
+    for idx, (g, pattern, w) in enumerate(_bag_corpus(cfg, 120)):
         seq = covering_sequence(g, w, pattern)
         result = central_bag(g, w, seq, dimension_partition(seq))
         total_drops += len(result.drops)
-        if not audit_is_complete(g, seq, result):
+        if not audit_is_complete(seq, result):
             bad.append(idx)
     cert.expect(
         "bag.audit",
@@ -575,11 +576,12 @@ def suite_conditional_bags(cfg: RunConfig) -> Certificate:
     return cert
 
 
-def suite_forcer_claw(cfg: RunConfig, count: int = 50) -> Certificate:
-    """Spider forcers on spider-free graphs: for legs (2, b, b) the graph
+def suite_forcer_claw(cfg: RunConfig) -> Certificate:
+    """Spider forcers on 50 spider-free graphs: for legs (2, b, b) the graph
     with one leg shortened plus an isolated vertex forces the doubly
     shortened spider."""
     cert = _new_cert("forcer-claw", cfg)
+    count = 50
     for b in (1, 2):
         def clean(g: Graph, b=b) -> bool:
             return find_subdivided_claw(g, 2, b, b) is None
@@ -625,10 +627,11 @@ def suite_forcer_claw(cfg: RunConfig, count: int = 50) -> Certificate:
     return cert
 
 
-def suite_forcer_theta(cfg: RunConfig, count: int = 50) -> Certificate:
-    """On graphs with no short theta or pyramid, the depth-2 spider forces
-    the claw."""
+def suite_forcer_theta(cfg: RunConfig) -> Certificate:
+    """On 50 graphs with no short theta or pyramid, the depth-2 spider
+    forces the claw."""
     cert = _new_cert("forcer-theta", cfg)
+    count = 50
 
     def clean(g: Graph) -> bool:
         return find_t_theta(g, 2) is None and find_t_pyramid(g, 2) is None
@@ -756,11 +759,12 @@ def suite_strip_assembly(cfg: RunConfig) -> Certificate:
     return cert
 
 
-def suite_detectors(cfg: RunConfig, max_n: int = 8) -> Certificate:
+def suite_detectors(cfg: RunConfig) -> Certificate:
     """Cross-validate every specialised detector against subset-classification
-    oracles on the catalog, plus the named positive instances."""
+    oracles on the catalog up to 8 vertices, plus the named positive
+    instances."""
     cert = _new_cert("detectors", cfg)
-    catalog = [g for g in seeded_catalog(max_n, cfg.seed, per_n=4)]
+    catalog = seeded_catalog(8, cfg.seed, per_n=4)
     subset_cache: dict[int, list[tuple[int, ...]]] = {}
 
     def subsets(g: Graph) -> list[tuple[int, ...]]:

@@ -32,7 +32,7 @@ def test_criterion_01_wall_facts():
     ok = g.n == 12 and g.max_degree() == 3
     tw, _ = exact_treewidth(g)
     ok = ok and tw == 3
-    b = treewidth_bounds(full_subdivision(g, 2))
+    b = treewidth_bounds(full_subdivision(g))
     ok = ok and b.exact == 3
     _report(1, "wall facts", ok, t0, 30)
 

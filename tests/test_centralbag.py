@@ -203,7 +203,7 @@ def test_central_bag_p7_full_trace(p7):
     assert result.generator == ((2, 5), (4,), (3,))
     assert result.algebra_holds
     assert result.escaped_weight == 0
-    assert audit_is_complete(g, seq, result)
+    assert audit_is_complete(seq, result)
     assert result.recompute_bag(g, seq) == result.bag
 
 
@@ -231,7 +231,7 @@ def test_audit_complete_on_random_graphs(g):
     w = WeightFunction.uniform(g)
     seq = covering_sequence(g, w, path_graph(2))
     result = central_bag(g, w, seq, dimension_partition(seq))
-    assert audit_is_complete(g, seq, result)
+    assert audit_is_complete(seq, result)
     assert result.recompute_bag(g, seq) == result.bag
     # kept separations are pairwise cut-disjoint within each class
     for cls in result.generator:
@@ -281,7 +281,7 @@ def test_clique_bag_bookkeeping(g):
     checks = clique_central_bag(g, w, HALF, 1, no_small_separator(g, w, HALF, 1))
     assert checks[1].conclusion_holds == no_cutset
     assert sum(res.weights.values()) + res.escaped_weight == 1
-    assert audit_is_complete(g, covering, res)
+    assert audit_is_complete(covering, res)
     assert res.recompute_bag(g, covering) == res.bag
     if all(lvl.restricted_a_loosely_laminar for lvl in res.levels):
         assert sum(res.weights.values()) == 1
@@ -344,7 +344,7 @@ def test_forcer_elimination_on_spider_free_host():
     forcer = Graph(inner.n + 1, list(inner.edges))
     seq = covering_sequence(host, w, pattern)
     result = central_bag(host, w, seq, dimension_partition(seq))
-    premise, clean = forcer_elimination_check(host, w, pattern, forcer, result)
+    premise, clean = forcer_elimination_check(host, pattern, forcer, result)
     assert premise
     assert clean in (True, None)
 
@@ -355,7 +355,7 @@ def test_forcer_elimination_premise_gate():
     w = WeightFunction.uniform(g)
     seq = covering_sequence(g, w, path_graph(1))
     result = central_bag(g, w, seq, dimension_partition(seq))
-    premise, clean = forcer_elimination_check(g, w, path_graph(1), path_graph(2), result)
+    premise, clean = forcer_elimination_check(g, path_graph(1), path_graph(2), result)
     assert not premise and clean is None
 
 

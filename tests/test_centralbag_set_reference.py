@@ -255,7 +255,7 @@ def test_mask_engine_matches_set_reference(idx):
     classes = dimension_partition(seq)
     result = cb.central_bag(g, w, seq, classes)
     assert result == central_bag(g, w, seq, classes)
-    assert cb.audit_is_complete(g, seq, result) == audit_is_complete(g, seq, result)
+    assert cb.audit_is_complete(seq, result) == audit_is_complete(g, seq, result)
     assert result.recompute_bag(g, seq) == result.bag
 
 

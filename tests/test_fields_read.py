@@ -21,7 +21,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "twcert"
 
 TRACED = "wrapped by perfbench/tracing.py, which the benchmark installs"
-RESERVED = "reserved for a re-checkable forcer record (ROADMAP item 5)"
+RESERVED = "reserved for a re-checkable forcer record (ROADMAP item 8)"
 
 # "module.Class.name" -> why it may stay although no package code reads it
 ALLOWED = {

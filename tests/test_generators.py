@@ -249,3 +249,90 @@ def test_strip_validator_bounds_a_loop_end_set():
     )
     with pytest.raises(ValueError, match="exceeds Delta\\+1"):
         ss.validate()
+
+
+STRIP_KINDS = (
+    "trivial_single_edge",
+    "line_graph_of:triangle",
+    "line_graph_of:k13",
+    "line_graph_of:c5",
+    "line_graph_of:p4",
+    "lci_strips",
+    "parallel_edges",
+)
+
+
+def _s3_reference(ss):
+    """The (S3) cross-strip check as `StripStructure.validate` wrote it
+    before it kept one map of pattern vertices per host vertex: the error
+    text of the first failing edge, or None."""
+    strip_of = {x: i for i, strip in enumerate(ss.eta) for x in strip}
+    endsets = [
+        (frozenset(left), frozenset(right)) for left, right in ss.eta_end
+    ]
+    for x, y in ss.host.edges:
+        i, j = strip_of[x], strip_of[y]
+        if i == j:
+            continue
+        # need a shared pattern vertex with x, y in the matching end-sets
+        ok = False
+        for v in range(ss.pattern_n):
+            slots_i = [s for e, s in ss.incident(v) if e == i]
+            slots_j = [s for e, s in ss.incident(v) if e == j]
+            if any(x in endsets[i][s] for s in slots_i) and any(
+                y in endsets[j][s] for s in slots_j
+            ):
+                ok = True
+                break
+        if not ok:
+            return f"host edge ({x},{y}) crosses strips {i},{j} outside end-sets"
+    return None
+
+
+def _with_edge(ss, x, y):
+    host = ss.host.__class__(ss.host.n, list(ss.host.edges) + [(x, y)])
+    return StripStructure(host, ss.pattern_n, ss.pattern_edges, ss.eta, ss.eta_end)
+
+
+def _loop_structure():
+    """A loop at pattern vertex 0 (strip 0, end-sets (1,) and (0,)) beside
+    the edge 0-1 (strip 1); only the loop's first end-set meets vertex 0."""
+    return StripStructure(
+        host=path_graph(4),
+        pattern_n=2,
+        pattern_edges=((0, 0), (0, 1)),
+        eta=((0, 1), (2, 3)),
+        eta_end=(((1,), (0,)), ((2,), (3,))),
+    )
+
+
+def test_strip_validator_rejects_an_edge_outside_end_sets():
+    ss = strip_structure_instance("parallel_edges")  # two paths 0..2 and 3..5
+    with pytest.raises(ValueError, match=r"host edge \(1,4\) crosses strips 0,1 outside end-sets"):
+        _with_edge(ss, 1, 4).validate()
+    with pytest.raises(ValueError, match=r"host edge \(0,2\) crosses strips 0,1 outside"):
+        _with_edge(_loop_structure(), 0, 2).validate()  # a loop's second end-set
+
+
+def test_strip_cross_edge_check_matches_reference():
+    bases = [strip_structure_instance(kind) for kind in STRIP_KINDS] + [_loop_structure()]
+    cases = 0
+    outcomes = set()
+    for ss in bases:
+        strip_of = {x: i for i, strip in enumerate(ss.eta) for x in strip}
+        tampered = [
+            _with_edge(ss, x, y)
+            for x, y in combinations(range(ss.host.n), 2)
+            if strip_of[x] != strip_of[y] and not ss.host.has_edge(x, y)
+        ]
+        for t in [ss, *tampered]:
+            expected = _s3_reference(t)
+            try:
+                t.validate()
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, (t.pattern_edges, t.host.edges)
+            cases += 1
+            outcomes.add(expected is None)
+    assert cases > len(bases) and outcomes == {True, False}

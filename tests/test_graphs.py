@@ -115,7 +115,7 @@ def test_subdivision_preserves_treewidth_small():
 
     for g in [cycle_graph(4), complete_graph(4), complete_bipartite(2, 3), wall(2, 2)]:
         tw = exact_treewidth(g)[0]
-        sub = full_subdivision(g, 2)
+        sub = full_subdivision(g)
         if sub.n <= 14:
             assert exact_treewidth(sub)[0] == tw
         else:

@@ -181,6 +181,42 @@ def test_cli_decompose_chordal_witnesses_hole(tmp_path, capsys):
     assert "hole" in capsys.readouterr().out
 
 
+def _lci_fail(tmp_path, capsys, model):
+    """Run `decompose --method lci` on a model whose cut graph has a hole;
+    return the payload after checking the exit code, stderr and `--td`."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out, td = tmp_path / "out.json", tmp_path / "out.td"
+    code = main(["decompose", "--method", "lci", "-i", str(path), "-o", str(out),
+                 "--td", str(td)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err and err == ""
+    assert not td.exists()
+    return json.loads(out.read_text())
+
+
+def test_cli_decompose_lci_uncut_cycle_fails_with_hole(tmp_path, capsys):
+    # a 4-cycle whose arc 0 holds no point, so nothing is cut
+    model = {
+        "points": ["0", "1/4", "1/2", "3/4"],
+        "arcs": [["127/2000", "1/10"], ["0", "1/4"], ["31/128", "65/128"],
+                 ["31/64", "49/64"], ["93/128", "3/128"]],
+    }
+    assert _lci_fail(tmp_path, capsys, model) == {"status": "fail", "hole": [1, 0, 3, 2]}
+
+
+def test_cli_decompose_lci_hole_is_in_host_ids(tmp_path, capsys):
+    # arc 0 holds point 0 only; the other five points form a 5-cycle
+    model = {
+        "points": ["0", "1/6", "1/3", "1/2", "2/3", "5/6"],
+        "arcs": [["999/1000", "1/100"], ["15/100", "34/100"], ["33/100", "51/100"],
+                 ["49/100", "67/100"], ["66/100", "84/100"], ["83/100", "17/100"]],
+    }
+    payload = _lci_fail(tmp_path, capsys, model)
+    assert payload == {"status": "fail", "hole": [2, 1, 5, 4, 3]}
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -29,7 +29,7 @@ from twcert.cli import main
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 TRACED = "wrapped by perfbench/tracing.py, which the benchmark installs"
-RESERVED = "reserved for a later re-check (ROADMAP items 3 and 4)"
+RESERVED = "reserved for a later re-check (ROADMAP items 4 and 8)"
 DUNDER = "a dunder: Python calls it, no command needs to"
 
 # "module.qualname" -> why it may stay although no command calls it
@@ -40,8 +40,8 @@ ALLOWED = {
     "weights.WeightFunction.w_max": TRACED,
     "weights.WeightFunction.__getitem__": TRACED,
     "io.read_graph_json": TRACED,
+    "io.read_td": TRACED,
     "certify.Certificate.dumps": TRACED,
-    "io.read_td": RESERVED,
     "centralbag.CentralBagResult.recompute_bag": RESERVED,
     "certify._recheck_pattern_found": RESERVED,
     "graphs.Graph.__hash__": DUNDER,

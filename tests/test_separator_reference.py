@@ -113,14 +113,14 @@ def check_against_reference(g: Graph, c: Fraction, seed: int) -> None:
         assert w.is_normal()
         assert w.w_max == Fraction(1, y_mask.bit_count())
         ref = ref_min_balanced_separator(g, w, c)
-        assert min_balanced_separator(g, w, c, cap=g.n) == ref
+        assert min_balanced_separator(g, w, c) == ref
         assert min_balanced_separator(
-            g, w, c, max_size=1, cap=g.n
+            g, w, c, max_size=1
         ) == ref_min_balanced_separator(g, w, c, max_size=1)
         uniform_k = max(uniform_k, len(ref))
     assert uniform_k == separation_number(g, c, cap=g.n) == ref_separation_number(g, c)
     report = ref_harvey_wood(g, c, seed, uniform_k)
-    assert harvey_wood_check(g, c, seed=seed, cap=g.n) == report
+    assert harvey_wood_check(g, c, seed=seed) == report
 
 
 def test_uniform_on_support_reference():
