@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .certify import FAIL, HYPOTHESIS_UNMET, PASS
 from .detect import induced_copies, verify_forcer, find_induced
@@ -23,48 +23,43 @@ from .weights import WeightFunction, check_balance_parameter, numerator_sum
 # -- separations ----------------------------------------------------------------
 
 
-# each vertex tuple of a separation and the bitmask attribute that mirrors it
-_MASK_OF = {"a": "a_mask", "c": "c_mask", "b": "b_mask", "center": "center_mask"}
-_TUPLE_OF = {m: t for t, m in _MASK_OF.items()}
-
-
 @dataclass(frozen=True)
 class Separation:
     """An ordered triple (A, C, B): disjoint, covering, A anticomplete to B.
 
-    Every separation carries its center (the generating set) and an anchor
-    vertex inside the center that will collect the A-side weight; both are
-    required.  Each of `a`, `c`, `b` and `center` is mirrored by a vertex
-    bitmask, `a_mask`, `c_mask`, `b_mask` and `center_mask`, which the
-    relations and the central bag work on.  A separation built with the
-    constructor stores the tuples, and `__getattr__` builds each mask on its
-    first read; one the engine builds (`_separation`) stores only the masks
-    and the anchor, and each tuple is built, ascending, on its first read.
-    Either way a value is computed once and then stored.  The masks are not
-    dataclass fields, so equality, hashing and `repr` see only the five
-    fields, and are the same for both kinds.
+    A separation is four vertex bitmasks: its sides `a_mask`, `c_mask` and
+    `b_mask`, and `center_mask`, the connected set inside the cut that
+    generates it.  The relations and the central bag work on the masks.
+    `a`, `c`, `b` and `center` read the same sets as ascending vertex
+    tuples, and `anchor`, the vertex that collects the A-side weight, is the
+    least vertex of the center.
     """
 
-    a: tuple[int, ...]
-    c: tuple[int, ...]
-    b: tuple[int, ...]
-    center: tuple[int, ...]
-    anchor: int
+    a_mask: int
+    c_mask: int
+    b_mask: int
+    center_mask: int
 
-    def __getattr__(self, name: str) -> Any:
-        """Build a side or center tuple, or its mask, from the other form;
-        Python calls this only for an attribute not stored yet."""
-        stored = self.__dict__
-        if name in _MASK_OF and _MASK_OF[name] in stored:
-            value: Any = tuple(bits(stored[_MASK_OF[name]]))
-        elif name in _TUPLE_OF and _TUPLE_OF[name] in stored:
-            value = mask_of(stored[_TUPLE_OF[name]])
-        else:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        stored[name] = value
-        return value
+    @property
+    def a(self) -> tuple[int, ...]:
+        return tuple(bits(self.a_mask))
+
+    @property
+    def c(self) -> tuple[int, ...]:
+        return tuple(bits(self.c_mask))
+
+    @property
+    def b(self) -> tuple[int, ...]:
+        return tuple(bits(self.b_mask))
+
+    @property
+    def center(self) -> tuple[int, ...]:
+        return tuple(bits(self.center_mask))
+
+    @property
+    def anchor(self) -> int:
+        m = self.center_mask
+        return (m & -m).bit_length() - 1
 
     def skew(self, w: WeightFunction) -> tuple[Fraction, Fraction]:
         return w.of(self.a), w.of(self.b)
@@ -112,7 +107,7 @@ def canonical_separation(g: Graph, w: WeightFunction, x: Iterable[int]) -> Separ
         if nbrs[low.bit_length() - 1] & b_mask:
             c_mask |= low
         rest ^= low
-    return _separation(full & ~b_mask & ~c_mask, c_mask, b_mask, x_mask)
+    return Separation(full & ~b_mask & ~c_mask, c_mask, b_mask, x_mask)
 
 
 def clique_separation(g: Graph, w: WeightFunction, k: Iterable[int]) -> Separation:
@@ -127,23 +122,7 @@ def clique_separation(g: Graph, w: WeightFunction, k: Iterable[int]) -> Separati
     if len(comps) < 2:
         raise ValueError("clique is not a cutset")
     b_mask = max(comps, key=w.numerator_of_mask)  # the first heaviest, in component order
-    return _separation(outside & ~b_mask, c_mask, b_mask, c_mask)
-
-
-def _separation(a_mask: int, c_mask: int, b_mask: int, center_mask: int) -> Separation:
-    """The separation with these side and center masks, anchored at the
-    least vertex of its center.  It skips the dataclass constructor and
-    stores only the masks and the anchor; `Separation.__getattr__` builds
-    each tuple when it is first read."""
-    s = object.__new__(Separation)
-    s.__dict__.update(
-        a_mask=a_mask,
-        c_mask=c_mask,
-        b_mask=b_mask,
-        center_mask=center_mask,
-        anchor=(center_mask & -center_mask).bit_length() - 1,
-    )
-    return s
+    return Separation(outside & ~b_mask, c_mask, b_mask, c_mask)
 
 
 # -- pairwise relations -----------------------------------------------------------
@@ -231,10 +210,10 @@ def covering_sequence(
     neighborhood is everything) are skipped and listed in `skipped`.
 
     Each copy goes through `canonical_separation`, so every center is checked
-    the same way a caller's is.  The separations are engine-built: they hold
-    their side and center masks, which the partition, the central bag and
-    the audit read, and build their vertex tuples only when a caller (the
-    `centralbag` output, the transfer checks) reads them."""
+    the same way a caller's is, and each copy is the center of its
+    separation.  The partition, the central bag and the audit read only the
+    masks; the vertex tuples are built when the `centralbag` output or the
+    heavy-side transfer check reads them."""
     if not pattern.is_connected():
         raise ValueError("pattern must be connected")
     seps: list[Separation] = []
@@ -342,12 +321,13 @@ def central_bag(
 
     Per class: members whose center left the current bag are dropped with a
     center-hit witness, the rest reduce to earliest inclusion-minimal B+C
-    representatives, and the level weight rule charges each anchor with the
-    fresh part of its A side.  Each level records four measured flags: the
-    kept members, restricted to the previous bag, are pairwise A-loosely
-    non-crossing; their cuts inside the previous bag stay in the new bag; the
-    new bag is connected; its weights sum to one.  An empty sequence leaves
-    the whole graph.
+    representatives, and the level weight rule charges each kept member's
+    anchor, the least vertex of its center, with the fresh part of its A
+    side.  Only the separations' masks are read.  Each level records four
+    measured flags: the kept members, restricted to the previous bag, are
+    pairwise A-loosely non-crossing; their cuts inside the previous bag stay
+    in the new bag; the new bag is connected; its weights sum to one.  An
+    empty sequence leaves the whole graph.
 
     The weights are integer numerators over `w.denominator` in one list
     indexed by vertex, updated in place: a level reads every charge from the
@@ -559,7 +539,8 @@ def check_bag_separator_transfer(
         no_sep
         and d >= gamma_t1
         and all(
-            g.is_connected_mask(s.c_mask) and len(s.c) <= d for s in members
+            g.is_connected_mask(s.c_mask) and s.c_mask.bit_count() <= d
+            for s in members
         )
     )
     concl = all(is_laminar([members[i] for i in cls]) for cls in classes)

@@ -26,7 +26,6 @@ from .certify import (
 )
 from .config import Budget, RunConfig, load_config
 from .decompose import (
-    LciConstructionError,
     NotChordal,
     chordal_td,
     decompose_strip_structure,
@@ -401,26 +400,21 @@ def _strip_structure_from_json(data: dict[str, Any]) -> StripStructure:
 
 
 def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.method == "chordal":
-        g = _load_graph(args.input)
-        try:
-            td = chordal_td(g)
-        except NotChordal as exc:
-            _dump_json({"status": "fail", "hole": list(exc.hole)}, args.output)
-            return 1
-        host = g
-    elif args.method == "lci":
-        lci = _load_json(args.input, _lci_from_json)
-        try:
+    try:
+        if args.method == "chordal":
+            host = _load_graph(args.input)
+            td = chordal_td(host)
+        elif args.method == "lci":
+            lci = _load_json(args.input, _lci_from_json)
+            host = lci.graph
             td = fuzzy_lci_td(lci).td
-        except LciConstructionError as exc:
-            _dump_json({"status": "fail", "hole": list(exc.hole)}, args.output)
-            return 1
-        host = lci.graph
-    elif args.method == "strip":
-        ss = _load_json(args.input, _strip_structure_from_json)
-        td = decompose_strip_structure(ss, cap=cfg.max_tw_n).td
-        host = ss.host
+        elif args.method == "strip":
+            ss = _load_json(args.input, _strip_structure_from_json)
+            host = ss.host
+            td = decompose_strip_structure(ss, cap=cfg.max_tw_n).td
+    except NotChordal as exc:  # chordal_td or fuzzy_lci_td met a hole
+        _dump_json({"status": "fail", "hole": list(exc.hole)}, args.output)
+        return 1
     check = validate_td(host, td)
     if args.td:
         with _output(args.td) as fh:

@@ -219,11 +219,6 @@ def chordal_td(g: Graph) -> TreeDecomposition:
 # -- thickened circular-interval decompositions ---------------------------------
 
 
-class LciConstructionError(NotChordal):
-    """The cut graph failed to be chordal; `hole` is a chordless cycle of it
-    in host vertex ids."""
-
-
 @dataclass(frozen=True)
 class LciTdReport:
     td: TreeDecomposition
@@ -237,7 +232,8 @@ def fuzzy_lci_td(lci: LciThickening) -> LciTdReport:
     every block on the first arc cuts the circle, the remainder is chordal,
     and re-adding the cut clique to every bag decomposes the whole graph.
     A remainder that is not chordal (the first arc may hold no point, so
-    nothing is cut) raises LciConstructionError with one of its holes.
+    nothing is cut) raises NotChordal with one of its holes, in host vertex
+    ids.
     """
     g = lci.graph
     spec = lci.spec
@@ -258,7 +254,7 @@ def fuzzy_lci_td(lci: LciThickening) -> LciTdReport:
     try:
         inner = chordal_td(sub)
     except NotChordal as exc:
-        raise LciConstructionError(tuple(sub_vs[x] for x in exc.hole)) from exc
+        raise NotChordal(tuple(sub_vs[x] for x in exc.hole)) from exc
     bags = tuple(
         tuple(sorted(set(cut_set) | {sub_vs[x] for x in bag})) for bag in inner.bags
     )

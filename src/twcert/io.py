@@ -14,9 +14,20 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
+    """`n` and every edge end must be JSON integers, and every edge a list of
+    exactly two ends; nothing is converted.  `type(x) is int` keeps out
+    floats, strings and booleans (bool subclasses int)."""
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError('graph JSON must be an object {"n": int, "edges": [[u,v],...]}')
-    return Graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+    n, edges = data["n"], data["edges"]
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if not isinstance(edges, list):
+        raise ValueError(f"edges must be a list, got {edges!r}")
+    for e in edges:
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+            raise ValueError(f"edge {e!r} must be a list of two integers")
+    return Graph(n, [tuple(e) for e in edges])
 
 
 def write_graph_json(g: Graph, fh: TextIO) -> None:

@@ -128,8 +128,10 @@ def numerator_sum(numerators: Sequence[int], mask: int) -> int:
 
 def parse_fraction(text: str | float) -> Fraction:
     """Parse "num/den" (or an integer) into an exact Fraction.  A zero
-    denominator or an infinite JSON number is a ValueError like any other
-    malformed value."""
+    denominator, an infinite JSON number or a boolean is a ValueError like
+    any other malformed value."""
+    if isinstance(text, bool):  # Fraction(True) would be 1
+        raise ValueError(f"{text!r} is not a finite fraction")
     try:
         return Fraction(text)
     except (ZeroDivisionError, OverflowError):

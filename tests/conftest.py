@@ -68,15 +68,16 @@ def bc_union(s: Separation) -> tuple[int, ...]:
     return tuple(sorted(s.b + s.c))
 
 
+def sep(a, c, b, center) -> Separation:
+    """The separation with these sides and center, given as vertex tuples."""
+    return Separation(mask_of(a), mask_of(c), mask_of(b), mask_of(center))
+
+
 def restricted(s: Separation, domain: set[int]) -> Separation:
-    """s with each side cut down to `domain`; center and anchor kept."""
-    return Separation(
-        a=tuple(v for v in s.a if v in domain),
-        c=tuple(v for v in s.c if v in domain),
-        b=tuple(v for v in s.b if v in domain),
-        center=s.center,
-        anchor=s.anchor,
-    )
+    """s with each side cut down to `domain`; the center, and so the anchor,
+    kept."""
+    d = mask_of(domain)
+    return Separation(s.a_mask & d, s.c_mask & d, s.b_mask & d, s.center_mask)
 
 
 @dataclass(frozen=True)

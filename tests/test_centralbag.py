@@ -15,6 +15,7 @@ from conftest import (
     connected_graphs,
     primordial,
     relation,
+    sep,
 )
 from twcert.centralbag import (
     Separation,
@@ -84,13 +85,18 @@ def test_canonical_separation_p7(p7):
 
 
 def test_separation_requires_center_and_anchor():
+    """All four masks are required; the anchor is the least center vertex."""
     with pytest.raises(TypeError):
-        Separation(a=(0,), c=(1,), b=(2,))
+        Separation(0b001, 0b010, 0b100)
     with pytest.raises(TypeError):
-        Separation(a=(0,), c=(1,), b=(2,), center=(1,))
+        Separation(a_mask=0b001, c_mask=0b010, center_mask=0b010)
     with pytest.raises(TypeError):
-        Separation(a=(0,), c=(1,), b=(2,), anchor=1)
-    s = Separation(a=(0,), c=(1,), b=(2,), center=(1,), anchor=1)
+        Separation(a_mask=0b001, b_mask=0b100, center_mask=0b010)
+    with pytest.raises(TypeError):
+        Separation(c_mask=0b010, b_mask=0b100, center_mask=0b010)
+    s = sep((0,), (1,), (2,), (1,))
+    assert s == Separation(0b001, 0b010, 0b100, 0b010)
+    assert s.anchor == 1
     assert_separation(path_graph(3), s)
 
 

@@ -1,25 +1,24 @@
 """The central-bag engine against the code it replaced, and the records it
-builds against the public constructor.
+builds.
 
 `dimension_partition` once coloured each separation by rebuilding the set
 of colours its earlier cuts used; `ref_dimension_partition` keeps that
 version verbatim, and the two must give equal classes on every triple of
 the `bag-algebra` corpus and on walls 3x3-6x6 with the paths P1-P4.
 
-`canonical_separation` builds a `Separation` that stores only its masks and
-anchor, and builds each tuple when it is first read.  Such a separation must
-equal, hash and print as the one the constructor builds from the same
-tuples, and its masks must be the masks of its tuples.  The center checks
-now run on masks; their `ValueError` texts are pinned here.
+A `Separation` is frozen.  `canonical_separation` checks its center as a
+mask; the `ValueError` texts of those checks are pinned here.
 """
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from conftest import sep
 from twcert.centralbag import (
     DegenerateSeparation,
-    Separation,
     SeparationSequence,
     canonical_separation,
     central_bag,
@@ -28,7 +27,6 @@ from twcert.centralbag import (
 )
 from twcert.config import RunConfig
 from twcert.generators import path_graph, wall
-from twcert.graphs import bits, mask_of
 from twcert.suites import _bag_corpus
 from twcert.weights import WeightFunction
 
@@ -73,48 +71,13 @@ def test_dimension_partition_matches_reference_on_corpus_and_walls():
     assert many >= len(WALLS)  # the walls all colour into several classes
 
 
-def _rebuilt(s: Separation) -> Separation:
-    """The same separation from the public constructor, its tuples read off
-    the stored masks so that `s` builds none before the comparison."""
-    return Separation(
-        a=tuple(bits(s.a_mask)),
-        c=tuple(bits(s.c_mask)),
-        b=tuple(bits(s.b_mask)),
-        center=tuple(bits(s.center_mask)),
-        anchor=s.anchor,
-    )
-
-
-def test_engine_separations_match_constructed_ones():
-    count = 0
-    for g, pattern, w in CORPUS:
-        for s in covering_sequence(g, w, pattern).separations:
-            ref = _rebuilt(s)
-            assert repr(s) == repr(ref)
-            assert hash(s) == hash(ref)
-            assert s == ref and ref == s
-            assert (s.a_mask, s.c_mask, s.b_mask, s.center_mask) == (
-                mask_of(s.a), mask_of(s.c), mask_of(s.b), mask_of(s.center)
-            )
-            assert (ref.a_mask, ref.c_mask, ref.b_mask, ref.center_mask) == (
-                s.a_mask, s.c_mask, s.b_mask, s.center_mask
-            )
-            assert s.anchor == s.center[0]
-            count += 1
-    assert count > 2000
-
-
-def test_separation_reads_unknown_attributes_as_missing():
+def test_separation_is_frozen():
     g = path_graph(5)
     s = canonical_separation(g, WeightFunction.uniform(g), [1])
-    built = Separation(a=(0,), c=(1, 2), b=(3, 4), center=(1,), anchor=1)
-    for sep in (s, built):
-        assert not hasattr(sep, "d_mask")
-        with pytest.raises(AttributeError) as info:
-            sep.size
-        assert str(info.value) == "'Separation' object has no attribute 'size'"
-    with pytest.raises(AttributeError):
-        s.a = ()  # still frozen
+    with pytest.raises(FrozenInstanceError):
+        s.a_mask = 0
+    with pytest.raises(FrozenInstanceError):
+        s.a = ()
 
 
 @pytest.mark.parametrize(
@@ -158,10 +121,10 @@ def test_bag_connectivity_is_measured_at_every_level():
     w = WeightFunction.uniform(g)
     seq = SeparationSequence(
         separations=(
-            Separation(a=(0,), c=(1,), b=(2, 3, 4, 5, 6), center=(1,), anchor=1),
-            Separation(a=(3,), c=(2, 4), b=(0, 1, 5, 6), center=(2,), anchor=2),
-            Separation(a=(4, 5, 6), c=(3,), b=(0, 1, 2), center=(3,), anchor=3),
-            Separation(a=(0, 1, 2), c=(3, 4), b=(5, 6), center=(4,), anchor=4),
+            sep((0,), (1,), (2, 3, 4, 5, 6), (1,)),
+            sep((3,), (2, 4), (0, 1, 5, 6), (2,)),
+            sep((4, 5, 6), (3,), (0, 1, 2), (3,)),
+            sep((0, 1, 2), (3, 4), (5, 6), (4,)),
         )
     )
     result = central_bag(g, w, seq, ((0,), (1,), (2,), (3,)))

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import pytest
 
-from conftest import bc_union, relation, restricted
+from conftest import bc_union, relation, restricted, sep
 from twcert import centralbag as cb
 from twcert.centralbag import (
     CentralBagResult,
@@ -265,9 +265,9 @@ def test_level_flag_restricts_to_previous_bag():
     once restricted, though not as whole separations."""
     g = path_graph(7)
     w = WeightFunction.uniform(g)
-    s0 = Separation(a=(0, 1), c=(2,), b=(3, 4, 5, 6), center=(2,), anchor=2)
-    s1 = Separation(a=(0, 1, 2, 3), c=(4,), b=(5, 6), center=(4,), anchor=4)
-    s2 = Separation(a=(6,), c=(1, 5), b=(0, 2, 3, 4), center=(5,), anchor=5)
+    s0 = sep((0, 1), (2,), (3, 4, 5, 6), (2,))
+    s1 = sep((0, 1, 2, 3), (4,), (5, 6), (4,))
+    s2 = sep((6,), (1, 5), (0, 2, 3, 4), (5,))
     seq = SeparationSequence(separations=(s0, s1, s2))
     classes = ((0,), (1, 2))
     result = cb.central_bag(g, w, seq, classes)

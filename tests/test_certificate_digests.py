@@ -19,11 +19,47 @@ PINS = {
         "cb.json":
             "23065b9973f2222c23fc0b06268f944ffd8ccf807f08a4054baed9f4377804ed",
     }),
+    "decompose chordal": (0, {
+        "cat.td":
+            "df88ad83838d38b624b5ce4aa0e39b3e0589bc6bd3b19465e8adf92a003b84f7",
+        "chordal.json":
+            "c5ebd42387bf85b93e2923a40f297dc4490ecce4ddd90858b0762e7974d8a203",
+    }),
+    "decompose chordal hole": (1, {
+        "hole.json":
+            "384891f8f393bffb6d6b6738877fc493be26e5a84bb852442c9f1a990e80a81d",
+    }),
+    "decompose lci": (0, {
+        "lci.out.json":
+            "13de96fc28a13d510daa54962a0af71945cd1321979fe19c20e28cdc97ebd379",
+        "lci.td":
+            "abcd024a53f61173d516d353842ec62c1fbaa62ca5f0e40a2f7399ed0549a7f8",
+    }),
+    "decompose lci-hole": (1, {
+        "lci-hole.out.json":
+            "54d15019b686f6b00fb2f792ce149be2f063895926289c85b41a7fac3e271057",
+    }),
+    "detect pyramid": (1, {
+        "pyramid.json":
+            "4e4ff758ee6da5728653d7ce7fed7577d3945231dd2a460aa3a0d48ecbf12add",
+    }),
+    "detect theta": (0, {
+        "theta.json":
+            "09a2aadad88ff2e6ca39b593530795bdf347dfd14b34f28f29e4ecf774572ea1",
+    }),
     "gen caterpillar": (0, {
         "cat-witness.json":
             "635c3d19bced2734072ff183205cca10359e35a02b0876406147dcf18b09c028",
         "cat.json":
             "2a419c505df7e247040353f1e8f592a5ea0b9f902656613c6bd809b8e9979a14",
+    }),
+    "recheck tw": (0, {
+        "recheck.json":
+            "75f3e79d4d90da28f3f686bd54cf8c8024e64b464b3c992b3d0faf8960cd075b",
+    }),
+    "sep": (0, {
+        "sep.json":
+            "f384d67cdeb54ff264cffc11cfa7731f6e98a48f305e54f84834755ca9ca8d18",
     }),
     "tw --td": (0, {
         "tw.json":
@@ -59,6 +95,22 @@ PINS = {
     }),
 }
 
+# `decompose --method lci` inputs: the 4-point model of `gen cycle-lci`, and
+# one whose cut leaves a 5-cycle, so it fails with a hole in host ids
+LCI_MODELS = {
+    "lci": {
+        "points": ["0", "1/4", "1/2", "3/4"],
+        "arcs": [["0", "1/4"], ["31/128", "65/128"], ["31/64", "49/64"],
+                 ["93/128", "3/128"]],
+        "sizes": [2, 2, 2, 2],
+    },
+    "lci-hole": {
+        "points": ["0", "1/6", "1/3", "1/2", "2/3", "5/6"],
+        "arcs": [["999/1000", "1/100"], ["15/100", "34/100"], ["33/100", "51/100"],
+                 ["49/100", "67/100"], ["66/100", "84/100"], ["83/100", "17/100"]],
+    },
+}
+
 
 def _run(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -83,6 +135,29 @@ def _outputs(directory):
     rc = _run(["gen", "caterpillar", "--spine", "3", "--legs", "2,1;1;;1,2",
                "-o", "cat.json", "--witness", "cat-witness.json"])
     got["gen caterpillar"] = (rc, digests("cat.json", "cat-witness.json"))
+    rc = _run(["detect", "--pattern", "theta", "--t", "2", "-i", "wall.json",
+               "-o", "theta.json"])
+    got["detect theta"] = (rc, digests("theta.json"))
+    rc = _run(["detect", "--pattern", "pyramid", "--t", "1", "-i", "wall.json",
+               "-o", "pyramid.json"])
+    got["detect pyramid"] = (rc, digests("pyramid.json"))
+    assert _run(["gen", "wall", "--n", "3", "--m", "2", "-o", "w32.json"]) == 0
+    rc = _run(["sep", "-i", "w32.json", "-o", "sep.json"])
+    got["sep"] = (rc, digests("sep.json"))
+    rc = _run(["decompose", "--method", "chordal", "-i", "cat.json",
+               "--td", "cat.td", "-o", "chordal.json"])
+    got["decompose chordal"] = (rc, digests("chordal.json", "cat.td"))
+    rc = _run(["decompose", "--method", "chordal", "-i", "wall.json", "-o", "hole.json"])
+    got["decompose chordal hole"] = (rc, digests("hole.json"))
+    for label, model in LCI_MODELS.items():
+        (directory / f"{label}.json").write_text(json.dumps(model))
+        rc = _run(["decompose", "--method", "lci", "-i", f"{label}.json",
+                   "--td", f"{label}.td", "-o", f"{label}.out.json"])
+        # a failed run writes no .td, so none is pinned for it
+        tds = (f"{label}.td",) if (directory / f"{label}.td").exists() else ()
+        got[f"decompose {label}"] = (rc, digests(f"{label}.out.json", *tds))
+    rc = _run(["recheck", "-i", "tw.json", "-o", "recheck.json"])
+    got["recheck tw"] = (rc, digests("recheck.json"))
     return got
 
 

@@ -67,8 +67,20 @@ def test_td_roundtrip():
 
 
 def test_malformed_graph_json():
-    with pytest.raises(ValueError):
-        read_graph_json(io.StringIO('{"edges": []}'))
+    for text in [
+        '{"edges": []}',
+        '{"n": 2.9, "edges": []}',
+        '{"n": "3", "edges": []}',
+        '{"n": true, "edges": []}',
+        '{"n": 3, "edges": [[true, 2]]}',
+        '{"n": 3, "edges": [[0, 1.0]]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 3, "edges": [[0]]}',
+        '{"n": 3, "edges": [{"0": 1}]}',
+        '{"n": 3, "edges": {}}',
+    ]:
+        with pytest.raises(ValueError):
+            read_graph_json(io.StringIO(text))
 
 
 def test_cli_gen_detect_roundtrip(tmp_path):
@@ -150,6 +162,26 @@ def test_cli_centralbag_certificate(tmp_path):
     assert main(["recheck", "-i", str(out), "-o", str(rc_out)]) == 0
     rc = json.loads(rc_out.read_text())
     assert rc["problems"] == [] and rc["checked"] == rc["confirmed"]
+
+
+def test_recheck_rejects_a_non_integer_witness_n(tmp_path):
+    """A 3x3-wall `tw` certificate whose witness graph claims n = 12.7 does
+    not recheck: the witness n must be an integer, not truncated to 12."""
+    g, out = tmp_path / "w.json", tmp_path / "tw.json"
+    main(["gen", "wall", "--n", "3", "--m", "3", "-o", str(g)])
+    assert main(["tw", "-i", str(g), "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    [assertion] = payload["certificate"]["assertions"]
+    assert assertion["witness"]["graph"]["n"] == 12
+    assertion["witness"]["graph"]["n"] = 12.7
+    out.write_text(json.dumps(payload))
+    rc_out = tmp_path / "rc.json"
+    assert main(["recheck", "-i", str(out), "-o", str(rc_out)]) == 1
+    rc = json.loads(rc_out.read_text())
+    assert rc["checked"] == 1 and rc["confirmed"] == 0
+    assert rc["problems"] == [
+        "tw.witness: recheck error n must be an integer, got 12.7"
+    ]
 
 
 def test_cli_centralbag_rejects_negative_d(tmp_path):

@@ -146,6 +146,9 @@ def _null_weights(tmp_path):
         (["decompose", "--method", "strip", "-i", "FILE"], "{}", ".json"),
         (["tw", "-i", "FILE"], '{"n": null, "edges": []}', ".json"),
         (["tw", "-i", "FILE"], '{"n": 3, "edges": [[0, "a"]]}', ".json"),
+        (["tw", "-i", "FILE"], '{"n": 3, "edges": [[true, 2]]}', ".json"),
+        (["centralbag", "-i", "WALL22", "--pattern", "P2", "--weights", "FILE"],
+         '{"0": true, "1": false, "2": false, "3": false}', ".json"),
         (["recheck", "-i", "FILE"], "[]", ".json"),
         (["recheck", "-i", "FILE"], "{}", ".json"),  # not a certificate: no assertions list
         (["tw", "-i", "FILE"], "p tw 3 1\n1\n", ".gr"),  # one endpoint
@@ -154,8 +157,9 @@ def _null_weights(tmp_path):
         (["centralbag", "-i", "WALL22", "--pattern", "FILE"], "p tw 2 1\n1 3\n", ".gr"),
     ],
     ids=["null-weight", "lci-empty", "strip-empty", "null-n", "string-vertex",
-         "recheck-list", "recheck-empty", "gr-one-endpoint", "gr-no-header",
-         "gr-non-integer", "gr-pattern-out-of-range"],
+         "bool-vertex", "bool-weight", "recheck-list", "recheck-empty",
+         "gr-one-endpoint", "gr-no-header", "gr-non-integer",
+         "gr-pattern-out-of-range"],
 )
 def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, argv, text, suffix):
     path = tmp_path / f"input{suffix}"
