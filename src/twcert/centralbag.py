@@ -169,12 +169,21 @@ class SeparationSequence:
 
     def goodness(self, g: Graph) -> tuple[int, int]:
         """Measured (a, t): max separations anchored at one vertex and max
-        cut diameter."""
+        cut diameter in the whole graph, from one `bfs_distances` row per
+        cut vertex."""
         counts: dict[int, int] = {}
+        rows: dict[int, list[int]] = {}
         t = 0
         for s in self.separations:
             counts[s.anchor] = counts.get(s.anchor, 0) + 1
-            t = max(t, g.diameter_of_mask(s.c_mask))
+            cut = tuple(bits(s.c_mask))
+            for u in cut:
+                if u not in rows:
+                    rows[u] = g.bfs_distances(u, g.full_mask())
+            far = [rows[u][v] for u in cut for v in cut]
+            if min(far, default=0) < 0:
+                raise ValueError("set spans disconnected parts of the graph")
+            t = max([t, *far])
         return (max(counts.values(), default=0), t)
 
 

@@ -372,15 +372,22 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
 # -- decompose ---------------------------------------------------------------------
 
 
+def _integer(x: Any, what: str) -> int:
+    if type(x) is not int:  # as in graph_from_json: no float, string or bool
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _lci_from_json(data: dict[str, Any]) -> LciThickening:
     model = CircularIntervalModel(
         points=tuple(parse_fraction(p) for p in data["points"]),
         arcs=tuple((parse_fraction(s), parse_fraction(e)) for s, e in data["arcs"]),
     )
     base = graph_from_json(data["base"]) if "base" in data else None
+    sizes = data.get("sizes", [1] * len(model.points))
     spec = ThickeningSpec(
         base=base if base is not None else circular_interval_graph(model),
-        sizes=tuple(data.get("sizes", [1] * len(model.points))),
+        sizes=tuple(_integer(k, "size") for k in sizes),
         fuzz=tuple(tuple(p) for p in data.get("fuzz", [])),
         patterns=tuple(
             tuple(tuple(c) for c in pat) for pat in data.get("patterns", [])
@@ -392,7 +399,7 @@ def _lci_from_json(data: dict[str, Any]) -> LciThickening:
 def _strip_structure_from_json(data: dict[str, Any]) -> StripStructure:
     return StripStructure(
         host=graph_from_json(data["host"]),
-        pattern_n=int(data["pattern_n"]),
+        pattern_n=_integer(data["pattern_n"], "pattern_n"),
         pattern_edges=tuple(tuple(e) for e in data["pattern_edges"]),
         eta=tuple(tuple(s) for s in data["eta"]),
         eta_end=tuple((tuple(l), tuple(r)) for l, r in data["eta_end"]),

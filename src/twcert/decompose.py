@@ -229,11 +229,11 @@ def fuzzy_lci_td(lci: LciThickening) -> LciTdReport:
     """Width <= 4*Delta+3 decomposition of a thickened circular-interval graph.
 
     Completing the fuzzy blocks gives a circular interval graph; deleting
-    every block on the first arc cuts the circle, the remainder is chordal,
-    and re-adding the cut clique to every bag decomposes the whole graph.
-    A remainder that is not chordal (the first arc may hold no point, so
-    nothing is cut) raises NotChordal with one of its holes, in host vertex
-    ids.
+    every block on the first arc that holds a point cuts the circle, the
+    remainder is chordal, and re-adding the cut clique to every bag
+    decomposes the whole graph.  When no arc holds a point nothing is cut.
+    A remainder that is not chordal raises NotChordal with one of its holes,
+    in host vertex ids.
     """
     g = lci.graph
     spec = lci.spec
@@ -244,11 +244,12 @@ def fuzzy_lci_td(lci: LciThickening) -> LciTdReport:
         bu, bv = spec.block(u), spec.block(v)
         extra.extend((a, b) for a in bu for b in bv)
     completed = Graph(g.n, list(g.edges) + extra)
-    cut: list[int] = []
-    for u in range(spec.base.n):
-        if model.contains(0, model.points[u]):
-            cut.extend(spec.block(u))
-    cut_set = sorted(cut)
+    held: list[int] = []
+    for i in range(len(model.arcs)):
+        held = [u for u in range(spec.base.n) if model.contains(i, model.points[u])]
+        if held:
+            break
+    cut_set = sorted(x for u in held for x in spec.block(u))
     rest = [v for v in range(g.n) if v not in set(cut_set)]
     sub, sub_vs = completed.induced_subgraph(rest)
     try:

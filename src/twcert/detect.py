@@ -579,13 +579,15 @@ def find_line_of_subdivided_wall(
         raise CapExceeded("wall-line detection supports k in {2, 3}")
     bud = _default_budget(budget)
     base = wall(k, k)
+    base_edges = base.edges
+    m = len(base_edges)
 
     def family() -> Iterator[Member]:
         # the subdivision with `total` edges has a line graph on `total` vertices
-        for total in range(base.m, g.n + 1):
-            for extra in _compositions(total - base.m, base.m):
+        for total in range(m, g.n + 1):
+            for extra in _compositions(total - m, m):
                 bud.tick()
-                sub = subdivided_edges(base.n, base.edges, extra)
+                sub = subdivided_edges(base.n, base_edges, extra)
                 yield total, line_edges(*sub), (range(total),)
 
     return _first_copy(g, family(), _whole, bud)

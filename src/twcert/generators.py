@@ -61,25 +61,18 @@ def wall_coordinates(n: int, m: int) -> list[tuple[int, int]]:
 
 
 def wall(n: int, m: int) -> Graph:
-    """The n x m wall: planar, max degree three, treewidth n for square walls."""
+    """The n x m wall: planar, max degree three, treewidth n for square walls.
+
+    Consecutive vertices of a row are adjacent, and a rung joins (i, j) to
+    (i + 1, j) when i - j is even and both vertices exist."""
     coords = wall_coordinates(n, m)
-    index = {c: i for i, c in enumerate(coords)}
-    pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    pairs += [((1, 2 * j - 1), (1, 2 * j + 1)) for j in range(1, m)]
-    for i in range(2, n):
-        pairs += [((i, j), (i, j + 1)) for j in range(1, 2 * m)]
-    if n % 2 == 1:
-        pairs += [((n, 2 * j), (n, 2 * j + 2)) for j in range(1, m)]
-    else:
-        pairs += [((n, 2 * j - 1), (n, 2 * j + 1)) for j in range(1, m)]
-    for i in range(1, n):
-        for j in range(1, 2 * m + 1):
-            if i % 2 == 1 and j % 2 == 1:
-                pairs.append(((i, j), (i + 1, j)))
-            if i % 2 == 0 and j % 2 == 0:
-                pairs.append(((i, j), (i + 1, j)))
-    edges = [
-        (index[a], index[b]) for a, b in pairs if a in index and b in index
+    index = {c: v for v, c in enumerate(coords)}
+    pairs = enumerate(zip(coords, coords[1:]))
+    edges = [(v, v + 1) for v, (a, b) in pairs if a[0] == b[0]]
+    edges += [
+        (v, index[i + 1, j])
+        for v, (i, j) in enumerate(coords)
+        if (i - j) % 2 == 0 and (i + 1, j) in index
     ]
     return Graph(len(coords), edges)
 

@@ -2,8 +2,8 @@
 
 Vertices are 0..n-1; every set order and tie-break in the toolkit derives
 from ascending id order, so "lexicographically minimum" choices are
-deterministic.  Adjacency is kept both as sorted tuples and as integer
-bitmasks; the bitmasks drive all the exhaustive searches.
+deterministic.  A graph is its vertex count and one neighbour bitmask per
+vertex; edge lists and neighbour tuples are read off the masks.
 """
 
 from __future__ import annotations
@@ -43,28 +43,20 @@ def bits(mask: int) -> Iterator[int]:
 class Graph:
     """Finite simple undirected graph, frozen after construction."""
 
-    __slots__ = ("n", "_edges", "_adj", "_masks")
+    __slots__ = ("n", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen: set[tuple[int, int]] = set()
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at {u} not allowed in a simple graph")
-            seen.add((u, v) if u < v else (v, u))
-        self.n = n
-        self._edges = tuple(sorted(seen))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        masks = [0] * n
-        for u, v in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self.n = n
         self._masks = tuple(masks)
 
     # -- basic accessors -------------------------------------------------
@@ -75,23 +67,26 @@ class Graph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """Every edge once, as (low, high), in ascending order."""
+        return tuple(
+            (u, v) for u, nbrs in enumerate(self._masks) for v in bits(nbrs >> u << u)
+        )
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return sum(nbrs.bit_count() for nbrs in self._masks) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(bits(self._masks[v]))
 
     def neighbor_mask(self, v: int) -> int:
         return self._masks[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._masks[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return max((nbrs.bit_count() for nbrs in self._masks), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._masks[u] >> v & 1)
@@ -100,14 +95,10 @@ class Graph:
         return (1 << self.n) - 1
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._edges == other._edges
-        )
+        return isinstance(other, Graph) and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash(self._masks)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -205,28 +196,6 @@ class Graph:
             frontier = nxt
         return dist
 
-    def diameter_of_mask(self, target: int) -> int:
-        """Max distance in the whole graph between two vertices of `target`,
-        which must be vertices of the graph.
-
-        One mask BFS per vertex u of the target, stopped at the round that
-        reaches its last vertex: that round's depth is u's eccentricity within
-        the target.  The cost is one search per vertex, each only as deep as
-        that eccentricity.
-        """
-        best = 0
-        for u in bits(target):
-            seen = frontier = 1 << u
-            depth = 0
-            while target & ~seen:
-                if not frontier:
-                    raise ValueError("set spans disconnected parts of the graph")
-                frontier = self._adjacent(frontier) & ~seen
-                seen |= frontier
-                depth += 1
-            best = max(best, depth)
-        return best
-
     def shortest_path(self, u: int, v: int, allowed: int) -> Optional[tuple[int, ...]]:
         """Lexicographically minimal shortest u-v path within `allowed`;
         shortest paths are induced."""
@@ -236,7 +205,7 @@ class Graph:
         path = [v]
         cur = v
         while cur != u:
-            cur = min(w for w in self._adj[cur] if dist[w] == dist[cur] - 1)
+            cur = next(w for w in bits(self._masks[cur]) if dist[w] == dist[cur] - 1)
             path.append(cur)
         return tuple(reversed(path))
 
@@ -244,8 +213,11 @@ class Graph:
         """Induced subgraph with dense ids plus the sorted original-id map."""
         vs = self._check_vertices(s)
         index = {v: i for i, v in enumerate(vs)}
+        keep = mask_of(vs)
         sub_edges = [
-            (index[u], index[v]) for u, v in self._edges if u in index and v in index
+            (i, index[w])
+            for i, v in enumerate(vs)
+            for w in bits(self._masks[v] & keep >> v << v)
         ]
         return Graph(len(vs), sub_edges), vs
 

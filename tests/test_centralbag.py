@@ -411,4 +411,7 @@ def test_wall_covering_goodness():
     seq = covering_sequence(g, w, path_graph(1))
     a, t = seq.goodness(g)
     assert a == 1  # every vertex anchors exactly its own separation
-    assert t == max(g.diameter_of_mask(mask_of(s.c)) for s in seq.separations)
+    full = g.full_mask()
+    assert t == max(
+        g.bfs_distances(u, full)[v] for s in seq.separations for u in s.c for v in s.c
+    )

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import anticomplete
+from twcert.graphs import Graph
 from twcert.generators import (
     CaterpillarSpec,
     CircularIntervalModel,
@@ -25,6 +26,7 @@ from twcert.generators import (
     theta,
     thickening,
     wall,
+    wall_coordinates,
 )
 
 
@@ -43,6 +45,35 @@ def test_wall_shapes():
     assert w55.n == 40 and w55.max_degree() == 3
     with pytest.raises(ValueError):
         wall(1, 3)
+
+
+def ref_wall_edges(n, m):
+    """The wall's edges as the earlier `wall` built them: rows as coordinate
+    pairs, rungs at odd-odd and even-even positions, then filtered to the
+    coordinates that exist."""
+    coords = wall_coordinates(n, m)
+    index = {c: i for i, c in enumerate(coords)}
+    pairs = []
+    pairs += [((1, 2 * j - 1), (1, 2 * j + 1)) for j in range(1, m)]
+    for i in range(2, n):
+        pairs += [((i, j), (i, j + 1)) for j in range(1, 2 * m)]
+    if n % 2 == 1:
+        pairs += [((n, 2 * j), (n, 2 * j + 2)) for j in range(1, m)]
+    else:
+        pairs += [((n, 2 * j - 1), (n, 2 * j + 1)) for j in range(1, m)]
+    for i in range(1, n):
+        for j in range(1, 2 * m + 1):
+            if i % 2 == 1 and j % 2 == 1:
+                pairs.append(((i, j), (i + 1, j)))
+            if i % 2 == 0 and j % 2 == 0:
+                pairs.append(((i, j), (i + 1, j)))
+    return [(index[a], index[b]) for a, b in pairs if a in index and b in index]
+
+
+def test_wall_matches_reference_construction():
+    for n in range(2, 9):
+        for m in range(2, 9):
+            assert wall(n, m) == Graph(len(wall_coordinates(n, m)), ref_wall_edges(n, m))
 
 
 def test_wall_treewidth_matches_size():

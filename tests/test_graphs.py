@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import anticomplete, graphs
 from twcert.graphs import (
@@ -143,3 +144,66 @@ def test_clique_number_matches_bruteforce(g):
 def test_lexicographic_component_order():
     g = Graph(6, [(0, 5), (1, 2), (3, 4)])
     assert g.components() == [(0, 5), (1, 2), (3, 4)]
+
+
+class RefGraph:
+    """The earlier `Graph` constructor, which stored a sorted edge tuple and
+    sorted neighbour tuples beside the masks."""
+
+    def __init__(self, n, edges):
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        seen = set()
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if u == v:
+                raise ValueError(f"loop at {u} not allowed in a simple graph")
+            seen.add((u, v) if u < v else (v, u))
+        self.n = n
+        self._edges = tuple(sorted(seen))
+        adj = [[] for _ in range(n)]
+        for u, v in self._edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj = tuple(tuple(sorted(a)) for a in adj)
+
+    def __eq__(self, other):
+        return self.n == other.n and self._edges == other._edges
+
+
+def _built(cls, n, edges):
+    try:
+        return cls(n, edges)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def edge_lists(draw, max_n=8):
+    """A vertex count and an edge list with repeats, both orientations, and
+    sometimes a loop or an end out of range."""
+    n = draw(st.integers(-1, max_n))
+    end = st.integers(-1, max(n, 0))
+    return n, draw(st.lists(st.tuples(end, end), max_size=3 * max_n))
+
+
+@given(edge_lists(), edge_lists())
+@settings(max_examples=300, deadline=None)
+def test_graph_matches_tuple_storing_reference(case, other):
+    g, ref = _built(Graph, *case), _built(RefGraph, *case)
+    if isinstance(ref, str):
+        assert g == ref  # the same message for the same first bad edge
+        return
+    assert g.n == ref.n and g.edges == ref._edges and g.m == len(ref._edges)
+    for v in range(g.n):
+        assert g.neighbors(v) == ref._adj[v]
+        assert g.degree(v) == len(ref._adj[v])
+    assert g.max_degree() == max((len(a) for a in ref._adj), default=0)
+    same = Graph(ref.n, [(v, u) for u, v in reversed(ref._edges)])
+    assert g == same and hash(g) == hash(same)
+    assert g != Graph(ref.n + 1, ref._edges)
+    h, ref_h = _built(Graph, *other), _built(RefGraph, *other)
+    if not isinstance(ref_h, str):
+        assert (g == h) == (ref == ref_h)
+        assert g != h or hash(g) == hash(h)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -228,14 +229,59 @@ def _lci_fail(tmp_path, capsys, model):
     return json.loads(out.read_text())
 
 
-def test_cli_decompose_lci_uncut_cycle_fails_with_hole(tmp_path, capsys):
-    # a 4-cycle whose arc 0 holds no point, so nothing is cut
-    model = {
-        "points": ["0", "1/4", "1/2", "3/4"],
-        "arcs": [["127/2000", "1/10"], ["0", "1/4"], ["31/128", "65/128"],
-                 ["31/64", "49/64"], ["93/128", "3/128"]],
-    }
-    assert _lci_fail(tmp_path, capsys, model) == {"status": "fail", "hole": [1, 0, 3, 2]}
+# a 4-cycle whose arc 0 holds no point; arc 1 holds points 0 and 1/4
+CYCLE_ARC0_EMPTY = {
+    "points": ["0", "1/4", "1/2", "3/4"],
+    "arcs": [["127/2000", "1/10"], ["0", "1/4"], ["31/128", "65/128"],
+             ["31/64", "49/64"], ["93/128", "3/128"]],
+}
+
+
+def test_cli_decompose_lci_cuts_first_arc_holding_a_point(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(CYCLE_ARC0_EMPTY))
+    out, td = tmp_path / "out.json", tmp_path / "out.td"
+    code = main(["decompose", "--method", "lci", "-i", str(path), "-o", str(out),
+                 "--td", str(td)])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert json.loads(out.read_text()) == {"status": "ok", "violations": [], "width": 3}
+    # the cut {0, 1} joins the path 2-3 left after it in every bag
+    with td.open() as fh:
+        assert read_td(fh) == TreeDecomposition(((0, 1, 2, 3), (0, 1, 2)), ((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "method, data, message",
+    [
+        ("lci", dict(CYCLE_ARC0_EMPTY, sizes=[2.5, True, 2, 2]),
+         "size must be an integer, got 2.5"),
+        ("lci", dict(CYCLE_ARC0_EMPTY, sizes=[True, True, 2, 2]),
+         "size must be an integer, got True"),
+        ("strip", {"host": {"n": 2, "edges": [[0, 1]]}, "pattern_n": 2.9,
+                   "pattern_edges": [[0, 1]], "eta": [[0, 1]], "eta_end": [[[0], [1]]]},
+         "pattern_n must be an integer, got 2.9"),
+    ],
+    ids=["lci-float-size", "lci-bool-sizes", "strip-float-pattern-n"],
+)
+def test_cli_decompose_rejects_non_integer_counts(tmp_path, capsys, method, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    assert main(["decompose", "--method", method, "-i", str(path), "-o", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_decompose_readme_strip_structure(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("- Strip structures"):]
+    block = section[section.index("```json\n") + len("```json\n"):]
+    path = tmp_path / "structure.json"
+    path.write_text(block[:block.index("```")])
+    out = tmp_path / "out.json"
+    assert main(["decompose", "--method", "strip", "-i", str(path), "-o", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"status": "ok", "violations": [], "width": 3}
 
 
 def test_cli_decompose_lci_hole_is_in_host_ids(tmp_path, capsys):

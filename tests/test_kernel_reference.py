@@ -2,9 +2,10 @@
 sums against test-local copies of the code they replaced.
 
 The references are the earlier kernels: a `reach_mask` that re-walks every
-reached vertex each round, a `diameter_of` (now `diameter_of_mask`) that
-runs one full-graph `bfs_distances` per vertex and reads a distance list, and `WeightFunction`
-sums that add the stored `Fraction` values one by one.  The heaviest
+reached vertex each round, a cut diameter that runs one full-graph
+breadth-first search per cut vertex and reads a distance list (checked
+through `SeparationSequence.goodness`), and `WeightFunction` sums that add
+the stored `Fraction` values one by one.  The heaviest
 component is checked against the `Fraction` max it was chosen by before.
 """
 
@@ -14,8 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
-from twcert.centralbag import DegenerateSeparation, canonical_separation, clique_separation
+from conftest import connected_graphs, graphs
+from twcert.centralbag import (
+    DegenerateSeparation,
+    Separation,
+    SeparationSequence,
+    canonical_separation,
+    clique_separation,
+    covering_sequence,
+)
+from twcert.generators import path_graph
 from twcert.graphs import Graph, bits, mask_of
 from twcert.weights import WeightFunction
 
@@ -70,10 +79,6 @@ def ref_diameter_of(g: Graph, vs: tuple[int, ...]) -> int:
     return best
 
 
-def diameter_of(g: Graph, vs: tuple[int, ...]) -> int:
-    return g.diameter_of_mask(mask_of(vs))
-
-
 def ref_of_mask(w: WeightFunction, mask: int) -> Fraction:
     total = Fraction(0)
     for v, x in zip(w.domain, w.values):
@@ -117,20 +122,30 @@ def test_reach_and_components_match_reference(case):
     assert g.component_masks(g.full_mask()) == ref_component_masks(g, g.full_mask())
 
 
-@settings(max_examples=300, deadline=None)
-@given(graph_and_masks())
-def test_diameter_matches_reference(case):
-    g, s_mask, _ = case
-    vs = tuple(bits(s_mask))
-    assert outcome(diameter_of, g, vs) == outcome(ref_diameter_of, g, vs)
+@st.composite
+def graph_and_path(draw, max_n=9):
+    return draw(connected_graphs(min_n=2, max_n=max_n)), draw(st.integers(1, 3))
 
 
-def test_diameter_of_disconnected_set_raises():
+@settings(max_examples=200, deadline=None)
+@given(graph_and_path())
+def test_goodness_diameter_matches_reference(case):
+    g, k = case
+    seq = covering_sequence(g, WeightFunction.uniform(g), path_graph(k))
+    _, t = seq.goodness(g)
+    assert t == max((ref_diameter_of(g, s.c) for s in seq.separations), default=0)
+
+
+def test_goodness_of_cut_across_components_raises():
     g = Graph(4, [(0, 1), (2, 3)])
-    assert diameter_of(g, (0, 1)) == ref_diameter_of(g, (0, 1)) == 1
-    for fn in (lambda vs: diameter_of(g, vs), lambda vs: ref_diameter_of(g, vs)):
-        with pytest.raises(ValueError, match="disconnected parts"):
-            fn((1, 2))
+    within = Separation(0, 0b0011, 0b1100, 0b0001)
+    assert ref_diameter_of(g, within.c) == 1
+    assert SeparationSequence((within,)).goodness(g) == (1, 1)
+    across = Separation(0b0001, 0b0110, 0b1000, 0b0010)
+    with pytest.raises(ValueError, match="disconnected parts"):
+        ref_diameter_of(g, across.c)
+    with pytest.raises(ValueError, match="^set spans disconnected parts of the graph$"):
+        SeparationSequence((within, across)).goodness(g)
 
 
 @st.composite
