@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .certify import FAIL, HYPOTHESIS_UNMET, PASS
+from .check import FAIL, HYPOTHESIS_UNMET, PASS
 from .detect import induced_copies, verify_forcer, find_induced
 from .graphs import CapExceeded, Graph, bits, geometric_ball_bound, lex_key, mask_of
 from .separators import min_balanced_separator, treewidth_or_bounds

@@ -20,17 +20,16 @@ from .certify import (
     Certificate,
     canonical_json,
     graph_witness,
-    recheck,
     td_witness,
     weights_witness,
 )
+from .check import recheck, validate_td
 from .config import Budget, RunConfig, load_config
 from .decompose import (
     NotChordal,
     chordal_td,
     decompose_strip_structure,
     fuzzy_lci_td,
-    validate_td,
 )
 from .detect import (
     find_creature,
@@ -59,6 +58,8 @@ from .generators import (
 from .graphs import BudgetExhausted, CapExceeded, Graph
 from .io import (
     graph_from_json,
+    integer,
+    integers,
     read_gr,
     write_gr,
     write_graph_json,
@@ -372,12 +373,6 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
 # -- decompose ---------------------------------------------------------------------
 
 
-def _integer(x: Any, what: str) -> int:
-    if type(x) is not int:  # as in graph_from_json: no float, string or bool
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
 def _lci_from_json(data: dict[str, Any]) -> LciThickening:
     model = CircularIntervalModel(
         points=tuple(parse_fraction(p) for p in data["points"]),
@@ -387,10 +382,11 @@ def _lci_from_json(data: dict[str, Any]) -> LciThickening:
     sizes = data.get("sizes", [1] * len(model.points))
     spec = ThickeningSpec(
         base=base if base is not None else circular_interval_graph(model),
-        sizes=tuple(_integer(k, "size") for k in sizes),
-        fuzz=tuple(tuple(p) for p in data.get("fuzz", [])),
+        sizes=integers(sizes, "size"),
+        fuzz=tuple(integers(p, "fuzz vertex") for p in data.get("fuzz", [])),
         patterns=tuple(
-            tuple(tuple(c) for c in pat) for pat in data.get("patterns", [])
+            tuple(integers(c, "pattern cell index") for c in pat)
+            for pat in data.get("patterns", [])
         ),
     )
     return LciThickening(model, spec)
@@ -399,10 +395,15 @@ def _lci_from_json(data: dict[str, Any]) -> LciThickening:
 def _strip_structure_from_json(data: dict[str, Any]) -> StripStructure:
     return StripStructure(
         host=graph_from_json(data["host"]),
-        pattern_n=_integer(data["pattern_n"], "pattern_n"),
-        pattern_edges=tuple(tuple(e) for e in data["pattern_edges"]),
-        eta=tuple(tuple(s) for s in data["eta"]),
-        eta_end=tuple((tuple(l), tuple(r)) for l, r in data["eta_end"]),
+        pattern_n=integer(data["pattern_n"], "pattern_n"),
+        pattern_edges=tuple(
+            integers(e, "pattern edge end") for e in data["pattern_edges"]
+        ),
+        eta=tuple(integers(s, "strip vertex") for s in data["eta"]),
+        eta_end=tuple(
+            (integers(l, "end-set vertex"), integers(r, "end-set vertex"))
+            for l, r in data["eta_end"]
+        ),
     )
 
 

@@ -1,140 +1,19 @@
-"""Tree decompositions: the validator, chordal clique trees, thickened
-circular-interval constructions, and strip-structure assembly."""
+"""Tree decompositions: chordal clique trees, thickened circular-interval
+constructions, and strip-structure assembly.
+
+The `TreeDecomposition` type lives in `graphs`, the validator `validate_td`
+in `check`, and the elimination orderings in `separators`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
+from .check import validate_td
 from .generators import LciThickening, StripStructure
-from .graphs import Graph, bits, mask_of
-
-
-@dataclass(frozen=True)
-class TreeDecomposition:
-    """A tree (nodes 0..k-1) with one bag of graph vertices per node."""
-
-    bags: tuple[tuple[int, ...], ...]
-    tree_edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        k = len(self.bags)
-        for a, b in self.tree_edges:
-            if not (0 <= a < k and 0 <= b < k) or a == b:
-                raise ValueError("tree edge out of range")
-        if k > 0 and len(self.tree_edges) != k - 1:
-            raise ValueError("a tree on k nodes has exactly k-1 edges")
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.bags)
-
-    @property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0) - 1
-
-
-@dataclass(frozen=True)
-class TdReport:
-    ok: bool
-    width: int
-    violations: tuple[str, ...] = ()
-
-
-def validate_td(g: Graph, td: TreeDecomposition) -> TdReport:
-    """Check the three tree-decomposition properties exhaustively."""
-    problems: list[str] = []
-    if td.n_nodes == 0:
-        return TdReport(g.n == 0, -1, ("decomposition has no nodes",) if g.n else ())
-    tadj: list[list[int]] = [[] for _ in range(td.n_nodes)]
-    for a, b in td.tree_edges:
-        tadj[a].append(b)
-        tadj[b].append(a)
-
-    def tree_connects(nodes: list[int]) -> bool:
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        node_set = set(nodes)
-        while stack:
-            for w in tadj[stack.pop()]:
-                if w in node_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(nodes)
-
-    if not tree_connects(list(range(td.n_nodes))):
-        problems.append("decomposition tree is not connected")
-    covered = set()
-    for bag in td.bags:
-        for v in bag:
-            if not 0 <= v < g.n:
-                problems.append(f"bag vertex {v} out of range")
-            covered.add(v)
-    for v in g.vertices:
-        if v not in covered:
-            problems.append(f"vertex {v} in no bag")
-    bag_masks = [mask_of(v for v in b if 0 <= v < g.n) for b in td.bags]
-    for u, v in g.edges:
-        need = 1 << u | 1 << v
-        if not any(bm & need == need for bm in bag_masks):
-            problems.append(f"edge ({u},{v}) inside no bag")
-    for v in g.vertices:
-        nodes = [t for t in range(td.n_nodes) if bag_masks[t] >> v & 1]
-        if nodes and not tree_connects(nodes):
-            problems.append(f"bags containing vertex {v} induce a disconnected subtree")
-    return TdReport(not problems, td.width, tuple(problems))
-
-
-# -- elimination orderings -------------------------------------------------------
-
-
-# picks the next vertex to eliminate from the fill masks and the alive mask
-Pick = Callable[[Sequence[int], int], int]
-
-
-def eliminate(g: Graph, pick: Pick) -> tuple[TreeDecomposition, bool]:
-    """Eliminate every vertex of g in its fill-in graph, in the order `pick`
-    chooses; the decomposition every elimination order witnesses.
-
-    `pick` sees each vertex's fill-graph neighbours among the alive vertices
-    (entries of eliminated vertices are stale) and the alive mask.  Node i's
-    bag is the i-th eliminated vertex plus its neighbours at that moment;
-    node i joins the node of its earliest-eliminated later neighbour, or node
-    i+1 when it has none.  The flag says whether any fill edge was added, so
-    it is False exactly for a perfect elimination ordering.  The empty graph
-    gives the single empty bag.
-    """
-    masks = list(g._masks)
-    alive = g.full_mask()
-    pos: dict[int, int] = {}
-    bags: list[tuple[int, ...]] = []
-    later: list[int] = []
-    filled = False
-    for i in g.vertices:
-        v = pick(masks, alive)
-        nb = masks[v]
-        alive ^= 1 << v
-        for a in bits(nb):
-            grown = masks[a] | nb & ~(1 << a)
-            filled |= grown != masks[a]
-            masks[a] = grown & ~(1 << v)
-        pos[v] = i
-        bags.append(tuple(bits(nb | 1 << v)))
-        later.append(nb)
-    edges: list[tuple[int, int]] = []
-    for i, nb in enumerate(later):
-        if nb:
-            edges.append((i, min(pos[w] for w in bits(nb))))
-        elif i + 1 < g.n:
-            edges.append((i, i + 1))
-    td = TreeDecomposition(bags=tuple(bags) or ((),), tree_edges=tuple(sorted(edges)))
-    return td, filled
-
-
-def along(order: Iterable[int]) -> Pick:
-    """The pick that eliminates in a fixed order."""
-    it = iter(order)
-    return lambda masks, alive: next(it)
+from .graphs import Graph, TreeDecomposition
+from .separators import along, eliminate, exact_treewidth
 
 
 # -- chordal graphs ------------------------------------------------------------
@@ -346,8 +225,6 @@ def decompose_strip_structure(ss: StripStructure, cap: int) -> StripAssemblyRepo
     decomposition of its pattern graph and one per strip: a clique tree, or
     an exact decomposition when the strip is not chordal.  The exact ones
     raise CapExceeded above `cap` vertices."""
-    from .separators import exact_treewidth  # separators imports this module
-
     _, td0 = exact_treewidth(_pattern_graph(ss), cap=cap)
     strips = {}
     for i in range(len(ss.pattern_edges)):

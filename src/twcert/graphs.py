@@ -3,11 +3,14 @@
 Vertices are 0..n-1; every set order and tie-break in the toolkit derives
 from ascending id order, so "lexicographically minimum" choices are
 deterministic.  A graph is its vertex count and one neighbour bitmask per
-vertex; edge lists and neighbour tuples are read off the masks.
+vertex; edge lists and neighbour tuples are read off the masks.  The tree
+decomposition type lives here too, so the file formats and the validators
+can read one without importing the code that builds them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -224,6 +227,30 @@ class Graph:
     def is_clique(self, s: Iterable[int]) -> bool:
         vs = self._check_vertices(s)
         return all(self.has_edge(u, v) for u, v in combinations(vs, 2))
+
+
+@dataclass(frozen=True)
+class TreeDecomposition:
+    """A tree (nodes 0..k-1) with one bag of graph vertices per node."""
+
+    bags: tuple[tuple[int, ...], ...]
+    tree_edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        k = len(self.bags)
+        for a, b in self.tree_edges:
+            if not (0 <= a < k and 0 <= b < k) or a == b:
+                raise ValueError("tree edge out of range")
+        if k > 0 and len(self.tree_edges) != k - 1:
+            raise ValueError("a tree on k nodes has exactly k-1 edges")
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.bags)
+
+    @property
+    def width(self) -> int:
+        return max((len(b) for b in self.bags), default=0) - 1
 
 
 # -- derived constructions ------------------------------------------------

@@ -3,10 +3,23 @@
 from __future__ import annotations
 
 import json
-from typing import TextIO
+from typing import Any, TextIO
 
-from .decompose import TreeDecomposition
-from .graphs import Graph
+from .graphs import Graph, TreeDecomposition
+
+
+def integer(x: Any, what: str) -> int:
+    """x itself when it is a JSON integer; nothing is converted.
+    `type(x) is int` keeps out floats, strings and booleans (bool subclasses
+    int)."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def integers(xs: Any, what: str) -> tuple[int, ...]:
+    """Each entry of a JSON list by the rule of `integer`."""
+    return tuple(integer(x, what) for x in xs)
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -14,14 +27,11 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
-    """`n` and every edge end must be JSON integers, and every edge a list of
-    exactly two ends; nothing is converted.  `type(x) is int` keeps out
-    floats, strings and booleans (bool subclasses int)."""
+    """`n` and every edge end must be JSON integers (see `integer`), and
+    every edge a list of exactly two ends."""
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError('graph JSON must be an object {"n": int, "edges": [[u,v],...]}')
-    n, edges = data["n"], data["edges"]
-    if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
+    n, edges = integer(data["n"], "n"), data["edges"]
     if not isinstance(edges, list):
         raise ValueError(f"edges must be a list, got {edges!r}")
     for e in edges:

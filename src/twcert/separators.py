@@ -1,4 +1,5 @@
-"""Exact weighted balanced separators, separation number, and treewidth.
+"""Exact weighted balanced separators, separation number, elimination
+orderings and treewidth.
 
 Every balanced-separator question (a weighted minimum separator, the
 separation number) is one increasing-size subset search, `_first_subset`.
@@ -11,7 +12,9 @@ takes one byte per vertex subset plus the states solved exactly; the extra
 passes make it slowest where minimum fill overshoots the treewidth (see
 `exact_treewidth`).
 For instances above the cap a certified lower/upper bound pair is produced
-instead (contraction degeneracy vs. minimum-fill elimination).
+instead (contraction degeneracy vs. minimum-fill elimination).  Every
+decomposition here, and the clique trees of `decompose`, comes from
+`eliminate` run on some elimination order.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .decompose import TreeDecomposition, along, eliminate
-from .graphs import CapExceeded, Graph, bits, mask_of
+from .graphs import CapExceeded, Graph, TreeDecomposition, bits, mask_of
 from .weights import WeightFunction, check_balance_parameter
 
 
@@ -113,6 +115,58 @@ def separation_number(g: Graph, c: Fraction, cap: int = 10) -> int:
         assert hit is not None
         best = len(hit)
     return best
+
+
+# -- elimination orderings -------------------------------------------------------
+
+
+# picks the next vertex to eliminate from the fill masks and the alive mask
+Pick = Callable[[Sequence[int], int], int]
+
+
+def eliminate(g: Graph, pick: Pick) -> tuple[TreeDecomposition, bool]:
+    """Eliminate every vertex of g in its fill-in graph, in the order `pick`
+    chooses; the decomposition every elimination order witnesses.
+
+    `pick` sees each vertex's fill-graph neighbours among the alive vertices
+    (entries of eliminated vertices are stale) and the alive mask.  Node i's
+    bag is the i-th eliminated vertex plus its neighbours at that moment;
+    node i joins the node of its earliest-eliminated later neighbour, or node
+    i+1 when it has none.  The flag says whether any fill edge was added, so
+    it is False exactly for a perfect elimination ordering.  The empty graph
+    gives the single empty bag.
+    """
+    masks = list(g._masks)
+    alive = g.full_mask()
+    pos: dict[int, int] = {}
+    bags: list[tuple[int, ...]] = []
+    later: list[int] = []
+    filled = False
+    for i in g.vertices:
+        v = pick(masks, alive)
+        nb = masks[v]
+        alive ^= 1 << v
+        for a in bits(nb):
+            grown = masks[a] | nb & ~(1 << a)
+            filled |= grown != masks[a]
+            masks[a] = grown & ~(1 << v)
+        pos[v] = i
+        bags.append(tuple(bits(nb | 1 << v)))
+        later.append(nb)
+    edges: list[tuple[int, int]] = []
+    for i, nb in enumerate(later):
+        if nb:
+            edges.append((i, min(pos[w] for w in bits(nb))))
+        elif i + 1 < g.n:
+            edges.append((i, i + 1))
+    td = TreeDecomposition(bags=tuple(bags) or ((),), tree_edges=tuple(sorted(edges)))
+    return td, filled
+
+
+def along(order: Iterable[int]) -> Pick:
+    """The pick that eliminates in a fixed order."""
+    it = iter(order)
+    return lambda masks, alive: next(it)
 
 
 # -- exact treewidth -------------------------------------------------------------

@@ -24,13 +24,13 @@ from .centralbag import (
     run_master_pipeline,
 )
 from .certify import Certificate, graph_witness, td_witness
+from .check import validate_td
 from .config import RunConfig
 from .decompose import (
     chordal_td,
     decompose_strip_structure,
     find_hole,
     fuzzy_lci_td,
-    validate_td,
 )
 from .detect import (
     _directed_induced_paths,

@@ -13,13 +13,9 @@ from twcert.centralbag import (
     clique_separation,
     make_primordial,
 )
-from twcert.decompose import (
-    TreeDecomposition,
-    along,
-    eliminate,
-    maximum_cardinality_search,
-)
-from twcert.graphs import Graph, mask_of
+from twcert.decompose import maximum_cardinality_search
+from twcert.graphs import Graph, TreeDecomposition, mask_of
+from twcert.separators import along, eliminate
 from twcert.weights import WeightFunction
 
 

@@ -7,8 +7,8 @@ from twcert.certify import (
     Certificate,
     canonical_json,
     graph_witness,
-    recheck,
 )
+from twcert.check import recheck
 from twcert.generators import path_graph, wall
 from twcert.separators import exact_treewidth
 
@@ -134,3 +134,26 @@ def test_recheck_td_witness_with_negative_vertex_fails():
     checked, confirmed, problems = recheck(json.loads(cert.dumps()))
     assert (checked, confirmed) == (1, 0)
     assert problems == ["tw.witness: stored status pass but witness rechecks as fail"]
+
+
+EDGE = {"n": 2, "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        ({"kind": "td-valid", "graph": EDGE, "bags": [[False, True]], "tree_edges": [],
+          "width_at_most": 1}, "bag vertex must be an integer, got False"),
+        ({"kind": "td-valid", "graph": EDGE, "bags": [[0, 1], [1]],
+          "tree_edges": [[0, True]], "width_at_most": 1},
+         "tree edge end must be an integer, got True"),
+        ({"kind": "td-valid", "graph": EDGE, "bags": [[0, 1]], "tree_edges": [],
+          "width_at_most": True}, "width_at_most must be an integer, got True"),
+        ({"kind": "pattern-found", "graph": EDGE, "pattern": EDGE,
+          "mapping": [False, True]}, "mapping entry must be an integer, got False"),
+    ],
+    ids=["bool-bag", "bool-tree-edge", "bool-width", "bool-mapping"],
+)
+def test_recheck_reports_non_integer_witness_entries(witness, message):
+    entry = {"check": "x", "status": "pass", "witness": witness}
+    assert recheck({"assertions": [entry]}) == (1, 0, [f"x: recheck error {message}"])

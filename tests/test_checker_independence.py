@@ -1,30 +1,35 @@
 """The certificate checker stays apart from the code that produces verdicts.
 
 A rechecker that calls a producer confirms that producer's bugs, so
-`certify.py` may import only the decomposition validator, the graph type and
-the JSON reader, and a witness kind with no validator of its own is a
-problem, never a pass.
+`check.py`, which holds every validator, may import only the graph core and
+the JSON reader; `certify.py`, which builds certificates, adds only `check`.
+A witness kind with no validator of its own is a problem, never a pass.  The
+package's imports form one acyclic order, all at module level, so no module
+reaches another through a call-time import.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
 
-from twcert.certify import _RECHECKERS
+from twcert.check import _RECHECKERS
 from twcert.cli import main
 
-CERTIFY = Path(__file__).resolve().parent.parent / "src" / "twcert" / "certify.py"
-PRODUCERS = {"detect", "separators", "centralbag", "suites", "generators", "cli"}
+SRC = Path(__file__).resolve().parent.parent / "src" / "twcert"
+PRODUCERS = {
+    "detect", "separators", "centralbag", "suites", "generators", "decompose", "cli"
+}
 
 
-def package_imports(source: str) -> set[str]:
-    """Names of the `twcert` modules a module imports directly."""
+def _imported(nodes) -> set[str]:
+    """Names of the `twcert` modules the import statements among `nodes` name."""
     dotted: list[str] = []
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom):
             base = ".".join(
                 p for p in ("twcert" if node.level else "", node.module or "") if p
@@ -33,6 +38,11 @@ def package_imports(source: str) -> set[str]:
         elif isinstance(node, ast.Import):
             dotted += [alias.name for alias in node.names]
     return {name.split(".")[1] for name in dotted if name.startswith("twcert.")}
+
+
+def package_imports(source: str) -> set[str]:
+    """Names of the `twcert` modules a module imports directly."""
+    return _imported(ast.walk(ast.parse(source)))
 
 
 def test_package_imports_reads_relative_and_absolute_forms():
@@ -48,9 +58,25 @@ def test_package_imports_reads_relative_and_absolute_forms():
 
 
 def test_certify_imports_no_producer():
-    imported = package_imports(CERTIFY.read_text())
-    assert imported & PRODUCERS == set()
-    assert imported == {"decompose", "graphs", "io"}
+    checker = package_imports((SRC / "check.py").read_text())
+    assert checker & PRODUCERS == set()
+    assert checker == {"graphs", "io"}
+    assert package_imports((SRC / "certify.py").read_text()) == {"check", "graphs", "io"}
+    assert package_imports((SRC / "io.py").read_text()) == {"graphs"}
+
+
+def test_package_imports_are_module_level_and_acyclic():
+    imports = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert _imported(ast.walk(fn)) == set(), f"{path.name}: {fn.name}"
+        imports[path.stem] = package_imports(path.read_text())
+    try:
+        list(TopologicalSorter(imports).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle {exc.args[1]}")
 
 
 def test_recheckers_cover_only_the_written_kinds():

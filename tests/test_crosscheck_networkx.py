@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from conftest import connected_graphs, graphs, is_chordal
-from twcert.decompose import validate_td
+from twcert.check import validate_td
 from twcert.detect import induced_copies, iter_induced_maps
 from twcert.generators import complete_graph, cycle_graph, path_graph, star_graph
 from twcert.graphs import Graph, clique_number, disjoint_union, line_graph

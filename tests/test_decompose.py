@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs, is_chordal, single_bag_td
+from twcert.check import validate_td
 from twcert.decompose import (
     NotChordal,
-    TreeDecomposition,
     chordal_td,
     find_hole,
     fuzzy_lci_td,
     strip_assembly,
-    validate_td,
 )
 from twcert.generators import (
     LciThickening,
@@ -26,7 +25,7 @@ from twcert.generators import (
     strip_structure_instance,
     wall,
 )
-from twcert.graphs import Graph, clique_number
+from twcert.graphs import Graph, TreeDecomposition, clique_number
 from twcert.separators import exact_treewidth
 
 

@@ -11,16 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs, is_chordal
-from twcert.decompose import (
-    NotChordal,
-    TreeDecomposition,
-    along,
-    chordal_td,
-    eliminate,
-    maximum_cardinality_search,
-)
-from twcert.graphs import Graph, bits, mask_of
-from twcert.separators import treewidth_bounds
+from twcert.decompose import NotChordal, chordal_td, maximum_cardinality_search
+from twcert.graphs import Graph, TreeDecomposition, bits, mask_of
+from twcert.separators import along, eliminate, treewidth_bounds
 from twcert.suites import chordal_growth
 
 

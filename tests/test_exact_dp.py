@@ -16,10 +16,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
-from twcert.decompose import along, eliminate
 from twcert.generators import complete_graph, wall
 from twcert.graphs import CapExceeded, Graph, bits
-from twcert.separators import _min_fill, _refutation_floor, exact_treewidth
+from twcert.separators import _min_fill, _refutation_floor, along, eliminate, exact_treewidth
 
 
 def _reach_q(g: Graph, v: int, s_mask: int) -> int:

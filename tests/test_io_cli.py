@@ -9,8 +9,8 @@ import pytest
 from twcert import cli
 from twcert.cli import main
 from twcert.config import load_config
-from twcert.decompose import TreeDecomposition
 from twcert.generators import complete_bipartite, wall
+from twcert.graphs import TreeDecomposition
 from twcert.io import (
     read_gr,
     read_graph_json,
@@ -250,6 +250,13 @@ def test_cli_decompose_lci_cuts_first_arc_holding_a_point(tmp_path, capsys):
         assert read_td(fh) == TreeDecomposition(((0, 1, 2, 3), (0, 1, 2)), ((0, 1),))
 
 
+# one strip on one pattern edge; with integer entries it decomposes (exit 0)
+ONE_STRIP = {"host": {"n": 2, "edges": [[0, 1]]}, "pattern_n": 2,
+             "pattern_edges": [[0, 1]], "eta": [[0, 1]], "eta_end": [[[0], [1]]]}
+# the 4-cycle model with blocks of two and one fuzzy pair; decomposes (exit 0)
+FUZZY = dict(CYCLE_ARC0_EMPTY, sizes=[2, 2, 2, 2], fuzz=[[0, 1]], patterns=[[[0, 0]]])
+
+
 @pytest.mark.parametrize(
     "method, data, message",
     [
@@ -257,11 +264,19 @@ def test_cli_decompose_lci_cuts_first_arc_holding_a_point(tmp_path, capsys):
          "size must be an integer, got 2.5"),
         ("lci", dict(CYCLE_ARC0_EMPTY, sizes=[True, True, 2, 2]),
          "size must be an integer, got True"),
-        ("strip", {"host": {"n": 2, "edges": [[0, 1]]}, "pattern_n": 2.9,
-                   "pattern_edges": [[0, 1]], "eta": [[0, 1]], "eta_end": [[[0], [1]]]},
-         "pattern_n must be an integer, got 2.9"),
+        ("lci", dict(FUZZY, fuzz=[[0, True]]), "fuzz vertex must be an integer, got True"),
+        ("lci", dict(FUZZY, patterns=[[[0, 0.0]]]),
+         "pattern cell index must be an integer, got 0.0"),
+        ("strip", dict(ONE_STRIP, pattern_n=2.9), "pattern_n must be an integer, got 2.9"),
+        ("strip", dict(ONE_STRIP, pattern_edges=[[0, True]]),
+         "pattern edge end must be an integer, got True"),
+        ("strip", dict(ONE_STRIP, eta=[[0, 1.0]]), "strip vertex must be an integer, got 1.0"),
+        ("strip", dict(ONE_STRIP, eta_end=[[[0], [True]]]),
+         "end-set vertex must be an integer, got True"),
     ],
-    ids=["lci-float-size", "lci-bool-sizes", "strip-float-pattern-n"],
+    ids=["lci-float-size", "lci-bool-sizes", "lci-bool-fuzz", "lci-float-pattern-cell",
+         "strip-float-pattern-n", "strip-bool-pattern-edge", "strip-float-eta",
+         "strip-bool-eta-end"],
 )
 def test_cli_decompose_rejects_non_integer_counts(tmp_path, capsys, method, data, message):
     path = tmp_path / "input.json"
@@ -271,6 +286,15 @@ def test_cli_decompose_rejects_non_integer_counts(tmp_path, capsys, method, data
     err = capsys.readouterr().err
     assert str(path) in err and message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method, data", [("lci", FUZZY), ("strip", ONE_STRIP)],
+                         ids=["lci-fuzzy", "strip-one-edge"])
+def test_cli_decompose_accepts_integer_fields(tmp_path, capsys, method, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main(["decompose", "--method", method, "-i", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
 
 def test_cli_decompose_readme_strip_structure(tmp_path, capsys):

@@ -43,7 +43,7 @@ ALLOWED = {
     "io.read_td": TRACED,
     "certify.Certificate.dumps": TRACED,
     "centralbag.CentralBagResult.recompute_bag": RESERVED,
-    "certify._recheck_pattern_found": RESERVED,
+    "check._recheck_pattern_found": RESERVED,
     "graphs.Graph.__hash__": DUNDER,
     "graphs.Graph.__repr__": DUNDER,
 }

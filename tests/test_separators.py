@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from conftest import connected_graphs
 from twcert import separators
 from twcert.centralbag import no_small_separator
+from twcert.check import validate_td
 from twcert.config import RunConfig
-from twcert.decompose import validate_td
 from twcert.generators import (
     complete_bipartite,
     complete_graph,

@@ -9,7 +9,8 @@ import pytest
 
 from twcert import suites
 from twcert.centralbag import ConditionalCheck
-from twcert.certify import Certificate, recheck
+from twcert.certify import Certificate
+from twcert.check import recheck
 from twcert.cli import USAGE_ERROR, main
 from twcert.config import RunConfig
 
