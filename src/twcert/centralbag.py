@@ -701,8 +701,8 @@ def run_master_pipeline(
     forcers: Sequence[Graph],
     c: Fraction,
     d: int,
+    tw_cap: int,
     w: Optional[WeightFunction] = None,
-    tw_cap: int = 14,
 ) -> PipelineReport:
     """Covering sequence, goodness, partition, central bag, forcer freeness,
     and the symbolic width bound, chained into one machine-checkable record.

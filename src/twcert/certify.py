@@ -26,7 +26,7 @@ class Assertion:
     check_id: str
     description: str
     status: str
-    witness: dict[str, Any] = field(default_factory=dict)
+    witness: dict[str, Any]
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
@@ -37,15 +37,15 @@ class Assertion:
 class Certificate:
     command: list[str]
     seed: int
-    inputs: dict[str, str] = field(default_factory=dict)
-    assertions: list[Assertion] = field(default_factory=list)
+    inputs: dict[str, str] = field(init=False, default_factory=dict)
+    assertions: list[Assertion] = field(init=False, default_factory=list)
 
     def add(
         self,
         check_id: str,
         description: str,
         ok: Optional[bool],
-        witness: Optional[dict[str, Any]] = None,
+        witness: dict[str, Any],
         hypothesis_met: bool = True,
     ) -> None:
         if not hypothesis_met:
@@ -55,7 +55,7 @@ class Certificate:
         else:
             status = PASS if ok else FAIL
         self.assertions.append(
-            Assertion(check_id, description, status, witness or {})
+            Assertion(check_id, description, status, witness)
         )
 
     def expect(

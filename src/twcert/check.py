@@ -27,7 +27,7 @@ STATUSES = {PASS, FAIL, HYPOTHESIS_UNMET, BUDGET}
 class TdReport:
     ok: bool
     width: int
-    violations: tuple[str, ...] = ()
+    violations: tuple[str, ...]
 
 
 def validate_td(g: Graph, td: TreeDecomposition) -> TdReport:
@@ -92,7 +92,11 @@ def _recheck_pattern_found(w: dict[str, Any]) -> bool:
     g = graph_from_json(w["graph"])
     pattern = graph_from_json(w["pattern"])
     mapping = integers(w["mapping"], "mapping entry")
-    if len(set(mapping)) != len(mapping) or len(mapping) != pattern.n:
+    if (
+        len(set(mapping)) != len(mapping)
+        or len(mapping) != pattern.n
+        or not all(0 <= v < g.n for v in mapping)
+    ):
         return False
     for i in range(pattern.n):
         for j in range(i + 1, pattern.n):

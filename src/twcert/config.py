@@ -67,7 +67,7 @@ def parse_config_file(path: str) -> dict[str, object]:
     return out
 
 
-def load_config(path: str | None = None, **overrides: object) -> RunConfig:
+def load_config(path: str | None, **overrides: object) -> RunConfig:
     cfg = RunConfig()
     path = path or os.environ.get(ENV_CONFIG)
     if path:

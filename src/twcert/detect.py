@@ -65,7 +65,7 @@ def _filter(
 
 
 def iter_induced_maps(
-    g: Graph, pattern: Graph, budget: Optional[Budget] = None
+    g: Graph, pattern: Graph, budget: Budget
 ) -> Iterator[tuple[int, ...]]:
     """All injective maps pattern -> g preserving adjacency and non-adjacency,
     in lexicographic order of the mapping tuple.
@@ -88,7 +88,6 @@ def iter_induced_maps(
     charging one step at a time.  What is left is read again after every
     yield, so a caller may tick the same budget between mappings.
     """
-    bud = _default_budget(budget)
     n, k = g.n, pattern.n
     if k > n:
         return
@@ -110,7 +109,7 @@ def iter_induced_maps(
     used = [0] * k
     last = k - 1
     owed = 0  # steps taken and not yet charged
-    room = bud.limit - bud.used
+    room = budget.limit - budget.used
     cands[0] = base[0]
     i = 0
     while True:
@@ -121,14 +120,14 @@ def iter_induced_maps(
             c = low.bit_length() - 1
             owed += c + 1 - ticked[i]
             if owed > room:
-                bud.tick(owed)  # raises BudgetExhausted
+                budget.tick(owed)  # raises BudgetExhausted
             ticked[i] = c + 1
             assigned[i] = c
             if i == last:
-                bud.tick(owed)
+                budget.tick(owed)
                 owed = 0
                 yield tuple(assigned)
-                room = bud.limit - bud.used
+                room = budget.limit - budget.used
                 continue
             taken = used[i] | low
             i += 1
@@ -143,12 +142,12 @@ def iter_induced_maps(
         else:
             owed += n - ticked[i]
             if owed > room:
-                bud.tick(owed)  # raises BudgetExhausted
+                budget.tick(owed)  # raises BudgetExhausted
             if i == 0:
                 break
             i -= 1
     if owed:
-        bud.tick(owed)
+        budget.tick(owed)
 
 
 Roles = tuple[tuple[str, Sequence[int]], ...]
@@ -343,7 +342,7 @@ def find_induced(
     g: Graph,
     pattern: Graph,
     budget: Optional[Budget] = None,
-    max_pattern: int = 24,
+    max_pattern: int = RunConfig.max_pattern_nodes,
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of an explicit pattern graph."""
     if pattern.n > max_pattern:
@@ -357,7 +356,7 @@ def induced_copies(
 ) -> list[tuple[int, ...]]:
     """All distinct vertex sets carrying an induced copy, in lexicographic order."""
     seen: set[tuple[int, ...]] = set()
-    for mapping in iter_induced_maps(g, pattern, budget):
+    for mapping in iter_induced_maps(g, pattern, _default_budget(budget)):
         seen.add(tuple(sorted(mapping)))
     return sorted(seen)
 
@@ -617,7 +616,7 @@ def breaks(g: Graph, x: Iterable[int], y: Iterable[int]) -> bool:
     ys = tuple(sorted(set(y)))
     if set(xs) & set(ys):
         raise ValueError("the two sets must be disjoint")
-    closed = mask_of(g.neighborhood(xs, 1))
+    closed = mask_of(g.neighborhood(xs))
     y_mask = mask_of(ys)
     for comp in g.component_masks(g.full_mask() & ~closed):
         if y_mask & (comp | g._adjacent(comp)) == y_mask:

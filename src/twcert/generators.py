@@ -6,10 +6,10 @@ or paths in argument order) so that tests can pin exact images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .graphs import Graph, line_graph
 
@@ -83,7 +83,7 @@ def wall(n: int, m: int) -> Graph:
 @dataclass(frozen=True)
 class ClawWitness:
     graph: Graph
-    root: int
+    root: ClassVar[int] = 0
     legs: tuple[tuple[int, ...], ...]  # each leg excludes the root
 
 
@@ -104,7 +104,7 @@ def subdivided_claw(t1: int, t2: int, t3: int) -> ClawWitness:
         chain = [0] + leg
         edges.extend(zip(chain, chain[1:]))
         legs.append(tuple(leg))
-    return ClawWitness(Graph(nxt, edges), 0, tuple(legs))
+    return ClawWitness(Graph(nxt, edges), tuple(legs))
 
 
 # A witness graph before it is built: vertex count, edge list, and its paths
@@ -116,35 +116,34 @@ _Shape = tuple[int, list[tuple[int, int]], tuple[tuple[int, ...], ...]]
 @dataclass(frozen=True)
 class ThetaWitness:
     graph: Graph
-    ends: tuple[int, int]
+    ends: ClassVar[tuple[int, int]] = (0, 1)
     paths: tuple[tuple[int, ...], ...]  # full vertex sequences, end to end
 
 
 def theta(l1: int, l2: int, l3: int) -> ThetaWitness:
     """Two vertices joined by three internally disjoint paths, lengths >= 2."""
     n, edges, paths = _theta_shape(l1, l2, l3)
-    return ThetaWitness(Graph(n, edges), (0, 1), paths)
+    return ThetaWitness(Graph(n, edges), paths)
 
 
 def _theta_shape(l1: int, l2: int, l3: int) -> _Shape:
     """Vertex count, edge list and paths of ``theta(l1, l2, l3)``."""
     if min(l1, l2, l3) < 2:
         raise ValueError("theta paths must have length at least 2")
-    return _joined_paths(0, (1, 1, 1), (l1, l2, l3), 2, [])
+    return _joined_paths((1, 1, 1), (l1, l2, l3), 2, [])
 
 
 def _joined_paths(
-    start: int,
     ends: Sequence[int],
     lengths: Sequence[int],
     nxt: int,
     edges: list[tuple[int, int]],
 ) -> _Shape:
-    """Add a path of each length from start to the matching end, numbering
+    """Add a path of each length from vertex 0 to the matching end, numbering
     the inner vertices from nxt on: (vertex count, edges, paths)."""
     paths: list[tuple[int, ...]] = []
     for end, ell in zip(ends, lengths):
-        chain = [start, *range(nxt, nxt + ell - 1), end]
+        chain = [0, *range(nxt, nxt + ell - 1), end]
         nxt += ell - 1
         edges.extend(zip(chain, chain[1:]))
         paths.append(tuple(chain))
@@ -154,15 +153,15 @@ def _joined_paths(
 @dataclass(frozen=True)
 class PyramidWitness:
     graph: Graph
-    apex: int
-    triangle: tuple[int, int, int]
+    apex: ClassVar[int] = 0
+    triangle: ClassVar[tuple[int, int, int]] = (1, 2, 3)
     paths: tuple[tuple[int, ...], ...]  # apex .. triangle corner
 
 
 def pyramid(l1: int, l2: int, l3: int) -> PyramidWitness:
     """Apex joined to a triangle by three paths, at most one of length one."""
     n, edges, paths = _pyramid_shape(l1, l2, l3)
-    return PyramidWitness(Graph(n, edges), 0, (1, 2, 3), paths)
+    return PyramidWitness(Graph(n, edges), paths)
 
 
 def _pyramid_shape(l1: int, l2: int, l3: int) -> _Shape:
@@ -171,7 +170,7 @@ def _pyramid_shape(l1: int, l2: int, l3: int) -> _Shape:
         raise ValueError("pyramid paths must have length at least 1")
     if sorted((l1, l2, l3))[1] < 2:
         raise ValueError("at least two pyramid paths must have length >= 2")
-    return _joined_paths(0, (1, 2, 3), (l1, l2, l3), 4, [(1, 2), (1, 3), (2, 3)])
+    return _joined_paths((1, 2, 3), (l1, l2, l3), 4, [(1, 2), (1, 3), (2, 3)])
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,7 @@ class CaterpillarSpec:
     """
 
     spine_edges: int
-    legs: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
+    legs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if self.spine_edges < 0:
@@ -237,7 +236,7 @@ class CreatureWitness:
     joints: tuple[int, ...]
 
 
-def creature(k: int, t: int, joint_spacing: int = 2) -> CreatureWitness:
+def creature(k: int, t: int, joint_spacing: int) -> CreatureWitness:
     """A canonical creature: connected body plus k anticomplete length-t paths.
 
     Each path touches the body only through its joint end.  The body is a
@@ -375,12 +374,10 @@ def cycle_interval_model(k: int) -> CircularIntervalModel:
     return CircularIntervalModel(points, tuple(arcs))
 
 
-def single_interval_model(k: int) -> CircularIntervalModel:
-    """k points inside one shared arc: the model graph is a clique."""
-    if k < 1:
-        raise ValueError("need at least one point")
-    points = tuple(Fraction(i + 1, 2 * (k + 1)) for i in range(k))
-    return CircularIntervalModel(points, ((Fraction(1, 4 * (k + 1)), Fraction(1, 2)),))
+def single_interval_model() -> CircularIntervalModel:
+    """Five points inside one shared arc: the model graph is K5."""
+    points = tuple(Fraction(i + 1, 12) for i in range(5))
+    return CircularIntervalModel(points, ((Fraction(1, 24), Fraction(1, 2)),))
 
 
 @dataclass(frozen=True)

@@ -117,18 +117,10 @@ class Graph:
 
     # -- neighborhoods and connectivity ----------------------------------
 
-    def neighborhood(self, x: Iterable[int], d: int) -> tuple[int, ...]:
-        """All vertices at distance at most d from the set x (d=0 gives x)."""
-        xs = self._check_vertices(x)
-        if d < 0:
-            raise ValueError("radius must be non-negative")
-        cur = mask_of(xs)
-        for _ in range(d):
-            nxt = cur | self._adjacent(cur)
-            if nxt == cur:
-                break
-            cur = nxt
-        return tuple(bits(cur))
+    def neighborhood(self, x: Iterable[int]) -> tuple[int, ...]:
+        """The closed neighbourhood N[x]: x and every vertex adjacent to it."""
+        xs = mask_of(self._check_vertices(x))
+        return tuple(bits(xs | self._adjacent(xs)))
 
     def _adjacent(self, mask: int) -> int:
         """Union of the neighbour masks of the vertices in `mask`."""
@@ -164,13 +156,14 @@ class Graph:
             rest &= ~comp
         return comps
 
-    def components(self, s: Optional[Iterable[int]] = None) -> list[tuple[int, ...]]:
-        """Partition of s (default: all vertices) into connected components.
+    def components(self, s: Iterable[int]) -> list[tuple[int, ...]]:
+        """Partition of s into the connected components of the subgraph it
+        induces.
 
         Components come back in lexicographic order of their sorted id
         sequences, which coincides with ascending minimum id.
         """
-        allowed = self.full_mask() if s is None else mask_of(self._check_vertices(s))
+        allowed = mask_of(self._check_vertices(s))
         return [tuple(bits(c)) for c in self.component_masks(allowed)]
 
     def is_connected_mask(self, mask: int) -> bool:

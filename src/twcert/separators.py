@@ -67,24 +67,23 @@ def min_balanced_separator(
     g: Graph,
     w: WeightFunction,
     c: Fraction,
-    max_size: Optional[int] = None,
+    max_size: int,
 ) -> Optional[tuple[int, ...]]:
-    """Minimum-cardinality balanced separator by increasing-size subset search,
-    as a sorted vertex tuple; ties resolve to the lexicographically first
-    subset.  With max_size set, returns None when no separator that small
-    exists.  Each subset tested costs one `component_weights` call.  The
-    search has no size cap of its own: its callers bound the input."""
+    """Minimum-cardinality balanced separator of at most max_size vertices by
+    increasing-size subset search, as a sorted vertex tuple; ties resolve to
+    the lexicographically first subset.  Returns None when no separator that
+    small exists.  Each subset tested costs one `component_weights` call.
+    The search has no size cap of its own: its callers bound the input."""
     _require_normal(w)
     check_balance_parameter(c)
 
     def balanced(x_mask: int) -> bool:
         return all(wt <= c for _, wt in component_weights(g, w, x_mask))
 
-    top = g.n if max_size is None else min(max_size, g.n)
-    return _first_subset(g.n, 0, top, balanced)
+    return _first_subset(g.n, 0, min(max_size, g.n), balanced)
 
 
-def separation_number(g: Graph, c: Fraction, cap: int = 10) -> int:
+def separation_number(g: Graph, c: Fraction, cap: int) -> int:
     """Smallest k such that every vertex subset S admits an X, |X| <= k,
     leaving every component with at most c|S| vertices of S.
 
@@ -216,7 +215,7 @@ def _refutation_floor(
     return floor
 
 
-def exact_treewidth(g: Graph, cap: int = 14) -> tuple[int, TreeDecomposition]:
+def exact_treewidth(g: Graph, cap: int) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a witness decomposition.
 
     Memoised top-down search over elimination prefixes (Bodlaender, Fomin,
@@ -374,7 +373,7 @@ def treewidth_bounds(g: Graph) -> TreewidthBounds:
     return TreewidthBounds(contraction_degeneracy(g), td.width, td)
 
 
-def treewidth_or_bounds(g: Graph, cap: int = 14) -> TreewidthBounds:
+def treewidth_or_bounds(g: Graph, cap: int) -> TreewidthBounds:
     if g.n <= cap:
         width, td = exact_treewidth(g, cap=cap)
         return TreewidthBounds(width, width, td)
@@ -404,7 +403,7 @@ def balanced_separator_from_td(
 def harvey_wood_check(
     g: Graph,
     c: Fraction,
-    seed: int = 7,
+    seed: int,
 ) -> HarveyWoodReport:
     """Cross-check the separation-number and balanced-separator bridges.
 

@@ -92,7 +92,7 @@ def random_tree(rng: random.Random, n: int) -> Graph:
     return Graph(n, edges)
 
 
-def seeded_catalog(max_n: int, seed: int, per_n: int = 10) -> list[Graph]:
+def seeded_catalog(max_n: int, seed: int, per_n: int) -> list[Graph]:
     """Named small graphs plus seeded random connected graphs, deduplicated."""
     rng = random.Random(seed)
     out: list[Graph] = []
@@ -158,7 +158,7 @@ def pattern_free_corpus(
     seed: int,
     count: int,
     is_clean: Callable[[Graph], bool],
-    extras: Sequence[Graph] = (),
+    extras: Sequence[Graph],
 ) -> list[Graph]:
     """Seeded graphs on 6 to 9 vertices filtered by a detector-based
     cleanliness predicate."""
@@ -692,7 +692,7 @@ def suite_constructions(cfg: RunConfig) -> Certificate:
     for k in (4, 5, 6, 8):
         models.append((f"cycle{k}-flat", cycle_interval_model(k), None))
         models.append((f"cycle{k}-thick", cycle_interval_model(k), rng.randint(2, 3)))
-    models.append(("clique", single_interval_model(5), 2))
+    models.append(("clique", single_interval_model(), 2))
     for name, model, size in models:
         base = circular_interval_graph(model)
         if size is None:

@@ -1,3 +1,4 @@
+import ast
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -154,7 +155,17 @@ def clique_bag(
     sub, _ = g.induced_subgraph(result.bag)
     outside = tuple(sorted(set(g.vertices) - set(result.bag)))
     cliques = all(
-        g.is_clique(tuple(sorted(set(g.neighborhood(comp, 1)) - set(comp))))
+        g.is_clique(tuple(sorted(set(g.neighborhood(comp)) - set(comp))))
         for comp in (g.components(outside) if outside else [])
     )
     return seq, result, not clique_cutsets(sub), cliques
+
+
+def last_name(node: ast.expr) -> str:
+    """The last name of a decorator or annotation: `dataclass` for
+    `@dataclasses.dataclass(frozen=True)`, `InitVar` for `InitVar[int]`."""
+    if isinstance(node, (ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""

@@ -30,7 +30,7 @@ def test_criterion_01_wall_facts():
     t0 = time.time()
     g = wall(3, 3)
     ok = g.n == 12 and g.max_degree() == 3
-    tw, _ = exact_treewidth(g)
+    tw, _ = exact_treewidth(g, cap=14)
     ok = ok and tw == 3
     b = treewidth_bounds(full_subdivision(g))
     ok = ok and b.exact == 3
@@ -39,13 +39,13 @@ def test_criterion_01_wall_facts():
 
 def test_criterion_02_oracle_anchors():
     t0 = time.time()
-    ok = exact_treewidth(complete_graph(4))[0] == 3
-    ok = ok and exact_treewidth(complete_bipartite(3, 3))[0] == 3
+    ok = exact_treewidth(complete_graph(4), cap=14)[0] == 3
+    ok = ok and exact_treewidth(complete_bipartite(3, 3), cap=14)[0] == 3
     import random
 
     rng = random.Random(CFG.seed)
     for _ in range(10):
-        ok = ok and exact_treewidth(random_tree(rng, rng.randint(2, 12)))[0] == 1
+        ok = ok and exact_treewidth(random_tree(rng, rng.randint(2, 12)), cap=14)[0] == 1
     _report(2, "oracle anchors", ok, t0, 5)
 
 

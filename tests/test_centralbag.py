@@ -374,7 +374,7 @@ def test_leq_power_bound_lazy():
 
 def test_master_pipeline_wall():
     g = wall(3, 3)
-    rep = run_master_pipeline(g, path_graph(1), [], c=HALF, d=2)
+    rep = run_master_pipeline(g, path_graph(1), [], c=HALF, d=2, tw_cap=14)
     assert len(rep.sequence.separations) == 12
     assert rep.result.algebra_holds and rep.audit_complete
     assert rep.dimension_bound_holds and rep.anchor_bound_holds
@@ -384,7 +384,7 @@ def test_master_pipeline_wall():
 
 def test_master_pipeline_empty_covering():
     g = path_graph(5)
-    rep = run_master_pipeline(g, complete_graph(3), [], c=HALF, d=1)
+    rep = run_master_pipeline(g, complete_graph(3), [], c=HALF, d=1, tw_cap=14)
     assert len(rep.sequence.separations) == 0
     assert rep.result.bag == tuple(range(5))
 

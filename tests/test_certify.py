@@ -21,17 +21,17 @@ def _cert_with(*entries):
 
 
 def test_exit_codes():
-    cert = _cert_with(Assertion("a", "d", "pass"))
+    cert = _cert_with(Assertion("a", "d", "pass", {}))
     assert cert.exit_code() == 0
-    cert.assertions.append(Assertion("b", "d", "hypothesis-unmet"))
+    cert.assertions.append(Assertion("b", "d", "hypothesis-unmet", {}))
     assert cert.exit_code() == 2
-    cert.assertions.append(Assertion("c", "d", "fail"))
+    cert.assertions.append(Assertion("c", "d", "fail", {}))
     assert cert.exit_code() == 1
 
 
 def test_unknown_status_rejected():
     with pytest.raises(ValueError):
-        Assertion("a", "d", "maybe")
+        Assertion("a", "d", "maybe", {})
 
 
 def test_canonical_json_is_stable():
@@ -42,7 +42,7 @@ def test_canonical_json_is_stable():
 
 def test_recheck_td_witness():
     g = wall(2, 2)
-    tw, td = exact_treewidth(g)
+    tw, td = exact_treewidth(g, cap=14)
     cert = Certificate(command=["x"], seed=0)
     cert.add(
         "tw.witness",
@@ -137,6 +137,21 @@ def test_recheck_td_witness_with_negative_vertex_fails():
 
 
 EDGE = {"n": 2, "edges": [[0, 1]]}
+PATH3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "pattern, mapping",
+    [(EDGE, [-1, 1]), ({"n": 2, "edges": []}, [0, 7]), (EDGE, [0, -3])],
+    ids=["negative-wraps-to-last", "past-the-end", "negative-shift"],
+)
+def test_recheck_pattern_mapping_outside_host_fails(pattern, mapping):
+    witness = {"kind": "pattern-found", "graph": PATH3, "pattern": pattern,
+               "mapping": mapping}
+    entry = {"check": "x", "status": "pass", "witness": witness}
+    assert recheck({"assertions": [entry]}) == (
+        1, 0, ["x: stored status pass but witness rechecks as fail"]
+    )
 
 
 @pytest.mark.parametrize(

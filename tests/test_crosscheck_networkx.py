@@ -6,6 +6,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from conftest import connected_graphs, graphs, is_chordal
 from twcert.check import validate_td
+from twcert.config import Budget, RunConfig
 from twcert.detect import induced_copies, iter_induced_maps
 from twcert.generators import complete_graph, cycle_graph, path_graph, star_graph
 from twcert.graphs import Graph, clique_number, disjoint_union, line_graph
@@ -50,7 +51,7 @@ def test_clique_number_matches_networkx(g):
 @given(connected_graphs(max_n=7))
 @settings(max_examples=30, deadline=None)
 def test_treewidth_upper_bounds_networkx_heuristic(g):
-    tw, td = exact_treewidth(g)
+    tw, td = exact_treewidth(g, cap=14)
     assert validate_td(g, td).ok
     width, _ = nx.algorithms.approximation.treewidth_min_fill_in(_to_nx(g))
     # a heuristic width can never undercut the optimum
@@ -94,4 +95,4 @@ def test_induced_maps_order_matches_networkx(g, p):
     for m in GraphMatcher(_to_nx(g), _to_nx(p)).subgraph_isomorphisms_iter():
         inverse = {v: u for u, v in m.items()}
         theirs.append(tuple(inverse[i] for i in range(p.n)))
-    assert list(iter_induced_maps(g, p)) == sorted(theirs)
+    assert list(iter_induced_maps(g, p, Budget(RunConfig.search_budget))) == sorted(theirs)

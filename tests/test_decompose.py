@@ -116,7 +116,7 @@ def test_fuzzy_lci_plain_cycle():
     val = validate_td(base, rep.td)
     assert val.ok
     assert val.width <= 4 * base.max_degree() + 3
-    assert val.width >= exact_treewidth(base)[0]
+    assert val.width >= exact_treewidth(base, cap=14)[0]
 
 
 def test_fuzzy_lci_thickened_with_fuzz():
@@ -134,7 +134,7 @@ def test_fuzzy_lci_thickened_with_fuzz():
     val = validate_td(g, rep.td)
     assert val.ok
     assert val.width <= 4 * g.max_degree() + 3
-    assert val.width >= exact_treewidth(g)[0]
+    assert val.width >= exact_treewidth(g, cap=14)[0]
     # the cut clique, the blocks on the first arc, really is a clique of the
     # completed graph (the fuzzy blocks made complete), and is in every bag
     extra = [(a, b) for u, v in spec.fuzz for a in spec.block(u) for b in spec.block(v)]
@@ -147,7 +147,7 @@ def test_fuzzy_lci_thickened_with_fuzz():
 
 
 def test_fuzzy_lci_single_interval_is_chordal_case():
-    model = single_interval_model(5)
+    model = single_interval_model()
     base = circular_interval_graph(model)
     lci = LciThickening(model, ThickeningSpec(base=base, sizes=(1,) * 5))
     rep = fuzzy_lci_td(lci)
@@ -168,20 +168,20 @@ def test_strip_assembly_all_instances():
     for kind in kinds:
         ss = strip_structure_instance(kind)
         simple = Graph(ss.pattern_n, [(a, b) for a, b in ss.pattern_edges if a != b])
-        _, td0 = exact_treewidth(simple)
+        _, td0 = exact_treewidth(simple, cap=14)
         strips = {}
         for i in range(len(ss.pattern_edges)):
             sg, _ = ss.strip_graph(i)
             try:
                 strips[i] = chordal_td(sg)
             except NotChordal:
-                strips[i] = exact_treewidth(sg)[1]
+                strips[i] = exact_treewidth(sg, cap=14)[1]
         rep = strip_assembly(ss, td0, strips)
         val = validate_td(ss.host, rep.td)
         assert val.ok, (kind, val.violations)
         assert rep.bounds_hold
         if ss.host.n <= 14:
-            assert val.width >= exact_treewidth(ss.host)[0]
+            assert val.width >= exact_treewidth(ss.host, cap=14)[0]
         delta = ss.host.max_degree()
         for t in range(td0.n_nodes):  # the hub nodes come first
             assert len(rep.td.bags[t]) <= len(td0.bags[t]) * (delta + 1) ** 2
@@ -209,7 +209,7 @@ def test_strip_assembly_rejects_bad_pattern_td():
 def test_oracle_never_beaten_by_constructions():
     # soundness: constructed widths are never below the exact optimum
     g = wall(2, 3)
-    tw, _ = exact_treewidth(g)
+    tw, _ = exact_treewidth(g, cap=14)
     td = single_bag_td(g)
     assert validate_td(g, td).width >= tw
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from conftest import last_name
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "twcert"
 
 TRACED = "wrapped by perfbench/tracing.py, which the benchmark installs"
@@ -30,33 +32,23 @@ ALLOWED = {
 }
 
 
-def _name(node: ast.expr) -> str:
-    """The last name of a decorator or annotation: `dataclass` for
-    `@dataclasses.dataclass(frozen=True)`, `InitVar` for `InitVar[int]`."""
-    if isinstance(node, (ast.Call, ast.Subscript)):
-        node = node.func if isinstance(node, ast.Call) else node.value
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return node.id if isinstance(node, ast.Name) else ""
-
-
 def declared(tree: ast.Module, module: str) -> dict[str, str]:
     """"module.Class.name" -> name for every dataclass field and property."""
     out = {}
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
-        is_dataclass = any(_name(d) == "dataclass" for d in cls.decorator_list)
+        is_dataclass = any(last_name(d) == "dataclass" for d in cls.decorator_list)
         for node in cls.body:
             if (
                 is_dataclass
                 and isinstance(node, ast.AnnAssign)
                 and isinstance(node.target, ast.Name)
-                and _name(node.annotation) not in ("InitVar", "ClassVar")
+                and last_name(node.annotation) not in ("InitVar", "ClassVar")
             ):
                 name = node.target.id
             elif isinstance(node, ast.FunctionDef) and any(
-                _name(d) == "property" for d in node.decorator_list
+                last_name(d) == "property" for d in node.decorator_list
             ):
                 name = node.name
             else:

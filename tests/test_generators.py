@@ -79,7 +79,7 @@ def test_wall_matches_reference_construction():
 def test_wall_treewidth_matches_size():
     from twcert.separators import exact_treewidth
 
-    assert exact_treewidth(wall(3, 3))[0] == 3
+    assert exact_treewidth(wall(3, 3), cap=14)[0] == 3
 
 
 def test_subdivided_claw():
@@ -176,8 +176,8 @@ def test_interval_model_invariants():
 
 
 def test_single_interval_model_is_clique():
-    g = circular_interval_graph(single_interval_model(4))
-    assert g.m == 6
+    g = circular_interval_graph(single_interval_model())
+    assert g.n == 5 and g.m == 10
 
 
 def test_thickening_blocks():

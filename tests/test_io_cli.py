@@ -308,6 +308,17 @@ def test_cli_decompose_readme_strip_structure(tmp_path, capsys):
     assert json.loads(out.read_text()) == {"status": "ok", "violations": [], "width": 3}
 
 
+def test_readme_library_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library"):]
+    section = section[:section.index("\n## ")]
+    blocks = [b[:b.index("```")] for b in section.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_cli_decompose_lci_hole_is_in_host_ids(tmp_path, capsys):
     # arc 0 holds point 0 only; the other five points form a 5-cycle
     model = {

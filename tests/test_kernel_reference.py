@@ -225,6 +225,6 @@ def test_heaviest_component_matches_fraction_max(case):
         sep = canonical_separation(g, w, [x])
     except DegenerateSeparation:
         return
-    closed = mask_of(g.neighborhood([x], 1))
+    closed = mask_of(g.neighborhood([x]))
     outside = g.component_masks(g.full_mask() & ~closed)
     assert sep.b == tuple(bits(ref_heaviest(outside)))

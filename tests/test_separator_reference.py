@@ -113,7 +113,7 @@ def check_against_reference(g: Graph, c: Fraction, seed: int) -> None:
         assert w.is_normal()
         assert w.w_max == Fraction(1, y_mask.bit_count())
         ref = ref_min_balanced_separator(g, w, c)
-        assert min_balanced_separator(g, w, c) == ref
+        assert min_balanced_separator(g, w, c, max_size=g.n) == ref
         assert min_balanced_separator(
             g, w, c, max_size=1
         ) == ref_min_balanced_separator(g, w, c, max_size=1)

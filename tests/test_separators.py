@@ -54,15 +54,15 @@ def test_is_balanced_separator_examples():
 
 def test_min_balanced_separator_values():
     p5 = path_graph(5)
-    assert min_balanced_separator(p5, WeightFunction.uniform(p5), HALF) == (2,)
+    assert min_balanced_separator(p5, WeightFunction.uniform(p5), HALF, max_size=p5.n) == (2,)
     k6 = complete_graph(6)
-    sep = min_balanced_separator(k6, WeightFunction.uniform(k6), HALF)
+    sep = min_balanced_separator(k6, WeightFunction.uniform(k6), HALF, max_size=k6.n)
     assert len(sep) == 3  # a K3 remainder weighs exactly 1/2
     # the lone component of a single vertex weighs 1 > c, so the vertex
     # itself is the minimum separator
     single = Graph(1, [])
     w = WeightFunction.uniform(single)
-    sep = min_balanced_separator(single, w, HALF)
+    sep = min_balanced_separator(single, w, HALF, max_size=single.n)
     assert sep == (0,)
     assert all(wt <= HALF for _, wt in component_weights(single, w, mask_of(sep)))
 
@@ -70,7 +70,7 @@ def test_min_balanced_separator_values():
 def test_min_separator_is_minimum_and_lex_first():
     g = cycle_graph(6)
     u = WeightFunction.uniform(g)
-    sep = min_balanced_separator(g, u, HALF)
+    sep = min_balanced_separator(g, u, HALF, max_size=g.n)
     assert len(sep) == 2
     # no size-1 separator exists; the lexicographically first pair wins
     for v in g.vertices:
@@ -79,11 +79,11 @@ def test_min_separator_is_minimum_and_lex_first():
 
 
 def test_separation_number_values():
-    assert separation_number(path_graph(4), HALF) == 1
-    assert separation_number(complete_graph(4), HALF) == 2
+    assert separation_number(path_graph(4), HALF, cap=10) == 1
+    assert separation_number(complete_graph(4), HALF, cap=10) == 2
     # a lone vertex still needs itself removed for the singleton subset
-    assert separation_number(Graph(1, []), HALF) == 1
-    assert separation_number(Graph(2, [(0, 1)]), HALF) == 1
+    assert separation_number(Graph(1, []), HALF, cap=10) == 1
+    assert separation_number(Graph(2, [(0, 1)]), HALF, cap=10) == 1
     with pytest.raises(CapExceeded):
         separation_number(complete_graph(11), HALF, cap=10)
 
@@ -114,18 +114,18 @@ def _tw_decision_bruteforce(g: Graph, k: int) -> bool:
 
 
 def test_exact_treewidth_anchors():
-    assert exact_treewidth(complete_graph(4))[0] == 3
-    assert exact_treewidth(complete_bipartite(3, 3))[0] == 3
-    assert exact_treewidth(path_graph(7))[0] == 1
-    assert exact_treewidth(cycle_graph(6))[0] == 2
-    assert exact_treewidth(star_graph(5))[0] == 1
-    assert exact_treewidth(wall(3, 3))[0] == 3
-    assert exact_treewidth(Graph(0, []))[0] == -1
+    assert exact_treewidth(complete_graph(4), cap=14)[0] == 3
+    assert exact_treewidth(complete_bipartite(3, 3), cap=14)[0] == 3
+    assert exact_treewidth(path_graph(7), cap=14)[0] == 1
+    assert exact_treewidth(cycle_graph(6), cap=14)[0] == 2
+    assert exact_treewidth(star_graph(5), cap=14)[0] == 1
+    assert exact_treewidth(wall(3, 3), cap=14)[0] == 3
+    assert exact_treewidth(Graph(0, []), cap=14)[0] == -1
 
 
 def test_exact_treewidth_witness_validates():
     for g in [wall(3, 3), complete_bipartite(3, 4), cycle_graph(7)]:
-        tw, td = exact_treewidth(g)
+        tw, td = exact_treewidth(g, cap=14)
         rep = validate_td(g, td)
         assert rep.ok and rep.width == tw
 
@@ -133,7 +133,7 @@ def test_exact_treewidth_witness_validates():
 @given(connected_graphs(max_n=6))
 @settings(max_examples=30, deadline=None)
 def test_exact_treewidth_matches_elimination_search(g):
-    tw, _ = exact_treewidth(g)
+    tw, _ = exact_treewidth(g, cap=14)
     assert _tw_decision_bruteforce(g, tw)
     if tw > 0:
         assert not _tw_decision_bruteforce(g, tw - 1)
@@ -143,7 +143,7 @@ def test_treewidth_invariant_under_relabeling():
     g = wall(2, 3)
     perm = list(reversed(range(g.n)))
     relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    assert exact_treewidth(g)[0] == exact_treewidth(relabeled)[0]
+    assert exact_treewidth(g, cap=14)[0] == exact_treewidth(relabeled, cap=14)[0]
 
 
 def test_treewidth_bounds_sandwich():
@@ -161,20 +161,20 @@ def test_cap_exceeded_reports():
 
 
 def test_harvey_wood_examples():
-    rep = harvey_wood_check(path_graph(5), HALF)
-    tw, sep = exact_treewidth(path_graph(5))[0], separation_number(path_graph(5), HALF)
+    rep = harvey_wood_check(path_graph(5), HALF, seed=7)
+    tw, sep = exact_treewidth(path_graph(5), cap=14)[0], separation_number(path_graph(5), HALF, cap=10)
     assert tw == 1 and rep.upper_bound_holds
     assert Fraction(tw + 1) <= Fraction(sep) / (1 - HALF)
-    rep = harvey_wood_check(complete_graph(4), HALF)
-    tw, sep = exact_treewidth(complete_graph(4))[0], separation_number(complete_graph(4), HALF)
+    rep = harvey_wood_check(complete_graph(4), HALF, seed=7)
+    tw, sep = exact_treewidth(complete_graph(4), cap=14)[0], separation_number(complete_graph(4), HALF, cap=10)
     assert tw == 3 and sep == 2 and rep.upper_bound_holds  # tight: 4 <= 4
-    rep = harvey_wood_check(cycle_graph(4), HALF)
+    rep = harvey_wood_check(cycle_graph(4), HALF, seed=7)
     assert rep.upper_bound_holds and rep.small_separator_found_for_all
 
 
 def test_balanced_separator_from_td():
     g = cycle_graph(8)
-    tw, td = exact_treewidth(g)
+    tw, td = exact_treewidth(g, cap=14)
     w = WeightFunction.uniform(g)
     bag = balanced_separator_from_td(g, w, HALF, td)
     assert bag is not None and len(bag) <= tw + 1
