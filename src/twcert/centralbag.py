@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .check import FAIL, HYPOTHESIS_UNMET, PASS
+from .check import status_of
 from .detect import induced_copies, verify_forcer, find_induced
 from .graphs import CapExceeded, Graph, bits, geometric_ball_bound, lex_key, mask_of
 from .separators import min_balanced_separator, treewidth_or_bounds
@@ -313,6 +313,8 @@ class CentralBagResult:
 def _require_connected_and_normal(g: Graph, w: WeightFunction) -> None:
     if not g.is_connected():
         raise ValueError("graph must be connected")
+    if len(w.numerators) != g.n:
+        raise ValueError(f"{len(w.numerators)} weights for {g.n} vertices")
     if not w.is_normal():
         raise ValueError("weight function must be normal")
 
@@ -342,16 +344,13 @@ def central_bag(
     indexed by vertex, updated in place: a level reads every charge from the
     previous bag's weights, then zeroes the vertices that left the bag and
     adds the charges to the anchors that stayed.  So the list sums to the
-    bag's weight.  With no class applied, the result keeps `w`'s weights in
-    domain order.
+    bag's weight.
     """
     _require_connected_and_normal(g, w)
     members = seq.separations
     bag = g.full_mask()
     den = w.denominator
-    nums = w.numerators
-    # a graph vertex outside the domain is a KeyError once a class applies
-    weights = [nums[v] for v in range(g.n)] if classes else []
+    weights = list(w.numerators)
     escaped = 0
     levels: list[LevelRecord] = []
     all_drops: list[DropRecord] = []
@@ -426,13 +425,9 @@ def central_bag(
         kept_so_far.extend(kept)
         all_drops.extend(drops)
 
-    if levels:
-        bag_weights = {v: Fraction(weights[v], den) for v in bits(bag)}
-    else:
-        bag_weights = {v: Fraction(x, den) for v, x in nums.items()}
     return CentralBagResult(
         bag=tuple(bits(bag)),
-        weights=bag_weights,
+        weights={v: Fraction(weights[v], den) for v in bits(bag)},
         generator=tuple(generator),
         levels=tuple(levels),
         drops=tuple(all_drops),
@@ -473,11 +468,9 @@ class ConditionalCheck:
 
     @property
     def status(self) -> str:
-        """Hypothesis-unmet, else pass exactly when the conclusion holds; an
-        unmeasured conclusion (None) under a met hypothesis is a fail."""
-        if not self.hypothesis_met:
-            return HYPOTHESIS_UNMET
-        return PASS if self.conclusion_holds else FAIL
+        """`check.status_of`: an unmeasured conclusion (None) under a met
+        hypothesis is a fail."""
+        return status_of(self.conclusion_holds, self.hypothesis_met)
 
 
 def _bag_has_no_small_separator(
@@ -489,9 +482,7 @@ def _bag_has_no_small_separator(
     if not result.bag or sum(result.weights.values(), Fraction(0)) != 1:
         return None
     sub, sub_vs = g.induced_subgraph(result.bag)
-    w_bag = WeightFunction(
-        tuple(range(sub.n)), tuple(result.weights[v] for v in sub_vs)
-    )
+    w_bag = WeightFunction.from_values([result.weights[v] for v in sub_vs])
     return min_balanced_separator(sub, w_bag, c, max_size=limit) is None
 
 

@@ -14,9 +14,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
-from .check import BUDGET, FAIL, HYPOTHESIS_UNMET, PASS, STATUSES
+from .check import BUDGET, FAIL, HYPOTHESIS_UNMET, STATUSES, status_of
 from .graphs import Graph, TreeDecomposition
 from .io import graph_to_json
 
@@ -44,18 +44,12 @@ class Certificate:
         self,
         check_id: str,
         description: str,
-        ok: Optional[bool],
+        ok: bool,
         witness: dict[str, Any],
         hypothesis_met: bool = True,
     ) -> None:
-        if not hypothesis_met:
-            status = HYPOTHESIS_UNMET
-        elif ok is None:
-            status = BUDGET
-        else:
-            status = PASS if ok else FAIL
         self.assertions.append(
-            Assertion(check_id, description, status, witness)
+            Assertion(check_id, description, status_of(ok, hypothesis_met), witness)
         )
 
     def expect(

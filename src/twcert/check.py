@@ -23,6 +23,13 @@ BUDGET = "budget"
 STATUSES = {PASS, FAIL, HYPOTHESIS_UNMET, BUDGET}
 
 
+def status_of(holds: object, hypothesis_met: bool) -> str:
+    """Hypothesis-unmet, else pass exactly when the result holds (is truthy)."""
+    if not hypothesis_met:
+        return HYPOTHESIS_UNMET
+    return PASS if holds else FAIL
+
+
 @dataclass(frozen=True)
 class TdReport:
     ok: bool

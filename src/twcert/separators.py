@@ -29,7 +29,9 @@ from .graphs import CapExceeded, Graph, TreeDecomposition, bits, mask_of
 from .weights import WeightFunction, check_balance_parameter
 
 
-def _require_normal(w: WeightFunction) -> None:
+def _require_normal(g: Graph, w: WeightFunction) -> None:
+    if len(w.numerators) != g.n:
+        raise ValueError(f"{len(w.numerators)} weights for {g.n} vertices")
     if not w.is_normal():
         raise ValueError(f"weight function must be normal, total is {w.total}")
 
@@ -45,7 +47,7 @@ def is_balanced_separator(
     g: Graph, w: WeightFunction, c: Fraction, x: Iterable[int]
 ) -> bool:
     """Exact check: every component of g minus x weighs at most c."""
-    _require_normal(w)
+    _require_normal(g, w)
     check_balance_parameter(c)
     x_mask = mask_of(g._check_vertices(x))
     return all(wt <= c for _, wt in component_weights(g, w, x_mask))
@@ -74,7 +76,7 @@ def min_balanced_separator(
     the lexicographically first subset.  Returns None when no separator that
     small exists.  Each subset tested costs one `component_weights` call.
     The search has no size cap of its own: its callers bound the input."""
-    _require_normal(w)
+    _require_normal(g, w)
     check_balance_parameter(c)
 
     def balanced(x_mask: int) -> bool:
@@ -433,7 +435,7 @@ def harvey_wood_check(
         if sum(raw) == 0:
             raw[0] = 1
         total = sum(raw)
-        w = WeightFunction(tuple(g.vertices), tuple(Fraction(x, total) for x in raw))
+        w = WeightFunction.from_values([Fraction(x, total) for x in raw])
         found = balanced_separator_from_td(g, w, c, td)
         if found is None or len(found) > tw + 1:
             all_small = False

@@ -137,7 +137,7 @@ def random_weights(rng: random.Random, g: Graph) -> WeightFunction:
     if sum(raw) == 0:
         raw[rng.randrange(g.n)] = 1
     total = sum(raw)
-    return WeightFunction(tuple(g.vertices), tuple(Fraction(x, total) for x in raw))
+    return WeightFunction.from_values([Fraction(x, total) for x in raw])
 
 
 def chordal_growth(rng: random.Random, n: int) -> Graph:

@@ -1,7 +1,10 @@
 """Exact-rational vertex weight functions.
 
-All weight arithmetic in the toolkit is exact; strict inequalities such as
-w(B) > c are meaningful and no tolerance appears anywhere.
+A weight function on the vertices 0..n-1 is n integer numerators over one
+shared denominator, so a sum of k weights costs k integer additions and one
+reduced `Fraction`.  All weight arithmetic in the toolkit is exact; strict
+inequalities such as w(B) > c are meaningful and no tolerance appears
+anywhere.
 """
 
 from __future__ import annotations
@@ -11,103 +14,77 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import Graph, lex_key
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Non-negative rational weights on a fixed vertex domain.
+    """Non-negative rational weights on the vertices 0..n-1: vertex v weighs
+    `numerators[v] / denominator`.  `from_values` builds the canonical form,
+    whose denominator is the lcm of the weights' reduced denominators, so
+    equal weights compare and hash equal."""
 
-    `__post_init__` also stores each weight as an integer numerator over one
-    shared denominator: `numerators` maps each vertex (in domain order) to its
-    numerator, `denominator` is the lcm of the weights' denominators, and
-    `numerator_total` is the numerators' sum.  A sum of k weights then costs k
-    integer additions and one reduced `Fraction`, instead of k `Fraction`
-    additions with a gcd each, and returns the same reduced `Fraction`.
-    `numerator_list` holds the same numerators indexed by vertex, 0 up to
-    the largest domain vertex, with 0 at every vertex outside the domain:
-    mask sums read it by bit position, with no dict lookup per vertex.
-    These attributes are not dataclass fields, so equality, hashing and
-    `repr` still see only `domain` and `values`; callers must not mutate
-    `numerators` or `numerator_list`.
-    """
+    numerators: tuple[int, ...]
+    denominator: int
 
-    domain: tuple[int, ...]
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.domain) != len(self.values):
-            raise ValueError("domain/value length mismatch")
-        if any(v.numerator < 0 for v in self.values):
+    @classmethod
+    def from_values(cls, weights: Sequence[Fraction]) -> "WeightFunction":
+        """Vertex v weighs weights[v]; a negative weight is a ValueError."""
+        if any(x < 0 for x in weights):
             raise ValueError("weights must be non-negative")
-        den = lcm(*(v.denominator for v in self.values))
-        nums = {
-            u: v.numerator * (den // v.denominator)
-            for u, v in zip(self.domain, self.values)
-        }
-        if len(nums) != len(self.domain):
-            raise ValueError("domain lists a vertex twice")
-        by_vertex = [0] * (max(self.domain, default=-1) + 1)
-        for u, x in nums.items():
-            if u >= 0:  # no mask holds a negative vertex
-                by_vertex[u] = x
-        object.__setattr__(self, "numerators", nums)
-        object.__setattr__(self, "numerator_list", by_vertex)
-        object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "numerator_total", sum(nums.values()))
+        den = lcm(*(x.denominator for x in weights))
+        return cls(tuple(x.numerator * (den // x.denominator) for x in weights), den)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, Fraction]) -> "WeightFunction":
-        dom = lex_key(mapping)
-        return cls(dom, tuple(Fraction(mapping[v]) for v in dom))
+        """Weights keyed by vertex; the keys must be exactly 0..n-1."""
+        n = len(mapping)
+        if set(mapping) != set(range(n)):
+            raise ValueError(f"weights must name each vertex 0..{n - 1} once")
+        return cls.from_values([mapping[v] for v in range(n)])
 
     @classmethod
     def uniform(cls, g: Graph) -> "WeightFunction":
         """1/n on every vertex."""
         if not g.n:
             raise ValueError("uniform weight needs a non-empty graph")
-        return cls(tuple(range(g.n)), (Fraction(1, g.n),) * g.n)
+        return cls.from_values([Fraction(1, g.n)] * g.n)
 
     def __getitem__(self, v: int) -> Fraction:
-        try:
-            return Fraction(self.numerators[v], self.denominator)
-        except KeyError:
-            raise KeyError(f"vertex {v} outside weight domain") from None
+        return Fraction(self.numerators[v], self.denominator)
 
     def as_dict(self) -> dict[int, Fraction]:
-        return dict(zip(self.domain, self.values))
+        den = self.denominator
+        return {v: Fraction(x, den) for v, x in enumerate(self.numerators)}
 
     def of(self, vs: Iterable[int]) -> Fraction:
-        """w(vs), counting a repeated vertex each time; a vertex outside the
-        domain raises KeyError."""
+        """w(vs), counting a repeated vertex each time."""
         nums = self.numerators
         return Fraction(sum(nums[v] for v in vs), self.denominator)
 
     def numerator_of_mask(self, mask: int) -> int:
-        """w of the vertices whose bits are set, times `denominator`; bits
-        outside the domain are ignored.  Every weight shares the one
-        denominator, so these integers order masks as their weights do."""
-        nums = self.numerator_list
-        return numerator_sum(nums, mask & ((1 << len(nums)) - 1))
+        """w of the vertices whose bits are set, times `denominator`.  Every
+        weight shares the one denominator, so these integers order masks as
+        their weights do."""
+        return numerator_sum(self.numerators, mask)
 
     def of_mask(self, mask: int) -> Fraction:
-        """w of the vertices whose bits are set; bits outside the domain are
-        ignored."""
+        """w of the vertices whose bits are set."""
         return Fraction(self.numerator_of_mask(mask), self.denominator)
 
     @property
     def total(self) -> Fraction:
-        return Fraction(self.numerator_total, self.denominator)
+        return Fraction(sum(self.numerators), self.denominator)
 
     def is_normal(self) -> bool:
-        return self.numerator_total == self.denominator
+        return sum(self.numerators) == self.denominator
 
     @property
     def w_max(self) -> Fraction:
-        return max(self.values, default=Fraction(0))
+        return Fraction(max(self.numerators, default=0), self.denominator)
 
     def to_json(self) -> dict[str, str]:
-        return {str(v): str(w) for v, w in zip(self.domain, self.values)}
+        return {str(v): str(x) for v, x in self.as_dict().items()}
 
     @classmethod
     def from_json(cls, data: Mapping[str, str]) -> "WeightFunction":
@@ -116,8 +93,8 @@ class WeightFunction:
 
 def numerator_sum(numerators: Sequence[int], mask: int) -> int:
     """The sum of `numerators[v]` over the set bits v of `mask`, each of
-    which must index `numerators`: a vertex-indexed list such as
-    `WeightFunction.numerator_list`."""
+    which must index `numerators`: a vertex-indexed sequence such as
+    `WeightFunction.numerators`."""
     total = 0
     while mask:
         low = mask & -mask

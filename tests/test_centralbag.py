@@ -182,6 +182,15 @@ def test_no_pattern_copies_leaves_whole_graph(p7):
     assert result.weights == w.as_dict()
 
 
+@pytest.mark.parametrize("count", [6, 8])
+def test_central_bag_weight_count_must_match_vertex_count(p7, count):
+    g, w = p7
+    seq = covering_sequence(g, w, path_graph(1))
+    other = WeightFunction.from_mapping({v: Fraction(1, count) for v in range(count)})
+    with pytest.raises(ValueError, match=f"^{count} weights for 7 vertices$"):
+        central_bag(g, other, seq, dimension_partition(seq))
+
+
 def test_dimension_partition_p7(p7):
     g, w = p7
     seq = covering_sequence(g, w, path_graph(1))

@@ -105,7 +105,7 @@ def central_bag(
     bag = set(range(g.n))
     # weights travel as integer numerators over w.denominator
     den = w.denominator
-    weights: dict[int, int] = dict(w.numerators)
+    weights: dict[int, int] = dict(enumerate(w.numerators))
     escaped = 0
     levels: list[LevelRecord] = []
     all_drops: list[DropRecord] = []

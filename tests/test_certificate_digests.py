@@ -19,6 +19,10 @@ PINS = {
         "cb.json":
             "23065b9973f2222c23fc0b06268f944ffd8ccf807f08a4054baed9f4377804ed",
     }),
+    "centralbag --weights": (2, {
+        "cb-weighted.json":
+            "bb13469f2795419c1b988b8339246c2831846c9c723e4a807e35c1324b6fed21",
+    }),
     "decompose chordal": (0, {
         "cat.td":
             "df88ad83838d38b624b5ce4aa0e39b3e0589bc6bd3b19465e8adf92a003b84f7",
@@ -132,6 +136,12 @@ def _outputs(directory):
     (directory / "p3.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
     rc = _run(["centralbag", "-i", "wall.json", "--pattern", "p3.json", "-o", "cb.json"])
     got["centralbag"] = (rc, digests("cb.json"))
+    # vertex v weighs (v + 1)/78 on the 12-vertex wall: non-uniform, sums to one
+    (directory / "w12.json").write_text(
+        json.dumps({str(v): f"{v + 1}/78" for v in range(12)}))
+    rc = _run(["centralbag", "-i", "wall.json", "--pattern", "p3.json",
+               "--weights", "w12.json", "-o", "cb-weighted.json"])
+    got["centralbag --weights"] = (rc, digests("cb-weighted.json"))
     rc = _run(["gen", "caterpillar", "--spine", "3", "--legs", "2,1;1;;1,2",
                "-o", "cat.json", "--witness", "cat-witness.json"])
     got["gen caterpillar"] = (rc, digests("cat.json", "cat-witness.json"))

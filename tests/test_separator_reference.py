@@ -36,9 +36,8 @@ CATALOG = seeded_catalog(7, 7, per_n=6)
 def uniform_on(g: Graph, support: list[int]) -> WeightFunction:
     """1/|Y| on the support Y, 0 elsewhere."""
     share = Fraction(1, len(support))
-    return WeightFunction(
-        tuple(range(g.n)),
-        tuple(share if v in support else Fraction(0) for v in range(g.n)),
+    return WeightFunction.from_values(
+        [share if v in support else Fraction(0) for v in range(g.n)]
     )
 
 
@@ -93,7 +92,7 @@ def ref_harvey_wood(
         if sum(raw) == 0:
             raw[0] = Fraction(1)
         total = sum(raw)
-        w = WeightFunction(tuple(g.vertices), tuple(x / total for x in raw))
+        w = WeightFunction.from_values([x / total for x in raw])
         found = balanced_separator_from_td(g, w, c, td)
         if found is None:
             found = ref_min_balanced_separator(g, w, c, max_size=tw + 1)

@@ -47,9 +47,21 @@ def test_is_balanced_separator_examples():
     assert not is_balanced_separator(p5, u, HALF, [0])  # leftover 4/5
     with pytest.raises(ValueError):
         is_balanced_separator(p5, u, Fraction(1, 3), [2])
-    bad = WeightFunction(tuple(range(5)), (Fraction(1),) * 5)
+    bad = WeightFunction.from_values([Fraction(1)] * 5)
     with pytest.raises(ValueError):
         is_balanced_separator(p5, bad, HALF, [2])
+
+
+@pytest.mark.parametrize("count", [4, 6])
+def test_weight_count_must_match_vertex_count(count):
+    """A weight function with a missing or an extra vertex is a usage error,
+    not a sum that skips a vertex or never reads one."""
+    p5 = path_graph(5)
+    w = WeightFunction.from_mapping({v: Fraction(1, count) for v in range(count)})
+    with pytest.raises(ValueError, match=f"^{count} weights for 5 vertices$"):
+        is_balanced_separator(p5, w, HALF, [2])
+    with pytest.raises(ValueError, match=f"^{count} weights for 5 vertices$"):
+        min_balanced_separator(p5, w, HALF, max_size=p5.n)
 
 
 def test_min_balanced_separator_values():
