@@ -161,8 +161,8 @@ def strip_assembly(
     Every strip tree is linked by a fresh edge to a pattern node whose bag
     holds both ends of the strip's pattern edge; hub bags collect the
     end-sets of their pattern vertices, strip bags add both end-sets.
+    `ss` must be valid (see `StripStructure.validate`).
     """
-    ss.validate()
     rep = validate_td(_pattern_graph(ss), td0)
     if not rep.ok:
         raise ValueError(f"pattern decomposition invalid: {rep.violations}")
@@ -223,8 +223,9 @@ def _pattern_graph(ss: StripStructure) -> Graph:
 def decompose_strip_structure(ss: StripStructure, cap: int) -> StripAssemblyReport:
     """Assemble a decomposition of a strip structure's host from an exact
     decomposition of its pattern graph and one per strip: a clique tree, or
-    an exact decomposition when the strip is not chordal.  The exact ones
-    raise CapExceeded above `cap` vertices."""
+    an exact decomposition when the strip is not chordal.  The structure is
+    validated first; the exact ones raise CapExceeded above `cap` vertices."""
+    ss.validate()
     _, td0 = exact_treewidth(_pattern_graph(ss), cap=cap)
     strips = {}
     for i in range(len(ss.pattern_edges)):

@@ -4,12 +4,9 @@ orderings and treewidth.
 Every balanced-separator question (a weighted minimum separator, the
 separation number) is one increasing-size subset search, `_first_subset`.
 
-The treewidth solver is the repo-wide oracle: a memoised top-down search
-over elimination prefixes, bounded by the minimum-fill width and seeded by
-bottom-up passes over the prefixes worth less than that width, lowered
-until it is the treewidth, returning a witness decomposition.  Its memo
-takes one byte per vertex subset plus the states solved exactly; the extra
-passes make it slowest where minimum fill overshoots the treewidth (see
+The treewidth solver is the repo-wide oracle: bottom-up refutation passes
+over elimination prefixes, from the minimum-fill width down to the
+treewidth, which also give back a witness decomposition (see
 `exact_treewidth`).
 For instances above the cap a certified lower/upper bound pair is produced
 instead (contraction degeneracy vs. minimum-fill elimination).  Every
@@ -220,101 +217,50 @@ def _refutation_floor(
 def exact_treewidth(g: Graph, cap: int) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a witness decomposition.
 
-    Memoised top-down search over elimination prefixes (Bodlaender, Fomin,
-    Koster, Kratsch & Thilikos 2012).  A prefix s is worth
-    TW(s) = min over v in s of max(TW(s - v), |Q(s - v, v)|), where Q, the
-    vertices v sees when it is eliminated after s - v, is the boundary of
-    v's component in G[s].  Each state is searched under the best width
-    still worth beating and given up as soon as it cannot beat it, so only
-    the prefixes the answer depends on are expanded.  Before the search,
-    `_refutation_floor` enumerates bottom-up the prefixes worth less than
-    the min-fill width ub and marks every other prefix refuted at ub, so
-    once a width of ub is in hand the search skips those in O(1).  When
-    min-fill overshoots tw the pass reaches the full vertex set, so it is
-    run again at ub - 1, ub - 2, ... until it does not, which leaves ub = tw;
-    each prefix keeps the largest bound it was refuted at.
-    The memo is a dict of the states solved exactly plus one byte per
-    vertex subset, so memory still doubles with each vertex.  On a 2-vCPU
-    Xeon the median 16-vertex random graph takes 2-29 ms at every edge
-    density from 0.1 to 0.9 (42-900 ms without the bottom-up pass) and K16
-    takes 1.2 ms.  An overshoot costs the wasted pass at the min-fill width,
-    thousands of prefixes: the slowest overshooting graph of the README's
-    16-vertex sweep takes 154 ms (535 ms with the table seeded at the
-    min-fill width alone).
-    Instances larger than `cap` raise CapExceeded; use treewidth_bounds for
-    those.
+    A prefix s is worth TW(s) = min over v in s of max(TW(s - v), |Q|),
+    where Q, the vertices v sees when it is eliminated after s - v, is the
+    boundary of v's component in G[s] (Bodlaender, Fomin, Koster, Kratsch &
+    Thilikos 2012).  A `_refutation_floor` pass at bound b reaches exactly
+    the prefixes worth less than b.  The first runs at the min-fill width
+    ub; when it does not reach the full vertex set, min-fill is optimal and
+    its decomposition is the witness.  Otherwise the pass runs again at
+    ub - 1, ub - 2, ... until it does not, which leaves ub = tw, and the
+    order is read back from the table of the last pass that reached the full
+    set, at bound tw + 1: from s = full, the lowest-id v in s with
+    TW(s - v) <= tw and |Q| <= tw is eliminated last.  At most two tables of
+    one byte per vertex subset are alive, so memory doubles with each
+    vertex (the README times 16-vertex graphs).  Above `cap` vertices it
+    raises CapExceeded; use treewidth_bounds there.
     """
     if g.n > cap:
         raise CapExceeded(f"exact treewidth capped at n={cap}, got {g.n}")
     full = g.full_mask()
-    exact = {0: (-1, -1)}  # state -> (TW, lowest-id minimising choice)
-    ub = eliminate(g, _min_fill)[0].width
+    td, _ = eliminate(g, _min_fill)
+    ub = td.width
     floor = _refutation_floor(g, ub)  # the largest bound each state was refuted at
     # a pass that reaches `full` shows tw < ub: seed again one lower, keeping
     # the refutations at the larger bounds, until ub = tw (a bound of 0
     # refutes nothing, so the loop stops there)
+    reached = None  # the table of the last pass that reached `full`
     while ub > 0 and not floor[full]:
         ub -= 1
-        floor = _refutation_floor(g, ub, floor)
-    component_masks = g.component_masks
-    adjacent = g._adjacent
-
-    def value(s: int, bound: int) -> int:
-        """TW(s) when it is below `bound`, else some value >= bound; s is
-        in neither memo (callers look there first)."""
-        comps = component_masks(s)
-        sizes = [(adjacent(c) & ~s).bit_count() for c in comps]
-        # the last vertex of a component to be eliminated sees its whole
-        # boundary, so TW(s) >= lb and no candidate can beat lb
-        lb = max(sizes)
-        best = bound
-        if lb < bound:
-            rest = s
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                for comp, q in zip(comps, sizes):  # q = |Q(s - v, v)|
-                    if comp & low:
-                        break
-                if q >= best:
-                    continue
-                prev = s ^ low
-                hit = exact.get(prev)
-                if hit is not None:
-                    t = hit[0]
-                elif floor[prev] >= best:
-                    continue
-                else:
-                    t = value(prev, best)
-                if t >= best:
-                    continue
-                best = t if t > q else q
-                choice = low.bit_length() - 1
-                if best == lb:
-                    break
-        if best < bound:
-            exact[s] = (best, choice)
-        else:
-            floor[s] = bound
-        return best
-
-    # A candidate is skipped only when it cannot be strictly better than the
-    # best so far, and the scan runs in ascending id, so a state solved
-    # exactly gets the lowest-id minimiser, whatever bound it was solved
-    # under.  The ceiling is ub + 1, and every state on the traceback from
-    # `full` is worth at most tw(G) = ub, so each was solved exactly: the
-    # order and the decomposition are those of the unpruned DP.  A floor of
-    # ub is a true refutation, so the same holds with it seeded.
-    width = value(full, ub + 1) if full else -1
+        reached, floor = floor, _refutation_floor(g, ub, floor)
+    if reached is None:
+        return ub, td
+    # each state on the way down from `full` is worth at most ub = tw
     order_rev: list[int] = []
-    s_mask = full
-    while s_mask:
-        v = exact[s_mask][1]
+    s = full
+    while s:
+        v = next(
+            v for v in bits(s)
+            if not reached[s ^ 1 << v]
+            and (g._adjacent(g.reach_mask(1 << v, s)) & ~s).bit_count() <= ub
+        )
         order_rev.append(v)
-        s_mask ^= 1 << v
+        s ^= 1 << v
     td, _ = eliminate(g, along(reversed(order_rev)))
-    assert td.width == width
-    return width, td
+    assert td.width == ub
+    return ub, td
 
 
 def contraction_degeneracy(g: Graph) -> int:

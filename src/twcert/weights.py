@@ -51,7 +51,14 @@ class WeightFunction:
         return cls.from_values([Fraction(1, g.n)] * g.n)
 
     def __getitem__(self, v: int) -> Fraction:
-        return Fraction(self.numerators[v], self.denominator)
+        return Fraction(self._numerator(v), self.denominator)
+
+    def _numerator(self, v: int) -> int:
+        """numerators[v]; a vertex outside 0..n-1, negative or not, is an
+        IndexError (a negative index would read the tuple from its end)."""
+        if not 0 <= v < len(self.numerators):
+            raise IndexError(f"vertex {v} outside 0..{len(self.numerators) - 1}")
+        return self.numerators[v]
 
     def as_dict(self) -> dict[int, Fraction]:
         den = self.denominator
@@ -59,8 +66,7 @@ class WeightFunction:
 
     def of(self, vs: Iterable[int]) -> Fraction:
         """w(vs), counting a repeated vertex each time."""
-        nums = self.numerators
-        return Fraction(sum(nums[v] for v in vs), self.denominator)
+        return Fraction(sum(map(self._numerator, vs)), self.denominator)
 
     def numerator_of_mask(self, mask: int) -> int:
         """w of the vertices whose bits are set, times `denominator`.  Every

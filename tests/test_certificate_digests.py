@@ -9,6 +9,8 @@ import contextlib
 import hashlib
 import io
 import json
+import random
+from itertools import combinations
 
 from twcert.cli import main
 from twcert.suites import SUITES
@@ -43,6 +45,12 @@ PINS = {
         "lci-hole.out.json":
             "54d15019b686f6b00fb2f792ce149be2f063895926289c85b41a7fac3e271057",
     }),
+    "decompose strip": (0, {
+        "strips.out.json":
+            "d4d0e043b3d91dcae3d494a8f2383ed21b5371c660e97b59bdc8a5e1d08f9219",
+        "strips.td":
+            "bb3b2f393e9a662990e4f640b725c8062de0bcac3851dfd7cdbc1c1c1c1f4bc6",
+    }),
     "detect pyramid": (1, {
         "pyramid.json":
             "4e4ff758ee6da5728653d7ce7fed7577d3945231dd2a460aa3a0d48ecbf12add",
@@ -67,13 +75,19 @@ PINS = {
     }),
     "tw --td": (0, {
         "tw.json":
-            "9e78afb126dee6603b6e351a544a11d75bdfd6895251d67e747b0625428dd125",
+            "a8fd9823ef7ea3cc81ec1a634ecfd547d961c7cd146881891dccd5d4f16771c8",
         "wall.td":
-            "e5b6777f861f1c2e967b0834c521960de1d87134826e21eb1b112122cb2e7744",
+            "3e8c9c15bb7ca290514b4f53c196d3b420a84f5a0aa800044522b70bf713803a",
+    }),
+    "tw --td overshoot": (0, {
+        "over.td":
+            "088fffcc5722401c52566d8c7ddea7ca0c532184b0573b11e72d8047d721d1b6",
+        "tw-over.json":
+            "153c38c776aa98eb0735ae363f86426c9c7fcddffdd805399de508a3c3188816",
     }),
     "verify all": (0, {
         "all.anchors.json":
-            "82eb3542cc80f6aeb868849419d83a79cf2129719da84f780970d12c5fa2e8df",
+            "dd042c4d22e723db45c9a07dd6d105848abe11636f79a3a0888d39eefb1ae62d",
         "all.bag-algebra.json":
             "aec75cb4f46a3de85c861bb4814650536d62cd5a8dd799f0e1346740218804f2",
         "all.bag-audit.json":
@@ -168,6 +182,23 @@ def _outputs(directory):
         got[f"decompose {label}"] = (rc, digests(f"{label}.out.json", *tds))
     rc = _run(["recheck", "-i", "tw.json", "-o", "recheck.json"])
     got["recheck tw"] = (rc, digests("recheck.json"))
+    # min-fill gives 8 and tw is 7, so the witness is read back from the
+    # refutation table rather than taken from min-fill
+    rng = random.Random(28)
+    edges = [e for e in combinations(range(12), 2) if rng.random() < 0.6]
+    (directory / "over.json").write_text(json.dumps({"n": 12, "edges": edges}))
+    rc = _run(["tw", "-i", "over.json", "--td", "over.td", "-o", "tw-over.json"])
+    got["tw --td overshoot"] = (rc, digests("tw-over.json", "over.td"))
+    # the structure file is the witness of `gen strip` plus its host graph
+    assert _run(["gen", "strip", "--kind", "lci_strips", "-o", "host.json",
+                 "--witness", "roles.json"]) == 0
+    structure = json.loads((directory / "roles.json").read_text())
+    del structure["family"]
+    structure["host"] = json.loads((directory / "host.json").read_text())
+    (directory / "strips.json").write_text(json.dumps(structure))
+    rc = _run(["decompose", "--method", "strip", "-i", "strips.json",
+               "--td", "strips.td", "-o", "strips.out.json"])
+    got["decompose strip"] = (rc, digests("strips.out.json", "strips.td"))
     return got
 
 

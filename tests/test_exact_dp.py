@@ -1,13 +1,15 @@
-"""The memoised treewidth search against the subset DPs it replaced.
+"""The refutation-pass treewidth solver against the subset DPs it replaced.
 
 `reference_treewidth` is the subset DP without the min-fill ceiling: every
 candidate of every state is evaluated.  `pruned_treewidth` is the bottom-up
-DP pruned against the min-fill ceiling that the search replaced.  Pruning
-may only skip candidates that could never be picked, so the width, the bags
-and the tree edges must all be equal.  The pinned counts of expanded states
-and of `Graph.reach_mask` calls show pruning that is lost, which the outputs
-alone cannot.  `_refutation_floor`, the bottom-up pass that seeds the
-search, is checked state by state against the reference table."""
+DP pruned against the min-fill ceiling.  Both stay as width references:
+`exact_treewidth` must give their width and a valid witness of that width.
+The witness is min-fill's decomposition when min-fill is optimal, and
+otherwise the order `reference_traceback` reads back from the reference
+table.  The pinned counts of `Graph.reach_mask` calls show pruning that is
+lost, which the outputs alone cannot.  `_refutation_floor`, the bottom-up
+pass that decides the width, is checked state by state against the
+reference table."""
 
 import random
 from itertools import combinations
@@ -16,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
+from twcert.check import validate_td
 from twcert.generators import complete_graph, wall
-from twcert.graphs import CapExceeded, Graph, bits
+from twcert.graphs import CapExceeded, Graph, TreeDecomposition, bits
 from twcert.separators import _min_fill, _refutation_floor, along, eliminate, exact_treewidth
 
 
@@ -112,12 +115,45 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
-def assert_same(g: Graph) -> None:
-    tw, td = exact_treewidth(g, cap=14)
-    ref_tw, ref_td, _ = reference_treewidth(g)
+def reference_traceback(g: Graph, tw: int, table) -> list[int]:
+    """The witness order read back from the reference table: from the full
+    set, the lowest-id v with TW(s - v) <= tw and |Q(s - v, v)| <= tw is
+    eliminated last."""
+    order_rev = []
+    s_mask = (1 << g.n) - 1
+    while s_mask:
+        v = next(
+            v for v in bits(s_mask)
+            if table[s_mask ^ 1 << v] <= tw
+            and _reach_q(g, v, s_mask ^ 1 << v).bit_count() <= tw
+        )
+        order_rev.append(v)
+        s_mask ^= 1 << v
+    return order_rev[::-1]
+
+
+def assert_valid_witness(g: Graph, ref_tw: int) -> TreeDecomposition:
+    """The solver's width is the reference width and its witness is a valid
+    decomposition of that width; returns the witness."""
+    tw, td = exact_treewidth(g, cap=g.n)
     assert tw == ref_tw
-    assert td.bags == ref_td.bags
-    assert td.tree_edges == ref_td.tree_edges
+    rep = validate_td(g, td)
+    assert rep.ok, rep.violations
+    assert rep.width == tw
+    return td
+
+
+def assert_same(g: Graph) -> None:
+    """Width and witness: min-fill's decomposition when min-fill is optimal,
+    else the reference traceback's."""
+    ref_tw, _, table = reference_treewidth(g)
+    td = assert_valid_witness(g, ref_tw)
+    min_fill_td, _ = eliminate(g, _min_fill)
+    if min_fill_td.width == ref_tw:
+        expected = min_fill_td
+    else:
+        expected, _ = eliminate(g, along(reference_traceback(g, ref_tw, table)))
+    assert td == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,7 +189,8 @@ def test_matches_unpruned_dp_on_seeded_graphs(n, p, seed):
 
 
 # min-fill overshoots tw by one on each: the pass at the min-fill width
-# reaches the full vertex set, so the table is seeded again one lower
+# reaches the full vertex set, so the table is seeded again one lower and
+# the witness is read back from it
 @pytest.mark.parametrize(
     "n,p,seed",
     [(9, 0.5, 25), (10, 0.4, 70), (10, 0.8, 131), (11, 0.4, 90), (12, 0.3, 46),
@@ -161,12 +198,10 @@ def test_matches_unpruned_dp_on_seeded_graphs(n, p, seed):
 )
 def test_matches_unpruned_dp_where_min_fill_overshoots(n, p, seed):
     g = random_graph(n, p, seed)
-    tw, td = exact_treewidth(g, cap=14)
-    ref_tw, ref_td, _ = reference_treewidth(g)
+    ref_tw, _, table = reference_treewidth(g)
     assert eliminate(g, _min_fill)[0].width == ref_tw + 1
-    assert tw == ref_tw
-    assert td.bags == ref_td.bags
-    assert td.tree_edges == ref_td.tree_edges
+    td = assert_valid_witness(g, ref_tw)
+    assert td == eliminate(g, along(reference_traceback(g, ref_tw, table)))[0]
 
 
 def relabel(g: Graph, seed: int) -> Graph:
@@ -194,30 +229,28 @@ def relabel(g: Graph, seed: int) -> Graph:
     + ["rand-n14-p0.35-seed7", "rand-n14-p0.5-seed6", "k16", "rand-n16-p0.7"],
 )
 def test_matches_pruned_dp(g):
-    tw, td = exact_treewidth(g, cap=g.n)
-    ref_tw, ref_td = pruned_treewidth(g, cap=g.n)
-    assert tw == ref_tw
-    assert td.bags == ref_td.bags
-    assert td.tree_edges == ref_td.tree_edges
+    assert_valid_witness(g, pruned_treewidth(g, cap=g.n)[0])
 
 
 @pytest.mark.parametrize(
-    "g,states,reaches",
+    "g,reaches",
     [
-        (wall(3, 4), 31, 322),  # 46590 _reach_q calls in the bottom-up DP
-        (random_graph(14, 0.3, 7), 87, 403),  # 3501 _reach_q calls
-        (complete_graph(16), 16, 16),
+        (wall(3, 4), 287),  # 46590 _reach_q calls in the bottom-up DP
+        (random_graph(14, 0.3, 7), 257),  # 3501 _reach_q calls
+        (complete_graph(16), 0),
         # 7 edges, a 7-vertex component holding a triangle, 9 isolated vertices
-        (random_graph(16, 0.1, 105), 29, 5272),
-        # min-fill overshoots tw by one: 87 and 1146 states when the pass
-        # one lower drops the refutations of the pass at the min-fill width
-        (random_graph(12, 0.6, 28), 12, 1780),
-        (random_graph(13, 0.4, 6), 13, 1458),
+        (random_graph(16, 0.1, 105), 5119),
+        # min-fill overshoots tw by one, so the witness is read back from
+        # the table of the pass at tw + 1
+        (random_graph(12, 0.6, 28), 1779),
+        (random_graph(13, 0.4, 6), 1450),
     ],
     ids=["wall34", "rand-n14-seed7", "k16", "disconnected-n16-seed105",
          "overshoot-n12-seed28", "overshoot-n13-seed6"],
 )
-def test_states_expanded_pinned(monkeypatch, g, states, reaches):
+def test_states_expanded_pinned(monkeypatch, g, reaches):
+    """The passes and the traceback test each candidate with one
+    `reach_mask` call; `component_masks` is not called."""
     counts = {"component_masks": 0, "reach_mask": 0}
 
     def counting(name):
@@ -232,7 +265,7 @@ def test_states_expanded_pinned(monkeypatch, g, states, reaches):
     for name in counts:
         monkeypatch.setattr(Graph, name, counting(name))
     exact_treewidth(g, cap=g.n)
-    assert counts == {"component_masks": states, "reach_mask": reaches}
+    assert counts == {"component_masks": 0, "reach_mask": reaches}
 
 
 @settings(max_examples=100, deadline=None)

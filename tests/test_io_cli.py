@@ -297,6 +297,17 @@ def test_cli_decompose_accepts_integer_fields(tmp_path, capsys, method, data):
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
 
+def test_cli_decompose_strip_validates_before_the_pattern_search(tmp_path, capsys):
+    # 20 pattern vertices exceed the exact-treewidth cap, but 18 are isolated
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(dict(ONE_STRIP, pattern_n=20)))
+    out = tmp_path / "out.json"
+    assert main(["decompose", "--method", "strip", "-i", str(path), "-o", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert "pattern has an isolated vertex" in err and "capped" not in err
+    assert not out.exists()
+
+
 def test_cli_decompose_readme_strip_structure(tmp_path, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme[readme.index("- Strip structures"):]

@@ -200,7 +200,7 @@ def _no_separator_in_wall33() -> None:
 
 @pytest.mark.parametrize(
     "run,calls",
-    [(lambda: suite_harvey_wood(RunConfig()), 1636), (_no_separator_in_wall33, 79)],
+    [(lambda: suite_harvey_wood(RunConfig()), 1743), (_no_separator_in_wall33, 79)],
     ids=["suite-harvey-wood", "no-small-separator-wall33"],
 )
 def test_subsets_tested_pinned(monkeypatch, run, calls):

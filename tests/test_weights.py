@@ -44,6 +44,17 @@ def test_negative_weights_rejected():
         WeightFunction.from_values([Fraction(-1)])
 
 
+@pytest.mark.parametrize("vertex", [-1, -2, 2, 5])
+def test_vertex_outside_range_is_index_error(vertex):
+    # a negative vertex must not read the numerators from their end
+    w = WeightFunction.from_values([Fraction(1, 3), Fraction(2, 3)])
+    with pytest.raises(IndexError, match=f"vertex {vertex} outside 0..1"):
+        w[vertex]
+    with pytest.raises(IndexError, match=f"vertex {vertex} outside 0..1"):
+        w.of([0, vertex])
+    assert w.of([1, 1, 0]) == Fraction(5, 3)  # a repeated vertex counts each time
+
+
 def test_balance_parameter_interval():
     assert check_balance_parameter(Fraction(1, 2)) == Fraction(1, 2)
     assert check_balance_parameter(Fraction(2, 3)) == Fraction(2, 3)
