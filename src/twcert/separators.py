@@ -6,10 +6,12 @@ separation number) is one increasing-size subset search, `_first_subset`.
 
 The treewidth solver is the repo-wide oracle: bottom-up refutation passes
 over elimination prefixes, from the minimum-fill width down to the
-treewidth, which also give back a witness decomposition (see
+treewidth, which also give back a witness decomposition; no pass runs once
+the width meets the contraction-degeneracy lower bound (see
 `exact_treewidth`).
 For instances above the cap a certified lower/upper bound pair is produced
-instead (contraction degeneracy vs. minimum-fill elimination).  Every
+instead (contraction degeneracy vs. minimum-fill elimination).  The
+minimum-fill pick re-keys only the vertices an elimination touched.  Every
 decomposition here, and the clique trees of `decompose`, comes from
 `eliminate` run on some elimination order.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -127,12 +130,13 @@ def eliminate(g: Graph, pick: Pick) -> tuple[TreeDecomposition, bool]:
     chooses; the decomposition every elimination order witnesses.
 
     `pick` sees each vertex's fill-graph neighbours among the alive vertices
-    (entries of eliminated vertices are stale) and the alive mask.  Node i's
-    bag is the i-th eliminated vertex plus its neighbours at that moment;
-    node i joins the node of its earliest-eliminated later neighbour, or node
-    i+1 when it has none.  The flag says whether any fill edge was added, so
-    it is False exactly for a perfect elimination ordering.  The empty graph
-    gives the single empty bag.
+    and the alive mask; an eliminated vertex's entry keeps its neighbours at
+    its elimination and is never written again.  Node i's bag is the i-th
+    eliminated vertex plus its neighbours at that moment; node i joins the
+    node of its earliest-eliminated later neighbour, or node i+1 when it has
+    none.  The flag says whether any fill edge was added, so it is False
+    exactly for a perfect elimination ordering.  The empty graph gives the
+    single empty bag.
     """
     masks = list(g._masks)
     alive = g.full_mask()
@@ -171,7 +175,7 @@ def along(order: Iterable[int]) -> Pick:
 
 
 def _refutation_floor(
-    g: Graph, bound: int, above: Optional[bytearray] = None
+    g: Graph, bound: int, above: Optional[bytearray]
 ) -> bytearray:
     """One byte per vertex subset s: 0 when TW(s) < bound, else bound.
 
@@ -187,8 +191,7 @@ def _refutation_floor(
     """
     full = g.full_mask()
     if above is None:
-        # the empty graph's min-fill width is -1; its one state is zeroed anyway
-        floor = bytearray([max(bound, 0)]) * (full + 1)
+        floor = bytearray([bound]) * (full + 1)
     else:
         # the states `above` left at 0 start at `bound`; the pass never
         # reaches a state refuted at the larger bound
@@ -221,10 +224,13 @@ def exact_treewidth(g: Graph, cap: int) -> tuple[int, TreeDecomposition]:
     where Q, the vertices v sees when it is eliminated after s - v, is the
     boundary of v's component in G[s] (Bodlaender, Fomin, Koster, Kratsch &
     Thilikos 2012).  A `_refutation_floor` pass at bound b reaches exactly
-    the prefixes worth less than b.  The first runs at the min-fill width
-    ub; when it does not reach the full vertex set, min-fill is optimal and
-    its decomposition is the witness.  Otherwise the pass runs again at
-    ub - 1, ub - 2, ... until it does not, which leaves ub = tw, and the
+    the prefixes worth less than b.  Passes run only while the min-fill
+    width ub exceeds lb, the contraction degeneracy, a lower bound (tw is at
+    least the minimum degree of any minor; Bodlaender & Koster 2011).  When
+    lb = ub, or the pass at ub does not reach the full vertex set, min-fill
+    is optimal and its decomposition is the witness.  Otherwise the pass
+    runs again at ub - 1, ub - 2, ... until it does not, which leaves
+    ub = tw, or until ub = lb, which is then tw without a pass at it.  The
     order is read back from the table of the last pass that reached the full
     set, at bound tw + 1: from s = full, the lowest-id v in s with
     TW(s - v) <= tw and |Q| <= tw is eliminated last.  At most two tables of
@@ -235,16 +241,20 @@ def exact_treewidth(g: Graph, cap: int) -> tuple[int, TreeDecomposition]:
     if g.n > cap:
         raise CapExceeded(f"exact treewidth capped at n={cap}, got {g.n}")
     full = g.full_mask()
-    td, _ = eliminate(g, _min_fill)
+    td, _ = eliminate(g, _min_fill())
     ub = td.width
-    floor = _refutation_floor(g, ub)  # the largest bound each state was refuted at
+    lb = contraction_degeneracy(g)
     # a pass that reaches `full` shows tw < ub: seed again one lower, keeping
-    # the refutations at the larger bounds, until ub = tw (a bound of 0
-    # refutes nothing, so the loop stops there)
+    # the refutations at the larger bounds, until a pass does not (ub = tw)
+    # or ub meets the lower bound
+    floor = None  # the largest bound each state was refuted at
     reached = None  # the table of the last pass that reached `full`
-    while ub > 0 and not floor[full]:
+    while ub > lb:
+        floor = _refutation_floor(g, ub, floor)
+        if floor[full]:
+            break
+        reached = floor
         ub -= 1
-        reached, floor = floor, _refutation_floor(g, ub, floor)
     if reached is None:
         return ub, td
     # each state on the way down from `full` is worth at most ub = tw
@@ -266,39 +276,63 @@ def exact_treewidth(g: Graph, cap: int) -> tuple[int, TreeDecomposition]:
 def contraction_degeneracy(g: Graph) -> int:
     """Repeatedly contract a minimum-degree vertex into its least neighbor,
     tracking the largest minimum degree; a treewidth lower bound."""
-    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in g.vertices}
+    masks = list(g._masks)  # entries of contracted vertices are stale
+    deg = [m.bit_count() for m in masks]
+    alive = list(g.vertices)  # ascending, so `min` breaks ties by id
     best = 0
-    while len(adj) > 1:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        deg = len(adj[v])
-        best = max(best, deg)
-        if deg == 0:
-            del adj[v]
+    while len(alive) > 1:
+        v = min(alive, key=deg.__getitem__)
+        alive.remove(v)
+        best = max(best, deg[v])
+        nb = masks[v]
+        if not nb:
             continue
-        u = min(adj[v], key=lambda x: (len(adj[x]), x))
-        merged = (adj[v] | adj[u]) - {u, v}
-        for x in adj[v]:
-            adj[x].discard(v)
-        for x in adj[u]:
-            adj[x].discard(u)
-        del adj[v]
-        adj[u] = merged
-        for x in merged:
-            adj[x].add(u)
+        u = min(bits(nb), key=deg.__getitem__)
+        merged = (nb | masks[u]) & ~(1 << u | 1 << v)
+        for x in bits(merged):
+            masks[x] = masks[x] & ~(1 << v) | 1 << u
+            deg[x] = masks[x].bit_count()
+        masks[u] = merged
+        deg[u] = merged.bit_count()
     return best
 
 
-def _min_fill(masks: Sequence[int], alive: int) -> int:
-    """Minimum-fill pick: fewest missing edges among the alive neighbours,
-    then alive degree, then id."""
+def _min_fill() -> Pick:
+    """A fresh minimum-fill pick: fewest missing edges among the alive
+    neighbours, then alive degree, then id.
 
-    def key(v: int) -> tuple[int, int, int]:
-        nb = masks[v]
-        # each missing edge is counted from both ends; a is never in masks[a]
-        missing = sum((nb & ~masks[a]).bit_count() - 1 for a in bits(nb))
-        return missing, nb.bit_count(), v
+    It keeps every alive vertex's key in a heap.  Eliminating x changes the
+    neighbourhood of each vertex of its bag B = masks[x] and adds edges only
+    inside B, so only the keys of B and N(B) change; the next pick re-keys
+    those, reading B from masks[x], which `eliminate` never writes again.
+    A step costs O(deg^2) bit operations instead of O(n deg)."""
+    keys: dict[int, tuple[int, int, int]] = {}  # of the alive vertices
+    heap: list[tuple[int, int, int]] = []  # holds stale keys too
+    last = -1
 
-    return min(bits(alive), key=key)
+    def pick(masks: Sequence[int], alive: int) -> int:
+        nonlocal last
+        if last < 0:
+            touched = alive
+        else:
+            touched = masks[last]
+            for a in bits(masks[last]):
+                touched |= masks[a]
+        for v in bits(touched):
+            nb = masks[v]
+            # each missing edge is counted from both ends; a is never in masks[a]
+            missing = sum((nb & ~masks[a]).bit_count() - 1 for a in bits(nb))
+            key = missing, nb.bit_count(), v
+            if keys.get(v) != key:
+                keys[v] = key
+                heappush(heap, key)
+        while keys.get(heap[0][2]) != heap[0]:
+            heappop(heap)
+        last = heappop(heap)[2]
+        del keys[last]
+        return last
+
+    return pick
 
 
 @dataclass(frozen=True)
@@ -317,7 +351,7 @@ def treewidth_bounds(g: Graph) -> TreewidthBounds:
     minimum-fill elimination upper bound."""
     if g.n == 0:
         return TreewidthBounds(-1, -1, TreeDecomposition(bags=((),), tree_edges=()))
-    td, _ = eliminate(g, _min_fill)
+    td, _ = eliminate(g, _min_fill())
     return TreewidthBounds(contraction_degeneracy(g), td.width, td)
 
 

@@ -1,4 +1,5 @@
 import ast
+import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -43,6 +44,12 @@ def connected_graphs(draw, min_n=2, max_n=7):
 
 
 # -- helpers only tests need, so the package does not ship them -------------
+
+
+def random_graph(n: int, p: float, seed: int) -> Graph:
+    """Each of the n(n-1)/2 possible edges kept with probability p."""
+    rng = random.Random(seed)
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def is_chordal(g: Graph) -> bool:

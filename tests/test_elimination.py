@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, is_chordal
+from conftest import graphs, is_chordal, random_graph
 from twcert.decompose import NotChordal, chordal_td, maximum_cardinality_search
+from twcert.generators import wall
 from twcert.graphs import Graph, TreeDecomposition, bits, mask_of
 from twcert.separators import along, eliminate, treewidth_bounds
 from twcert.suites import chordal_growth
@@ -121,3 +122,18 @@ def test_elimination_matches_reference_on_chordal_growth():
         rng.shuffle(order)
         assert is_chordal(g)
         _assert_matches_reference(g, order)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [wall(k, k) for k in range(4, 9)]
+    + [random_graph(n, p, 100 * n + int(100 * p)) for n in (30, 45, 60) for p in (0.05, 0.1, 0.2)],
+    ids=[f"wall{k}x{k}" for k in range(4, 9)]
+    + [f"rand-n{n}-p{p}" for n in (30, 45, 60) for p in (0.05, 0.1, 0.2)],
+)
+def test_min_fill_matches_reference_at_scale(g):
+    """Min-fill re-keys only the vertices an elimination touched; a key left
+    stale would change the order on graphs this large, where the hypothesis
+    graphs above rarely show it."""
+    want = reference_elimination_td(g, reference_min_fill_order(g))
+    assert treewidth_bounds(g).td == want

@@ -12,16 +12,23 @@ pass that decides the width, is checked state by state against the
 reference table."""
 
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
+from conftest import graphs, random_graph
+from twcert import separators
 from twcert.check import validate_td
 from twcert.generators import complete_graph, wall
 from twcert.graphs import CapExceeded, Graph, TreeDecomposition, bits
-from twcert.separators import _min_fill, _refutation_floor, along, eliminate, exact_treewidth
+from twcert.separators import (
+    _min_fill,
+    _refutation_floor,
+    along,
+    contraction_degeneracy,
+    eliminate,
+    exact_treewidth,
+)
 
 
 def _reach_q(g: Graph, v: int, s_mask: int) -> int:
@@ -78,7 +85,7 @@ def pruned_treewidth(g: Graph, cap: int = 14):
     # tw(G) <= ub < ceiling, so it keeps its exact value and its lowest-id
     # choice, and the order and the decomposition are those of the full DP.
     # ub <= n - 1, so the ceiling never exceeds the unpruned start n.
-    ceiling = eliminate(g, _min_fill)[0].width + 1
+    ceiling = eliminate(g, _min_fill())[0].width + 1
     # every proper subset of s_mask is a smaller number, so is already done
     for s_mask in range(1, size):
         best = ceiling
@@ -108,11 +115,6 @@ def pruned_treewidth(g: Graph, cap: int = 14):
     td, _ = eliminate(g, along(reversed(order_rev)))
     assert td.width == tw[full]
     return tw[full], td
-
-
-def random_graph(n: int, p: float, seed: int) -> Graph:
-    rng = random.Random(seed)
-    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def reference_traceback(g: Graph, tw: int, table) -> list[int]:
@@ -148,7 +150,7 @@ def assert_same(g: Graph) -> None:
     else the reference traceback's."""
     ref_tw, _, table = reference_treewidth(g)
     td = assert_valid_witness(g, ref_tw)
-    min_fill_td, _ = eliminate(g, _min_fill)
+    min_fill_td, _ = eliminate(g, _min_fill())
     if min_fill_td.width == ref_tw:
         expected = min_fill_td
     else:
@@ -199,7 +201,7 @@ def test_matches_unpruned_dp_on_seeded_graphs(n, p, seed):
 def test_matches_unpruned_dp_where_min_fill_overshoots(n, p, seed):
     g = random_graph(n, p, seed)
     ref_tw, _, table = reference_treewidth(g)
-    assert eliminate(g, _min_fill)[0].width == ref_tw + 1
+    assert eliminate(g, _min_fill())[0].width == ref_tw + 1
     td = assert_valid_witness(g, ref_tw)
     assert td == eliminate(g, along(reference_traceback(g, ref_tw, table)))[0]
 
@@ -235,18 +237,24 @@ def test_matches_pruned_dp(g):
 @pytest.mark.parametrize(
     "g,reaches",
     [
-        (wall(3, 4), 287),  # 46590 _reach_q calls in the bottom-up DP
-        (random_graph(14, 0.3, 7), 257),  # 3501 _reach_q calls
+        # contraction degeneracy 3 meets the min-fill width 3: no pass runs
+        (wall(3, 4), 0),
+        # lb 4 < ub 5 = tw: the one pass, at 5, does not reach the full set
+        (random_graph(14, 0.3, 7), 257),
         (complete_graph(16), 0),
-        # 7 edges, a 7-vertex component holding a triangle, 9 isolated vertices
-        (random_graph(16, 0.1, 105), 5119),
-        # min-fill overshoots tw by one, so the witness is read back from
-        # the table of the pass at tw + 1
-        (random_graph(12, 0.6, 28), 1779),
-        (random_graph(13, 0.4, 6), 1450),
+        # 7 edges, a 7-vertex component holding a triangle, 9 isolated
+        # vertices; lb 2 = ub 2, so no pass runs
+        (random_graph(16, 0.1, 105), 0),
+        # min-fill overshoots tw by one and lb = tw: the pass at ub reaches
+        # the full set, the pass at tw is skipped, and the witness is read
+        # back from the table at tw + 1
+        (random_graph(12, 0.6, 28), 1740),
+        (random_graph(13, 0.4, 6), 1343),
+        # lb 5 < tw 6 < ub 7: the passes at 7 and at 6 both run
+        (random_graph(14, 0.35, 7), 6167),
     ],
     ids=["wall34", "rand-n14-seed7", "k16", "disconnected-n16-seed105",
-         "overshoot-n12-seed28", "overshoot-n13-seed6"],
+         "overshoot-n12-seed28", "overshoot-n13-seed6", "overshoot-n14-seed7"],
 )
 def test_states_expanded_pinned(monkeypatch, g, reaches):
     """The passes and the traceback test each candidate with one
@@ -268,6 +276,79 @@ def test_states_expanded_pinned(monkeypatch, g, reaches):
     assert counts == {"component_masks": 0, "reach_mask": reaches}
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_n=1, max_n=11))
+def test_contraction_degeneracy_is_a_lower_bound(g):
+    """`exact_treewidth` runs no pass at or below it, so it must never
+    exceed the treewidth.  The empty graph is left out: its treewidth is -1
+    by convention and its lower bound 0, so no pass runs there either."""
+    assert contraction_degeneracy(g) <= reference_treewidth(g)[0]
+
+
+def reference_contraction_degeneracy(g: Graph) -> int:
+    """The set-based contraction loop the bitmask one replaced."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    best = 0
+    while len(adj) > 1:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        deg = len(adj[v])
+        best = max(best, deg)
+        if deg == 0:
+            del adj[v]
+            continue
+        u = min(adj[v], key=lambda x: (len(adj[x]), x))
+        merged = (adj[v] | adj[u]) - {u, v}
+        for x in adj[v]:
+            adj[x].discard(v)
+        for x in adj[u]:
+            adj[x].discard(u)
+        del adj[v]
+        adj[u] = merged
+        for x in merged:
+            adj[x].add(u)
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_n=0, max_n=14))
+def test_contraction_degeneracy_matches_reference(g):
+    assert contraction_degeneracy(g) == reference_contraction_degeneracy(g)
+
+
+@pytest.mark.parametrize("n", [30, 60])
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.5])
+def test_contraction_degeneracy_matches_reference_at_scale(n, p):
+    for seed in range(5):
+        g = random_graph(n, p, 1000 * n + seed)
+        assert contraction_degeneracy(g) == reference_contraction_degeneracy(g)
+
+
+def _pass_bounds(monkeypatch, g: Graph) -> list[int]:
+    """The bounds of the `_refutation_floor` passes `exact_treewidth` runs
+    on g, in order."""
+    bounds = []
+
+    def counted(g, bound, above):
+        bounds.append(bound)
+        return _refutation_floor(g, bound, above)
+
+    monkeypatch.setattr(separators, "_refutation_floor", counted)
+    exact_treewidth(g, cap=g.n)
+    return bounds
+
+
+@pytest.mark.parametrize(
+    "g", [wall(3, 4), complete_graph(16), Graph(16, [])], ids=["wall34", "k16", "edgeless16"]
+)
+def test_no_pass_where_the_lower_bound_meets_min_fill(monkeypatch, g):
+    assert _pass_bounds(monkeypatch, g) == []
+
+
+def test_no_pass_at_tw_where_the_lower_bound_is_tw(monkeypatch):
+    """lb 7 = tw < ub 8: only the pass at 8 runs, and it reaches the full set."""
+    assert _pass_bounds(monkeypatch, random_graph(12, 0.6, 28)) == [8]
+
+
 @settings(max_examples=100, deadline=None)
 @given(graphs(min_n=0, max_n=10))
 def test_refutation_floor_matches_reference_table(g):
@@ -276,7 +357,7 @@ def test_refutation_floor_matches_reference_table(g):
     reached, are exactly {s : TW(s) < b}."""
     _, _, table = reference_treewidth(g)
     for b in range(g.n + 1):
-        assert list(_refutation_floor(g, b)) == [b if t >= b else 0 for t in table]
+        assert list(_refutation_floor(g, b, None)) == [b if t >= b else 0 for t in table]
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,7 +367,7 @@ def test_chained_refutation_floor_keeps_larger_bounds(g):
     TW(s) >= b + 1, b where TW(s) = b and 0 where TW(s) < b."""
     _, _, table = reference_treewidth(g)
     for b in range(g.n):
-        chained = _refutation_floor(g, b, _refutation_floor(g, b + 1))
+        chained = _refutation_floor(g, b, _refutation_floor(g, b + 1, None))
         assert list(chained) == [
             b + 1 if t > b else b if t == b else 0 for t in table
         ]

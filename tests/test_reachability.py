@@ -1,12 +1,13 @@
 """Every function and method of the package runs under some command.
 
 One in-process run of `verify all` and of each subcommand (every `gen`
-family, every `detect` pattern, `tw` exact and by bounds, `sep`,
-`centralbag` with `--weights` and `--forcer`, all three `decompose` methods,
-`recheck` of every output that carries a certificate, and a `--config`
-file) is profiled.  Every function, method and nested function defined in
-`src/twcert` must have been called, or be on `ALLOWED` with its reason.  A
-helper that only tests call belongs in the tests.
+family, every `detect` pattern, `tw` exact with and without a refutation
+pass and by bounds, `sep`, `centralbag` with `--weights` and `--forcer`,
+all three `decompose` methods, `recheck` of every output that carries a
+certificate, and a `--config` file) is profiled.  Every function, method
+and nested function defined in `src/twcert` must have been called, or be on
+`ALLOWED` with its reason.  A helper that only tests call belongs in the
+tests.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from types import CodeType
 import pytest
 
 import twcert
+from conftest import random_graph
 from twcert.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -96,6 +98,10 @@ def _commands(tmp: Path) -> None:
     conf.write_text("# a config file\nsearch_budget=1000000\nmax_pattern_nodes=12\n")
     path = tmp / "path3.json"
     path.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+    # contraction degeneracy 7, min-fill width 8: the only input here whose
+    # exact run needs a refutation pass
+    overshoot = random_graph(12, 0.6, 28)
+    (tmp / "overshoot.json").write_text(json.dumps({"n": 12, "edges": overshoot.edges}))
 
     outputs = []
 
@@ -117,6 +123,7 @@ def _commands(tmp: Path) -> None:
         "detect-absent.json")
     run(["tw", "-i", f("wall.json"), "--td", f("wall.td")], "tw.json")
     run(["tw", "-i", f("w55.json")], "tw-bounds.json")
+    run(["tw", "-i", f("overshoot.json")], "tw-overshoot.json")
     run(["sep", "-i", f("claw.json"), "--c", "1/2"], "sep.json")
     n = json.loads((tmp / "wall.json").read_text())["n"]
     weights = tmp / "weights.json"
