@@ -39,43 +39,20 @@ def maximum_cardinality_search(g: Graph) -> list[int]:
 
 
 def find_hole(g: Graph) -> Optional[tuple[int, ...]]:
-    """Some chordless cycle of length >= 4, or None if the graph is chordal."""
+    """Some chordless cycle of length >= 4, or None if the graph is chordal.
+
+    For an induced path u-v-w, a shortest w-u path avoiding the rest of N[v]
+    is induced, misses N[v] inside and has length >= 2, so v closes it into
+    a hole."""
     for u, v in g.edges:
         for w in g.neighbors(v):
             if w == u or g.has_edge(u, w):
                 continue
             allowed = g.full_mask() & ~((g.neighbor_mask(v) | 1 << v) & ~(1 << u) & ~(1 << w))
-            path = g.shortest_path(w, u, allowed=allowed)  # avoids N[v]
-            if path is None:
-                continue
-            hole = _shrink_to_hole(g, [v, *reversed(path)])  # v-u-...-w-v
-            if hole is not None:
-                return hole
+            path = g.shortest_path(w, u, allowed=allowed)
+            if path is not None:
+                return (v, *reversed(path))  # v-u-...-w-v
     return None
-
-
-def _shrink_to_hole(g: Graph, cycle: list[int]) -> Optional[tuple[int, ...]]:
-    """Reduce a cycle with possible chords to a chordless cycle >= 4."""
-    while True:
-        k = len(cycle)
-        if k < 4:
-            return None
-        chord = None
-        for i in range(k):
-            for j in range(i + 2, k):
-                if i == 0 and j == k - 1:
-                    continue
-                if g.has_edge(cycle[i], cycle[j]):
-                    chord = (i, j)
-                    break
-            if chord:
-                break
-        if chord is None:
-            return tuple(cycle)
-        i, j = chord
-        half1 = cycle[i : j + 1]
-        half2 = cycle[j:] + cycle[: i + 1]
-        cycle = half1 if len(half1) >= 4 else half2
 
 
 class NotChordal(ValueError):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import Budget, RunConfig
@@ -519,10 +520,7 @@ def find_creature(
             joints.append(p[0])
             for v in p[1:]:
                 blocked |= g.neighbor_mask(v)
-        allowed = full & ~blocked
-        if not allowed:
-            return None
-        for comp in g.component_masks(allowed):
+        for comp in g.component_masks(full & ~blocked):
             if all(g.neighbor_mask(j) & comp for j in joints):
                 return tuple(bits(comp))
         return None
@@ -593,17 +591,12 @@ def find_line_of_subdivided_wall(
 
 
 def _compositions(extra: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to spread `extra` across `parts` slots, graded lexicographic."""
-    if parts == 0:
-        if extra == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (extra,)
-        return
-    for first in range(extra + 1):
-        for rest in _compositions(extra - first, parts - 1):
-            yield (first,) + rest
+    """All ways to spread `extra` across `parts >= 1` slots, graded
+    lexicographic: the gaps between parts - 1 bars placed among
+    extra + parts - 1 positions, bar positions in lexicographic order."""
+    end = extra + parts - 1
+    for bars in combinations(range(end), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
 # -- breaks and forcers -------------------------------------------------------------

@@ -86,8 +86,6 @@ def random_connected(rng: random.Random, n: int, p: float) -> Optional[Graph]:
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:
-    if n <= 1:
-        return Graph(n, [])
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     return Graph(n, edges)
 

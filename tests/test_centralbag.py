@@ -3,6 +3,7 @@ these tests pin that full trace, then check the measured laws on random
 instances."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
     sep,
 )
 from twcert.centralbag import (
+    DropRecord,
     Separation,
     SeparationSequence,
     audit_is_complete,
@@ -304,6 +306,37 @@ def test_clique_bag_bookkeeping(g):
         assert cliques
 
 
+def test_audit_rejects_tampered_drops():
+    """Each way a drop record can be wrong makes the audit fail; the run it
+    came from passes."""
+    g, pattern, w = _bag_corpus(RunConfig(), 120)[3]
+    seq = covering_sequence(g, w, pattern)
+    result = central_bag(g, w, seq, dimension_partition(seq))
+    drops = result.drops
+    assert {d.reason for d in drops} == {"shield", "center_hit"}
+    assert audit_is_complete(seq, result)
+    members = seq.separations
+    kept = [i for cls in result.generator for i in cls]
+    hits = [(d, k) for d in drops if d.reason == "center_hit" for k in kept]
+    # a center-hit member and a kept one that does not shield it, and one
+    # whose A side misses its center
+    d1, k1 = next((d, k) for d, k in hits if not is_shield(members[k], members[d.index]))
+    d2, k2 = next((d, k) for d, k in hits if not members[d.index].center_mask & members[k].a_mask)
+
+    def swap(old, new):
+        return tuple(new if d == old else d for d in drops)
+
+    tampered = [
+        drops[1:],
+        swap(drops[0], replace(drops[0], witness=drops[1].index)),
+        swap(d1, DropRecord(d1.index, "shield", k1)),
+        swap(d2, replace(d2, witness=k2)),
+        swap(drops[0], replace(drops[0], reason="moved")),
+    ]
+    for bad in tampered:
+        assert not audit_is_complete(seq, replace(result, drops=bad))
+
+
 def test_clique_bag_one_pass_matches_two_pass():
     """`clique_central_bag` hands every clique separation to `central_bag`,
     whose primordial reduction is idempotent: reducing first with the
@@ -377,6 +410,7 @@ def test_forcer_elimination_premise_gate():
 def test_leq_power_bound_lazy():
     assert leq_power_bound(10, 2, 3, 10**18)  # huge exponent, early exit
     assert leq_power_bound(8, 8, 1, 5)
+    assert not leq_power_bound(9, 8, 1, 5)  # base 1: the bound is coeff
     assert not leq_power_bound(9, 2, 2, 2)
     assert leq_power_bound(8, 2, 2, 2)
 

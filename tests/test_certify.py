@@ -8,8 +8,10 @@ from twcert.certify import (
     canonical_json,
     graph_witness,
 )
-from twcert.check import recheck
+from twcert.check import recheck, validate_td
+from twcert.cli import main
 from twcert.generators import path_graph, wall
+from twcert.graphs import TreeDecomposition
 from twcert.separators import exact_treewidth
 
 
@@ -76,6 +78,22 @@ def test_recheck_catches_tampering():
     )
     checked, confirmed, problems = recheck(json.loads(cert.dumps()))
     assert checked == 1 and confirmed == 0 and problems
+
+
+def test_recheck_confirms_a_valid_pattern_witness():
+    cert = Certificate(command=["x"], seed=0)
+    cert.add(
+        "pattern",
+        "an induced path",
+        True,
+        {
+            "kind": "pattern-found",
+            "graph": graph_witness(path_graph(4)),
+            "pattern": graph_witness(path_graph(3)),
+            "mapping": [0, 1, 2],
+        },
+    )
+    assert recheck(json.loads(cert.dumps())) == (1, 1, [])
 
 
 def test_hypothesis_unmet_never_rechecked_as_verdict():
@@ -172,3 +190,30 @@ def test_recheck_pattern_mapping_outside_host_fails(pattern, mapping):
 def test_recheck_reports_non_integer_witness_entries(witness, message):
     entry = {"check": "x", "status": "pass", "witness": witness}
     assert recheck({"assertions": [entry]}) == (1, 0, [f"x: recheck error {message}"])
+
+
+@pytest.mark.parametrize(
+    "bags, tree_edges, violations",
+    [
+        ((), (), ("decomposition has no nodes",)),
+        (((0, 1), (1, 2), (1,)), ((0, 1), (0, 1)),
+         ("decomposition tree is not connected",
+          "bags containing vertex 1 induce a disconnected subtree")),
+        (((0, 1),), (), ("vertex 2 in no bag", "edge (1,2) inside no bag")),
+    ],
+    ids=["no-bags", "disconnected-tree", "uncovered-vertex"],
+)
+def test_broken_decomposition_fails_validation_and_recheck(tmp_path, bags, tree_edges,
+                                                            violations):
+    g = path_graph(3)
+    rep = validate_td(g, TreeDecomposition(bags=bags, tree_edges=tree_edges))
+    assert not rep.ok and rep.violations == violations
+    witness = {"kind": "td-valid", "graph": graph_witness(g), "bags": bags,
+               "tree_edges": tree_edges, "width_at_most": 1}
+    path, out = tmp_path / "cert.json", tmp_path / "rc.json"
+    path.write_text(json.dumps({"assertions": [
+        {"check": "tw.witness", "status": "pass", "witness": witness}]}))
+    assert main(["recheck", "-i", str(path), "-o", str(out)]) == 1
+    assert json.loads(out.read_text())["problems"] == [
+        "tw.witness: stored status pass but witness rechecks as fail"
+    ]

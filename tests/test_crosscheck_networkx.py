@@ -1,5 +1,7 @@
 """Spot-checks against networkx as a wholly independent implementation."""
 
+from itertools import combinations
+
 import networkx as nx
 from hypothesis import given, settings
 from networkx.algorithms.isomorphism import GraphMatcher
@@ -7,6 +9,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from conftest import connected_graphs, graphs, is_chordal
 from twcert.check import validate_td
 from twcert.config import Budget, RunConfig
+from twcert.decompose import find_hole
 from twcert.detect import induced_copies, iter_induced_maps
 from twcert.generators import complete_graph, cycle_graph, path_graph, star_graph
 from twcert.graphs import Graph, clique_number, disjoint_union, line_graph
@@ -37,6 +40,19 @@ def test_line_graph_matches_networkx(g):
 @settings(max_examples=50, deadline=None)
 def test_chordality_matches_networkx(g):
     assert is_chordal(g) == nx.is_chordal(_to_nx(g))
+
+
+@given(graphs(max_n=10))
+@settings(max_examples=200, deadline=None)
+def test_find_hole_returns_a_hole_exactly_on_non_chordal_graphs(g):
+    hole = find_hole(g)
+    assert (hole is None) == nx.is_chordal(_to_nx(g))
+    if hole is not None:
+        k = len(hole)
+        assert k >= 4 and len(set(hole)) == k
+        # consecutive vertices, last and first included, are the only edges
+        for i, j in combinations(range(k), 2):
+            assert g.has_edge(hole[i], hole[j]) == (j - i in (1, k - 1))
 
 
 @given(graphs(max_n=7))

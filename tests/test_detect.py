@@ -10,6 +10,7 @@ from twcert.cli import main
 from twcert.config import Budget
 from twcert.detect import (
     CreatureMatch,
+    _compositions,
     _directed_induced_paths,
     breaks,
     find_creature,
@@ -261,6 +262,25 @@ def test_wall_line_detector():
     assert find_line_of_subdivided_wall(complete_graph(4), 2) is None
 
 
+def recursive_compositions(extra, parts):
+    """`_compositions` as the recursion on the first slot it replaced."""
+    if parts == 1:
+        yield (extra,)
+        return
+    for first in range(extra + 1):
+        for rest in recursive_compositions(extra - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_recursive_reference():
+    # up to the 15 edges of the 3x3 wall
+    for parts in range(1, 16):
+        for extra in range(6):
+            assert list(_compositions(extra, parts)) == list(
+                recursive_compositions(extra, parts)
+            )
+
+
 def test_breaks_examples():
     k13 = star_graph(3)
     assert breaks(k13, [0], [1, 2, 3])  # vacuous: no components remain
@@ -279,6 +299,15 @@ def test_verify_forcer_vacuous_and_real():
     host = subdivided_claw(3, 3, 3).graph
     rep = verify_forcer(host, subdivided_claw(2, 2, 2).graph, star_graph(3))
     assert rep.holds and rep.copies_checked >= 1
+
+
+def test_verify_forcer_skips_the_whole_copy_as_inner_copy():
+    # the only copy of P3 inside a copy of P3 is all of it, which leaves
+    # nothing to break; in P3 itself, where N[X'] is the whole host, an empty
+    # rest would break vacuously
+    for host in (wall(3, 3), path_graph(3)):
+        rep = verify_forcer(host, path_graph(3), path_graph(3))
+        assert (rep.holds, rep.copies_checked, rep.counterexample) == (False, 1, (0, 1, 2))
 
 
 def test_verify_forcer_counterexample_is_genuine():

@@ -156,6 +156,12 @@ def test_circular_interval_c5():
     g = circular_interval_graph(model)
     assert _isomorphic_small(g, cycle_graph(5))
     assert model.endpoint_pairs() == ((0, 1),)
+    # a second arc holding both ends of the first leaves no pair to fuzz
+    points = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
+    inner = (Fraction(1, 4), Fraction(1, 2))
+    assert CircularIntervalModel(points, (inner,)).endpoint_pairs() == ((1, 2),)
+    nested = CircularIntervalModel(points, (inner, (Fraction(1, 8), Fraction(5, 8))))
+    assert nested.endpoint_pairs() == ()
 
 
 def test_interval_model_invariants():

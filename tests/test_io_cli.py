@@ -67,6 +67,15 @@ def test_td_roundtrip():
     assert read_td(buf) == td
 
 
+def test_comment_lines_are_skipped():
+    gr = "p tw 3 2\n1 2\n2 3\n"
+    td = "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n"
+    for read, text in [(read_gr, gr), (read_td, td)]:
+        head, rest = text.split("\n", 1)
+        commented = f"c written by hand\n{head}\n\nc a comment\n{rest}"
+        assert read(io.StringIO(commented)) == read(io.StringIO(text))
+
+
 def test_malformed_graph_json():
     for text in [
         '{"edges": []}',
@@ -128,6 +137,9 @@ def test_cli_usage_errors(tmp_path, capsys):
     # a path that cannot be read or written is a usage error that names it
     g = tmp_path / "g.json"
     assert main(["gen", "wall", "--n", "4", "--m", "4", "-o", str(g)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--pattern", "induced", "-i", str(g)]) == 64
+    assert "--pattern-file required" in capsys.readouterr().err
     conf = tmp_path / "tiny.conf"
     conf.write_text("search_budget=10\n")
     folder = str(tmp_path)
@@ -306,6 +318,17 @@ def test_cli_decompose_strip_validates_before_the_pattern_search(tmp_path, capsy
     err = capsys.readouterr().err
     assert "pattern has an isolated vertex" in err and "capped" not in err
     assert not out.exists()
+
+
+def test_cli_decompose_strip_decomposes_a_non_chordal_strip_exactly(tmp_path, capsys):
+    # one strip holding all of C4, with empty end-sets
+    c4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(dict(ONE_STRIP, host=c4, eta=[[0, 1, 2, 3]],
+                                    eta_end=[[[], []]])))
+    assert main(["decompose", "--method", "strip", "-i", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"status": "ok", "violations": [],
+                                                   "width": 2}
 
 
 def test_cli_decompose_readme_strip_structure(tmp_path, capsys):
