@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .check import status_of
 from .detect import induced_copies, verify_forcer, find_induced
 from .graphs import CapExceeded, Graph, bits, geometric_ball_bound, lex_key, mask_of
-from .separators import min_balanced_separator, treewidth_or_bounds
+from .separators import _require_normal, min_balanced_separator, treewidth_or_bounds
 from .weights import WeightFunction, check_balance_parameter, numerator_sum
 
 
@@ -313,10 +313,7 @@ class CentralBagResult:
 def _require_connected_and_normal(g: Graph, w: WeightFunction) -> None:
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    if len(w.numerators) != g.n:
-        raise ValueError(f"{len(w.numerators)} weights for {g.n} vertices")
-    if not w.is_normal():
-        raise ValueError("weight function must be normal")
+    _require_normal(g, w)
 
 
 def central_bag(
@@ -590,16 +587,16 @@ def check_bag_separator_transfer(
 
 def forcer_elimination_check(
     g: Graph, pattern: Graph, forcer: Graph, result: CentralBagResult
-) -> tuple[bool, Optional[bool]]:
+) -> ConditionalCheck:
     """After bag construction at a pattern's covering sequence, the bag should
-    carry no copy of any verified forcer for that pattern.  Returns whether
-    the forcer premise holds and, when it does, whether the bag is clean."""
-    if not verify_forcer(g, forcer, pattern).holds:
-        return False, None
-    if not result.bag:
-        return True, True
-    sub, _ = g.induced_subgraph(result.bag)
-    return True, find_induced(sub, forcer) is None
+    carry no copy of any verified forcer for that pattern.  The hypothesis is
+    the forcer premise; only when it holds is the bag searched."""
+    premise = verify_forcer(g, forcer, pattern).holds
+    clean: Optional[bool] = None
+    if premise:
+        sub, _ = g.induced_subgraph(result.bag)
+        clean = not result.bag or find_induced(sub, forcer) is None
+    return ConditionalCheck("verified forcer absent from the bag", premise, clean)
 
 
 # -- clique coverings ------------------------------------------------------------------
@@ -674,8 +671,7 @@ class PipelineReport:
     dimension_bound_holds: bool
     anchor_bound_holds: bool
     audit_complete: bool
-    forcer_premises: tuple[bool, ...]
-    bag_forcer_free: tuple[Optional[bool], ...]
+    forcer_checks: tuple[ConditionalCheck, ...]
     bag_treewidth: Optional[int]
     symbolic_bound: str  # "2*N*gamma(t+1)^e" with the instantiated numbers
     treewidth_within_symbolic_bound: Optional[bool]
@@ -718,7 +714,7 @@ def run_master_pipeline(
     t_param = pattern.n + 1
     a_bound = delta ** (t_param * t_param)
     dim_bound = a_bound * geometric_ball_bound(delta, 2 * t_param) + 1
-    forcer_reps = [forcer_elimination_check(g, pattern, f, result) for f in forcers]
+    forcer_checks = [forcer_elimination_check(g, pattern, f, result) for f in forcers]
     bag_tw: Optional[int] = None
     within: Optional[bool] = None
     symbolic = ""
@@ -741,8 +737,7 @@ def run_master_pipeline(
         dimension_bound_holds=len(classes) <= dim_bound,
         anchor_bound_holds=a_meas <= a_bound,
         audit_complete=audit_is_complete(seq, result),
-        forcer_premises=tuple(premise for premise, _ in forcer_reps),
-        bag_forcer_free=tuple(clean for _, clean in forcer_reps),
+        forcer_checks=tuple(forcer_checks),
         bag_treewidth=bag_tw,
         symbolic_bound=symbolic,
         treewidth_within_symbolic_bound=within,

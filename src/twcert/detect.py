@@ -483,24 +483,12 @@ def _directed_induced_paths(
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class CreatureMatch:
-    body: tuple[int, ...]
-    paths: tuple[tuple[int, ...], ...]  # joint first
-
-    @property
-    def image(self) -> tuple[int, ...]:
-        vs = set(self.body)
-        for p in self.paths:
-            vs.update(p)
-        return tuple(sorted(vs))
-
-
 def find_creature(
     g: Graph, k: int, t: int, budget: Optional[Budget] = None
-) -> Optional[CreatureMatch]:
+) -> Optional[PatternMatch]:
     """A connected body plus k pairwise anticomplete induced length-t paths,
-    each touching the body only through its joint end.
+    each touching the body only through its joint end.  The match's roles
+    are the body, then path1..pathk, each joint first.
 
     Exhaustive over joint-oriented path tuples in lexicographic order; for a
     fixed choice of paths, a valid body exists iff some component of the
@@ -512,7 +500,7 @@ def find_creature(
     paths = _directed_induced_paths(g, t, bud)
     full = g.full_mask()
 
-    def body_for(chosen: list[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+    def body_for(chosen: list[tuple[int, ...]]) -> Optional[int]:
         blocked = 0
         joints = []
         for p in chosen:
@@ -522,7 +510,7 @@ def find_creature(
                 blocked |= g.neighbor_mask(v)
         for comp in g.component_masks(full & ~blocked):
             if all(g.neighbor_mask(j) & comp for j in joints):
-                return tuple(bits(comp))
+                return comp
         return None
 
     # Depth first over tuples of paths in increasing index order, on an
@@ -545,7 +533,13 @@ def find_creature(
             if len(chosen) + 1 == k:
                 body = body_for([*chosen, p])
                 if body is not None:
-                    return CreatureMatch(body=body, paths=(*chosen, p))
+                    return PatternMatch(
+                        image=tuple(bits(body | used | pm)),
+                        roles=(
+                            ("body", tuple(bits(body))),
+                            *_numbered("path", (*chosen, p)),
+                        ),
+                    )
                 continue
             chosen.append(p)
             used |= pm

@@ -226,24 +226,23 @@ def exact_treewidth(g: Graph, cap: int) -> tuple[int, TreeDecomposition]:
     Thilikos 2012).  A `_refutation_floor` pass at bound b reaches exactly
     the prefixes worth less than b.  Passes run only while the min-fill
     width ub exceeds lb, the contraction degeneracy, a lower bound (tw is at
-    least the minimum degree of any minor; Bodlaender & Koster 2011).  When
-    lb = ub, or the pass at ub does not reach the full vertex set, min-fill
-    is optimal and its decomposition is the witness.  Otherwise the pass
-    runs again at ub - 1, ub - 2, ... until it does not, which leaves
-    ub = tw, or until ub = lb, which is then tw without a pass at it.  The
-    order is read back from the table of the last pass that reached the full
-    set, at bound tw + 1: from s = full, the lowest-id v in s with
-    TW(s - v) <= tw and |Q| <= tw is eliminated last.  At most two tables of
-    one byte per vertex subset are alive, so memory doubles with each
-    vertex (the README times 16-vertex graphs).  Above `cap` vertices it
-    raises CapExceeded; use treewidth_bounds there.
+    least the minimum degree of any minor; Bodlaender & Koster 2011), both
+    from `treewidth_bounds`.  When lb = ub, or the pass at ub does not reach
+    the full vertex set, min-fill is optimal and its decomposition is the
+    witness.  Otherwise the pass runs again at ub - 1, ub - 2, ... until it
+    does not, which leaves ub = tw, or until ub = lb, which is then tw
+    without a pass at it.  The order is read back from the table of the last
+    pass that reached the full set, at bound tw + 1: from s = full, the
+    lowest-id v in s with TW(s - v) <= tw and |Q| <= tw is eliminated last.
+    At most two tables of one byte per vertex subset are alive, so memory
+    doubles with each vertex (the README times 16-vertex graphs).  Above
+    `cap` vertices it raises CapExceeded; use treewidth_bounds there.
     """
     if g.n > cap:
         raise CapExceeded(f"exact treewidth capped at n={cap}, got {g.n}")
     full = g.full_mask()
-    td, _ = eliminate(g, _min_fill())
-    ub = td.width
-    lb = contraction_degeneracy(g)
+    bounds = treewidth_bounds(g)
+    lb, ub = bounds.lower, bounds.upper
     # a pass that reaches `full` shows tw < ub: seed again one lower, keeping
     # the refutations at the larger bounds, until a pass does not (ub = tw)
     # or ub meets the lower bound
@@ -256,7 +255,7 @@ def exact_treewidth(g: Graph, cap: int) -> tuple[int, TreeDecomposition]:
         reached = floor
         ub -= 1
     if reached is None:
-        return ub, td
+        return ub, bounds.td
     # each state on the way down from `full` is worth at most ub = tw
     order_rev: list[int] = []
     s = full

@@ -72,6 +72,7 @@ from .separators import (
     exact_treewidth,
     harvey_wood_check,
     treewidth_bounds,
+    treewidth_or_bounds,
 )
 from .weights import WeightFunction
 
@@ -391,16 +392,14 @@ def suite_anchors(cfg: RunConfig) -> Certificate:
     cert.expect(
         "anchor.trees", "seeded random trees all have treewidth 1", trees_ok, True
     )
-    # subdivision invariance over the small catalog, via the bound sandwich
+    # subdivision invariance over the small catalog, exact up to the cap
     ok = True
     for g in seeded_catalog(6, cfg.seed, per_n=4):
         if g.n < 2 or g.m == 0:
             continue
         twg = exact_treewidth(g, cap=cfg.max_tw_n)[0]
         sg = full_subdivision(g)
-        exact = treewidth_bounds(sg).exact
-        if exact is None and sg.n <= cfg.max_tw_n:
-            exact = exact_treewidth(sg, cap=cfg.max_tw_n)[0]
+        exact = treewidth_or_bounds(sg, cap=cfg.max_tw_n).exact
         if exact is not None and exact != max(twg, 1):
             ok = False
     cert.expect(
@@ -873,10 +872,11 @@ def suite_pipeline(cfg: RunConfig) -> Certificate:
     rep = run_master_pipeline(
         host, path_graph(3), forcers=[forcer], c=cfg.c, d=cfg.d, tw_cap=cfg.max_tw_n
     )
+    (chk,) = rep.forcer_checks
     cert.expect(
         "pipeline.forcer",
         "a verified forcer never survives into the central bag",
-        [list(rep.forcer_premises), list(rep.bag_forcer_free)],
+        [[chk.hypothesis_met], [chk.conclusion_holds]],
         [[True], [True]],
     )
     return cert

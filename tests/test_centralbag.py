@@ -392,9 +392,9 @@ def test_forcer_elimination_on_spider_free_host():
     forcer = Graph(inner.n + 1, list(inner.edges))
     seq = covering_sequence(host, w, pattern)
     result = central_bag(host, w, seq, dimension_partition(seq))
-    premise, clean = forcer_elimination_check(host, pattern, forcer, result)
-    assert premise
-    assert clean in (True, None)
+    chk = forcer_elimination_check(host, pattern, forcer, result)
+    assert chk.hypothesis_met
+    assert chk.conclusion_holds in (True, None)
 
 
 def test_forcer_elimination_premise_gate():
@@ -403,8 +403,8 @@ def test_forcer_elimination_premise_gate():
     w = WeightFunction.uniform(g)
     seq = covering_sequence(g, w, path_graph(1))
     result = central_bag(g, w, seq, dimension_partition(seq))
-    premise, clean = forcer_elimination_check(g, path_graph(1), path_graph(2), result)
-    assert not premise and clean is None
+    chk = forcer_elimination_check(g, path_graph(1), path_graph(2), result)
+    assert not chk.hypothesis_met and chk.conclusion_holds is None
 
 
 def test_leq_power_bound_lazy():

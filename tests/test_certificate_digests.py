@@ -21,6 +21,10 @@ PINS = {
         "cb.json":
             "23065b9973f2222c23fc0b06268f944ffd8ccf807f08a4054baed9f4377804ed",
     }),
+    "centralbag --forcer": (2, {
+        "cb-forcer.json":
+            "7156fac8da125ecdb0595524ac64d7789d231043fecca1a5d290519da9fdc263",
+    }),
     "centralbag --weights": (2, {
         "cb-weighted.json":
             "bb13469f2795419c1b988b8339246c2831846c9c723e4a807e35c1324b6fed21",
@@ -50,6 +54,10 @@ PINS = {
             "d4d0e043b3d91dcae3d494a8f2383ed21b5371c660e97b59bdc8a5e1d08f9219",
         "strips.td":
             "bb3b2f393e9a662990e4f640b725c8062de0bcac3851dfd7cdbc1c1c1c1f4bc6",
+    }),
+    "detect creature": (0, {
+        "creature.json":
+            "54982cc9b3fdb875cdf60fa6532a1ab7fb5ff6608c1e1131dd7e90ce1c0d3f6e",
     }),
     "detect pyramid": (1, {
         "pyramid.json":
@@ -156,6 +164,20 @@ def _outputs(directory):
     rc = _run(["centralbag", "-i", "wall.json", "--pattern", "p3.json",
                "--weights", "w12.json", "-o", "cb-weighted.json"])
     got["centralbag --weights"] = (rc, digests("cb-weighted.json"))
+    # a claw plus an isolated vertex and subdivided_claw(2, 1, 1) are verified
+    # forcers for P3 on the wall; P4 is not one, so its premise is unmet
+    forcers = {
+        "claw-k1": {"n": 5, "edges": [[0, 1], [0, 2], [0, 3]]},
+        "claw211": {"n": 5, "edges": [[0, 1], [0, 3], [0, 4], [1, 2]]},
+        "p4": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+    }
+    forcer_args = []
+    for name, forcer in forcers.items():
+        (directory / f"{name}.json").write_text(json.dumps(forcer))
+        forcer_args += ["--forcer", f"{name}.json"]
+    rc = _run(["centralbag", "-i", "wall.json", "--pattern", "p3.json",
+               *forcer_args, "-o", "cb-forcer.json"])
+    got["centralbag --forcer"] = (rc, digests("cb-forcer.json"))
     rc = _run(["gen", "caterpillar", "--spine", "3", "--legs", "2,1;1;;1,2",
                "-o", "cat.json", "--witness", "cat-witness.json"])
     got["gen caterpillar"] = (rc, digests("cat.json", "cat-witness.json"))
@@ -165,6 +187,9 @@ def _outputs(directory):
     rc = _run(["detect", "--pattern", "pyramid", "--t", "1", "-i", "wall.json",
                "-o", "pyramid.json"])
     got["detect pyramid"] = (rc, digests("pyramid.json"))
+    rc = _run(["detect", "--pattern", "creature", "--k", "2", "--t", "1",
+               "-i", "wall.json", "-o", "creature.json"])
+    got["detect creature"] = (rc, digests("creature.json"))
     assert _run(["gen", "wall", "--n", "3", "--m", "2", "-o", "w32.json"]) == 0
     rc = _run(["sep", "-i", "w32.json", "-o", "sep.json"])
     got["sep"] = (rc, digests("sep.json"))

@@ -9,7 +9,7 @@ from conftest import connected_graphs, graphs
 from twcert.cli import main
 from twcert.config import Budget
 from twcert.detect import (
-    CreatureMatch,
+    PatternMatch,
     _compositions,
     _directed_induced_paths,
     breaks,
@@ -102,7 +102,8 @@ def test_creature_detector():
         sp = subdivided_claw(t + 1, t + 1, t + 1).graph
         got = find_creature(sp, 3, t)
         assert got is not None
-        for p in got.paths:
+        assert [name for name, _ in got.roles] == ["body", "path1", "path2", "path3"]
+        for _, p in got.roles[1:]:
             assert len(p) == t + 1
     assert find_creature(cycle_graph(3), 3, 0) is None
     wit = creature(4, 2, 2)
@@ -179,7 +180,7 @@ def test_creature_path_length_needs_no_recursion_depth(tmp_path):
     finally:
         sys.setrecursionlimit(limit)
     assert code == 0
-    assert len(json.loads(out.read_text())["paths"][0]) == 151
+    assert len(json.loads(out.read_text())["roles"]["path1"]) == 151
 
 
 def recursive_creature(g: Graph, k: int, t: int, budget: Budget):
@@ -205,7 +206,15 @@ def recursive_creature(g: Graph, k: int, t: int, budget: Budget):
         budget.tick()
         if len(chosen) == k:
             body = body_for(chosen)
-            return None if body is None else CreatureMatch(body, tuple(chosen))
+            if body is None:
+                return None
+            return PatternMatch(
+                image=tuple(sorted(set(body).union(*chosen))),
+                roles=(
+                    ("body", body),
+                    *((f"path{i + 1}", p) for i, p in enumerate(chosen)),
+                ),
+            )
         for idx in range(start, len(paths)):
             p = paths[idx]
             pm = mask_of(p)
@@ -248,7 +257,8 @@ def test_creature_count_needs_no_recursion_depth(tmp_path):
     argv = ["detect", "--pattern", "creature", "--k", "1100", "--t", "0",
             "-i", str(star), "-o", str(out)]
     assert main(argv) == 0
-    assert len(json.loads(out.read_text())["paths"]) == 1100
+    roles = json.loads(out.read_text())["roles"]
+    assert set(roles) == {"body", *(f"path{i}" for i in range(1, 1101))}
 
 
 def test_wall_line_detector():

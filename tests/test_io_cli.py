@@ -416,6 +416,16 @@ def test_cli_non_finite_fraction_is_usage_error(tmp_path, capsys, argv):
     assert "is not a finite fraction" in capsys.readouterr().err
 
 
+def test_cli_centralbag_non_normal_weights_name_the_total(tmp_path, capsys):
+    g, p, w = tmp_path / "g.json", tmp_path / "p.json", tmp_path / "w.json"
+    g.write_text('{"n": 2, "edges": [[0, 1]]}')
+    p.write_text('{"n": 1, "edges": []}')
+    w.write_text('{"0": "1/2", "1": "3/4"}')
+    argv = ["centralbag", "-i", str(g), "--pattern", str(p), "--weights", str(w)]
+    assert main(argv) == 64
+    assert "total is 5/4" in capsys.readouterr().err
+
+
 def test_cli_seed_zero_is_a_seed(tmp_path, capsys):
     out = tmp_path / "anchors.json"
     assert main(["--seed", "0", "verify", "anchors", "-o", str(out)]) == 0
