@@ -89,9 +89,10 @@ class Budget:
     path-tuple search.  In a family search (``detect._first_copy``) a member
     with no copy is searched on a trie of search trees it shares with the
     earlier members and charged, in one tick, exactly the steps the engine
-    would take for it; a member that embeds, or whose charge would exceed
-    ``limit``, runs through the engine itself.  Exceeding ``limit`` raises
-    ``BudgetExhausted``.
+    would take for it; a member whose trie walk reaches a level where an
+    earlier member's search died is charged that way without a search.  A
+    member that embeds, or whose charge would exceed ``limit``, runs through
+    the engine itself.  Exceeding ``limit`` raises ``BudgetExhausted``.
     """
 
     __slots__ = ("limit", "used")

@@ -9,11 +9,19 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import Budget, RunConfig
-from .generators import _pyramid_shape, _theta_shape, subdivided_claw, wall
+from .generators import (
+    _pyramid_shape,
+    _pyramid_signature,
+    _theta_shape,
+    _theta_signature,
+    subdivided_claw,
+    wall,
+)
 from .graphs import CapExceeded, Graph, bits, line_edges, mask_of, subdivided_edges
 
 
@@ -153,9 +161,26 @@ def iter_induced_maps(
 
 Roles = tuple[tuple[str, Sequence[int]], ...]
 Paths = Sequence[Sequence[int]]
-# One member of a witness family: its vertex count, its edge list, and the
-# vertex sequences its roles are read from (a copy maps them into the host).
-Member = tuple[int, Sequence[tuple[int, int]], Paths]
+Edges = Sequence[tuple[int, int]]
+# One member of a witness family: its vertex count, its signature (the
+# degree and the earlier-neighbour mask of each vertex, in vertex order),
+# and a call that builds its edge list and the vertex sequences its roles
+# are read from (a copy maps them into the host).
+Member = tuple[int, Iterator[tuple[int, int]], Callable[[], tuple[Edges, Paths]]]
+
+
+def _edge_member(k: int, edges: Edges, paths: Paths) -> Member:
+    """A member given by its edge list, which its signature is read from."""
+    degree = [0] * k
+    earlier = [0] * k
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+        if u < v:
+            earlier[v] |= 1 << u
+        else:
+            earlier[u] |= 1 << v
+    return k, zip(degree, earlier), lambda: (edges, paths)
 
 
 class _Level:
@@ -193,8 +218,6 @@ def _grow(
     p, k = trie.depth, len(degree)
     if cap < 0:
         return None
-    if not trie.vertex:
-        return []  # an earlier member's search died at level p-1
     if p == k:
         return None
     nbr, non, at_least = host
@@ -276,49 +299,52 @@ def _first_copy(
     copy: it is charged in one tick what the engine would charge, n steps
     for placing vertex 0 and n more below each of its nodes, and its new
     levels are linked into the trie, down to the first empty one.  So at
-    most one tree node is stored per n steps charged.
+    most one tree node is stored per n steps charged.  A walk that reaches
+    an empty level stops there: an earlier member's search died at that
+    level, so this one's dies too, and it is charged without reading the
+    rest of its signature.
 
     A member runs through `iter_induced_maps` instead when it embeds, or
     when its charge would exceed what is left of the budget, so the match,
     ``Budget.used`` and ``BudgetExhausted`` are those of running every
-    member in turn.  A member's signature is read from its edge list, its
-    graph is built only when it runs through the engine, and its roles only
-    when it matches.
+    member in turn.  A member's edge list is built only when it runs through
+    the engine, and its roles only when it matches.
     """
     bud = _default_budget(budget)
     n = g.n
     host = _host_masks(g)
     root = _Level(None, array("i", [-1]), array("i", [-1]))
-    for k, edges, paths in family:
+    for k, signature, build in family:
         if k > n:
             continue  # no copy, and the engine charges nothing
-        degree = [0] * k
-        earlier = [0] * k
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
-            if u < v:
-                earlier[v] |= 1 << u
-            else:
-                earlier[u] |= 1 << v
+        walked = []  # the signature entries read so far
         trie = root
-        for entry in zip(degree, earlier):
+        for entry in signature:
+            walked.append(entry)
             below = trie.next.get(entry)
             if below is None:
                 break
             trie = below
+            if not trie.vertex:
+                break
+        if not trie.vertex and n * trie.total <= bud.limit - bud.used:
+            bud.tick(n * trie.total)  # an earlier member's search died here
+            continue
+        walked.extend(signature)
+        degree = [d for d, _ in walked]
+        earlier = [e for _, e in walked]
         cap = (bud.limit - bud.used) // max(n, 1) - trie.total
         grown = _grow(trie, degree, earlier, host, cap)
         if grown is not None:
             # link the new levels down to the first empty one: the levels
             # below it are empty too, so trie.total counts every tree node
             for level, (parents, vertices) in enumerate(grown, trie.depth):
-                entry = degree[level], earlier[level]
-                trie.next[entry] = trie = _Level(trie, parents, vertices)
+                trie.next[walked[level]] = trie = _Level(trie, parents, vertices)
                 if not vertices:
                     break
             bud.tick(n * trie.total)
             continue
+        edges, paths = build()
         for mapping in iter_induced_maps(g, Graph(k, edges), bud):
             return PatternMatch(
                 image=tuple(sorted(mapping)),
@@ -345,10 +371,13 @@ def find_induced(
     budget: Optional[Budget] = None,
     max_pattern: int = RunConfig.max_pattern_nodes,
 ) -> Optional[PatternMatch]:
-    """Lexicographically first induced copy of an explicit pattern graph."""
+    """Lexicographically first induced copy of an explicit pattern graph.
+    A pattern larger than g has no copy, whatever its size against the cap."""
+    if pattern.n > g.n:
+        return None  # no copy, and the engine charges nothing
     if pattern.n > max_pattern:
         raise CapExceeded(f"pattern has {pattern.n} vertices, cap {max_pattern}")
-    member = pattern.n, pattern.edges, (range(pattern.n),)
+    member = _edge_member(pattern.n, pattern.edges, (range(pattern.n),))
     return _first_copy(g, [member], _whole, budget)
 
 
@@ -390,8 +419,11 @@ def find_t_theta(
         return (("ends", (paths[0][0], paths[0][-1])), *_numbered("path", paths))
 
     # a theta has l1 + l2 + l3 - 1 vertices
-    lengths = _length_triples(t, g.n + 1, floor2=True)
-    return _first_copy(g, (_theta_shape(*ls) for ls in lengths), roles, budget)
+    family = (
+        (sum(ls) - 1, _theta_signature(*ls), partial(_theta_shape, *ls))
+        for ls in _length_triples(t, g.n + 1, floor2=True)
+    )
+    return _first_copy(g, family, roles, budget)
 
 
 def find_t_pyramid(
@@ -413,7 +445,7 @@ def find_t_pyramid(
     # a pyramid has l1 + l2 + l3 + 1 vertices; l1 = l2 = 1 would give two
     # single-edge paths
     family = (
-        _pyramid_shape(*ls)
+        (sum(ls) + 1, _pyramid_signature(*ls), partial(_pyramid_shape, *ls))
         for ls in _length_triples(t, g.n - 1, floor2=False)
         if ls[1] >= 2
     )
@@ -430,7 +462,7 @@ def find_subdivided_claw(
     def roles(legs: Paths) -> Roles:
         return (("root", (wit.root,)), *_numbered("leg", legs))
 
-    member = wit.graph.n, wit.graph.edges, wit.legs
+    member = _edge_member(wit.graph.n, wit.graph.edges, wit.legs)
     return _first_copy(g, [member], roles, budget)
 
 
@@ -579,7 +611,7 @@ def find_line_of_subdivided_wall(
             for extra in _compositions(total - m, m):
                 bud.tick()
                 sub = subdivided_edges(base.n, base_edges, extra)
-                yield total, line_edges(*sub), (range(total),)
+                yield _edge_member(total, line_edges(*sub), (range(total),))
 
     return _first_copy(g, family(), _whole, bud)
 

@@ -63,3 +63,26 @@ def test_wall_line_k_below_two_is_a_usage_error(tmp_path):
     code, payload = _run(tmp_path, argv + ["--k", "4"])
     assert code == 2
     assert payload == {"status": "budget", "detail": "wall-line detection supports k in {2, 3}"}
+
+
+def test_pattern_larger_than_the_host_is_absent_before_the_cap(tmp_path):
+    """A 25-vertex star, over the default cap of 24, has no copy in the
+    12-vertex 3x3 wall: `detect` reports it absent, and a `centralbag` forcer
+    check passes with or without a config that raises the cap."""
+    star = tmp_path / "star25.json"
+    star.write_text(json.dumps({"n": 25, "edges": [[0, v] for v in range(1, 25)]}))
+    pattern = tmp_path / "p3.json"
+    pattern.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}\n')
+    wall = _wall(tmp_path, 3, 3)
+    argv = ["detect", "--pattern", "induced", "--pattern-file", str(star), "-i", wall]
+    assert _run(tmp_path, argv) == (1, {"status": "absent"})
+    argv = ["centralbag", "-i", wall, "--pattern", str(pattern), "--forcer", str(star)]
+    for config in (None, "max_pattern_nodes=30\n"):
+        code, payload = _run(tmp_path, argv, config=config)
+        assert code == 2  # the transfer hypotheses are unmet on the wall
+        assertions = payload["certificate"]["assertions"]
+        records = [(a["check"], a["status"]) for a in assertions]
+        assert ("bag.forcer.0", "pass") in records
+        assert [r for r in records if r[0] == "bag.transfer"] == [
+            ("bag.transfer", "hypothesis-unmet")
+        ] * 4

@@ -40,7 +40,8 @@ def reference_detectors(spans: list[tuple[int, int]]):
     budget span (used before, used after) of each member that fails."""
 
     def first_copy(g, family, roles, budget):
-        for n, edges, paths in family:
+        for n, _, build in family:
+            edges, paths = build()
             start = budget.used
             for mapping in iter_induced_maps(g, Graph(n, edges), budget):
                 return PatternMatch(
@@ -109,8 +110,12 @@ def reference_outcome(search, g, limit, spans=None):
 
 def first_copy_of(patterns):
     """A search over the family of the given patterns, in that order."""
-    members = [(p.n, p.edges, (range(p.n),)) for p in patterns]
-    return lambda g, b: detect._first_copy(g, members, detect._whole, b)
+
+    def search(g, b):
+        members = [detect._edge_member(p.n, p.edges, (range(p.n),)) for p in patterns]
+        return detect._first_copy(g, members, detect._whole, b)
+
+    return search
 
 
 @pytest.mark.parametrize("host", sorted(WALLS))

@@ -1,10 +1,13 @@
 """Work counts of the family detectors: how many members a family offers,
-how many witness graphs it builds and how many members run through the
-plain engine.  A member that has no copy is searched on the trie of search
-trees in `detect._first_copy`, from its edge list alone; only a member that
-runs through `iter_induced_maps` (it embeds, or its charge would overrun the
-budget) has its graph built.  The members' edge lists, `line_graph` and
-`subdivide` are checked against the plain constructions they replaced."""
+how many witness graphs and theta or pyramid edge lists it builds, how many
+members run through the plain engine, and how many signature entries the
+members are read for.  A member that has no copy is searched on the trie of
+search trees in `detect._first_copy`, from its signature alone; only a
+member that runs through `iter_induced_maps` (it embeds, or its charge would
+overrun the budget) has its graph built.  Theta and pyramid signatures,
+read from the path lengths, are checked against the edge lists they stand
+for; the wall-line members' edge lists, `line_graph` and `subdivide` against
+the plain constructions they replaced."""
 
 from collections import Counter
 from unittest import mock
@@ -14,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from twcert import detect
+from twcert import detect, generators
 from twcert.config import Budget
 from twcert.detect import find_line_of_subdivided_wall, find_t_pyramid, find_t_theta
-from twcert.generators import subdivided_claw, wall
+from twcert.generators import _pyramid_shape, _theta_shape, subdivided_claw, wall
 from twcert.graphs import Graph, line_graph, subdivide
 
 # the line graph of the 2x2 wall with two edges subdivided, which holds a copy
@@ -49,17 +52,23 @@ def counted(name, fn, counts):
     return wrapper
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_members_are_built_only_when_searched(name):
-    """A graph is built only when the engine searches its member."""
-    search, members, built = CASES[name]
+def searched(name: str) -> Counter[str]:
+    """Run the named search and count the members it is offered, the
+    signature entries read from them, the graphs and the theta or pyramid
+    edge lists built (`_joined_paths` calls), and the plain-engine runs."""
+    search = CASES[name][0]
     counts: Counter[str] = Counter()
     first_copy = detect._first_copy
 
+    def entries(signature):
+        for entry in signature:
+            counts["entries"] += 1
+            yield entry
+
     def members_of(family):
-        for member in family:
+        for k, signature, build in family:
             counts["members"] += 1
-            yield member
+            yield k, entries(signature), build
 
     with mock.patch.multiple(
         detect,
@@ -68,13 +77,82 @@ def test_members_are_built_only_when_searched(name):
         ),
         Graph=counted("built", detect.Graph, counts),
         iter_induced_maps=counted("plain", detect.iter_induced_maps, counts),
+    ), mock.patch.object(
+        generators, "_joined_paths", counted("joined", generators._joined_paths, counts)
     ):
         search(Budget(10**7))
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_members_are_built_only_when_searched(name):
+    """A graph, and a theta or pyramid edge list, is built only when the
+    engine searches its member; wall-line members come with their edge lists."""
+    _, members, built = CASES[name]
+    counts = searched(name)
     assert (counts["members"], counts["built"], counts["plain"]) == (
         members,
         built,
         built,
     )
+    assert counts["joined"] == (0 if name.startswith("wall-line") else built)
+
+
+def test_dead_members_read_only_the_entries_to_their_dead_level():
+    """Every pyramid member on the triangle-free 4x4 wall dies at the level
+    of its third triangle corner: all but the members that grow the trie
+    read the 4 entries down to that level and no more, 1,353 entries in all
+    (the whole signatures, 6,384 entries, were read before members walked
+    the trie lazily)."""
+    counts = searched("pyramid-t1-wall44")
+    assert counts["members"] == 337
+    assert counts["entries"] <= 5 * counts["members"]
+
+
+def family_members(search, n: int) -> list[detect.Member]:
+    """The members a family search offers on an edgeless n-vertex host."""
+    members: list[detect.Member] = []
+
+    def collect(g, family, roles, budget):
+        members.extend(family)
+
+    with mock.patch.object(detect, "_first_copy", collect):
+        search(Graph(n, []))
+    return members
+
+
+@pytest.mark.parametrize(
+    "search, n, shape, triples",
+    [
+        # thetas with t = 2 and pyramids with t = 1, path lengths summing to
+        # 40 at most: the families offered on hosts of 39 and 41 vertices
+        (
+            lambda g: find_t_theta(g, 2),
+            39,
+            _theta_shape,
+            detect._length_triples(2, 40, True),
+        ),
+        (
+            lambda g: find_t_pyramid(g, 1),
+            41,
+            _pyramid_shape,
+            [ls for ls in detect._length_triples(1, 40, False) if ls[1] >= 2],
+        ),
+    ],
+    ids=["theta-t2", "pyramid-t1"],
+)
+def test_signatures_read_from_lengths_match_the_edge_lists(search, n, shape, triples):
+    """Each theta or pyramid member's signature, yielded from its path
+    lengths, is the one read from its edge list, and building the member
+    gives exactly that shape's edges and paths."""
+    triples = list(triples)
+    members = family_members(search, n)
+    assert len(members) == len(triples)
+    for (k, signature, build), ls in zip(members, triples):
+        edges, paths = shape(*ls)
+        assert k == max(max(e) for e in edges) + 1
+        assert list(signature) == list(detect._edge_member(k, edges, paths)[1])
+        assert build() == (edges, paths)
 
 
 def reference_line_graph(g: Graph) -> Graph:
@@ -104,18 +182,6 @@ def reference_subdivide(g: Graph, lengths: dict[tuple[int, int], int]) -> Graph:
     return Graph(nxt, edges)
 
 
-def wall_line_members(k: int, n: int) -> list[detect.Member]:
-    """The members the wall-line family offers on a host of n vertices."""
-    members: list[detect.Member] = []
-
-    def collect(g, family, roles, budget):
-        members.extend(family)
-
-    with mock.patch.object(detect, "_first_copy", collect):
-        find_line_of_subdivided_wall(Graph(n, []), k)
-    return members
-
-
 @settings(max_examples=60, deadline=None)
 @given(g=graphs(max_n=9), data=st.data())
 def test_line_graph_and_subdivide_match_reference(g, data):
@@ -135,11 +201,14 @@ def test_line_edges_match_the_line_graph(k):
     roles read the whole vertex order."""
     base = wall(k, k)
     for extra in range(4):
-        members = wall_line_members(k, base.m + extra)
+        members = family_members(
+            lambda g: find_line_of_subdivided_wall(g, k), base.m + extra
+        )
         # the new vertices per base edge, in the family's order
         spreads = [s for x in range(extra + 1) for s in detect._compositions(x, base.m)]
         assert len(members) == len(spreads)
-        for (n, edges, paths), spread in zip(members, spreads):
+        for (n, _, build), spread in zip(members, spreads):
+            edges, paths = build()
             lengths = {e: x + 1 for e, x in zip(base.edges, spread)}
             sub = subdivide(base, lengths)
             assert sub == reference_subdivide(base, lengths)
