@@ -92,7 +92,11 @@ class Budget:
     would take for it; a member whose trie walk reaches a level where an
     earlier member's search died is charged that way without a search.  A
     member that embeds, or whose charge would exceed ``limit``, runs through
-    the engine itself.  Exceeding ``limit`` raises ``BudgetExhausted``.
+    the engine itself.  A theta member carries the condition that its end
+    lies above its hub (its mirror is the same copy), so the engine tries
+    each pair of host vertices for them in one order only: the first copy
+    is the same, and the steps charged are at most those without the
+    condition.  Exceeding ``limit`` raises ``BudgetExhausted``.
     """
 
     __slots__ = ("limit", "used")

@@ -37,7 +37,9 @@ def _default_budget(budget: Optional[Budget]) -> Budget:
 
 # -- generic engine ---------------------------------------------------------
 
-Filter = tuple[list[int], list[tuple[int, ...]], list[tuple[int, ...]]]
+Filter = tuple[
+    list[int], list[tuple[int, ...]], list[tuple[int, ...]], list[tuple[int, ...]]
+]
 
 
 def _host_masks(g: Graph) -> tuple[list[int], list[int], list[int]]:
@@ -53,10 +55,14 @@ def _host_masks(g: Graph) -> tuple[list[int], list[int], list[int]]:
 
 
 def _filter(
-    degree: Sequence[int], earlier: Sequence[int], at_least: list[int]
+    degree: Sequence[int],
+    earlier: Sequence[int],
+    above: Sequence[int],
+    at_least: list[int],
 ) -> Filter:
     """The engine's candidate filter for a pattern whose vertex i has degree
-    ``degree[i]`` and earlier neighbours ``earlier[i]`` (a mask of 0..i-1),
+    ``degree[i]``, earlier neighbours ``earlier[i]`` (a mask of 0..i-1) and
+    an image above those of the vertices in ``above[i]`` (a mask of 0..i-1),
     on a host whose vertices of degree >= d are ``at_least[d]`` (none when d
     is past the end).
 
@@ -64,27 +70,32 @@ def _filter(
     of large enough degree), minus the vertices the images of 0..i-1 take,
     AND the host neighbour mask of the image of each j in ``adj[i]`` (i's
     earlier neighbours), AND the complement of that of each j in ``non[i]``
-    (its earlier non-neighbours).
+    (its earlier non-neighbours), AND the host vertices above the image of
+    each j in ``over[i]``.
     """
     top = len(at_least)
     base = [at_least[d] if d < top else 0 for d in degree]
     adj = [tuple(bits(mask)) for mask in earlier]
     non = [tuple(bits((1 << i) - 1 & ~mask)) for i, mask in enumerate(earlier)]
-    return base, adj, non
+    over = [tuple(bits(mask)) if mask else () for mask in above]
+    return base, adj, non, over
 
 
 def iter_induced_maps(
-    g: Graph, pattern: Graph, budget: Budget
+    g: Graph, pattern: Graph, budget: Budget, above: Sequence[int] = ()
 ) -> Iterator[tuple[int, ...]]:
     """All injective maps pattern -> g preserving adjacency and non-adjacency,
-    in lexicographic order of the mapping tuple.
+    in lexicographic order of the mapping tuple.  Given ``above``, only the
+    maps that send each pattern vertex i above the images of the earlier
+    vertices in the mask ``above[i]``, in the same order (a family search
+    passes the condition that breaks a member's symmetry).
 
     Pattern vertices are placed in id order by one loop over an explicit
     stack.  The candidates for pattern vertex i form one host bitmask (see
     ``_filter``): the vertices of large enough degree, not yet used,
-    adjacent to the images of i's earlier pattern neighbours and non-adjacent
-    to the images of its earlier non-neighbours.  They are tried in ascending
-    id order.
+    adjacent to the images of i's earlier pattern neighbours, non-adjacent
+    to the images of its earlier non-neighbours and above the images the
+    condition names.  They are tried in ascending id order.
 
     One budget step is one host vertex considered for one pattern vertex,
     whether the filter keeps it or not: placing vertex i costs n steps (n the
@@ -104,9 +115,10 @@ def iter_induced_maps(
         yield ()
         return
     nbr, non, at_least = _host_masks(g)
-    base, earlier_adj, earlier_non = _filter(
+    base, earlier_adj, earlier_non, earlier_over = _filter(
         [pattern.degree(i) for i in range(k)],
         [pattern.neighbor_mask(i) & ((1 << i) - 1) for i in range(k)],
+        above or [0] * k,
         at_least,
     )
     # per pattern vertex i: its current image (-1 until some branch places
@@ -145,6 +157,8 @@ def iter_induced_maps(
                 cand &= nbr[assigned[j]]
             for j in earlier_non[i]:
                 cand &= non[assigned[j]]
+            for j in earlier_over[i]:
+                cand &= -(2 << assigned[j])
             cands[i] = cand
             ticked[i] = 0
             used[i] = taken
@@ -162,11 +176,13 @@ def iter_induced_maps(
 Roles = tuple[tuple[str, Sequence[int]], ...]
 Paths = Sequence[Sequence[int]]
 Edges = Sequence[tuple[int, int]]
-# One member of a witness family: its vertex count, its signature (the
-# degree and the earlier-neighbour mask of each vertex, in vertex order),
-# and a call that builds its edge list and the vertex sequences its roles
-# are read from (a copy maps them into the host).
-Member = tuple[int, Iterator[tuple[int, int]], Callable[[], tuple[Edges, Paths]]]
+# One member of a witness family: its vertex count, its signature (one entry
+# per vertex, in vertex order: its degree and its earlier-neighbour mask,
+# and for a vertex whose image must lie above those of some earlier vertices,
+# the mask of those as a third field), and a call that builds its edge list
+# and the vertex sequences its roles are read from (a copy maps them into
+# the host).
+Member = tuple[int, Iterator[tuple[int, ...]], Callable[[], tuple[Edges, Paths]]]
 
 
 def _edge_member(k: int, edges: Edges, paths: Paths) -> Member:
@@ -199,13 +215,14 @@ class _Level:
         self.total = (up.total if up else 0) + len(vertex)
         self.parent = parent
         self.vertex = vertex
-        self.next: dict[tuple[int, int], _Level] = {}
+        self.next: dict[tuple[int, ...], _Level] = {}
 
 
 def _grow(
     trie: _Level,
     degree: Sequence[int],
     earlier: Sequence[int],
+    above: Sequence[int],
     host: tuple[list[int], list[int], list[int]],
     cap: int,
 ) -> Optional[list[tuple[array, array]]]:
@@ -221,7 +238,9 @@ def _grow(
     if p == k:
         return None
     nbr, non, at_least = host
-    base, earlier_adj, earlier_non = _filter(degree, earlier, at_least)
+    base, earlier_adj, earlier_non, earlier_over = _filter(
+        degree, earlier, above, at_least
+    )
     path = [trie]  # path[L]: the trie node of level L-1
     while path[-1].up:
         path.append(path[-1].up)
@@ -276,6 +295,8 @@ def _grow(
             cand &= nbr[assigned[j]]
         for j in earlier_non[i]:
             cand &= non[assigned[j]]
+        for j in earlier_over[i]:
+            cand &= -(2 << assigned[j])
         cands[i] = cand
 
 
@@ -290,25 +311,29 @@ def _first_copy(
     into g.  Members are tried in order and share one budget.
 
     The engine's search tree down to pattern vertex i depends only on g and,
-    for each of the vertices 0..i, its degree and its earlier neighbours:
-    the member's signature.  So the members share one trie keyed by
-    signature entries, whose node at depth L+1 holds the tree nodes at level
-    L (see `_Level`).  A member walks the trie along its signature as far as
-    it goes, to depth p, and grows levels p..k-1 below it with the engine's
-    candidate filter.  When no node reaches level k-1 the member has no
-    copy: it is charged in one tick what the engine would charge, n steps
-    for placing vertex 0 and n more below each of its nodes, and its new
-    levels are linked into the trie, down to the first empty one.  So at
-    most one tree node is stored per n steps charged.  A walk that reaches
-    an empty level stops there: an earlier member's search died at that
-    level, so this one's dies too, and it is charged without reading the
-    rest of its signature.
+    for each of the vertices 0..i, its degree, its earlier neighbours and
+    the earlier vertices its image must lie above: the member's signature.
+    (The last is a condition that breaks a symmetry of the member, as a
+    theta's end lies above its hub; it keeps the member's first copy and
+    shrinks its tree, and the engine applies it as part of its candidate
+    filter.)  So the members share one trie keyed by signature entries,
+    whose node at depth L+1 holds the tree nodes at level L (see `_Level`).
+    A member walks the trie along its signature as far as it goes, to depth
+    p, and grows levels p..k-1 below it with the engine's candidate filter.
+    When no node reaches level k-1 the member has no copy: it is charged in
+    one tick what the engine would charge, n steps for placing vertex 0 and
+    n more below each of its nodes, and its new levels are linked into the
+    trie, down to the first empty one.  So at most one tree node is stored
+    per n steps charged.  A walk that reaches an empty level stops there: an
+    earlier member's search died at that level, so this one's dies too, and
+    it is charged without reading the rest of its signature.
 
-    A member runs through `iter_induced_maps` instead when it embeds, or
-    when its charge would exceed what is left of the budget, so the match,
-    ``Budget.used`` and ``BudgetExhausted`` are those of running every
-    member in turn.  A member's edge list is built only when it runs through
-    the engine, and its roles only when it matches.
+    A member runs through `iter_induced_maps`, with its condition, instead
+    when it embeds, or when its charge would exceed what is left of the
+    budget, so the match, ``Budget.used`` and ``BudgetExhausted`` are those
+    of running every member in turn under its condition.  A member's edge
+    list is built only when it runs through the engine, and its roles only
+    when it matches.
     """
     bud = _default_budget(budget)
     n = g.n
@@ -331,10 +356,11 @@ def _first_copy(
             bud.tick(n * trie.total)  # an earlier member's search died here
             continue
         walked.extend(signature)
-        degree = [d for d, _ in walked]
-        earlier = [e for _, e in walked]
+        degree = [entry[0] for entry in walked]
+        earlier = [entry[1] for entry in walked]
+        above = [entry[2] if len(entry) > 2 else 0 for entry in walked]
         cap = (bud.limit - bud.used) // max(n, 1) - trie.total
-        grown = _grow(trie, degree, earlier, host, cap)
+        grown = _grow(trie, degree, earlier, above, host, cap)
         if grown is not None:
             # link the new levels down to the first empty one: the levels
             # below it are empty too, so trie.total counts every tree node
@@ -345,7 +371,7 @@ def _first_copy(
             bud.tick(n * trie.total)
             continue
         edges, paths = build()
-        for mapping in iter_induced_maps(g, Graph(k, edges), bud):
+        for mapping in iter_induced_maps(g, Graph(k, edges), bud, above):
             return PatternMatch(
                 image=tuple(sorted(mapping)),
                 roles=tuple(
@@ -410,7 +436,10 @@ def find_t_theta(
     g: Graph, t: int, budget: Optional[Budget] = None
 ) -> Optional[PatternMatch]:
     """Two non-adjacent vertices joined by three internally disjoint induced
-    paths of length >= t with no other edges between the paths."""
+    paths of length >= t with no other edges between the paths.  Each member
+    is searched with its second end above its first (a theta's mirror is the
+    same copy, see `_theta_signature`): the same first copy, in at most the
+    steps of the search without that condition."""
     if t < 2:
         raise ValueError("thetas need t >= 2")
 

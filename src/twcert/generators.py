@@ -133,9 +133,17 @@ def _theta_shape(l1: int, l2: int, l3: int) -> _Shape:
     return _joined_paths((1, 1, 1), (l1, l2, l3), 2, [])
 
 
-def _theta_signature(l1: int, l2: int, l3: int) -> Iterator[tuple[int, int]]:
-    """The signature of ``_theta_shape(l1, l2, l3)`` (see `_joined_signature`)."""
-    return _joined_signature((1, 1, 1), (l1, l2, l3), 2, ())
+def _theta_signature(l1: int, l2: int, l3: int) -> Iterator[tuple[int, ...]]:
+    """The signature of ``_theta_shape(l1, l2, l3)`` (see `_joined_signature`),
+    with end 1 placed above hub 0.  Swapping the hub and the end and
+    reversing each path maps the theta onto itself, so composing a copy with
+    that mirror gives a copy whose hub is the first's end: the
+    lexicographically first copy has its end above its hub."""
+    entries = _joined_signature((1, 1, 1), (l1, l2, l3), 2, ())
+    yield next(entries)
+    degree, earlier = next(entries)
+    yield degree, earlier, 1  # above the hub
+    yield from entries
 
 
 def _joined_paths(

@@ -1,12 +1,15 @@
 """Pinned results of the family detectors: the exact first match and the
 budget it used.  Members are tried in a fixed order under one shared budget,
-so a change to that order, or to where ticks are taken, shows here."""
+so a change to that order, or to where ticks are taken, shows here.  The
+theta pins are also counted by a recursive search that places a theta's end
+above its hub, one tick per host vertex tried."""
 
 import pytest
 
 from twcert.config import Budget
 from twcert.detect import (
     PatternMatch,
+    _length_triples,
     find_induced,
     find_line_of_subdivided_wall,
     find_subdivided_claw,
@@ -19,6 +22,7 @@ from twcert.generators import (
     path_graph,
     pyramid,
     subdivided_claw,
+    theta,
     wall,
 )
 from twcert.graphs import disjoint_union
@@ -35,7 +39,7 @@ CASES = {
                 ("path3", (1, 2, 7, 8, 11, 10, 9, 4)),
             ),
         ),
-        17963,
+        9731,
     ),
     "theta-t3-wall34": (
         lambda b: find_t_theta(wall(3, 4), 3, b),
@@ -48,7 +52,7 @@ CASES = {
                 ("path3", (2, 3, 10, 11, 15, 14, 13)),
             ),
         ),
-        165543,
+        85751,
     ),
     "theta-t2-k23": (
         lambda b: find_t_theta(complete_bipartite(2, 3), 2, b),
@@ -143,7 +147,7 @@ CASES = {
                 ("path3", (6, 1, 2, 3, 10, 9, 17, 18, 23, 22, 21, 14)),
             ),
         ),
-        1496794,
+        760954,
     ),
     "theta-t2-wall45": (
         lambda b: find_t_theta(wall(4, 5), 2, b),
@@ -156,7 +160,7 @@ CASES = {
                 ("path3", (1, 2, 9, 10, 20, 19, 18, 17, 16, 6)),
             ),
         ),
-        1578143,
+        802733,
     ),
 }
 
@@ -195,3 +199,61 @@ def test_family_detector_pinned(name):
     assert budget.used == used
     if expected is not None:
         assert member_of(match) == MEMBER[name]
+
+
+# the theta cases as (host, t)
+THETAS = {
+    "theta-t2-wall33": (wall(3, 3), 2),
+    "theta-t3-wall34": (wall(3, 4), 3),
+    "theta-t2-k23": (complete_bipartite(2, 3), 2),
+    "theta-t2-c8-absent": (cycle_graph(8), 2),
+    "theta-t3-wall44": (wall(4, 4), 3),
+    "theta-t2-wall45": (wall(4, 5), 2),
+}
+
+
+def recursive_theta(g, t):
+    """The theta family searched member by member, recursively: each pattern
+    vertex tries every host vertex in id order and ticks once for each, the
+    end (vertex 1) only above the hub's image.  Returns the first match and
+    the ticks taken up to it, or None and every member's ticks."""
+    ticks = 0
+    for ls in _length_triples(t, g.n + 1, floor2=True):
+        wit = theta(*ls)
+        p = wit.graph
+        assigned = []
+
+        def place(i):
+            nonlocal ticks
+            if i == p.n:
+                return True
+            for cand in g.vertices:
+                ticks += 1
+                if cand in assigned or g.degree(cand) < p.degree(i):
+                    continue
+                if i == 1 and cand < assigned[0]:
+                    continue  # the hub-below-end filter
+                if any(
+                    p.has_edge(i, j) != g.has_edge(assigned[j], cand) for j in range(i)
+                ):
+                    continue
+                assigned.append(cand)
+                if place(i + 1):
+                    return True
+                assigned.pop()
+            return False
+
+        if place(0):
+            paths = [tuple(assigned[v] for v in path) for path in wit.paths]
+            roles = (
+                ("ends", (paths[0][0], paths[0][-1])),
+                *((f"path{i + 1}", path) for i, path in enumerate(paths)),
+            )
+            return PatternMatch(image=tuple(sorted(assigned)), roles=roles), ticks
+    return None, ticks
+
+
+@pytest.mark.parametrize("name", sorted(THETAS))
+def test_theta_pins_equal_a_recursive_count(name):
+    _, expected, used = CASES[name]
+    assert recursive_theta(*THETAS[name]) == (expected, used)

@@ -36,14 +36,16 @@ WALLS = {"wall33": wall(3, 3), "wall34": wall(3, 4)}
 
 @contextmanager
 def reference_detectors(spans: list[tuple[int, int]]):
-    """Run the detectors with every member searched in full, appending the
-    budget span (used before, used after) of each member that fails."""
+    """Run the detectors with every member searched in full under its
+    condition (the third field of a signature entry), appending the budget
+    span (used before, used after) of each member that fails."""
 
     def first_copy(g, family, roles, budget):
-        for n, _, build in family:
+        for n, signature, build in family:
+            above = [entry[2] if len(entry) > 2 else 0 for entry in signature]
             edges, paths = build()
             start = budget.used
-            for mapping in iter_induced_maps(g, Graph(n, edges), budget):
+            for mapping in iter_induced_maps(g, Graph(n, edges), budget, above):
                 return PatternMatch(
                     image=tuple(sorted(mapping)),
                     roles=tuple(
@@ -78,8 +80,8 @@ def engine_flagged():
     """Run `iter_induced_maps` with `in_engine` set on its budget while the
     generator runs."""
 
-    def flagged(g, pattern, budget):
-        maps = iter_induced_maps(g, pattern, budget)
+    def flagged(g, pattern, budget, above=()):
+        maps = iter_induced_maps(g, pattern, budget, above)
         while True:
             budget.in_engine = True
             try:
