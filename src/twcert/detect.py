@@ -10,7 +10,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import Budget, RunConfig
@@ -333,7 +333,8 @@ def _first_copy(
     budget, so the match, ``Budget.used`` and ``BudgetExhausted`` are those
     of running every member in turn under its condition.  A member's edge
     list is built only when it runs through the engine, and its roles only
-    when it matches.
+    when it matches.  The trie pays only across members: a one-pattern
+    search takes the engine's first mapping directly (`_engine_match`).
     """
     bud = _default_budget(budget)
     n = g.n
@@ -371,14 +372,30 @@ def _first_copy(
             bud.tick(n * trie.total)
             continue
         edges, paths = build()
-        for mapping in iter_induced_maps(g, Graph(k, edges), bud, above):
-            return PatternMatch(
-                image=tuple(sorted(mapping)),
-                roles=tuple(
-                    (key, tuple(mapping[v] for v in seq))
-                    for key, seq in roles(paths)
-                ),
-            )
+        match = _engine_match(g, Graph(k, edges), paths, roles, bud, above)
+        if match is not None:
+            return match
+    return None
+
+
+def _engine_match(
+    g: Graph,
+    pattern: Graph,
+    paths: Paths,
+    roles: Callable[[Paths], Roles],
+    budget: Budget,
+    above: Sequence[int] = (),
+) -> Optional[PatternMatch]:
+    """The engine's first mapping of the pattern into g (under the
+    condition ``above``), as its image and its roles (``roles`` of
+    ``paths``) mapped into g, or None when the pattern has no copy."""
+    for mapping in iter_induced_maps(g, pattern, budget, above):
+        return PatternMatch(
+            image=tuple(sorted(mapping)),
+            roles=tuple(
+                (key, tuple(mapping[v] for v in seq)) for key, seq in roles(paths)
+            ),
+        )
     return None
 
 
@@ -397,14 +414,15 @@ def find_induced(
     budget: Optional[Budget] = None,
     max_pattern: int = RunConfig.max_pattern_nodes,
 ) -> Optional[PatternMatch]:
-    """Lexicographically first induced copy of an explicit pattern graph.
-    A pattern larger than g has no copy, whatever its size against the cap."""
+    """Lexicographically first induced copy of an explicit pattern graph:
+    the engine's first mapping, searched once.  A pattern larger than g has
+    no copy, whatever its size against the cap."""
     if pattern.n > g.n:
         return None  # no copy, and the engine charges nothing
     if pattern.n > max_pattern:
         raise CapExceeded(f"pattern has {pattern.n} vertices, cap {max_pattern}")
-    member = _edge_member(pattern.n, pattern.edges, (range(pattern.n),))
-    return _first_copy(g, [member], _whole, budget)
+    bud = _default_budget(budget)
+    return _engine_match(g, pattern, (range(pattern.n),), _whole, bud)
 
 
 def induced_copies(
@@ -484,15 +502,15 @@ def find_t_pyramid(
 def find_subdivided_claw(
     g: Graph, t1: int, t2: int, t3: int, budget: Optional[Budget] = None
 ) -> Optional[PatternMatch]:
-    """Induced copy of the three-legged spider with the given leg lengths;
-    the root is matched first."""
+    """Lexicographically first induced copy of the three-legged spider with
+    the given leg lengths: the engine's first mapping, searched once, with
+    the root matched first."""
     wit = subdivided_claw(t1, t2, t3)
 
     def roles(legs: Paths) -> Roles:
         return (("root", (wit.root,)), *_numbered("leg", legs))
 
-    member = _edge_member(wit.graph.n, wit.graph.edges, wit.legs)
-    return _first_copy(g, [member], roles, budget)
+    return _engine_match(g, wit.graph, wit.legs, roles, _default_budget(budget))
 
 
 # -- creatures -----------------------------------------------------------------
@@ -623,7 +641,14 @@ def find_line_of_subdivided_wall(
 
     Only subdivisions with at most |V(g)| edges can embed, so enumerating
     edge-length vectors in graded lexicographic order up to that budget is
-    exhaustive; absence means no member of the family embeds.
+    exhaustive; absence means no member of the family embeds.  Each member
+    tried costs one step, besides its search.
+
+    The 2x2 wall is the 4-cycle, so at k = 2 every subdivision with j edges
+    is the cycle C_j, and so is its line graph: the vectors of one length
+    are one member under different labels, and either all embed or none
+    does.  Only the first vector of each length (all extra vertices on the
+    last edge) is tried, which gives the same first match.
     """
     if k < 2:
         raise ValueError("walls need k >= 2")
@@ -637,7 +662,8 @@ def find_line_of_subdivided_wall(
     def family() -> Iterator[Member]:
         # the subdivision with `total` edges has a line graph on `total` vertices
         for total in range(m, g.n + 1):
-            for extra in _compositions(total - m, m):
+            spreads = _compositions(total - m, m)
+            for extra in islice(spreads, 1) if k == 2 else spreads:
                 bud.tick()
                 sub = subdivided_edges(base.n, base_edges, extra)
                 yield _edge_member(total, line_edges(*sub), (range(total),))

@@ -4,6 +4,9 @@ status, and `detect` searches under the configured budget and pattern cap."""
 import json
 
 from twcert.cli import main
+from twcert import generators
+from twcert.graphs import full_subdivision, line_graph
+from twcert.io import graph_to_json
 
 
 def _run(tmp_path, argv, config=None):
@@ -86,3 +89,16 @@ def test_pattern_larger_than_the_host_is_absent_before_the_cap(tmp_path):
         assert [r for r in records if r[0] == "bag.transfer"] == [
             ("bag.transfer", "hypothesis-unmet")
         ] * 4
+
+
+def test_wall_line_k2_finds_a_hole_in_theorem_1s_line_graph_host(tmp_path):
+    """On the line graph of the fully subdivided 3x3 wall, wall-line k = 2
+    tries one cycle per length and finds its 10-cycle under the default
+    budget (searching every subdivision of the 4-cycle ran out of it)."""
+    host = tmp_path / "line.json"
+    lw33 = line_graph(full_subdivision(generators.wall(3, 3)))
+    host.write_text(json.dumps(graph_to_json(lw33)))
+    argv = ["detect", "--pattern", "wall-line", "--k", "2", "-i", str(host)]
+    code, payload = _run(tmp_path, argv)
+    assert code == 0 and payload["status"] == "found"
+    assert payload["image"] == [0, 1, 2, 4, 7, 8, 9, 10, 12, 13]

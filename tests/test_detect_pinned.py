@@ -2,7 +2,8 @@
 budget it used.  Members are tried in a fixed order under one shared budget,
 so a change to that order, or to where ticks are taken, shows here.  The
 theta pins are also counted by a recursive search that places a theta's end
-above its hub, one tick per host vertex tried."""
+above its hub, one tick per host vertex tried, and the wall-line k = 2 pins
+by searching one cycle per length with the plain engine."""
 
 import pytest
 
@@ -15,6 +16,7 @@ from twcert.detect import (
     find_subdivided_claw,
     find_t_pyramid,
     find_t_theta,
+    iter_induced_maps,
 )
 from twcert.generators import (
     complete_bipartite,
@@ -25,7 +27,7 @@ from twcert.generators import (
     theta,
     wall,
 )
-from twcert.graphs import disjoint_union
+from twcert.graphs import disjoint_union, line_graph, subdivide
 
 CASES = {
     "theta-t2-wall33": (
@@ -107,7 +109,7 @@ CASES = {
             image=(0, 1, 2, 3, 4, 5, 6, 7),
             roles=(("mapping", (0, 1, 7, 2, 6, 3, 4, 5)),),
         ),
-        32928,
+        2121,
     ),
     "wall-line-k2-wall33": (
         lambda b: find_line_of_subdivided_wall(wall(3, 3), 2, b),
@@ -120,7 +122,7 @@ CASES = {
     "wall-line-k2-spider-absent": (
         lambda b: find_line_of_subdivided_wall(subdivided_claw(2, 2, 2).graph, 2, b),
         None,
-        3738,
+        480,
     ),
     "induced-p5-wall44": (
         lambda b: find_induced(wall(4, 4), path_graph(5), b),
@@ -257,3 +259,38 @@ def recursive_theta(g, t):
 def test_theta_pins_equal_a_recursive_count(name):
     _, expected, used = CASES[name]
     assert recursive_theta(*THETAS[name]) == (expected, used)
+
+
+# the wall-line k = 2 cases as hosts
+WALL_LINES = {
+    "wall-line-k2-c8": cycle_graph(8),
+    "wall-line-k2-wall33": wall(3, 3),
+    "wall-line-k2-spider-absent": subdivided_claw(2, 2, 2).graph,
+}
+
+
+def cycle_per_length(g):
+    """The wall-line k = 2 family as one cycle per length j = 4..n: the
+    line graph of the 2x2 wall (a 4-cycle) with its last edge subdivided
+    into j - 3 edges.  Each member tried costs one tick plus the plain
+    engine's steps on it.  Returns the first match and the ticks taken up
+    to it, or None and every member's ticks."""
+    base = wall(2, 2)
+    ticks = 0
+    for j in range(base.m, g.n + 1):
+        ticks += 1
+        pattern = line_graph(subdivide(base, {base.edges[-1]: j - 3}))
+        budget = Budget(10**7)
+        for mapping in iter_induced_maps(g, pattern, budget):
+            match = PatternMatch(
+                image=tuple(sorted(mapping)), roles=(("mapping", mapping),)
+            )
+            return match, ticks + budget.used
+        ticks += budget.used
+    return None, ticks
+
+
+@pytest.mark.parametrize("name", sorted(WALL_LINES))
+def test_wall_line_pins_equal_a_cycle_per_length_count(name):
+    _, expected, used = CASES[name]
+    assert cycle_per_length(WALL_LINES[name]) == (expected, used)

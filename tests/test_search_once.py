@@ -1,0 +1,161 @@
+"""Each detection searches once.  The claw and induced searches take the
+engine's first mapping directly: against the one-member family search they
+replaced (`detect._first_copy` on one `_edge_member`), they give the same
+match, the same `Budget.used`, and exhaust the budget after the same steps.
+The wall-line search at k = 2 tries one cycle per length: against the
+family of every spread of the extra vertices over the 4-cycle's edges, it
+gives the same match in at most the same steps."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import graphs
+from twcert import detect
+from twcert.config import Budget, RunConfig
+from twcert.detect import find_induced, find_line_of_subdivided_wall, find_subdivided_claw
+from twcert.generators import cycle_graph, path_graph, subdivided_claw, wall
+from twcert.graphs import (
+    BudgetExhausted,
+    line_edges,
+    line_graph,
+    subdivide,
+    subdivided_edges,
+)
+from twcert.suites import seeded_catalog
+
+# the detectors suite's catalog, at the default seed
+CATALOG = seeded_catalog(8, RunConfig.seed, per_n=4)
+HOSTS = [
+    *CATALOG,
+    wall(3, 3),
+    wall(4, 4),
+    cycle_graph(9),
+]
+LEGS = [(1, 1, 1), (2, 1, 1), (0, 2, 1), (2, 2, 2), (1, 2, 3), (3, 3, 3)]
+PATTERNS = [path_graph(5), cycle_graph(6), subdivided_claw(1, 2, 2).graph]
+
+
+def claw_search(legs):
+    return lambda g, b: find_subdivided_claw(g, *legs, b)
+
+
+def claw_reference(legs):
+    """The claw search as a one-member family."""
+    wit = subdivided_claw(*legs)
+
+    def roles(paths):
+        return (("root", (wit.root,)), *detect._numbered("leg", paths))
+
+    def search(g, b):
+        member = detect._edge_member(wit.graph.n, wit.graph.edges, wit.legs)
+        return detect._first_copy(g, [member], roles, b)
+
+    return search
+
+
+def induced_search(pattern):
+    return lambda g, b: find_induced(g, pattern, b)
+
+
+def induced_reference(pattern):
+    """The induced search as a one-member family."""
+
+    def search(g, b):
+        if pattern.n > g.n:
+            return None
+        member = detect._edge_member(pattern.n, pattern.edges, (range(pattern.n),))
+        return detect._first_copy(g, [member], detect._whole, b)
+
+    return search
+
+
+def outcome(search, g, limit):
+    """The search's match, or BudgetExhausted, and the steps it used."""
+    budget = Budget(limit)
+    try:
+        result = search(g, budget)
+    except BudgetExhausted:
+        result = BudgetExhausted
+    return result, budget.used
+
+
+def assert_same_under_every_limit(search, reference, g):
+    """The same outcome under a roomy limit, and under limits just short of
+    the steps used, half of them, and 5."""
+    full = outcome(search, g, 10**9)
+    assert full == outcome(reference, g, 10**9)
+    used = full[1]
+    for limit in {used - 1, used // 2, 5}:
+        if limit >= 0:
+            assert outcome(search, g, limit) == outcome(reference, g, limit)
+
+
+SINGLE = [
+    *((f"claw-{''.join(map(str, ls))}", claw_search(ls), claw_reference(ls)) for ls in LEGS),
+    *(
+        (f"induced-{name}", induced_search(p), induced_reference(p))
+        for name, p in zip(("p5", "c6", "spider122"), PATTERNS)
+    ),
+]
+
+
+@pytest.mark.parametrize("name, search, reference", SINGLE, ids=[s[0] for s in SINGLE])
+def test_single_pattern_searches_equal_the_one_member_family(name, search, reference):
+    for g in HOSTS:
+        assert_same_under_every_limit(search, reference, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=graphs(max_n=9),
+    which=st.integers(0, len(SINGLE) - 1),
+)
+def test_single_pattern_searches_equal_the_one_member_family_on_random_hosts(g, which):
+    _, search, reference = SINGLE[which]
+    assert_same_under_every_limit(search, reference, g)
+
+
+def every_spread(g, budget):
+    """The wall-line k = 2 family with every spread of the extra vertices
+    over the 4-cycle's edges, one step per member tried."""
+    base = wall(2, 2)
+    m = base.m
+
+    def family():
+        for total in range(m, g.n + 1):
+            for extra in detect._compositions(total - m, m):
+                budget.tick()
+                sub = subdivided_edges(base.n, base.edges, extra)
+                yield detect._edge_member(total, line_edges(*sub), (range(total),))
+
+    return detect._first_copy(g, family(), detect._whole, budget)
+
+
+def assert_cycle_per_length_matches_every_spread(g):
+    budget, reference = Budget(10**9), Budget(10**9)
+    match = find_line_of_subdivided_wall(g, 2, budget)
+    assert match == every_spread(g, reference)
+    assert budget.used <= reference.used
+
+
+WALL_LINE_HOSTS = {
+    "catalog": CATALOG,
+    # the 2x2 wall's line graph with two edges subdivided: a 7-cycle
+    "line-host": [line_graph(subdivide(wall(2, 2), {(0, 1): 3, (1, 3): 2}))],
+    "c8": [cycle_graph(8)],
+    "wall33": [wall(3, 3)],
+    "spider222": [subdivided_claw(2, 2, 2).graph],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALL_LINE_HOSTS))
+def test_wall_line_k2_equals_every_spread(name):
+    for g in WALL_LINE_HOSTS[name]:
+        assert_cycle_per_length_matches_every_spread(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(max_n=8))
+def test_wall_line_k2_equals_every_spread_on_random_hosts(g):
+    assert_cycle_per_length_matches_every_spread(g)
