@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .graphs import Graph, TreeDecomposition, mask_of
+from .graphs import Graph, TreeDecomposition
 from .io import graph_from_json, integer, integers
 
 PASS = "pass"
@@ -38,45 +38,35 @@ class TdReport:
 
 
 def validate_td(g: Graph, td: TreeDecomposition) -> TdReport:
-    """Check the three tree-decomposition properties exhaustively."""
+    """Check the three tree-decomposition properties exhaustively.
+
+    The tree is a `Graph` on the nodes, and each vertex's tree nodes form one
+    mask: a vertex is covered when its mask is non-empty, an edge when its
+    ends' masks meet, and a subtree is connected when its mask is.  The
+    violations keep one order: the tree, out-of-range bag vertices bag by
+    bag, then uncovered vertices, uncovered edges and disconnected subtrees.
+    """
     problems: list[str] = []
     if td.n_nodes == 0:
         return TdReport(g.n == 0, -1, ("decomposition has no nodes",) if g.n else ())
-    tadj: list[list[int]] = [[] for _ in range(td.n_nodes)]
-    for a, b in td.tree_edges:
-        tadj[a].append(b)
-        tadj[b].append(a)
-
-    def tree_connects(nodes: list[int]) -> bool:
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        node_set = set(nodes)
-        while stack:
-            for w in tadj[stack.pop()]:
-                if w in node_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(nodes)
-
-    if not tree_connects(list(range(td.n_nodes))):
+    tree = Graph(td.n_nodes, td.tree_edges)
+    if not tree.is_connected():
         problems.append("decomposition tree is not connected")
-    covered = set()
-    for bag in td.bags:
+    nodes_of = [0] * g.n
+    for t, bag in enumerate(td.bags):
         for v in bag:
-            if not 0 <= v < g.n:
+            if 0 <= v < g.n:
+                nodes_of[v] |= 1 << t
+            else:
                 problems.append(f"bag vertex {v} out of range")
-            covered.add(v)
     for v in g.vertices:
-        if v not in covered:
+        if not nodes_of[v]:
             problems.append(f"vertex {v} in no bag")
-    bag_masks = [mask_of(v for v in b if 0 <= v < g.n) for b in td.bags]
     for u, v in g.edges:
-        need = 1 << u | 1 << v
-        if not any(bm & need == need for bm in bag_masks):
+        if not nodes_of[u] & nodes_of[v]:
             problems.append(f"edge ({u},{v}) inside no bag")
     for v in g.vertices:
-        nodes = [t for t in range(td.n_nodes) if bag_masks[t] >> v & 1]
-        if nodes and not tree_connects(nodes):
+        if nodes_of[v] and not tree.is_connected_mask(nodes_of[v]):
             problems.append(f"bags containing vertex {v} induce a disconnected subtree")
     return TdReport(not problems, td.width, tuple(problems))
 

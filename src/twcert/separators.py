@@ -11,7 +11,7 @@ the width meets the contraction-degeneracy lower bound (see
 `exact_treewidth`).
 For instances above the cap a certified lower/upper bound pair is produced
 instead (contraction degeneracy vs. minimum-fill elimination).  The
-minimum-fill pick re-keys only the vertices an elimination touched.  Every
+minimum-fill pick re-keys only the vertices whose key can change.  Every
 decomposition here, and the clique trees of `decompose`, comes from
 `eliminate` run on some elimination order.
 """
@@ -148,10 +148,14 @@ def eliminate(g: Graph, pick: Pick) -> tuple[TreeDecomposition, bool]:
         v = pick(masks, alive)
         nb = masks[v]
         alive ^= 1 << v
-        for a in bits(nb):
-            grown = masks[a] | nb & ~(1 << a)
+        rest = nb
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            grown = masks[a] | nb ^ low
             filled |= grown != masks[a]
-            masks[a] = grown & ~(1 << v)
+            masks[a] = grown & alive
+            rest ^= low
         pos[v] = i
         bags.append(tuple(bits(nb | 1 << v)))
         later.append(nb)
@@ -302,9 +306,11 @@ def _min_fill() -> Pick:
 
     It keeps every alive vertex's key in a heap.  Eliminating x changes the
     neighbourhood of each vertex of its bag B = masks[x] and adds edges only
-    inside B, so only the keys of B and N(B) change; the next pick re-keys
-    those, reading B from masks[x], which `eliminate` never writes again.
-    A step costs O(deg^2) bit operations instead of O(n deg)."""
+    inside B.  A vertex outside B keeps its neighbourhood, and a pair of its
+    neighbours gains an edge only if both lie in B, so its key can change
+    only if it has two neighbours in B.  The next pick re-keys B and those
+    vertices, reading B from masks[x], which `eliminate` never writes again;
+    one pass over B's masks finds the vertices seen twice."""
     keys: dict[int, tuple[int, int, int]] = {}  # of the alive vertices
     heap: list[tuple[int, int, int]] = []  # holds stale keys too
     last = -1
@@ -314,14 +320,29 @@ def _min_fill() -> Pick:
         if last < 0:
             touched = alive
         else:
-            touched = masks[last]
-            for a in bits(masks[last]):
-                touched |= masks[a]
-        for v in bits(touched):
-            nb = masks[v]
-            # each missing edge is counted from both ends; a is never in masks[a]
-            missing = sum((nb & ~masks[a]).bit_count() - 1 for a in bits(nb))
-            key = missing, nb.bit_count(), v
+            bag = rest = masks[last]
+            once = twice = 0
+            while rest:
+                low = rest & -rest
+                m = masks[low.bit_length() - 1]
+                twice |= once & m
+                once |= m
+                rest ^= low
+            touched = bag | twice
+        while touched:
+            low = touched & -touched
+            v = low.bit_length() - 1
+            touched ^= low
+            nb = rest = masks[v]
+            degree = nb.bit_count()
+            # each missing edge is counted from both ends; a is never in
+            # masks[a], so each neighbour's term counts itself once
+            missing = -degree
+            while rest:
+                a = rest & -rest
+                missing += (nb & ~masks[a.bit_length() - 1]).bit_count()
+                rest ^= a
+            key = missing, degree, v
             if keys.get(v) != key:
                 keys[v] = key
                 heappush(heap, key)

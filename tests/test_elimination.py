@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs, is_chordal, random_graph
 from twcert.decompose import NotChordal, chordal_td, maximum_cardinality_search
-from twcert.generators import wall
+from twcert.generators import complete_graph, wall
 from twcert.graphs import Graph, TreeDecomposition, bits, mask_of
 from twcert.separators import along, eliminate, treewidth_bounds
 from twcert.suites import chordal_growth
@@ -127,13 +127,19 @@ def test_elimination_matches_reference_on_chordal_growth():
 @pytest.mark.parametrize(
     "g",
     [wall(k, k) for k in range(4, 9)]
-    + [random_graph(n, p, 100 * n + int(100 * p)) for n in (30, 45, 60) for p in (0.05, 0.1, 0.2)],
+    + [random_graph(n, p, 100 * n + int(100 * p)) for n in (30, 45, 60) for p in (0.05, 0.1, 0.2)]
+    + [complete_graph(16)]
+    + [random_graph(n, p, 100 * n + int(100 * p)) for n in (16, 30) for p in (0.5, 0.9)],
     ids=[f"wall{k}x{k}" for k in range(4, 9)]
-    + [f"rand-n{n}-p{p}" for n in (30, 45, 60) for p in (0.05, 0.1, 0.2)],
+    + [f"rand-n{n}-p{p}" for n in (30, 45, 60) for p in (0.05, 0.1, 0.2)]
+    + ["K16"]
+    + [f"rand-n{n}-p{p}" for n in (16, 30) for p in (0.5, 0.9)],
 )
 def test_min_fill_matches_reference_at_scale(g):
-    """Min-fill re-keys only the vertices an elimination touched; a key left
-    stale would change the order on graphs this large, where the hypothesis
-    graphs above rarely show it."""
+    """Min-fill re-keys only the eliminated vertex's bag and the vertices
+    with two neighbours in it; a key left stale would change the order on
+    graphs this large, where the hypothesis graphs above rarely show it.
+    On the dense cases almost every vertex outside the bag has two
+    neighbours in it, so nearly every key is recomputed each step."""
     want = reference_elimination_td(g, reference_min_fill_order(g))
     assert treewidth_bounds(g).td == want
