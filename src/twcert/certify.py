@@ -1,11 +1,10 @@
 """Machine-checkable certificates: the builders.
 
 A certificate is a flat JSON document: a command echo, input hashes, and a
-list of assertion records.  Each record carries enough witness data to be
-re-validated later by `check.recheck` without redoing the original
-computation from scratch; serialization is canonical so identical runs are
-byte-identical.  This module only writes certificates; the validators that
-read them back live in `check`.
+list of assertion records.  `check.recheck` re-derives a record whose
+witness names a `kind`; one that stores only `got` and `expected` is
+attested.  Serialization is canonical, so identical runs are byte-identical.
+This module only writes certificates; the validators live in `check`.
 """
 
 from __future__ import annotations
@@ -60,13 +59,13 @@ class Certificate:
         expected: Any,
         hypothesis_met: bool = True,
     ) -> None:
-        """Record an `equal` witness; the status is `got == expected`, the
-        same comparison `recheck` makes."""
+        """Record an attested `got == expected`: its witness names no kind,
+        so `recheck` does not re-derive it."""
         self.add(
             check_id,
             description,
             got == expected,
-            {"kind": "equal", "got": got, "expected": expected},
+            {"got": got, "expected": expected},
             hypothesis_met,
         )
 

@@ -2,9 +2,9 @@
 
 A verdict is worth only as much as a checker that shares no code with the
 code that produced it, so this module imports only the graph core and the
-JSON reader.  `recheck` re-validates each pass/fail record of a certificate
-from its stored witness, reading every witness integer by the rule of
-`io.integer`.
+JSON reader.  `recheck` re-derives each pass/fail record whose witness names
+a kind, reading every witness integer by the rule of `io.integer`; a record
+with no kind is attested, not re-derived.
 """
 
 from __future__ import annotations
@@ -102,16 +102,12 @@ def _recheck_pattern_found(w: dict[str, Any]) -> bool:
     return True
 
 
-def _recheck_equal(w: dict[str, Any]) -> bool:
-    return w["got"] == w["expected"]
-
-
-# One validator per witness kind that twcert writes; a record of any other
+# One validator per re-derivable witness kind: `td-valid` is written today and
+# `pattern-found` is reserved for witnessed detections.  A record of any other
 # kind is reported as a problem by `recheck`.
 _RECHECKERS: dict[str, Callable[[dict[str, Any]], bool]] = {
     "td-valid": _recheck_td,
     "pattern-found": _recheck_pattern_found,
-    "equal": _recheck_equal,
 }
 
 
@@ -127,11 +123,11 @@ def _is_record(a: Any) -> bool:
 
 
 def recheck(cert: dict[str, Any]) -> tuple[int, int, list[str]]:
-    """Re-validate every pass/fail assertion from its stored witness.
+    """Re-derive every pass/fail assertion whose witness names a kind.
 
     Returns (checked, confirmed, problems).  Assertions whose witness has a
-    `kind` key are dispatched to the matching validator; records without a
-    re-checkable witness are skipped, and malformed records are problems.
+    `kind` key are dispatched to the matching validator; attested records
+    (no `kind`) are not counted, and malformed records are problems.
     """
     checked = 0
     confirmed = 0

@@ -4,7 +4,7 @@ Subcommands: gen, detect, tw, sep, centralbag, decompose, verify, recheck.
 Exit codes: 0 all-pass / found, 1 any-fail / absent, 2 budget or hypothesis
 unmet, 64 usage error (a malformed input, or a path that cannot be opened,
 read or written).  Every run that produces verdicts can write a
-certificate JSON whose pass/fail entries re-validate from their witnesses.
+certificate JSON; `recheck` re-derives each entry whose witness names a kind.
 """
 
 from __future__ import annotations

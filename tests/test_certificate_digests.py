@@ -19,15 +19,15 @@ from twcert.suites import SUITES
 PINS = {
     "centralbag": (2, {
         "cb.json":
-            "23065b9973f2222c23fc0b06268f944ffd8ccf807f08a4054baed9f4377804ed",
+            "7572a348b51ddccbac7ae98b9fbf87f0cc46c17367e14188cb1e8b143570c960",
     }),
     "centralbag --forcer": (2, {
         "cb-forcer.json":
-            "7156fac8da125ecdb0595524ac64d7789d231043fecca1a5d290519da9fdc263",
+            "451d10e5a7f4457ce6af8d86ed2ccbf60b0428c02d34284887d90a7644630cf3",
     }),
     "centralbag --weights": (2, {
         "cb-weighted.json":
-            "bb13469f2795419c1b988b8339246c2831846c9c723e4a807e35c1324b6fed21",
+            "5873fa148f713d3e41b7a52165330f4cb83a54692c380107727dbce16e97059a",
     }),
     "decompose chordal": (0, {
         "cat.td":
@@ -95,29 +95,29 @@ PINS = {
     }),
     "verify all": (0, {
         "all.anchors.json":
-            "dd042c4d22e723db45c9a07dd6d105848abe11636f79a3a0888d39eefb1ae62d",
+            "59f27b4104ea8d8f8dd60a092f3cc93c7e6be32681d7528d1c6a9e5798ceb687",
         "all.bag-algebra.json":
-            "aec75cb4f46a3de85c861bb4814650536d62cd5a8dd799f0e1346740218804f2",
+            "2aa5aa40a18f4ffdc64725ec10609aee635cf1c0573895abe15d23afc2ed9fa6",
         "all.bag-audit.json":
-            "1776cb60478da659b880cebc35f53737201af75efd94dc170d46b9da1dd6411b",
+            "0d1970b9011a3830644bdd583b16818ca48e8c06c53069b4155a04520081580f",
         "all.conditional-bags.json":
-            "65396d240ceb3a21f478d08a0c8da0e68cbea70ca2f28f4d7200e9224a7893d5",
+            "81680b2a5a95a0f278787ecf1a90a4613aa29afe74aa209e471071746aca93ad",
         "all.constructions.json":
-            "55c3caa1a30d3c9cebee4397a0dc7f35e8718bded214cc613e2111dc28e2097c",
+            "c77fadeff0c7f40d220883e85da55bfa908d1c30e57013f50154ed07ba27599c",
         "all.creatures.json":
-            "66c6270cd911fafde9a12ac354e5fef650b5b420fd79b1ebca53cb105c306c02",
+            "71f3427288e4d238b655c548254103974059e58e708d53537e070b239abf4318",
         "all.detectors.json":
-            "2e3a544da7a88c8c9f6942ba6dc24a23928a53b1e055b832341517e58c8fffcb",
+            "73bf8de986c6b388a2cb63dd3e8b04df9b6069529f3f3beb1effa51ad2902aa5",
         "all.forcer-claw.json":
-            "ac8c11ce115d6564c9c4f26edbe8c7567e471c69b18c726d2065b1130f5cdb1c",
+            "d4cad47739acaef0fa0b9c2d17fee1a750ca433580875f21e9b8a87d4c127aed",
         "all.forcer-theta.json":
-            "51115fe5e85d0bc423a52e8b3fc015ccff62f4134bd1df93622dfed3aa513dc9",
+            "0b88b4e70e96c70726340395e3f41fda9d051038a682f3b6f2301f4b4beab724",
         "all.harvey-wood.json":
-            "71a073afbcd3efdd8a51862e5cc741df1ec3bedfc0d351f364101772f6b39dc5",
+            "959d429909609397d6f9361b242b507891a550504d4579b7f9df90fd0c287fd5",
         "all.pipeline.json":
-            "ed47f64287a013b82175c0931c660fd3063d05e5f755f7bd332dee98be00c478",
+            "454193d1928b48b98651e8aca6822def515150e947f026caa4ce9481e3369e40",
         "all.strip-assembly.json":
-            "d10651050f49321d8e4034a017a233b62fba8e73c9d937a90eb320c9386a4392",
+            "9ef84cf390cae68e301f6c12100dc753906a5632af910fbc603ff328170dfe9a",
     }),
 }
 

@@ -7,6 +7,7 @@ from twcert.certify import (
     Certificate,
     canonical_json,
     graph_witness,
+    td_witness,
 )
 from twcert.check import recheck, validate_td
 from twcert.cli import main
@@ -97,29 +98,35 @@ def test_recheck_confirms_a_valid_pattern_witness():
 
 
 def test_hypothesis_unmet_never_rechecked_as_verdict():
+    # width 1 exceeds the stored bound 0, so a pass record of this witness
+    # would recheck as fail
+    td = TreeDecomposition(bags=((0, 1),), tree_edges=())
+    bogus = td_witness(path_graph(2), td, 0)
     cert = Certificate(command=["x"], seed=0)
-    cert.add("h", "gated claim", True, {"kind": "equal", "got": 1, "expected": 2},
-             hypothesis_met=False)
+    cert.add("h", "gated claim", True, bogus, hypothesis_met=False)
     checked, confirmed, problems = recheck(json.loads(cert.dumps()))
     assert checked == 0 and not problems
+    cert.add("v", "ungated claim", True, bogus)
+    assert recheck(json.loads(cert.dumps()))[:2] == (1, 0)
 
 
 @pytest.mark.parametrize(
     "entry",
     [
         1,
-        {"check": "x", "witness": {"kind": "equal", "got": 1, "expected": 1}},
+        {"check": "x", "witness": {"got": 1, "expected": 1}},
         {"check": "x", "status": "maybe", "witness": {}},
         {"check": "x", "status": "pass", "witness": [1]},
         {"check": "x", "status": ["pass"], "witness": {}},
-        {"status": "pass", "witness": {"kind": "equal", "got": 1, "expected": 1}},
+        {"status": "pass", "witness": {"got": 1, "expected": 1}},
     ],
     ids=["int", "no-status", "unknown-status", "list-witness", "list-status",
          "no-check"],
 )
 def test_recheck_reports_malformed_record(entry):
+    td = TreeDecomposition(bags=((0, 1),), tree_edges=())
     sound = {"check": "y", "status": "pass",
-             "witness": {"kind": "equal", "got": 2, "expected": 2}}
+             "witness": td_witness(path_graph(2), td, 1)}
     checked, confirmed, problems = recheck({"assertions": [sound, entry]})
     assert (checked, confirmed) == (1, 1)
     assert problems == [

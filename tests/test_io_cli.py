@@ -368,8 +368,7 @@ def test_cli_decompose_lci_hole_is_in_host_ids(tmp_path, capsys):
     "text",
     [
         '{"assertions": [1]}',
-        '{"assertions": [{"check": "x", "witness": '
-        '{"kind": "equal", "got": 1, "expected": 1}}]}',
+        '{"assertions": [{"check": "x", "witness": {"got": 1, "expected": 1}}]}',
     ],
     ids=["int-entry", "no-status"],
 )

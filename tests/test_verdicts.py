@@ -39,8 +39,8 @@ def test_expect_status_is_the_witness_comparison():
     cert.expect("differ", "unequal values", 0, 1)
     cert.expect("gated", "unmet hypothesis", 0, 1, hypothesis_met=False)
     assert [a.status for a in cert.assertions] == ["pass", "fail", "hypothesis-unmet"]
-    assert cert.assertions[1].witness == {"kind": "equal", "got": 0, "expected": 1}
-    assert recheck(json.loads(cert.dumps())) == (2, 2, [])
+    assert cert.assertions[1].witness == {"got": 0, "expected": 1}
+    assert recheck(json.loads(cert.dumps())) == (0, 0, [])
 
 
 @pytest.mark.parametrize(
@@ -65,15 +65,20 @@ def test_every_certificate_rechecks_without_problems(tmp_path):
     out = tmp_path / "cb.json"
     main(["centralbag", "-i", _wall(tmp_path, 3, 3), "--pattern", _p2(tmp_path),
           "-o", str(out)])
+    checked = {}
     for path in paths + [out]:
-        data = json.loads(path.read_text())
-        summary = data.get("certificate", data)["summary"]
+        records = json.loads(path.read_text())
+        records = records.get("certificate", records)["assertions"]
         code, rep = _recheck_file(tmp_path, path)
         assert code == 0 and rep["problems"] == [], path.name
-        assert rep["checked"] == summary["pass"] + summary["fail"], path.name
+        verdicts = [r["witness"] for r in records if r["status"] in ("pass", "fail")]
+        assert rep["checked"] == sum("kind" in w for w in verdicts), path.name
+        assert all(set(w) == {"got", "expected"} for w in verdicts if "kind" not in w)
+        checked[path.name] = rep["checked"]
+    assert {name: n for name, n in checked.items() if n} == {"v.anchors.json": 1}
 
 
-def test_pipeline_failed_transfer_is_a_confirmed_fail(monkeypatch):
+def test_pipeline_failed_transfer_is_an_attested_fail(monkeypatch):
     real = suites.run_master_pipeline
 
     def with_failed_transfer(*args, **kwargs):
@@ -88,7 +93,7 @@ def test_pipeline_failed_transfer_is_a_confirmed_fail(monkeypatch):
     status = {a.check_id: a.status for a in cert.assertions}
     assert status["pipeline.c9"] == "fail"
     checked, confirmed, problems = recheck(json.loads(cert.dumps()))
-    assert problems == [] and checked == confirmed == len(cert.assertions)
+    assert problems == [] and checked == confirmed == 0
 
 
 _ELEVEN = ", ".join(f'"{v}": "1/12"' for v in range(11))
