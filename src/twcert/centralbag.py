@@ -221,8 +221,8 @@ def covering_sequence(
     Each copy goes through `canonical_separation`, so every center is checked
     the same way a caller's is, and each copy is the center of its
     separation.  The partition, the central bag and the audit read only the
-    masks; the vertex tuples are built when the `centralbag` output or the
-    heavy-side transfer check reads them."""
+    masks; the vertex tuples are built when the `centralbag` output reads
+    them."""
     if not pattern.is_connected():
         raise ValueError("pattern must be connected")
     seps: list[Separation] = []
@@ -522,7 +522,7 @@ def check_bag_separator_transfer(
 
     # heavy-side conclusion: every canonical separation has w(B) > c
     hyp = no_sep and d >= gamma_t1
-    concl = all(w.of(s.b) > c for s in members) if members else True
+    concl = all(w.of_mask(s.b_mask) > c for s in members) if members else True
     checks.append(
         ConditionalCheck(
             claim="canonical separations have heavy B side",

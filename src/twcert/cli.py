@@ -122,7 +122,9 @@ def _load_weights(path: Optional[str], g: Graph) -> WeightFunction:
             raise ValueError(f"weights must name each vertex 0..{g.n - 1} once")
         return WeightFunction.from_json(dict(pairs))
 
-    return _load_json(path, build, object_pairs_hook=tuple)  # keeps repeated keys
+    # object_pairs_hook keeps repeated keys; parse_float reads a JSON number
+    # such as 0.1 from its decimal text, as the string "0.1" is read
+    return _load_json(path, build, object_pairs_hook=tuple, parse_float=parse_fraction)
 
 
 def _dump_json(payload: Any, path: Optional[str]) -> None:

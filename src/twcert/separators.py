@@ -38,19 +38,32 @@ def _require_normal(g: Graph, w: WeightFunction) -> None:
 
 def component_weights(
     g: Graph, w: WeightFunction, x_mask: int
-) -> list[tuple[int, Fraction]]:
+) -> list[tuple[int, int]]:
+    """Each component of g minus the vertices of x_mask, as a mask, with its
+    weight times `w.denominator`: an integer numerator over that shared
+    denominator."""
     allowed = g.full_mask() & ~x_mask
-    return [(comp, w.of_mask(comp)) for comp in g.component_masks(allowed)]
+    return [(comp, w.numerator_of_mask(comp)) for comp in g.component_masks(allowed)]
+
+
+def _balance_test(g: Graph, w: WeightFunction, c: Fraction) -> Callable[[int], bool]:
+    """Validate w and c once; the test then asks whether every component of
+    g minus a mask weighs at most c = p/q, as q * numerator <= p * denominator."""
+    _require_normal(g, w)
+    check_balance_parameter(c)
+    den, limit = c.denominator, c.numerator * w.denominator
+
+    def balanced(x_mask: int) -> bool:
+        return all(den * num <= limit for _, num in component_weights(g, w, x_mask))
+
+    return balanced
 
 
 def is_balanced_separator(
     g: Graph, w: WeightFunction, c: Fraction, x: Iterable[int]
 ) -> bool:
     """Exact check: every component of g minus x weighs at most c."""
-    _require_normal(g, w)
-    check_balance_parameter(c)
-    x_mask = mask_of(g._check_vertices(x))
-    return all(wt <= c for _, wt in component_weights(g, w, x_mask))
+    return _balance_test(g, w, c)(mask_of(g._check_vertices(x)))
 
 
 def _first_subset(
@@ -76,13 +89,7 @@ def min_balanced_separator(
     the lexicographically first subset.  Returns None when no separator that
     small exists.  Each subset tested costs one `component_weights` call.
     The search has no size cap of its own: its callers bound the input."""
-    _require_normal(g, w)
-    check_balance_parameter(c)
-
-    def balanced(x_mask: int) -> bool:
-        return all(wt <= c for _, wt in component_weights(g, w, x_mask))
-
-    return _first_subset(g.n, 0, min(max_size, g.n), balanced)
+    return _first_subset(g.n, 0, min(max_size, g.n), _balance_test(g, w, c))
 
 
 def separation_number(g: Graph, c: Fraction, cap: int) -> int:
@@ -434,8 +441,7 @@ def harvey_wood_check(
         raw = [rng.randint(0, 8) for _ in g.vertices]
         if sum(raw) == 0:
             raw[0] = 1
-        total = sum(raw)
-        w = WeightFunction.from_values([Fraction(x, total) for x in raw])
+        w = WeightFunction.from_numerators(raw, sum(raw))
         found = balanced_separator_from_td(g, w, c, td)
         if found is None or len(found) > tw + 1:
             all_small = False

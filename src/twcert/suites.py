@@ -9,7 +9,6 @@ tests drive these same batteries.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -135,8 +134,7 @@ def random_weights(rng: random.Random, g: Graph) -> WeightFunction:
     raw = [rng.randint(0, 6) for _ in g.vertices]
     if sum(raw) == 0:
         raw[rng.randrange(g.n)] = 1
-    total = sum(raw)
-    return WeightFunction.from_values([Fraction(x, total) for x in raw])
+    return WeightFunction.from_numerators(raw, sum(raw))
 
 
 def chordal_growth(rng: random.Random, n: int) -> Graph:

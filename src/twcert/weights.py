@@ -1,17 +1,18 @@
 """Exact-rational vertex weight functions.
 
 A weight function on the vertices 0..n-1 is n integer numerators over one
-shared denominator, so a sum of k weights costs k integer additions and one
-reduced `Fraction`.  All weight arithmetic in the toolkit is exact; strict
-inequalities such as w(B) > c are meaningful and no tolerance appears
-anywhere.
+shared denominator, so a sum of k weights costs k integer additions.  The
+balance tests of `separators` compare such a sum with c = p/q by
+cross-multiplication, q * sum <= p * denominator, and build no `Fraction`.
+All weight arithmetic in the toolkit is exact; strict inequalities such as
+w(B) > c are meaningful and no tolerance appears anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import Graph
@@ -20,9 +21,9 @@ from .graphs import Graph
 @dataclass(frozen=True)
 class WeightFunction:
     """Non-negative rational weights on the vertices 0..n-1: vertex v weighs
-    `numerators[v] / denominator`.  `from_values` builds the canonical form,
-    whose denominator is the lcm of the weights' reduced denominators, so
-    equal weights compare and hash equal."""
+    `numerators[v] / denominator`.  `from_values` and `from_numerators`
+    build the canonical form, whose denominator is the lcm of the weights'
+    reduced denominators, so equal weights compare and hash equal."""
 
     numerators: tuple[int, ...]
     denominator: int
@@ -34,6 +35,17 @@ class WeightFunction:
             raise ValueError("weights must be non-negative")
         den = lcm(*(x.denominator for x in weights))
         return cls(tuple(x.numerator * (den // x.denominator) for x in weights), den)
+
+    @classmethod
+    def from_numerators(cls, numerators: Sequence[int], denominator: int) -> "WeightFunction":
+        """Vertex v weighs numerators[v] / denominator.  Dividing out the gcd
+        of the denominator and every numerator gives `from_values`'s
+        canonical form; a negative weight or a denominator below 1 is a
+        ValueError."""
+        if denominator < 1 or any(x < 0 for x in numerators):
+            raise ValueError("weights must be non-negative over a positive denominator")
+        common = gcd(denominator, *numerators)
+        return cls(tuple(x // common for x in numerators), denominator // common)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, Fraction]) -> "WeightFunction":
@@ -48,7 +60,7 @@ class WeightFunction:
         """1/n on every vertex."""
         if not g.n:
             raise ValueError("uniform weight needs a non-empty graph")
-        return cls.from_values([Fraction(1, g.n)] * g.n)
+        return cls.from_numerators([1] * g.n, g.n)
 
     def __getitem__(self, v: int) -> Fraction:
         return Fraction(self._numerator(v), self.denominator)
@@ -122,6 +134,7 @@ def parse_fraction(text: str | float) -> Fraction:
 
 
 def check_balance_parameter(c: Fraction) -> Fraction:
-    if not Fraction(1, 2) <= c < 1:
+    # 1/2 <= c < 1, times 2 * c.denominator
+    if not c.denominator <= 2 * c.numerator < 2 * c.denominator:
         raise ValueError(f"balance parameter c must lie in [1/2, 1), got {c}")
     return c

@@ -425,6 +425,23 @@ def test_cli_centralbag_non_normal_weights_name_the_total(tmp_path, capsys):
     assert "total is 5/4" in capsys.readouterr().err
 
 
+def test_cli_json_number_weights_are_read_from_their_decimal_text(tmp_path):
+    """0.1 in a weights file is 1/10, as the string "1/10" is, not the
+    binary float nearest to it, whose ten copies sum to more than one."""
+    g, p = tmp_path / "g.json", tmp_path / "p.json"
+    g.write_text(json.dumps({"n": 10, "edges": [[v, (v + 1) % 10] for v in range(10)]}))
+    p.write_text('{"n": 1, "edges": []}')
+    runs = {}
+    for name, value in (("number", 0.1), ("string", "1/10")):
+        w, out = tmp_path / f"w-{name}.json", tmp_path / f"cb-{name}.json"
+        w.write_text(json.dumps({str(v): value for v in range(10)}))
+        argv = ["centralbag", "-i", str(g), "--pattern", str(p), "--weights", str(w)]
+        rc = main([*argv, "-o", str(out)])
+        runs[name] = (rc, json.loads(out.read_text())["bag_weights"])
+    assert runs["number"] == runs["string"]
+    assert runs["string"][0] != 64
+
+
 def test_cli_seed_zero_is_a_seed(tmp_path, capsys):
     out = tmp_path / "anchors.json"
     assert main(["--seed", "0", "verify", "anchors", "-o", str(out)]) == 0

@@ -20,7 +20,6 @@ from twcert.graphs import Graph, bits, mask_of
 from twcert.separators import (
     HarveyWoodReport,
     balanced_separator_from_td,
-    component_weights,
     exact_treewidth,
     harvey_wood_check,
     min_balanced_separator,
@@ -47,8 +46,8 @@ def ref_min_balanced_separator(
     top = g.n if max_size is None else min(max_size, g.n)
     for k in range(top + 1):
         for xs in combinations(range(g.n), k):
-            parts = component_weights(g, w, mask_of(xs))
-            if all(wt <= c for _, wt in parts):
+            parts = g.component_masks(g.full_mask() & ~mask_of(xs))
+            if all(w.of_mask(comp) <= c for comp in parts):
                 return xs
     return None
 

@@ -76,7 +76,8 @@ def test_min_balanced_separator_values():
     w = WeightFunction.uniform(single)
     sep = min_balanced_separator(single, w, HALF, max_size=single.n)
     assert sep == (0,)
-    assert all(wt <= HALF for _, wt in component_weights(single, w, mask_of(sep)))
+    # component weights are numerators over w.denominator
+    assert all(2 * num <= w.denominator for _, num in component_weights(single, w, mask_of(sep)))
 
 
 def test_min_separator_is_minimum_and_lex_first():
