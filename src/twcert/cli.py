@@ -227,15 +227,13 @@ def cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 # pattern -> exact search; every search runs under the configured budget
-DETECTORS: dict[str, Callable[[Graph, argparse.Namespace, Budget, RunConfig], Any]] = {
-    "theta": lambda g, a, bud, cfg: find_t_theta(g, a.t, bud),
-    "pyramid": lambda g, a, bud, cfg: find_t_pyramid(g, a.t, bud),
-    "claw": lambda g, a, bud, cfg: find_subdivided_claw(g, a.t1, a.t2, a.t3, bud),
-    "creature": lambda g, a, bud, cfg: find_creature(g, a.k, a.t, bud),
-    "wall-line": lambda g, a, bud, cfg: find_line_of_subdivided_wall(g, a.k, bud),
-    "induced": lambda g, a, bud, cfg: find_induced(
-        g, _load_graph(a.pattern_file), bud, max_pattern=cfg.max_pattern_nodes
-    ),
+DETECTORS: dict[str, Callable[[Graph, argparse.Namespace, Budget], Any]] = {
+    "theta": lambda g, a, bud: find_t_theta(g, a.t, bud),
+    "pyramid": lambda g, a, bud: find_t_pyramid(g, a.t, bud),
+    "claw": lambda g, a, bud: find_subdivided_claw(g, a.t1, a.t2, a.t3, bud),
+    "creature": lambda g, a, bud: find_creature(g, a.k, a.t, bud),
+    "wall-line": lambda g, a, bud: find_line_of_subdivided_wall(g, a.k, bud),
+    "induced": lambda g, a, bud: find_induced(g, _load_graph(a.pattern_file), bud),
 }
 
 
@@ -244,7 +242,7 @@ def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.pattern == "induced" and not args.pattern_file:
         print("--pattern-file required for induced", file=sys.stderr)
         return USAGE_ERROR
-    match = DETECTORS[args.pattern](g, args, Budget(cfg.search_budget), cfg)
+    match = DETECTORS[args.pattern](g, args, Budget(cfg.search_budget))
     if match is None:
         _dump_json({"status": "absent"}, args.output)
         return 1
@@ -286,7 +284,7 @@ def cmd_tw(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_sep(args: argparse.Namespace, cfg: RunConfig) -> int:
     g = _load_graph(args.input)
-    value = separation_number(g, cfg.c, cap=cfg.max_sep_n)
+    value = separation_number(g, cfg.c, Budget(cfg.search_budget))
     _dump_json({"separation_number": value, "c": str(cfg.c)}, args.output)
     return 0
 

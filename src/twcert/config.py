@@ -1,8 +1,10 @@
-"""Run configuration: size caps, search budgets, seeds, and parameters.
+"""Run configuration: a treewidth cap, a search budget, a seed, and parameters.
 
-One flat record holds every cap for the exponential searches.  Values come
-from defaults, then an optional key=value config file (path in the
-TWCERT_CONFIG environment variable or --config), then CLI flags.
+One flat record of five keys.  `max_tw_n` caps the exact treewidth runs;
+the searches of `detect` and `sep` take inputs of any size and stop when
+`search_budget` runs out.  Values come from defaults, then an optional
+key=value config file (path in the TWCERT_CONFIG environment variable or
+--config), then CLI flags.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ ENV_CONFIG = "TWCERT_CONFIG"
 @dataclass(frozen=True)
 class RunConfig:
     max_tw_n: int = 14
-    max_sep_n: int = 10
-    max_pattern_nodes: int = 24
     search_budget: int = 5_000_000  # ticks per search, deterministic (see Budget)
     seed: int = 7
     c: Fraction = Fraction(1, 2)
@@ -96,7 +96,8 @@ class Budget:
     lies above its hub (its mirror is the same copy), so the engine tries
     each pair of host vertices for them in one order only: the first copy
     is the same, and the steps charged are at most those without the
-    condition.  Exceeding ``limit`` raises ``BudgetExhausted``.
+    condition.  ``separators.separation_number`` ticks once per subset X
+    it tests.  Exceeding ``limit`` raises ``BudgetExhausted``.
     """
 
     __slots__ = ("limit", "used")

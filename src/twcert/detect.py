@@ -412,15 +412,12 @@ def find_induced(
     g: Graph,
     pattern: Graph,
     budget: Optional[Budget] = None,
-    max_pattern: int = RunConfig.max_pattern_nodes,
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of an explicit pattern graph:
-    the engine's first mapping, searched once.  A pattern larger than g has
-    no copy, whatever its size against the cap."""
+    the engine's first mapping, searched once under the budget, whatever
+    the pattern's size.  A pattern larger than g has no copy."""
     if pattern.n > g.n:
         return None  # no copy, and the engine charges nothing
-    if pattern.n > max_pattern:
-        raise CapExceeded(f"pattern has {pattern.n} vertices, cap {max_pattern}")
     bud = _default_budget(budget)
     return _engine_match(g, pattern, (range(pattern.n),), _whole, bud)
 

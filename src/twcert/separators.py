@@ -25,6 +25,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
+from .config import Budget, RunConfig
 from .graphs import CapExceeded, Graph, TreeDecomposition, bits, mask_of
 from .weights import WeightFunction, check_balance_parameter
 
@@ -59,13 +60,6 @@ def _balance_test(g: Graph, w: WeightFunction, c: Fraction) -> Callable[[int], b
     return balanced
 
 
-def is_balanced_separator(
-    g: Graph, w: WeightFunction, c: Fraction, x: Iterable[int]
-) -> bool:
-    """Exact check: every component of g minus x weighs at most c."""
-    return _balance_test(g, w, c)(mask_of(g._check_vertices(x)))
-
-
 def _first_subset(
     n: int, lo: int, hi: int, test: Callable[[int], bool]
 ) -> Optional[tuple[int, ...]]:
@@ -88,22 +82,22 @@ def min_balanced_separator(
     increasing-size subset search, as a sorted vertex tuple; ties resolve to
     the lexicographically first subset.  Returns None when no separator that
     small exists.  Each subset tested costs one `component_weights` call.
-    The search has no size cap of its own: its callers bound the input."""
+    The search has no size cap or budget of its own: its callers keep g
+    within the n = 12 cap of `centralbag.no_small_separator`."""
     return _first_subset(g.n, 0, min(max_size, g.n), _balance_test(g, w, c))
 
 
-def separation_number(g: Graph, c: Fraction, cap: int) -> int:
+def separation_number(g: Graph, c: Fraction, budget: Budget) -> int:
     """Smallest k such that every vertex subset S admits an X, |X| <= k,
     leaving every component with at most c|S| vertices of S.
 
     Full enumeration over all S; complementary subsets are not interchangeable
     (S = V and S = empty already need different k), so nothing is skipped.
     The components of G - X do not depend on S, so those of each candidate
-    X are built once and kept: at most 2^cap lists.
+    X are built once and kept.  Each X tested costs one tick of `budget`,
+    so the budget also bounds how many lists are kept.
     """
     check_balance_parameter(c)
-    if g.n > cap:
-        raise CapExceeded(f"separation number capped at n={cap}, got {g.n}")
     best = 0
     full = g.full_mask()
     num, den = c.numerator, c.denominator
@@ -113,6 +107,7 @@ def separation_number(g: Graph, c: Fraction, cap: int) -> int:
         limit = num * s_mask.bit_count()
 
         def balances(x_mask: int) -> bool:
+            budget.tick()
             comps = comps_of.get(x_mask)
             if comps is None:
                 comps = comps_of[x_mask] = g.component_masks(full & ~x_mask)
@@ -403,10 +398,8 @@ def balanced_separator_from_td(
     g: Graph, w: WeightFunction, c: Fraction, td: TreeDecomposition
 ) -> Optional[tuple[int, ...]]:
     """Some bag of a decomposition is always a balanced separator; scan for it."""
-    for bag in td.bags:
-        if is_balanced_separator(g, w, c, bag):
-            return bag
-    return None
+    balanced = _balance_test(g, w, c)
+    return next((bag for bag in td.bags if balanced(mask_of(bag))), None)
 
 
 def harvey_wood_check(
@@ -427,11 +420,13 @@ def harvey_wood_check(
     at most c exactly when |comp & Y| <= c|Y|, separation_number's test for
     S = Y.  The worst minimum uniform-weight separator over all Y is
     therefore the separation number (S = empty needs X = empty).
-    Every search here is exhaustive with no size cap: callers keep g small.
+    Every search here is exhaustive; the separation number runs under the
+    default budget of `RunConfig.search_budget` ticks, and callers keep g
+    small enough for exact treewidth.
     """
     check_balance_parameter(c)
     tw, td = exact_treewidth(g, cap=g.n)
-    sep = separation_number(g, c, cap=g.n)
+    sep = separation_number(g, c, Budget(RunConfig.search_budget))
     upper = Fraction(tw + 1) <= Fraction(sep) / (1 - c)
     uniform_ok = Fraction(tw) <= Fraction(sep) / (1 - c)
 

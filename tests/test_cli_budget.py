@@ -1,5 +1,5 @@
 """Every subcommand that hits a cap or a budget exits 2 with a `budget`
-status, and `detect` searches under the configured budget and pattern cap."""
+status, and `detect` and `sep` search under the configured budget."""
 
 import json
 
@@ -48,16 +48,29 @@ def test_detect_honours_search_budget(tmp_path):
     assert code == 0 and payload["status"] == "found"
 
 
-def test_detect_honours_max_pattern_nodes(tmp_path):
-    pattern = tmp_path / "p5.json"
-    pattern.write_text('{"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}\n')
+def test_detect_induced_honours_search_budget(tmp_path):
+    """A 25-vertex induced path is found in the 5x5 wall whatever its size,
+    and only the budget stops the search."""
+    pattern = tmp_path / "p25.json"
+    pattern.write_text(json.dumps({"n": 25, "edges": [[v, v + 1] for v in range(24)]}))
     argv = ["detect", "--pattern", "induced", "--pattern-file", str(pattern),
-            "-i", _wall(tmp_path, 3, 3)]
-    code, payload = _run(tmp_path, argv, config="max_pattern_nodes=3\n")
-    assert code == 2
-    assert payload == {"status": "budget", "detail": "pattern has 5 vertices, cap 3"}
+            "-i", _wall(tmp_path, 5, 5)]
     code, payload = _run(tmp_path, argv)
     assert code == 0 and payload["status"] == "found"
+    assert len(payload["image"]) == 25
+    code, payload = _run(tmp_path, argv, config="search_budget=10\n")
+    assert code == 2
+    assert payload == {"status": "budget", "detail": "search budget of 10 nodes exhausted"}
+
+
+def test_sep_honours_search_budget(tmp_path):
+    """`sep` takes the 12-vertex 3x3 wall and stops only at the budget, one
+    step per subset X tested."""
+    argv = ["sep", "-i", _wall(tmp_path, 3, 3)]
+    assert _run(tmp_path, argv) == (0, {"c": "1/2", "separation_number": 3})
+    code, payload = _run(tmp_path, argv, config="search_budget=10\n")
+    assert code == 2
+    assert payload == {"status": "budget", "detail": "search budget of 10 nodes exhausted"}
 
 
 def test_wall_line_k_below_two_is_a_usage_error(tmp_path):
@@ -69,9 +82,9 @@ def test_wall_line_k_below_two_is_a_usage_error(tmp_path):
 
 
 def test_pattern_larger_than_the_host_is_absent_before_the_cap(tmp_path):
-    """A 25-vertex star, over the default cap of 24, has no copy in the
-    12-vertex 3x3 wall: `detect` reports it absent, and a `centralbag` forcer
-    check passes with or without a config that raises the cap."""
+    """A 25-vertex star has no copy in the 12-vertex 3x3 wall: `detect`
+    reports it absent before any search, and a `centralbag` forcer check
+    passes."""
     star = tmp_path / "star25.json"
     star.write_text(json.dumps({"n": 25, "edges": [[0, v] for v in range(1, 25)]}))
     pattern = tmp_path / "p3.json"
@@ -80,15 +93,14 @@ def test_pattern_larger_than_the_host_is_absent_before_the_cap(tmp_path):
     argv = ["detect", "--pattern", "induced", "--pattern-file", str(star), "-i", wall]
     assert _run(tmp_path, argv) == (1, {"status": "absent"})
     argv = ["centralbag", "-i", wall, "--pattern", str(pattern), "--forcer", str(star)]
-    for config in (None, "max_pattern_nodes=30\n"):
-        code, payload = _run(tmp_path, argv, config=config)
-        assert code == 2  # the transfer hypotheses are unmet on the wall
-        assertions = payload["certificate"]["assertions"]
-        records = [(a["check"], a["status"]) for a in assertions]
-        assert ("bag.forcer.0", "pass") in records
-        assert [r for r in records if r[0] == "bag.transfer"] == [
-            ("bag.transfer", "hypothesis-unmet")
-        ] * 4
+    code, payload = _run(tmp_path, argv)
+    assert code == 2  # the transfer hypotheses are unmet on the wall
+    assertions = payload["certificate"]["assertions"]
+    records = [(a["check"], a["status"]) for a in assertions]
+    assert ("bag.forcer.0", "pass") in records
+    assert [r for r in records if r[0] == "bag.transfer"] == [
+        ("bag.transfer", "hypothesis-unmet")
+    ] * 4
 
 
 def test_wall_line_k2_finds_a_hole_in_theorem_1s_line_graph_host(tmp_path):

@@ -18,10 +18,10 @@ from conftest import graphs
 from twcert.generators import wall
 from twcert.graphs import Graph, TreeDecomposition, bits, mask_of
 from twcert.separators import (
+    _balance_test,
     along,
     balanced_separator_from_td,
     eliminate,
-    is_balanced_separator,
     min_balanced_separator,
 )
 from twcert.weights import WeightFunction, check_balance_parameter
@@ -70,7 +70,7 @@ def test_balance_functions_match_fraction_reference(instance):
     g, ns, c, order, x, max_size = instance
     w = WeightFunction.from_numerators(ns, sum(ns))
     assert w.is_normal()
-    assert is_balanced_separator(g, w, c, x) == ref_balanced(g, ns, c, x)
+    assert _balance_test(g, w, c)(mask_of(x)) == ref_balanced(g, ns, c, x)
     assert min_balanced_separator(g, w, c, max_size) == ref_min_separator(g, ns, c, max_size)
     td, _ = eliminate(g, along(order))
     assert balanced_separator_from_td(g, w, c, td) == ref_from_td(g, ns, c, td)

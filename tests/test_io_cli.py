@@ -474,8 +474,13 @@ def test_config_zero_cap_is_usage_error(tmp_path, capsys):
         ("search_budget=0", "search_budget: search_budget must be positive"),
         ("seed=-1", "seed: seed must be non-negative"),
         ("max_clique_n=64", "unknown key 'max_clique_n'"),
+        ("max_sep_n=10", "unknown key 'max_sep_n'"),
+        ("max_pattern_nodes=24", "unknown key 'max_pattern_nodes'"),
     ],
-    ids=["int", "fraction", "c-range", "budget-range", "seed-range", "removed-key"],
+    ids=[
+        "int", "fraction", "c-range", "budget-range", "seed-range", "removed-key",
+        "removed-max-sep-n", "removed-max-pattern-nodes",
+    ],
 )
 def test_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, detail):
     conf = tmp_path / "run.conf"

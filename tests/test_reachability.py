@@ -95,7 +95,7 @@ def _commands(tmp: Path) -> None:
     assert _run(["gen", "wall", "--n", "2", "--m", "2", "-o", f("p.gr")]) == 0
     assert _run(["gen", "wall", "--n", "5", "--m", "5", "-o", f("w55.json")]) == 0
     conf = tmp / "run.conf"
-    conf.write_text("# a config file\nsearch_budget=1000000\nmax_pattern_nodes=12\n")
+    conf.write_text("# a config file\nsearch_budget=1000000\n")
     path = tmp / "path3.json"
     path.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
     # contraction degeneracy 7, min-fill width 8: the only input here whose

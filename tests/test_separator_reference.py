@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
+from twcert.config import Budget, RunConfig
 from twcert.graphs import Graph, bits, mask_of
 from twcert.separators import (
     HarveyWoodReport,
@@ -116,7 +117,7 @@ def check_against_reference(g: Graph, c: Fraction, seed: int) -> None:
             g, w, c, max_size=1
         ) == ref_min_balanced_separator(g, w, c, max_size=1)
         uniform_k = max(uniform_k, len(ref))
-    assert uniform_k == separation_number(g, c, cap=g.n) == ref_separation_number(g, c)
+    assert uniform_k == separation_number(g, c, Budget(RunConfig.search_budget)) == ref_separation_number(g, c)
     report = ref_harvey_wood(g, c, seed, uniform_k)
     assert harvey_wood_check(g, c, seed=seed) == report
 

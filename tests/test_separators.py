@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs
+from test_separator_reference import ref_separation_number
 from twcert import separators
 from twcert.centralbag import no_small_separator
 from twcert.check import validate_td
-from twcert.config import RunConfig
+from twcert.config import Budget, RunConfig
 from twcert.generators import (
     complete_bipartite,
     complete_graph,
@@ -17,13 +18,13 @@ from twcert.generators import (
     star_graph,
     wall,
 )
-from twcert.graphs import CapExceeded, Graph, mask_of
+from twcert.graphs import BudgetExhausted, CapExceeded, Graph, mask_of
 from twcert.separators import (
+    _balance_test,
     balanced_separator_from_td,
     component_weights,
     exact_treewidth,
     harvey_wood_check,
-    is_balanced_separator,
     min_balanced_separator,
     separation_number,
     treewidth_bounds,
@@ -35,21 +36,25 @@ from twcert.weights import WeightFunction
 HALF = Fraction(1, 2)
 
 
+def _budget() -> Budget:
+    return Budget(RunConfig.search_budget)
+
+
 def test_is_balanced_separator_examples():
     single = Graph(1, [])
     w1 = WeightFunction.uniform(single)
-    assert is_balanced_separator(single, w1, HALF, [0])
+    assert _balance_test(single, w1, HALF)(mask_of([0]))
     # the empty set leaves the whole vertex as a component of weight 1 > c
-    assert not is_balanced_separator(single, w1, HALF, [])
+    assert not _balance_test(single, w1, HALF)(mask_of([]))
     p5 = path_graph(5)
     u = WeightFunction.uniform(p5)
-    assert is_balanced_separator(p5, u, HALF, [2])  # both sides weigh 2/5
-    assert not is_balanced_separator(p5, u, HALF, [0])  # leftover 4/5
+    assert _balance_test(p5, u, HALF)(mask_of([2]))  # both sides weigh 2/5
+    assert not _balance_test(p5, u, HALF)(mask_of([0]))  # leftover 4/5
     with pytest.raises(ValueError):
-        is_balanced_separator(p5, u, Fraction(1, 3), [2])
+        _balance_test(p5, u, Fraction(1, 3))(mask_of([2]))
     bad = WeightFunction.from_values([Fraction(1)] * 5)
     with pytest.raises(ValueError):
-        is_balanced_separator(p5, bad, HALF, [2])
+        _balance_test(p5, bad, HALF)(mask_of([2]))
 
 
 @pytest.mark.parametrize("count", [4, 6])
@@ -59,7 +64,7 @@ def test_weight_count_must_match_vertex_count(count):
     p5 = path_graph(5)
     w = WeightFunction.from_mapping({v: Fraction(1, count) for v in range(count)})
     with pytest.raises(ValueError, match=f"^{count} weights for 5 vertices$"):
-        is_balanced_separator(p5, w, HALF, [2])
+        _balance_test(p5, w, HALF)(mask_of([2]))
     with pytest.raises(ValueError, match=f"^{count} weights for 5 vertices$"):
         min_balanced_separator(p5, w, HALF, max_size=p5.n)
 
@@ -87,18 +92,22 @@ def test_min_separator_is_minimum_and_lex_first():
     assert len(sep) == 2
     # no size-1 separator exists; the lexicographically first pair wins
     for v in g.vertices:
-        assert not is_balanced_separator(g, u, HALF, [v])
+        assert not _balance_test(g, u, HALF)(mask_of([v]))
     assert sep == (0, 2)
 
 
 def test_separation_number_values():
-    assert separation_number(path_graph(4), HALF, cap=10) == 1
-    assert separation_number(complete_graph(4), HALF, cap=10) == 2
+    assert separation_number(path_graph(4), HALF, _budget()) == 1
+    assert separation_number(complete_graph(4), HALF, _budget()) == 2
     # a lone vertex still needs itself removed for the singleton subset
-    assert separation_number(Graph(1, []), HALF, cap=10) == 1
-    assert separation_number(Graph(2, [(0, 1)]), HALF, cap=10) == 1
-    with pytest.raises(CapExceeded):
-        separation_number(complete_graph(11), HALF, cap=10)
+    assert separation_number(Graph(1, []), HALF, _budget()) == 1
+    assert separation_number(Graph(2, [(0, 1)]), HALF, _budget()) == 1
+    # no size cap: eleven vertices finish under the default budget, and a
+    # budget of 10 subsets runs out
+    k11 = complete_graph(11)
+    assert separation_number(k11, HALF, _budget()) == ref_separation_number(k11, HALF)
+    with pytest.raises(BudgetExhausted, match="search budget of 10 nodes exhausted"):
+        separation_number(k11, HALF, Budget(10))
 
 
 def _tw_decision_bruteforce(g: Graph, k: int) -> bool:
@@ -175,11 +184,11 @@ def test_cap_exceeded_reports():
 
 def test_harvey_wood_examples():
     rep = harvey_wood_check(path_graph(5), HALF, seed=7)
-    tw, sep = exact_treewidth(path_graph(5), cap=14)[0], separation_number(path_graph(5), HALF, cap=10)
+    tw, sep = exact_treewidth(path_graph(5), cap=14)[0], separation_number(path_graph(5), HALF, _budget())
     assert tw == 1 and rep.upper_bound_holds
     assert Fraction(tw + 1) <= Fraction(sep) / (1 - HALF)
     rep = harvey_wood_check(complete_graph(4), HALF, seed=7)
-    tw, sep = exact_treewidth(complete_graph(4), cap=14)[0], separation_number(complete_graph(4), HALF, cap=10)
+    tw, sep = exact_treewidth(complete_graph(4), cap=14)[0], separation_number(complete_graph(4), HALF, _budget())
     assert tw == 3 and sep == 2 and rep.upper_bound_holds  # tight: 4 <= 4
     rep = harvey_wood_check(cycle_graph(4), HALF, seed=7)
     assert rep.upper_bound_holds and rep.small_separator_found_for_all
@@ -191,7 +200,7 @@ def test_balanced_separator_from_td():
     w = WeightFunction.uniform(g)
     bag = balanced_separator_from_td(g, w, HALF, td)
     assert bag is not None and len(bag) <= tw + 1
-    assert is_balanced_separator(g, w, HALF, bag)
+    assert _balance_test(g, w, HALF)(mask_of(bag))
 
 
 def _no_separator_in_wall33() -> None:
