@@ -79,6 +79,9 @@ def load_config(path: str | None, **overrides: object) -> RunConfig:
 class Budget:
     """Deterministic search-node budget shared by one search invocation.
 
+    ``limit`` defaults to ``RunConfig.search_budget``, the budget of every
+    search started without one.
+
     In the induced-subgraph engine (``detect.iter_induced_maps``) one tick is
     one host vertex considered for one pattern vertex, whether the candidate
     filter keeps it or not.  The engine charges its ticks in batches, before
@@ -102,7 +105,7 @@ class Budget:
 
     __slots__ = ("limit", "used")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int = RunConfig.search_budget):
         self.limit = limit
         self.used = 0
 

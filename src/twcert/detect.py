@@ -13,7 +13,7 @@ from functools import partial
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .config import Budget, RunConfig
+from .config import Budget
 from .generators import (
     _pyramid_shape,
     _pyramid_signature,
@@ -22,7 +22,7 @@ from .generators import (
     subdivided_claw,
     wall,
 )
-from .graphs import CapExceeded, Graph, bits, line_edges, mask_of, subdivided_edges
+from .graphs import Graph, bits, line_edges, mask_of, subdivided_edges
 
 
 @dataclass(frozen=True)
@@ -31,54 +31,52 @@ class PatternMatch:
     roles: tuple[tuple[str, tuple[int, ...]], ...]
 
 
-def _default_budget(budget: Optional[Budget]) -> Budget:
-    return budget if budget is not None else Budget(RunConfig.search_budget)
-
-
 # -- generic engine ---------------------------------------------------------
 
-Filter = tuple[
-    list[int], list[tuple[int, ...]], list[tuple[int, ...]], list[tuple[int, ...]]
-]
+Host = tuple[list[int], list[int], list[int], list[int]]
+Filter = tuple[list[int], list[tuple[tuple[list[int], int], ...]]]
 
 
-def _host_masks(g: Graph) -> tuple[list[int], list[int], list[int]]:
-    """The host's neighbour masks, their complements, and at_least[d], the
-    host vertices of degree >= d for d up to the maximum degree."""
+def _host_masks(g: Graph) -> Host:
+    """The host's neighbour masks, their complements, up[x] = -(2 << x),
+    the host vertices above x, and at_least[d], the host vertices of degree
+    >= d for d up to the maximum degree."""
     nbr = [g.neighbor_mask(v) for v in g.vertices]
     at_least = [0] * (g.max_degree() + 1)
     for v in g.vertices:
         at_least[g.degree(v)] |= 1 << v
     for d in range(len(at_least) - 2, -1, -1):
         at_least[d] |= at_least[d + 1]
-    return nbr, [~m for m in nbr], at_least
+    return nbr, [~m for m in nbr], [-(2 << v) for v in g.vertices], at_least
 
 
 def _filter(
-    degree: Sequence[int],
-    earlier: Sequence[int],
-    above: Sequence[int],
-    at_least: list[int],
+    degree: Sequence[int], earlier: Sequence[int], above: Sequence[int], host: Host
 ) -> Filter:
-    """The engine's candidate filter for a pattern whose vertex i has degree
-    ``degree[i]``, earlier neighbours ``earlier[i]`` (a mask of 0..i-1) and
-    an image above those of the vertices in ``above[i]`` (a mask of 0..i-1),
-    on a host whose vertices of degree >= d are ``at_least[d]`` (none when d
-    is past the end).
+    """The engine's candidate filter on the host `host` (see `_host_masks`)
+    for a pattern whose vertex i has degree ``degree[i]``, earlier
+    neighbours ``earlier[i]`` (a mask of 0..i-1) and an image above those of
+    the vertices in ``above[i]`` (a mask of 0..i-1).
 
     The candidates for pattern vertex i are ``base[i]`` (the host vertices
-    of large enough degree), minus the vertices the images of 0..i-1 take,
-    AND the host neighbour mask of the image of each j in ``adj[i]`` (i's
-    earlier neighbours), AND the complement of that of each j in ``non[i]``
-    (its earlier non-neighbours), AND the host vertices above the image of
-    each j in ``over[i]``.
+    of large enough degree, none when ``degree[i]`` exceeds the host's
+    maximum), minus the vertices the images of 0..i-1 take, AND
+    ``table[assigned[j]]`` for each ``(table, j)`` in ``checks[i]``: ``nbr``
+    for each earlier neighbour j, ``non`` for each earlier non-neighbour
+    and ``up`` for each j in ``above[i]``.  So one loop applies all three.
     """
+    nbr, non, up, at_least = host
     top = len(at_least)
     base = [at_least[d] if d < top else 0 for d in degree]
-    adj = [tuple(bits(mask)) for mask in earlier]
-    non = [tuple(bits((1 << i) - 1 & ~mask)) for i, mask in enumerate(earlier)]
-    over = [tuple(bits(mask)) if mask else () for mask in above]
-    return base, adj, non, over
+    tables = (non, nbr)
+    checks = [
+        tuple(
+            [(tables[mask >> j & 1], j) for j in range(i)]
+            + [(up, j) for j in bits(over)]
+        )
+        for i, (mask, over) in enumerate(zip(earlier, above))
+    ]
+    return base, checks
 
 
 def iter_induced_maps(
@@ -91,11 +89,12 @@ def iter_induced_maps(
     passes the condition that breaks a member's symmetry).
 
     Pattern vertices are placed in id order by one loop over an explicit
-    stack.  The candidates for pattern vertex i form one host bitmask (see
-    ``_filter``): the vertices of large enough degree, not yet used,
-    adjacent to the images of i's earlier pattern neighbours, non-adjacent
-    to the images of its earlier non-neighbours and above the images the
-    condition names.  They are tried in ascending id order.
+    stack.  The candidates for pattern vertex i form one host bitmask: the
+    vertices of large enough degree, not yet used, then one loop over i's
+    checks (see ``_filter``) keeps those adjacent to the images of its
+    earlier neighbours, non-adjacent to those of its earlier non-neighbours
+    and above the images the condition names.  They are tried in ascending
+    id order.
 
     One budget step is one host vertex considered for one pattern vertex,
     whether the filter keeps it or not: placing vertex i costs n steps (n the
@@ -114,12 +113,11 @@ def iter_induced_maps(
     if k == 0:
         yield ()
         return
-    nbr, non, at_least = _host_masks(g)
-    base, earlier_adj, earlier_non, earlier_over = _filter(
+    base, checks = _filter(
         [pattern.degree(i) for i in range(k)],
         [pattern.neighbor_mask(i) & ((1 << i) - 1) for i in range(k)],
         above or [0] * k,
-        at_least,
+        _host_masks(g),
     )
     # per pattern vertex i: its current image (-1 until some branch places
     # it), its candidates not yet tried, the host vertices considered for it
@@ -153,12 +151,8 @@ def iter_induced_maps(
             taken = used[i] | low
             i += 1
             cand = base[i] & ~taken
-            for j in earlier_adj[i]:
-                cand &= nbr[assigned[j]]
-            for j in earlier_non[i]:
-                cand &= non[assigned[j]]
-            for j in earlier_over[i]:
-                cand &= -(2 << assigned[j])
+            for table, j in checks[i]:
+                cand &= table[assigned[j]]
             cands[i] = cand
             ticked[i] = 0
             used[i] = taken
@@ -223,7 +217,7 @@ def _grow(
     degree: Sequence[int],
     earlier: Sequence[int],
     above: Sequence[int],
-    host: tuple[list[int], list[int], list[int]],
+    host: Host,
     cap: int,
 ) -> Optional[list[tuple[array, array]]]:
     """The search-tree levels p..k-1 of the member with the given signature
@@ -237,10 +231,7 @@ def _grow(
         return None
     if p == k:
         return None
-    nbr, non, at_least = host
-    base, earlier_adj, earlier_non, earlier_over = _filter(
-        degree, earlier, above, at_least
-    )
+    base, checks = _filter(degree, earlier, above, host)
     path = [trie]  # path[L]: the trie node of level L-1
     while path[-1].up:
         path.append(path[-1].up)
@@ -291,12 +282,8 @@ def _grow(
             used[i + 1] = taken = used[i] | low
         i += 1
         cand = base[i] & ~taken
-        for j in earlier_adj[i]:
-            cand &= nbr[assigned[j]]
-        for j in earlier_non[i]:
-            cand &= non[assigned[j]]
-        for j in earlier_over[i]:
-            cand &= -(2 << assigned[j])
+        for table, j in checks[i]:
+            cand &= table[assigned[j]]
         cands[i] = cand
 
 
@@ -336,7 +323,7 @@ def _first_copy(
     when it matches.  The trie pays only across members: a one-pattern
     search takes the engine's first mapping directly (`_engine_match`).
     """
-    bud = _default_budget(budget)
+    bud = budget or Budget()
     n = g.n
     host = _host_masks(g)
     root = _Level(None, array("i", [-1]), array("i", [-1]))
@@ -415,10 +402,9 @@ def find_induced(
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of an explicit pattern graph:
     the engine's first mapping, searched once under the budget, whatever
-    the pattern's size.  A pattern larger than g has no copy."""
-    if pattern.n > g.n:
-        return None  # no copy, and the engine charges nothing
-    bud = _default_budget(budget)
+    the pattern's size.  A pattern larger than g has no copy, and the
+    engine returns at once without charging the budget."""
+    bud = budget or Budget()
     return _engine_match(g, pattern, (range(pattern.n),), _whole, bud)
 
 
@@ -427,7 +413,7 @@ def induced_copies(
 ) -> list[tuple[int, ...]]:
     """All distinct vertex sets carrying an induced copy, in lexicographic order."""
     seen: set[tuple[int, ...]] = set()
-    for mapping in iter_induced_maps(g, pattern, _default_budget(budget)):
+    for mapping in iter_induced_maps(g, pattern, budget or Budget()):
         seen.add(tuple(sorted(mapping)))
     return sorted(seen)
 
@@ -507,7 +493,7 @@ def find_subdivided_claw(
     def roles(legs: Paths) -> Roles:
         return (("root", (wit.root,)), *_numbered("leg", legs))
 
-    return _engine_match(g, wit.graph, wit.legs, roles, _default_budget(budget))
+    return _engine_match(g, wit.graph, wit.legs, roles, budget or Budget())
 
 
 # -- creatures -----------------------------------------------------------------
@@ -572,7 +558,7 @@ def find_creature(
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
-    bud = _default_budget(budget)
+    bud = budget or Budget()
     paths = _directed_induced_paths(g, t, bud)
     full = g.full_mask()
 
@@ -646,12 +632,17 @@ def find_line_of_subdivided_wall(
     are one member under different labels, and either all embed or none
     does.  Only the first vector of each length (all extra vertices on the
     last edge) is tried, which gives the same first match.
+
+    Any k >= 2 runs.  The k x k wall has 2k(k-1) vertices and at least as
+    many edges, so on a smaller host the family is empty and the answer is
+    absent before the wall is built; otherwise the search runs until it
+    ends or the budget runs out.
     """
     if k < 2:
         raise ValueError("walls need k >= 2")
-    if k > 3:
-        raise CapExceeded("wall-line detection supports k in {2, 3}")
-    bud = _default_budget(budget)
+    if 2 * k * (k - 1) > g.n:
+        return None  # every member has more vertices than g
+    bud = budget or Budget()
     base = wall(k, k)
     base_edges = base.edges
     m = len(base_edges)
@@ -706,8 +697,8 @@ def verify_forcer(g: Graph, forcer_pattern: Graph, x_pattern: Graph) -> ForcerRe
     """Check that every induced copy Y of the forcer contains an induced copy
     X' of the inner pattern with X' breaking Y minus X'.  The first violating
     copy is returned as a counterexample.  The search runs under the default
-    budget of `RunConfig.search_budget` ticks."""
-    bud = Budget(RunConfig.search_budget)
+    budget (see `Budget`)."""
+    bud = Budget()
     count = 0
     for y in induced_copies(g, forcer_pattern, bud):
         count += 1

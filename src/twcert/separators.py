@@ -25,7 +25,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .config import Budget, RunConfig
+from .config import Budget
 from .graphs import CapExceeded, Graph, TreeDecomposition, bits, mask_of
 from .weights import WeightFunction, check_balance_parameter
 
@@ -94,8 +94,9 @@ def separation_number(g: Graph, c: Fraction, budget: Budget) -> int:
     Full enumeration over all S; complementary subsets are not interchangeable
     (S = V and S = empty already need different k), so nothing is skipped.
     The components of G - X do not depend on S, so those of each candidate
-    X are built once and kept.  Each X tested costs one tick of `budget`,
-    so the budget also bounds how many lists are kept.
+    X are built once and kept until the answer so far exceeds |X|: every
+    later search starts at that size.  Each X tested costs one tick of
+    `budget`, so the budget also bounds how many lists are kept.
     """
     check_balance_parameter(c)
     best = 0
@@ -116,7 +117,9 @@ def separation_number(g: Graph, c: Fraction, budget: Budget) -> int:
         # X = V always balances, so a smallest X of size >= best exists
         hit = _first_subset(g.n, best, g.n, balances)
         assert hit is not None
-        best = len(hit)
+        if len(hit) > best:
+            best = len(hit)
+            comps_of = {x: cs for x, cs in comps_of.items() if x.bit_count() >= best}
     return best
 
 
@@ -421,12 +424,11 @@ def harvey_wood_check(
     S = Y.  The worst minimum uniform-weight separator over all Y is
     therefore the separation number (S = empty needs X = empty).
     Every search here is exhaustive; the separation number runs under the
-    default budget of `RunConfig.search_budget` ticks, and callers keep g
-    small enough for exact treewidth.
+    default `Budget`, and callers keep g small enough for exact treewidth.
     """
     check_balance_parameter(c)
     tw, td = exact_treewidth(g, cap=g.n)
-    sep = separation_number(g, c, Budget(RunConfig.search_budget))
+    sep = separation_number(g, c, Budget())
     upper = Fraction(tw + 1) <= Fraction(sep) / (1 - c)
     uniform_ok = Fraction(tw) <= Fraction(sep) / (1 - c)
 

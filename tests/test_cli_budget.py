@@ -74,11 +74,17 @@ def test_sep_honours_search_budget(tmp_path):
 
 
 def test_wall_line_k_below_two_is_a_usage_error(tmp_path):
+    """k < 2 is a usage error; any larger k runs: absent at once on a host
+    smaller than the 4x4 wall, found on the line graph of the 4x4 wall."""
     argv = ["detect", "--pattern", "wall-line", "-i", _wall(tmp_path, 3, 3)]
     assert main(argv + ["--k", "1"]) == 64  # no k x k wall exists for k < 2
-    code, payload = _run(tmp_path, argv + ["--k", "4"])
-    assert code == 2
-    assert payload == {"status": "budget", "detail": "wall-line detection supports k in {2, 3}"}
+    assert _run(tmp_path, argv + ["--k", "4"]) == (1, {"status": "absent"})
+    host = tmp_path / "line44.json"
+    host.write_text(json.dumps(graph_to_json(line_graph(generators.wall(4, 4)))))
+    argv = ["detect", "--pattern", "wall-line", "--k", "4", "-i", str(host)]
+    code, payload = _run(tmp_path, argv)
+    assert code == 0 and payload["status"] == "found"
+    assert payload["image"] == list(range(32))
 
 
 def test_pattern_larger_than_the_host_is_absent_before_the_cap(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from twcert.config import Budget
-from twcert.detect import _default_budget, iter_induced_maps
+from twcert.detect import iter_induced_maps
 from twcert.graphs import BudgetExhausted, Graph
 
 
@@ -117,7 +117,7 @@ def recursive_maps(
 ) -> Iterator[tuple[int, ...]]:
     """The bitmask engine as it was before the one-loop rewrite: a chain of
     recursive generators ticking the budget once per candidate."""
-    bud = _default_budget(budget)
+    bud = budget or Budget()
     n, k = g.n, pattern.n
     if k > n:
         return
