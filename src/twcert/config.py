@@ -95,10 +95,10 @@ class Budget:
     would take for it; a member whose trie walk reaches a level where an
     earlier member's search died is charged that way without a search.  A
     member that embeds, or whose charge would exceed ``limit``, runs through
-    the engine itself.  A theta member carries the condition that its end
-    lies above its hub (its mirror is the same copy), so the engine tries
-    each pair of host vertices for them in one order only: the first copy
-    is the same, and the steps charged are at most those without the
+    the engine itself.  A signature entry is a vertex's degree, its earlier
+    neighbours and the earlier vertices its image must lie above: a theta's
+    end lies above its hub (its mirror is the same copy), so the first copy
+    is the same and the steps charged are at most those without the
     condition.  ``separators.separation_number`` ticks once per subset X
     it tests.  Exceeding ``limit`` raises ``BudgetExhausted``.
     """

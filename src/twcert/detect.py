@@ -10,19 +10,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import Budget
-from .generators import (
-    _pyramid_shape,
-    _pyramid_signature,
-    _theta_shape,
-    _theta_signature,
-    subdivided_claw,
-    wall,
-)
-from .graphs import Graph, bits, line_edges, mask_of, subdivided_edges
+from .generators import _PYRAMID_BASE, _THETA_BASE, subdivided_claw, wall
+from .graphs import Graph, bits, line_edges, mask_of, subdivision
 
 
 @dataclass(frozen=True)
@@ -171,11 +164,10 @@ Roles = tuple[tuple[str, Sequence[int]], ...]
 Paths = Sequence[Sequence[int]]
 Edges = Sequence[tuple[int, int]]
 # One member of a witness family: its vertex count, its signature (one entry
-# per vertex, in vertex order: its degree and its earlier-neighbour mask,
-# and for a vertex whose image must lie above those of some earlier vertices,
-# the mask of those as a third field), and a call that builds its edge list
-# and the vertex sequences its roles are read from (a copy maps them into
-# the host).
+# per vertex, in vertex order: its degree, the mask of its earlier
+# neighbours, and the mask of the earlier vertices whose images its image
+# must lie above, 0 for none), and a call that builds its edge list and the
+# vertex sequences its roles are read from (a copy maps them into the host).
 Member = tuple[int, Iterator[tuple[int, ...]], Callable[[], tuple[Edges, Paths]]]
 
 
@@ -190,7 +182,7 @@ def _edge_member(k: int, edges: Edges, paths: Paths) -> Member:
             earlier[v] |= 1 << u
         else:
             earlier[u] |= 1 << v
-    return k, zip(degree, earlier), lambda: (edges, paths)
+    return k, zip(degree, earlier, [0] * k), lambda: (edges, paths)
 
 
 class _Level:
@@ -291,7 +283,7 @@ def _first_copy(
     g: Graph,
     family: Iterable[Member],
     roles: Callable[[Paths], Roles],
-    budget: Optional[Budget],
+    budget: Budget,
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of the first family member that
     embeds in g, as its image and its roles (``roles`` of its paths) mapped
@@ -323,7 +315,6 @@ def _first_copy(
     when it matches.  The trie pays only across members: a one-pattern
     search takes the engine's first mapping directly (`_engine_match`).
     """
-    bud = budget or Budget()
     n = g.n
     host = _host_masks(g)
     root = _Level(None, array("i", [-1]), array("i", [-1]))
@@ -340,14 +331,12 @@ def _first_copy(
             trie = below
             if not trie.vertex:
                 break
-        if not trie.vertex and n * trie.total <= bud.limit - bud.used:
-            bud.tick(n * trie.total)  # an earlier member's search died here
+        if not trie.vertex and n * trie.total <= budget.limit - budget.used:
+            budget.tick(n * trie.total)  # an earlier member's search died here
             continue
         walked.extend(signature)
-        degree = [entry[0] for entry in walked]
-        earlier = [entry[1] for entry in walked]
-        above = [entry[2] if len(entry) > 2 else 0 for entry in walked]
-        cap = (bud.limit - bud.used) // max(n, 1) - trie.total
+        degree, earlier, above = zip(*walked)
+        cap = (budget.limit - budget.used) // max(n, 1) - trie.total
         grown = _grow(trie, degree, earlier, above, host, cap)
         if grown is not None:
             # link the new levels down to the first empty one: the levels
@@ -356,10 +345,10 @@ def _first_copy(
                 trie.next[walked[level]] = trie = _Level(trie, parents, vertices)
                 if not vertices:
                     break
-            bud.tick(n * trie.total)
+            budget.tick(n * trie.total)
             continue
         edges, paths = build()
-        match = _engine_match(g, Graph(k, edges), paths, roles, bud, above)
+        match = _engine_match(g, Graph(k, edges), paths, roles, budget, above)
         if match is not None:
             return match
     return None
@@ -418,29 +407,144 @@ def induced_copies(
     return sorted(seen)
 
 
-# -- specialised detectors ----------------------------------------------------
+# -- the family layer ------------------------------------------------------------
 
 
-def _length_triples(
-    t: int, max_sum: int, floor2: bool
+@dataclass(frozen=True)
+class Family:
+    """A witness family: the subdivisions of one base graph on 0..n-1, or
+    their line graphs when ``line`` holds.  Each base edge is written lower
+    end first, and a pair may repeat.  The last ``len(floors)`` edges are
+    free: the i-th has length at least ``floors[i]`` and, when ``rising``,
+    at least the free length before it.  The other edges keep length 1.
+
+    A member is numbered as `subdivision` numbers it.  ``roles`` reads a
+    match's roles from its paths: the chains of its free edges, or a line
+    member's whole vertex order.  ``above[v]`` masks the base vertices whose
+    images base vertex v's image must lie above, a condition that breaks a
+    symmetry of every member and keeps its first copy (see `_first_copy`);
+    a line family has none."""
+
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    floors: tuple[int, ...]
+    rising: bool
+    line: bool
+    roles: Callable[[Paths], Roles]
+    above: tuple[int, ...]
+
+
+def _lengths(
+    total: int, floors: Sequence[int], rising: bool
+) -> Iterator[tuple[int, ...]]:
+    """Every vector of ``len(floors) >= 1`` lengths that sums to `total`,
+    its i-th entry at least ``floors[i]`` and, when `rising`, at least the
+    entry before it, in lexicographic order.
+
+    A flat odometer: raise the rightmost slot that leaves room and give each
+    later slot its least value; the slot before the last then runs through
+    its range, and the last takes the rest."""
+    *x, end = floors
+    if not x:
+        if total >= end:
+            yield (total,)
+        return
+    p = len(x) - 1  # the slot before the last
+    i = -1  # the slot just raised
+    while True:
+        for j in range(i + 1, p + 1):
+            x[j] = max(floors[j], x[j - 1]) if rising and j else floors[j]
+        rest = total - sum(x[:p])
+        top = min(rest - end, rest // 2) if rising else rest - end
+        if x[p] <= top:
+            prefix = tuple(x[:p])
+            for a in range(x[p], top + 1):
+                yield (*prefix, a, rest - a)
+            i = p
+        i -= 1
+        if i < 0:
+            return
+        x[i] += 1
+
+
+def _members(family: Family, n: int, budget: Budget) -> Iterator[Member]:
+    """The members of `family` with at most n vertices, by vertex count,
+    then by free lengths in lexicographic order.  A member's signature is
+    read from its lengths (`_signature`) and its edge list built only when
+    it is searched (`_build`).  A line member comes with its edge list and
+    costs one step of `budget` when it is offered."""
+    ones = (1,) * (len(family.edges) - len(family.floors))
+    # a member whose free lengths sum to s has s + offset vertices
+    offset = len(ones) if family.line else family.n - len(family.floors)
+    least = sum(accumulate(family.floors, max) if family.rising else family.floors)
+    ends = [v for edge in family.edges for v in edge]
+    degree = [ends.count(v) for v in range(family.n)]
+    for total in range(least, n - offset + 1):
+        k = total + offset
+        for lengths in _lengths(total, family.floors, family.rising):
+            lengths = ones + lengths
+            if family.line:
+                budget.tick()
+                count, edges, _ = subdivision(family.n, family.edges, lengths)
+                yield _edge_member(k, line_edges(count, edges), (range(k),))
+            else:
+                signature = _signature(family, degree, lengths)
+                yield k, signature, partial(_build, family, lengths)
+
+
+def _signature(
+    family: Family, degree: Sequence[int], lengths: Sequence[int]
 ) -> Iterator[tuple[int, int, int]]:
-    """Non-decreasing length triples, each at least t (and at least 2 when
-    floor2, else 1), by increasing sum up to max_sum."""
-    lo = max(t, 2) if floor2 else max(t, 1)
-    for total in range(3 * lo, max_sum + 1):
-        for l1 in range(lo, total // 3 + 1):
-            for l2 in range(l1, (total - l1) // 2 + 1):
-                yield l1, l2, total - l1 - l2
+    """The signature of the member of `family` whose edges have the given
+    lengths, read from the lengths and the base vertices' degrees alone:
+    the base vertices, with their conditions, then each edge's new vertices
+    in path order.  It yields one entry at a time, so a reader that stops
+    early pays only for the entries it read."""
+    earlier = [0] * family.n
+    for (u, v), ell in zip(family.edges, lengths):
+        if ell == 1:
+            earlier[v] |= 1 << u
+    yield from zip(degree, earlier, family.above)
+    nxt = family.n
+    for (u, v), ell in zip(family.edges, lengths):
+        # new vertices nxt..nxt+ell-2; the last also follows base vertex v
+        prev = u
+        for w in range(nxt, nxt + ell - 2):
+            yield 2, 1 << prev, 0
+            prev = w
+        if ell > 1:
+            yield 2, 1 << prev | 1 << v, 0
+        nxt += ell - 1
+
+
+def _build(family: Family, lengths: Sequence[int]) -> tuple[Edges, Paths]:
+    """The edge list of the member of `family` whose edges have the given
+    lengths, and its paths: the chains of its free edges."""
+    _, edges, chains = subdivision(family.n, family.edges, lengths)
+    return edges, chains[len(lengths) - len(family.floors) :]
+
+
+def _find(g: Graph, family: Family, budget: Optional[Budget]) -> Optional[PatternMatch]:
+    """The first copy of the first member of `family` in g (`_first_copy`)."""
+    bud = budget or Budget()
+    return _first_copy(g, _members(family, g.n, bud), family.roles, bud)
+
+
+# -- specialised detectors ----------------------------------------------------
 
 
 def find_t_theta(
     g: Graph, t: int, budget: Optional[Budget] = None
 ) -> Optional[PatternMatch]:
     """Two non-adjacent vertices joined by three internally disjoint induced
-    paths of length >= t with no other edges between the paths.  Each member
-    is searched with its second end above its first (a theta's mirror is the
-    same copy, see `_theta_signature`): the same first copy, in at most the
-    steps of the search without that condition."""
+    paths of length >= t with no other edges between the paths: three
+    parallel edges between hub 0 and end 1, each subdivided to length >= t.
+
+    Swapping the hub and the end and reversing each path maps a theta onto
+    itself, so composing a copy with that mirror gives a copy whose hub is
+    the first's end: the lexicographically first copy has its end above its
+    hub.  Each member is searched under that condition, which gives the same
+    first copy in at most the steps of the search without it."""
     if t < 2:
         raise ValueError("thetas need t >= 2")
 
@@ -448,19 +552,19 @@ def find_t_theta(
         # each path runs from one end to the other
         return (("ends", (paths[0][0], paths[0][-1])), *_numbered("path", paths))
 
-    # a theta has l1 + l2 + l3 - 1 vertices
-    family = (
-        (sum(ls) - 1, _theta_signature(*ls), partial(_theta_shape, *ls))
-        for ls in _length_triples(t, g.n + 1, floor2=True)
+    theta = Family(
+        2, _THETA_BASE, (t,) * 3, rising=True, line=False, roles=roles, above=(0, 1)
     )
-    return _first_copy(g, family, roles, budget)
+    return _find(g, theta, budget)
 
 
 def find_t_pyramid(
     g: Graph, t: int, budget: Optional[Budget] = None
 ) -> Optional[PatternMatch]:
     """Apex joined to a triangle by three near-disjoint induced paths of
-    length >= t, at most one of them a single edge."""
+    length >= t, at most one of them a single edge: K4 with the triangle
+    1-2-3 kept and the edges from apex 0 subdivided.  As the lengths rise,
+    a floor of 2 on the last two leaves at most the first a single edge."""
     if t < 1:
         raise ValueError("pyramids need t >= 1")
 
@@ -472,14 +576,11 @@ def find_t_pyramid(
             *_numbered("path", paths),
         )
 
-    # a pyramid has l1 + l2 + l3 + 1 vertices; l1 = l2 = 1 would give two
-    # single-edge paths
-    family = (
-        (sum(ls) + 1, _pyramid_signature(*ls), partial(_pyramid_shape, *ls))
-        for ls in _length_triples(t, g.n - 1, floor2=False)
-        if ls[1] >= 2
+    floors = (t, max(t, 2), max(t, 2))
+    pyramid = Family(
+        4, _PYRAMID_BASE, floors, rising=True, line=False, roles=roles, above=(0,) * 4
     )
-    return _first_copy(g, family, roles, budget)
+    return _find(g, pyramid, budget)
 
 
 def find_subdivided_claw(
@@ -623,15 +724,12 @@ def find_line_of_subdivided_wall(
     """Induced copy of the line graph of some subdivision of the k x k wall.
 
     Only subdivisions with at most |V(g)| edges can embed, so enumerating
-    edge-length vectors in graded lexicographic order up to that budget is
-    exhaustive; absence means no member of the family embeds.  Each member
-    tried costs one step, besides its search.
+    them by edge count is exhaustive; absence means no member of the family
+    embeds.  Each member tried costs one step, besides its search.
 
     The 2x2 wall is the 4-cycle, so at k = 2 every subdivision with j edges
-    is the cycle C_j, and so is its line graph: the vectors of one length
-    are one member under different labels, and either all embed or none
-    does.  Only the first vector of each length (all extra vertices on the
-    last edge) is tried, which gives the same first match.
+    is the cycle C_j, and so is its line graph: the family declares only the
+    last edge free, one member per length, which gives the same first match.
 
     Any k >= 2 runs.  The k x k wall has 2k(k-1) vertices and at least as
     many edges, so on a smaller host the family is empty and the answer is
@@ -642,30 +740,12 @@ def find_line_of_subdivided_wall(
         raise ValueError("walls need k >= 2")
     if 2 * k * (k - 1) > g.n:
         return None  # every member has more vertices than g
-    bud = budget or Budget()
     base = wall(k, k)
-    base_edges = base.edges
-    m = len(base_edges)
-
-    def family() -> Iterator[Member]:
-        # the subdivision with `total` edges has a line graph on `total` vertices
-        for total in range(m, g.n + 1):
-            spreads = _compositions(total - m, m)
-            for extra in islice(spreads, 1) if k == 2 else spreads:
-                bud.tick()
-                sub = subdivided_edges(base.n, base_edges, extra)
-                yield _edge_member(total, line_edges(*sub), (range(total),))
-
-    return _first_copy(g, family(), _whole, bud)
-
-
-def _compositions(extra: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to spread `extra` across `parts >= 1` slots, graded
-    lexicographic: the gaps between parts - 1 bars placed among
-    extra + parts - 1 positions, bar positions in lexicographic order."""
-    end = extra + parts - 1
-    for bars in combinations(range(end), parts - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
+    free = base.m if k > 2 else 1
+    lines = Family(
+        base.n, base.edges, (1,) * free, rising=False, line=True, roles=_whole, above=()
+    )
+    return _find(g, lines, budget)
 
 
 # -- breaks and forcers -------------------------------------------------------------

@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Sequence
 
-from .graphs import Graph, line_graph
+from .graphs import Graph, line_graph, subdivision
 
 
 # -- plain named families ---------------------------------------------------
@@ -107,10 +107,9 @@ def subdivided_claw(t1: int, t2: int, t3: int) -> ClawWitness:
     return ClawWitness(Graph(nxt, edges), tuple(legs))
 
 
-# A witness graph before it is built: its edge list, and its paths as vertex
-# sequences.  The family detectors read a member's signature from its path
-# lengths, and build its shape only when they search it.
-_Shape = tuple[list[tuple[int, int]], tuple[tuple[int, ...], ...]]
+# base edge lists: hub 0 to end 1 thrice; K4, its triangle first, apex edges last
+_THETA_BASE = ((0, 1),) * 3
+_PYRAMID_BASE = ((1, 2), (1, 3), (2, 3), (0, 1), (0, 2), (0, 3))
 
 
 @dataclass(frozen=True)
@@ -121,82 +120,12 @@ class ThetaWitness:
 
 
 def theta(l1: int, l2: int, l3: int) -> ThetaWitness:
-    """Two vertices joined by three internally disjoint paths, lengths >= 2."""
-    edges, paths = _theta_shape(l1, l2, l3)
-    return ThetaWitness(Graph(l1 + l2 + l3 - 1, edges), paths)
-
-
-def _theta_shape(l1: int, l2: int, l3: int) -> _Shape:
-    """Edge list and paths of ``theta(l1, l2, l3)``."""
+    """Two vertices joined by three internally disjoint paths, lengths >= 2:
+    three parallel edges 0-1, subdivided."""
     if min(l1, l2, l3) < 2:
         raise ValueError("theta paths must have length at least 2")
-    return _joined_paths((1, 1, 1), (l1, l2, l3), 2, [])
-
-
-def _theta_signature(l1: int, l2: int, l3: int) -> Iterator[tuple[int, ...]]:
-    """The signature of ``_theta_shape(l1, l2, l3)`` (see `_joined_signature`),
-    with end 1 placed above hub 0.  Swapping the hub and the end and
-    reversing each path maps the theta onto itself, so composing a copy with
-    that mirror gives a copy whose hub is the first's end: the
-    lexicographically first copy has its end above its hub."""
-    entries = _joined_signature((1, 1, 1), (l1, l2, l3), 2, ())
-    yield next(entries)
-    degree, earlier = next(entries)
-    yield degree, earlier, 1  # above the hub
-    yield from entries
-
-
-def _joined_paths(
-    ends: Sequence[int],
-    lengths: Sequence[int],
-    nxt: int,
-    edges: list[tuple[int, int]],
-) -> _Shape:
-    """Add a path of each length from vertex 0 to the matching end, numbering
-    the inner vertices from nxt on: (edges, paths)."""
-    paths: list[tuple[int, ...]] = []
-    for end, ell in zip(ends, lengths):
-        chain = [0, *range(nxt, nxt + ell - 1), end]
-        nxt += ell - 1
-        edges.extend(zip(chain, chain[1:]))
-        paths.append(tuple(chain))
-    return edges, tuple(paths)
-
-
-def _joined_signature(
-    ends: Sequence[int],
-    lengths: Sequence[int],
-    nxt: int,
-    edges: Sequence[tuple[int, int]],
-) -> Iterator[tuple[int, int]]:
-    """The (degree, earlier-neighbour mask) of each vertex of
-    ``_joined_paths(ends, lengths, nxt, edges)``, in vertex order, read from
-    the lengths alone: vertices 0..nxt-1 (hub 0 and the ends, with the
-    edges among them each written lower end first), then each path's inner
-    vertices.  It yields one entry at a time, so a reader that stops early
-    pays only for the entries it read."""
-    degree = [0] * nxt
-    earlier = [0] * nxt
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-        earlier[v] |= 1 << u
-    for end, ell in zip(ends, lengths):
-        degree[0] += 1
-        degree[end] += 1
-        if ell == 1:
-            earlier[end] |= 1  # the hub
-    yield from zip(degree, earlier)
-    for end, ell in zip(ends, lengths):
-        # inner vertices nxt..nxt+ell-2, each after its path predecessor;
-        # the last one also has the end, numbered below nxt, before it
-        prev = 0
-        for v in range(nxt, nxt + ell - 2):
-            yield 2, 1 << prev
-            prev = v
-        if ell > 1:
-            yield 2, 1 << prev | 1 << end
-        nxt += ell - 1
+    n, edges, paths = subdivision(2, _THETA_BASE, (l1, l2, l3))
+    return ThetaWitness(Graph(n, edges), tuple(paths))
 
 
 @dataclass(frozen=True)
@@ -208,26 +137,14 @@ class PyramidWitness:
 
 
 def pyramid(l1: int, l2: int, l3: int) -> PyramidWitness:
-    """Apex joined to a triangle by three paths, at most one of length one."""
-    edges, paths = _pyramid_shape(l1, l2, l3)
-    return PyramidWitness(Graph(l1 + l2 + l3 + 1, edges), paths)
-
-
-_TRIANGLE = ((1, 2), (1, 3), (2, 3))  # the edges among a pyramid's ends
-
-
-def _pyramid_shape(l1: int, l2: int, l3: int) -> _Shape:
-    """Edge list and paths of ``pyramid(l1, l2, l3)``."""
+    """Apex joined to a triangle by three paths, at most one of length one:
+    K4 with the triangle 1-2-3 kept and the edges from apex 0 subdivided."""
     if min(l1, l2, l3) < 1:
         raise ValueError("pyramid paths must have length at least 1")
     if sorted((l1, l2, l3))[1] < 2:
         raise ValueError("at least two pyramid paths must have length >= 2")
-    return _joined_paths((1, 2, 3), (l1, l2, l3), 4, [*_TRIANGLE])
-
-
-def _pyramid_signature(l1: int, l2: int, l3: int) -> Iterator[tuple[int, int]]:
-    """The signature of ``_pyramid_shape(l1, l2, l3)`` (see `_joined_signature`)."""
-    return _joined_signature((1, 2, 3), (l1, l2, l3), 4, _TRIANGLE)
+    n, edges, chains = subdivision(4, _PYRAMID_BASE, (1, 1, 1, l1, l2, l3))
+    return PyramidWitness(Graph(n, edges), tuple(chains[3:]))
 
 
 @dataclass(frozen=True)

@@ -276,18 +276,20 @@ def line_graph(g: Graph) -> Graph:
     return Graph(g.m, line_edges(g.n, g.edges))
 
 
-def subdivided_edges(
-    n: int, edges: Iterable[tuple[int, int]], extra: Iterable[int]
-) -> tuple[int, list[tuple[int, int]]]:
-    """Vertex count and edge list after putting extra[i] new vertices on
-    edge i (u, v): the path u, new..., v, its new vertices numbered from n
-    on, edge by edge."""
+def subdivision(
+    n: int, edges: Iterable[tuple[int, int]], lengths: Iterable[int]
+) -> tuple[int, list[tuple[int, int]], list[tuple[int, ...]]]:
+    """Vertex count, edge list and chains after replacing edge i (u, v) of
+    a graph on 0..n-1 by a path of length lengths[i], its chain u, new...,
+    v: the new vertices are numbered from n on, edge by edge."""
     out: list[tuple[int, int]] = []
-    for (u, v), k in zip(edges, extra):
-        chain = [u, *range(n, n + k), v]
-        n += k
+    chains: list[tuple[int, ...]] = []
+    for (u, v), ell in zip(edges, lengths):
+        chain = (u, *range(n, n + ell - 1), v)
+        n += ell - 1
         out.extend(zip(chain, chain[1:]))
-    return n, out
+        chains.append(chain)
+    return n, out, chains
 
 
 def subdivide(g: Graph, lengths: Mapping[tuple[int, int], int]) -> Graph:
@@ -305,8 +307,8 @@ def subdivide(g: Graph, lengths: Mapping[tuple[int, int], int]) -> Graph:
         if ell < 1:
             raise ValueError("subdivision length must be positive")
         norm[e] = ell
-    extra = [norm.get(e, 1) - 1 for e in g.edges]
-    return Graph(*subdivided_edges(g.n, g.edges, extra))
+    n, edges, _ = subdivision(g.n, g.edges, [norm.get(e, 1) for e in g.edges])
+    return Graph(n, edges)
 
 
 def full_subdivision(g: Graph) -> Graph:

@@ -1,8 +1,9 @@
 import json
 import sys
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, graphs
@@ -10,8 +11,8 @@ from twcert.cli import main
 from twcert.config import Budget
 from twcert.detect import (
     PatternMatch,
-    _compositions,
     _directed_induced_paths,
+    _lengths,
     breaks,
     find_creature,
     find_induced,
@@ -273,7 +274,8 @@ def test_wall_line_detector():
 
 
 def recursive_compositions(extra, parts):
-    """`_compositions` as the recursion on the first slot it replaced."""
+    """Every way to spread `extra` over `parts` slots, in lexicographic
+    order, by recursion on the first slot."""
     if parts == 1:
         yield (extra,)
         return
@@ -283,12 +285,33 @@ def recursive_compositions(extra, parts):
 
 
 def test_compositions_match_recursive_reference():
-    # up to the 15 edges of the 3x3 wall
+    # up to the 15 edges of the 3x3 wall, floors 0
     for parts in range(1, 16):
         for extra in range(6):
-            assert list(_compositions(extra, parts)) == list(
+            assert list(_lengths(extra, (0,) * parts, False)) == list(
                 recursive_compositions(extra, parts)
             )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    floors=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    rising=st.booleans(),
+    total=st.integers(0, 14),
+)
+@example(floors=[1], rising=False, total=5)  # wall-line k = 2: one free edge
+@example(floors=[3], rising=True, total=2)
+def test_lengths_match_a_brute_force_filter(floors, rising, total):
+    """The family layer's length enumerator against every vector of the
+    right size, filtered and sorted."""
+    expected = sorted(
+        ls
+        for ls in product(range(total + 1), repeat=len(floors))
+        if sum(ls) == total
+        and all(x >= f for x, f in zip(ls, floors))
+        and (not rising or all(a <= b for a, b in zip(ls, ls[1:])))
+    )
+    assert list(_lengths(total, floors, rising)) == expected
 
 
 def test_breaks_examples():

@@ -10,7 +10,6 @@ import pytest
 from twcert.config import Budget
 from twcert.detect import (
     PatternMatch,
-    _length_triples,
     find_induced,
     find_line_of_subdivided_wall,
     find_subdivided_claw,
@@ -214,13 +213,22 @@ THETAS = {
 }
 
 
+def length_triples(t, max_sum):
+    """Non-decreasing length triples, each at least t, by increasing sum up
+    to max_sum, then in lexicographic order."""
+    for total in range(3 * t, max_sum + 1):
+        for l1 in range(t, total // 3 + 1):
+            for l2 in range(l1, (total - l1) // 2 + 1):
+                yield l1, l2, total - l1 - l2
+
+
 def recursive_theta(g, t):
     """The theta family searched member by member, recursively: each pattern
     vertex tries every host vertex in id order and ticks once for each, the
     end (vertex 1) only above the hub's image.  Returns the first match and
     the ticks taken up to it, or None and every member's ticks."""
     ticks = 0
-    for ls in _length_triples(t, g.n + 1, floor2=True):
+    for ls in length_triples(t, g.n + 1):
         wit = theta(*ls)
         p = wit.graph
         assigned = []

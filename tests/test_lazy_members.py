@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from twcert import detect, generators
+from test_detect import recursive_compositions
+from twcert import detect
 from twcert.config import Budget
 from twcert.detect import find_line_of_subdivided_wall, find_t_pyramid, find_t_theta
-from twcert.generators import _pyramid_shape, _theta_shape, subdivided_claw, wall
+from twcert.generators import pyramid, subdivided_claw, theta, wall
 from twcert.graphs import Graph, line_graph, subdivide
 
 # the line graph of the 2x2 wall with two edges subdivided, which holds a copy
@@ -56,7 +57,7 @@ def counted(name, fn, counts):
 def searched(name: str) -> Counter[str]:
     """Run the named search and count the members it is offered, the
     signature entries read from them, the graphs and the theta or pyramid
-    edge lists built (`_joined_paths` calls), and the plain-engine runs."""
+    edge lists built (`detect._build` calls), and the plain-engine runs."""
     search = CASES[name][0]
     counts: Counter[str] = Counter()
     first_copy = detect._first_copy
@@ -78,8 +79,7 @@ def searched(name: str) -> Counter[str]:
         ),
         Graph=counted("built", detect.Graph, counts),
         iter_induced_maps=counted("plain", detect.iter_induced_maps, counts),
-    ), mock.patch.object(
-        generators, "_joined_paths", counted("joined", generators._joined_paths, counts)
+        _build=counted("builds", detect._build, counts),
     ):
         search(Budget(10**7))
     return counts
@@ -96,7 +96,7 @@ def test_members_are_built_only_when_searched(name):
         built,
         built,
     )
-    assert counts["joined"] == (0 if name.startswith("wall-line") else built)
+    assert counts["builds"] == (0 if name.startswith("wall-line") else built)
 
 
 def test_dead_members_read_only_the_entries_to_their_dead_level():
@@ -122,44 +122,49 @@ def family_members(search, n: int) -> list[detect.Member]:
     return members
 
 
+def length_triples(t: int, floor2: int, max_sum: int):
+    """Non-decreasing length triples by increasing sum up to max_sum, then
+    in lexicographic order: the first at least t, the others at least
+    floor2."""
+    for total in range(max_sum + 1):
+        for l1 in range(t, total // 3 + 1):
+            for l2 in range(max(l1, floor2), (total - l1) // 2 + 1):
+                yield l1, l2, total - l1 - l2
+
+
 @pytest.mark.parametrize(
     "search, n, shape, triples",
     [
         # thetas with t = 2 and pyramids with t = 1, path lengths summing to
         # 40 at most: the families offered on hosts of 39 and 41 vertices
-        (
-            lambda g: find_t_theta(g, 2),
-            39,
-            _theta_shape,
-            detect._length_triples(2, 40, True),
-        ),
-        (
-            lambda g: find_t_pyramid(g, 1),
-            41,
-            _pyramid_shape,
-            [ls for ls in detect._length_triples(1, 40, False) if ls[1] >= 2],
-        ),
+        (lambda g: find_t_theta(g, 2), 39, theta, length_triples(2, 2, 40)),
+        (lambda g: find_t_pyramid(g, 1), 41, pyramid, length_triples(1, 2, 40)),
+        (lambda g: find_t_theta(g, 3), 39, theta, length_triples(3, 3, 40)),
+        # t = 2 gives every pyramid path the same floor
+        (lambda g: find_t_pyramid(g, 2), 41, pyramid, length_triples(2, 2, 40)),
     ],
-    ids=["theta-t2", "pyramid-t1"],
+    ids=["theta-t2", "pyramid-t1", "theta-t3", "pyramid-t2"],
 )
 def test_signatures_read_from_lengths_match_the_edge_lists(search, n, shape, triples):
     """Each theta or pyramid member's signature, yielded from its path
     lengths, is the one read from its edge list, and building the member
-    gives exactly that shape's edges and paths.  The one condition is a
+    gives exactly the generator's graph and paths.  The one condition is a
     theta's: its end, vertex 1, lies above its hub."""
     triples = list(triples)
     members = family_members(search, n)
     assert len(members) == len(triples)
     for (k, signature, build), ls in zip(members, triples):
-        edges, paths = shape(*ls)
-        assert k == max(max(e) for e in edges) + 1
+        wit = shape(*ls)
+        assert k == wit.graph.n
         entries = list(signature)
-        assert [entry[:2] for entry in entries] == list(
-            detect._edge_member(k, edges, paths)[1]
-        )
-        conditions = {i: entry[2] for i, entry in enumerate(entries) if len(entry) > 2}
-        assert conditions == ({1: 1} if shape is _theta_shape else {})
-        assert build() == (edges, paths)
+        assert [entry[:2] for entry in entries] == [
+            entry[:2] for entry in detect._edge_member(k, wit.graph.edges, wit.paths)[1]
+        ]
+        conditions = {i: entry[2] for i, entry in enumerate(entries) if entry[2]}
+        assert conditions == ({1: 1} if shape is theta else {})
+        edges, paths = build()
+        assert Graph(k, edges) == wit.graph
+        assert tuple(paths) == wit.paths
 
 
 def reference_line_graph(g: Graph) -> Graph:
@@ -218,7 +223,7 @@ def test_line_edges_match_the_line_graph(k):
         spreads = [
             s
             for x in range(extra + 1)
-            for s in islice(detect._compositions(x, base.m), 1 if k == 2 else None)
+            for s in islice(recursive_compositions(x, base.m), 1 if k == 2 else None)
         ]
         assert len(members) == len(spreads)
         for (n, _, build), spread in zip(members, spreads):

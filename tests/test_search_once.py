@@ -2,9 +2,10 @@
 engine's first mapping directly: against the one-member family search they
 replaced (`detect._first_copy` on one `_edge_member`), they give the same
 match, the same `Budget.used`, and exhaust the budget after the same steps.
-The wall-line search at k = 2 tries one cycle per length: against the
-family of every spread of the extra vertices over the 4-cycle's edges, it
-gives the same match in at most the same steps."""
+The wall-line search at k = 2 declares one free edge, one cycle per length:
+against the family with every edge of the 4-cycle free, which offers every
+spread of the extra vertices over them, it gives the same match in at most
+the same steps."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +16,7 @@ from twcert import detect
 from twcert.config import Budget, RunConfig
 from twcert.detect import find_induced, find_line_of_subdivided_wall, find_subdivided_claw
 from twcert.generators import cycle_graph, path_graph, subdivided_claw, wall
-from twcert.graphs import (
-    BudgetExhausted,
-    line_edges,
-    line_graph,
-    subdivide,
-    subdivided_edges,
-)
+from twcert.graphs import BudgetExhausted, line_graph, subdivide
 from twcert.suites import seeded_catalog
 
 # the detectors suite's catalog, at the default seed
@@ -117,19 +112,20 @@ def test_single_pattern_searches_equal_the_one_member_family_on_random_hosts(g, 
 
 
 def every_spread(g, budget):
-    """The wall-line k = 2 family with every spread of the extra vertices
-    over the 4-cycle's edges, one step per member tried."""
+    """The wall-line k = 2 family with every edge of the 4-cycle free, so
+    every spread of the extra vertices over them, one step per member
+    tried."""
     base = wall(2, 2)
-    m = base.m
-
-    def family():
-        for total in range(m, g.n + 1):
-            for extra in detect._compositions(total - m, m):
-                budget.tick()
-                sub = subdivided_edges(base.n, base.edges, extra)
-                yield detect._edge_member(total, line_edges(*sub), (range(total),))
-
-    return detect._first_copy(g, family(), detect._whole, budget)
+    every = detect.Family(
+        base.n,
+        base.edges,
+        (1,) * base.m,
+        rising=False,
+        line=True,
+        roles=detect._whole,
+        above=(),
+    )
+    return detect._find(g, every, budget)
 
 
 def assert_cycle_per_length_matches_every_spread(g):
