@@ -9,7 +9,8 @@ tests drive these same batteries.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from math import inf
 from typing import Callable, Optional, Sequence
 
 from .centralbag import (
@@ -61,6 +62,7 @@ from .generators import (
 )
 from .graphs import (
     Graph,
+    bits,
     clique_number,
     disjoint_union,
     full_subdivision,
@@ -173,130 +175,75 @@ def pattern_free_corpus(
     return out[:count]
 
 
-# -- subset-classification oracles (independent of the search detectors) -------------
+# -- subset-classification oracle (independent of the search detectors) -----------
+
+# A shape is a base graph's edge list, each edge (u, v, lo, hi) with u < v: G[vs]
+# matches when it subdivides the base graph, edge u-v into a path whose length lies
+# in [lo, hi].  Base vertices are 0..k-1, none of degree 2, and parallel edges share
+# one range.  The shapes are written out here, not taken from `detect` or
+# `generators`, so that the oracle shares no declaration with the code it checks.
+Shape = tuple[tuple[int, int, int, float], ...]
+THETA_SHAPE: Shape = ((0, 1, 2, inf),) * 3
+PYRAMID_SHAPE: Shape = (
+    (1, 2, 1, 1), (1, 3, 1, 1), (2, 3, 1, 1),  # the triangle
+    (0, 1, 1, inf), (0, 2, 2, inf), (0, 3, 2, inf),  # apex 0 to it; one edge may stay
+)
 
 
-def _induced_path_order(g: Graph, vs: Sequence[int]) -> Optional[tuple[int, ...]]:
-    if len(vs) == 1:
-        return (vs[0],)
-    deg = {v: sum(1 for u in vs if u != v and g.has_edge(u, v)) for v in vs}
-    ends = [v for v in vs if deg[v] == 1]
-    if len(ends) != 2 or any(deg[v] != 2 for v in vs if v not in ends):
-        return None
-    order = [min(ends)]
-    seen = {order[0]}
-    while len(order) < len(vs):
-        nxt = [u for u in vs if u not in seen and g.has_edge(order[-1], u)]
-        if len(nxt) != 1:
-            return None
-        order.append(nxt[0])
-        seen.add(nxt[0])
-    return tuple(order)
-
-
-def is_theta_set(g: Graph, vs: tuple[int, ...], t: int) -> bool:
-    """Direct definition check: does this vertex set induce a theta with all
-    three path lengths at least t?"""
-    sub = {v: [u for u in vs if u != v and g.has_edge(u, v)] for v in vs}
-    deg3 = [v for v in vs if len(sub[v]) == 3]
-    if len(deg3) != 2 or any(len(sub[v]) not in (2, 3) for v in vs):
-        return False
-    a, b = deg3
-    if g.has_edge(a, b):
-        return False
-    rest = [v for v in vs if v not in (a, b)]
-    comps = g.components(rest)
-    if len(comps) != 3:
-        return False
-    for comp in comps:
-        order = _induced_path_order(g, comp)
-        if order is None:
-            return False
-        length = len(comp) + 1
-        if length < t:
-            return False
-        if len(comp) == 1:
-            if not (g.has_edge(comp[0], a) and g.has_edge(comp[0], b)):
-                return False
-        else:
-            touch_a = [v for v in comp if g.has_edge(v, a)]
-            touch_b = [v for v in comp if g.has_edge(v, b)]
-            if touch_a not in ([order[0]], [order[-1]]):
-                return False
-            if touch_b not in ([order[0]], [order[-1]]) or touch_a == touch_b:
-                return False
-    return True
-
-
-def is_pyramid_set(g: Graph, vs: tuple[int, ...], t: int) -> bool:
-    sub = {v: [u for u in vs if u != v and g.has_edge(u, v)] for v in vs}
-    deg3 = [v for v in vs if len(sub[v]) == 3]
-    if len(deg3) != 4 or any(len(sub[v]) not in (2, 3) for v in vs):
-        return False
-    tri = None
-    for cand in combinations(deg3, 3):
-        if all(g.has_edge(x, y) for x, y in combinations(cand, 2)):
-            tri = cand
-    if tri is None:
-        return False
-    apex = next(v for v in deg3 if v not in tri)
-    direct = [b for b in tri if g.has_edge(apex, b)]
-    if len(direct) > 1:
-        return False
-    rest = [v for v in vs if v != apex and v not in tri]
-    comps = g.components(rest)
-    if len(comps) != 3 - len(direct):
-        return False
-    lengths = [1] * len(direct)
-    used_corners = set(direct)
-    for comp in comps:
-        order = _induced_path_order(g, comp)
-        if order is None:
-            return False
-        touch_apex = [v for v in comp if g.has_edge(v, apex)]
-        corners = [b for b in tri if any(g.has_edge(v, b) for v in comp)]
-        if len(touch_apex) != 1 or len(corners) != 1:
-            return False
-        corner = corners[0]
-        if corner in used_corners:
-            return False
-        touch_corner = [v for v in comp if g.has_edge(v, corner)]
-        if len(touch_corner) != 1:
-            return False
-        if len(comp) == 1:
-            if touch_apex != touch_corner:
-                return False
-        elif {touch_apex[0], touch_corner[0]} != {order[0], order[-1]}:
-            return False
-        used_corners.add(corner)
-        lengths.append(len(comp) + 1)
-    return len(lengths) == 3 and min(lengths) >= max(t, 1) and sorted(lengths)[1] >= 2
-
-
-def is_subdivided_claw_set(g: Graph, vs: tuple[int, ...], lens: tuple[int, int, int]) -> bool:
+def claw_shape(lens: tuple[int, int, int]) -> Shape:
+    """K1,3 with legs of exactly these lengths; a path when the first is 0."""
     t1, t2, t3 = lens
-    want = sorted(x for x in lens if x > 0)
     if t1 == 0:
-        order = _induced_path_order(g, vs)
-        return order is not None and len(vs) == t2 + t3 + 1
-    sub = {v: [u for u in vs if u != v and g.has_edge(u, v)] for v in vs}
-    deg3 = [v for v in vs if len(sub[v]) == 3]
-    if len(deg3) != 1 or any(len(sub[v]) > 3 for v in vs):
+        return ((0, 1, t2 + t3, t2 + t3),)
+    return tuple((0, leaf, t, t) for leaf, t in enumerate(lens, 1))
+
+
+def _branch_paths(
+    g: Graph, vs: Sequence[int], branch: list[int]
+) -> Optional[list[tuple[int, int, int]]]:
+    """(end, end, length) for each path of G[vs] between its branch
+    vertices; None when a vertex lies on no path.  Every vertex of vs
+    outside `branch` has degree 2 in G[vs], so the components it leaves are
+    the paths' interiors, or cycles that touch no branch vertex."""
+    paths = [(a, b, 1) for a, b in combinations(branch, 2) if g.has_edge(a, b)]
+    branch_mask = mask_of(branch)
+    for inner in g.components(v for v in vs if not branch_mask >> v & 1):
+        ends = [u for v in inner for u in bits(g.neighbor_mask(v) & branch_mask)]
+        if not ends:
+            return None
+        paths.append((*ends, len(inner) + 1))
+    return paths
+
+
+def is_subdivision_set(g: Graph, vs: Sequence[int], shape: Shape) -> bool:
+    """Does G[vs] subdivide the shape's base graph within its length ranges?
+
+    The vertices of degree other than 2 in G[vs], its branch vertices, must
+    have the base graph's degrees, so its paths are as many as the base
+    edges, and the paths must cover vs.  Some bijection from base vertices
+    to branch vertices must then carry the paths onto the base edges, with
+    the sorted lengths between each pair inside its sorted ranges; a path
+    back to its start matches no base edge.  The bijections number at most
+    4! = 24 for the shapes declared here."""
+    mask = mask_of(vs)
+    degree = [(g.neighbor_mask(v) & mask).bit_count() for v in vs]
+    branch_degrees = sorted(d for d in degree if d != 2)
+    if sum(branch_degrees) != 2 * len(shape):  # most sets fail here, and cheaply
         return False
-    root = deg3[0]
-    comps = g.components([v for v in vs if v != root])
-    if len(comps) != 3:
+    ends = [x for u, v, _, _ in shape for x in (u, v)]
+    if branch_degrees != sorted(map(ends.count, set(ends))):
         return False
-    got = []
-    for comp in comps:
-        order = _induced_path_order(g, comp)
-        if order is None:
-            return False
-        touch = [v for v in comp if g.has_edge(v, root)]
-        if len(touch) != 1 or touch[0] not in (order[0], order[-1]):
-            return False
-        got.append(len(comp))
-    return sorted(got) == want
+    branch = [v for v, d in zip(vs, degree) if d != 2]
+    paths = _branch_paths(g, vs, branch)
+    if paths is None:
+        return False
+    want = sorted(shape)
+    for image in permutations(branch):
+        base = {w: i for i, w in enumerate(image)}
+        got = sorted((*sorted((base[a], base[b])), n) for a, b, n in paths)
+        if all(p[:2] == w[:2] and w[2] <= p[2] <= w[3] for p, w in zip(got, want)):
+            return True
+    return False
 
 
 def creature_exists_bruteforce(g: Graph, k: int, t: int) -> bool:
@@ -774,16 +721,20 @@ def suite_detectors(cfg: RunConfig) -> Certificate:
     mism: dict[str, list[int]] = {"theta": [], "pyramid": [], "claw": [], "creature": [], "wall-line": []}
     for idx, g in enumerate(catalog):
         subs = subsets(g)
-        oracle_theta = any(is_theta_set(g, vs, 2) for vs in subs if len(vs) >= 5)
+        oracle_theta = any(
+            is_subdivision_set(g, vs, THETA_SHAPE) for vs in subs if len(vs) >= 5
+        )
         if oracle_theta != (find_t_theta(g, 2) is not None):
             mism["theta"].append(idx)
-        oracle_pyr = any(is_pyramid_set(g, vs, 1) for vs in subs if len(vs) >= 6)
+        oracle_pyr = any(
+            is_subdivision_set(g, vs, PYRAMID_SHAPE) for vs in subs if len(vs) >= 6
+        )
         if oracle_pyr != (find_t_pyramid(g, 1) is not None):
             mism["pyramid"].append(idx)
         for lens in ((1, 1, 1), (2, 1, 1), (0, 2, 1)):
-            size = 1 + sum(lens)
+            size, shape = 1 + sum(lens), claw_shape(lens)
             oracle_claw = any(
-                is_subdivided_claw_set(g, vs, lens) for vs in subs if len(vs) == size
+                is_subdivision_set(g, vs, shape) for vs in subs if len(vs) == size
             )
             if oracle_claw != (find_subdivided_claw(g, *lens) is not None):
                 mism["claw"].append(idx)

@@ -5,7 +5,9 @@ A rechecker that calls a producer confirms that producer's bugs, so
 the JSON reader; `certify.py`, which builds certificates, adds only `check`.
 A witness kind with no validator of its own is a problem, never a pass.  The
 package's imports form one acyclic order, all at module level, so no module
-reaches another through a call-time import.
+reaches another through a call-time import.  The shape oracle the
+`detectors` suite checks detectors against reads nothing of `detect` or
+`generators`.
 """
 
 from __future__ import annotations
@@ -77,6 +79,60 @@ def test_package_imports_are_module_level_and_acyclic():
         list(TopologicalSorter(imports).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle {exc.args[1]}")
+
+
+SHAPE_ORACLE = ("is_subdivision_set", "THETA_SHAPE", "PYRAMID_SHAPE", "claw_shape")
+
+
+def oracle_reads_of_checked(source: str) -> dict[str, set[str]]:
+    """For each module-level definition the shape oracle reaches from
+    `SHAPE_ORACLE` through the names it reads, the names it reads that the
+    module imports from `detect` or `generators`, where they are not empty."""
+    tree = ast.parse(source)
+    checked, defs = set(), {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                if {module, alias.name} & {"detect", "generators"}:
+                    checked.add(alias.asname or alias.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defs[target.id] = node
+    bad, seen, todo = {}, set(), list(SHAPE_ORACLE)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        read = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        if read & checked:
+            bad[name] = read & checked
+        todo += read & defs.keys()
+    return bad
+
+
+def test_shape_oracle_reads_nothing_it_checks():
+    """The `detectors` suite checks the theta, pyramid and claw detectors
+    against the shape oracle, so a declaration the oracle shared with them,
+    such as a base edge list, would make it confirm their bugs."""
+    assert oracle_reads_of_checked((SRC / "suites.py").read_text()) == {}
+    shared = (
+        "from twcert.generators import _THETA_BASE\n"
+        "from . import detect\n"
+        "from .graphs import Graph\n"
+        "THETA_SHAPE = tuple((u, v, 2, 9) for u, v in _THETA_BASE)\n"
+        "PYRAMID_SHAPE = ()\n"
+        "def _paths(g):\n    return detect.x(g)\n"
+        "def is_subdivision_set(g: Graph, vs, shape):\n    return _paths(g)\n"
+        "def claw_shape(lens):\n    return THETA_SHAPE\n"
+    )
+    assert oracle_reads_of_checked(shared) == {
+        "THETA_SHAPE": {"_THETA_BASE"}, "_paths": {"detect"}
+    }
 
 
 def test_recheckers_cover_only_the_written_kinds():

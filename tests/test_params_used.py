@@ -52,18 +52,12 @@ from conftest import last_name
 SRC = Path(__file__).resolve().parent.parent / "src" / "twcert"
 
 DISPATCH = "the signature every `COMMANDS` entry is called with"
-ORACLE = (
-    "reference oracle the `detectors` suite checks the detectors against; it "
-    "states the definition for every t, although the suite checks one t"
-)
 
 # "module.qualname.parameter" -> why it may break a rule
 ALLOWED = {
     "cli.main.argv": "the console-script entry point calls main() with no arguments",
     "cli.cmd_gen.cfg": DISPATCH,
     "cli.cmd_recheck.cfg": DISPATCH,
-    "suites.is_theta_set.t": ORACLE,
-    "suites.is_pyramid_set.t": ORACLE,
 }
 
 Function = ast.FunctionDef | ast.AsyncFunctionDef
