@@ -156,6 +156,34 @@ class Graph:
             rest &= ~comp
         return comps
 
+    def component_boundaries(self, allowed: int) -> list[tuple[int, int]]:
+        """(component, boundary) for each component of the induced subgraph
+        on `allowed`, by min id; the boundary is its neighbours outside
+        `allowed`.
+
+        One breadth-first search per component, reading each vertex's
+        neighbour mask once: the union of the frontier masks is both the next
+        frontier and, outside `allowed`, the boundary.
+        """
+        masks = self._masks
+        out = []
+        rest = allowed
+        while rest:
+            comp = frontier = rest & -rest
+            seen = 0
+            while frontier:
+                nb = 0
+                while frontier:
+                    low = frontier & -frontier
+                    nb |= masks[low.bit_length() - 1]
+                    frontier ^= low
+                seen |= nb
+                frontier = nb & allowed & ~comp
+                comp |= frontier
+            out.append((comp, seen & ~allowed))
+            rest &= ~comp
+        return out
+
     def components(self, s: Iterable[int]) -> list[tuple[int, ...]]:
         """Partition of s into the connected components of the subgraph it
         induces.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -183,9 +183,7 @@ def along(order: Iterable[int]) -> Pick:
 # -- exact treewidth -------------------------------------------------------------
 
 
-def _refutation_floor(
-    g: Graph, bound: int, above: Optional[bytearray]
-) -> bytearray:
+def _refutation_floor(g: Graph, bound: int) -> bytearray:
     """One byte per vertex subset s: 0 when TW(s) < bound, else bound.
 
     TW(s) < bound exactly when s can be built from the empty set one vertex
@@ -195,32 +193,35 @@ def _refutation_floor(
     is the min-fill width and min-fill is optimal they are typically few,
     and the full vertex set is not among them.
 
-    `above`, the table of a pass at a larger bound, keeps its refutations:
-    a state it refuted keeps that larger bound instead of `bound`.
+    The components of G[s] are read once per popped prefix s, at its first
+    candidate past the degree filter.  v's component in G[s | v] is v plus
+    the components of G[s] that meet N(v), so its boundary is N(v) and their
+    boundaries, minus v.
     """
     full = g.full_mask()
-    if above is None:
-        floor = bytearray([bound]) * (full + 1)
-    else:
-        # the states `above` left at 0 start at `bound`; the pass never
-        # reaches a state refuted at the larger bound
-        floor = above.translate(bytes([bound]) + bytes(range(1, 256)))
+    floor = bytearray([bound]) * (full + 1)
     floor[0] = 0
     masks = g._masks
-    reach_mask = g.reach_mask
-    adjacent = g._adjacent
     stack = [0]
     while stack:
         s = stack.pop()
+        comps = None
         rest = full & ~s
         while rest:
             low = rest & -rest
             rest ^= low
             t = s | low
+            nb = masks[low.bit_length() - 1]
             # N(v) - t lies inside the boundary of v's component
-            if not floor[t] or (masks[low.bit_length() - 1] & ~t).bit_count() >= bound:
+            if not floor[t] or (nb & ~t).bit_count() >= bound:
                 continue
-            if (adjacent(reach_mask(low, t)) & ~t).bit_count() < bound:
+            if comps is None:
+                comps = g.component_boundaries(s)
+            seen = nb
+            for comp, out in comps:
+                if comp & nb:
+                    seen |= out
+            if (seen & ~t).bit_count() < bound:
                 floor[t] = 0
                 stack.append(t)
     return floor
@@ -242,7 +243,8 @@ def exact_treewidth(g: Graph, cap: int) -> tuple[int, TreeDecomposition]:
     does not, which leaves ub = tw, or until ub = lb, which is then tw
     without a pass at it.  The order is read back from the table of the last
     pass that reached the full set, at bound tw + 1: from s = full, the
-    lowest-id v in s with TW(s - v) <= tw and |Q| <= tw is eliminated last.
+    lowest-id v in s with TW(s - v) <= tw and |Q| <= tw is eliminated last,
+    every Q of a state read from one `component_boundaries(s)`.
     At most two tables of one byte per vertex subset are alive, so memory
     doubles with each vertex (the README times 16-vertex graphs).  Above
     `cap` vertices it raises CapExceeded; use treewidth_bounds there.
@@ -252,13 +254,11 @@ def exact_treewidth(g: Graph, cap: int) -> tuple[int, TreeDecomposition]:
     full = g.full_mask()
     bounds = treewidth_bounds(g)
     lb, ub = bounds.lower, bounds.upper
-    # a pass that reaches `full` shows tw < ub: seed again one lower, keeping
-    # the refutations at the larger bounds, until a pass does not (ub = tw)
-    # or ub meets the lower bound
-    floor = None  # the largest bound each state was refuted at
+    # a pass that reaches `full` shows tw < ub: run again one lower, until
+    # a pass does not (ub = tw) or ub meets the lower bound
     reached = None  # the table of the last pass that reached `full`
     while ub > lb:
-        floor = _refutation_floor(g, ub, floor)
+        floor = _refutation_floor(g, ub)
         if floor[full]:
             break
         reached = floor
@@ -269,10 +269,12 @@ def exact_treewidth(g: Graph, cap: int) -> tuple[int, TreeDecomposition]:
     order_rev: list[int] = []
     s = full
     while s:
-        v = next(
-            v for v in bits(s)
+        v = min(
+            v
+            for comp, out in g.component_boundaries(s)
+            if out.bit_count() <= ub
+            for v in bits(comp)
             if not reached[s ^ 1 << v]
-            and (g._adjacent(g.reach_mask(1 << v, s)) & ~s).bit_count() <= ub
         )
         order_rev.append(v)
         s ^= 1 << v
@@ -283,25 +285,38 @@ def exact_treewidth(g: Graph, cap: int) -> tuple[int, TreeDecomposition]:
 
 def contraction_degeneracy(g: Graph) -> int:
     """Repeatedly contract a minimum-degree vertex into its least neighbor,
-    tracking the largest minimum degree; a treewidth lower bound."""
+    tracking the largest minimum degree; a treewidth lower bound.
+
+    The minimum comes off a heap of (degree, id) keys, so ties go to the
+    lowest id.  Contracting v into u changes only the degrees of u and of
+    their common neighbours, so only those are pushed again; a popped key
+    that no longer matches is skipped."""
     masks = list(g._masks)  # entries of contracted vertices are stale
-    deg = [m.bit_count() for m in masks]
-    alive = list(g.vertices)  # ascending, so `min` breaks ties by id
+    deg = [m.bit_count() for m in masks]  # -1 once contracted
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapify(heap)
     best = 0
-    while len(alive) > 1:
-        v = min(alive, key=deg.__getitem__)
-        alive.remove(v)
-        best = max(best, deg[v])
+    for _ in range(g.n - 1):
+        d, v = heappop(heap)
+        while deg[v] != d:
+            d, v = heappop(heap)
+        deg[v] = -1
+        best = max(best, d)
         nb = masks[v]
         if not nb:
             continue
         u = min(bits(nb), key=deg.__getitem__)
-        merged = (nb | masks[u]) & ~(1 << u | 1 << v)
-        for x in bits(merged):
-            masks[x] = masks[x] & ~(1 << v) | 1 << u
-            deg[x] = masks[x].bit_count()
-        masks[u] = merged
-        deg[u] = merged.bit_count()
+        mu = masks[u]
+        for x in bits(nb & mu):
+            masks[x] ^= 1 << v
+            deg[x] -= 1
+            heappush(heap, (deg[x], x))
+        for x in bits(nb & ~mu & ~(1 << u)):  # sees u in place of v
+            masks[x] ^= 1 << v | 1 << u
+        masks[u] = merged = (nb | mu) & ~(1 << u | 1 << v)
+        if merged.bit_count() != deg[u]:
+            deg[u] = merged.bit_count()
+            heappush(heap, (deg[u], u))
     return best
 
 

@@ -6,15 +6,18 @@ DP pruned against the min-fill ceiling.  Both stay as width references:
 `exact_treewidth` must give their width and a valid witness of that width.
 The witness is min-fill's decomposition when min-fill is optimal, and
 otherwise the order `reference_traceback` reads back from the reference
-table.  The pinned counts of `Graph.reach_mask` calls show pruning that is
-lost, which the outputs alone cannot.  `_refutation_floor`, the bottom-up
-pass that decides the width, is checked state by state against the
-reference table."""
+table.  The pinned counts of `Graph.component_boundaries` calls show pruning
+that is lost, which the outputs alone cannot.  `_refutation_floor`, the
+bottom-up pass that decides the width, is checked state by state against
+the reference table, and against `bfs_per_candidate_floor`, the pass that
+ran one breadth-first search per candidate before it came to read each
+prefix's components once."""
 
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graphs, random_graph
 from twcert import separators
@@ -240,7 +243,7 @@ def test_matches_pruned_dp(g):
         # contraction degeneracy 3 meets the min-fill width 3: no pass runs
         (wall(3, 4), 0),
         # lb 4 < ub 5 = tw: the one pass, at 5, does not reach the full set
-        (random_graph(14, 0.3, 7), 257),
+        (random_graph(14, 0.3, 7), 56),
         (complete_graph(16), 0),
         # 7 edges, a 7-vertex component holding a triangle, 9 isolated
         # vertices; lb 2 = ub 2, so no pass runs
@@ -248,18 +251,19 @@ def test_matches_pruned_dp(g):
         # min-fill overshoots tw by one and lb = tw: the pass at ub reaches
         # the full set, the pass at tw is skipped, and the witness is read
         # back from the table at tw + 1
-        (random_graph(12, 0.6, 28), 1740),
-        (random_graph(13, 0.4, 6), 1343),
+        (random_graph(12, 0.6, 28), 827),
+        (random_graph(13, 0.4, 6), 406),
         # lb 5 < tw 6 < ub 7: the passes at 7 and at 6 both run
-        (random_graph(14, 0.35, 7), 6167),
+        (random_graph(14, 0.35, 7), 1883),
     ],
     ids=["wall34", "rand-n14-seed7", "k16", "disconnected-n16-seed105",
          "overshoot-n12-seed28", "overshoot-n13-seed6", "overshoot-n14-seed7"],
 )
 def test_states_expanded_pinned(monkeypatch, g, reaches):
-    """The passes and the traceback test each candidate with one
-    `reach_mask` call; `component_masks` is not called."""
-    counts = {"component_masks": 0, "reach_mask": 0}
+    """The passes read each popped prefix's components with one
+    `component_boundaries` call, and the traceback one per state on its way
+    down; `reach_mask` and `component_masks` are not called."""
+    counts = {"component_boundaries": 0, "component_masks": 0, "reach_mask": 0}
 
     def counting(name):
         method = getattr(Graph, name)
@@ -273,7 +277,7 @@ def test_states_expanded_pinned(monkeypatch, g, reaches):
     for name in counts:
         monkeypatch.setattr(Graph, name, counting(name))
     exact_treewidth(g, cap=g.n)
-    assert counts == {"component_masks": 0, "reach_mask": reaches}
+    assert counts == {"component_boundaries": reaches, "component_masks": 0, "reach_mask": 0}
 
 
 @settings(max_examples=150, deadline=None)
@@ -328,9 +332,9 @@ def _pass_bounds(monkeypatch, g: Graph) -> list[int]:
     on g, in order."""
     bounds = []
 
-    def counted(g, bound, above):
+    def counted(g, bound):
         bounds.append(bound)
-        return _refutation_floor(g, bound, above)
+        return _refutation_floor(g, bound)
 
     monkeypatch.setattr(separators, "_refutation_floor", counted)
     exact_treewidth(g, cap=g.n)
@@ -357,17 +361,39 @@ def test_refutation_floor_matches_reference_table(g):
     reached, are exactly {s : TW(s) < b}."""
     _, _, table = reference_treewidth(g)
     for b in range(g.n + 1):
-        assert list(_refutation_floor(g, b, None)) == [b if t >= b else 0 for t in table]
+        assert list(_refutation_floor(g, b)) == [b if t >= b else 0 for t in table]
+
+
+def bfs_per_candidate_floor(g: Graph, bound: int) -> bytearray:
+    """`_refutation_floor` as it was: each candidate v past the degree
+    filter walks its own component in G[s | v]."""
+    full = g.full_mask()
+    floor = bytearray([bound]) * (full + 1)
+    floor[0] = 0
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        for v in bits(full & ~s):
+            t = s | 1 << v
+            if not floor[t] or (g.neighbor_mask(v) & ~t).bit_count() >= bound:
+                continue
+            seen = 0
+            for u in bits(g.reach_mask(1 << v, t)):
+                seen |= g.neighbor_mask(u)
+            if (seen & ~t).bit_count() < bound:
+                floor[t] = 0
+                stack.append(t)
+    return floor
 
 
 @settings(max_examples=100, deadline=None)
-@given(graphs(min_n=0, max_n=10))
-def test_chained_refutation_floor_keeps_larger_bounds(g):
-    """A pass at b given the table of the pass at b + 1 leaves b + 1 where
-    TW(s) >= b + 1, b where TW(s) = b and 0 where TW(s) < b."""
-    _, _, table = reference_treewidth(g)
-    for b in range(g.n):
-        chained = _refutation_floor(g, b, _refutation_floor(g, b + 1, None))
-        assert list(chained) == [
-            b + 1 if t > b else b if t == b else 0 for t in table
-        ]
+@given(
+    st.integers(11, 14), st.sampled_from((0.15, 0.25, 0.35, 0.5)), st.integers(0, 2**32)
+)
+def test_refutation_floor_matches_bfs_per_candidate(n, p, seed):
+    """Every table from lb to ub, the bounds `exact_treewidth` can pass at,
+    equals the table of the pass that walked one component per candidate."""
+    g = random_graph(n, p, seed)
+    bounds = separators.treewidth_bounds(g)
+    for b in range(bounds.lower, bounds.upper + 1):
+        assert _refutation_floor(g, b) == bfs_per_candidate_floor(g, b)

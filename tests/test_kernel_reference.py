@@ -2,7 +2,8 @@
 sums against test-local copies of the code they replaced.
 
 The references are the earlier kernels: a `reach_mask` that re-walks every
-reached vertex each round, a cut diameter that runs one full-graph
+reached vertex each round, component boundaries read as that `reach_mask`
+plus a union of neighbour masks, a cut diameter that runs one full-graph
 breadth-first search per cut vertex and reads a distance list (checked
 through `SeparationSequence.goodness`), and `WeightFunction` sums that add
 the weights as `Fraction`s one by one.  The heaviest
@@ -124,6 +125,24 @@ def test_reach_and_components_match_reference(case):
     assert g.reach_mask(seed, allowed) == ref_reach_mask(g, seed, allowed)
     assert g.component_masks(allowed) == ref_component_masks(g, allowed)
     assert g.component_masks(g.full_mask()) == ref_component_masks(g, g.full_mask())
+
+
+def ref_component_boundaries(g: Graph, allowed: int) -> list[tuple[int, int]]:
+    out = []
+    for comp in ref_component_masks(g, allowed):
+        seen = 0
+        for v in bits(comp):
+            seen |= g.neighbor_mask(v)
+        out.append((comp, seen & ~allowed))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_masks(max_n=12))
+def test_component_boundaries_match_reference(case):
+    g, _, allowed = case
+    for mask in (allowed, 0, g.full_mask()):
+        assert g.component_boundaries(mask) == ref_component_boundaries(g, mask)
 
 
 @st.composite
