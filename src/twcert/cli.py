@@ -5,6 +5,12 @@ Exit codes: 0 all-pass / found, 1 any-fail / absent, 2 budget or hypothesis
 unmet, 64 usage error (a malformed input, or a path that cannot be opened,
 read or written).  Every run that produces verdicts can write a
 certificate JSON; `recheck` re-derives each entry whose witness names a kind.
+
+Each command imports the modules it runs when it runs, so a one-shot process
+loads only those: `tw` adds `separators` alone, and only `verify` loads
+`suites`, which imports every module.  At import this module loads what `main`
+and the shared readers and writers need: `config`, `graphs`, `io`, `weights`,
+and `certify` with the `check` it imports.
 """
 
 from __future__ import annotations
@@ -13,61 +19,17 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional, TextIO, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, TextIO, TypeVar
 
-from .centralbag import run_master_pipeline
-from .certify import (
-    Certificate,
-    canonical_json,
-    graph_witness,
-    td_witness,
-    weights_witness,
-)
-from .check import recheck, validate_td
+from .certify import canonical_json
 from .config import Budget, RunConfig, load_config
-from .decompose import (
-    NotChordal,
-    chordal_td,
-    decompose_strip_structure,
-    fuzzy_lci_td,
-)
-from .detect import (
-    find_creature,
-    find_induced,
-    find_line_of_subdivided_wall,
-    find_subdivided_claw,
-    find_t_pyramid,
-    find_t_theta,
-)
-from .generators import (
-    CaterpillarSpec,
-    CircularIntervalModel,
-    LciThickening,
-    StripStructure,
-    ThickeningSpec,
-    caterpillar,
-    circular_interval_graph,
-    creature,
-    cycle_interval_model,
-    pyramid,
-    strip_structure_instance,
-    subdivided_claw,
-    theta,
-    wall,
-)
 from .graphs import BudgetExhausted, CapExceeded, Graph
-from .io import (
-    graph_from_json,
-    integer,
-    integers,
-    read_gr,
-    write_gr,
-    write_graph_json,
-    write_td,
-)
-from .separators import separation_number, treewidth_or_bounds
-from .suites import SUITES, verify_suite
-from .weights import WeightFunction, parse_fraction
+from .io import graph_from_json, read_gr
+from .weights import parse_fraction
+
+if TYPE_CHECKING:
+    from .generators import LciThickening, StripStructure
+    from .weights import WeightFunction
 
 USAGE_ERROR = 64
 
@@ -105,6 +67,8 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
 
 
 def _save_graph(g: Graph, path: str) -> None:
+    from .io import write_gr, write_graph_json
+
     with _output(path) as fh:
         if path.endswith(".gr"):
             write_gr(g, fh)
@@ -113,6 +77,8 @@ def _save_graph(g: Graph, path: str) -> None:
 
 
 def _load_weights(path: Optional[str], g: Graph) -> WeightFunction:
+    from .weights import WeightFunction
+
     if path is None:
         return WeightFunction.uniform(g)
 
@@ -141,20 +107,28 @@ def _lists(seqs) -> list[list[int]]:
 
 
 def _gen_wall(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    from .generators import wall
+
     return wall(args.n, args.m), {}
 
 
 def _gen_claw(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    from .generators import subdivided_claw
+
     wit = subdivided_claw(args.t1, args.t2, args.t3)
     return wit.graph, {"root": wit.root, "legs": _lists(wit.legs)}
 
 
 def _gen_theta(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    from .generators import theta
+
     wit = theta(args.l1, args.l2, args.l3)
     return wit.graph, {"ends": list(wit.ends), "paths": _lists(wit.paths)}
 
 
 def _gen_pyramid(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    from .generators import pyramid
+
     wit = pyramid(args.l1, args.l2, args.l3)
     return wit.graph, {
         "apex": wit.apex,
@@ -164,6 +138,8 @@ def _gen_pyramid(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
 
 
 def _gen_caterpillar(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    from .generators import CaterpillarSpec, caterpillar
+
     legs = tuple(
         tuple(int(x) for x in part.split(",") if x)
         for part in (args.legs.split(";") if args.legs else [])
@@ -176,6 +152,8 @@ def _gen_caterpillar(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
 
 
 def _gen_creature(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    from .generators import creature
+
     wit = creature(3 if args.k is None else args.k, args.t, args.spacing)
     return wit.graph, {
         "body": list(wit.body),
@@ -185,6 +163,13 @@ def _gen_creature(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
 
 
 def _gen_cycle_lci(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    from .generators import (
+        LciThickening,
+        ThickeningSpec,
+        circular_interval_graph,
+        cycle_interval_model,
+    )
+
     model = cycle_interval_model(4 if args.k is None else args.k)
     base = circular_interval_graph(model)
     sizes = (args.size,) * len(model.points)
@@ -193,6 +178,8 @@ def _gen_cycle_lci(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
 
 
 def _gen_strip(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    from .generators import strip_structure_instance
+
     ss = strip_structure_instance(args.kind)
     return ss.host, {
         "pattern_n": ss.pattern_n,
@@ -226,23 +213,26 @@ def cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
 # -- detect ---------------------------------------------------------------------
 
 
-# pattern -> exact search; every search runs under the configured budget
-DETECTORS: dict[str, Callable[[Graph, argparse.Namespace, Budget], Any]] = {
-    "theta": lambda g, a, bud: find_t_theta(g, a.t, bud),
-    "pyramid": lambda g, a, bud: find_t_pyramid(g, a.t, bud),
-    "claw": lambda g, a, bud: find_subdivided_claw(g, a.t1, a.t2, a.t3, bud),
-    "creature": lambda g, a, bud: find_creature(g, a.k, a.t, bud),
-    "wall-line": lambda g, a, bud: find_line_of_subdivided_wall(g, a.k, bud),
-    "induced": lambda g, a, bud: find_induced(g, _load_graph(a.pattern_file), bud),
+# pattern -> exact search, read from the `detect` module it is given; every
+# search runs under the configured budget
+DETECTORS: dict[str, Callable[[Any, Graph, argparse.Namespace, Budget], Any]] = {
+    "theta": lambda d, g, a, bud: d.find_t_theta(g, a.t, bud),
+    "pyramid": lambda d, g, a, bud: d.find_t_pyramid(g, a.t, bud),
+    "claw": lambda d, g, a, bud: d.find_subdivided_claw(g, a.t1, a.t2, a.t3, bud),
+    "creature": lambda d, g, a, bud: d.find_creature(g, a.k, a.t, bud),
+    "wall-line": lambda d, g, a, bud: d.find_line_of_subdivided_wall(g, a.k, bud),
+    "induced": lambda d, g, a, bud: d.find_induced(g, _load_graph(a.pattern_file), bud),
 }
 
 
 def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from . import detect
+
     g = _load_graph(args.input)
     if args.pattern == "induced" and not args.pattern_file:
         print("--pattern-file required for induced", file=sys.stderr)
         return USAGE_ERROR
-    match = DETECTORS[args.pattern](g, args, Budget(cfg.search_budget))
+    match = DETECTORS[args.pattern](detect, g, args, Budget(cfg.search_budget))
     if match is None:
         _dump_json({"status": "absent"}, args.output)
         return 1
@@ -259,6 +249,11 @@ def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_tw(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .certify import Certificate, graph_witness, td_witness
+    from .check import validate_td
+    from .io import write_td
+    from .separators import treewidth_or_bounds
+
     g = _load_graph(args.input)
     bounds = treewidth_or_bounds(g, cap=cfg.max_tw_n)
     if args.td:
@@ -283,6 +278,8 @@ def cmd_tw(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_sep(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .separators import separation_number
+
     g = _load_graph(args.input)
     value = separation_number(g, cfg.c, Budget(cfg.search_budget))
     _dump_json({"separation_number": value, "c": str(cfg.c)}, args.output)
@@ -293,6 +290,9 @@ def cmd_sep(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .centralbag import run_master_pipeline
+    from .certify import Certificate, graph_witness, weights_witness
+
     g = _load_graph(args.input)
     pattern = _load_graph(args.pattern)
     forcers = [_load_graph(p) for p in args.forcer or []]
@@ -359,6 +359,14 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _lci_from_json(data: dict[str, Any]) -> LciThickening:
+    from .generators import (
+        CircularIntervalModel,
+        LciThickening,
+        ThickeningSpec,
+        circular_interval_graph,
+    )
+    from .io import integers
+
     model = CircularIntervalModel(
         points=tuple(parse_fraction(p) for p in data["points"]),
         arcs=tuple((parse_fraction(s), parse_fraction(e)) for s, e in data["arcs"]),
@@ -378,6 +386,9 @@ def _lci_from_json(data: dict[str, Any]) -> LciThickening:
 
 
 def _strip_structure_from_json(data: dict[str, Any]) -> StripStructure:
+    from .generators import StripStructure
+    from .io import integer, integers
+
     return StripStructure(
         host=graph_from_json(data["host"]),
         pattern_n=integer(data["pattern_n"], "pattern_n"),
@@ -393,6 +404,15 @@ def _strip_structure_from_json(data: dict[str, Any]) -> StripStructure:
 
 
 def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .check import validate_td
+    from .decompose import (
+        NotChordal,
+        chordal_td,
+        decompose_strip_structure,
+        fuzzy_lci_td,
+    )
+    from .io import write_td
+
     try:
         if args.method == "chordal":
             host = _load_graph(args.input)
@@ -424,6 +444,8 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .suites import SUITES, verify_suite
+
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     worst = 0
     for name in names:
@@ -449,6 +471,8 @@ def _certificate_from_json(data: Any) -> dict[str, Any]:
 
 
 def cmd_recheck(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .check import recheck
+
     cert = _load_json(args.input, _certificate_from_json)
     checked, confirmed, problems = recheck(cert)
     _dump_json(
@@ -544,7 +568,7 @@ _cmd.add_argument("--td", help="write the decomposition (.td)")
 _cmd.add_argument("-o", "--output")
 
 _cmd = _sub.add_parser("verify", help="run a named verification battery")
-_cmd.add_argument("suite", help=f"one of: all, {', '.join(sorted(SUITES))}")
+_cmd.add_argument("suite", help='a suite name, or "all"')
 _cmd.add_argument("-o", "--output")
 _cmd.add_argument("--c", help="balance parameter (config key c)")
 

@@ -2,9 +2,10 @@
 
 A run of calls in one process must behave exactly like a fresh
 `python -m twcert.cli` process per call: the same exit code, standard
-output, standard error and output file bytes.  The calls are ordered so that
-state a parse leaked (an appended `--forcer` list, a `--seed`) would reach
-the call after it.  A second test counts `ArgumentParser` constructions
+output, standard error and output file bytes.  Each command's call in a fresh
+process is also the one that imports that command's modules.  The calls are
+ordered so that state a parse leaked (an appended `--forcer` list, a
+`--seed`) would reach the call after it.  A second test counts `ArgumentParser` constructions
 across `main` calls: there are none.
 """
 
@@ -24,12 +25,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # (argv, the output files it writes); OUT is the output directory
 CALLS = [
+    (["gen", "pyramid", "-o", "OUT/pyr.json", "--witness", "OUT/pyr.wit.json"],
+     ["pyr.json", "pyr.wit.json"]),
+    (["detect", "--pattern", "theta", "-i", "wall.json", "-o", "OUT/det.json"],
+     ["det.json"]),
     (["tw", "-i", "wall.json", "--td", "OUT/wall.td"], ["wall.td"]),
+    (["sep", "-i", "claw.json", "-o", "OUT/sep.json"], ["sep.json"]),
+    (["decompose", "--method", "chordal", "-i", "claw.json", "--td", "OUT/claw.td",
+      "-o", "OUT/dec.json"], ["claw.td", "dec.json"]),
     (["tw", "--input"], []),
     (["--help"], []),
     (["centralbag", "-i", "wall.json", "--pattern", "p2.json",
       "--forcer", "claw.json", "--forcer", "theta.json", "-o", "OUT/cb2.json"],
      ["cb2.json"]),
+    (["recheck", "-i", "OUT/cb2.json", "-o", "OUT/rc.json"], ["rc.json"]),
     (["centralbag", "-i", "wall.json", "--pattern", "p2.json", "-o", "OUT/cb0.json"],
      ["cb0.json"]),
     (["--seed", "3", "verify", "creatures", "-o", "OUT/seeded.json"], ["seeded.json"]),

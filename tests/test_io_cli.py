@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from twcert import cli
+from twcert import centralbag
 from twcert.cli import main
 from twcert.config import load_config
 from twcert.generators import complete_bipartite, wall
@@ -501,13 +501,13 @@ def test_sep_and_centralbag_read_c_and_d_from_config(tmp_path, capsys, monkeypat
     assert '"c":"2/3"' in capsys.readouterr().out
 
     seen = []
-    real = cli.run_master_pipeline
+    real = centralbag.run_master_pipeline
 
     def record(*args, **kwargs):
         seen.append((kwargs["c"], kwargs["d"]))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_master_pipeline", record)
+    monkeypatch.setattr(centralbag, "run_master_pipeline", record)
     argv = ["--config", str(conf), "centralbag", "-i", str(g), "--pattern", str(pat),
             "-o", str(tmp_path / "cb.json")]
     assert main(argv) in (0, 2)
