@@ -732,14 +732,17 @@ def find_line_of_subdivided_wall(
     last edge free, one member per length, which gives the same first match.
 
     Any k >= 2 runs.  The k x k wall has 2k(k-1) vertices and at least as
-    many edges, so on a smaller host the family is empty and the answer is
-    absent before the wall is built; otherwise the search runs until it
-    ends or the budget runs out.
+    many edges, so a smaller host is absent before the wall is built; so is
+    a triangle-free host at k >= 3, since the edges at each degree-3 wall
+    vertex make a triangle in every member.  Otherwise the search runs until
+    it ends or the budget runs out.
     """
     if k < 2:
         raise ValueError("walls need k >= 2")
     if 2 * k * (k - 1) > g.n:
         return None  # every member has more vertices than g
+    if k > 2 and not any(g.neighbor_mask(u) & g.neighbor_mask(v) for u, v in g.edges):
+        return None  # g has no triangle
     base = wall(k, k)
     free = base.m if k > 2 else 1
     lines = Family(

@@ -9,8 +9,7 @@ tests drive these same batteries.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
-from math import inf
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .centralbag import (
@@ -24,7 +23,7 @@ from .centralbag import (
     run_master_pipeline,
 )
 from .certify import Certificate, graph_witness, td_witness
-from .check import validate_td
+from .check import PYRAMID_SHAPE, THETA_SHAPE, claw_shape, is_subdivision_set, validate_td
 from .config import RunConfig
 from .decompose import (
     chordal_td,
@@ -62,7 +61,6 @@ from .generators import (
 )
 from .graphs import (
     Graph,
-    bits,
     clique_number,
     disjoint_union,
     full_subdivision,
@@ -173,77 +171,6 @@ def pattern_free_corpus(
         if is_clean(g):
             out.append(g)
     return out[:count]
-
-
-# -- subset-classification oracle (independent of the search detectors) -----------
-
-# A shape is a base graph's edge list, each edge (u, v, lo, hi) with u < v: G[vs]
-# matches when it subdivides the base graph, edge u-v into a path whose length lies
-# in [lo, hi].  Base vertices are 0..k-1, none of degree 2, and parallel edges share
-# one range.  The shapes are written out here, not taken from `detect` or
-# `generators`, so that the oracle shares no declaration with the code it checks.
-Shape = tuple[tuple[int, int, int, float], ...]
-THETA_SHAPE: Shape = ((0, 1, 2, inf),) * 3
-PYRAMID_SHAPE: Shape = (
-    (1, 2, 1, 1), (1, 3, 1, 1), (2, 3, 1, 1),  # the triangle
-    (0, 1, 1, inf), (0, 2, 2, inf), (0, 3, 2, inf),  # apex 0 to it; one edge may stay
-)
-
-
-def claw_shape(lens: tuple[int, int, int]) -> Shape:
-    """K1,3 with legs of exactly these lengths; a path when the first is 0."""
-    t1, t2, t3 = lens
-    if t1 == 0:
-        return ((0, 1, t2 + t3, t2 + t3),)
-    return tuple((0, leaf, t, t) for leaf, t in enumerate(lens, 1))
-
-
-def _branch_paths(
-    g: Graph, vs: Sequence[int], branch: list[int]
-) -> Optional[list[tuple[int, int, int]]]:
-    """(end, end, length) for each path of G[vs] between its branch
-    vertices; None when a vertex lies on no path.  Every vertex of vs
-    outside `branch` has degree 2 in G[vs], so the components it leaves are
-    the paths' interiors, or cycles that touch no branch vertex."""
-    paths = [(a, b, 1) for a, b in combinations(branch, 2) if g.has_edge(a, b)]
-    branch_mask = mask_of(branch)
-    for inner in g.components(v for v in vs if not branch_mask >> v & 1):
-        ends = [u for v in inner for u in bits(g.neighbor_mask(v) & branch_mask)]
-        if not ends:
-            return None
-        paths.append((*ends, len(inner) + 1))
-    return paths
-
-
-def is_subdivision_set(g: Graph, vs: Sequence[int], shape: Shape) -> bool:
-    """Does G[vs] subdivide the shape's base graph within its length ranges?
-
-    The vertices of degree other than 2 in G[vs], its branch vertices, must
-    have the base graph's degrees, so its paths are as many as the base
-    edges, and the paths must cover vs.  Some bijection from base vertices
-    to branch vertices must then carry the paths onto the base edges, with
-    the sorted lengths between each pair inside its sorted ranges; a path
-    back to its start matches no base edge.  The bijections number at most
-    4! = 24 for the shapes declared here."""
-    mask = mask_of(vs)
-    degree = [(g.neighbor_mask(v) & mask).bit_count() for v in vs]
-    branch_degrees = sorted(d for d in degree if d != 2)
-    if sum(branch_degrees) != 2 * len(shape):  # most sets fail here, and cheaply
-        return False
-    ends = [x for u, v, _, _ in shape for x in (u, v)]
-    if branch_degrees != sorted(map(ends.count, set(ends))):
-        return False
-    branch = [v for v, d in zip(vs, degree) if d != 2]
-    paths = _branch_paths(g, vs, branch)
-    if paths is None:
-        return False
-    want = sorted(shape)
-    for image in permutations(branch):
-        base = {w: i for i, w in enumerate(image)}
-        got = sorted((*sorted((base[a], base[b])), n) for a, b, n in paths)
-        if all(p[:2] == w[:2] and w[2] <= p[2] <= w[3] for p, w in zip(got, want)):
-            return True
-    return False
 
 
 def creature_exists_bruteforce(g: Graph, k: int, t: int) -> bool:
@@ -707,20 +634,9 @@ def suite_detectors(cfg: RunConfig) -> Certificate:
     instances."""
     cert = _new_cert("detectors", cfg)
     catalog = seeded_catalog(8, cfg.seed, per_n=4)
-    subset_cache: dict[int, list[tuple[int, ...]]] = {}
-
-    def subsets(g: Graph) -> list[tuple[int, ...]]:
-        if g.n not in subset_cache:
-            subset_cache[g.n] = [
-                vs
-                for r in range(1, g.n + 1)
-                for vs in combinations(range(g.n), r)
-            ]
-        return subset_cache[g.n]
-
     mism: dict[str, list[int]] = {"theta": [], "pyramid": [], "claw": [], "creature": [], "wall-line": []}
     for idx, g in enumerate(catalog):
-        subs = subsets(g)
+        subs = [vs for r in range(1, g.n + 1) for vs in combinations(range(g.n), r)]
         oracle_theta = any(
             is_subdivision_set(g, vs, THETA_SHAPE) for vs in subs if len(vs) >= 5
         )

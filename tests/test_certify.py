@@ -73,8 +73,8 @@ def test_recheck_catches_tampering():
         {
             "kind": "pattern-found",
             "graph": graph_witness(g),
-            "pattern": graph_witness(path_graph(3)),
-            "mapping": [0, 1, 3],  # 1 and 3 are not adjacent: bogus
+            "image": [0, 1, 3],  # 1 and 3 are not adjacent: bogus
+            "shape": [[0, 1, 2, 2]],
         },
     )
     checked, confirmed, problems = recheck(json.loads(cert.dumps()))
@@ -90,8 +90,8 @@ def test_recheck_confirms_a_valid_pattern_witness():
         {
             "kind": "pattern-found",
             "graph": graph_witness(path_graph(4)),
-            "pattern": graph_witness(path_graph(3)),
-            "mapping": [0, 1, 2],
+            "image": [0, 1, 2],
+            "shape": [[0, 1, 2, None]],
         },
     )
     assert recheck(json.loads(cert.dumps())) == (1, 1, [])
@@ -166,13 +166,13 @@ PATH3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
 
 
 @pytest.mark.parametrize(
-    "pattern, mapping",
-    [(EDGE, [-1, 1]), ({"n": 2, "edges": []}, [0, 7]), (EDGE, [0, -3])],
+    "image",
+    [[-1, 1], [0, 7], [0, -3]],
     ids=["negative-wraps-to-last", "past-the-end", "negative-shift"],
 )
-def test_recheck_pattern_mapping_outside_host_fails(pattern, mapping):
-    witness = {"kind": "pattern-found", "graph": PATH3, "pattern": pattern,
-               "mapping": mapping}
+def test_recheck_pattern_mapping_outside_host_fails(image):
+    witness = {"kind": "pattern-found", "graph": PATH3, "image": image,
+               "shape": [[0, 1, 1, 1]]}
     entry = {"check": "x", "status": "pass", "witness": witness}
     assert recheck({"assertions": [entry]}) == (
         1, 0, ["x: stored status pass but witness rechecks as fail"]
@@ -189,8 +189,8 @@ def test_recheck_pattern_mapping_outside_host_fails(pattern, mapping):
          "tree edge end must be an integer, got True"),
         ({"kind": "td-valid", "graph": EDGE, "bags": [[0, 1]], "tree_edges": [],
           "width_at_most": True}, "width_at_most must be an integer, got True"),
-        ({"kind": "pattern-found", "graph": EDGE, "pattern": EDGE,
-          "mapping": [False, True]}, "mapping entry must be an integer, got False"),
+        ({"kind": "pattern-found", "graph": EDGE, "image": [False, True],
+          "shape": [[0, 1, 1, 1]]}, "image entry must be an integer, got False"),
     ],
     ids=["bool-bag", "bool-tree-edge", "bool-width", "bool-mapping"],
 )

@@ -124,7 +124,7 @@ def test_shape_oracle_reads_nothing_it_checks():
     """The `detectors` suite checks the theta, pyramid and claw detectors
     against the shape oracle, so a declaration the oracle shared with them,
     such as a base edge list, would make it confirm their bugs."""
-    assert oracle_reads_of_checked((SRC / "suites.py").read_text()) == {}
+    assert oracle_reads_of_checked((SRC / "check.py").read_text()) == {}
     shared = (
         "from twcert.generators import _THETA_BASE\n"
         "from . import detect\n"

@@ -2,6 +2,7 @@
 status, and `detect` and `sep` search under the configured budget."""
 
 import json
+import time
 
 from twcert.cli import main
 from twcert import generators
@@ -85,6 +86,16 @@ def test_wall_line_k_below_two_is_a_usage_error(tmp_path):
     code, payload = _run(tmp_path, argv)
     assert code == 0 and payload["status"] == "found"
     assert payload["image"] == list(range(32))
+
+
+def test_wall_line_k3_on_a_triangle_free_wall_is_absent_at_once(tmp_path):
+    """Every member at k >= 3 has a triangle and the 4x4 wall has none, so
+    wall-line k = 3 is absent before any member; the search it skips runs
+    past the default budget: about 1.2e10 steps to find nothing."""
+    argv = ["detect", "--pattern", "wall-line", "--k", "3", "-i", _wall(tmp_path, 4, 4)]
+    start = time.perf_counter()
+    assert _run(tmp_path, argv) == (1, {"status": "absent"})
+    assert time.perf_counter() - start < 1
 
 
 def test_pattern_larger_than_the_host_is_absent_before_the_cap(tmp_path):

@@ -6,13 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, graphs
+from conftest import connected_graphs, graphs, random_graph
+from test_exact_dp import relabel
 from twcert.cli import main
 from twcert.config import Budget
 from twcert.detect import (
+    Family,
     PatternMatch,
+    _find,
     _directed_induced_paths,
     _lengths,
+    _whole,
     breaks,
     find_creature,
     find_induced,
@@ -35,7 +39,7 @@ from twcert.generators import (
     theta,
     wall,
 )
-from twcert.graphs import BudgetExhausted, Graph, bits, line_graph, mask_of
+from twcert.graphs import BudgetExhausted, Graph, bits, line_graph, mask_of, subdivide
 from twcert.io import write_graph_json
 
 
@@ -271,6 +275,70 @@ def test_wall_line_detector():
     # k = 2: the family is exactly the holes
     assert find_line_of_subdivided_wall(cycle_graph(5), 2) is not None
     assert find_line_of_subdivided_wall(complete_graph(4), 2) is None
+
+
+def wall_line_family(k: int) -> Family:
+    """The declaration `find_line_of_subdivided_wall` searches at k."""
+    base = wall(k, k)
+    free = base.m if k > 2 else 1
+    return Family(
+        base.n, base.edges, (1,) * free, rising=False, line=True, roles=_whole, above=()
+    )
+
+
+def has_triangle(g: Graph) -> bool:
+    return any(g.neighbor_mask(u) & g.neighbor_mask(v) for u, v in g.edges)
+
+
+def outcome(search, g: Graph, *args):
+    """The match, or `budget` when the budget runs out, and the steps used."""
+    budget = Budget(10**6)
+    try:
+        return search(g, *args, budget), budget.used
+    except BudgetExhausted:
+        return "budget", budget.used
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_wall_line_matches_its_family_on_hosts_with_a_triangle(k):
+    """Where the host has a triangle, the triangle test changes nothing: the
+    match and `Budget.used` are those of the family search.  Random graphs
+    up to 12 vertices, and, since a member at k = 3 has at least the 15
+    vertices of the 3x3 wall's line graph, 15- and 16-vertex ones and that
+    line graph relabeled, some with a pendant vertex more."""
+    hosts = [random_graph(n, p, seed) for n in range(3, 13) for p in (0.3, 0.5)
+             for seed in range(4)]
+    hosts += [random_graph(n, 0.3, seed) for n in (15, 16) for seed in range(6)]
+    for seed in range(4):
+        g = relabel(line_graph(wall(3, 3)), seed)
+        hosts.append(Graph(g.n + 1, [*g.edges, (seed, g.n)]) if seed % 2 else g)
+    hosts = [g for g in hosts if has_triangle(g)]
+    assert len(hosts) >= 60
+    found = 0
+    for g in hosts:
+        got = outcome(find_line_of_subdivided_wall, g, k)
+        assert got == outcome(_find, g, wall_line_family(k)), g.edges
+        found += isinstance(got[0], PatternMatch)
+    assert found >= (4 if k == 3 else 40)
+
+
+def test_wall_line_k3_is_absent_on_triangle_free_hosts_where_the_family_finishes():
+    """A triangle-free host is absent at k = 3 with no step used, and the
+    family search, where it finishes, agrees: bipartite random graphs with
+    15-17 vertices and subdivisions of the 3x3 wall."""
+    hosts = [
+        Graph(n, [(u, v) for u, v in random_graph(n, 0.4, seed).edges if (u + v) % 2])
+        for n in (15, 16, 17) for seed in range(5)
+    ]
+    hosts += [subdivide(wall(3, 3), {e: 2}) for e in wall(3, 3).edges[:4]]
+    finished = 0
+    for g in hosts:
+        assert not has_triangle(g)
+        assert outcome(find_line_of_subdivided_wall, g, 3) == (None, 0)
+        answer, _ = outcome(_find, g, wall_line_family(3))
+        assert answer in (None, "budget")
+        finished += answer is None
+    assert finished >= 15
 
 
 def recursive_compositions(extra, parts):

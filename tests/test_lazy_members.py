@@ -111,14 +111,15 @@ def test_dead_members_read_only_the_entries_to_their_dead_level():
 
 
 def family_members(search, n: int) -> list[detect.Member]:
-    """The members a family search offers on an edgeless n-vertex host."""
+    """The members a family search offers on an n-vertex host with one
+    triangle, which wall-line k >= 3 needs before it offers any."""
     members: list[detect.Member] = []
 
     def collect(g, family, roles, budget):
         members.extend(family)
 
     with mock.patch.object(detect, "_first_copy", collect):
-        search(Graph(n, []))
+        search(Graph(n, [(0, 1), (0, 2), (1, 2)]))
     return members
 
 

@@ -32,7 +32,7 @@ from twcert.generators import (
     theta,
 )
 from twcert.graphs import Graph, disjoint_union
-from twcert.suites import (
+from twcert.check import (
     PYRAMID_SHAPE,
     THETA_SHAPE,
     claw_shape,
