@@ -223,8 +223,6 @@ def covering_sequence(
     separation.  The partition, the central bag and the audit read only the
     masks; the vertex tuples are built when the `centralbag` output reads
     them."""
-    if not pattern.is_connected():
-        raise ValueError("pattern must be connected")
     seps: list[Separation] = []
     skips: list[tuple[int, ...]] = []
     for copy in induced_copies(g, pattern):

@@ -132,7 +132,7 @@ def td_witness(g: Graph, td: TreeDecomposition, width_at_most: int) -> dict[str,
     return {
         "kind": "td-valid",
         "graph": graph_witness(g),
-        "bags": [list(b) for b in td.bags],
-        "tree_edges": [list(e) for e in td.tree_edges],
+        "bags": td.bags,
+        "tree_edges": td.tree_edges,
         "width_at_most": width_at_most,
     }

@@ -28,7 +28,7 @@ from .io import graph_from_json, read_gr
 from .weights import parse_fraction
 
 if TYPE_CHECKING:
-    from .generators import LciThickening, StripStructure
+    from .generators import Instance, LciThickening, StripStructure
     from .weights import WeightFunction
 
 USAGE_ERROR = 64
@@ -102,108 +102,60 @@ def _dump_json(payload: Any, path: Optional[str]) -> None:
 # -- gen ------------------------------------------------------------------------
 
 
-def _lists(seqs) -> list[list[int]]:
-    return [list(s) for s in seqs]
+Generated = tuple[Graph, dict[str, Any]]
 
 
-def _gen_wall(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
-    from .generators import wall
-
-    return wall(args.n, args.m), {}
-
-
-def _gen_claw(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
-    from .generators import subdivided_claw
-
-    wit = subdivided_claw(args.t1, args.t2, args.t3)
-    return wit.graph, {"root": wit.root, "legs": _lists(wit.legs)}
+def _roles(instance: Instance) -> Generated:
+    """A pattern instance's graph, with its roles as the witness fields."""
+    return instance.graph, dict(instance.roles)
 
 
-def _gen_theta(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
-    from .generators import theta
-
-    wit = theta(args.l1, args.l2, args.l3)
-    return wit.graph, {"ends": list(wit.ends), "paths": _lists(wit.paths)}
-
-
-def _gen_pyramid(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
-    from .generators import pyramid
-
-    wit = pyramid(args.l1, args.l2, args.l3)
-    return wit.graph, {
-        "apex": wit.apex,
-        "triangle": list(wit.triangle),
-        "paths": _lists(wit.paths),
-    }
-
-
-def _gen_caterpillar(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
-    from .generators import CaterpillarSpec, caterpillar
-
+def _caterpillar(gen: Any, args: argparse.Namespace) -> Generated:
     legs = tuple(
         tuple(int(x) for x in part.split(",") if x)
         for part in (args.legs.split(";") if args.legs else [])
     )
-    wit = caterpillar(CaterpillarSpec(args.spine, legs))
-    return wit.graph, {
-        "spine": list(wit.spine),
-        "legs": [[v, list(leg)] for v, leg in wit.legs],
-    }
+    return _roles(gen.caterpillar(gen.CaterpillarSpec(args.spine, legs)))
 
 
-def _gen_creature(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
-    from .generators import creature
-
-    wit = creature(3 if args.k is None else args.k, args.t, args.spacing)
-    return wit.graph, {
-        "body": list(wit.body),
-        "paths": _lists(wit.paths),
-        "joints": list(wit.joints),
-    }
-
-
-def _gen_cycle_lci(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
-    from .generators import (
-        LciThickening,
-        ThickeningSpec,
-        circular_interval_graph,
-        cycle_interval_model,
-    )
-
-    model = cycle_interval_model(4 if args.k is None else args.k)
-    base = circular_interval_graph(model)
+def _cycle_lci(gen: Any, args: argparse.Namespace) -> Generated:
+    model = gen.cycle_interval_model(4 if args.k is None else args.k)
+    base = gen.circular_interval_graph(model)
     sizes = (args.size,) * len(model.points)
-    lci = LciThickening(model, ThickeningSpec(base=base, sizes=sizes))
+    lci = gen.LciThickening(model, gen.ThickeningSpec(base=base, sizes=sizes))
     return lci.graph, {"points": [str(p) for p in model.points]}
 
 
-def _gen_strip(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
-    from .generators import strip_structure_instance
-
-    ss = strip_structure_instance(args.kind)
+def _strip(gen: Any, args: argparse.Namespace) -> Generated:
+    ss = gen.strip_structure_instance(args.kind)
     return ss.host, {
         "pattern_n": ss.pattern_n,
-        "pattern_edges": _lists(ss.pattern_edges),
-        "eta": _lists(ss.eta),
-        "eta_end": [[list(l), list(r)] for l, r in ss.eta_end],
+        "pattern_edges": ss.pattern_edges,
+        "eta": ss.eta,
+        "eta_end": ss.eta_end,
     }
 
 
-# family -> the instance and its witness fields
-GENERATORS: dict[str, Callable[[argparse.Namespace], tuple[Graph, dict[str, Any]]]] = {
-    "wall": _gen_wall,
-    "claw": _gen_claw,
-    "theta": _gen_theta,
-    "pyramid": _gen_pyramid,
-    "caterpillar": _gen_caterpillar,
-    "creature": _gen_creature,
-    "cycle-lci": _gen_cycle_lci,
-    "strip": _gen_strip,
+# family -> the graph and its witness fields, read from the `generators`
+# module it is given; a pattern family's fields are its instance's roles
+GENERATORS: dict[str, Callable[[Any, argparse.Namespace], Generated]] = {
+    "wall": lambda gen, a: (gen.wall(a.n, a.m), {}),
+    "claw": lambda gen, a: _roles(gen.subdivided_claw(a.t1, a.t2, a.t3)),
+    "theta": lambda gen, a: _roles(gen.theta(a.l1, a.l2, a.l3)),
+    "pyramid": lambda gen, a: _roles(gen.pyramid(a.l1, a.l2, a.l3)),
+    "caterpillar": _caterpillar,
+    "creature": lambda gen, a: _roles(
+        gen.creature(3 if a.k is None else a.k, a.t, a.spacing)
+    ),
+    "cycle-lci": _cycle_lci,
+    "strip": _strip,
 }
 
 
 def cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
-    g, fields = GENERATORS[args.family](args)
+    from . import generators
+
+    g, fields = GENERATORS[args.family](generators, args)
     _save_graph(g, args.output)
     if args.witness:
         _dump_json({"family": args.family, **fields}, args.witness)
@@ -238,8 +190,8 @@ def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
         return 1
     payload = {
         "status": "found",
-        "image": list(match.image),
-        "roles": {k: list(v) for k, v in match.roles},
+        "image": match.image,
+        "roles": dict(match.roles),
     }
     _dump_json(payload, args.output)
     return 0
@@ -325,29 +277,29 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
             hypothesis_met=chk.hypothesis_met,
         )
     payload = {
-        "bag": list(result.bag),
+        "bag": result.bag,
         "bag_weights": weights_witness(result.weights),
         "bag_treewidth": rep.bag_treewidth,
         "sequence": [
             {
-                "a": list(s.a),
-                "c": list(s.c),
-                "b": list(s.b),
-                "center": list(s.center),
+                "a": s.a,
+                "c": s.c,
+                "b": s.b,
+                "center": s.center,
                 "anchor": s.anchor,
                 "skew": [str(x) for x in s.skew(w)],
             }
             for s in rep.sequence.separations
         ],
-        "skipped_copies": _lists(rep.sequence.skipped),
-        "partition": [list(cls) for cls in rep.classes],
-        "generator": [list(cls) for cls in result.generator],
+        "skipped_copies": rep.sequence.skipped,
+        "partition": rep.classes,
+        "generator": result.generator,
         "drops": [
             {"index": d.index, "reason": d.reason, "witness": d.witness}
             for d in result.drops
         ],
         "classes": len(rep.classes),
-        "goodness": list(rep.goodness),
+        "goodness": rep.goodness,
         "symbolic_bound": rep.symbolic_bound,
         "certificate": cert.to_json(),
     }
@@ -426,7 +378,7 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
             host = ss.host
             td = decompose_strip_structure(ss, cap=cfg.max_tw_n).td
     except NotChordal as exc:  # chordal_td or fuzzy_lci_td met a hole
-        _dump_json({"status": "fail", "hole": list(exc.hole)}, args.output)
+        _dump_json({"status": "fail", "hole": exc.hole}, args.output)
         return 1
     check = validate_td(host, td)
     if args.td:
@@ -434,7 +386,7 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
             write_td(td, host.n, fh)
     _dump_json(
         {"status": "ok" if check.ok else "fail", "width": check.width,
-         "violations": list(check.violations)},
+         "violations": check.violations},
         args.output,
     )
     return 0 if check.ok else 1

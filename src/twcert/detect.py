@@ -14,14 +14,24 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import Budget
-from .generators import _PYRAMID_BASE, _THETA_BASE, subdivided_claw, wall
+from .generators import (
+    _PYRAMID_BASE,
+    _THETA_BASE,
+    Instance,
+    Roles,
+    _numbered,
+    pyramid,
+    subdivided_claw,
+    theta,
+    wall,
+)
 from .graphs import Graph, bits, line_edges, mask_of, subdivision
 
 
 @dataclass(frozen=True)
 class PatternMatch:
     image: tuple[int, ...]
-    roles: tuple[tuple[str, tuple[int, ...]], ...]
+    roles: Roles
 
 
 # -- generic engine ---------------------------------------------------------
@@ -160,29 +170,27 @@ def iter_induced_maps(
         budget.tick(owed)
 
 
-Roles = tuple[tuple[str, Sequence[int]], ...]
-Paths = Sequence[Sequence[int]]
 Edges = Sequence[tuple[int, int]]
 # One member of a witness family: its vertex count, its signature (one entry
 # per vertex, in vertex order: its degree, the mask of its earlier
 # neighbours, and the mask of the earlier vertices whose images its image
-# must lie above, 0 for none), and a call that builds its edge list and the
-# vertex sequences its roles are read from (a copy maps them into the host).
-Member = tuple[int, Iterator[tuple[int, ...]], Callable[[], tuple[Edges, Paths]]]
+# must lie above, 0 for none), and a call that builds its instance (a copy
+# maps the instance's roles into the host).
+Member = tuple[int, Iterator[tuple[int, ...]], Callable[[], Instance]]
 
 
-def _edge_member(k: int, edges: Edges, paths: Paths) -> Member:
-    """A member given by its edge list, which its signature is read from."""
+def _edge_member(k: int, edges: Edges) -> Member:
+    """A member given by its edge list, each edge low end first, which its
+    signature is read from.  Its one role, `mapping`, is its whole vertex
+    order."""
     degree = [0] * k
     earlier = [0] * k
     for u, v in edges:
         degree[u] += 1
         degree[v] += 1
-        if u < v:
-            earlier[v] |= 1 << u
-        else:
-            earlier[u] |= 1 << v
-    return k, zip(degree, earlier, [0] * k), lambda: (edges, paths)
+        earlier[v] |= 1 << u
+    roles = (("mapping", tuple(range(k))),)
+    return k, zip(degree, earlier, [0] * k), lambda: Instance(Graph(k, edges), roles)
 
 
 class _Level:
@@ -280,14 +288,11 @@ def _grow(
 
 
 def _first_copy(
-    g: Graph,
-    family: Iterable[Member],
-    roles: Callable[[Paths], Roles],
-    budget: Budget,
+    g: Graph, family: Iterable[Member], budget: Budget
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of the first family member that
-    embeds in g, as its image and its roles (``roles`` of its paths) mapped
-    into g.  Members are tried in order and share one budget.
+    embeds in g, as its image and its instance's roles mapped into g.
+    Members are tried in order and share one budget.
 
     The engine's search tree down to pattern vertex i depends only on g and,
     for each of the vertices 0..i, its degree, its earlier neighbours and
@@ -310,10 +315,10 @@ def _first_copy(
     A member runs through `iter_induced_maps`, with its condition, instead
     when it embeds, or when its charge would exceed what is left of the
     budget, so the match, ``Budget.used`` and ``BudgetExhausted`` are those
-    of running every member in turn under its condition.  A member's edge
-    list is built only when it runs through the engine, and its roles only
-    when it matches.  The trie pays only across members: a one-pattern
-    search takes the engine's first mapping directly (`_engine_match`).
+    of running every member in turn under its condition.  A member's
+    instance is built only when it runs through the engine.  The trie pays
+    only across members: a one-pattern search takes the engine's first
+    mapping directly (`_engine_match`).
     """
     n = g.n
     host = _host_masks(g)
@@ -347,41 +352,26 @@ def _first_copy(
                     break
             budget.tick(n * trie.total)
             continue
-        edges, paths = build()
-        match = _engine_match(g, Graph(k, edges), paths, roles, budget, above)
+        match = _engine_match(g, build(), budget, above)
         if match is not None:
             return match
     return None
 
 
 def _engine_match(
-    g: Graph,
-    pattern: Graph,
-    paths: Paths,
-    roles: Callable[[Paths], Roles],
-    budget: Budget,
-    above: Sequence[int] = (),
+    g: Graph, instance: Instance, budget: Budget, above: Sequence[int] = ()
 ) -> Optional[PatternMatch]:
-    """The engine's first mapping of the pattern into g (under the
-    condition ``above``), as its image and its roles (``roles`` of
-    ``paths``) mapped into g, or None when the pattern has no copy."""
-    for mapping in iter_induced_maps(g, pattern, budget, above):
+    """The engine's first mapping of the instance's graph into g (under the
+    condition ``above``), as its image and the instance's roles mapped into
+    g, or None when the pattern has no copy."""
+    for mapping in iter_induced_maps(g, instance.graph, budget, above):
         return PatternMatch(
             image=tuple(sorted(mapping)),
             roles=tuple(
-                (key, tuple(mapping[v] for v in seq)) for key, seq in roles(paths)
+                (key, tuple(mapping[v] for v in seq)) for key, seq in instance.roles
             ),
         )
     return None
-
-
-def _numbered(prefix: str, seqs: Paths) -> Roles:
-    return tuple((f"{prefix}{i+1}", seq) for i, seq in enumerate(seqs))
-
-
-def _whole(paths: Paths) -> Roles:
-    """The roles of a member whose one path is its whole vertex order."""
-    return (("mapping", paths[0]),)
 
 
 def find_induced(
@@ -393,8 +383,8 @@ def find_induced(
     the engine's first mapping, searched once under the budget, whatever
     the pattern's size.  A pattern larger than g has no copy, and the
     engine returns at once without charging the budget."""
-    bud = budget or Budget()
-    return _engine_match(g, pattern, (range(pattern.n),), _whole, bud)
+    whole = Instance(pattern, (("mapping", tuple(pattern.vertices)),))
+    return _engine_match(g, whole, budget or Budget())
 
 
 def induced_copies(
@@ -418,19 +408,20 @@ class Family:
     free: the i-th has length at least ``floors[i]`` and, when ``rising``,
     at least the free length before it.  The other edges keep length 1.
 
-    A member is numbered as `subdivision` numbers it.  ``roles`` reads a
-    match's roles from its paths: the chains of its free edges, or a line
-    member's whole vertex order.  ``above[v]`` masks the base vertices whose
-    images base vertex v's image must lie above, a condition that breaks a
-    symmetry of every member and keeps its first copy (see `_first_copy`);
-    a line family has none."""
+    A member is numbered as `subdivision` numbers it.  ``build`` is the
+    generator that makes a member's `Instance`, numbered the same way, from
+    its free lengths; a line family has none, since a line member's instance
+    is read from its edge list (`_edge_member`).  ``above[v]`` masks the
+    base vertices whose images base vertex v's image must lie above, a
+    condition that breaks a symmetry of every member and keeps its first
+    copy (see `_first_copy`); a line family has none."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
     floors: tuple[int, ...]
     rising: bool
     line: bool
-    roles: Callable[[Paths], Roles]
+    build: Optional[Callable[..., Instance]]
     above: tuple[int, ...]
 
 
@@ -470,9 +461,9 @@ def _lengths(
 def _members(family: Family, n: int, budget: Budget) -> Iterator[Member]:
     """The members of `family` with at most n vertices, by vertex count,
     then by free lengths in lexicographic order.  A member's signature is
-    read from its lengths (`_signature`) and its edge list built only when
-    it is searched (`_build`).  A line member comes with its edge list and
-    costs one step of `budget` when it is offered."""
+    read from its lengths (`_signature`) and its instance built only when
+    it is searched (``family.build``).  A line member comes with its edge
+    list and costs one step of `budget` when it is offered."""
     ones = (1,) * (len(family.edges) - len(family.floors))
     # a member whose free lengths sum to s has s + offset vertices
     offset = len(ones) if family.line else family.n - len(family.floors)
@@ -481,15 +472,14 @@ def _members(family: Family, n: int, budget: Budget) -> Iterator[Member]:
     degree = [ends.count(v) for v in range(family.n)]
     for total in range(least, n - offset + 1):
         k = total + offset
-        for lengths in _lengths(total, family.floors, family.rising):
-            lengths = ones + lengths
+        for free in _lengths(total, family.floors, family.rising):
             if family.line:
                 budget.tick()
-                count, edges, _ = subdivision(family.n, family.edges, lengths)
-                yield _edge_member(k, line_edges(count, edges), (range(k),))
+                count, edges, _ = subdivision(family.n, family.edges, ones + free)
+                yield _edge_member(k, line_edges(count, edges))
             else:
-                signature = _signature(family, degree, lengths)
-                yield k, signature, partial(_build, family, lengths)
+                signature = _signature(family, degree, ones + free)
+                yield k, signature, partial(family.build, *free)
 
 
 def _signature(
@@ -517,17 +507,10 @@ def _signature(
         nxt += ell - 1
 
 
-def _build(family: Family, lengths: Sequence[int]) -> tuple[Edges, Paths]:
-    """The edge list of the member of `family` whose edges have the given
-    lengths, and its paths: the chains of its free edges."""
-    _, edges, chains = subdivision(family.n, family.edges, lengths)
-    return edges, chains[len(lengths) - len(family.floors) :]
-
-
 def _find(g: Graph, family: Family, budget: Optional[Budget]) -> Optional[PatternMatch]:
     """The first copy of the first member of `family` in g (`_first_copy`)."""
     bud = budget or Budget()
-    return _first_copy(g, _members(family, g.n, bud), family.roles, bud)
+    return _first_copy(g, _members(family, g.n, bud), bud)
 
 
 # -- specialised detectors ----------------------------------------------------
@@ -547,15 +530,10 @@ def find_t_theta(
     first copy in at most the steps of the search without it."""
     if t < 2:
         raise ValueError("thetas need t >= 2")
-
-    def roles(paths: Paths) -> Roles:
-        # each path runs from one end to the other
-        return (("ends", (paths[0][0], paths[0][-1])), *_numbered("path", paths))
-
-    theta = Family(
-        2, _THETA_BASE, (t,) * 3, rising=True, line=False, roles=roles, above=(0, 1)
+    family = Family(
+        2, _THETA_BASE, (t,) * 3, rising=True, line=False, build=theta, above=(0, 1)
     )
-    return _find(g, theta, budget)
+    return _find(g, family, budget)
 
 
 def find_t_pyramid(
@@ -567,20 +545,11 @@ def find_t_pyramid(
     a floor of 2 on the last two leaves at most the first a single edge."""
     if t < 1:
         raise ValueError("pyramids need t >= 1")
-
-    def roles(paths: Paths) -> Roles:
-        # each path runs from the apex to a corner of the triangle
-        return (
-            ("apex", (paths[0][0],)),
-            ("triangle", tuple(p[-1] for p in paths)),
-            *_numbered("path", paths),
-        )
-
     floors = (t, max(t, 2), max(t, 2))
-    pyramid = Family(
-        4, _PYRAMID_BASE, floors, rising=True, line=False, roles=roles, above=(0,) * 4
+    family = Family(
+        4, _PYRAMID_BASE, floors, rising=True, line=False, build=pyramid, above=(0,) * 4
     )
-    return _find(g, pyramid, budget)
+    return _find(g, family, budget)
 
 
 def find_subdivided_claw(
@@ -589,12 +558,7 @@ def find_subdivided_claw(
     """Lexicographically first induced copy of the three-legged spider with
     the given leg lengths: the engine's first mapping, searched once, with
     the root matched first."""
-    wit = subdivided_claw(t1, t2, t3)
-
-    def roles(legs: Paths) -> Roles:
-        return (("root", (wit.root,)), *_numbered("leg", legs))
-
-    return _engine_match(g, wit.graph, wit.legs, roles, budget or Budget())
+    return _engine_match(g, subdivided_claw(t1, t2, t3), budget or Budget())
 
 
 # -- creatures -----------------------------------------------------------------
@@ -746,7 +710,7 @@ def find_line_of_subdivided_wall(
     base = wall(k, k)
     free = base.m if k > 2 else 1
     lines = Family(
-        base.n, base.edges, (1,) * free, rising=False, line=True, roles=_whole, above=()
+        base.n, base.edges, (1,) * free, rising=False, line=True, build=None, above=()
     )
     return _find(g, lines, budget)
 

@@ -1,7 +1,8 @@
 """Deterministic constructors for the graph families used across the toolkit.
 
 Every generator returns reproducible vertex ids (root/apex first, then legs
-or paths in argument order) so that tests can pin exact images.
+or paths in argument order) so that tests can pin exact images.  A pattern
+generator returns an `Instance`: its graph and its parts by role name.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import ClassVar, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, line_graph, subdivision
 
@@ -77,18 +78,28 @@ def wall(n: int, m: int) -> Graph:
     return Graph(len(coords), edges)
 
 
-# -- subdivided claws, thetas, pyramids, caterpillars ------------------------
+# -- pattern instances: claws, thetas, pyramids, caterpillars, creatures -------
+
+Roles = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
-class ClawWitness:
+class Instance:
+    """A pattern instance: its graph and its parts, each a role name with a
+    vertex sequence.  `detect` maps these roles into the host when it finds
+    a copy, and `gen --witness` writes them."""
+
     graph: Graph
-    root: ClassVar[int] = 0
-    legs: tuple[tuple[int, ...], ...]  # each leg excludes the root
+    roles: Roles
 
 
-def subdivided_claw(t1: int, t2: int, t3: int) -> ClawWitness:
-    """Three paths of lengths t1, t2, t3 glued at a root (vertex 0).
+def _numbered(prefix: str, seqs: Iterable[tuple[int, ...]]) -> Roles:
+    return tuple((f"{prefix}{i}", seq) for i, seq in enumerate(seqs, 1))
+
+
+def subdivided_claw(t1: int, t2: int, t3: int) -> Instance:
+    """Three paths of lengths t1, t2, t3 glued at a root (vertex 0): roles
+    `root`, then `leg1`..`leg3`, each leg without the root.
 
     A zero-length first leg degenerates to a path; the two remaining legs
     must be non-trivial.
@@ -99,12 +110,12 @@ def subdivided_claw(t1: int, t2: int, t3: int) -> ClawWitness:
     legs: list[tuple[int, ...]] = []
     nxt = 1
     for t in (t1, t2, t3):
-        leg = list(range(nxt, nxt + t))
+        leg = tuple(range(nxt, nxt + t))
         nxt += t
-        chain = [0] + leg
+        chain = (0, *leg)
         edges.extend(zip(chain, chain[1:]))
-        legs.append(tuple(leg))
-    return ClawWitness(Graph(nxt, edges), tuple(legs))
+        legs.append(leg)
+    return Instance(Graph(nxt, edges), (("root", (0,)), *_numbered("leg", legs)))
 
 
 # base edge lists: hub 0 to end 1 thrice; K4, its triangle first, apex edges last
@@ -112,39 +123,28 @@ _THETA_BASE = ((0, 1),) * 3
 _PYRAMID_BASE = ((1, 2), (1, 3), (2, 3), (0, 1), (0, 2), (0, 3))
 
 
-@dataclass(frozen=True)
-class ThetaWitness:
-    graph: Graph
-    ends: ClassVar[tuple[int, int]] = (0, 1)
-    paths: tuple[tuple[int, ...], ...]  # full vertex sequences, end to end
-
-
-def theta(l1: int, l2: int, l3: int) -> ThetaWitness:
+def theta(l1: int, l2: int, l3: int) -> Instance:
     """Two vertices joined by three internally disjoint paths, lengths >= 2:
-    three parallel edges 0-1, subdivided."""
+    three parallel edges 0-1, subdivided.  Roles `ends`, then
+    `path1`..`path3`, each from end 0 to end 1."""
     if min(l1, l2, l3) < 2:
         raise ValueError("theta paths must have length at least 2")
     n, edges, paths = subdivision(2, _THETA_BASE, (l1, l2, l3))
-    return ThetaWitness(Graph(n, edges), tuple(paths))
+    return Instance(Graph(n, edges), (("ends", (0, 1)), *_numbered("path", paths)))
 
 
-@dataclass(frozen=True)
-class PyramidWitness:
-    graph: Graph
-    apex: ClassVar[int] = 0
-    triangle: ClassVar[tuple[int, int, int]] = (1, 2, 3)
-    paths: tuple[tuple[int, ...], ...]  # apex .. triangle corner
-
-
-def pyramid(l1: int, l2: int, l3: int) -> PyramidWitness:
+def pyramid(l1: int, l2: int, l3: int) -> Instance:
     """Apex joined to a triangle by three paths, at most one of length one:
-    K4 with the triangle 1-2-3 kept and the edges from apex 0 subdivided."""
+    K4 with the triangle 1-2-3 kept and the edges from apex 0 subdivided.
+    Roles `apex`, `triangle`, then `path1`..`path3`, each from the apex to
+    a triangle corner."""
     if min(l1, l2, l3) < 1:
         raise ValueError("pyramid paths must have length at least 1")
     if sorted((l1, l2, l3))[1] < 2:
         raise ValueError("at least two pyramid paths must have length >= 2")
     n, edges, chains = subdivision(4, _PYRAMID_BASE, (1, 1, 1, l1, l2, l3))
-    return PyramidWitness(Graph(n, edges), tuple(chains[3:]))
+    roles = (("apex", (0,)), ("triangle", (1, 2, 3)), *_numbered("path", chains[3:]))
+    return Instance(Graph(n, edges), roles)
 
 
 @dataclass(frozen=True)
@@ -175,46 +175,30 @@ class CaterpillarSpec:
                 )
 
 
-@dataclass(frozen=True)
-class CaterpillarWitness:
-    graph: Graph
-    spine: tuple[int, ...]
-    legs: tuple[tuple[int, tuple[int, ...]], ...]  # (spine vertex, leg vertices)
-
-
-def caterpillar(spec: CaterpillarSpec) -> CaterpillarWitness:
+def caterpillar(spec: CaterpillarSpec) -> Instance:
+    """Roles `spine`, then `leg1`.. in spec order, each from its spine
+    vertex outward."""
     n_spine = spec.spine_edges + 1
     edges = [(i, i + 1) for i in range(spec.spine_edges)]
     nxt = n_spine
-    legs: list[tuple[int, tuple[int, ...]]] = []
+    legs: list[tuple[int, ...]] = []
     for i, lens in enumerate(spec.legs):
         for ell in lens:
-            leg = list(range(nxt, nxt + ell))
+            chain = (i, *range(nxt, nxt + ell))
             nxt += ell
-            chain = [i] + leg
             edges.extend(zip(chain, chain[1:]))
-            legs.append((i, tuple(leg)))
+            legs.append(chain)
     g = Graph(nxt, edges)
     assert g.max_degree() <= 3
-    return CaterpillarWitness(g, tuple(range(n_spine)), tuple(legs))
+    return Instance(g, (("spine", tuple(range(n_spine))), *_numbered("leg", legs)))
 
 
-# -- creatures ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CreatureWitness:
-    graph: Graph
-    body: tuple[int, ...]
-    paths: tuple[tuple[int, ...], ...]  # joint first
-    joints: tuple[int, ...]
-
-
-def creature(k: int, t: int, joint_spacing: int) -> CreatureWitness:
+def creature(k: int, t: int, joint_spacing: int) -> Instance:
     """A canonical creature: connected body plus k anticomplete length-t paths.
 
     Each path touches the body only through its joint end.  The body is a
-    path with attachment points joint_spacing apart.
+    path with attachment points joint_spacing apart.  Roles `body`, then
+    `path1`..`pathk`, each joint first.
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
@@ -224,17 +208,14 @@ def creature(k: int, t: int, joint_spacing: int) -> CreatureWitness:
     edges = [(i, i + 1) for i in range(body_n - 1)]
     nxt = body_n
     paths: list[tuple[int, ...]] = []
-    joints: list[int] = []
     for i in range(k):
-        pv = list(range(nxt, nxt + t + 1))
+        pv = tuple(range(nxt, nxt + t + 1))
         nxt += t + 1
         edges.append((i * joint_spacing, pv[0]))
         edges.extend(zip(pv, pv[1:]))
-        paths.append(tuple(pv))
-        joints.append(pv[0])
-    return CreatureWitness(
-        Graph(nxt, edges), tuple(range(body_n)), tuple(paths), tuple(joints)
-    )
+        paths.append(pv)
+    roles = (("body", tuple(range(body_n))), *_numbered("path", paths))
+    return Instance(Graph(nxt, edges), roles)
 
 
 # -- circular interval models and thickenings ---------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class CapExceeded(RuntimeError):
@@ -320,28 +320,10 @@ def subdivision(
     return n, out, chains
 
 
-def subdivide(g: Graph, lengths: Mapping[tuple[int, int], int]) -> Graph:
-    """Replace each edge by a path of the given length (missing edges keep 1).
-
-    New vertices are appended after the originals, processing edges in
-    sorted order; a graph with all lengths 1 is an identical copy.
-    """
-    present = set(g.edges)
-    norm: dict[tuple[int, int], int] = {}
-    for (u, v), ell in lengths.items():
-        e = (u, v) if u < v else (v, u)
-        if e not in present:
-            raise ValueError(f"{e} is not an edge of the graph")
-        if ell < 1:
-            raise ValueError("subdivision length must be positive")
-        norm[e] = ell
-    n, edges, _ = subdivision(g.n, g.edges, [norm.get(e, 1) for e in g.edges])
-    return Graph(n, edges)
-
-
 def full_subdivision(g: Graph) -> Graph:
     """Subdivide every edge to length 2."""
-    return subdivide(g, {e: 2 for e in g.edges})
+    n, edges, _ = subdivision(g.n, g.edges, [2] * g.m)
+    return Graph(n, edges)
 
 
 def clique_number(g: Graph) -> int:

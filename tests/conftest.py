@@ -16,7 +16,7 @@ from twcert.centralbag import (
     make_primordial,
 )
 from twcert.decompose import maximum_cardinality_search
-from twcert.graphs import Graph, TreeDecomposition, mask_of
+from twcert.graphs import Graph, TreeDecomposition, mask_of, subdivision
 from twcert.separators import along, eliminate
 from twcert.weights import WeightFunction
 
@@ -50,6 +50,14 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     """Each of the n(n-1)/2 possible edges kept with probability p."""
     rng = random.Random(seed)
     return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def subdivided(g: Graph, lengths: dict[tuple[int, int], int]) -> Graph:
+    """g with each edge in `lengths` replaced by a path of that length, the
+    others kept, by `subdivision`: new vertices from g.n on, edge by edge in
+    sorted order."""
+    n, edges, _ = subdivision(g.n, g.edges, [lengths.get(e, 1) for e in g.edges])
+    return Graph(n, edges)
 
 
 def is_chordal(g: Graph) -> bool:

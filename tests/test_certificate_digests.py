@@ -69,7 +69,7 @@ PINS = {
     }),
     "gen caterpillar": (0, {
         "cat-witness.json":
-            "635c3d19bced2734072ff183205cca10359e35a02b0876406147dcf18b09c028",
+            "b350c51a17e9fe01fc5bf0a00b0a2416b877f3865d09807f6cb340efabf3da5f",
         "cat.json":
             "2a419c505df7e247040353f1e8f592a5ea0b9f902656613c6bd809b8e9979a14",
     }),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, graphs, random_graph
+from conftest import connected_graphs, graphs, random_graph, subdivided
 from test_exact_dp import relabel
 from twcert.cli import main
 from twcert.config import Budget
@@ -16,7 +16,6 @@ from twcert.detect import (
     _find,
     _directed_induced_paths,
     _lengths,
-    _whole,
     breaks,
     find_creature,
     find_induced,
@@ -39,7 +38,7 @@ from twcert.generators import (
     theta,
     wall,
 )
-from twcert.graphs import BudgetExhausted, Graph, bits, line_graph, mask_of, subdivide
+from twcert.graphs import BudgetExhausted, Graph, bits, line_graph, mask_of
 from twcert.io import write_graph_json
 
 
@@ -282,7 +281,7 @@ def wall_line_family(k: int) -> Family:
     base = wall(k, k)
     free = base.m if k > 2 else 1
     return Family(
-        base.n, base.edges, (1,) * free, rising=False, line=True, roles=_whole, above=()
+        base.n, base.edges, (1,) * free, rising=False, line=True, build=None, above=()
     )
 
 
@@ -330,7 +329,7 @@ def test_wall_line_k3_is_absent_on_triangle_free_hosts_where_the_family_finishes
         Graph(n, [(u, v) for u, v in random_graph(n, 0.4, seed).edges if (u + v) % 2])
         for n in (15, 16, 17) for seed in range(5)
     ]
-    hosts += [subdivide(wall(3, 3), {e: 2}) for e in wall(3, 3).edges[:4]]
+    hosts += [subdivided(wall(3, 3), {e: 2}) for e in wall(3, 3).edges[:4]]
     finished = 0
     for g in hosts:
         assert not has_triangle(g)

@@ -7,6 +7,7 @@ by searching one cycle per length with the plain engine."""
 
 import pytest
 
+from conftest import subdivided
 from twcert.config import Budget
 from twcert.detect import (
     PatternMatch,
@@ -26,7 +27,7 @@ from twcert.generators import (
     theta,
     wall,
 )
-from twcert.graphs import disjoint_union, line_graph, subdivide
+from twcert.graphs import disjoint_union, line_graph
 
 CASES = {
     "theta-t2-wall33": (
@@ -254,10 +255,8 @@ def recursive_theta(g, t):
             return False
 
         if place(0):
-            paths = [tuple(assigned[v] for v in path) for path in wit.paths]
-            roles = (
-                ("ends", (paths[0][0], paths[0][-1])),
-                *((f"path{i + 1}", path) for i, path in enumerate(paths)),
+            roles = tuple(
+                (key, tuple(assigned[v] for v in seq)) for key, seq in wit.roles
             )
             return PatternMatch(image=tuple(sorted(assigned)), roles=roles), ticks
     return None, ticks
@@ -287,7 +286,7 @@ def cycle_per_length(g):
     ticks = 0
     for j in range(base.m, g.n + 1):
         ticks += 1
-        pattern = line_graph(subdivide(base, {base.edges[-1]: j - 3}))
+        pattern = line_graph(subdivided(base, {base.edges[-1]: j - 3}))
         budget = Budget(10**7)
         for mapping in iter_induced_maps(g, pattern, budget):
             match = PatternMatch(

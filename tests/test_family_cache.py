@@ -40,17 +40,17 @@ def reference_detectors(spans: list[tuple[int, int]]):
     condition (the third field of a signature entry), appending the budget
     span (used before, used after) of each member that fails."""
 
-    def first_copy(g, family, roles, budget):
-        for n, signature, build in family:
+    def first_copy(g, family, budget):
+        for _, signature, build in family:
             above = [entry[2] if len(entry) > 2 else 0 for entry in signature]
-            edges, paths = build()
+            instance = build()
             start = budget.used
-            for mapping in iter_induced_maps(g, Graph(n, edges), budget, above):
+            for mapping in iter_induced_maps(g, instance.graph, budget, above):
                 return PatternMatch(
                     image=tuple(sorted(mapping)),
                     roles=tuple(
                         (key, tuple(mapping[v] for v in seq))
-                        for key, seq in roles(paths)
+                        for key, seq in instance.roles
                     ),
                 )
             spans.append((start, budget.used))
@@ -114,8 +114,8 @@ def first_copy_of(patterns):
     """A search over the family of the given patterns, in that order."""
 
     def search(g, b):
-        members = [detect._edge_member(p.n, p.edges, (range(p.n),)) for p in patterns]
-        return detect._first_copy(g, members, detect._whole, b)
+        members = [detect._edge_member(p.n, p.edges) for p in patterns]
+        return detect._first_copy(g, members, b)
 
     return search
 

@@ -85,7 +85,7 @@ def test_wall_treewidth_matches_size():
 def test_subdivided_claw():
     w = subdivided_claw(1, 1, 1)
     assert _isomorphic_small(w.graph, star_graph(3))
-    assert w.root == 0
+    assert w.roles == (("root", (0,)), ("leg1", (1,)), ("leg2", (2,)), ("leg3", (3,)))
     p = subdivided_claw(0, 2, 2)
     assert _isomorphic_small(p.graph, path_graph(5))
     s = subdivided_claw(2, 2, 2)
@@ -130,8 +130,10 @@ def test_caterpillar_specs():
     assert g.n == 5 and g.m == 4 and g.max_degree() <= 3
     assert g.is_connected()
     # all degree-3 vertices lie on the spine
-    spine = set(w.spine)
+    spine = set(dict(w.roles)["spine"])
     assert all(v in spine for v in g.vertices if g.degree(v) == 3)
+    # each leg runs from its spine vertex outward
+    assert w.roles == (("spine", (0, 1, 2)), ("leg1", (1, 3, 4)))
 
 
 def test_creature_witnesses():
@@ -141,13 +143,16 @@ def test_creature_witnesses():
         wit = creature(k, t, 2)
         assert find_creature(wit.graph, k, t) is not None
         # structural witness properties hold directly
-        body = set(wit.body)
-        for p, joint in zip(wit.paths, wit.joints):
-            assert p[0] == joint
-            assert any(wit.graph.has_edge(joint, b) for b in body)
+        (name, body), *numbered = wit.roles
+        assert name == "body"
+        assert [name for name, _ in numbered] == [f"path{i}" for i in range(1, k + 1)]
+        paths = [p for _, p in numbered]
+        for p in paths:
+            assert len(p) == t + 1
+            assert any(wit.graph.has_edge(p[0], b) for b in body)
             for v in p[1:]:
                 assert not any(wit.graph.has_edge(v, b) for b in body)
-        for p1, p2 in combinations(wit.paths, 2):
+        for p1, p2 in combinations(paths, 2):
             assert anticomplete(wit.graph, p1, p2)
 
 

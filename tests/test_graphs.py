@@ -11,7 +11,6 @@ from twcert.graphs import (
     mask_of,
     full_subdivision,
     line_graph,
-    subdivide,
 )
 from twcert.generators import (
     complete_bipartite,
@@ -85,18 +84,6 @@ def test_line_graph_degree_formula(g):
     assert lg.n == g.m
     for i, (u, v) in enumerate(g.edges):
         assert lg.degree(i) == g.degree(u) + g.degree(v) - 2
-
-
-def test_subdivide_identity_and_path():
-    p2 = path_graph(2)
-    p4 = subdivide(p2, {(0, 1): 3})
-    assert p4.n == 4 and p4.m == 3
-    g = wall(2, 2)
-    assert subdivide(g, {e: 1 for e in g.edges}) == g
-    with pytest.raises(ValueError):
-        subdivide(g, {g.edges[0]: 0})
-    with pytest.raises(ValueError):
-        subdivide(g, {(0, 3): 2})  # not an edge
 
 
 def test_subdivision_preserves_treewidth_small():

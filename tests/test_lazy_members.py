@@ -4,10 +4,10 @@ members run through the plain engine, and how many signature entries the
 members are read for.  A member that has no copy is searched on the trie of
 search trees in `detect._first_copy`, from its signature alone; only a
 member that runs through `iter_induced_maps` (it embeds, or its charge would
-overrun the budget) has its graph built.  Theta and pyramid signatures,
+overrun the budget) has its instance built.  Theta and pyramid signatures,
 read from the path lengths, are checked against the edge lists they stand
-for; the wall-line members' edge lists, `line_graph` and `subdivide` against
-the plain constructions they replaced."""
+for; the wall-line members' edge lists, `line_graph` and `subdivision`
+against the plain constructions they replaced."""
 
 from collections import Counter
 from itertools import islice
@@ -17,19 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import graphs, subdivided
 from test_detect import recursive_compositions
 from twcert import detect
 from twcert.config import Budget
 from twcert.detect import find_line_of_subdivided_wall, find_t_pyramid, find_t_theta
-from twcert.generators import pyramid, subdivided_claw, theta, wall
-from twcert.graphs import Graph, line_graph, subdivide
+from twcert.generators import Instance, pyramid, subdivided_claw, theta, wall
+from twcert.graphs import Graph, line_graph
 
 # the line graph of the 2x2 wall with two edges subdivided, which holds a copy
-LINE_HOST = line_graph(subdivide(wall(2, 2), {(0, 1): 3, (1, 3): 2}))
+LINE_HOST = line_graph(subdivided(wall(2, 2), {(0, 1): 3, (1, 3): 2}))
 
 CASES = {
-    # name: (search, members offered, graphs built = plain-engine runs)
+    # name: (search, members offered, instances built = plain-engine runs)
     "pyramid-t1-wall44": (lambda b: find_t_pyramid(wall(4, 4), 1, b), 337, 0),
     "theta-t2-wall45": (lambda b: find_t_theta(wall(4, 5), 2, b), 33, 1),
     "theta-t3-wall44": (lambda b: find_t_theta(wall(4, 4), 3, b), 32, 1),
@@ -56,8 +56,8 @@ def counted(name, fn, counts):
 
 def searched(name: str) -> Counter[str]:
     """Run the named search and count the members it is offered, the
-    signature entries read from them, the graphs and the theta or pyramid
-    edge lists built (`detect._build` calls), and the plain-engine runs."""
+    signature entries read from them, the instances built, the theta or
+    pyramid generator calls, and the plain-engine runs."""
     search = CASES[name][0]
     counts: Counter[str] = Counter()
     first_copy = detect._first_copy
@@ -70,16 +70,16 @@ def searched(name: str) -> Counter[str]:
     def members_of(family):
         for k, signature, build in family:
             counts["members"] += 1
-            yield k, entries(signature), build
+            yield k, entries(signature), counted("built", build, counts)
 
     with mock.patch.multiple(
         detect,
-        _first_copy=lambda g, family, roles, budget: first_copy(
-            g, members_of(family), roles, budget
+        _first_copy=lambda g, family, budget: first_copy(
+            g, members_of(family), budget
         ),
-        Graph=counted("built", detect.Graph, counts),
         iter_induced_maps=counted("plain", detect.iter_induced_maps, counts),
-        _build=counted("builds", detect._build, counts),
+        theta=counted("builds", detect.theta, counts),
+        pyramid=counted("builds", detect.pyramid, counts),
     ):
         search(Budget(10**7))
     return counts
@@ -87,7 +87,7 @@ def searched(name: str) -> Counter[str]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_members_are_built_only_when_searched(name):
-    """A graph, and a theta or pyramid edge list, is built only when the
+    """An instance, and so a theta or pyramid graph, is built only when the
     engine searches its member; wall-line members come with their edge lists."""
     _, members, built = CASES[name]
     counts = searched(name)
@@ -115,7 +115,7 @@ def family_members(search, n: int) -> list[detect.Member]:
     triangle, which wall-line k >= 3 needs before it offers any."""
     members: list[detect.Member] = []
 
-    def collect(g, family, roles, budget):
+    def collect(g, family, budget):
         members.extend(family)
 
     with mock.patch.object(detect, "_first_copy", collect):
@@ -149,8 +149,8 @@ def length_triples(t: int, floor2: int, max_sum: int):
 def test_signatures_read_from_lengths_match_the_edge_lists(search, n, shape, triples):
     """Each theta or pyramid member's signature, yielded from its path
     lengths, is the one read from its edge list, and building the member
-    gives exactly the generator's graph and paths.  The one condition is a
-    theta's: its end, vertex 1, lies above its hub."""
+    gives exactly the generator's instance.  The one condition is a theta's:
+    its end, vertex 1, lies above its hub."""
     triples = list(triples)
     members = family_members(search, n)
     assert len(members) == len(triples)
@@ -159,13 +159,11 @@ def test_signatures_read_from_lengths_match_the_edge_lists(search, n, shape, tri
         assert k == wit.graph.n
         entries = list(signature)
         assert [entry[:2] for entry in entries] == [
-            entry[:2] for entry in detect._edge_member(k, wit.graph.edges, wit.paths)[1]
+            entry[:2] for entry in detect._edge_member(k, wit.graph.edges)[1]
         ]
         conditions = {i: entry[2] for i, entry in enumerate(entries) if entry[2]}
         assert conditions == ({1: 1} if shape is theta else {})
-        edges, paths = build()
-        assert Graph(k, edges) == wit.graph
-        assert tuple(paths) == wit.paths
+        assert build() == wit
 
 
 def reference_line_graph(g: Graph) -> Graph:
@@ -201,7 +199,7 @@ def test_line_graph_and_subdivide_match_reference(g, data):
     """Both number the new vertices as the plain constructions do."""
     keys = st.sampled_from(g.edges) if g.edges else st.nothing()
     lengths = data.draw(st.dictionaries(keys, st.integers(1, 4)), label="lengths")
-    sub = subdivide(g, lengths)
+    sub = subdivided(g, lengths)
     assert sub == reference_subdivide(g, lengths)
     assert line_graph(g) == reference_line_graph(g)
     assert line_graph(sub) == reference_line_graph(sub)
@@ -209,10 +207,10 @@ def test_line_graph_and_subdivide_match_reference(g, data):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_line_edges_match_the_line_graph(k):
-    """Each wall-line member's edge list is that of the line graph of its
-    subdivision of the k x k wall, in the same vertex numbering, and its
-    roles read the whole vertex order.  k = 3 offers every subdivision,
-    k = 2 one per length."""
+    """Each wall-line member's signature and instance are those of the line
+    graph of its subdivision of the k x k wall, in the same vertex
+    numbering, and its one role is the whole vertex order.  k = 3 offers
+    every subdivision, k = 2 one per length."""
     base = wall(k, k)
     for extra in range(4):
         members = family_members(
@@ -227,13 +225,12 @@ def test_line_edges_match_the_line_graph(k):
             for s in islice(recursive_compositions(x, base.m), 1 if k == 2 else None)
         ]
         assert len(members) == len(spreads)
-        for (n, _, build), spread in zip(members, spreads):
-            edges, paths = build()
+        for (n, signature, build), spread in zip(members, spreads):
             lengths = {e: x + 1 for e, x in zip(base.edges, spread)}
-            sub = subdivide(base, lengths)
+            sub = subdivided(base, lengths)
             assert sub == reference_subdivide(base, lengths)
-            assert len(edges) == len(set(edges))
+            line = line_graph(sub)
             assert n == sub.m
-            assert tuple(sorted(edges)) == line_graph(sub).edges
-            assert line_graph(sub) == reference_line_graph(sub)
-            assert detect._whole(paths) == (("mapping", range(n)),)
+            assert list(signature) == list(detect._edge_member(n, line.edges)[1])
+            assert build() == Instance(line, (("mapping", tuple(range(n))),))
+            assert line == reference_line_graph(sub)

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import graphs, subdivided
 from twcert import detect
 from twcert.config import Budget, RunConfig
 from twcert.detect import find_induced, find_line_of_subdivided_wall, find_subdivided_claw
 from twcert.generators import cycle_graph, path_graph, subdivided_claw, wall
-from twcert.graphs import BudgetExhausted, line_graph, subdivide
+from twcert.graphs import BudgetExhausted, line_graph
 from twcert.suites import seeded_catalog
 
 # the detectors suite's catalog, at the default seed
@@ -36,15 +36,13 @@ def claw_search(legs):
 
 
 def claw_reference(legs):
-    """The claw search as a one-member family."""
+    """The claw search as a one-member family: the member's signature read
+    from the claw's edge list, its instance the generator's."""
     wit = subdivided_claw(*legs)
 
-    def roles(paths):
-        return (("root", (wit.root,)), *detect._numbered("leg", paths))
-
     def search(g, b):
-        member = detect._edge_member(wit.graph.n, wit.graph.edges, wit.legs)
-        return detect._first_copy(g, [member], roles, b)
+        k, signature, _ = detect._edge_member(wit.graph.n, wit.graph.edges)
+        return detect._first_copy(g, [(k, signature, lambda: wit)], b)
 
     return search
 
@@ -59,8 +57,8 @@ def induced_reference(pattern):
     def search(g, b):
         if pattern.n > g.n:
             return None
-        member = detect._edge_member(pattern.n, pattern.edges, (range(pattern.n),))
-        return detect._first_copy(g, [member], detect._whole, b)
+        member = detect._edge_member(pattern.n, pattern.edges)
+        return detect._first_copy(g, [member], b)
 
     return search
 
@@ -122,7 +120,7 @@ def every_spread(g, budget):
         (1,) * base.m,
         rising=False,
         line=True,
-        roles=detect._whole,
+        build=None,
         above=(),
     )
     return detect._find(g, every, budget)
@@ -138,7 +136,7 @@ def assert_cycle_per_length_matches_every_spread(g):
 WALL_LINE_HOSTS = {
     "catalog": CATALOG,
     # the 2x2 wall's line graph with two edges subdivided: a 7-cycle
-    "line-host": [line_graph(subdivide(wall(2, 2), {(0, 1): 3, (1, 3): 2}))],
+    "line-host": [line_graph(subdivided(wall(2, 2), {(0, 1): 3, (1, 3): 2}))],
     "c8": [cycle_graph(8)],
     "wall33": [wall(3, 3)],
     "spider222": [subdivided_claw(2, 2, 2).graph],

@@ -28,15 +28,15 @@ def unconditioned():
     """Run the detectors with every member searched in full and with no
     condition."""
 
-    def first_copy(g, family, roles, budget):
-        for n, _, build in family:
-            edges, paths = build()
-            for mapping in iter_induced_maps(g, Graph(n, edges), budget):
+    def first_copy(g, family, budget):
+        for _, _, build in family:
+            instance = build()
+            for mapping in iter_induced_maps(g, instance.graph, budget):
                 return PatternMatch(
                     image=tuple(sorted(mapping)),
                     roles=tuple(
                         (key, tuple(mapping[v] for v in seq))
-                        for key, seq in roles(paths)
+                        for key, seq in instance.roles
                     ),
                 )
         return None
