@@ -1,10 +1,12 @@
 """Machine-checkable certificates: the builders.
 
 A certificate is a flat JSON document: a command echo, input hashes, and a
-list of assertion records.  `check.recheck` re-derives a record whose
-witness names a `kind`; one that stores only `got` and `expected` is
-attested.  Serialization is canonical, so identical runs are byte-identical.
-This module only writes certificates; the validators live in `check`.
+list of assertion records.  `Certificate.assertions` holds those records as
+written: dicts keyed `check`, `description`, `status` and `witness`.
+`check.recheck` re-derives a record whose witness names a `kind`; one that
+stores only `got` and `expected` is attested.  Serialization is canonical,
+so identical runs are byte-identical.  This module only writes
+certificates; the validators live in `check`.
 """
 
 from __future__ import annotations
@@ -20,24 +22,12 @@ from .graphs import Graph, TreeDecomposition
 from .io import graph_to_json
 
 
-@dataclass(frozen=True)
-class Assertion:
-    check_id: str
-    description: str
-    status: str
-    witness: dict[str, Any]
-
-    def __post_init__(self) -> None:
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-
-
 @dataclass
 class Certificate:
     command: list[str]
     seed: int
     inputs: dict[str, str] = field(init=False, default_factory=dict)
-    assertions: list[Assertion] = field(init=False, default_factory=list)
+    assertions: list[dict[str, Any]] = field(init=False, default_factory=list)
 
     def add(
         self,
@@ -47,9 +37,12 @@ class Certificate:
         witness: dict[str, Any],
         hypothesis_met: bool = True,
     ) -> None:
-        self.assertions.append(
-            Assertion(check_id, description, status_of(ok, hypothesis_met), witness)
-        )
+        self.assertions.append({
+            "check": check_id,
+            "description": description,
+            "status": status_of(ok, hypothesis_met),
+            "witness": witness,
+        })
 
     def expect(
         self,
@@ -76,7 +69,7 @@ class Certificate:
     def counts(self) -> dict[str, int]:
         out = {s: 0 for s in sorted(STATUSES)}
         for a in self.assertions:
-            out[a.status] += 1
+            out[a["status"]] += 1
         return out
 
     def exit_code(self) -> int:
@@ -93,15 +86,7 @@ class Certificate:
             "seed": self.seed,
             "inputs": dict(sorted(self.inputs.items())),
             "summary": self.counts,
-            "assertions": [
-                {
-                    "check": a.check_id,
-                    "description": a.description,
-                    "status": a.status,
-                    "witness": a.witness,
-                }
-                for a in self.assertions
-            ],
+            "assertions": self.assertions,
         }
 
     def dumps(self) -> str:
@@ -132,7 +117,7 @@ def td_witness(g: Graph, td: TreeDecomposition, width_at_most: int) -> dict[str,
     return {
         "kind": "td-valid",
         "graph": graph_witness(g),
-        "bags": td.bags,
-        "tree_edges": td.tree_edges,
+        "bags": [list(b) for b in td.bags],
+        "tree_edges": [list(e) for e in td.tree_edges],
         "width_at_most": width_at_most,
     }

@@ -10,13 +10,20 @@ key=value config file (path in the TWCERT_CONFIG environment variable or
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graphs import BudgetExhausted
 from .weights import check_balance_parameter, parse_fraction
 
 ENV_CONFIG = "TWCERT_CONFIG"
+
+
+# The integer keys and their least values.  seed and d may be 0
+# (random.Random(0) is a seed, and d is a distance, as for centralbag --d);
+# a negative seed is refused because random.Random(-s) equals
+# random.Random(s).
+_INT_KEYS = {"max_tw_n": 1, "search_budget": 1, "seed": 0, "d": 0}
 
 
 @dataclass(frozen=True)
@@ -28,22 +35,11 @@ class RunConfig:
     d: int = 2
 
     def __post_init__(self) -> None:
-        # seed and d may be 0 (random.Random(0) is a seed, and d is a
-        # distance, as for centralbag --d); a negative seed is refused
-        # because random.Random(-s) equals random.Random(s).
-        for f in fields(self):
-            if f.type != "int":
-                continue
-            value = getattr(self, f.name)
-            if f.name in ("seed", "d"):
-                if value < 0:
-                    raise ValueError(f"{f.name} must be non-negative")
-            elif value <= 0:
-                raise ValueError(f"{f.name} must be positive")
+        for name, least in _INT_KEYS.items():
+            if getattr(self, name) < least:
+                bound = "positive" if least else "non-negative"
+                raise ValueError(f"{name} must be {bound}")
         check_balance_parameter(self.c)
-
-
-_INT_KEYS = {f.name for f in fields(RunConfig) if f.type == "int"}
 
 
 def parse_config_file(path: str) -> dict[str, object]:

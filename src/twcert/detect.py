@@ -403,7 +403,7 @@ def induced_copies(
 @dataclass(frozen=True)
 class Family:
     """A witness family: the subdivisions of one base graph on 0..n-1, or
-    their line graphs when ``line`` holds.  Each base edge is written lower
+    their line graphs when ``build`` is None.  Each base edge is written lower
     end first, and a pair may repeat.  The last ``len(floors)`` edges are
     free: the i-th has length at least ``floors[i]`` and, when ``rising``,
     at least the free length before it.  The other edges keep length 1.
@@ -420,7 +420,6 @@ class Family:
     edges: tuple[tuple[int, int], ...]
     floors: tuple[int, ...]
     rising: bool
-    line: bool
     build: Optional[Callable[..., Instance]]
     above: tuple[int, ...]
 
@@ -466,14 +465,14 @@ def _members(family: Family, n: int, budget: Budget) -> Iterator[Member]:
     list and costs one step of `budget` when it is offered."""
     ones = (1,) * (len(family.edges) - len(family.floors))
     # a member whose free lengths sum to s has s + offset vertices
-    offset = len(ones) if family.line else family.n - len(family.floors)
+    offset = len(ones) if family.build is None else family.n - len(family.floors)
     least = sum(accumulate(family.floors, max) if family.rising else family.floors)
     ends = [v for edge in family.edges for v in edge]
     degree = [ends.count(v) for v in range(family.n)]
     for total in range(least, n - offset + 1):
         k = total + offset
         for free in _lengths(total, family.floors, family.rising):
-            if family.line:
+            if family.build is None:
                 budget.tick()
                 count, edges, _ = subdivision(family.n, family.edges, ones + free)
                 yield _edge_member(k, line_edges(count, edges))
@@ -531,7 +530,7 @@ def find_t_theta(
     if t < 2:
         raise ValueError("thetas need t >= 2")
     family = Family(
-        2, _THETA_BASE, (t,) * 3, rising=True, line=False, build=theta, above=(0, 1)
+        2, _THETA_BASE, (t,) * 3, rising=True, build=theta, above=(0, 1)
     )
     return _find(g, family, budget)
 
@@ -547,7 +546,7 @@ def find_t_pyramid(
         raise ValueError("pyramids need t >= 1")
     floors = (t, max(t, 2), max(t, 2))
     family = Family(
-        4, _PYRAMID_BASE, floors, rising=True, line=False, build=pyramid, above=(0,) * 4
+        4, _PYRAMID_BASE, floors, rising=True, build=pyramid, above=(0,) * 4
     )
     return _find(g, family, budget)
 
@@ -710,7 +709,7 @@ def find_line_of_subdivided_wall(
     base = wall(k, k)
     free = base.m if k > 2 else 1
     lines = Family(
-        base.n, base.edges, (1,) * free, rising=False, line=True, build=None, above=()
+        base.n, base.edges, (1,) * free, rising=False, build=None, above=()
     )
     return _find(g, lines, budget)
 

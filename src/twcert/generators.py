@@ -8,6 +8,7 @@ generator returns an `Instance`: its graph and its parts by role name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -416,7 +417,7 @@ class LciThickening:
             if tuple(sorted(pair)) not in allowed:
                 raise ValueError(f"fuzz pair {pair} is not an eligible endpoint pair")
 
-    @property
+    @cached_property
     def graph(self) -> Graph:
         return thickening(self.spec)
 

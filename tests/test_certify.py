@@ -3,38 +3,45 @@ import json
 import pytest
 
 from twcert.certify import (
-    Assertion,
     Certificate,
     canonical_json,
     graph_witness,
     td_witness,
 )
-from twcert.check import recheck, validate_td
+from twcert.check import _is_record, recheck, validate_td
 from twcert.cli import main
 from twcert.generators import path_graph, wall
 from twcert.graphs import TreeDecomposition
 from twcert.separators import exact_treewidth
 
 
-def _cert_with(*entries):
+def _cert_with(*statuses):
     cert = Certificate(command=["test"], seed=1)
-    for e in entries:
-        cert.assertions.append(e)
+    for s in statuses:
+        cert.assertions.append(
+            {"check": "a", "description": "d", "status": s, "witness": {}}
+        )
     return cert
 
 
 def test_exit_codes():
-    cert = _cert_with(Assertion("a", "d", "pass", {}))
-    assert cert.exit_code() == 0
-    cert.assertions.append(Assertion("b", "d", "hypothesis-unmet", {}))
-    assert cert.exit_code() == 2
-    cert.assertions.append(Assertion("c", "d", "fail", {}))
-    assert cert.exit_code() == 1
+    assert _cert_with("pass").exit_code() == 0
+    assert _cert_with("pass", "hypothesis-unmet").exit_code() == 2
+    assert _cert_with("pass", "hypothesis-unmet", "fail").exit_code() == 1
 
 
-def test_unknown_status_rejected():
-    with pytest.raises(ValueError):
-        Assertion("a", "d", "maybe", {})
+def test_assertions_are_the_records_written():
+    cert = Certificate(command=["test"], seed=1)
+    g = path_graph(3)
+    td = TreeDecomposition(((0, 1), (1, 2)), ((0, 1),))
+    cert.add("a", "passes", True, td_witness(g, td, 1))
+    cert.add("b", "fails", False, {})
+    cert.add("c", "unmet", True, {}, hypothesis_met=False)
+    cert.expect("d", "attested", [1, 2], [1, 2])
+    assert json.loads(cert.dumps())["assertions"] == cert.assertions
+    assert [a["status"] for a in cert.assertions] == [
+        "pass", "fail", "hypothesis-unmet", "pass"]
+    assert all(_is_record(a) for a in cert.assertions)
 
 
 def test_canonical_json_is_stable():

@@ -281,7 +281,7 @@ def wall_line_family(k: int) -> Family:
     base = wall(k, k)
     free = base.m if k > 2 else 1
     return Family(
-        base.n, base.edges, (1,) * free, rising=False, line=True, build=None, above=()
+        base.n, base.edges, (1,) * free, rising=False, build=None, above=()
     )
 
 

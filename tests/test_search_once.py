@@ -119,7 +119,6 @@ def every_spread(g, budget):
         base.edges,
         (1,) * base.m,
         rising=False,
-        line=True,
         build=None,
         above=(),
     )

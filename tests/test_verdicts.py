@@ -38,8 +38,8 @@ def test_expect_status_is_the_witness_comparison():
     cert.expect("same", "equal values", [1, []], [1, []])
     cert.expect("differ", "unequal values", 0, 1)
     cert.expect("gated", "unmet hypothesis", 0, 1, hypothesis_met=False)
-    assert [a.status for a in cert.assertions] == ["pass", "fail", "hypothesis-unmet"]
-    assert cert.assertions[1].witness == {"got": 0, "expected": 1}
+    assert [a["status"] for a in cert.assertions] == ["pass", "fail", "hypothesis-unmet"]
+    assert cert.assertions[1]["witness"] == {"got": 0, "expected": 1}
     assert recheck(json.loads(cert.dumps())) == (0, 0, [])
 
 
@@ -90,7 +90,7 @@ def test_pipeline_failed_transfer_is_an_attested_fail(monkeypatch):
 
     monkeypatch.setattr(suites, "run_master_pipeline", with_failed_transfer)
     cert = suites.suite_pipeline(RunConfig())
-    status = {a.check_id: a.status for a in cert.assertions}
+    status = {a["check"]: a["status"] for a in cert.assertions}
     assert status["pipeline.c9"] == "fail"
     checked, confirmed, problems = recheck(json.loads(cert.dumps()))
     assert problems == [] and checked == confirmed == 0
