@@ -85,18 +85,11 @@ class Budget:
     ``limit``, so ``used`` is exact at every yield, at the end and at
     exhaustion.  ``find_creature`` ticks once per path prefix it extends
     while enumerating the induced paths, then once per node of its
-    path-tuple search.  In a family search (``detect._first_copy``) a member
-    with no copy is searched on a trie of search trees it shares with the
-    earlier members and charged, in one tick, exactly the steps the engine
-    would take for it; a member whose trie walk reaches a level where an
-    earlier member's search died is charged that way without a search.  A
-    member that embeds, or whose charge would exceed ``limit``, runs through
-    the engine itself.  A signature entry is a vertex's degree, its earlier
-    neighbours and the earlier vertices its image must lie above: a theta's
-    end lies above its hub (its mirror is the same copy), so the first copy
-    is the same and the steps charged are at most those without the
-    condition.  ``separators.separation_number`` ticks once per subset X
-    it tests.  Exceeding ``limit`` raises ``BudgetExhausted``.
+    path-tuple search.  A family search (``detect._first_copy``) ticks n
+    times (n the host size) per member offered and n per search-tree node it
+    expands, each node shared by several members once.
+    ``separators.separation_number`` ticks once per subset X it tests.
+    Exceeding ``limit`` raises ``BudgetExhausted``.
     """
 
     __slots__ = ("limit", "used")

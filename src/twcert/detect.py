@@ -83,21 +83,17 @@ def _filter(
 
 
 def iter_induced_maps(
-    g: Graph, pattern: Graph, budget: Budget, above: Sequence[int] = ()
+    g: Graph, pattern: Graph, budget: Budget
 ) -> Iterator[tuple[int, ...]]:
     """All injective maps pattern -> g preserving adjacency and non-adjacency,
-    in lexicographic order of the mapping tuple.  Given ``above``, only the
-    maps that send each pattern vertex i above the images of the earlier
-    vertices in the mask ``above[i]``, in the same order (a family search
-    passes the condition that breaks a member's symmetry).
+    in lexicographic order of the mapping tuple.
 
     Pattern vertices are placed in id order by one loop over an explicit
     stack.  The candidates for pattern vertex i form one host bitmask: the
     vertices of large enough degree, not yet used, then one loop over i's
     checks (see ``_filter``) keeps those adjacent to the images of its
-    earlier neighbours, non-adjacent to those of its earlier non-neighbours
-    and above the images the condition names.  They are tried in ascending
-    id order.
+    earlier neighbours and non-adjacent to those of its earlier
+    non-neighbours.  They are tried in ascending id order.
 
     One budget step is one host vertex considered for one pattern vertex,
     whether the filter keeps it or not: placing vertex i costs n steps (n the
@@ -119,7 +115,7 @@ def iter_induced_maps(
     base, checks = _filter(
         [pattern.degree(i) for i in range(k)],
         [pattern.neighbor_mask(i) & ((1 << i) - 1) for i in range(k)],
-        above or [0] * k,
+        [0] * k,
         _host_masks(g),
     )
     # per pattern vertex i: its current image (-1 until some branch places
@@ -176,7 +172,7 @@ Edges = Sequence[tuple[int, int]]
 # neighbours, and the mask of the earlier vertices whose images its image
 # must lie above, 0 for none), and a call that builds its instance (a copy
 # maps the instance's roles into the host).
-Member = tuple[int, Iterator[tuple[int, ...]], Callable[[], Instance]]
+Member = tuple[int, Iterable[tuple[int, ...]], Callable[[], Instance]]
 
 
 def _edge_member(k: int, edges: Edges) -> Member:
@@ -197,16 +193,14 @@ class _Level:
     """A trie node of `_first_copy`: the search-tree nodes at one pattern
     level, in lexicographic order, as parallel columns (the index of each
     node's parent one level up, its host vertex).  The root stands for
-    level -1 and holds one node, the empty assignment.  ``total`` counts the
-    tree nodes from the root down to this level, and ``next`` holds the trie
-    nodes of the next level by signature entry."""
+    level -1 and holds one node, the empty assignment.  ``next`` holds the
+    trie nodes of the next level by signature entry."""
 
-    __slots__ = ("up", "depth", "total", "parent", "vertex", "next")
+    __slots__ = ("up", "depth", "parent", "vertex", "next")
 
     def __init__(self, up: Optional[_Level], parent: array, vertex: array) -> None:
         self.up = up
         self.depth = up.depth + 1 if up else 0
-        self.total = (up.total if up else 0) + len(vertex)
         self.parent = parent
         self.vertex = vertex
         self.next: dict[tuple[int, ...], _Level] = {}
@@ -218,20 +212,20 @@ def _grow(
     earlier: Sequence[int],
     above: Sequence[int],
     host: Host,
-    cap: int,
-) -> Optional[list[tuple[array, array]]]:
+    budget: Budget,
+) -> tuple[list[tuple[array, array]], Optional[tuple[int, ...]]]:
     """The search-tree levels p..k-1 of the member with the given signature
     below the trie node `trie` at depth p (levels 0..p-1), as (parent,
-    vertex) columns, or None when the member embeds (some node reaches level
-    k-1) or the tree would hold more than `cap` nodes below `trie`.  The
-    loop is the engine's, with the nodes of level p-1 in place of the
-    candidates of level p-1."""
+    vertex) columns, grown until a node reaches level k-1, and that node's
+    assignment, the member's first mapping, or None when none does.  Each
+    node whose candidates it computes costs n steps of `budget` (n the host
+    size).  The loop is the engine's, with the nodes of level p-1 in place
+    of the candidates of level p-1, so the first mapping is the engine's."""
     p, k = trie.depth, len(degree)
-    if cap < 0:
-        return None
-    if p == k:
-        return None
     base, checks = _filter(degree, earlier, above, host)
+    n = len(host[0])
+    room = (budget.limit - budget.used) // n  # the nodes it may expand
+    expanded = 0
     path = [trie]  # path[L]: the trie node of level L-1
     while path[-1].up:
         path.append(path[-1].up)
@@ -251,7 +245,8 @@ def _grow(
             # walking its parents only while they change
             top += 1
             if top == tops:
-                return grown
+                budget.tick(n * expanded)
+                return grown, None
             level, node = p, top
             while level and at[level] != node:
                 at[level] = node
@@ -261,25 +256,28 @@ def _grow(
             for j in range(level, p):
                 used[j + 1] = used[j] | 1 << assigned[j]
             taken = used[p]
+            if p == k:  # an earlier, longer member grew all of this one's levels
+                return grown, tuple(assigned)
         else:
             cand = cands[i]
             if not cand:
                 i -= 1
                 continue
-            if i == last:
-                return None
-            cap -= 1
-            if cap < 0:
-                return None
             low = cand & -cand
             cands[i] = cand ^ low
             c = low.bit_length() - 1
+            assigned[i] = c
+            if i == last:
+                budget.tick(n * expanded)
+                return grown, tuple(assigned)
             parents, vertices = grown[i - p]
             at[i + 1] = len(vertices)
             parents.append(at[i])
             vertices.append(c)
-            assigned[i] = c
             used[i + 1] = taken = used[i] | low
+        expanded += 1
+        if expanded > room:
+            budget.tick(n * expanded)  # raises BudgetExhausted
         i += 1
         cand = base[i] & ~taken
         for table, j in checks[i]:
@@ -292,40 +290,34 @@ def _first_copy(
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of the first family member that
     embeds in g, as its image and its instance's roles mapped into g.
-    Members are tried in order and share one budget.
+    Members are tried in order under one budget: each costs n steps (n the
+    host size) when it is offered, as placing its first vertex costs the
+    engine, and n more per search-tree node it expands.
 
     The engine's search tree down to pattern vertex i depends only on g and,
     for each of the vertices 0..i, its degree, its earlier neighbours and
-    the earlier vertices its image must lie above: the member's signature.
-    (The last is a condition that breaks a symmetry of the member, as a
-    theta's end lies above its hub; it keeps the member's first copy and
-    shrinks its tree, and the engine applies it as part of its candidate
-    filter.)  So the members share one trie keyed by signature entries,
-    whose node at depth L+1 holds the tree nodes at level L (see `_Level`).
-    A member walks the trie along its signature as far as it goes, to depth
-    p, and grows levels p..k-1 below it with the engine's candidate filter.
-    When no node reaches level k-1 the member has no copy: it is charged in
-    one tick what the engine would charge, n steps for placing vertex 0 and
-    n more below each of its nodes, and its new levels are linked into the
-    trie, down to the first empty one.  So at most one tree node is stored
-    per n steps charged.  A walk that reaches an empty level stops there: an
-    earlier member's search died at that level, so this one's dies too, and
-    it is charged without reading the rest of its signature.
-
-    A member runs through `iter_induced_maps`, with its condition, instead
-    when it embeds, or when its charge would exceed what is left of the
-    budget, so the match, ``Budget.used`` and ``BudgetExhausted`` are those
-    of running every member in turn under its condition.  A member's
-    instance is built only when it runs through the engine.  The trie pays
-    only across members: a one-pattern search takes the engine's first
-    mapping directly (`_engine_match`).
+    the earlier vertices its image must lie above (a condition that breaks
+    a symmetry of the member, as a theta's end lies above its hub): the
+    member's signature.  So the members share one trie keyed by signature
+    entries, whose node at depth L+1 holds the tree nodes at level L (see
+    `_Level`), and no tree node is expanded, or charged, twice.  A member
+    walks the trie along its signature as far as it goes, to depth p, and
+    grows levels p..k-1 below it (`_grow`).  A member with no copy links its
+    new levels into the trie, down to the first empty one.  A walk that
+    reaches an empty level stops there, without reading the rest of the
+    signature: an earlier member's search died at that level, so this one's
+    dies too.  Only the member that embeds has its instance built, for its
+    roles.  The trie pays only across members: a one-pattern search takes
+    the engine's first mapping directly (`_engine_match`).
     """
     n = g.n
     host = _host_masks(g)
     root = _Level(None, array("i", [-1]), array("i", [-1]))
     for k, signature, build in family:
+        budget.tick(n)
         if k > n:
-            continue  # no copy, and the engine charges nothing
+            continue  # no copy
+        signature = iter(signature)  # read once, by the walk and then by _grow
         walked = []  # the signature entries read so far
         trie = root
         for entry in signature:
@@ -336,41 +328,37 @@ def _first_copy(
             trie = below
             if not trie.vertex:
                 break
-        if not trie.vertex and n * trie.total <= budget.limit - budget.used:
-            budget.tick(n * trie.total)  # an earlier member's search died here
-            continue
+        if not trie.vertex:
+            continue  # an earlier member's search died here
         walked.extend(signature)
         degree, earlier, above = zip(*walked)
-        cap = (budget.limit - budget.used) // max(n, 1) - trie.total
-        grown = _grow(trie, degree, earlier, above, host, cap)
-        if grown is not None:
-            # link the new levels down to the first empty one: the levels
-            # below it are empty too, so trie.total counts every tree node
-            for level, (parents, vertices) in enumerate(grown, trie.depth):
-                trie.next[walked[level]] = trie = _Level(trie, parents, vertices)
-                if not vertices:
-                    break
-            budget.tick(n * trie.total)
-            continue
-        match = _engine_match(g, build(), budget, above)
-        if match is not None:
-            return match
+        grown, mapping = _grow(trie, degree, earlier, above, host, budget)
+        if mapping is not None:
+            return _mapped(mapping, build().roles)
+        # link the new levels down to the first empty one
+        for level, (parents, vertices) in enumerate(grown, trie.depth):
+            trie.next[walked[level]] = trie = _Level(trie, parents, vertices)
+            if not vertices:
+                break
     return None
 
 
+def _mapped(mapping: tuple[int, ...], roles: Roles) -> PatternMatch:
+    """The match of a mapping: its image, and the roles mapped into g."""
+    return PatternMatch(
+        image=tuple(sorted(mapping)),
+        roles=tuple((key, tuple(mapping[v] for v in seq)) for key, seq in roles),
+    )
+
+
 def _engine_match(
-    g: Graph, instance: Instance, budget: Budget, above: Sequence[int] = ()
+    g: Graph, instance: Instance, budget: Budget
 ) -> Optional[PatternMatch]:
-    """The engine's first mapping of the instance's graph into g (under the
-    condition ``above``), as its image and the instance's roles mapped into
-    g, or None when the pattern has no copy."""
-    for mapping in iter_induced_maps(g, instance.graph, budget, above):
-        return PatternMatch(
-            image=tuple(sorted(mapping)),
-            roles=tuple(
-                (key, tuple(mapping[v] for v in seq)) for key, seq in instance.roles
-            ),
-        )
+    """The engine's first mapping of the instance's graph into g, as its
+    image and the instance's roles mapped into g, or None when the pattern
+    has no copy."""
+    for mapping in iter_induced_maps(g, instance.graph, budget):
+        return _mapped(mapping, instance.roles)
     return None
 
 
@@ -457,12 +445,12 @@ def _lengths(
         x[i] += 1
 
 
-def _members(family: Family, n: int, budget: Budget) -> Iterator[Member]:
+def _members(family: Family, n: int) -> Iterator[Member]:
     """The members of `family` with at most n vertices, by vertex count,
     then by free lengths in lexicographic order.  A member's signature is
     read from its lengths (`_signature`) and its instance built only when
-    it is searched (``family.build``).  A line member comes with its edge
-    list and costs one step of `budget` when it is offered."""
+    it embeds (``family.build``).  A line member comes with its edge
+    list."""
     ones = (1,) * (len(family.edges) - len(family.floors))
     # a member whose free lengths sum to s has s + offset vertices
     offset = len(ones) if family.build is None else family.n - len(family.floors)
@@ -473,7 +461,6 @@ def _members(family: Family, n: int, budget: Budget) -> Iterator[Member]:
         k = total + offset
         for free in _lengths(total, family.floors, family.rising):
             if family.build is None:
-                budget.tick()
                 count, edges, _ = subdivision(family.n, family.edges, ones + free)
                 yield _edge_member(k, line_edges(count, edges))
             else:
@@ -508,8 +495,7 @@ def _signature(
 
 def _find(g: Graph, family: Family, budget: Optional[Budget]) -> Optional[PatternMatch]:
     """The first copy of the first member of `family` in g (`_first_copy`)."""
-    bud = budget or Budget()
-    return _first_copy(g, _members(family, g.n, bud), bud)
+    return _first_copy(g, _members(family, g.n), budget or Budget())
 
 
 # -- specialised detectors ----------------------------------------------------

@@ -1,0 +1,138 @@
+"""Every graph on at most 7 vertices: the theta, pyramid and wall-line k = 2
+detectors against brute-force oracles over all vertex subsets.
+
+`networkx.graph_atlas_g()` lists the 1,253 graphs on 0-7 vertices, one per
+isomorphism class, connected or not.  The oracles use networkx and
+`itertools` only, so they share no code with the detectors or with `check`.
+A detector finds a pattern exactly when some subset passes its oracle, and
+the image it returns passes it.  A subset passes when, in the subgraph it
+induces:
+
+- theta t: two non-adjacent vertices have degree 3 and every other vertex
+  degree 2, and each component of what is left touches both, with at
+  least t - 1 vertices.  Each component then has two edges out, so it is a
+  path between the two; without the touching test a dumbbell (two cycles
+  joined by a path) would pass.
+- pyramid t: three pairwise adjacent vertices and one more, the apex, have
+  degree 3 and every other vertex degree 2; the apex is adjacent to at most
+  one of the three, and only when t = 1; each component of what is left
+  touches the apex and one of the three, a different one each time, with at
+  least t - 1 vertices and at least 1.
+- hole (wall-line k = 2): at least 4 vertices, every one of degree 2, and
+  connected.
+"""
+
+from functools import cache
+from itertools import combinations
+
+import networkx as nx
+import pytest
+
+from twcert.detect import find_line_of_subdivided_wall, find_t_pyramid, find_t_theta
+from twcert.graphs import Graph
+
+ATLAS = nx.graph_atlas_g()
+
+
+def parts(h: nx.Graph):
+    """The degrees in h, and its vertices of degree 3; None unless every
+    other vertex has degree 2."""
+    degree = dict(h.degree)
+    if any(d not in (2, 3) for d in degree.values()):
+        return None
+    return degree, [v for v, d in degree.items() if d == 3]
+
+
+def branches(h: nx.Graph, ends):
+    """The components of h without `ends`, each as (its size, the ends it
+    touches)."""
+    rest = h.subgraph(set(h) - set(ends))
+    return [
+        (len(c), {e for e in ends if any(h.has_edge(e, v) for v in c)})
+        for c in nx.connected_components(rest)
+    ]
+
+
+def is_theta(h: nx.Graph, t: int) -> bool:
+    got = parts(h)
+    if got is None or len(got[1]) != 2 or h.has_edge(*got[1]):
+        return False
+    found = branches(h, got[1])
+    return len(found) == 3 and all(
+        size >= t - 1 and touched == set(got[1]) for size, touched in found
+    )
+
+
+def is_pyramid(h: nx.Graph, t: int) -> bool:
+    got = parts(h)
+    if got is None or len(got[1]) != 4:
+        return False
+    for apex in got[1]:
+        base = [b for b in got[1] if b != apex]
+        if not all(h.has_edge(x, y) for x, y in combinations(base, 2)):
+            continue
+        direct = [b for b in base if h.has_edge(apex, b)]
+        if len(direct) > (1 if t == 1 else 0):
+            continue
+        found = branches(h, got[1])
+        if not all(apex in touched and len(touched) == 2 for _, touched in found):
+            continue
+        reached = [b for _, touched in found for b in touched if b != apex]
+        if sorted(reached + direct) == sorted(base) and all(
+            size >= t - 1 for size, _ in found
+        ):
+            return True
+    return False
+
+
+def is_hole(h: nx.Graph) -> bool:
+    return len(h) >= 4 and all(d == 2 for _, d in h.degree) and nx.is_connected(h)
+
+
+# name: (the number of degree-3 vertices, the oracle, the detector)
+ORACLES = {
+    "theta-t2": (2, lambda h: is_theta(h, 2), lambda g: find_t_theta(g, 2)),
+    "pyramid-t1": (4, lambda h: is_pyramid(h, 1), lambda g: find_t_pyramid(g, 1)),
+    "pyramid-t2": (4, lambda h: is_pyramid(h, 2), lambda g: find_t_pyramid(g, 2)),
+    "hole": (0, is_hole, lambda g: find_line_of_subdivided_wall(g, 2)),
+}
+
+# graphs with a pattern, as measured when the test was written: holes in 721
+# atlas graphs, thetas with t = 2 in 208, pyramids with t = 1 in 43 and with
+# t = 2 in 1
+POSITIVES = {"theta-t2": 208, "pyramid-t1": 43, "pyramid-t2": 1, "hole": 721}
+
+
+@cache
+def shaped_subsets() -> list[dict[int, list[tuple[int, ...]]]]:
+    """For each atlas graph, its vertex subsets whose induced degrees are
+    all 2 or 3, by how many are 3: the only subsets an oracle can pass,
+    found with bitmasks so that networkx builds few subgraphs."""
+    out = []
+    for atlas in ATLAS:
+        n = len(atlas)
+        nbr = [sum(1 << u for u in atlas[v]) for v in range(n)]
+        shaped: dict[int, list[tuple[int, ...]]] = {}
+        for r in range(n + 1):
+            for vs in combinations(range(n), r):
+                mask = sum(1 << v for v in vs)
+                degrees = [(nbr[v] & mask).bit_count() for v in vs]
+                if all(d in (2, 3) for d in degrees):
+                    shaped.setdefault(degrees.count(3), []).append(vs)
+        out.append(shaped)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_detectors_match_brute_force_on_the_atlas(name):
+    threes, oracle, detect = ORACLES[name]
+    positives = 0
+    for atlas, shaped in zip(ATLAS, shaped_subsets()):
+        g = Graph(len(atlas), [tuple(sorted(e)) for e in atlas.edges])
+        match = detect(g)
+        passing = [vs for vs in shaped.get(threes, []) if oracle(atlas.subgraph(vs))]
+        assert (match is not None) == bool(passing), (name, atlas.name)
+        if match is not None:
+            assert match.image in passing, (name, atlas.name)
+            positives += 1
+    assert positives == POSITIVES[name]

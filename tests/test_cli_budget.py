@@ -2,12 +2,22 @@
 status, and `detect` and `sep` search under the configured budget."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from math import inf
+from pathlib import Path
 
+import pytest
+
+from twcert.check import THETA_SHAPE, recheck
 from twcert.cli import main
 from twcert import generators
-from twcert.graphs import full_subdivision, line_graph
+from twcert.graphs import Graph, full_subdivision, line_graph
 from twcert.io import graph_to_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(tmp_path, argv, config=None):
@@ -24,6 +34,12 @@ def _run(tmp_path, argv, config=None):
 def _wall(tmp_path, n, m):
     path = tmp_path / f"wall{n}x{m}.json"
     assert main(["gen", "wall", "--n", str(n), "--m", str(m), "-o", str(path)]) == 0
+    return str(path)
+
+
+def _host(tmp_path, name, g):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(graph_to_json(g)))
     return str(path)
 
 
@@ -90,8 +106,9 @@ def test_wall_line_k_below_two_is_a_usage_error(tmp_path):
 
 def test_wall_line_k3_on_a_triangle_free_wall_is_absent_at_once(tmp_path):
     """Every member at k >= 3 has a triangle and the 4x4 wall has none, so
-    wall-line k = 3 is absent before any member; the search it skips runs
-    past the default budget: about 1.2e10 steps to find nothing."""
+    wall-line k = 3 is absent before any member; the search it skips takes
+    about 50 s (3.2e7 steps, nearly all of them 24, the host size, per
+    member offered) to find nothing."""
     argv = ["detect", "--pattern", "wall-line", "--k", "3", "-i", _wall(tmp_path, 4, 4)]
     start = time.perf_counter()
     assert _run(tmp_path, argv) == (1, {"status": "absent"})
@@ -131,3 +148,112 @@ def test_wall_line_k2_finds_a_hole_in_theorem_1s_line_graph_host(tmp_path):
     code, payload = _run(tmp_path, argv)
     assert code == 0 and payload["status"] == "found"
     assert payload["image"] == [0, 1, 2, 4, 7, 8, 9, 10, 12, 13]
+
+
+# the theta shape as a `pattern-found` witness writes it
+THETA_WITNESS = [[u, v, lo, None if hi == inf else hi] for u, v, lo, hi in THETA_SHAPE]
+
+
+@pytest.mark.parametrize("rows, cols, t", [(5, 5, 3), (5, 6, 3), (6, 6, 2)])
+def test_theta_is_found_in_walls_under_the_default_budget(tmp_path, rows, cols, t):
+    """A family search is charged for the search-tree nodes it expands, a
+    node shared by several members once.  Charged for every member's whole
+    engine search, these searches ran out of the default budget."""
+    g = generators.wall(rows, cols)
+    argv = ["detect", "--pattern", "theta", "--t", str(t), "-i", _host(tmp_path, "w", g)]
+    code, payload = _run(tmp_path, argv)
+    assert code == 0 and payload["status"] == "found"
+    witness = {"kind": "pattern-found", "graph": graph_to_json(g),
+               "image": payload["image"], "shape": THETA_WITNESS}
+    record = {"check": "theta", "status": "pass", "witness": witness}
+    assert recheck({"assertions": [record]}) == (1, 1, [])
+
+
+LS33 = line_graph(full_subdivision(generators.wall(3, 3)))
+
+
+@pytest.mark.parametrize(
+    "pattern, t, g",
+    [
+        ("pyramid", 1, generators.wall(5, 5)),
+        ("theta", 2, LS33),
+        ("pyramid", 2, LS33),
+    ],
+    ids=["pyramid-t1-wall55", "theta-t2-ls33", "pyramid-t2-ls33"],
+)
+def test_absent_under_the_default_budget(tmp_path, pattern, t, g):
+    """These searches used to run out of the default budget; each is absent."""
+    argv = ["detect", "--pattern", pattern, "--t", str(t), "-i", _host(tmp_path, "g", g)]
+    assert _run(tmp_path, argv) == (1, {"status": "absent"})
+
+
+def test_theta_on_the_line_graph_of_the_subdivided_4x4_wall_runs_out_quickly(tmp_path):
+    lw44 = line_graph(full_subdivision(generators.wall(4, 4)))
+    argv = ["detect", "--pattern", "theta", "--t", "2", "-i", _host(tmp_path, "lw", lw44)]
+    start = time.perf_counter()
+    code, payload = _run(tmp_path, argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and payload["status"] == "budget"
+
+
+W55 = generators.wall(5, 5)
+
+
+@pytest.mark.parametrize(
+    "argv, g",
+    [
+        # 0-1-2 runs along the wall's first row, so the chord closes a triangle
+        (["wall-line", "--k", "3"], Graph(W55.n, [*W55.edges, (0, 2)])),
+        # a triangle with a path hanging off it: 100 vertices, no copy
+        (["wall-line", "--k", "3"],
+         Graph(100, [(0, 1), (0, 2), (1, 2), *((v, v + 1) for v in range(2, 99))])),
+        # no vertex of degree 3, so every theta member dies at its first vertex
+        (["theta", "--t", "2"], generators.cycle_graph(600)),
+    ],
+    ids=["wall-line-k3-wall55-chord", "wall-line-k3-lollipop100", "theta-t2-c600"],
+)
+def test_members_without_a_copy_run_out_quickly(tmp_path, argv, g):
+    """Each member offered costs n steps (n the host size), so the default
+    budget offers at most 5e6 / n members.  At one step per member, the
+    last two ran for over a minute and 9 s."""
+    argv = ["detect", "--pattern", *argv, "-i", _host(tmp_path, "g", g)]
+    start = time.perf_counter()
+    code, payload = _run(tmp_path, argv)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and payload["status"] == "budget"
+
+
+# runs theta t = 3 on the 5x6 wall and pyramid t = 1 on the 5x5 wall at the
+# default budget, then prints each match and the steps it used as JSON
+TICKS = (
+    "import json\n"
+    "from twcert.config import Budget\n"
+    "from twcert.detect import find_t_pyramid, find_t_theta\n"
+    "from twcert.generators import wall\n"
+    "out = []\n"
+    "for search, g, t in ((find_t_theta, wall(5, 6), 3), (find_t_pyramid, wall(5, 5), 1)):\n"
+    "    budget = Budget()\n"
+    "    match = search(g, t, budget)\n"
+    "    out.append([match and [match.image, match.roles], budget.used])\n"
+    "print(json.dumps(out))\n"
+)
+
+
+def test_family_ticks_do_not_depend_on_the_hash_seed():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    runs = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", TICKS],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+        )
+        for seed in ("0", "123")
+    ]
+    assert runs[0] == runs[1]
+    (theta, theta_used), (pyramid, pyramid_used) = runs[0]
+    assert theta is not None and pyramid is None
+    assert 0 < theta_used and 0 < pyramid_used

@@ -1,8 +1,12 @@
-"""The family detectors against a plain member-by-member loop over
-`iter_induced_maps`: the trie of search trees in `detect._first_copy`
-changes neither the match, nor `Budget.used`, nor the outcome (a match,
-None or `BudgetExhausted`) under any budget limit, and it stores at most one
-tree node per n steps charged."""
+"""The family detectors against a plain member-by-member search: the trie
+of search trees in `detect._first_copy` changes neither the match nor the
+outcome, and it charges n steps (n the host size) per member offered and n
+per search-tree node it expands, a node shared by several members once.  The reference takes each member's match from `iter_induced_maps`,
+the first map that meets the member's condition, and counts the nodes by a
+depth-first search of its own.  Under any budget limit below the steps the
+whole search takes, the search exhausts the budget, and from there on it
+returns its result.  The trie stores at most one tree node per n steps
+charged."""
 
 from contextlib import contextmanager
 from unittest import mock
@@ -22,7 +26,9 @@ from twcert.detect import (
     iter_induced_maps,
 )
 from twcert.generators import wall
-from twcert.graphs import BudgetExhausted, Graph
+from twcert.graphs import BudgetExhausted, Graph, bits
+
+UNLIMITED = 10**12
 
 FAMILIES = {
     "theta-t2": lambda g, b: find_t_theta(g, 2, b),
@@ -34,65 +40,77 @@ FAMILIES = {
 WALLS = {"wall33": wall(3, 3), "wall34": wall(3, 4)}
 
 
+def meets(mapping, entries):
+    """Does the map send each pattern vertex above the images of the
+    vertices its entry's condition names?"""
+    return all(mapping[i] > mapping[j] for i, e in enumerate(entries) for j in bits(e[2]))
+
+
+def first_leaf(g, entries, seen):
+    """Search the member with these signature entries (degree, earlier
+    neighbours, condition) depth first, host vertices in id order, until its
+    first mapping.  Adds to `seen` each node whose next vertex it tries, as
+    the entries down to that vertex and the assignment, and returns the
+    first mapping, or None, and how many nodes it added."""
+    nbr = [g.neighbor_mask(v) for v in g.vertices]
+    assigned: list[int] = []
+    added = 0
+
+    def place(i):
+        nonlocal added
+        if i == len(entries):
+            return True
+        node = (entries[: i + 1], tuple(assigned))
+        if node not in seen:
+            seen.add(node)
+            added += 1
+        degree, earlier, above = entries[i]
+        for c in g.vertices:
+            if c in assigned or g.degree(c) < degree:
+                continue
+            if any(nbr[a] >> c & 1 != earlier >> j & 1 for j, a in enumerate(assigned)):
+                continue
+            if any(c < assigned[j] for j in bits(above)):
+                continue
+            assigned.append(c)
+            if place(i + 1):
+                return True
+            assigned.pop()
+        return False
+
+    return (tuple(assigned) if place(0) else None), added
+
+
 @contextmanager
-def reference_detectors(spans: list[tuple[int, int]]):
-    """Run the detectors with every member searched in full under its
-    condition (the third field of a signature entry), appending the budget
-    span (used before, used after) of each member that fails."""
+def reference_detectors():
+    """Run the detectors with every member searched on its own: n steps
+    when it is offered, n per node its depth-first search adds, and its
+    match the first map of `iter_induced_maps` that meets its condition."""
 
     def first_copy(g, family, budget):
-        for _, signature, build in family:
-            above = [entry[2] if len(entry) > 2 else 0 for entry in signature]
+        seen: set = set()
+        for k, signature, build in family:
+            budget.tick(g.n)
+            if k > g.n:
+                continue
+            entries = tuple(signature)
+            leaf, added = first_leaf(g, entries, seen)
+            budget.tick(g.n * added)
+            if leaf is None:
+                continue
             instance = build()
-            start = budget.used
-            for mapping in iter_induced_maps(g, instance.graph, budget, above):
-                return PatternMatch(
-                    image=tuple(sorted(mapping)),
-                    roles=tuple(
-                        (key, tuple(mapping[v] for v in seq))
-                        for key, seq in instance.roles
-                    ),
-                )
-            spans.append((start, budget.used))
+            maps = iter_induced_maps(g, instance.graph, Budget(UNLIMITED))
+            mapping = next(m for m in maps if meets(m, entries))
+            assert mapping == leaf
+            return PatternMatch(
+                image=tuple(sorted(mapping)),
+                roles=tuple(
+                    (key, tuple(mapping[v] for v in seq)) for key, seq in instance.roles
+                ),
+            )
         return None
 
     with mock.patch.object(detect, "_first_copy", first_copy):
-        yield
-
-
-class ChargeLog(Budget):
-    """A budget that logs (used before, amount) of every tick taken while no
-    engine generator is running, which are the table's charges."""
-
-    def __init__(self, limit: int) -> None:
-        super().__init__(limit)
-        self.log: list[tuple[int, int]] = []
-        self.in_engine = False
-
-    def tick(self, amount: int = 1) -> None:
-        if not self.in_engine:
-            self.log.append((self.used, amount))
-        super().tick(amount)
-
-
-@contextmanager
-def engine_flagged():
-    """Run `iter_induced_maps` with `in_engine` set on its budget while the
-    generator runs."""
-
-    def flagged(g, pattern, budget, above=()):
-        maps = iter_induced_maps(g, pattern, budget, above)
-        while True:
-            budget.in_engine = True
-            try:
-                mapping = next(maps)
-            except StopIteration:
-                return
-            finally:
-                budget.in_engine = False
-            yield mapping
-
-    with mock.patch.object(detect, "iter_induced_maps", flagged):
         yield
 
 
@@ -105,9 +123,22 @@ def outcome(search, g, limit):
     return result, budget.used
 
 
-def reference_outcome(search, g, limit, spans=None):
-    with reference_detectors([] if spans is None else spans):
-        return outcome(search, g, limit)
+def reference_outcome(search, g):
+    with reference_detectors():
+        return outcome(search, g, UNLIMITED)
+
+
+def assert_matches_reference(search, g, limits):
+    """The reference's match and steps under an unlimited budget; under each
+    limit, exhaustion below those steps and the same match from there on."""
+    result, total = reference_outcome(search, g)
+    assert outcome(search, g, UNLIMITED) == (result, total)
+    for limit in limits(total):
+        got = outcome(search, g, limit)
+        if limit < total:
+            assert got[0] is BudgetExhausted
+        else:
+            assert got == (result, total)
 
 
 def first_copy_of(patterns):
@@ -123,30 +154,12 @@ def first_copy_of(patterns):
 @pytest.mark.parametrize("host", sorted(WALLS))
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_walls_match_reference(family, host):
-    search, g = FAMILIES[family], WALLS[host]
-    spans: list[tuple[int, int]] = []
-    result, total = reference_outcome(search, g, 10**8, spans)
-    assert outcome(search, g, 10**8) == (result, total)
-    # the middle of every fourth failed member, and just short of the total
-    limits = [start + (end - start) // 2 for start, end in spans[::4]]
-    for limit in limits + [0, total - 1]:
-        assert outcome(search, g, limit) == reference_outcome(search, g, limit)
+    limits = lambda total: [0, total // 3, total // 2, total - 1, total]
+    assert_matches_reference(FAMILIES[family], WALLS[host], limits)
 
 
-@pytest.mark.parametrize("host", sorted(WALLS))
-def test_overrunning_charge_runs_the_member(host):
-    """A limit inside a member the table serves: the charge would overrun, so
-    the member runs and stops at the same step as the reference."""
-    search, g = FAMILIES["pyramid-t1"], WALLS[host]
-    budget = ChargeLog(10**8)
-    with engine_flagged():
-        assert search(g, budget) is None
-    charges = budget.log
-    assert charges
-    for used, amount in charges[:: max(1, len(charges) // 6)]:
-        limit = used + amount // 2
-        assert outcome(search, g, limit) == reference_outcome(search, g, limit)
-        assert outcome(search, g, limit)[0] is BudgetExhausted
+def drawn_limit(data):
+    return lambda total: [data.draw(st.integers(0, total), label="limit")]
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,11 +167,7 @@ def test_overrunning_charge_runs_the_member(host):
     g=graphs(min_n=1, max_n=9), family=st.sampled_from(sorted(FAMILIES)), data=st.data()
 )
 def test_random_hosts_match_reference(g, family, data):
-    search = FAMILIES[family]
-    result, total = reference_outcome(search, g, 10**8)
-    assert outcome(search, g, 10**8) == (result, total)
-    limit = data.draw(st.integers(0, max(0, total - 1)))
-    assert outcome(search, g, limit) == reference_outcome(search, g, limit)
+    assert_matches_reference(FAMILIES[family], g, drawn_limit(data))
 
 
 @settings(max_examples=150, deadline=None)
@@ -170,11 +179,7 @@ def test_random_hosts_match_reference(g, family, data):
 def test_random_families_match_reference(g, patterns, data):
     """Small random members share prefixes that differ only in degree, or
     only in earlier neighbours, far more often than the named families."""
-    search = first_copy_of(patterns)
-    result, total = reference_outcome(search, g, 10**8)
-    assert outcome(search, g, 10**8) == (result, total)
-    limit = data.draw(st.integers(0, max(0, total - 1)))
-    assert outcome(search, g, limit) == reference_outcome(search, g, limit)
+    assert_matches_reference(first_copy_of(patterns), g, drawn_limit(data))
 
 
 @st.composite
@@ -189,14 +194,6 @@ def subcubic_graphs(draw, min_n=10, max_n=16):
     return Graph(n, {(min(e), max(e)) for e in kept if e[0] != e[1]})
 
 
-def charges(search, g):
-    """The ticks taken outside the engine, as (used before, amount)."""
-    budget = ChargeLog(10**8)
-    with engine_flagged():
-        search(g, budget)
-    return budget.log
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     g=subcubic_graphs(),
@@ -204,16 +201,7 @@ def charges(search, g):
     data=st.data(),
 )
 def test_subcubic_hosts_match_reference(g, family, data):
-    """Limits inside the last charge the trie takes: that member's charge
-    would overrun, so it runs through the engine and stops where the
-    reference does."""
-    search = FAMILIES[family]
-    result, total = reference_outcome(search, g, 10**8)
-    assert outcome(search, g, 10**8) == (result, total)
-    log = charges(search, g)
-    used, amount = log[-1] if log else (0, total + 1)
-    limit = data.draw(st.integers(used, used + amount - 1))
-    assert outcome(search, g, limit) == reference_outcome(search, g, limit)
+    assert_matches_reference(FAMILIES[family], g, drawn_limit(data))
 
 
 def stored_nodes(search, g):
@@ -226,7 +214,7 @@ def stored_nodes(search, g):
             super().__init__(*args)
             made.append(self)
 
-    budget = Budget(10**8)
+    budget = Budget(UNLIMITED)
     with mock.patch.object(detect, "_Level", Recorded):
         search(g, budget)
     return sum(len(level.vertex) for level in made), budget.used

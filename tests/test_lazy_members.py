@@ -1,13 +1,13 @@
 """Work counts of the family detectors: how many members a family offers,
 how many witness graphs and theta or pyramid edge lists it builds, how many
 members run through the plain engine, and how many signature entries the
-members are read for.  A member that has no copy is searched on the trie of
-search trees in `detect._first_copy`, from its signature alone; only a
-member that runs through `iter_induced_maps` (it embeds, or its charge would
-overrun the budget) has its instance built.  Theta and pyramid signatures,
-read from the path lengths, are checked against the edge lists they stand
-for; the wall-line members' edge lists, `line_graph` and `subdivision`
-against the plain constructions they replaced."""
+members are read for.  Every member is searched on the trie of search trees
+in `detect._first_copy`, from its signature alone, and none runs through
+`iter_induced_maps`; only the member that embeds has its instance built,
+for its roles.  Theta and pyramid signatures, read from the path lengths,
+are checked against the edge lists they stand for; the wall-line members'
+edge lists, `line_graph` and `subdivision` against the plain constructions
+they replaced."""
 
 from collections import Counter
 from itertools import islice
@@ -29,7 +29,7 @@ from twcert.graphs import Graph, line_graph
 LINE_HOST = line_graph(subdivided(wall(2, 2), {(0, 1): 3, (1, 3): 2}))
 
 CASES = {
-    # name: (search, members offered, instances built = plain-engine runs)
+    # name: (search, members offered, instances built)
     "pyramid-t1-wall44": (lambda b: find_t_pyramid(wall(4, 4), 1, b), 337, 0),
     "theta-t2-wall45": (lambda b: find_t_theta(wall(4, 5), 2, b), 33, 1),
     "theta-t3-wall44": (lambda b: find_t_theta(wall(4, 4), 3, b), 32, 1),
@@ -87,14 +87,15 @@ def searched(name: str) -> Counter[str]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_members_are_built_only_when_searched(name):
-    """An instance, and so a theta or pyramid graph, is built only when the
-    engine searches its member; wall-line members come with their edge lists."""
+    """An instance, and so a theta or pyramid graph, is built only for the
+    member that embeds, and the plain engine never runs; wall-line members
+    come with their edge lists."""
     _, members, built = CASES[name]
     counts = searched(name)
     assert (counts["members"], counts["built"], counts["plain"]) == (
         members,
         built,
-        built,
+        0,
     )
     assert counts["builds"] == (0 if name.startswith("wall-line") else built)
 

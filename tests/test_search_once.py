@@ -1,7 +1,11 @@
 """Each detection searches once.  The claw and induced searches take the
 engine's first mapping directly: against the one-member family search they
 replaced (`detect._first_copy` on one `_edge_member`), they give the same
-match, the same `Budget.used`, and exhaust the budget after the same steps.
+match.  The family charges n (the host size) for the member and n for
+each search-tree node it expands; the engine charges n for each node whose
+candidates it scans to the end and, on the path to its first mapping, only
+the host vertices up to each one it places.  So the family uses n steps
+more, plus n - 1 - m[i] for each vertex i of the engine's first mapping m.
 The wall-line search at k = 2 declares one free edge, one cycle per length:
 against the family with every edge of the 4-cycle free, which offers every
 spread of the extra vertices over them, it gives the same match in at most
@@ -14,7 +18,12 @@ from hypothesis import strategies as st
 from conftest import graphs, subdivided
 from twcert import detect
 from twcert.config import Budget, RunConfig
-from twcert.detect import find_induced, find_line_of_subdivided_wall, find_subdivided_claw
+from twcert.detect import (
+    find_induced,
+    find_line_of_subdivided_wall,
+    find_subdivided_claw,
+    iter_induced_maps,
+)
 from twcert.generators import cycle_graph, path_graph, subdivided_claw, wall
 from twcert.graphs import BudgetExhausted, line_graph
 from twcert.suites import seeded_catalog
@@ -55,8 +64,6 @@ def induced_reference(pattern):
     """The induced search as a one-member family."""
 
     def search(g, b):
-        if pattern.n > g.n:
-            return None
         member = detect._edge_member(pattern.n, pattern.edges)
         return detect._first_copy(g, [member], b)
 
@@ -73,30 +80,42 @@ def outcome(search, g, limit):
     return result, budget.used
 
 
-def assert_same_under_every_limit(search, reference, g):
-    """The same outcome under a roomy limit, and under limits just short of
-    the steps used, half of them, and 5."""
-    full = outcome(search, g, 10**9)
-    assert full == outcome(reference, g, 10**9)
-    used = full[1]
-    for limit in {used - 1, used // 2, 5}:
-        if limit >= 0:
-            assert outcome(search, g, limit) == outcome(reference, g, limit)
+def assert_same_under_every_limit(search, reference, pattern, g):
+    """The same match under a roomy limit, the steps of each related as
+    above, and exhaustion under every limit below its own steps."""
+    (match, used), (ref_match, ref_used) = (
+        outcome(search, g, 10**9), outcome(reference, g, 10**9)
+    )
+    assert match == ref_match
+    first = next(iter_induced_maps(g, pattern, Budget(10**9)), ())
+    assert ref_used == used + g.n + sum(g.n - 1 - v for v in first)
+    for which, total in ((search, used), (reference, ref_used)):
+        for limit in {total - 1, total // 2, 5}:
+            if 0 <= limit < total:
+                assert outcome(which, g, limit)[0] is BudgetExhausted
 
 
 SINGLE = [
-    *((f"claw-{''.join(map(str, ls))}", claw_search(ls), claw_reference(ls)) for ls in LEGS),
     *(
-        (f"induced-{name}", induced_search(p), induced_reference(p))
+        (f"claw-{''.join(map(str, ls))}", claw_search(ls), claw_reference(ls),
+         subdivided_claw(*ls).graph)
+        for ls in LEGS
+    ),
+    *(
+        (f"induced-{name}", induced_search(p), induced_reference(p), p)
         for name, p in zip(("p5", "c6", "spider122"), PATTERNS)
     ),
 ]
 
 
-@pytest.mark.parametrize("name, search, reference", SINGLE, ids=[s[0] for s in SINGLE])
-def test_single_pattern_searches_equal_the_one_member_family(name, search, reference):
+@pytest.mark.parametrize(
+    "name, search, reference, pattern", SINGLE, ids=[s[0] for s in SINGLE]
+)
+def test_single_pattern_searches_equal_the_one_member_family(
+    name, search, reference, pattern
+):
     for g in HOSTS:
-        assert_same_under_every_limit(search, reference, g)
+        assert_same_under_every_limit(search, reference, pattern, g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,14 +124,14 @@ def test_single_pattern_searches_equal_the_one_member_family(name, search, refer
     which=st.integers(0, len(SINGLE) - 1),
 )
 def test_single_pattern_searches_equal_the_one_member_family_on_random_hosts(g, which):
-    _, search, reference = SINGLE[which]
-    assert_same_under_every_limit(search, reference, g)
+    _, search, reference, pattern = SINGLE[which]
+    assert_same_under_every_limit(search, reference, pattern, g)
 
 
 def every_spread(g, budget):
     """The wall-line k = 2 family with every edge of the 4-cycle free, so
-    every spread of the extra vertices over them, one step per member
-    tried."""
+    every spread of the extra vertices over them, n steps per member
+    offered."""
     base = wall(2, 2)
     every = detect.Family(
         base.n,

@@ -1,10 +1,11 @@
-"""Theta searches against the search without the mirror condition: every
-member run in full through `iter_induced_maps`, the end free to lie below
-the hub.  Swapping a theta's hub and end and reversing each path maps it onto
-itself, so the first copy has its end above its hub.  Placing the end there
-keeps the match, takes at most as many budget steps, and so keeps every
-result the unconditioned search returns under a budget limit: a verdict can
-move only from budget exhaustion to a match or to absence."""
+"""Theta searches against the same search without the mirror condition: the
+family trie with the condition dropped from every member's signature, the
+end free to lie below the hub.  Swapping a theta's hub and end and reversing
+each path maps it onto itself, so the first copy has its end above its hub.
+Placing the end there keeps the match, takes at most as many budget steps,
+and so keeps every result the unconditioned search returns under a budget
+limit: a verdict can move only from budget exhaustion to a match or to
+absence."""
 
 from contextlib import contextmanager
 from unittest import mock
@@ -16,7 +17,7 @@ from conftest import graphs
 from test_family_cache import subcubic_graphs
 from twcert import detect
 from twcert.config import Budget
-from twcert.detect import PatternMatch, find_t_theta, iter_induced_maps
+from twcert.detect import find_t_theta
 from twcert.generators import wall
 from twcert.graphs import BudgetExhausted, Graph
 
@@ -25,21 +26,15 @@ THETA_T = st.sampled_from([2, 3, 4])
 
 @contextmanager
 def unconditioned():
-    """Run the detectors with every member searched in full and with no
-    condition."""
+    """Run the detectors on the trie with no condition in any signature."""
+    trie = detect._first_copy
 
     def first_copy(g, family, budget):
-        for _, _, build in family:
-            instance = build()
-            for mapping in iter_induced_maps(g, instance.graph, budget):
-                return PatternMatch(
-                    image=tuple(sorted(mapping)),
-                    roles=tuple(
-                        (key, tuple(mapping[v] for v in seq))
-                        for key, seq in instance.roles
-                    ),
-                )
-        return None
+        members = (
+            (k, ((degree, earlier, 0) for degree, earlier, _ in signature), build)
+            for k, signature, build in family
+        )
+        return trie(g, members, budget)
 
     with mock.patch.object(detect, "_first_copy", first_copy):
         yield
