@@ -78,17 +78,17 @@ class Budget:
     ``limit`` defaults to ``RunConfig.search_budget``, the budget of every
     search started without one.
 
-    In the induced-subgraph engine (``detect.iter_induced_maps``) one tick is
-    one host vertex considered for one pattern vertex, whether the candidate
-    filter keeps it or not.  The engine charges its ticks in batches, before
-    every mapping it yields, at its end and as soon as they would exceed
-    ``limit``, so ``used`` is exact at every yield, at the end and at
+    Every induced-subgraph search of ``detect`` runs one loop
+    (``detect._grow``) and ticks n times (n the host size) per search-tree
+    node it expands, that is, whose candidates it computes; a family search
+    (``detect._first_copy``) ticks n more per member offered, and a node
+    shared by several members once.  The loop charges its ticks in batches,
+    before every mapping it yields, at its end and as soon as they would
+    exceed ``limit``, so ``used`` is exact at every yield, at the end and at
     exhaustion.  ``find_creature`` ticks once per path prefix it extends
     while enumerating the induced paths, then once per node of its
-    path-tuple search.  A family search (``detect._first_copy``) ticks n
-    times (n the host size) per member offered and n per search-tree node it
-    expands, each node shared by several members once.
-    ``separators.separation_number`` ticks once per subset X it tests.
+    path-tuple search.  ``separators.separation_number`` ticks once per
+    subset X it tests.
     Exceeding ``limit`` raises ``BudgetExhausted``.
     """
 

@@ -86,84 +86,21 @@ def iter_induced_maps(
     g: Graph, pattern: Graph, budget: Budget
 ) -> Iterator[tuple[int, ...]]:
     """All injective maps pattern -> g preserving adjacency and non-adjacency,
-    in lexicographic order of the mapping tuple.
-
-    Pattern vertices are placed in id order by one loop over an explicit
-    stack.  The candidates for pattern vertex i form one host bitmask: the
-    vertices of large enough degree, not yet used, then one loop over i's
-    checks (see ``_filter``) keeps those adjacent to the images of its
-    earlier neighbours and non-adjacent to those of its earlier
-    non-neighbours.  They are tried in ascending id order.
-
-    One budget step is one host vertex considered for one pattern vertex,
-    whether the filter keeps it or not: placing vertex i costs n steps (n the
-    host size), the ones up to each candidate counted before descending into
-    it and the rest at the end.  The engine keeps a running count of its
-    steps and charges it in batches: with one ``Budget.tick`` before every
-    yield and at the end, and at once when the count passes what is left of
-    the limit.  So ``Budget.used`` at every yield, at the end and at
-    ``BudgetExhausted``, and the prefix of mappings before it, are those of
-    charging one step at a time.  What is left is read again after every
-    yield, so a caller may tick the same budget between mappings.
-    """
-    n, k = g.n, pattern.n
-    if k > n:
-        return
-    if k == 0:
-        yield ()
-        return
-    base, checks = _filter(
+    in lexicographic order of the mapping tuple: the family search's loop
+    (`_grow`) run from an empty trie with no symmetry condition, so charged
+    n steps (n the host size) per search-tree node it expands.  A pattern
+    larger than g has no copy and costs nothing."""
+    k = pattern.n
+    if k > g.n:
+        return iter(())
+    return _grow(
+        _Level(None, array("i", [-1]), array("i", [-1])),
         [pattern.degree(i) for i in range(k)],
         [pattern.neighbor_mask(i) & ((1 << i) - 1) for i in range(k)],
         [0] * k,
         _host_masks(g),
+        budget,
     )
-    # per pattern vertex i: its current image (-1 until some branch places
-    # it), its candidates not yet tried, the host vertices considered for it
-    # so far, and the host vertices the images of 0..i-1 take
-    assigned = [-1] * k
-    cands = [0] * k
-    ticked = [0] * k
-    used = [0] * k
-    last = k - 1
-    owed = 0  # steps taken and not yet charged
-    room = budget.limit - budget.used
-    cands[0] = base[0]
-    i = 0
-    while True:
-        cand = cands[i]
-        if cand:
-            low = cand & -cand
-            cands[i] = cand ^ low
-            c = low.bit_length() - 1
-            owed += c + 1 - ticked[i]
-            if owed > room:
-                budget.tick(owed)  # raises BudgetExhausted
-            ticked[i] = c + 1
-            assigned[i] = c
-            if i == last:
-                budget.tick(owed)
-                owed = 0
-                yield tuple(assigned)
-                room = budget.limit - budget.used
-                continue
-            taken = used[i] | low
-            i += 1
-            cand = base[i] & ~taken
-            for table, j in checks[i]:
-                cand &= table[assigned[j]]
-            cands[i] = cand
-            ticked[i] = 0
-            used[i] = taken
-        else:
-            owed += n - ticked[i]
-            if owed > room:
-                budget.tick(owed)  # raises BudgetExhausted
-            if i == 0:
-                break
-            i -= 1
-    if owed:
-        budget.tick(owed)
 
 
 Edges = Sequence[tuple[int, int]]
@@ -213,24 +150,34 @@ def _grow(
     above: Sequence[int],
     host: Host,
     budget: Budget,
-) -> tuple[list[tuple[array, array]], Optional[tuple[int, ...]]]:
-    """The search-tree levels p..k-1 of the member with the given signature
-    below the trie node `trie` at depth p (levels 0..p-1), as (parent,
-    vertex) columns, grown until a node reaches level k-1, and that node's
-    assignment, the member's first mapping, or None when none does.  Each
-    node whose candidates it computes costs n steps of `budget` (n the host
-    size).  The loop is the engine's, with the nodes of level p-1 in place
-    of the candidates of level p-1, so the first mapping is the engine's."""
+    grown: Optional[list[tuple[array, array]]] = None,
+) -> Iterator[tuple[int, ...]]:
+    """Every mapping of the member with the given signature below the trie
+    node `trie` at depth p (levels 0..p-1 enumerated), in lexicographic
+    order.  Pattern vertices p..k-1 are placed in id order by one loop over
+    an explicit stack, each from the candidates of `_filter` in ascending
+    id order, below each node of level p-1 in turn.
+
+    Each node whose candidates it computes costs n steps of `budget` (n the
+    host size).  The loop charges them in batches: before every yield, at
+    its end, and as soon as they would exceed what is left of the limit, so
+    ``Budget.used`` is that of charging each node alone at every yield, at
+    the end and at ``BudgetExhausted``.  What is left is read again after
+    every yield, so a caller may tick the same budget between mappings.
+
+    When `grown` is given, one (parent, vertex) column pair per level
+    p..k-1, the loop appends each node it expands there (the index of its
+    parent one level up, its host vertex), for `_first_copy` to link into
+    the trie."""
     p, k = trie.depth, len(degree)
     base, checks = _filter(degree, earlier, above, host)
-    n = len(host[0])
+    n = len(host[0]) or 1  # an empty host expands no node
     room = (budget.limit - budget.used) // n  # the nodes it may expand
     expanded = 0
     path = [trie]  # path[L]: the trie node of level L-1
     while path[-1].up:
         path.append(path[-1].up)
     path.reverse()
-    grown = [(array("i"), array("i")) for _ in range(p, k)]
     assigned = [0] * k
     used = [0] * (k + 1)  # used[i]: the host vertices the images of 0..i-1 take
     cands = [0] * k
@@ -246,7 +193,7 @@ def _grow(
             top += 1
             if top == tops:
                 budget.tick(n * expanded)
-                return grown, None
+                return
             level, node = p, top
             while level and at[level] != node:
                 at[level] = node
@@ -256,8 +203,6 @@ def _grow(
             for j in range(level, p):
                 used[j + 1] = used[j] | 1 << assigned[j]
             taken = used[p]
-            if p == k:  # an earlier, longer member grew all of this one's levels
-                return grown, tuple(assigned)
         else:
             cand = cands[i]
             if not cand:
@@ -267,14 +212,19 @@ def _grow(
             cands[i] = cand ^ low
             c = low.bit_length() - 1
             assigned[i] = c
-            if i == last:
-                budget.tick(n * expanded)
-                return grown, tuple(assigned)
-            parents, vertices = grown[i - p]
-            at[i + 1] = len(vertices)
-            parents.append(at[i])
-            vertices.append(c)
-            used[i + 1] = taken = used[i] | low
+            if i < last:
+                used[i + 1] = taken = used[i] | low
+                if grown is not None:
+                    parents, vertices = grown[i - p]
+                    at[i + 1] = len(vertices)
+                    parents.append(at[i])
+                    vertices.append(c)
+        if i == last:
+            budget.tick(n * expanded)
+            expanded = 0
+            yield tuple(assigned)
+            room = (budget.limit - budget.used) // n
+            continue
         expanded += 1
         if expanded > room:
             budget.tick(n * expanded)  # raises BudgetExhausted
@@ -291,10 +241,10 @@ def _first_copy(
     """Lexicographically first induced copy of the first family member that
     embeds in g, as its image and its instance's roles mapped into g.
     Members are tried in order under one budget: each costs n steps (n the
-    host size) when it is offered, as placing its first vertex costs the
-    engine, and n more per search-tree node it expands.
+    host size) when it is offered, one scan of the host, and n more per
+    search-tree node it expands.
 
-    The engine's search tree down to pattern vertex i depends only on g and,
+    The search tree down to pattern vertex i depends only on g and,
     for each of the vertices 0..i, its degree, its earlier neighbours and
     the earlier vertices its image must lie above (a condition that breaks
     a symmetry of the member, as a theta's end lies above its hub): the
@@ -302,13 +252,14 @@ def _first_copy(
     entries, whose node at depth L+1 holds the tree nodes at level L (see
     `_Level`), and no tree node is expanded, or charged, twice.  A member
     walks the trie along its signature as far as it goes, to depth p, and
-    grows levels p..k-1 below it (`_grow`).  A member with no copy links its
-    new levels into the trie, down to the first empty one.  A walk that
-    reaches an empty level stops there, without reading the rest of the
-    signature: an earlier member's search died at that level, so this one's
-    dies too.  Only the member that embeds has its instance built, for its
-    roles.  The trie pays only across members: a one-pattern search takes
-    the engine's first mapping directly (`_engine_match`).
+    grows levels p..k-1 below it up to its first mapping (`_grow`).  A
+    member with no copy links its new levels into the trie, down to the
+    first empty one.  A walk that reaches an empty level stops there,
+    without reading the rest of the signature: an earlier member's search
+    died at that level, so this one's dies too.  Only the member that
+    embeds has its instance built, for its roles.  The trie pays only
+    across members: a one-pattern search grows from an empty trie and keeps
+    no node (`iter_induced_maps`).
     """
     n = g.n
     host = _host_masks(g)
@@ -332,7 +283,8 @@ def _first_copy(
             continue  # an earlier member's search died here
         walked.extend(signature)
         degree, earlier, above = zip(*walked)
-        grown, mapping = _grow(trie, degree, earlier, above, host, budget)
+        grown = [(array("i"), array("i")) for _ in range(trie.depth, k)]
+        mapping = next(_grow(trie, degree, earlier, above, host, budget, grown), None)
         if mapping is not None:
             return _mapped(mapping, build().roles)
         # link the new levels down to the first empty one
@@ -674,7 +626,8 @@ def find_line_of_subdivided_wall(
 
     Only subdivisions with at most |V(g)| edges can embed, so enumerating
     them by edge count is exhaustive; absence means no member of the family
-    embeds.  Each member tried costs one step, besides its search.
+    embeds.  Each member offered costs n steps (n = |V(g)|), besides its
+    search (see `_first_copy`).
 
     The 2x2 wall is the 4-cycle, so at k = 2 every subdivision with j edges
     is the cycle C_j, and so is its line graph: the family declares only the

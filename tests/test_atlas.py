@@ -20,6 +20,14 @@ induces:
   least t - 1 vertices and at least 1.
 - hole (wall-line k = 2): at least 4 vertices, every one of degree 2, and
   connected.
+- subdivided claw (t1, t2, t3): isomorphic to the spider networkx builds,
+  a root joined to three paths of those lengths.  Only subsets with the
+  spider's degrees, counted with bitmasks, are built as subgraphs.
+
+`decompose.chordal_td` is checked on the same graphs against
+`networkx.is_chordal`: it raises `NotChordal` exactly on the graphs that
+are not chordal, with a hole as above; otherwise its bags are cliques that
+cover every edge, and its width is the clique number minus 1.
 """
 
 from functools import cache
@@ -28,10 +36,21 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from twcert.detect import find_line_of_subdivided_wall, find_t_pyramid, find_t_theta
+from twcert.decompose import NotChordal, chordal_td
+from twcert.detect import (
+    find_line_of_subdivided_wall,
+    find_subdivided_claw,
+    find_t_pyramid,
+    find_t_theta,
+)
 from twcert.graphs import Graph
 
 ATLAS = nx.graph_atlas_g()
+
+
+def hosts() -> list[tuple[nx.Graph, Graph]]:
+    """Each atlas graph, with the same graph as a `Graph`."""
+    return [(a, Graph(len(a), [tuple(sorted(e)) for e in a.edges])) for a in ATLAS]
 
 
 def parts(h: nx.Graph):
@@ -136,3 +155,68 @@ def test_detectors_match_brute_force_on_the_atlas(name):
             assert match.image in passing, (name, atlas.name)
             positives += 1
     assert positives == POSITIVES[name]
+
+
+def spider(legs: tuple[int, int, int]) -> nx.Graph:
+    """The subdivided claw with these leg lengths: root 0 joined to three
+    paths, a leg of length 0 adding nothing."""
+    h = nx.empty_graph(1)
+    for t in legs:
+        nx.add_path(h, [0, *range(len(h), len(h) + t)])
+    return h
+
+
+def profiled(atlas: nx.Graph, degrees: list[int]) -> list[tuple[int, ...]]:
+    """The vertex subsets of `atlas` whose induced degrees, sorted, are
+    `degrees`, found with bitmasks."""
+    nbr = [sum(1 << u for u in atlas[v]) for v in range(len(atlas))]
+    out = []
+    for vs in combinations(range(len(atlas)), len(degrees)):
+        mask = sum(1 << v for v in vs)
+        if sorted((nbr[v] & mask).bit_count() for v in vs) == degrees:
+            out.append(vs)
+    return out
+
+
+# graphs with a claw, as measured when the test was written: (1, 2, 3) has 7
+# vertices, so only the spider itself holds one
+CLAWS = {(1, 1, 1): 822, (2, 1, 1): 457, (0, 2, 1): 965, (1, 2, 2): 41, (1, 2, 3): 1}
+
+
+@pytest.mark.parametrize("legs", sorted(CLAWS), ids=lambda ls: "".join(map(str, ls)))
+def test_claw_detector_matches_brute_force_on_the_atlas(legs):
+    pattern = spider(legs)
+    degrees = sorted(d for _, d in pattern.degree)
+    positives = 0
+    for atlas, g in hosts():
+        match = find_subdivided_claw(g, *legs)
+        subsets = profiled(atlas, degrees)
+        if match is None:
+            passing = [
+                vs for vs in subsets if nx.is_isomorphic(atlas.subgraph(vs), pattern)
+            ]
+            assert not passing, (legs, atlas.name)
+        else:
+            assert match.image in subsets, (legs, atlas.name)
+            assert nx.is_isomorphic(atlas.subgraph(match.image), pattern)
+            positives += 1
+    assert positives == CLAWS[legs]
+
+
+def test_chordal_td_matches_networkx_on_the_atlas():
+    chordal = 0
+    for atlas, g in hosts():
+        try:
+            td = chordal_td(g)
+        except NotChordal as exc:
+            assert not nx.is_chordal(atlas), atlas.name
+            assert len(set(exc.hole)) == len(exc.hole), atlas.name
+            assert is_hole(atlas.subgraph(exc.hole)), atlas.name
+            continue
+        assert nx.is_chordal(atlas), atlas.name
+        for bag in td.bags:
+            assert all(atlas.has_edge(u, v) for u, v in combinations(bag, 2))
+        assert all(any(u in b and v in b for b in td.bags) for u, v in atlas.edges)
+        assert td.width == max(map(len, nx.find_cliques(atlas)), default=0) - 1
+        chordal += 1
+    assert chordal == 532  # as measured when the test was written

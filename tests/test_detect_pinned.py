@@ -1,10 +1,12 @@
 """Pinned results of the family detectors: the exact first match and the
 budget it used.  Members are tried in a fixed order under one shared budget,
-so a change to that order, or to where ticks are taken, shows here.  The
-theta and wall-line k = 2 pins are also counted by a recursive search of
-the members, one after another: one tick per host vertex for each member
-offered, and as many again for each search node the first time a member
-expands it."""
+so a change to that order, or to where ticks are taken, shows here.  Every
+pin but pyramid-t1-wall44-absent, whose 337 members take seconds to search
+one by one, is also counted by a recursive search of the members, one
+after another: one tick per host vertex for each search node the first
+time a member expands it, and, in a family search, as many again for each
+member offered.  The claw and induced searches run one pattern, with no
+per-member ticks."""
 
 import pytest
 
@@ -99,7 +101,7 @@ CASES = {
                 ("leg3", (6, 5, 13)),
             ),
         ),
-        37,
+        168,
     ),
     "claw-111-c6-absent": (
         lambda b: find_subdivided_claw(cycle_graph(6), 1, 1, 1, b), None, 6
@@ -131,7 +133,7 @@ CASES = {
             image=(0, 1, 2, 3, 10),
             roles=(("mapping", (0, 1, 2, 3, 10)),),
         ),
-        21,
+        120,
     ),
     "induced-c4-wall33-absent": (
         lambda b: find_induced(wall(3, 3), cycle_graph(4), b), None, 1092
@@ -224,21 +226,24 @@ def length_triples(t, max_sum):
                 yield l1, l2, total - l1 - l2
 
 
-def recursive_family(g, instances, above=None):
+def recursive_family(g, instances, above=None, offered=True):
     """The members, the instances in order, searched one after another,
     recursively: each pattern vertex tries every host vertex in id order,
     vertex i only above the image of vertex ``above[i]`` when it is given.
-    Each member costs g.n ticks, and a search node costs g.n more the first
-    time some member tries a next vertex below it, a node being its
-    assignment and the degrees and earlier neighbours of the pattern
+    Each member costs g.n ticks when `offered`, and a search node costs g.n
+    the first time some member tries a next vertex below it, a node being
+    its assignment and the degrees and earlier neighbours of the pattern
     vertices down to the one tried.  Returns the first match and the ticks
     taken up to it, or None and every member's ticks."""
     ticks = 0
     seen = set()
+    degree = [g.degree(v) for v in g.vertices]
+    adjacent = [[g.has_edge(u, v) for v in g.vertices] for u in g.vertices]
     for wit in instances:
-        ticks += g.n
+        ticks += g.n if offered else 0
         p = wit.graph
         entries = tuple((p.degree(i), p.neighbor_mask(i) % (1 << i)) for i in p.vertices)
+        edges = [[p.has_edge(i, j) for j in range(i)] for i in p.vertices]
         assigned = []
 
         def place(i):
@@ -250,12 +255,12 @@ def recursive_family(g, instances, above=None):
                 seen.add(node)
                 ticks += g.n
             for cand in g.vertices:
-                if cand in assigned or g.degree(cand) < p.degree(i):
+                if cand in assigned or degree[cand] < entries[i][0]:
                     continue
                 if above and i in above and cand < assigned[above[i]]:
                     continue
                 if any(
-                    p.has_edge(i, j) != g.has_edge(assigned[j], cand) for j in range(i)
+                    edge != adjacent[a][cand] for edge, a in zip(edges[i], assigned)
                 ):
                     continue
                 assigned.append(cand)
@@ -308,3 +313,45 @@ def cycle_per_length(g):
 def test_wall_line_pins_equal_a_cycle_per_length_count(name):
     _, expected, used = CASES[name]
     assert cycle_per_length(WALL_LINES[name]) == (expected, used)
+
+
+# the pyramid cases as (host, t)
+PYRAMIDS = {
+    "pyramid-t1-found": (disjoint_union(path_graph(2), pyramid(1, 2, 3).graph), 1),
+    "pyramid-t1-wall33-absent": (wall(3, 3), 1),
+}
+
+
+def recursive_pyramid(g, t):
+    """The pyramid family: length triples whose last two are at least 2."""
+    triples = length_triples(t, g.n - 1)
+    members = (pyramid(*ls) for ls in triples if ls[1] >= 2)
+    return recursive_family(g, members)
+
+
+@pytest.mark.parametrize("name", sorted(PYRAMIDS))
+def test_pyramid_pins_equal_a_recursive_count(name):
+    _, expected, used = CASES[name]
+    assert recursive_pyramid(*PYRAMIDS[name]) == (expected, used)
+
+
+def whole(pattern):
+    """The instance of an explicit pattern: its one role the whole vertex
+    order."""
+    return Instance(pattern, (("mapping", tuple(pattern.vertices)),))
+
+
+# the one-pattern cases as (host, instance)
+ENGINES = {
+    "claw-123-wall44": (wall(4, 4), subdivided_claw(1, 2, 3)),
+    "claw-111-c6-absent": (cycle_graph(6), subdivided_claw(1, 1, 1)),
+    "induced-p5-wall44": (wall(4, 4), whole(path_graph(5))),
+    "induced-c4-wall33-absent": (wall(3, 3), whole(cycle_graph(4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_engine_pins_equal_a_recursive_count(name):
+    _, expected, used = CASES[name]
+    g, instance = ENGINES[name]
+    assert recursive_family(g, [instance], offered=False) == (expected, used)

@@ -1,9 +1,11 @@
 """The engine against two references: the per-candidate loop of the first
 engine, and the recursive bitmask engine that the one-loop engine replaced.
-Both must give the same mappings in the same order, the same budget ticks,
-and the same prefix of mappings before `BudgetExhausted` under every limit;
-the recursive one also the same `Budget.used` at every yield, and the same
-outcome when the caller ticks the budget between yields."""
+Each reference ticks n (the host size) when it computes a search-tree
+node's candidates, as the engine charges.  Both must give the same mappings
+in the same order, the same budget ticks, and the same prefix of mappings
+before `BudgetExhausted` under every limit; the recursive one also the same
+`Budget.used` at every yield, and the same outcome when the caller ticks
+the budget between yields."""
 
 from typing import Iterator, Optional
 
@@ -18,7 +20,7 @@ from twcert.graphs import BudgetExhausted, Graph
 
 def reference_maps(g: Graph, pattern: Graph, bud: Budget) -> Iterator[tuple[int, ...]]:
     """The engine as it was before bitmask candidates: every pattern vertex
-    tries every host vertex in id order and ticks once for each."""
+    tries every host vertex in id order, after ticking n for the node."""
     k = pattern.n
     if k > g.n:
         return
@@ -30,10 +32,10 @@ def reference_maps(g: Graph, pattern: Graph, bud: Budget) -> Iterator[tuple[int,
         if i == k:
             yield tuple(assigned)
             return
+        bud.tick(g.n)
         pdeg = pattern.degree(i)
         pmask = pattern.neighbor_mask(i)
         for cand in g.vertices:
-            bud.tick()
             if used >> cand & 1 or g.degree(cand) < pdeg:
                 continue
             ok = True
@@ -116,7 +118,8 @@ def recursive_maps(
     g: Graph, pattern: Graph, budget: Optional[Budget] = None
 ) -> Iterator[tuple[int, ...]]:
     """The bitmask engine as it was before the one-loop rewrite: a chain of
-    recursive generators ticking the budget once per candidate."""
+    recursive generators, each ticking n before it computes its
+    candidates."""
     bud = budget or Budget()
     n, k = g.n, pattern.n
     if k > n:
@@ -140,22 +143,17 @@ def recursive_maps(
         if i == k:
             yield tuple(assigned)
             return
+        bud.tick(n)
         cand = base[i] & ~used
         for j in earlier_adj[i]:
             cand &= nbr[assigned[j]]
         for j in earlier_non[i]:
             cand &= ~nbr[assigned[j]]
-        ticked = 0
         while cand:
             low = cand & -cand
             cand ^= low
-            c = low.bit_length() - 1
-            bud.tick(c + 1 - ticked)
-            ticked = c + 1
-            assigned[i] = c
+            assigned[i] = low.bit_length() - 1
             yield from place(i + 1, used | low)
-        if ticked < n:
-            bud.tick(n - ticked)
 
     yield from place(0, 0)
 

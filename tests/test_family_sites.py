@@ -1,7 +1,12 @@
 """`detect._first_copy` is called in exactly one place: the family layer's
 `_find`, which every family search reaches through one `Family`
 declaration.  A new witness family is one more declaration, not one more
-hand-written member generator passed to `_first_copy`."""
+hand-written member generator passed to `_first_copy`.
+
+`detect` has one search loop, `_grow`: the family search runs it below its
+trie and `iter_induced_maps` from an empty one, and only `_grow` builds the
+candidate filter.  A second loop over the filter would be a second budget
+rule."""
 
 import ast
 from pathlib import Path
@@ -32,3 +37,11 @@ def _call_sites(name: str) -> list[tuple[str, str]]:
 
 def test_first_copy_is_called_only_by_the_family_layer():
     assert _call_sites("_first_copy") == [("detect", "_find")]
+
+
+def test_one_search_loop():
+    assert _call_sites("_filter") == [("detect", "_grow")]
+    assert _call_sites("_grow") == [
+        ("detect", "_first_copy"),
+        ("detect", "iter_induced_maps"),
+    ]
