@@ -79,14 +79,15 @@ class Budget:
     search started without one.
 
     Every induced-subgraph search of ``detect`` runs one loop
-    (``detect._grow``) and ticks n times (n the host size) per search-tree
-    node it expands, that is, whose candidates it computes; a family search
+    (``detect._grow``), which ticks a given number of times per search-tree
+    node it expands, that is, whose candidates it computes: n (the host
+    size) in a pattern or family search.  A family search
     (``detect._first_copy``) ticks n more per member offered, and a node
-    shared by several members once.  The loop charges its ticks in batches,
-    before every mapping it yields, at its end and as soon as they would
-    exceed ``limit``, so ``used`` is exact at every yield, at the end and at
-    exhaustion.  ``find_creature`` ticks once per path prefix it extends
-    while enumerating the induced paths, then once per node of its
+    shared by several members once.  The loop charges its ticks in
+    batches, before every mapping it yields, at its end and as soon as they
+    would exceed ``limit``, so ``used`` is exact at every yield, at the end
+    and at exhaustion.  ``find_creature`` lists its induced paths with that loop at
+    one tick per node it expands, then ticks once per node of its
     path-tuple search.  ``separators.separation_number`` ticks once per
     subset X it tests.
     Exceeding ``limit`` raises ``BudgetExhausted``.

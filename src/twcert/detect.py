@@ -20,6 +20,7 @@ from .generators import (
     Instance,
     Roles,
     _numbered,
+    path_graph,
     pyramid,
     subdivided_claw,
     theta,
@@ -83,13 +84,13 @@ def _filter(
 
 
 def iter_induced_maps(
-    g: Graph, pattern: Graph, budget: Budget
+    g: Graph, pattern: Graph, budget: Budget, step: Optional[int] = None
 ) -> Iterator[tuple[int, ...]]:
     """All injective maps pattern -> g preserving adjacency and non-adjacency,
     in lexicographic order of the mapping tuple: the family search's loop
     (`_grow`) run from an empty trie with no symmetry condition, so charged
-    n steps (n the host size) per search-tree node it expands.  A pattern
-    larger than g has no copy and costs nothing."""
+    `step` steps per search-tree node it expands, n (the host size) unless
+    given.  A pattern larger than g has no copy and costs nothing."""
     k = pattern.n
     if k > g.n:
         return iter(())
@@ -100,6 +101,7 @@ def iter_induced_maps(
         [0] * k,
         _host_masks(g),
         budget,
+        g.n if step is None else step,
     )
 
 
@@ -150,6 +152,7 @@ def _grow(
     above: Sequence[int],
     host: Host,
     budget: Budget,
+    step: int,
     grown: Optional[list[tuple[array, array]]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Every mapping of the member with the given signature below the trie
@@ -158,8 +161,8 @@ def _grow(
     an explicit stack, each from the candidates of `_filter` in ascending
     id order, below each node of level p-1 in turn.
 
-    Each node whose candidates it computes costs n steps of `budget` (n the
-    host size).  The loop charges them in batches: before every yield, at
+    Each node whose candidates it computes costs `step` steps of `budget`.
+    The loop charges them in batches: before every yield, at
     its end, and as soon as they would exceed what is left of the limit, so
     ``Budget.used`` is that of charging each node alone at every yield, at
     the end and at ``BudgetExhausted``.  What is left is read again after
@@ -171,8 +174,8 @@ def _grow(
     the trie."""
     p, k = trie.depth, len(degree)
     base, checks = _filter(degree, earlier, above, host)
-    n = len(host[0]) or 1  # an empty host expands no node
-    room = (budget.limit - budget.used) // n  # the nodes it may expand
+    step = step or 1  # only an empty host charges 0, and it expands no node
+    room = (budget.limit - budget.used) // step  # the nodes it may expand
     expanded = 0
     path = [trie]  # path[L]: the trie node of level L-1
     while path[-1].up:
@@ -192,7 +195,7 @@ def _grow(
             # walking its parents only while they change
             top += 1
             if top == tops:
-                budget.tick(n * expanded)
+                budget.tick(step * expanded)
                 return
             level, node = p, top
             while level and at[level] != node:
@@ -220,14 +223,14 @@ def _grow(
                     parents.append(at[i])
                     vertices.append(c)
         if i == last:
-            budget.tick(n * expanded)
+            budget.tick(step * expanded)
             expanded = 0
             yield tuple(assigned)
-            room = (budget.limit - budget.used) // n
+            room = (budget.limit - budget.used) // step
             continue
         expanded += 1
         if expanded > room:
-            budget.tick(n * expanded)  # raises BudgetExhausted
+            budget.tick(step * expanded)  # raises BudgetExhausted
         i += 1
         cand = base[i] & ~taken
         for table, j in checks[i]:
@@ -284,7 +287,8 @@ def _first_copy(
         walked.extend(signature)
         degree, earlier, above = zip(*walked)
         grown = [(array("i"), array("i")) for _ in range(trie.depth, k)]
-        mapping = next(_grow(trie, degree, earlier, above, host, budget, grown), None)
+        search = _grow(trie, degree, earlier, above, host, budget, n, grown)
+        mapping = next(search, None)
         if mapping is not None:
             return _mapped(mapping, build().roles)
         # link the new levels down to the first empty one
@@ -504,47 +508,10 @@ def find_subdivided_claw(
 def _directed_induced_paths(
     g: Graph, t: int, budget: Optional[Budget] = None
 ) -> list[tuple[int, ...]]:
-    """All induced paths on t+1 vertices as tuples (joint end first).
-
-    Depth first over path prefixes on an explicit stack of neighbour
-    iterators, so t costs no recursion depth.  Each prefix extended by one
-    vertex is one step of `budget`, when one is given.
-    """
-    if t == 0:
-        return [(v,) for v in g.vertices]
-    tick = budget.tick if budget is not None else lambda: None
-    out: list[tuple[int, ...]] = []
-    # near[w]: the path vertices adjacent to w, plus 2 when w is on the path,
-    # so a neighbour w of the tail extends the path exactly when near[w] == 1
-    near = [0] * g.n
-    nbrs = [g.neighbors(v) for v in g.vertices]
-    for v in g.vertices:
-        path = [v]
-        near[v] += 2
-        for x in nbrs[v]:
-            near[x] += 1
-        stack = [iter(nbrs[v])]
-        while stack:
-            for w in stack[-1]:
-                if near[w] != 1:
-                    continue
-                tick()
-                if len(path) == t:
-                    out.append((*path, w))
-                    continue
-                path.append(w)
-                near[w] += 2
-                for x in nbrs[w]:
-                    near[x] += 1
-                stack.append(iter(nbrs[w]))
-                break
-            else:
-                stack.pop()
-                w = path.pop()
-                near[w] -= 2
-                for x in nbrs[w]:
-                    near[x] -= 1
-    return sorted(out)
+    """All induced paths on t+1 vertices as tuples (joint end first), in
+    lexicographic order: the engine's maps of the path on t+1 vertices,
+    charged one step per search-tree node it expands."""
+    return list(iter_induced_maps(g, path_graph(t + 1), budget or Budget(), 1))
 
 
 def find_creature(

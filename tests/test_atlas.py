@@ -24,6 +24,13 @@ induces:
   a root joined to three paths of those lengths.  Only subsets with the
   spider's degrees, counted with bitmasks, are built as subgraphs.
 
+`find_creature` with k = 3 and t = 0 or 1 is checked on the same graphs
+against a body-first brute force on bitmasks: each connected vertex set
+is a body, which keeps the induced paths on t+1 vertices that miss it,
+whose joint (first vertex) touches it and whose other vertices do not;
+a creature exists when three kept paths are disjoint and pairwise
+anticomplete.  The match found must be such a body and three such paths.
+
 `decompose.chordal_td` is checked on the same graphs against
 `networkx.is_chordal`: it raises `NotChordal` exactly on the graphs that
 are not chordal, with a hole as above; otherwise its bags are cliques that
@@ -31,13 +38,14 @@ cover every edge, and its width is the clique number minus 1.
 """
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
 
 from twcert.decompose import NotChordal, chordal_td
 from twcert.detect import (
+    find_creature,
     find_line_of_subdivided_wall,
     find_subdivided_claw,
     find_t_pyramid,
@@ -51,6 +59,11 @@ ATLAS = nx.graph_atlas_g()
 def hosts() -> list[tuple[nx.Graph, Graph]]:
     """Each atlas graph, with the same graph as a `Graph`."""
     return [(a, Graph(len(a), [tuple(sorted(e)) for e in a.edges])) for a in ATLAS]
+
+
+def masks(atlas: nx.Graph) -> list[int]:
+    """The neighbour mask of each vertex of `atlas`."""
+    return [sum(1 << u for u in atlas[v]) for v in range(len(atlas))]
 
 
 def parts(h: nx.Graph):
@@ -129,8 +142,7 @@ def shaped_subsets() -> list[dict[int, list[tuple[int, ...]]]]:
     found with bitmasks so that networkx builds few subgraphs."""
     out = []
     for atlas in ATLAS:
-        n = len(atlas)
-        nbr = [sum(1 << u for u in atlas[v]) for v in range(n)]
+        n, nbr = len(atlas), masks(atlas)
         shaped: dict[int, list[tuple[int, ...]]] = {}
         for r in range(n + 1):
             for vs in combinations(range(n), r):
@@ -169,7 +181,7 @@ def spider(legs: tuple[int, int, int]) -> nx.Graph:
 def profiled(atlas: nx.Graph, degrees: list[int]) -> list[tuple[int, ...]]:
     """The vertex subsets of `atlas` whose induced degrees, sorted, are
     `degrees`, found with bitmasks."""
-    nbr = [sum(1 << u for u in atlas[v]) for v in range(len(atlas))]
+    nbr = masks(atlas)
     out = []
     for vs in combinations(range(len(atlas)), len(degrees)):
         mask = sum(1 << v for v in vs)
@@ -201,6 +213,86 @@ def test_claw_detector_matches_brute_force_on_the_atlas(legs):
             assert nx.is_isomorphic(atlas.subgraph(match.image), pattern)
             positives += 1
     assert positives == CLAWS[legs]
+
+
+def connected(nbr: list[int], mask: int) -> bool:
+    """Whether the vertices of `mask` induce a connected graph."""
+    seen, grown = 0, mask & -mask
+    while grown != seen:
+        seen = grown
+        for v in range(len(nbr)):
+            if seen >> v & 1:
+                grown |= nbr[v] & mask
+    return seen == mask
+
+
+def induced_paths(nbr: list[int], t: int) -> list[tuple[tuple[int, ...], tuple]]:
+    """Each induced path on t+1 vertices, joint first, with its masks: its
+    vertices, its joint's neighbours, the neighbours of its other vertices,
+    and its vertices with all their neighbours.  Consecutive vertices are
+    adjacent and each vertex has its path degree inside the path, so the
+    path has no chord."""
+    out = []
+    for p in permutations(range(len(nbr)), t + 1):
+        pm = sum(1 << v for v in p)
+        if all(nbr[u] >> v & 1 for u, v in zip(p, p[1:])) and all(
+            (nbr[v] & pm).bit_count() == (i > 0) + (i < t) for i, v in enumerate(p)
+        ):
+            rest = 0
+            for v in p[1:]:
+                rest |= nbr[v]
+            out.append((p, (pm, nbr[p[0]], rest, pm | nbr[p[0]] | rest)))
+    return out
+
+
+def legs(paths, body: int) -> list[tuple[int, ...]]:
+    """The masks of the paths that are legs of `body`: each misses it, and
+    its joint touches it and no other vertex does."""
+    return [
+        m for _, m in paths if m[0] & body == 0 and m[1] & body and m[2] & body == 0
+    ]
+
+
+def apart(kept) -> bool:
+    """Whether the paths with masks `kept` are disjoint and pairwise
+    anticomplete."""
+    return all(a[0] & b[3] == 0 for a, b in combinations(kept, 2))
+
+
+def has_creature(nbr: list[int], paths, k: int) -> bool:
+    """Some connected body with k legs that are apart."""
+    for body in range(1, 1 << len(nbr)):
+        if connected(nbr, body):
+            if any(map(apart, combinations(legs(paths, body), k))):
+                return True
+    return False
+
+
+# graphs with a creature, as measured when the test was written: with t = 1
+# a body and three legs need 7 vertices, so only the claw with legs of
+# length 2 holds one
+CREATURES = {(3, 0): 925, (3, 1): 1}
+
+
+@pytest.mark.parametrize("k, t", sorted(CREATURES))
+def test_creature_detector_matches_brute_force_on_the_atlas(k, t):
+    positives = 0
+    for atlas, g in hosts():
+        nbr = masks(atlas)
+        paths = induced_paths(nbr, t)
+        match = find_creature(g, k, t)
+        assert (match is not None) == has_creature(nbr, paths, k), atlas.name
+        if match is not None:
+            roles = dict(match.roles)
+            body = sum(1 << v for v in roles["body"])
+            chosen = [roles[f"path{i + 1}"] for i in range(k)]
+            found = [(p, m) for p, m in paths if p in chosen]
+            kept = legs(found, body)
+            assert len(kept) == k and connected(nbr, body), atlas.name
+            assert apart(kept), atlas.name
+            assert match.image == tuple(sorted(set(roles["body"]).union(*chosen)))
+            positives += 1
+    assert positives == CREATURES[k, t]
 
 
 def test_chordal_td_matches_networkx_on_the_atlas():

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from itertools import product
 
 import pytest
@@ -115,52 +116,59 @@ def test_creature_detector():
 
 
 def recursive_paths(g: Graph, t: int) -> tuple[list[tuple[int, ...]], int]:
-    """The recursive path enumeration the explicit-stack one replaced, with
-    the number of path prefixes it extends."""
-    if t == 0:
-        return [(v,) for v in g.vertices], 0
+    """The induced paths on t+1 vertices, listed recursively, with the
+    number of search-tree nodes the engine expands to list them: none when
+    the path has more vertices than g, else the root and each prefix on
+    1..t vertices.  A prefix grows only by vertices of a path vertex's
+    degree at that place (at least 1 at the ends, 2 inside), as the
+    engine's degree filter lets it."""
+    if t + 1 > g.n:
+        return [], 0
+    need = [(i > 0) + (i < t) for i in range(t + 1)]
     out: list[tuple[int, ...]] = []
-    extended = 0
+    expanded = 1
 
     def grow(path: list[int], used: int) -> None:
-        nonlocal extended
+        nonlocal expanded
         if len(path) == t + 1:
             out.append(tuple(path))
             return
+        expanded += 1
         tail = path[-1]
         for w in g.neighbors(tail):
-            if used >> w & 1:
+            if used >> w & 1 or g.degree(w) < need[len(path)]:
                 continue
             if g.neighbor_mask(w) & used & ~(1 << tail):
                 continue
-            extended += 1
             path.append(w)
             grow(path, used | 1 << w)
             path.pop()
 
     for v in g.vertices:
-        grow([v], 1 << v)
-    return sorted(out), extended
+        if g.degree(v) >= need[0]:
+            grow([v], 1 << v)
+    return sorted(out), expanded
 
 
 @settings(max_examples=150, deadline=None)
 @given(graphs(min_n=1, max_n=9), st.integers(0, 6))
 def test_creature_paths_match_recursive_reference(g, t):
-    want, extended = recursive_paths(g, t)
+    want, expanded = recursive_paths(g, t)
     bud = Budget(10**9)
     assert _directed_induced_paths(g, t, bud) == want
     assert _directed_induced_paths(g, t) == want  # the oracle's unbudgeted call
-    assert bud.used == extended
+    assert bud.used == expanded
 
 
 def test_creature_path_enumeration_is_charged_to_the_budget():
     # 224,692 induced paths on 15 vertices: the budget stops their
-    # enumeration at the eleventh prefix, before any path tuple is searched
+    # enumeration at the eleventh search-tree node, before any path tuple
+    # is searched
     bud = Budget(10)
     with pytest.raises(BudgetExhausted) as exc:
         find_creature(wall(7, 7), 3, 14, bud)
     assert bud.used == 11
-    assert exc.traceback[-2].name == "_directed_induced_paths"
+    assert exc.traceback[-2].name == "_grow"
 
 
 def _frame_depth() -> int:
@@ -185,6 +193,27 @@ def test_creature_path_length_needs_no_recursion_depth(tmp_path):
         sys.setrecursionlimit(limit)
     assert code == 0
     assert len(json.loads(out.read_text())["roles"]["path1"]) == 151
+
+
+def test_long_creature_path_search_takes_under_a_second(tmp_path):
+    # the search-tree node of the i-th path vertex ANDs one host mask per
+    # earlier path vertex, so a node costs O(t): 0.15-0.24 s for t = 150
+    # on a 2-core container
+    g, out = tmp_path / "cat.json", tmp_path / "det.json"
+    assert main(["gen", "caterpillar", "--spine", "200", "-o", str(g)]) == 0
+    argv = ["detect", "--pattern", "creature", "--k", "1", "--t", "150",
+            "-i", str(g), "-o", str(out)]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_empty_host_expands_no_node():
+    bud = Budget()
+    got = find_induced(Graph(0, []), Graph(0, []), bud)
+    assert got is not None and got.image == ()
+    assert bud.used == 0
+    assert _directed_induced_paths(Graph(0, []), 0) == []
 
 
 def recursive_creature(g: Graph, k: int, t: int, budget: Budget):

@@ -6,7 +6,11 @@ hand-written member generator passed to `_first_copy`.
 `detect` has one search loop, `_grow`: the family search runs it below its
 trie and `iter_induced_maps` from an empty one, and only `_grow` builds the
 candidate filter.  A second loop over the filter would be a second budget
-rule."""
+rule.  The creature search lists its induced paths as the maps of a path
+(`_directed_induced_paths`), so it runs that loop too.
+
+Every budget charge is one of a few `tick` calls, listed here, so a change
+of the step unit knows every site it has to touch."""
 
 import ast
 from pathlib import Path
@@ -44,4 +48,24 @@ def test_one_search_loop():
     assert _call_sites("_grow") == [
         ("detect", "_first_copy"),
         ("detect", "iter_induced_maps"),
+    ]
+    assert _call_sites("iter_induced_maps") == [
+        ("detect", "_directed_induced_paths"),
+        ("detect", "_engine_match"),
+        ("detect", "induced_copies"),
+    ]
+
+
+def test_budget_charge_sites():
+    # the search loop (before each yield, at its end, at exhaustion), each
+    # member a family offers, the creature's path-tuple search (its root
+    # and each tuple extended), and each subset `sep` tests
+    assert _call_sites("tick") == [
+        ("detect", "_first_copy"),
+        ("detect", "_grow"),
+        ("detect", "_grow"),
+        ("detect", "_grow"),
+        ("detect", "find_creature"),
+        ("detect", "find_creature"),
+        ("separators", "balances"),
     ]
