@@ -86,9 +86,8 @@ class Budget:
     shared by several members once.  The loop charges its ticks in
     batches, before every mapping it yields, at its end and as soon as they
     would exceed ``limit``, so ``used`` is exact at every yield, at the end
-    and at exhaustion.  ``find_creature`` lists its induced paths with that loop at
-    one tick per node it expands, then ticks once per node of its
-    path-tuple search.  ``separators.separation_number`` ticks once per
+    and at exhaustion.  ``find_creature`` runs that loop at one tick per
+    node it expands.  ``separators.separation_number`` ticks once per
     subset X it tests.
     Exceeding ``limit`` raises ``BudgetExhausted``.
     """

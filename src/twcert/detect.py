@@ -26,7 +26,7 @@ from .generators import (
     theta,
     wall,
 )
-from .graphs import Graph, bits, line_edges, mask_of, subdivision
+from .graphs import Graph, bits, disjoint_union, line_edges, mask_of, subdivision
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,19 @@ def _filter(
 
 
 def iter_induced_maps(
-    g: Graph, pattern: Graph, budget: Budget, step: Optional[int] = None
+    g: Graph,
+    pattern: Graph,
+    budget: Budget,
+    step: Optional[int] = None,
+    above: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """All injective maps pattern -> g preserving adjacency and non-adjacency,
     in lexicographic order of the mapping tuple: the family search's loop
-    (`_grow`) run from an empty trie with no symmetry condition, so charged
-    `step` steps per search-tree node it expands, n (the host size) unless
-    given.  A pattern larger than g has no copy and costs nothing."""
+    (`_grow`) run from an empty trie, so charged `step` steps per
+    search-tree node it expands, n (the host size) unless given.
+    ``above[v]``, when given, masks the earlier pattern vertices whose
+    images pattern vertex v's image must lie above (see `_filter`).  A
+    pattern larger than g has no copy and costs nothing."""
     k = pattern.n
     if k > g.n:
         return iter(())
@@ -98,7 +104,7 @@ def iter_induced_maps(
         _Level(None, array("i", [-1]), array("i", [-1])),
         [pattern.degree(i) for i in range(k)],
         [pattern.neighbor_mask(i) & ((1 << i) - 1) for i in range(k)],
-        [0] * k,
+        above or [0] * k,
         _host_masks(g),
         budget,
         g.n if step is None else step,
@@ -505,15 +511,6 @@ def find_subdivided_claw(
 # -- creatures -----------------------------------------------------------------
 
 
-def _directed_induced_paths(
-    g: Graph, t: int, budget: Optional[Budget] = None
-) -> list[tuple[int, ...]]:
-    """All induced paths on t+1 vertices as tuples (joint end first), in
-    lexicographic order: the engine's maps of the path on t+1 vertices,
-    charged one step per search-tree node it expands."""
-    return list(iter_induced_maps(g, path_graph(t + 1), budget or Budget(), 1))
-
-
 def find_creature(
     g: Graph, k: int, t: int, budget: Optional[Budget] = None
 ) -> Optional[PatternMatch]:
@@ -521,65 +518,34 @@ def find_creature(
     each touching the body only through its joint end.  The match's roles
     are the body, then path1..pathk, each joint first.
 
-    Exhaustive over joint-oriented path tuples in lexicographic order; for a
-    fixed choice of paths, a valid body exists iff some component of the
-    admissible region neighbors every joint.
+    The k paths are an induced copy of k disjoint paths on t+1 vertices,
+    each joint first, so they are the engine's maps of that pattern, with
+    each joint above the one before it so that each set of paths comes
+    once, and charged one step per search-tree node it expands.  The maps
+    come in lexicographic order of their path tuples; for each, a valid
+    body exists iff some component of the admissible region neighbours
+    every joint, and the first map with a body is the match.
     """
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
-    bud = budget or Budget()
-    paths = _directed_induced_paths(g, t, bud)
+    size = t + 1
+    paths = disjoint_union(*[path_graph(size)] * k)
+    above = [0] * paths.n
+    for joint in range(size, paths.n, size):
+        above[joint] = 1 << (joint - size)
     full = g.full_mask()
-
-    def body_for(chosen: list[tuple[int, ...]]) -> Optional[int]:
-        blocked = 0
-        joints = []
+    for mapping in iter_induced_maps(g, paths, budget or Budget(), 1, above):
+        chosen = [mapping[i : i + size] for i in range(0, paths.n, size)]
+        taken = blocked = mask_of(mapping)
         for p in chosen:
-            blocked |= mask_of(p)
-            joints.append(p[0])
             for v in p[1:]:
                 blocked |= g.neighbor_mask(v)
-        for comp in g.component_masks(full & ~blocked):
-            if all(g.neighbor_mask(j) & comp for j in joints):
-                return comp
-        return None
-
-    # Depth first over tuples of paths in increasing index order, on an
-    # explicit stack of index iterators, so k costs no recursion depth.
-    # One tick per search node: the empty tuple and each tuple extended.
-    bud.tick()
-    chosen: list[tuple[int, ...]] = []
-    used = 0  # vertices of the chosen paths
-    stack = [iter(range(len(paths)))]
-    while stack:
-        for idx in stack[-1]:
-            p = paths[idx]
-            pm = mask_of(p)
-            if pm & used:
-                continue
-            # pairwise anticomplete to the already chosen paths
-            if any(g.neighbor_mask(v) & used for v in p):
-                continue
-            bud.tick()
-            if len(chosen) + 1 == k:
-                body = body_for([*chosen, p])
-                if body is not None:
-                    return PatternMatch(
-                        image=tuple(bits(body | used | pm)),
-                        roles=(
-                            ("body", tuple(bits(body))),
-                            *_numbered("path", (*chosen, p)),
-                        ),
-                    )
-                continue
-            chosen.append(p)
-            used |= pm
-            stack.append(iter(range(idx + 1, len(paths))))
-            break
-        else:
-            stack.pop()
-            if chosen:
-                used ^= mask_of(chosen.pop())
+        for body in g.component_masks(full & ~blocked):
+            if all(g.neighbor_mask(p[0]) & body for p in chosen):
+                return PatternMatch(
+                    image=tuple(bits(body | taken)),
+                    roles=(("body", tuple(bits(body))), *_numbered("path", chosen)),
+                )
     return None
 
 

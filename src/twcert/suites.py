@@ -24,7 +24,7 @@ from .centralbag import (
 )
 from .certify import Certificate, graph_witness, td_witness
 from .check import PYRAMID_SHAPE, THETA_SHAPE, claw_shape, is_subdivision_set, validate_td
-from .config import RunConfig
+from .config import Budget, RunConfig
 from .decompose import (
     chordal_td,
     decompose_strip_structure,
@@ -32,13 +32,13 @@ from .decompose import (
     fuzzy_lci_td,
 )
 from .detect import (
-    _directed_induced_paths,
     find_creature,
     find_induced,
     find_line_of_subdivided_wall,
     find_subdivided_claw,
     find_t_pyramid,
     find_t_theta,
+    iter_induced_maps,
     verify_forcer,
 )
 from .generators import (
@@ -184,7 +184,7 @@ def creature_exists_bruteforce(g: Graph, k: int, t: int) -> bool:
     paths are disjoint and anticomplete."""
     nbr = g.neighbor_mask
     paths = []
-    for p in _directed_induced_paths(g, t):
+    for p in iter_induced_maps(g, path_graph(t + 1), Budget(), 1):
         pm = mask_of(p)
         rest = 0
         for v in p[1:]:

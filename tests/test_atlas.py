@@ -24,12 +24,12 @@ induces:
   a root joined to three paths of those lengths.  Only subsets with the
   spider's degrees, counted with bitmasks, are built as subgraphs.
 
-`find_creature` with k = 3 and t = 0 or 1 is checked on the same graphs
-against a body-first brute force on bitmasks: each connected vertex set
-is a body, which keeps the induced paths on t+1 vertices that miss it,
-whose joint (first vertex) touches it and whose other vertices do not;
-a creature exists when three kept paths are disjoint and pairwise
-anticomplete.  The match found must be such a body and three such paths.
+`find_creature` with (k, t) = (3, 0), (3, 1) and (2, 1) is checked on the
+same graphs against a body-first brute force on bitmasks: each connected
+vertex set is a body, which keeps the induced paths on t+1 vertices that
+miss it, whose joint (first vertex) touches it and whose other vertices do
+not; a creature exists when k kept paths are disjoint and pairwise
+anticomplete.  The match found must be such a body and k such paths.
 
 `decompose.chordal_td` is checked on the same graphs against
 `networkx.is_chordal`: it raises `NotChordal` exactly on the graphs that
@@ -271,7 +271,7 @@ def has_creature(nbr: list[int], paths, k: int) -> bool:
 # graphs with a creature, as measured when the test was written: with t = 1
 # a body and three legs need 7 vertices, so only the claw with legs of
 # length 2 holds one
-CREATURES = {(3, 0): 925, (3, 1): 1}
+CREATURES = {(2, 1): 380, (3, 0): 925, (3, 1): 1}
 
 
 @pytest.mark.parametrize("k, t", sorted(CREATURES))

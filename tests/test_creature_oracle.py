@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from twcert.detect import _directed_induced_paths
+from twcert.config import Budget
+from twcert.detect import iter_induced_maps
 from twcert.generators import path_graph, subdivided_claw
 from twcert.graphs import Graph, mask_of
 from twcert.suites import creature_exists_bruteforce
@@ -25,7 +26,7 @@ from twcert.suites import creature_exists_bruteforce
 def ref_creature_exists_bruteforce(g: Graph, k: int, t: int) -> bool:
     """Body-first enumeration: fix a connected candidate body, then pack k
     admissible joint-oriented paths around it."""
-    paths = _directed_induced_paths(g, t)
+    paths = list(iter_induced_maps(g, path_graph(t + 1), Budget(), 1))
     full = g.full_mask()
     for body_mask in range(1, full + 1):
         if g.reach_mask(body_mask & -body_mask, body_mask) != body_mask:

@@ -15,7 +15,6 @@ from twcert.detect import (
     Family,
     PatternMatch,
     _find,
-    _directed_induced_paths,
     _lengths,
     breaks,
     find_creature,
@@ -25,9 +24,12 @@ from twcert.detect import (
     find_t_pyramid,
     find_t_theta,
     induced_copies,
+    iter_induced_maps,
     verify_forcer,
 )
 from twcert.generators import (
+    CaterpillarSpec,
+    caterpillar,
     complete_bipartite,
     complete_graph,
     creature,
@@ -155,15 +157,16 @@ def recursive_paths(g: Graph, t: int) -> tuple[list[tuple[int, ...]], int]:
 def test_creature_paths_match_recursive_reference(g, t):
     want, expanded = recursive_paths(g, t)
     bud = Budget(10**9)
-    assert _directed_induced_paths(g, t, bud) == want
-    assert _directed_induced_paths(g, t) == want  # the oracle's unbudgeted call
+    assert list(iter_induced_maps(g, path_graph(t + 1), bud, 1)) == want
     assert bud.used == expanded
+    # the brute-force oracle's call, under the default budget
+    assert list(iter_induced_maps(g, path_graph(t + 1), Budget(), 1)) == want
 
 
 def test_creature_path_enumeration_is_charged_to_the_budget():
-    # 224,692 induced paths on 15 vertices: the budget stops their
-    # enumeration at the eleventh search-tree node, before any path tuple
-    # is searched
+    # 224,692 induced paths on 15 vertices: the budget stops the search
+    # for three of them at its eleventh search-tree node, before the first
+    # path is placed
     bud = Budget(10)
     with pytest.raises(BudgetExhausted) as exc:
         find_creature(wall(7, 7), 3, 14, bud)
@@ -195,10 +198,25 @@ def test_creature_path_length_needs_no_recursion_depth(tmp_path):
     assert len(json.loads(out.read_text())["roles"]["path1"]) == 151
 
 
+def test_creature_search_steps_are_its_nodes():
+    # one step per search-tree node: the root and each valid placement of
+    # 1..K-1 path vertices, K = k(t+1).  On the 200-edge spine the path
+    # from vertex 0 has no body and the one from vertex 1 has: 1 + 150 +
+    # 150 nodes.
+    spine = caterpillar(CaterpillarSpec(200, ())).graph
+    bud = Budget()
+    match = find_creature(spine, 1, 150, bud)
+    assert dict(match.roles)["path1"] == tuple(range(1, 152))
+    assert bud.used == 301
+    bud = Budget()
+    assert find_creature(wall(6, 6), 3, 2, bud) is not None
+    assert bud.used == 14
+
+
 def test_long_creature_path_search_takes_under_a_second(tmp_path):
     # the search-tree node of the i-th path vertex ANDs one host mask per
-    # earlier path vertex, so a node costs O(t): 0.15-0.24 s for t = 150
-    # on a 2-core container
+    # earlier path vertex, so a node costs O(t); the search expands 301
+    # nodes, 7 ms in process for t = 150 on a 2-core container
     g, out = tmp_path / "cat.json", tmp_path / "det.json"
     assert main(["gen", "caterpillar", "--spine", "200", "-o", str(g)]) == 0
     argv = ["detect", "--pattern", "creature", "--k", "1", "--t", "150",
@@ -213,34 +231,26 @@ def test_empty_host_expands_no_node():
     got = find_induced(Graph(0, []), Graph(0, []), bud)
     assert got is not None and got.image == ()
     assert bud.used == 0
-    assert _directed_induced_paths(Graph(0, []), 0) == []
+    assert list(iter_induced_maps(Graph(0, []), path_graph(1), bud, 1)) == []
+    assert find_creature(Graph(0, []), 1, 0, bud) is None
+    assert bud.used == 0
 
 
-def recursive_creature(g: Graph, k: int, t: int, budget: Budget):
-    """`find_creature` with the recursive path-tuple search the explicit-stack
-    one replaced: one frame and one tick per search node."""
-    paths = _directed_induced_paths(g, t, budget)
-
-    def body_for(chosen):
-        blocked = 0
-        for p in chosen:
-            blocked |= mask_of(p)
-            for v in p[1:]:
-                blocked |= g.neighbor_mask(v)
-        allowed = g.full_mask() & ~blocked
-        if not allowed:
-            return None
-        for comp in g.component_masks(allowed):
-            if all(g.neighbor_mask(p[0]) & comp for p in chosen):
-                return tuple(bits(comp))
+def creature_match(g: Graph, chosen: list[tuple[int, ...]]):
+    """The creature with the chosen paths, each joint first: the first
+    component of what the paths and the neighbours of their non-joint
+    vertices leave that touches every joint, or None."""
+    blocked = 0
+    for p in chosen:
+        blocked |= mask_of(p)
+        for v in p[1:]:
+            blocked |= g.neighbor_mask(v)
+    allowed = g.full_mask() & ~blocked
+    if not allowed:
         return None
-
-    def choose(start, chosen, used):
-        budget.tick()
-        if len(chosen) == k:
-            body = body_for(chosen)
-            if body is None:
-                return None
+    for comp in g.component_masks(allowed):
+        if all(g.neighbor_mask(p[0]) & comp for p in chosen):
+            body = tuple(bits(comp))
             return PatternMatch(
                 image=tuple(sorted(set(body).union(*chosen))),
                 roles=(
@@ -248,6 +258,19 @@ def recursive_creature(g: Graph, k: int, t: int, budget: Budget):
                     *((f"path{i + 1}", p) for i, p in enumerate(chosen)),
                 ),
             )
+    return None
+
+
+def recursive_creature(g: Graph, k: int, t: int):
+    """The creature search over path tuples, recursively: the induced
+    paths listed without the engine (`recursive_paths`), then tuples of k
+    of them, disjoint and pairwise anticomplete, in increasing index
+    order."""
+    paths = recursive_paths(g, t)[0]
+
+    def choose(start, chosen, used):
+        if len(chosen) == k:
+            return creature_match(g, chosen)
         for idx in range(start, len(paths)):
             p = paths[idx]
             pm = mask_of(p)
@@ -259,6 +282,44 @@ def recursive_creature(g: Graph, k: int, t: int, budget: Budget):
         return None
 
     return choose(0, [], 0)
+
+
+def creature_by_vertices(g: Graph, k: int, t: int, budget: Budget):
+    """`find_creature` placing one path vertex at a time, recursively, with
+    one tick per node whose candidates it computes: the root and each
+    valid placement of 1..K-1 vertices, K = k(t+1), none when K > n.  The
+    j-th vertex of a path has the degree of its place (at least 1 at the
+    ends, 2 inside), is adjacent to the vertex before it in its path and to
+    no other placed vertex, and a joint lies above the joint before it."""
+    size = t + 1
+    if k * size > g.n:
+        return None
+    need = [(j > 0) + (j < t) for j in range(size)]
+    placed: list[int] = []
+
+    def place():
+        if len(placed) == k * size:
+            return creature_match(
+                g, [tuple(placed[i : i + size]) for i in range(0, k * size, size)]
+            )
+        budget.tick()
+        i, j = divmod(len(placed), size)
+        prev = placed[-1] if j else None
+        for c in g.vertices:
+            if c in placed or g.degree(c) < need[j]:
+                continue
+            if j == 0 and i > 0 and c < placed[-size]:
+                continue
+            if any(g.has_edge(c, v) != (v == prev) for v in placed):
+                continue
+            placed.append(c)
+            got = place()
+            placed.pop()
+            if got is not None:
+                return got
+        return None
+
+    return place()
 
 
 def creature_outcome(search, g, k, t, limit):
@@ -273,11 +334,14 @@ def creature_outcome(search, g, k, t, limit):
 @settings(max_examples=200, deadline=None)
 @given(graphs(min_n=1, max_n=9), st.integers(1, 4), st.integers(0, 3), st.integers(0, 80))
 def test_creature_search_matches_recursive_reference(g, k, t, limit):
-    # the same match and ticks to the end, and the same exhaustion point
-    # under a small limit
+    # the path-tuple search's match; and the vertex-by-vertex search's
+    # match and ticks to the end, and its exhaustion point under a small
+    # limit
+    match, _ = creature_outcome(find_creature, g, k, t, 10**9)
+    assert match == recursive_creature(g, k, t)
     for lim in (10**9, limit):
         assert creature_outcome(find_creature, g, k, t, lim) == creature_outcome(
-            recursive_creature, g, k, t, lim
+            creature_by_vertices, g, k, t, lim
         )
 
 

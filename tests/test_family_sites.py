@@ -6,8 +6,10 @@ hand-written member generator passed to `_first_copy`.
 `detect` has one search loop, `_grow`: the family search runs it below its
 trie and `iter_induced_maps` from an empty one, and only `_grow` builds the
 candidate filter.  A second loop over the filter would be a second budget
-rule.  The creature search lists its induced paths as the maps of a path
-(`_directed_induced_paths`), so it runs that loop too.
+rule.  The creature search is one pattern search too: its k paths are the
+maps of k disjoint paths, each joint above the one before it, and only a
+body is looked for around each map.  The brute-force creature oracle lists
+its paths as the maps of one path.
 
 Every budget charge is one of a few `tick` calls, listed here, so a change
 of the step unit knows every site it has to touch."""
@@ -50,22 +52,20 @@ def test_one_search_loop():
         ("detect", "iter_induced_maps"),
     ]
     assert _call_sites("iter_induced_maps") == [
-        ("detect", "_directed_induced_paths"),
         ("detect", "_engine_match"),
+        ("detect", "find_creature"),
         ("detect", "induced_copies"),
+        ("suites", "creature_exists_bruteforce"),
     ]
 
 
 def test_budget_charge_sites():
     # the search loop (before each yield, at its end, at exhaustion), each
-    # member a family offers, the creature's path-tuple search (its root
-    # and each tuple extended), and each subset `sep` tests
+    # member a family offers, and each subset `sep` tests
     assert _call_sites("tick") == [
         ("detect", "_first_copy"),
         ("detect", "_grow"),
         ("detect", "_grow"),
         ("detect", "_grow"),
-        ("detect", "find_creature"),
-        ("detect", "find_creature"),
         ("separators", "balances"),
     ]
