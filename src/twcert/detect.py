@@ -11,7 +11,7 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .config import Budget
 from .generators import (
@@ -37,49 +37,104 @@ class PatternMatch:
 
 # -- generic engine ---------------------------------------------------------
 
-Host = tuple[list[int], list[int], list[int], list[int]]
-Filter = tuple[list[int], list[tuple[tuple[list[int], int], ...]]]
+Masks = list[int]
+
+
+def _balls(nbr: Sequence[int], x: int) -> Masks:
+    """The masks of the vertices within distance 0, 1, ..., e of vertex x
+    of the graph with neighbour masks `nbr`, e the largest distance from x
+    to a vertex it reaches: one breadth-first search."""
+    ball = ring = 1 << x
+    balls = [ball]
+    while True:
+        grown = 0
+        while ring:
+            low = ring & -ring
+            grown |= nbr[low.bit_length() - 1]
+            ring ^= low
+        ring = grown & ~ball
+        if not ring:
+            return balls
+        ball |= ring
+        balls.append(ball)
+
+
+class _Far(dict):
+    """Host vertex x -> the host vertices within distance r of x and not
+    adjacent to x, read on the first read of x from x's balls (`_balls`),
+    which ``balls`` keeps for every radius."""
+
+    __slots__ = ("r", "nbr", "non", "balls")
+
+    def __init__(self, r: int, nbr: Masks, non: Masks, balls: dict[int, Masks]) -> None:
+        super().__init__()
+        self.r, self.nbr, self.non, self.balls = r, nbr, non, balls
+
+    def __missing__(self, x: int) -> int:
+        balls = self.balls.get(x)
+        if balls is None:
+            balls = self.balls[x] = _balls(self.nbr, x)
+        self[x] = far = balls[min(self.r, len(balls) - 1)] & self.non[x]
+        return far
+
+
+Host = tuple[Masks, Masks, Masks, Masks, dict[int, _Far], dict[int, Masks]]
+Table = Union[Masks, _Far]
+Filter = tuple[list[int], list[tuple[tuple[Table, int], ...]]]
+# A pattern vertex's signature entry: its degree, the mask of its earlier
+# neighbours, the mask of the earlier vertices whose images its image must
+# lie above (0 for none) and, on a theta or pyramid path vertex that can
+# prune, a fourth field, its reach (v, r): the earlier vertex v whose image
+# its image lies within host distance r of (see `_signature`).
+Entry = tuple[Union[int, tuple[int, int]], ...]
 
 
 def _host_masks(g: Graph) -> Host:
     """The host's neighbour masks, their complements, up[x] = -(2 << x),
-    the host vertices above x, and at_least[d], the host vertices of degree
-    >= d for d up to the maximum degree."""
+    the host vertices above x, at_least[d], the host vertices of degree
+    >= d for d up to the maximum degree, the tables far[r] (`_Far`) by
+    radius r and the balls they read, each made, and filled, only as a
+    search reads it."""
     nbr = [g.neighbor_mask(v) for v in g.vertices]
     at_least = [0] * (g.max_degree() + 1)
     for v in g.vertices:
         at_least[g.degree(v)] |= 1 << v
     for d in range(len(at_least) - 2, -1, -1):
         at_least[d] |= at_least[d + 1]
-    return nbr, [~m for m in nbr], [-(2 << v) for v in g.vertices], at_least
+    return nbr, [~m for m in nbr], [-(2 << v) for v in g.vertices], at_least, {}, {}
 
 
-def _filter(
-    degree: Sequence[int], earlier: Sequence[int], above: Sequence[int], host: Host
-) -> Filter:
+def _filter(entries: Sequence[Entry], host: Host) -> Filter:
     """The engine's candidate filter on the host `host` (see `_host_masks`)
-    for a pattern whose vertex i has degree ``degree[i]``, earlier
-    neighbours ``earlier[i]`` (a mask of 0..i-1) and an image above those of
-    the vertices in ``above[i]`` (a mask of 0..i-1).
+    for a pattern whose vertex i has the signature entry ``entries[i]``:
+    its degree, earlier neighbours (a mask of 0..i-1), the earlier vertices
+    whose images its image lies above (a mask of 0..i-1) and maybe its
+    reach (v, r).
 
     The candidates for pattern vertex i are ``base[i]`` (the host vertices
-    of large enough degree, none when ``degree[i]`` exceeds the host's
+    of large enough degree, none when its degree exceeds the host's
     maximum), minus the vertices the images of 0..i-1 take, AND
     ``table[assigned[j]]`` for each ``(table, j)`` in ``checks[i]``: ``nbr``
     for each earlier neighbour j, ``non`` for each earlier non-neighbour
-    and ``up`` for each j in ``above[i]``.  So one loop applies all three.
+    but the v of its reach, ``far[r]`` for that v, and ``up`` for each j
+    its image lies above.  So one loop applies them all, and a reach costs
+    no mask AND of its own.
     """
-    nbr, non, up, at_least = host
+    nbr, non, up, at_least, far, balls = host
     top = len(at_least)
-    base = [at_least[d] if d < top else 0 for d in degree]
     tables = (non, nbr)
-    checks = [
-        tuple(
-            [(tables[mask >> j & 1], j) for j in range(i)]
-            + [(up, j) for j in bits(over)]
-        )
-        for i, (mask, over) in enumerate(zip(earlier, above))
-    ]
+    base = [at_least[e[0]] if e[0] < top else 0 for e in entries]
+    checks = []
+    for i, e in enumerate(entries):
+        row = [(tables[e[1] >> j & 1], j) for j in range(i)]
+        if len(e) > 3:  # a reach (v, r)
+            v, r = e[3]
+            if r not in far:
+                far[r] = _Far(r, nbr, non, balls)
+            row[v] = (far[r], v)
+        if e[2]:
+            row += [(up, j) for j in bits(e[2])]
+        checks.append(tuple(row))
     return base, checks
 
 
@@ -100,11 +155,13 @@ def iter_induced_maps(
     k = pattern.n
     if k > g.n:
         return iter(())
+    entries = [
+        (pattern.degree(i), pattern.neighbor_mask(i) & ((1 << i) - 1), over)
+        for i, over in enumerate(above or [0] * k)
+    ]
     return _grow(
         _Level(None, array("i", [-1]), array("i", [-1])),
-        [pattern.degree(i) for i in range(k)],
-        [pattern.neighbor_mask(i) & ((1 << i) - 1) for i in range(k)],
-        above or [0] * k,
+        entries,
         _host_masks(g),
         budget,
         g.n if step is None else step,
@@ -113,11 +170,9 @@ def iter_induced_maps(
 
 Edges = Sequence[tuple[int, int]]
 # One member of a witness family: its vertex count, its signature (one entry
-# per vertex, in vertex order: its degree, the mask of its earlier
-# neighbours, and the mask of the earlier vertices whose images its image
-# must lie above, 0 for none), and a call that builds its instance (a copy
-# maps the instance's roles into the host).
-Member = tuple[int, Iterable[tuple[int, ...]], Callable[[], Instance]]
+# per vertex, in vertex order, see `Entry`), and a call that builds its
+# instance (a copy maps the instance's roles into the host).
+Member = tuple[int, Iterable[Entry], Callable[[], Instance]]
 
 
 def _edge_member(k: int, edges: Edges) -> Member:
@@ -153,15 +208,13 @@ class _Level:
 
 def _grow(
     trie: _Level,
-    degree: Sequence[int],
-    earlier: Sequence[int],
-    above: Sequence[int],
+    entries: Sequence[Entry],
     host: Host,
     budget: Budget,
     step: int,
     grown: Optional[list[tuple[array, array]]] = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Every mapping of the member with the given signature below the trie
+    """Every mapping of the member with the signature `entries` below the trie
     node `trie` at depth p (levels 0..p-1 enumerated), in lexicographic
     order.  Pattern vertices p..k-1 are placed in id order by one loop over
     an explicit stack, each from the candidates of `_filter` in ascending
@@ -178,8 +231,8 @@ def _grow(
     p..k-1, the loop appends each node it expands there (the index of its
     parent one level up, its host vertex), for `_first_copy` to link into
     the trie."""
-    p, k = trie.depth, len(degree)
-    base, checks = _filter(degree, earlier, above, host)
+    p, k = trie.depth, len(entries)
+    base, checks = _filter(entries, host)
     step = step or 1  # only an empty host charges 0, and it expands no node
     room = (budget.limit - budget.used) // step  # the nodes it may expand
     expanded = 0
@@ -291,9 +344,8 @@ def _first_copy(
         if not trie.vertex:
             continue  # an earlier member's search died here
         walked.extend(signature)
-        degree, earlier, above = zip(*walked)
         grown = [(array("i"), array("i")) for _ in range(trie.depth, k)]
-        search = _grow(trie, degree, earlier, above, host, budget, n, grown)
+        search = _grow(trie, walked, host, budget, n, grown)
         mapping = next(search, None)
         if mapping is not None:
             return _mapped(mapping, build().roles)
@@ -375,69 +427,87 @@ class Family:
 
 
 def _lengths(
-    total: int, floors: Sequence[int], rising: bool
+    total: Union[int, range], floors: Sequence[int], rising: bool
 ) -> Iterator[tuple[int, ...]]:
     """Every vector of ``len(floors) >= 1`` lengths that sums to `total`,
-    its i-th entry at least ``floors[i]`` and, when `rising`, at least the
-    entry before it, in lexicographic order.
+    or to any total in it when it is a range, by sum and then in
+    lexicographic order, its i-th entry at least ``floors[i]`` and, when
+    `rising`, at least the entry before it.
 
-    A flat odometer: raise the rightmost slot that leaves room and give each
-    later slot its least value; the slot before the last then runs through
-    its range, and the last takes the rest."""
+    One flat odometer for every sum: raise the rightmost slot that leaves
+    room and give each later slot its least value; the slot before the
+    last then runs through its range, and the last takes the rest.  When
+    no slot leaves room, the next sum starts."""
     *x, end = floors
-    if not x:
-        if total >= end:
-            yield (total,)
+    totals = total if isinstance(total, range) else (total,)
+    if not x:  # one slot, which takes the whole sum
+        yield from ((s,) for s in totals if s >= end)
         return
     p = len(x) - 1  # the slot before the last
-    i = -1  # the slot just raised
-    while True:
-        for j in range(i + 1, p + 1):
-            x[j] = max(floors[j], x[j - 1]) if rising and j else floors[j]
-        rest = total - sum(x[:p])
-        top = min(rest - end, rest // 2) if rising else rest - end
-        if x[p] <= top:
-            prefix = tuple(x[:p])
-            for a in range(x[p], top + 1):
-                yield (*prefix, a, rest - a)
-            i = p
-        i -= 1
-        if i < 0:
-            return
-        x[i] += 1
+    head = [0] * (p + 1)  # head[j]: the sum of the slots before j
+    for total in totals:
+        i = -1  # the slot just raised
+        while True:
+            for j in range(i + 1, p + 1):
+                x[j] = max(floors[j], x[j - 1]) if rising and j else floors[j]
+                if j < p:
+                    head[j + 1] = head[j] + x[j]
+            rest = total - head[p]
+            top = min(rest - end, rest // 2) if rising else rest - end
+            if x[p] <= top:
+                prefix = tuple(x[:p])
+                for a in range(x[p], top + 1):
+                    yield (*prefix, a, rest - a)
+                i = p
+            i -= 1
+            if i < 0:
+                break
+            x[i] += 1
+            head[i + 1] += 1
 
 
-def _members(family: Family, n: int) -> Iterator[Member]:
+def _members(family: Family, n: int, cap: Callable[[], int]) -> Iterator[Member]:
     """The members of `family` with at most n vertices, by vertex count,
     then by free lengths in lexicographic order.  A member's signature is
-    read from its lengths (`_signature`) and its instance built only when
-    it embeds (``family.build``).  A line member comes with its edge
-    list."""
+    read from its lengths one entry at a time (`_signature`, with no reach
+    of ``cap()`` or more, or `_line_signature`), and its instance is built
+    only when it embeds (``family.build``, or `_line_instance`)."""
     ones = (1,) * (len(family.edges) - len(family.floors))
     # a member whose free lengths sum to s has s + offset vertices
     offset = len(ones) if family.build is None else family.n - len(family.floors)
     least = sum(accumulate(family.floors, max) if family.rising else family.floors)
     ends = [v for edge in family.edges for v in edge]
     degree = [ends.count(v) for v in range(family.n)]
-    for total in range(least, n - offset + 1):
-        k = total + offset
-        for free in _lengths(total, family.floors, family.rising):
-            if family.build is None:
-                count, edges, _ = subdivision(family.n, family.edges, ones + free)
-                yield _edge_member(k, line_edges(count, edges))
-            else:
-                signature = _signature(family, degree, ones + free)
-                yield k, signature, partial(family.build, *free)
+    # the base edges at each base vertex, for a line member's signature
+    at = [] if family.build else [
+        [(j, x == v, v) for j, (u, v) in enumerate(family.edges) if x in (u, v)]
+        for x in range(family.n)
+    ]
+    for free in _lengths(range(least, n - offset + 1), family.floors, family.rising):
+        k = sum(free) + offset
+        lengths = ones + free
+        if family.build is None:
+            signature = _line_signature(family, degree, at, lengths)
+            yield k, signature, partial(_line_instance, family, lengths)
+        else:
+            signature = _signature(family, degree, lengths, cap)
+            yield k, signature, partial(family.build, *free)
 
 
 def _signature(
-    family: Family, degree: Sequence[int], lengths: Sequence[int]
-) -> Iterator[tuple[int, int, int]]:
+    family: Family, degree: Sequence[int], lengths: Sequence[int], cap: Callable[[], int]
+) -> Iterator[Entry]:
     """The signature of the member of `family` whose edges have the given
     lengths, read from the lengths and the base vertices' degrees alone:
     the base vertices, with their conditions, then each edge's new vertices
     in path order.  It yields one entry at a time, so a reader that stops
-    early pays only for the entries it read."""
+    early pays only for the entries it read.
+
+    The q-th new vertex of an edge (u, v) of length l, but the last, has
+    the reach (v, l - q): the rest of its path is a path of l - q edges to
+    v, so its image lies within host distance l - q of v's.  A reach of
+    ``cap()`` or more is left out, as one that cannot prune; `cap` is
+    called only once a reach is read."""
     earlier = [0] * family.n
     for (u, v), ell in zip(family.edges, lengths):
         if ell == 1:
@@ -445,19 +515,93 @@ def _signature(
     yield from zip(degree, earlier, family.above)
     nxt = family.n
     for (u, v), ell in zip(family.edges, lengths):
-        # new vertices nxt..nxt+ell-2; the last also follows base vertex v
+        # new vertices nxt..nxt+ell-2, each r edges from v along the path;
+        # the last also follows base vertex v
         prev = u
-        for w in range(nxt, nxt + ell - 2):
-            yield 2, 1 << prev, 0
-            prev = w
+        for r in range(ell - 1, 1, -1):
+            yield (2, 1 << prev, 0, (v, r)) if r < cap() else (2, 1 << prev, 0)
+            prev = nxt + ell - 1 - r
         if ell > 1:
             yield 2, 1 << prev | 1 << v, 0
         nxt += ell - 1
 
 
+def _line_signature(
+    family: Family,
+    degree: Sequence[int],
+    at: Sequence[Sequence[tuple[int, bool, int]]],
+    lengths: Sequence[int],
+) -> Iterator[Entry]:
+    """The signature of the line member of `family` whose edges have the
+    given lengths, read from the lengths, the base vertices' degrees and
+    ``at[x]``, the base edges (u, v) at base vertex x, each as (its index,
+    whether x is v, v), one entry at a time.
+
+    Line vertex i is the i-th edge of the subdivision in `line_edges`'
+    order: by low end, then by high end, with the vertices numbered as
+    `subdivision` numbers them.  So the edges at base vertices come first,
+    by base vertex x: its unsubdivided edges to base vertices above it and
+    one edge to a new vertex per subdivided edge at x.  The edges between
+    new vertices follow, along each path.  Two line vertices are adjacent
+    when their edges share an end."""
+    # passed[j] - j: the first new vertex of edge j, each of degree 2
+    passed = [*accumulate(lengths, initial=family.n)]
+    seen = [0] * (passed[-1] - len(lengths))  # seen[x]: the line vertices so far at x
+    bit = 1  # 1 << the next line vertex
+    for x, edges in enumerate(at):
+        # its unsubdivided edges up, then its edges to new vertices
+        for unit in (True, False):
+            for j, high, v in edges:
+                if unit != (lengths[j] == 1) or unit and high:
+                    continue  # not of this kind, or an unsubdivided edge down
+                b = v if unit else passed[j + high] - j - 2 * high
+                yield degree[x] + (degree[b] if unit else 2) - 2, seen[x] | seen[b], 0
+                seen[x] |= bit
+                seen[b] |= bit
+                bit <<= 1
+    for j, ell in enumerate(lengths):
+        for w in range(passed[j] - j, passed[j + 1] - j - 2):
+            yield 2, seen[w] | seen[w + 1], 0
+            seen[w] |= bit
+            seen[w + 1] |= bit
+            bit <<= 1
+
+
+def _line_instance(family: Family, lengths: Sequence[int]) -> Instance:
+    """The instance of the line member of `family` whose edges have the
+    given lengths: the line graph of the subdivision, its one role its
+    whole vertex order (`_edge_member`)."""
+    count, edges, _ = subdivision(family.n, family.edges, lengths)
+    return _edge_member(len(edges), line_edges(count, edges))[2]()
+
+
+def _reach_cap(g: Graph) -> int:
+    """Twice the largest distance from the lowest vertex of a component of
+    g to another vertex of it: at least the diameter of each component, so
+    a ball of that radius around a vertex holds its whole component."""
+    nbr = [g.neighbor_mask(v) for v in g.vertices]
+    cap = 0
+    rest = g.full_mask()
+    while rest:
+        around = _balls(nbr, (rest & -rest).bit_length() - 1)
+        cap = max(cap, 2 * (len(around) - 1))
+        rest &= ~around[-1]
+    return cap
+
+
 def _find(g: Graph, family: Family, budget: Optional[Budget]) -> Optional[PatternMatch]:
-    """The first copy of the first member of `family` in g (`_first_copy`)."""
-    return _first_copy(g, _members(family, g.n), budget or Budget())
+    """The first copy of the first member of `family` in g (`_first_copy`).
+    A reach bound that cannot prune in g is left out of the signatures
+    (`_reach_cap`, found once the first reach is read), so that members
+    agreeing but for it share their search."""
+    known: list[int] = []
+
+    def cap() -> int:
+        if not known:
+            known.append(_reach_cap(g))
+        return known[0]
+
+    return _first_copy(g, _members(family, g.n, cap), budget or Budget())
 
 
 # -- specialised detectors ----------------------------------------------------

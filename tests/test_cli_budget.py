@@ -257,3 +257,36 @@ def test_family_ticks_do_not_depend_on_the_hash_seed():
     (theta, theta_used), (pyramid, pyramid_used) = runs[0]
     assert theta is not None and pyramid is None
     assert 0 < theta_used and 0 < pyramid_used
+
+
+@pytest.mark.parametrize("rows, cols, t", [(6, 6, 3), (6, 6, 4), (7, 7, 3), (8, 8, 2)])
+def test_reach_bounds_find_theta_in_larger_walls(tmp_path, rows, cols, t):
+    """A theta path vertex is placed only within its remaining path length
+    of the path's end, so these searches, which ran out of the default
+    budget, find a copy, and its image rechecks as a theta."""
+    g = generators.wall(rows, cols)
+    argv = ["detect", "--pattern", "theta", "--t", str(t), "-i", _host(tmp_path, "w", g)]
+    code, payload = _run(tmp_path, argv)
+    assert code == 0 and payload["status"] == "found"
+    witness = {"kind": "pattern-found", "graph": graph_to_json(g),
+               "image": payload["image"], "shape": THETA_WITNESS}
+    record = {"check": "theta", "status": "pass", "witness": witness}
+    assert recheck({"assertions": [record]}) == (1, 1, [])
+
+
+def test_theta_t3_on_the_8x8_wall_still_runs_out_quickly(tmp_path):
+    argv = ["detect", "--pattern", "theta", "--t", "3",
+            "-i", _host(tmp_path, "w", generators.wall(8, 8))]
+    start = time.perf_counter()
+    code, payload = _run(tmp_path, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and payload["status"] == "budget"
+
+
+@pytest.mark.parametrize("size", [5, 6])
+def test_pyramid_stays_absent_on_walls(tmp_path, size):
+    """Walls have no triangle, so every pyramid member dies before its
+    paths, where the reach bounds sit."""
+    g = generators.wall(size, size)
+    argv = ["detect", "--pattern", "pyramid", "--t", "1", "-i", _host(tmp_path, "w", g)]
+    assert _run(tmp_path, argv) == (1, {"status": "absent"})

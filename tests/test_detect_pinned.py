@@ -5,8 +5,11 @@ pin but pyramid-t1-wall44-absent, whose 337 members take seconds to search
 one by one, is also counted by a recursive search of the members, one
 after another: one tick per host vertex for each search node the first
 time a member expands it, and, in a family search, as many again for each
-member offered.  The claw and induced searches run one pattern, with no
-per-member ticks."""
+member offered.  In a theta or pyramid member, a path vertex q edges along
+a path of length l, with q <= l - 2, is placed only within host distance
+l - q of the image of the path's far end, unless that bound reaches twice
+the largest distance from the lowest vertex of a host component.  The claw
+and induced searches run one pattern, with no per-member ticks."""
 
 import pytest
 
@@ -44,7 +47,7 @@ CASES = {
                 ("path3", (1, 2, 7, 8, 11, 10, 9, 4)),
             ),
         ),
-        2724,
+        2532,
     ),
     "theta-t3-wall34": (
         lambda b: find_t_theta(wall(3, 4), 3, b),
@@ -57,7 +60,7 @@ CASES = {
                 ("path3", (2, 3, 10, 11, 15, 14, 13)),
             ),
         ),
-        15664,
+        11056,
     ),
     "theta-t2-k23": (
         lambda b: find_t_theta(complete_bipartite(2, 3), 2, b),
@@ -152,7 +155,7 @@ CASES = {
                 ("path3", (6, 1, 2, 3, 10, 9, 17, 18, 23, 22, 21, 14)),
             ),
         ),
-        141384,
+        79896,
     ),
     "theta-t2-wall45": (
         lambda b: find_t_theta(wall(4, 5), 2, b),
@@ -165,7 +168,7 @@ CASES = {
                 ("path3", (1, 2, 9, 10, 20, 19, 18, 17, 16, 6)),
             ),
         ),
-        212850,
+        105930,
     ),
 }
 
@@ -226,23 +229,63 @@ def length_triples(t, max_sum):
                 yield l1, l2, total - l1 - l2
 
 
-def recursive_family(g, instances, above=None, offered=True):
+def distances(g):
+    """All host distances, None between components, by one breadth-first
+    search per vertex."""
+    out = []
+    for s in g.vertices:
+        dist = {s: 0}
+        queue = [s]
+        for u in queue:
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        out.append([dist.get(v) for v in g.vertices])
+    return out
+
+
+def path_reaches(g, wit):
+    """Pattern vertex -> (far end, bound) for each path vertex q edges along
+    a role path of length l with q <= l - 2, leaving out bounds of at least
+    twice the largest distance from the lowest vertex of a host component."""
+    dist = distances(g)
+    lowest = {min(v for v in g.vertices if dist[u][v] is not None) for u in g.vertices}
+    cap = 2 * max(max(d for d in dist[u] if d is not None) for u in lowest)
+    out = {}
+    for key, chain in wit.roles:
+        if key.startswith("path"):
+            ell = len(chain) - 1
+            for q in range(1, ell - 1):
+                if ell - q < cap:
+                    out[chain[q]] = (chain[-1], ell - q)
+    return out
+
+
+def recursive_family(g, instances, above=None, offered=True, reach=False):
     """The members, the instances in order, searched one after another,
     recursively: each pattern vertex tries every host vertex in id order,
-    vertex i only above the image of vertex ``above[i]`` when it is given.
-    Each member costs g.n ticks when `offered`, and a search node costs g.n
-    the first time some member tries a next vertex below it, a node being
-    its assignment and the degrees and earlier neighbours of the pattern
-    vertices down to the one tried.  Returns the first match and the ticks
-    taken up to it, or None and every member's ticks."""
+    vertex i only above the image of vertex ``above[i]`` when it is given
+    and, when `reach`, only within the bound of its path reach (see
+    `path_reaches`) of its far end's image.  Each member costs g.n ticks
+    when `offered`, and a search node costs g.n the first time some member
+    tries a next vertex below it, a node being its assignment and the
+    degrees, earlier neighbours and reaches of the pattern vertices down to
+    the one tried.  Returns the first match and the ticks taken up to it, or
+    None and every member's ticks."""
     ticks = 0
     seen = set()
     degree = [g.degree(v) for v in g.vertices]
     adjacent = [[g.has_edge(u, v) for v in g.vertices] for u in g.vertices]
+    dist = distances(g)
     for wit in instances:
         ticks += g.n if offered else 0
         p = wit.graph
-        entries = tuple((p.degree(i), p.neighbor_mask(i) % (1 << i)) for i in p.vertices)
+        reaches = path_reaches(g, wit) if reach else {}
+        entries = tuple(
+            (p.degree(i), p.neighbor_mask(i) % (1 << i), reaches.get(i))
+            for i in p.vertices
+        )
         edges = [[p.has_edge(i, j) for j in range(i)] for i in p.vertices]
         assigned = []
 
@@ -259,6 +302,10 @@ def recursive_family(g, instances, above=None, offered=True):
                     continue
                 if above and i in above and cand < assigned[above[i]]:
                     continue
+                if i in reaches:
+                    end, bound = reaches[i]
+                    if dist[assigned[end]][cand] is None or dist[assigned[end]][cand] > bound:
+                        continue
                 if any(
                     edge != adjacent[a][cand] for edge, a in zip(edges[i], assigned)
                 ):
@@ -278,9 +325,10 @@ def recursive_family(g, instances, above=None, offered=True):
 
 
 def recursive_theta(g, t):
-    """The theta family, its end (vertex 1) placed above its hub."""
+    """The theta family, its end (vertex 1) placed above its hub, each path
+    vertex within its reach of the end."""
     members = (theta(*ls) for ls in length_triples(t, g.n + 1))
-    return recursive_family(g, members, above={1: 0})
+    return recursive_family(g, members, above={1: 0}, reach=True)
 
 
 @pytest.mark.parametrize("name", sorted(THETAS))
@@ -323,10 +371,11 @@ PYRAMIDS = {
 
 
 def recursive_pyramid(g, t):
-    """The pyramid family: length triples whose last two are at least 2."""
+    """The pyramid family: length triples whose last two are at least 2,
+    each path vertex within its reach of its triangle corner."""
     triples = length_triples(t, g.n - 1)
     members = (pyramid(*ls) for ls in triples if ls[1] >= 2)
-    return recursive_family(g, members)
+    return recursive_family(g, members, reach=True)
 
 
 @pytest.mark.parametrize("name", sorted(PYRAMIDS))

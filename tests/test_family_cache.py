@@ -46,13 +46,32 @@ def meets(mapping, entries):
     return all(mapping[i] > mapping[j] for i, e in enumerate(entries) for j in bits(e[2]))
 
 
+def distances(g):
+    """dist[u][v], the host distance, or None between components: one
+    breadth-first search per vertex."""
+    dist = []
+    for s in g.vertices:
+        found = {s: 0}
+        queue = [s]
+        for u in queue:
+            for w in g.neighbors(u):
+                if w not in found:
+                    found[w] = found[u] + 1
+                    queue.append(w)
+        dist.append([found.get(v) for v in g.vertices])
+    return dist
+
+
 def first_leaf(g, entries, seen):
     """Search the member with these signature entries (degree, earlier
-    neighbours, condition) depth first, host vertices in id order, until its
-    first mapping.  Adds to `seen` each node whose next vertex it tries, as
-    the entries down to that vertex and the assignment, and returns the
-    first mapping, or None, and how many nodes it added."""
+    neighbours, condition and maybe a reach (v, r)) depth first, host
+    vertices in id order, until its first mapping.  A vertex with a reach
+    is placed only within host distance r of v's image.  Adds to `seen`
+    each node whose next vertex it tries, as the entries down to that
+    vertex and the assignment, and returns the first mapping, or None, and
+    how many nodes it added."""
     nbr = [g.neighbor_mask(v) for v in g.vertices]
+    dist = distances(g)
     assigned: list[int] = []
     added = 0
 
@@ -64,9 +83,11 @@ def first_leaf(g, entries, seen):
         if node not in seen:
             seen.add(node)
             added += 1
-        degree, earlier, above = entries[i]
+        degree, earlier, above, *reach = entries[i]
         for c in g.vertices:
             if c in assigned or g.degree(c) < degree:
+                continue
+            if any(dist[assigned[v]][c] is None or dist[assigned[v]][c] > r for v, r in reach):
                 continue
             if any(nbr[a] >> c & 1 != earlier >> j & 1 for j, a in enumerate(assigned)):
                 continue

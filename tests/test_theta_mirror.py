@@ -26,12 +26,17 @@ THETA_T = st.sampled_from([2, 3, 4])
 
 @contextmanager
 def unconditioned():
-    """Run the detectors on the trie with no condition in any signature."""
+    """Run the detectors on the trie with no condition in any signature,
+    each entry's reach, if it has one, kept."""
     trie = detect._first_copy
 
     def first_copy(g, family, budget):
         members = (
-            (k, ((degree, earlier, 0) for degree, earlier, _ in signature), build)
+            (
+                k,
+                ((degree, earlier, 0, *reach) for degree, earlier, _, *reach in signature),
+                build,
+            )
             for k, signature, build in family
         )
         return trie(g, members, budget)
