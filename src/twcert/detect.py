@@ -40,29 +40,11 @@ class PatternMatch:
 Masks = list[int]
 
 
-def _balls(nbr: Sequence[int], x: int) -> Masks:
-    """The masks of the vertices within distance 0, 1, ..., e of vertex x
-    of the graph with neighbour masks `nbr`, e the largest distance from x
-    to a vertex it reaches: one breadth-first search."""
-    ball = ring = 1 << x
-    balls = [ball]
-    while True:
-        grown = 0
-        while ring:
-            low = ring & -ring
-            grown |= nbr[low.bit_length() - 1]
-            ring ^= low
-        ring = grown & ~ball
-        if not ring:
-            return balls
-        ball |= ring
-        balls.append(ball)
-
-
 class _Far(dict):
     """Host vertex x -> the host vertices within distance r of x and not
-    adjacent to x, read on the first read of x from x's balls (`_balls`),
-    which ``balls`` keeps for every radius."""
+    adjacent to x, read on the first read of x from x's balls, the masks of
+    the vertices within distance 0, 1, ..., e of x (e the largest distance
+    from x to a vertex it reaches), which ``balls`` keeps for every radius."""
 
     __slots__ = ("r", "nbr", "non", "balls")
 
@@ -72,8 +54,16 @@ class _Far(dict):
 
     def __missing__(self, x: int) -> int:
         balls = self.balls.get(x)
-        if balls is None:
-            balls = self.balls[x] = _balls(self.nbr, x)
+        if balls is None:  # one breadth-first search from x
+            ring = 1 << x
+            balls = self.balls[x] = [ring]
+            while ring:
+                grown = 0
+                for y in bits(ring):
+                    grown |= self.nbr[y]
+                ring = grown & ~balls[-1]
+                if ring:
+                    balls.append(balls[-1] | ring)
         self[x] = far = balls[min(self.r, len(balls) - 1)] & self.non[x]
         return far
 
@@ -83,9 +73,9 @@ Table = Union[Masks, _Far]
 Filter = tuple[list[int], list[tuple[tuple[Table, int], ...]]]
 # A pattern vertex's signature entry: its degree, the mask of its earlier
 # neighbours, the mask of the earlier vertices whose images its image must
-# lie above (0 for none) and, on a theta or pyramid path vertex that can
-# prune, a fourth field, its reach (v, r): the earlier vertex v whose image
-# its image lies within host distance r of (see `_signature`).
+# lie above (0 for none) and, on a theta or pyramid path vertex but the last,
+# a fourth field, its reach (v, r): the earlier vertex v whose image its
+# image lies within host distance r of (see `_signature`).
 Entry = tuple[Union[int, tuple[int, int]], ...]
 
 
@@ -168,14 +158,13 @@ def iter_induced_maps(
     )
 
 
-Edges = Sequence[tuple[int, int]]
 # One member of a witness family: its vertex count, its signature (one entry
 # per vertex, in vertex order, see `Entry`), and a call that builds its
 # instance (a copy maps the instance's roles into the host).
 Member = tuple[int, Iterable[Entry], Callable[[], Instance]]
 
 
-def _edge_member(k: int, edges: Edges) -> Member:
+def _edge_member(k: int, edges: Sequence[tuple[int, int]]) -> Member:
     """A member given by its edge list, each edge low end first, which its
     signature is read from.  Its one role, `mapping`, is its whole vertex
     order."""
@@ -416,7 +405,8 @@ class Family:
     is read from its edge list (`_edge_member`).  ``above[v]`` masks the
     base vertices whose images base vertex v's image must lie above, a
     condition that breaks a symmetry of every member and keeps its first
-    copy (see `_first_copy`); a line family has none."""
+    copy (see `_first_copy`); a line family has none.  ``contains`` holds a
+    host test per small graph that every member has as an induced subgraph."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -424,6 +414,7 @@ class Family:
     rising: bool
     build: Optional[Callable[..., Instance]]
     above: tuple[int, ...]
+    contains: tuple[Callable[[Graph], bool], ...]
 
 
 def _lengths(
@@ -466,18 +457,22 @@ def _lengths(
             head[i + 1] += 1
 
 
-def _members(family: Family, n: int, cap: Callable[[], int]) -> Iterator[Member]:
+def _members(family: Family, n: int) -> Iterator[Member]:
     """The members of `family` with at most n vertices, by vertex count,
     then by free lengths in lexicographic order.  A member's signature is
-    read from its lengths one entry at a time (`_signature`, with no reach
-    of ``cap()`` or more, or `_line_signature`), and its instance is built
-    only when it embeds (``family.build``, or `_line_instance`)."""
+    read from its lengths one entry at a time (`_signature`, or
+    `_line_signature`), and its instance is built only when it embeds
+    (``family.build``, or `_line_instance`)."""
     ones = (1,) * (len(family.edges) - len(family.floors))
     # a member whose free lengths sum to s has s + offset vertices
     offset = len(ones) if family.build is None else family.n - len(family.floors)
     least = sum(accumulate(family.floors, max) if family.rising else family.floors)
     ends = [v for edge in family.edges for v in edge]
     degree = [ends.count(v) for v in range(family.n)]
+    # the fixed edges' earlier neighbours, for a subdivision member's signature
+    fixed = [0] * family.n
+    for u, v in family.edges[: len(ones)]:
+        fixed[v] |= 1 << u
     # the base edges at each base vertex, for a line member's signature
     at = [] if family.build else [
         [(j, x == v, v) for j, (u, v) in enumerate(family.edges) if x in (u, v)]
@@ -485,41 +480,41 @@ def _members(family: Family, n: int, cap: Callable[[], int]) -> Iterator[Member]
     ]
     for free in _lengths(range(least, n - offset + 1), family.floors, family.rising):
         k = sum(free) + offset
-        lengths = ones + free
         if family.build is None:
+            lengths = ones + free
             signature = _line_signature(family, degree, at, lengths)
             yield k, signature, partial(_line_instance, family, lengths)
         else:
-            signature = _signature(family, degree, lengths, cap)
+            signature = _signature(family, degree, fixed, free)
             yield k, signature, partial(family.build, *free)
 
 
 def _signature(
-    family: Family, degree: Sequence[int], lengths: Sequence[int], cap: Callable[[], int]
+    family: Family, degree: Sequence[int], fixed: Sequence[int], free: Sequence[int]
 ) -> Iterator[Entry]:
-    """The signature of the member of `family` whose edges have the given
-    lengths, read from the lengths and the base vertices' degrees alone:
-    the base vertices, with their conditions, then each edge's new vertices
-    in path order.  It yields one entry at a time, so a reader that stops
-    early pays only for the entries it read.
+    """The signature of the member of `family` whose free edges have the
+    lengths `free`, read from them, the base vertices' degrees and
+    ``fixed[v]``, the mask of v's earlier neighbours by the fixed edges:
+    the base vertices, with their conditions, then each free edge's new
+    vertices in path order.  It yields one entry at a time, so a reader
+    that stops early pays only for the entries it read.
 
     The q-th new vertex of an edge (u, v) of length l, but the last, has
     the reach (v, l - q): the rest of its path is a path of l - q edges to
-    v, so its image lies within host distance l - q of v's.  A reach of
-    ``cap()`` or more is left out, as one that cannot prune; `cap` is
-    called only once a reach is read."""
-    earlier = [0] * family.n
-    for (u, v), ell in zip(family.edges, lengths):
+    v, so its image lies within host distance l - q of v's."""
+    edges = family.edges[len(family.edges) - len(free) :]
+    earlier = list(fixed)
+    for (u, v), ell in zip(edges, free):
         if ell == 1:
             earlier[v] |= 1 << u
     yield from zip(degree, earlier, family.above)
     nxt = family.n
-    for (u, v), ell in zip(family.edges, lengths):
+    for (u, v), ell in zip(edges, free):
         # new vertices nxt..nxt+ell-2, each r edges from v along the path;
         # the last also follows base vertex v
         prev = u
         for r in range(ell - 1, 1, -1):
-            yield (2, 1 << prev, 0, (v, r)) if r < cap() else (2, 1 << prev, 0)
+            yield 2, 1 << prev, 0, (v, r)
             prev = nxt + ell - 1 - r
         if ell > 1:
             yield 2, 1 << prev | 1 << v, 0
@@ -575,33 +570,32 @@ def _line_instance(family: Family, lengths: Sequence[int]) -> Instance:
     return _edge_member(len(edges), line_edges(count, edges))[2]()
 
 
-def _reach_cap(g: Graph) -> int:
-    """Twice the largest distance from the lowest vertex of a component of
-    g to another vertex of it: at least the diameter of each component, so
-    a ball of that radius around a vertex holds its whole component."""
+def _has_claw(g: Graph) -> bool:
+    """Whether g has an induced claw: a vertex with three pairwise
+    non-adjacent neighbours.  Every theta has one at its hub, and every
+    pyramid at its apex, since at most one of its paths is a single edge."""
     nbr = [g.neighbor_mask(v) for v in g.vertices]
-    cap = 0
-    rest = g.full_mask()
-    while rest:
-        around = _balls(nbr, (rest & -rest).bit_length() - 1)
-        cap = max(cap, 2 * (len(around) - 1))
-        rest &= ~around[-1]
-    return cap
+    for around in nbr:
+        for a in bits(around):
+            apart = around & ~nbr[a] & -(2 << a)  # those above a, not adjacent to a
+            for b in bits(apart):
+                if apart & ~nbr[b] & -(2 << b):
+                    return True
+    return False
+
+
+def _has_triangle(g: Graph) -> bool:
+    """Whether g has a triangle."""
+    return any(g.neighbor_mask(u) & g.neighbor_mask(v) for u, v in g.edges)
 
 
 def _find(g: Graph, family: Family, budget: Optional[Budget]) -> Optional[PatternMatch]:
-    """The first copy of the first member of `family` in g (`_first_copy`).
-    A reach bound that cannot prune in g is left out of the signatures
-    (`_reach_cap`, found once the first reach is read), so that members
-    agreeing but for it share their search."""
-    known: list[int] = []
-
-    def cap() -> int:
-        if not known:
-            known.append(_reach_cap(g))
-        return known[0]
-
-    return _first_copy(g, _members(family, g.n, cap), budget or Budget())
+    """The first copy of the first member of `family` in g (`_first_copy`),
+    or None at once, with no tick charged, when g lacks a graph that every
+    member contains (``family.contains``)."""
+    if not all(has(g) for has in family.contains):
+        return None
+    return _first_copy(g, _members(family, g.n), budget or Budget())
 
 
 # -- specialised detectors ----------------------------------------------------
@@ -622,7 +616,8 @@ def find_t_theta(
     if t < 2:
         raise ValueError("thetas need t >= 2")
     family = Family(
-        2, _THETA_BASE, (t,) * 3, rising=True, build=theta, above=(0, 1)
+        2, _THETA_BASE, (t,) * 3, rising=True, build=theta, above=(0, 1),
+        contains=(_has_claw,),
     )
     return _find(g, family, budget)
 
@@ -638,7 +633,8 @@ def find_t_pyramid(
         raise ValueError("pyramids need t >= 1")
     floors = (t, max(t, 2), max(t, 2))
     family = Family(
-        4, _PYRAMID_BASE, floors, rising=True, build=pyramid, above=(0,) * 4
+        4, _PYRAMID_BASE, floors, rising=True, build=pyramid, above=(0,) * 4,
+        contains=(_has_claw,),
     )
     return _find(g, family, budget)
 
@@ -720,12 +716,11 @@ def find_line_of_subdivided_wall(
         raise ValueError("walls need k >= 2")
     if 2 * k * (k - 1) > g.n:
         return None  # every member has more vertices than g
-    if k > 2 and not any(g.neighbor_mask(u) & g.neighbor_mask(v) for u, v in g.edges):
-        return None  # g has no triangle
     base = wall(k, k)
     free = base.m if k > 2 else 1
     lines = Family(
-        base.n, base.edges, (1,) * free, rising=False, build=None, above=()
+        base.n, base.edges, (1,) * free, rising=False, build=None, above=(),
+        contains=(_has_triangle,) if k > 2 else (),
     )
     return _find(g, lines, budget)
 

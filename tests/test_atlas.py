@@ -20,6 +20,10 @@ induces:
   least t - 1 vertices and at least 1.
 - hole (wall-line k = 2): at least 4 vertices, every one of degree 2, and
   connected.
+
+Every theta and pyramid holds an induced claw, so on the 431 atlas graphs
+with none, a vertex with three pairwise non-adjacent neighbours found with
+`itertools`, the theta and pyramid detectors answer at 0 ticks.
 - subdivided claw (t1, t2, t3): isomorphic to the spider networkx builds,
   a root joined to three paths of those lengths.  Only subsets with the
   spider's degrees, counted with bitmasks, are built as subgraphs.
@@ -43,6 +47,7 @@ from itertools import combinations, permutations
 import networkx as nx
 import pytest
 
+from twcert.config import Budget
 from twcert.decompose import NotChordal, chordal_td
 from twcert.detect import (
     find_creature,
@@ -121,12 +126,21 @@ def is_hole(h: nx.Graph) -> bool:
     return len(h) >= 4 and all(d == 2 for _, d in h.degree) and nx.is_connected(h)
 
 
+def has_claw(h: nx.Graph) -> bool:
+    """Whether some vertex of h has three pairwise non-adjacent neighbours."""
+    return any(
+        not any(h.has_edge(a, b) for a, b in combinations(trio, 2))
+        for v in h
+        for trio in combinations(h[v], 3)
+    )
+
+
 # name: (the number of degree-3 vertices, the oracle, the detector)
 ORACLES = {
-    "theta-t2": (2, lambda h: is_theta(h, 2), lambda g: find_t_theta(g, 2)),
-    "pyramid-t1": (4, lambda h: is_pyramid(h, 1), lambda g: find_t_pyramid(g, 1)),
-    "pyramid-t2": (4, lambda h: is_pyramid(h, 2), lambda g: find_t_pyramid(g, 2)),
-    "hole": (0, is_hole, lambda g: find_line_of_subdivided_wall(g, 2)),
+    "theta-t2": (2, lambda h: is_theta(h, 2), lambda g, b: find_t_theta(g, 2, b)),
+    "pyramid-t1": (4, lambda h: is_pyramid(h, 1), lambda g, b: find_t_pyramid(g, 1, b)),
+    "pyramid-t2": (4, lambda h: is_pyramid(h, 2), lambda g, b: find_t_pyramid(g, 2, b)),
+    "hole": (0, is_hole, lambda g, b: find_line_of_subdivided_wall(g, 2, b)),
 }
 
 # graphs with a pattern, as measured when the test was written: holes in 721
@@ -157,16 +171,21 @@ def shaped_subsets() -> list[dict[int, list[tuple[int, ...]]]]:
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_detectors_match_brute_force_on_the_atlas(name):
     threes, oracle, detect = ORACLES[name]
-    positives = 0
+    positives = claw_free = 0
     for atlas, shaped in zip(ATLAS, shaped_subsets()):
         g = Graph(len(atlas), [tuple(sorted(e)) for e in atlas.edges])
-        match = detect(g)
+        budget = Budget()
+        match = detect(g, budget)
         passing = [vs for vs in shaped.get(threes, []) if oracle(atlas.subgraph(vs))]
         assert (match is not None) == bool(passing), (name, atlas.name)
         if match is not None:
             assert match.image in passing, (name, atlas.name)
             positives += 1
+        if name != "hole" and not has_claw(atlas):
+            assert budget.used == 0, (name, atlas.name)
+            claw_free += 1
     assert positives == POSITIVES[name]
+    assert claw_free == (0 if name == "hole" else 431)
 
 
 def spider(legs: tuple[int, int, int]) -> nx.Graph:

@@ -370,11 +370,12 @@ def test_wall_line_detector():
 
 
 def wall_line_family(k: int) -> Family:
-    """The declaration `find_line_of_subdivided_wall` searches at k."""
+    """The declaration `find_line_of_subdivided_wall` searches at k, with no
+    triangle test."""
     base = wall(k, k)
     free = base.m if k > 2 else 1
     return Family(
-        base.n, base.edges, (1,) * free, rising=False, build=None, above=()
+        base.n, base.edges, (1,) * free, rising=False, build=None, above=(), contains=()
     )
 
 

@@ -7,9 +7,11 @@ after another: one tick per host vertex for each search node the first
 time a member expands it, and, in a family search, as many again for each
 member offered.  In a theta or pyramid member, a path vertex q edges along
 a path of length l, with q <= l - 2, is placed only within host distance
-l - q of the image of the path's far end, unless that bound reaches twice
-the largest distance from the lowest vertex of a host component.  The claw
-and induced searches run one pattern, with no per-member ticks."""
+l - q of the image of the path's far end.  A theta or pyramid search on a
+host with no induced claw ends at once, at 0 ticks.  The claw and induced
+searches run one pattern, with no per-member ticks."""
+
+from itertools import combinations
 
 import pytest
 
@@ -75,7 +77,7 @@ CASES = {
         ),
         30,
     ),
-    "theta-t2-c8-absent": (lambda b: find_t_theta(cycle_graph(8), 2, b), None, 64),
+    "theta-t2-c8-absent": (lambda b: find_t_theta(cycle_graph(8), 2, b), None, 0),
     "pyramid-t1-found": (
         lambda b: find_t_pyramid(
             disjoint_union(path_graph(2), pyramid(1, 2, 3).graph), 1, b
@@ -247,19 +249,23 @@ def distances(g):
 
 def path_reaches(g, wit):
     """Pattern vertex -> (far end, bound) for each path vertex q edges along
-    a role path of length l with q <= l - 2, leaving out bounds of at least
-    twice the largest distance from the lowest vertex of a host component."""
-    dist = distances(g)
-    lowest = {min(v for v in g.vertices if dist[u][v] is not None) for u in g.vertices}
-    cap = 2 * max(max(d for d in dist[u] if d is not None) for u in lowest)
+    a role path of length l with q <= l - 2."""
     out = {}
     for key, chain in wit.roles:
         if key.startswith("path"):
             ell = len(chain) - 1
             for q in range(1, ell - 1):
-                if ell - q < cap:
-                    out[chain[q]] = (chain[-1], ell - q)
+                out[chain[q]] = (chain[-1], ell - q)
     return out
+
+
+def has_claw(g):
+    """Whether some host vertex has three pairwise non-adjacent neighbours."""
+    return any(
+        not any(g.has_edge(a, b) for a, b in combinations(trio, 2))
+        for v in g.vertices
+        for trio in combinations(g.neighbors(v), 3)
+    )
 
 
 def recursive_family(g, instances, above=None, offered=True, reach=False):
@@ -326,7 +332,10 @@ def recursive_family(g, instances, above=None, offered=True, reach=False):
 
 def recursive_theta(g, t):
     """The theta family, its end (vertex 1) placed above its hub, each path
-    vertex within its reach of the end."""
+    vertex within its reach of the end; none on a claw-free host, since
+    every theta holds a claw at its hub."""
+    if not has_claw(g):
+        return None, 0
     members = (theta(*ls) for ls in length_triples(t, g.n + 1))
     return recursive_family(g, members, above={1: 0}, reach=True)
 
@@ -372,7 +381,10 @@ PYRAMIDS = {
 
 def recursive_pyramid(g, t):
     """The pyramid family: length triples whose last two are at least 2,
-    each path vertex within its reach of its triangle corner."""
+    each path vertex within its reach of its triangle corner; none on a
+    claw-free host, since every pyramid holds a claw at its apex."""
+    if not has_claw(g):
+        return None, 0
     triples = length_triples(t, g.n - 1)
     members = (pyramid(*ls) for ls in triples if ls[1] >= 2)
     return recursive_family(g, members, reach=True)

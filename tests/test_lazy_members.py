@@ -111,16 +111,22 @@ def test_dead_members_read_only_the_entries_to_their_dead_level():
     assert counts["entries"] <= 5 * counts["members"]
 
 
-def family_members(search, n: int) -> list[detect.Member]:
-    """The members a family search offers on an n-vertex host with one
-    triangle, which wall-line k >= 3 needs before it offers any."""
+TRIANGLE = [(0, 1), (0, 2), (1, 2)]
+# a triangle with a claw hanging off it, at vertex 3
+CLAWED = [*TRIANGLE, (0, 3), (3, 4), (3, 5)]
+
+
+def family_members(search, n: int, edges=TRIANGLE) -> list[detect.Member]:
+    """The members a family search offers on an n-vertex host with these
+    edges: one triangle, which wall-line k >= 3 needs before it offers any
+    member, and, for a theta or pyramid family, a claw."""
     members: list[detect.Member] = []
 
     def collect(g, family, budget):
         members.extend(family)
 
     with mock.patch.object(detect, "_first_copy", collect):
-        search(Graph(n, [(0, 1), (0, 2), (1, 2)]))
+        search(Graph(n, edges))
     return members
 
 
@@ -153,7 +159,7 @@ def test_signatures_read_from_lengths_match_the_edge_lists(search, n, shape, tri
     gives exactly the generator's instance.  The one condition is a theta's:
     its end, vertex 1, lies above its hub."""
     triples = list(triples)
-    members = family_members(search, n)
+    members = family_members(search, n, CLAWED)
     assert len(members) == len(triples)
     for (k, signature, build), ls in zip(members, triples):
         wit = shape(*ls)

@@ -35,7 +35,7 @@ def eager_entries(family: detect.Family, lengths) -> list:
 @pytest.mark.parametrize("k, most", [(2, 24), (3, 19)])
 def test_every_small_member_matches_its_edge_list(k, most):
     family = line_family(k)
-    members = list(detect._members(family, most, lambda: 0))
+    members = list(detect._members(family, most))
     assert members
     for n, signature, build in members:
         lengths = build.args[1]

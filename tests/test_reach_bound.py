@@ -2,8 +2,7 @@
 mapping passes through.  For every theta (t = 2, 3) and pyramid (t = 1, 2)
 member that fits the host, the search loop `_grow` with the reach column
 yields exactly the maps it yields with every reach left out of the
-signature: the same list, in the same order.  Every reach is kept here,
-including those the family search leaves out as unable to prune."""
+signature: the same list, in the same order."""
 
 from array import array
 from unittest import mock
@@ -27,11 +26,6 @@ SEARCHES = {
 }
 
 
-def keep_every_reach() -> int:
-    """A cap no reach reaches, for `detect._members`."""
-    return 10**9
-
-
 def family_of(search, g) -> detect.Family:
     """The family declaration the search hands to the family layer."""
     families = []
@@ -52,7 +46,7 @@ def check_members(g, name):
     many entries carried a reach."""
     family = family_of(SEARCHES[name], g)
     reaches = 0
-    for _, signature, _ in detect._members(family, g.n, keep_every_reach):
+    for _, signature, _ in detect._members(family, g.n):
         entries = list(signature)
         reaches += sum(len(entry) == 4 for entry in entries)
         bare = [entry[:3] for entry in entries]
@@ -84,7 +78,7 @@ def test_a_bound_one_shorter_loses_maps():
     bound of 1 leaves it no candidate, so the member loses every map."""
     g = wall(3, 3)
     family = family_of(SEARCHES["theta-t2"], g)
-    members = detect._members(family, g.n, keep_every_reach)
+    members = detect._members(family, g.n)
     _, signature, _ = next(m for m in members if m[2].args == (2, 3, 7))
     entries = list(signature)
     assert entries[3] == (2, 1, 0, (1, 2))

@@ -103,6 +103,9 @@ def _commands(tmp: Path) -> None:
     # exact run needs a refutation pass
     overshoot = random_graph(12, 0.6, 28)
     (tmp / "overshoot.json").write_text(json.dumps({"n": 12, "edges": overshoot.edges}))
+    # as many vertices as the 3x3 wall, and a triangle: wall-line k = 3 runs
+    # its triangle test, and no member, each with 15 vertices, fits
+    (tmp / "triangle12.json").write_text('{"n": 12, "edges": [[0, 1], [0, 2], [1, 2]]}')
 
     outputs = []
 
@@ -122,6 +125,8 @@ def _commands(tmp: Path) -> None:
              "-i", f("wall.json")], f"detect-{pattern}.json")
     run(["detect", "--pattern", "theta", "--t", "5", "-i", f("theta.json")],
         "detect-absent.json")
+    run(["detect", "--pattern", "wall-line", "--k", "3", "-i", f("triangle12.json")],
+        "detect-wall-line-k3.json")
     run(["tw", "-i", f("wall.json"), "--td", f("wall.td")], "tw.json")
     run(["tw", "-i", f("w55.json")], "tw-bounds.json")
     run(["tw", "-i", f("overshoot.json")], "tw-overshoot.json")

@@ -132,6 +132,7 @@ def every_spread(g, budget):
         rising=False,
         build=None,
         above=(),
+        contains=(),
     )
     return detect._find(g, every, budget)
 
