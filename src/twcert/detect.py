@@ -11,7 +11,7 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence, Union
 
 from .config import Budget
 from .generators import (
@@ -287,7 +287,7 @@ def _grow(
 
 
 def _first_copy(
-    g: Graph, family: Iterable[Member], budget: Budget
+    g: Graph, family: Generator[Member, Optional[int], None], budget: Budget
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of the first family member that
     embeds in g, as its image and its instance's roles mapped into g.
@@ -311,12 +311,24 @@ def _first_copy(
     embeds has its instance built, for its roles.  The trie pays only
     across members: a one-pattern search grows from an empty trie and keeps
     no node (`iter_induced_maps`).
+
+    The family is sent, for each member with no copy, the depth d of the
+    empty level its search ended on: its first d vertices have no
+    placement in g, so a later member whose first d entries are the same
+    has no copy either (see `_members`).  It is sent None for a member
+    larger than g.
     """
     n = g.n
     host = _host_masks(g)
     root = _Level(None, array("i", [-1]), array("i", [-1]))
-    for k, signature, build in family:
+    died = None  # the depth the last member's search died at
+    while True:
+        try:
+            k, signature, build = family.send(died)
+        except StopIteration:
+            return None
         budget.tick(n)
+        died = None
         if k > n:
             continue  # no copy
         signature = iter(signature)  # read once, by the walk and then by _grow
@@ -331,7 +343,8 @@ def _first_copy(
             if not trie.vertex:
                 break
         if not trie.vertex:
-            continue  # an earlier member's search died here
+            died = trie.depth  # an earlier member's search died here
+            continue
         walked.extend(signature)
         grown = [(array("i"), array("i")) for _ in range(trie.depth, k)]
         search = _grow(trie, walked, host, budget, n, grown)
@@ -343,7 +356,7 @@ def _first_copy(
             trie.next[walked[level]] = trie = _Level(trie, parents, vertices)
             if not vertices:
                 break
-    return None
+        died = trie.depth
 
 
 def _mapped(mapping: tuple[int, ...], roles: Roles) -> PatternMatch:
@@ -457,12 +470,20 @@ def _lengths(
             head[i + 1] += 1
 
 
-def _members(family: Family, n: int) -> Iterator[Member]:
+def _members(family: Family, n: int) -> Generator[Member, Optional[int], None]:
     """The members of `family` with at most n vertices, by vertex count,
     then by free lengths in lexicographic order.  A member's signature is
     read from its lengths one entry at a time (`_signature`, or
     `_line_signature`), and its instance is built only when it embeds
-    (``family.build``, or `_line_instance`)."""
+    (``family.build``, or `_line_instance`).
+
+    A subdivision member's base levels, its first ``family.n`` signature
+    entries, depend only on u, how many of its free edges have length 1
+    (the first u, as the lengths rise).  Once a member's search dies on a
+    base level (the depth `_first_copy` sends back), no member with its u
+    has a copy, so none is offered, and the family ends once every u the
+    floors allow is dead.  A line member's base entries vary with every
+    edge length, and all of them are offered."""
     ones = (1,) * (len(family.edges) - len(family.floors))
     # a member whose free lengths sum to s has s + offset vertices
     offset = len(ones) if family.build is None else family.n - len(family.floors)
@@ -478,15 +499,24 @@ def _members(family: Family, n: int) -> Iterator[Member]:
         [(j, x == v, v) for j, (u, v) in enumerate(family.edges) if x in (u, v)]
         for x in range(family.n)
     ]
+    units = [*accumulate(family.floors, max)].count(1)  # the most u can be
+    dead: set[int] = set()  # the u whose base levels are empty
     for free in _lengths(range(least, n - offset + 1), family.floors, family.rising):
         k = sum(free) + offset
         if family.build is None:
             lengths = ones + free
             signature = _line_signature(family, degree, at, lengths)
             yield k, signature, partial(_line_instance, family, lengths)
-        else:
-            signature = _signature(family, degree, fixed, free)
-            yield k, signature, partial(family.build, *free)
+            continue
+        u = free.count(1)
+        if u in dead:
+            continue
+        signature = _signature(family, degree, fixed, free)
+        died = yield k, signature, partial(family.build, *free)
+        if died is not None and died <= family.n:
+            dead.add(u)
+            if len(dead) > units:
+                return
 
 
 def _signature(

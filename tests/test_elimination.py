@@ -143,3 +143,39 @@ def test_min_fill_matches_reference_at_scale(g):
     neighbours in it, so nearly every key is recomputed each step."""
     want = reference_elimination_td(g, reference_min_fill_order(g))
     assert treewidth_bounds(g).td == want
+
+
+def reference_maximum_cardinality_search(g: Graph) -> list[int]:
+    """The O(n^2) scan the bucket queue replaced: each step visits the
+    unvisited vertex of the largest weight, the lowest id among ties."""
+    weight = [0] * g.n
+    visited = [False] * g.n
+    order: list[int] = []
+    for _ in range(g.n):
+        v = max(
+            (u for u in g.vertices if not visited[u]),
+            key=lambda u: (weight[u], -u),
+        )
+        visited[v] = True
+        order.append(v)
+        for w in g.neighbors(v):
+            if not visited[w]:
+                weight[w] += 1
+    order.reverse()
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(min_n=0, max_n=12))
+def test_maximum_cardinality_search_matches_reference(g):
+    assert maximum_cardinality_search(g) == reference_maximum_cardinality_search(g)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_maximum_cardinality_search_matches_reference_at_scale(seed):
+    """Random graphs and chordal graphs up to 80 vertices, where the top
+    bucket rises and falls many times."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 80)
+    for g in (random_graph(n, rng.choice([0.05, 0.1, 0.3]), seed), chordal_growth(rng, n)):
+        assert maximum_cardinality_search(g) == reference_maximum_cardinality_search(g)

@@ -33,7 +33,7 @@ def first_conditioned(g: Graph, pattern: Graph, above: list[int]):
     signature carrying the condition, or None."""
     k, signature, build = detect._edge_member(pattern.n, pattern.edges)
     entries = [(degree, earlier, over) for (degree, earlier, _), over in zip(signature, above)]
-    match = detect._first_copy(g, [(k, entries, build)], Budget(UNLIMITED))
+    match = detect._first_copy(g, (m for m in [(k, entries, build)]), Budget(UNLIMITED))
     return match and dict(match.roles)["mapping"]
 
 

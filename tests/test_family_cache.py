@@ -3,7 +3,10 @@ of search trees in `detect._first_copy` changes neither the match nor the
 outcome, and it charges n steps (n the host size) per member offered and n
 per search-tree node it expands, a node shared by several members once.  The reference takes each member's match from `iter_induced_maps`,
 the first map that meets the member's condition, and counts the nodes by a
-depth-first search of its own.  Under any budget limit below the steps the
+depth-first search of its own.  It offers every member, where a theta or
+pyramid search stops offering the members whose base levels an earlier
+member found empty, so those searches take at most the reference's steps,
+and the others exactly them.  Under any budget limit below the steps the
 whole search takes, the search exhausts the budget, and from there on it
 returns its result.  The trie stores at most one tree node per n steps
 charged."""
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from test_atlas import hosts
 from twcert import detect
 from twcert.config import Budget
 from twcert.detect import (
@@ -37,6 +41,7 @@ FAMILIES = {
     "pyramid-t2": lambda g, b: find_t_pyramid(g, 2, b),
     "wall-line-k2": lambda g, b: find_line_of_subdivided_wall(g, 2, b),
 }
+LINES = {"wall-line-k2"}  # the line families, which offer every member
 WALLS = {"wall33": wall(3, 3), "wall34": wall(3, 4)}
 
 
@@ -149,24 +154,26 @@ def reference_outcome(search, g):
         return outcome(search, g, UNLIMITED)
 
 
-def assert_matches_reference(search, g, limits):
-    """The reference's match and steps under an unlimited budget; under each
-    limit, exhaustion below those steps and the same match from there on."""
+def assert_matches_reference(search, g, limits, exact):
+    """The reference's match under an unlimited budget, in at most its
+    steps, or exactly them when `exact`; under each limit, exhaustion below
+    the steps taken and the same match in the same steps from there on."""
     result, total = reference_outcome(search, g)
-    assert outcome(search, g, UNLIMITED) == (result, total)
+    got, used = outcome(search, g, UNLIMITED)
+    assert got == result
+    assert used == total if exact else used <= total
     for limit in limits(total):
-        got = outcome(search, g, limit)
-        if limit < total:
-            assert got[0] is BudgetExhausted
+        if limit < used:
+            assert outcome(search, g, limit)[0] is BudgetExhausted
         else:
-            assert got == (result, total)
+            assert outcome(search, g, limit) == (result, used)
 
 
 def first_copy_of(patterns):
     """A search over the family of the given patterns, in that order."""
 
     def search(g, b):
-        members = [detect._edge_member(p.n, p.edges) for p in patterns]
+        members = (detect._edge_member(p.n, p.edges) for p in patterns)
         return detect._first_copy(g, members, b)
 
     return search
@@ -176,7 +183,7 @@ def first_copy_of(patterns):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_walls_match_reference(family, host):
     limits = lambda total: [0, total // 3, total // 2, total - 1, total]
-    assert_matches_reference(FAMILIES[family], WALLS[host], limits)
+    assert_matches_reference(FAMILIES[family], WALLS[host], limits, family in LINES)
 
 
 def drawn_limit(data):
@@ -188,7 +195,7 @@ def drawn_limit(data):
     g=graphs(min_n=1, max_n=9), family=st.sampled_from(sorted(FAMILIES)), data=st.data()
 )
 def test_random_hosts_match_reference(g, family, data):
-    assert_matches_reference(FAMILIES[family], g, drawn_limit(data))
+    assert_matches_reference(FAMILIES[family], g, drawn_limit(data), family in LINES)
 
 
 @settings(max_examples=150, deadline=None)
@@ -200,7 +207,7 @@ def test_random_hosts_match_reference(g, family, data):
 def test_random_families_match_reference(g, patterns, data):
     """Small random members share prefixes that differ only in degree, or
     only in earlier neighbours, far more often than the named families."""
-    assert_matches_reference(first_copy_of(patterns), g, drawn_limit(data))
+    assert_matches_reference(first_copy_of(patterns), g, drawn_limit(data), True)
 
 
 @st.composite
@@ -222,7 +229,7 @@ def subcubic_graphs(draw, min_n=10, max_n=16):
     data=st.data(),
 )
 def test_subcubic_hosts_match_reference(g, family, data):
-    assert_matches_reference(FAMILIES[family], g, drawn_limit(data))
+    assert_matches_reference(FAMILIES[family], g, drawn_limit(data), False)
 
 
 def stored_nodes(search, g):
@@ -254,3 +261,11 @@ def test_walls_store_one_node_per_n_steps(family, host):
 def test_random_hosts_store_one_node_per_n_steps(g, family):
     stored, used = stored_nodes(FAMILIES[family], g)
     assert stored <= used // g.n + 1
+
+
+@pytest.mark.parametrize("family", ["theta-t2", "pyramid-t1"])
+def test_atlas_hosts_match_reference(family):
+    """Every graph on at most 7 vertices (`test_atlas.hosts`)."""
+    limits = lambda total: [total // 2]
+    for _, g in hosts():
+        assert_matches_reference(FAMILIES[family], g, limits, False)

@@ -44,11 +44,11 @@ HOSTS = {
 TABLE = {
     "wall": (
         ("theta-t2", "theta-t3", "pyramid-t1"),
-        {4: "FFA", 5: "FFA", 6: "FFA", 7: "FFA", 8: "FBB", 9: "BBB", 10: "BBB"},
+        {4: "FFA", 5: "FFA", 6: "FFA", 7: "FFA", 8: "FBA", 9: "BBB", 10: "BBB"},
     ),
     "S": (
         ("theta-t2", "theta-t3", "pyramid-t1"),
-        {3: "FFA", 4: "FFA", 5: "FFA", 6: "FFB", 7: "FBB", 8: "BBB"},
+        {3: "FFA", 4: "FFA", 5: "FFA", 6: "FFA", 7: "FBA", 8: "BBA"},
     ),
     "L": (
         ("theta-t2", "pyramid-t2", "wall-line-k2", "wall-line-k3"),

@@ -1,8 +1,8 @@
 """Work counts of the family detectors: how many members a family offers,
-how many witness graphs and theta or pyramid edge lists it builds, how many
-members run through the plain engine, and how many signature entries the
-members are read for.  Every member is searched on the trie of search trees
-in `detect._first_copy`, from its signature alone, and none runs through
+how many instances it builds, how many members run through the plain
+engine, and how many signature entries the members are read for.  Every
+member is searched on the trie of search trees in `detect._first_copy`,
+from its signature alone, and none runs through
 `iter_induced_maps`; only the member that embeds has its instance built,
 for its roles.  Theta and pyramid signatures, read from the path lengths,
 are checked against the edge lists they stand for; the wall-line members'
@@ -30,7 +30,8 @@ LINE_HOST = line_graph(subdivided(wall(2, 2), {(0, 1): 3, (1, 3): 2}))
 
 CASES = {
     # name: (search, members offered, instances built)
-    "pyramid-t1-wall44": (lambda b: find_t_pyramid(wall(4, 4), 1, b), 337, 0),
+    "pyramid-t1-wall44": (lambda b: find_t_pyramid(wall(4, 4), 1, b), 2, 0),
+    "theta-t2-wall44": (lambda b: find_t_theta(wall(4, 4), 2, b), 33, 1),
     "theta-t2-wall45": (lambda b: find_t_theta(wall(4, 5), 2, b), 33, 1),
     "theta-t3-wall44": (lambda b: find_t_theta(wall(4, 4), 3, b), 32, 1),
     "wall-line-k2-claw222": (
@@ -55,31 +56,34 @@ def counted(name, fn, counts):
 
 
 def searched(name: str) -> Counter[str]:
-    """Run the named search and count the members it is offered, the
-    signature entries read from them, the instances built, the theta or
-    pyramid generator calls, and the plain-engine runs."""
+    """Run the named search and count the members it is offered (the
+    signatures made), the signature entries read from them and the entries
+    they hold, the instances built (theta, pyramid and line instances), and
+    the plain-engine runs."""
     search = CASES[name][0]
     counts: Counter[str] = Counter()
-    first_copy = detect._first_copy
 
     def entries(signature):
         for entry in signature:
             counts["entries"] += 1
             yield entry
 
-    def members_of(family):
-        for k, signature, build in family:
+    def reading(signature):
+        def read(*args):
             counts["members"] += 1
-            yield k, entries(signature), counted("built", build, counts)
+            counts["whole"] += len(list(signature(*args)))
+            return entries(signature(*args))
+
+        return read
 
     with mock.patch.multiple(
         detect,
-        _first_copy=lambda g, family, budget: first_copy(
-            g, members_of(family), budget
-        ),
+        _signature=reading(detect._signature),
+        _line_signature=reading(detect._line_signature),
+        _line_instance=counted("built", detect._line_instance, counts),
         iter_induced_maps=counted("plain", detect.iter_induced_maps, counts),
-        theta=counted("builds", detect.theta, counts),
-        pyramid=counted("builds", detect.pyramid, counts),
+        theta=counted("built", detect.theta, counts),
+        pyramid=counted("built", detect.pyramid, counts),
     ):
         search(Budget(10**7))
     return counts
@@ -87,9 +91,12 @@ def searched(name: str) -> Counter[str]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_members_are_built_only_when_searched(name):
-    """An instance, and so a theta or pyramid graph, is built only for the
-    member that embeds, and the plain engine never runs; wall-line members
-    come with their edge lists."""
+    """An instance, a theta or pyramid graph or a line graph, is built only
+    for the member that embeds, and the plain engine never runs.  On the
+    triangle-free 4x4 wall the first pyramid member with a single-edge path
+    and the first without die at their third triangle corner, a base level
+    that every member like them shares, so the pyramid search offers those
+    two."""
     _, members, built = CASES[name]
     counts = searched(name)
     assert (counts["members"], counts["built"], counts["plain"]) == (
@@ -97,18 +104,17 @@ def test_members_are_built_only_when_searched(name):
         built,
         0,
     )
-    assert counts["builds"] == (0 if name.startswith("wall-line") else built)
 
 
 def test_dead_members_read_only_the_entries_to_their_dead_level():
-    """Every pyramid member on the triangle-free 4x4 wall dies at the level
-    of its third triangle corner: all but the members that grow the trie
-    read the 4 entries down to that level and no more, 1,353 entries in all
-    (the whole signatures, 6,384 entries, were read before members walked
-    the trie lazily)."""
-    counts = searched("pyramid-t1-wall44")
-    assert counts["members"] == 337
-    assert counts["entries"] <= 5 * counts["members"]
+    """Theta t = 2 on the 4x4 wall: a member whose walk down the trie ends
+    on a level where an earlier member's search died reads the entries down
+    to that level and no more.  The wall has girth 6, so every member with
+    two paths of length 2 after the first reads 4 entries, the hub, the end
+    and a vertex of each short path; the 33 members read 269 of the 334
+    entries their signatures hold."""
+    counts = searched("theta-t2-wall44")
+    assert (counts["members"], counts["entries"], counts["whole"]) == (33, 269, 334)
 
 
 TRIANGLE = [(0, 1), (0, 2), (1, 2)]

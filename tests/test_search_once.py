@@ -47,7 +47,7 @@ def claw_reference(legs):
 
     def search(g, b):
         k, signature, _ = detect._edge_member(wit.graph.n, wit.graph.edges)
-        return detect._first_copy(g, [(k, signature, lambda: wit)], b)
+        return detect._first_copy(g, (m for m in [(k, signature, lambda: wit)]), b)
 
     return search
 
@@ -61,7 +61,7 @@ def induced_reference(pattern):
 
     def search(g, b):
         member = detect._edge_member(pattern.n, pattern.edges)
-        return detect._first_copy(g, [member], b)
+        return detect._first_copy(g, (m for m in [member]), b)
 
     return search
 
