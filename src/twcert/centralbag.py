@@ -697,7 +697,7 @@ def run_master_pipeline(
     pattern size, which keeps the pattern smaller than t.  Usage errors, then
     the n = 12 cap of `no_small_separator`, are raised before any stage runs.
     The covering sequence and each forcer check search under their own
-    default budget of `RunConfig.search_budget` steps.
+    default budget of `RunConfig.search_budget` ticks.
     """
     if w is None:
         w = WeightFunction.uniform(g)

@@ -29,7 +29,7 @@ _INT_KEYS = {"max_tw_n": 1, "search_budget": 1, "seed": 0, "d": 0}
 @dataclass(frozen=True)
 class RunConfig:
     max_tw_n: int = 14
-    search_budget: int = 5_000_000  # ticks per search, deterministic (see Budget)
+    search_budget: int = 1_000_000  # ticks per search, deterministic (see Budget)
     seed: int = 7
     c: Fraction = Fraction(1, 2)
     d: int = 2
@@ -79,16 +79,15 @@ class Budget:
     search started without one.
 
     Every induced-subgraph search of ``detect`` runs one loop
-    (``detect._grow``), which ticks a given number of times per search-tree
-    node it expands, that is, whose candidates it computes: n (the host
-    size) in a pattern or family search.  A family search
-    (``detect._first_copy``) ticks n more per member offered, and a node
-    shared by several members once.  The loop charges its ticks in
-    batches, before every mapping it yields, at its end and as soon as they
-    would exceed ``limit``, so ``used`` is exact at every yield, at the end
-    and at exhaustion.  ``find_creature`` runs that loop at one tick per
-    node it expands.  ``separators.separation_number`` ticks once per
-    subset X it tests.
+    (``detect._grow``), which ticks once per search-tree node it expands,
+    that is, whose candidates it computes.  A family search
+    (``detect._first_copy``) ticks k more per member of k vertices it
+    offers, and a node shared by several members once.  The loop charges
+    its ticks in batches, before every mapping it yields, at its end and as
+    soon as they would exceed ``limit``, so ``used`` is exact at every
+    yield, at the end and at exhaustion.  ``find_creature`` runs that loop
+    too.  ``separators.separation_number`` ticks once per subset X it
+    tests.
     Exceeding ``limit`` raises ``BudgetExhausted``.
     """
 

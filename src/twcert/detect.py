@@ -132,16 +132,14 @@ def iter_induced_maps(
     g: Graph,
     pattern: Graph,
     budget: Budget,
-    step: Optional[int] = None,
     above: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """All injective maps pattern -> g preserving adjacency and non-adjacency,
     in lexicographic order of the mapping tuple: the family search's loop
-    (`_grow`) run from an empty trie, so charged `step` steps per
-    search-tree node it expands, n (the host size) unless given.
-    ``above[v]``, when given, masks the earlier pattern vertices whose
-    images pattern vertex v's image must lie above (see `_filter`).  A
-    pattern larger than g has no copy and costs nothing."""
+    (`_grow`) run from an empty trie, so charged one tick per search-tree
+    node it expands.  ``above[v]``, when given, masks the earlier pattern
+    vertices whose images pattern vertex v's image must lie above (see
+    `_filter`).  A pattern larger than g has no copy and costs nothing."""
     k = pattern.n
     if k > g.n:
         return iter(())
@@ -150,11 +148,7 @@ def iter_induced_maps(
         for i, over in enumerate(above or [0] * k)
     ]
     return _grow(
-        _Level(None, array("i", [-1]), array("i", [-1])),
-        entries,
-        _host_masks(g),
-        budget,
-        g.n if step is None else step,
+        _Level(None, array("i", [-1]), array("i", [-1])), entries, _host_masks(g), budget
     )
 
 
@@ -200,7 +194,6 @@ def _grow(
     entries: Sequence[Entry],
     host: Host,
     budget: Budget,
-    step: int,
     grown: Optional[list[tuple[array, array]]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Every mapping of the member with the signature `entries` below the trie
@@ -209,9 +202,9 @@ def _grow(
     an explicit stack, each from the candidates of `_filter` in ascending
     id order, below each node of level p-1 in turn.
 
-    Each node whose candidates it computes costs `step` steps of `budget`.
-    The loop charges them in batches: before every yield, at
-    its end, and as soon as they would exceed what is left of the limit, so
+    Each node whose candidates it computes costs one tick of `budget`.
+    The loop charges them in batches: before every yield, at its end, and
+    as soon as they would exceed what is left of the limit, so
     ``Budget.used`` is that of charging each node alone at every yield, at
     the end and at ``BudgetExhausted``.  What is left is read again after
     every yield, so a caller may tick the same budget between mappings.
@@ -222,8 +215,7 @@ def _grow(
     the trie."""
     p, k = trie.depth, len(entries)
     base, checks = _filter(entries, host)
-    step = step or 1  # only an empty host charges 0, and it expands no node
-    room = (budget.limit - budget.used) // step  # the nodes it may expand
+    room = budget.limit - budget.used  # the nodes it may expand
     expanded = 0
     path = [trie]  # path[L]: the trie node of level L-1
     while path[-1].up:
@@ -243,7 +235,7 @@ def _grow(
             # walking its parents only while they change
             top += 1
             if top == tops:
-                budget.tick(step * expanded)
+                budget.tick(expanded)
                 return
             level, node = p, top
             while level and at[level] != node:
@@ -271,14 +263,14 @@ def _grow(
                     parents.append(at[i])
                     vertices.append(c)
         if i == last:
-            budget.tick(step * expanded)
+            budget.tick(expanded)
             expanded = 0
             yield tuple(assigned)
-            room = (budget.limit - budget.used) // step
+            room = budget.limit - budget.used
             continue
         expanded += 1
         if expanded > room:
-            budget.tick(step * expanded)  # raises BudgetExhausted
+            budget.tick(expanded)  # raises BudgetExhausted
         i += 1
         cand = base[i] & ~taken
         for table, j in checks[i]:
@@ -291,9 +283,9 @@ def _first_copy(
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of the first family member that
     embeds in g, as its image and its instance's roles mapped into g.
-    Members are tried in order under one budget: each costs n steps (n the
-    host size) when it is offered, one scan of the host, and n more per
-    search-tree node it expands.
+    Members are tried in order under one budget: each costs k ticks, its
+    vertex count, when it is offered, and one per search-tree node it
+    expands.  A member larger than g costs nothing.
 
     The search tree down to pattern vertex i depends only on g and,
     for each of the vertices 0..i, its degree, its earlier neighbours and
@@ -327,10 +319,10 @@ def _first_copy(
             k, signature, build = family.send(died)
         except StopIteration:
             return None
-        budget.tick(n)
         died = None
         if k > n:
             continue  # no copy
+        budget.tick(k)
         signature = iter(signature)  # read once, by the walk and then by _grow
         walked = []  # the signature entries read so far
         trie = root
@@ -347,7 +339,7 @@ def _first_copy(
             continue
         walked.extend(signature)
         grown = [(array("i"), array("i")) for _ in range(trie.depth, k)]
-        search = _grow(trie, walked, host, budget, n, grown)
+        search = _grow(trie, walked, host, budget, grown)
         mapping = next(search, None)
         if mapping is not None:
             return _mapped(mapping, build().roles)
@@ -642,7 +634,7 @@ def find_t_theta(
     itself, so composing a copy with that mirror gives a copy whose hub is
     the first's end: the lexicographically first copy has its end above its
     hub.  Each member is searched under that condition, which gives the same
-    first copy in at most the steps of the search without it."""
+    first copy in at most the ticks of the search without it."""
     if t < 2:
         raise ValueError("thetas need t >= 2")
     family = Family(
@@ -691,7 +683,7 @@ def find_creature(
     The k paths are an induced copy of k disjoint paths on t+1 vertices,
     each joint first, so they are the engine's maps of that pattern, with
     each joint above the one before it so that each set of paths comes
-    once, and charged one step per search-tree node it expands.  The maps
+    once, and charged one tick per search-tree node it expands.  The maps
     come in lexicographic order of their path tuples; for each, a valid
     body exists iff some component of the admissible region neighbours
     every joint, and the first map with a body is the match.
@@ -704,7 +696,7 @@ def find_creature(
     for joint in range(size, paths.n, size):
         above[joint] = 1 << (joint - size)
     full = g.full_mask()
-    for mapping in iter_induced_maps(g, paths, budget or Budget(), 1, above):
+    for mapping in iter_induced_maps(g, paths, budget or Budget(), above):
         chosen = [mapping[i : i + size] for i in range(0, paths.n, size)]
         taken = blocked = mask_of(mapping)
         for p in chosen:
@@ -729,7 +721,7 @@ def find_line_of_subdivided_wall(
 
     Only subdivisions with at most |V(g)| edges can embed, so enumerating
     them by edge count is exhaustive; absence means no member of the family
-    embeds.  Each member offered costs n steps (n = |V(g)|), besides its
+    embeds.  Each member offered costs its vertex count, besides its
     search (see `_first_copy`).
 
     The 2x2 wall is the 4-cycle, so at k = 2 every subdivision with j edges

@@ -184,7 +184,7 @@ def creature_exists_bruteforce(g: Graph, k: int, t: int) -> bool:
     paths are disjoint and anticomplete."""
     nbr = g.neighbor_mask
     paths = []
-    for p in iter_induced_maps(g, path_graph(t + 1), Budget(), 1):
+    for p in iter_induced_maps(g, path_graph(t + 1), Budget()):
         pm = mask_of(p)
         rest = 0
         for v in p[1:]:

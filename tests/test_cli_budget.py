@@ -3,6 +3,8 @@ status, and `detect` and `sep` search under the configured budget."""
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -14,10 +16,13 @@ import pytest
 from twcert.check import THETA_SHAPE, recheck
 from twcert.cli import main
 from twcert import generators
+from twcert.config import RunConfig
 from twcert.graphs import Graph, full_subdivision, line_graph
 from twcert.io import graph_to_json
+from twcert.suites import random_tree
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _run(tmp_path, argv, config=None):
@@ -82,7 +87,7 @@ def test_detect_induced_honours_search_budget(tmp_path):
 
 def test_sep_honours_search_budget(tmp_path):
     """`sep` takes the 12-vertex 3x3 wall and stops only at the budget, one
-    step per subset X tested."""
+    tick per subset X tested."""
     argv = ["sep", "-i", _wall(tmp_path, 3, 3)]
     assert _run(tmp_path, argv) == (0, {"c": "1/2", "separation_number": 3})
     code, payload = _run(tmp_path, argv, config="search_budget=10\n")
@@ -106,9 +111,8 @@ def test_wall_line_k_below_two_is_a_usage_error(tmp_path):
 
 def test_wall_line_k3_on_a_triangle_free_wall_is_absent_at_once(tmp_path):
     """Every member at k >= 3 has a triangle and the 4x4 wall has none, so
-    wall-line k = 3 is absent before any member; the search it skips takes
-    about 50 s (3.2e7 steps, nearly all of them 24, the host size, per
-    member offered) to find nothing."""
+    wall-line k = 3 is absent before any member; the full search it skips
+    takes 3.07e7 ticks, about 6 s, to find nothing."""
     argv = ["detect", "--pattern", "wall-line", "--k", "3", "-i", _wall(tmp_path, 4, 4)]
     start = time.perf_counter()
     assert _run(tmp_path, argv) == (1, {"status": "absent"})
@@ -215,13 +219,23 @@ W55 = generators.wall(5, 5)
         # every member shares, so the family is absent
         (["theta", "--t", "2"], Graph(601, [*generators.cycle_graph(600).edges, (0, 600)]),
          (1, "absent")),
+        # a tree has no cycle, so no theta, but many claws
+        (["theta", "--t", "2"], random_tree(random.Random(1), 2000), (2, "budget")),
+        (["wall-line", "--k", "3"], LS33, (2, "budget")),
     ],
-    ids=["wall-line-k3-wall55-chord", "wall-line-k3-lollipop100", "theta-t2-c600"],
+    ids=[
+        "wall-line-k3-wall55-chord",
+        "wall-line-k3-lollipop100",
+        "theta-t2-c600",
+        "theta-t2-tree2000",
+        "wall-line-k3-ls33",
+    ],
 )
 def test_members_without_a_copy_run_out_quickly(tmp_path, argv, g, outcome):
-    """Each member offered costs n steps (n the host size), so the default
-    budget offers at most 5e6 / n members.  At one step per member, the
-    last two ran for over a minute and 9 s."""
+    """Each member of k vertices offered costs k ticks, besides one per
+    search-tree node, so a member pays for its signature however early its
+    search dies.  At one tick per member and a default budget of 5e6, the
+    lollipop and the tree ran for 21 s and 6 s."""
     argv = ["detect", "--pattern", *argv, "-i", _host(tmp_path, "g", g)]
     start = time.perf_counter()
     code, payload = _run(tmp_path, argv)
@@ -265,11 +279,14 @@ def test_family_ticks_do_not_depend_on_the_hash_seed():
     assert 0 < theta_used and 0 < pyramid_used
 
 
-@pytest.mark.parametrize("rows, cols, t", [(6, 6, 3), (6, 6, 4), (7, 7, 3), (8, 8, 2)])
+@pytest.mark.parametrize(
+    "rows, cols, t", [(6, 6, 3), (6, 6, 4), (7, 7, 3), (8, 8, 2), (8, 8, 3)]
+)
 def test_reach_bounds_find_theta_in_larger_walls(tmp_path, rows, cols, t):
     """A theta path vertex is placed only within its remaining path length
     of the path's end, so these searches, which ran out of the default
-    budget, find a copy, and its image rechecks as a theta."""
+    budget (t = 3 on the 8x8 wall until a node cost one tick, not n), find
+    a copy, and its image rechecks as a theta."""
     g = generators.wall(rows, cols)
     argv = ["detect", "--pattern", "theta", "--t", str(t), "-i", _host(tmp_path, "w", g)]
     code, payload = _run(tmp_path, argv)
@@ -280,15 +297,6 @@ def test_reach_bounds_find_theta_in_larger_walls(tmp_path, rows, cols, t):
     assert recheck({"assertions": [record]}) == (1, 1, [])
 
 
-def test_theta_t3_on_the_8x8_wall_still_runs_out_quickly(tmp_path):
-    argv = ["detect", "--pattern", "theta", "--t", "3",
-            "-i", _host(tmp_path, "w", generators.wall(8, 8))]
-    start = time.perf_counter()
-    code, payload = _run(tmp_path, argv)
-    assert time.perf_counter() - start < 1
-    assert code == 2 and payload["status"] == "budget"
-
-
 @pytest.mark.parametrize("size", [5, 6])
 def test_pyramid_stays_absent_on_walls(tmp_path, size):
     """Walls have no triangle, so every pyramid member dies before its
@@ -296,3 +304,30 @@ def test_pyramid_stays_absent_on_walls(tmp_path, size):
     g = generators.wall(size, size)
     argv = ["detect", "--pattern", "pyramid", "--t", "1", "-i", _host(tmp_path, "w", g)]
     assert _run(tmp_path, argv) == (1, {"status": "absent"})
+
+
+# a figure as the README writes one: 1,000,000, 10⁶ or 5·10⁶
+FIGURE = re.compile(r"(?:(\d+)·)?10([⁰¹²³⁴⁵⁶⁷⁸⁹]+)|(\d[\d,]*)")
+SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+
+
+def _figure(match: re.Match) -> int:
+    factor, power, plain = match.groups()
+    if plain:
+        return int(plain.replace(",", ""))
+    return int(factor or 1) * 10 ** int(power.translate(SUPERSCRIPTS))
+
+
+def test_readme_states_the_default_budget():
+    """Every "default budget of <figure>" in the README's Configuration
+    section is `RunConfig.search_budget`."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("\n## Configuration\n")
+    end = text.find("\n## ", start + 1)
+    section = " ".join(text[start : end if end >= 0 else None].split())
+    stated = [
+        _figure(FIGURE.match(section, m.end()))
+        for m in re.finditer(r"default budget of ", section)
+    ]
+    assert stated, "the Configuration section states the default budget"
+    assert stated == [RunConfig.search_budget] * len(stated)

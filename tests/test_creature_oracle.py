@@ -26,7 +26,7 @@ from twcert.suites import creature_exists_bruteforce
 def ref_creature_exists_bruteforce(g: Graph, k: int, t: int) -> bool:
     """Body-first enumeration: fix a connected candidate body, then pack k
     admissible joint-oriented paths around it."""
-    paths = list(iter_induced_maps(g, path_graph(t + 1), Budget(), 1))
+    paths = list(iter_induced_maps(g, path_graph(t + 1), Budget()))
     full = g.full_mask()
     for body_mask in range(1, full + 1):
         if g.reach_mask(body_mask & -body_mask, body_mask) != body_mask:

@@ -69,9 +69,11 @@ def test_induced_copies_are_sets_in_order():
 
 
 def test_budget_exhaustion_is_distinct():
+    # one tick per search-tree node: the search stops at its second node,
+    # before K3,3's six vertices are placed
     g = complete_bipartite(4, 4)
     with pytest.raises(BudgetExhausted):
-        find_induced(g, complete_bipartite(3, 3), budget=Budget(10))
+        find_induced(g, complete_bipartite(3, 3), budget=Budget(1))
 
 
 def test_theta_detector():
@@ -157,10 +159,10 @@ def recursive_paths(g: Graph, t: int) -> tuple[list[tuple[int, ...]], int]:
 def test_creature_paths_match_recursive_reference(g, t):
     want, expanded = recursive_paths(g, t)
     bud = Budget(10**9)
-    assert list(iter_induced_maps(g, path_graph(t + 1), bud, 1)) == want
+    assert list(iter_induced_maps(g, path_graph(t + 1), bud)) == want
     assert bud.used == expanded
     # the brute-force oracle's call, under the default budget
-    assert list(iter_induced_maps(g, path_graph(t + 1), Budget(), 1)) == want
+    assert list(iter_induced_maps(g, path_graph(t + 1), Budget())) == want
 
 
 def test_creature_path_enumeration_is_charged_to_the_budget():
@@ -199,7 +201,7 @@ def test_creature_path_length_needs_no_recursion_depth(tmp_path):
 
 
 def test_creature_search_steps_are_its_nodes():
-    # one step per search-tree node: the root and each valid placement of
+    # one tick per search-tree node: the root and each valid placement of
     # 1..K-1 path vertices, K = k(t+1).  On the 200-edge spine the path
     # from vertex 0 has no body and the one from vertex 1 has: 1 + 150 +
     # 150 nodes.
@@ -231,7 +233,7 @@ def test_empty_host_expands_no_node():
     got = find_induced(Graph(0, []), Graph(0, []), bud)
     assert got is not None and got.image == ()
     assert bud.used == 0
-    assert list(iter_induced_maps(Graph(0, []), path_graph(1), bud, 1)) == []
+    assert list(iter_induced_maps(Graph(0, []), path_graph(1), bud)) == []
     assert find_creature(Graph(0, []), 1, 0, bud) is None
     assert bud.used == 0
 
@@ -384,7 +386,7 @@ def has_triangle(g: Graph) -> bool:
 
 
 def outcome(search, g: Graph, *args):
-    """The match, or `budget` when the budget runs out, and the steps used."""
+    """The match, or `budget` when the budget runs out, and the ticks used."""
     budget = Budget(10**6)
     try:
         return search(g, *args, budget), budget.used
@@ -416,7 +418,7 @@ def test_wall_line_matches_its_family_on_hosts_with_a_triangle(k):
 
 
 def test_wall_line_k3_is_absent_on_triangle_free_hosts_where_the_family_finishes():
-    """A triangle-free host is absent at k = 3 with no step used, and the
+    """A triangle-free host is absent at k = 3 with no tick used, and the
     family search, where it finishes, agrees: bipartite random graphs with
     15-17 vertices and subdivisions of the 3x3 wall."""
     hosts = [

@@ -1,7 +1,7 @@
 """The engine against two references: the per-candidate loop of the first
 engine, and the recursive bitmask engine that the one-loop engine replaced.
-Each reference ticks n (the host size) when it computes a search-tree
-node's candidates, as the engine charges.  Both must give the same mappings
+Each reference ticks once when it computes a search-tree node's
+candidates, as the engine charges.  Both must give the same mappings
 in the same order, the same budget ticks, and the same prefix of mappings
 before `BudgetExhausted` under every limit; the recursive one also the same
 `Budget.used` at every yield, and the same outcome when the caller ticks
@@ -20,7 +20,7 @@ from twcert.graphs import BudgetExhausted, Graph
 
 def reference_maps(g: Graph, pattern: Graph, bud: Budget) -> Iterator[tuple[int, ...]]:
     """The engine as it was before bitmask candidates: every pattern vertex
-    tries every host vertex in id order, after ticking n for the node."""
+    tries every host vertex in id order, after ticking once for the node."""
     k = pattern.n
     if k > g.n:
         return
@@ -32,7 +32,7 @@ def reference_maps(g: Graph, pattern: Graph, bud: Budget) -> Iterator[tuple[int,
         if i == k:
             yield tuple(assigned)
             return
-        bud.tick(g.n)
+        bud.tick()
         pdeg = pattern.degree(i)
         pmask = pattern.neighbor_mask(i)
         for cand in g.vertices:
@@ -118,7 +118,7 @@ def recursive_maps(
     g: Graph, pattern: Graph, budget: Optional[Budget] = None
 ) -> Iterator[tuple[int, ...]]:
     """The bitmask engine as it was before the one-loop rewrite: a chain of
-    recursive generators, each ticking n before it computes its
+    recursive generators, each ticking once before it computes its
     candidates."""
     bud = budget or Budget()
     n, k = g.n, pattern.n
@@ -143,7 +143,7 @@ def recursive_maps(
         if i == k:
             yield tuple(assigned)
             return
-        bud.tick(n)
+        bud.tick()
         cand = base[i] & ~used
         for j in earlier_adj[i]:
             cand &= nbr[assigned[j]]

@@ -1,14 +1,15 @@
 """The family detectors against a plain member-by-member search: the trie
 of search trees in `detect._first_copy` changes neither the match nor the
-outcome, and it charges n steps (n the host size) per member offered and n
-per search-tree node it expands, a node shared by several members once.  The reference takes each member's match from `iter_induced_maps`,
-the first map that meets the member's condition, and counts the nodes by a
+outcome, and it charges k ticks per member of k vertices offered and one
+per search-tree node it expands, a node shared by several members once.
+The reference takes each member's match from `iter_induced_maps`, the
+first map that meets the member's condition, and counts the nodes by a
 depth-first search of its own.  It offers every member, where a theta or
 pyramid search stops offering the members whose base levels an earlier
-member found empty, so those searches take at most the reference's steps,
-and the others exactly them.  Under any budget limit below the steps the
+member found empty, so those searches take at most the reference's ticks,
+and the others exactly them.  Under any budget limit below the ticks the
 whole search takes, the search exhausts the budget, and from there on it
-returns its result.  The trie stores at most one tree node per n steps
+returns its result.  The trie stores at most one tree node per tick
 charged."""
 
 from contextlib import contextmanager
@@ -109,19 +110,20 @@ def first_leaf(g, entries, seen):
 
 @contextmanager
 def reference_detectors():
-    """Run the detectors with every member searched on its own: n steps
-    when it is offered, n per node its depth-first search adds, and its
-    match the first map of `iter_induced_maps` that meets its condition."""
+    """Run the detectors with every member searched on its own: k ticks
+    when a member of k vertices is offered, one per node its depth-first
+    search adds, and its match the first map of `iter_induced_maps` that
+    meets its condition."""
 
     def first_copy(g, family, budget):
         seen: set = set()
         for k, signature, build in family:
-            budget.tick(g.n)
             if k > g.n:
                 continue
+            budget.tick(k)
             entries = tuple(signature)
             leaf, added = first_leaf(g, entries, seen)
-            budget.tick(g.n * added)
+            budget.tick(added)
             if leaf is None:
                 continue
             instance = build()
@@ -156,8 +158,8 @@ def reference_outcome(search, g):
 
 def assert_matches_reference(search, g, limits, exact):
     """The reference's match under an unlimited budget, in at most its
-    steps, or exactly them when `exact`; under each limit, exhaustion below
-    the steps taken and the same match in the same steps from there on."""
+    ticks, or exactly them when `exact`; under each limit, exhaustion below
+    the ticks taken and the same match in the same ticks from there on."""
     result, total = reference_outcome(search, g)
     got, used = outcome(search, g, UNLIMITED)
     assert got == result
@@ -234,7 +236,7 @@ def test_subcubic_hosts_match_reference(g, family, data):
 
 def stored_nodes(search, g):
     """The tree nodes a search stores in its trie (the root's one included),
-    and the steps it charges."""
+    and the ticks it charges."""
     made = []
 
     class Recorded(detect._Level):
@@ -251,16 +253,17 @@ def stored_nodes(search, g):
 @pytest.mark.parametrize("host", sorted(WALLS))
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_walls_store_one_node_per_n_steps(family, host):
-    g = WALLS[host]
-    stored, used = stored_nodes(FAMILIES[family], g)
-    assert 1 <= stored <= used // g.n + 1
+    """At most one stored node per tick charged (named for the old unit of
+    n ticks per node)."""
+    stored, used = stored_nodes(FAMILIES[family], WALLS[host])
+    assert 1 <= stored <= used + 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=subcubic_graphs(), family=st.sampled_from(sorted(FAMILIES)))
 def test_random_hosts_store_one_node_per_n_steps(g, family):
     stored, used = stored_nodes(FAMILIES[family], g)
-    assert stored <= used // g.n + 1
+    assert stored <= used + 1
 
 
 @pytest.mark.parametrize("family", ["theta-t2", "pyramid-t1"])

@@ -11,8 +11,9 @@ maps of k disjoint paths, each joint above the one before it, and only a
 body is looked for around each map.  The brute-force creature oracle lists
 its paths as the maps of one path.
 
-Every budget charge is one of a few `tick` calls, listed here, so a change
-of the step unit knows every site it has to touch."""
+Every budget charge is one of a few `tick` calls, listed here: one per
+search-tree node in the search loop, k per member of k vertices a family
+offers, and one per subset `sep` tests."""
 
 import ast
 from pathlib import Path

@@ -44,15 +44,15 @@ HOSTS = {
 TABLE = {
     "wall": (
         ("theta-t2", "theta-t3", "pyramid-t1"),
-        {4: "FFA", 5: "FFA", 6: "FFA", 7: "FFA", 8: "FBA", 9: "BBB", 10: "BBB"},
+        {4: "FFA", 5: "FFA", 6: "FFA", 7: "FFA", 8: "FFA", 9: "FFA", 10: "FFA"},
     ),
     "S": (
         ("theta-t2", "theta-t3", "pyramid-t1"),
-        {3: "FFA", 4: "FFA", 5: "FFA", 6: "FFA", 7: "FBA", 8: "BBA"},
+        {3: "FFA", 4: "FFA", 5: "FFA", 6: "FFA", 7: "FFA", 8: "FFA"},
     ),
     "L": (
         ("theta-t2", "pyramid-t2", "wall-line-k2", "wall-line-k3"),
-        {3: "AAFB", 4: "AAFB", 5: "AAFB", 6: "AAFB", 7: "AABB", 8: "AABB"},
+        {3: "AAFB", 4: "AAFB", 5: "AAFB", 6: "AAFB", 7: "AAFB", 8: "AAFB"},
     ),
 }
 

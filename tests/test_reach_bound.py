@@ -38,7 +38,7 @@ def all_maps(g, entries):
     """Every map `_grow` yields for the signature, from an empty trie."""
     root = detect._Level(None, array("i", [-1]), array("i", [-1]))
     host = detect._host_masks(g)
-    return list(detect._grow(root, entries, host, Budget(10**12), 1))
+    return list(detect._grow(root, entries, host, Budget(10**12)))
 
 
 def check_members(g, name):

@@ -1,12 +1,13 @@
 """Each detection searches once.  The claw and induced searches take the
 engine's first mapping directly: against the one-member family search they
 replaced (`detect._first_copy` on one `_edge_member`), they give the same
-match.  Both charge n (the host size) for each search-tree node they
-expand, and the family n more for the member, so it uses n steps more.
+match.  Both charge one tick for each search-tree node they expand, and
+the family k more for its member of k vertices, so it uses k ticks more,
+or none when the member is larger than the host.
 The wall-line search at k = 2 declares one free edge, one cycle per length:
 against the family with every edge of the 4-cycle free, which offers every
 spread of the extra vertices over them, it gives the same match in at most
-the same steps."""
+the same ticks."""
 
 import pytest
 from hypothesis import given, settings
@@ -67,7 +68,7 @@ def induced_reference(pattern):
 
 
 def outcome(search, g, limit):
-    """The search's match, or BudgetExhausted, and the steps it used."""
+    """The search's match, or BudgetExhausted, and the ticks it used."""
     budget = Budget(limit)
     try:
         result = search(g, budget)
@@ -76,38 +77,40 @@ def outcome(search, g, limit):
     return result, budget.used
 
 
-def assert_same_under_every_limit(search, reference, g):
-    """The same match under a roomy limit, the steps of each related as
-    above, and exhaustion under every limit below its own steps."""
+def assert_same_under_every_limit(search, reference, g, k):
+    """The same match under a roomy limit, the ticks of each related as
+    above for a pattern of k vertices, and exhaustion under every limit
+    below its own ticks."""
     (match, used), (ref_match, ref_used) = (
         outcome(search, g, 10**9), outcome(reference, g, 10**9)
     )
     assert match == ref_match
-    assert ref_used == used + g.n
+    assert ref_used == used + (k if k <= g.n else 0)
     for which, total in ((search, used), (reference, ref_used)):
         for limit in {total - 1, total // 2, 5}:
             if 0 <= limit < total:
                 assert outcome(which, g, limit)[0] is BudgetExhausted
 
 
+# (name, the pattern's vertex count, the search, its one-member family)
 SINGLE = [
     *(
-        (f"claw-{''.join(map(str, ls))}", claw_search(ls), claw_reference(ls))
+        (f"claw-{''.join(map(str, ls))}", 1 + sum(ls), claw_search(ls), claw_reference(ls))
         for ls in LEGS
     ),
     *(
-        (f"induced-{name}", induced_search(p), induced_reference(p))
+        (f"induced-{name}", p.n, induced_search(p), induced_reference(p))
         for name, p in zip(("p5", "c6", "spider122"), PATTERNS)
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, search, reference", SINGLE, ids=[s[0] for s in SINGLE]
+    "name, k, search, reference", SINGLE, ids=[s[0] for s in SINGLE]
 )
-def test_single_pattern_searches_equal_the_one_member_family(name, search, reference):
+def test_single_pattern_searches_equal_the_one_member_family(name, k, search, reference):
     for g in HOSTS:
-        assert_same_under_every_limit(search, reference, g)
+        assert_same_under_every_limit(search, reference, g, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,14 +119,14 @@ def test_single_pattern_searches_equal_the_one_member_family(name, search, refer
     which=st.integers(0, len(SINGLE) - 1),
 )
 def test_single_pattern_searches_equal_the_one_member_family_on_random_hosts(g, which):
-    _, search, reference = SINGLE[which]
-    assert_same_under_every_limit(search, reference, g)
+    _, k, search, reference = SINGLE[which]
+    assert_same_under_every_limit(search, reference, g, k)
 
 
 def every_spread(g, budget):
     """The wall-line k = 2 family with every edge of the 4-cycle free, so
-    every spread of the extra vertices over them, n steps per member
-    offered."""
+    every spread of the extra vertices over them, k ticks per member of k
+    vertices offered."""
     base = wall(2, 2)
     every = detect.Family(
         base.n,
