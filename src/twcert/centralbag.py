@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .check import status_of
+from .config import Budget
 from .detect import induced_copies, verify_forcer, find_induced
 from .graphs import CapExceeded, Graph, bits, geometric_ball_bound, lex_key, mask_of
 from .separators import _require_normal, min_balanced_separator, treewidth_or_bounds
@@ -212,7 +213,7 @@ def make_primordial(bc: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def covering_sequence(
-    g: Graph, w: WeightFunction, pattern: Graph
+    g: Graph, w: WeightFunction, pattern: Graph, budget: Budget
 ) -> SeparationSequence:
     """Canonical separations at every induced copy of the pattern, in
     lexicographic order of the copies; degenerate copies (whose closed
@@ -225,7 +226,7 @@ def covering_sequence(
     them."""
     seps: list[Separation] = []
     skips: list[tuple[int, ...]] = []
-    for copy in induced_copies(g, pattern):
+    for copy in induced_copies(g, pattern, budget):
         try:
             seps.append(canonical_separation(g, w, copy))
         except DegenerateSeparation:
@@ -584,16 +585,16 @@ def check_bag_separator_transfer(
 
 
 def forcer_elimination_check(
-    g: Graph, pattern: Graph, forcer: Graph, result: CentralBagResult
+    g: Graph, pattern: Graph, forcer: Graph, result: CentralBagResult, budget: Budget
 ) -> ConditionalCheck:
     """After bag construction at a pattern's covering sequence, the bag should
     carry no copy of any verified forcer for that pattern.  The hypothesis is
     the forcer premise; only when it holds is the bag searched."""
-    premise = verify_forcer(g, forcer, pattern).holds
+    premise = verify_forcer(g, forcer, pattern, budget).holds
     clean: Optional[bool] = None
     if premise:
         sub, _ = g.induced_subgraph(result.bag)
-        clean = not result.bag or find_induced(sub, forcer) is None
+        clean = not result.bag or find_induced(sub, forcer, budget) is None
     return ConditionalCheck("verified forcer absent from the bag", premise, clean)
 
 
@@ -687,6 +688,7 @@ def run_master_pipeline(
     c: Fraction,
     d: int,
     tw_cap: int,
+    budget: Budget,
     w: Optional[WeightFunction] = None,
 ) -> PipelineReport:
     """Covering sequence, goodness, partition, central bag, forcer freeness,
@@ -696,8 +698,7 @@ def run_master_pipeline(
     with N one more than the bag's measured treewidth and t one more than the
     pattern size, which keeps the pattern smaller than t.  Usage errors, then
     the n = 12 cap of `no_small_separator`, are raised before any stage runs.
-    The covering sequence and each forcer check search under their own
-    default budget of `RunConfig.search_budget` ticks.
+    The covering sequence and every forcer check charge `budget`.
     """
     if w is None:
         w = WeightFunction.uniform(g)
@@ -705,14 +706,16 @@ def run_master_pipeline(
         raise ValueError("pattern must be connected")
     _require_connected_and_normal(g, w)
     no_sep = no_small_separator(g, w, c, d)
-    seq = covering_sequence(g, w, pattern)
+    seq = covering_sequence(g, w, pattern, budget)
     classes = dimension_partition(seq)
     result = central_bag(g, w, seq, classes)
     delta = g.max_degree()
     t_param = pattern.n + 1
     a_bound = delta ** (t_param * t_param)
     dim_bound = a_bound * geometric_ball_bound(delta, 2 * t_param) + 1
-    forcer_checks = [forcer_elimination_check(g, pattern, f, result) for f in forcers]
+    forcer_checks = [
+        forcer_elimination_check(g, pattern, f, result, budget) for f in forcers
+    ]
     bag_tw: Optional[int] = None
     within: Optional[bool] = None
     symbolic = ""

@@ -250,7 +250,8 @@ def cmd_centralbag(args: argparse.Namespace, cfg: RunConfig) -> int:
     forcers = [_load_graph(p) for p in args.forcer or []]
     w = _load_weights(args.weights, g)
     rep = run_master_pipeline(
-        g, pattern, forcers, c=cfg.c, d=cfg.d, w=w, tw_cap=cfg.max_tw_n
+        g, pattern, forcers, c=cfg.c, d=cfg.d, w=w, tw_cap=cfg.max_tw_n,
+        budget=Budget(cfg.search_budget),
     )
     cert = Certificate(command=["centralbag", args.input], seed=cfg.seed)
     cert.record_input("graph", graph_witness(g))

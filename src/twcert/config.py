@@ -1,10 +1,10 @@
 """Run configuration: a treewidth cap, a search budget, a seed, and parameters.
 
 One flat record of five keys.  `max_tw_n` caps the exact treewidth runs;
-the searches of `detect` and `sep` take inputs of any size and stop when
-`search_budget` runs out.  Values come from defaults, then an optional
-key=value config file (path in the TWCERT_CONFIG environment variable or
---config), then CLI flags.
+every search takes inputs of any size and stops when its command's one
+`Budget`, of `search_budget` ticks, runs out.  Values come from defaults,
+then an optional key=value config file (path in the TWCERT_CONFIG
+environment variable or --config), then CLI flags.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ _INT_KEYS = {"max_tw_n": 1, "search_budget": 1, "seed": 0, "d": 0}
 @dataclass(frozen=True)
 class RunConfig:
     max_tw_n: int = 14
-    search_budget: int = 1_000_000  # ticks per search, deterministic (see Budget)
+    search_budget: int = 1_000_000  # ticks per command, deterministic (see Budget)
     seed: int = 7
     c: Fraction = Fraction(1, 2)
     d: int = 2
@@ -73,10 +73,10 @@ def load_config(path: str | None, **overrides: object) -> RunConfig:
 
 
 class Budget:
-    """Deterministic search-node budget shared by one search invocation.
+    """Deterministic search-node budget shared by every search of one command.
 
-    ``limit`` defaults to ``RunConfig.search_budget``, the budget of every
-    search started without one.
+    Each command builds one, of ``RunConfig.search_budget`` ticks, and passes
+    it to every search it runs; ``verify`` gives each suite its own.
 
     Every induced-subgraph search of ``detect`` runs one loop
     (``detect._grow``), which ticks once per search-tree node it expands,
@@ -93,7 +93,7 @@ class Budget:
 
     __slots__ = ("limit", "used")
 
-    def __init__(self, limit: int = RunConfig.search_budget):
+    def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
 

@@ -371,24 +371,22 @@ def _engine_match(
 
 
 def find_induced(
-    g: Graph,
-    pattern: Graph,
-    budget: Optional[Budget] = None,
+    g: Graph, pattern: Graph, budget: Budget
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of an explicit pattern graph:
     the engine's first mapping, searched once under the budget, whatever
     the pattern's size.  A pattern larger than g has no copy, and the
     engine returns at once without charging the budget."""
     whole = Instance(pattern, (("mapping", tuple(pattern.vertices)),))
-    return _engine_match(g, whole, budget or Budget())
+    return _engine_match(g, whole, budget)
 
 
 def induced_copies(
-    g: Graph, pattern: Graph, budget: Optional[Budget] = None
+    g: Graph, pattern: Graph, budget: Budget
 ) -> list[tuple[int, ...]]:
     """All distinct vertex sets carrying an induced copy, in lexicographic order."""
     seen: set[tuple[int, ...]] = set()
-    for mapping in iter_induced_maps(g, pattern, budget or Budget()):
+    for mapping in iter_induced_maps(g, pattern, budget):
         seen.add(tuple(sorted(mapping)))
     return sorted(seen)
 
@@ -611,20 +609,20 @@ def _has_triangle(g: Graph) -> bool:
     return any(g.neighbor_mask(u) & g.neighbor_mask(v) for u, v in g.edges)
 
 
-def _find(g: Graph, family: Family, budget: Optional[Budget]) -> Optional[PatternMatch]:
+def _find(g: Graph, family: Family, budget: Budget) -> Optional[PatternMatch]:
     """The first copy of the first member of `family` in g (`_first_copy`),
     or None at once, with no tick charged, when g lacks a graph that every
     member contains (``family.contains``)."""
     if not all(has(g) for has in family.contains):
         return None
-    return _first_copy(g, _members(family, g.n), budget or Budget())
+    return _first_copy(g, _members(family, g.n), budget)
 
 
 # -- specialised detectors ----------------------------------------------------
 
 
 def find_t_theta(
-    g: Graph, t: int, budget: Optional[Budget] = None
+    g: Graph, t: int, budget: Budget
 ) -> Optional[PatternMatch]:
     """Two non-adjacent vertices joined by three internally disjoint induced
     paths of length >= t with no other edges between the paths: three
@@ -645,7 +643,7 @@ def find_t_theta(
 
 
 def find_t_pyramid(
-    g: Graph, t: int, budget: Optional[Budget] = None
+    g: Graph, t: int, budget: Budget
 ) -> Optional[PatternMatch]:
     """Apex joined to a triangle by three near-disjoint induced paths of
     length >= t, at most one of them a single edge: K4 with the triangle
@@ -662,19 +660,19 @@ def find_t_pyramid(
 
 
 def find_subdivided_claw(
-    g: Graph, t1: int, t2: int, t3: int, budget: Optional[Budget] = None
+    g: Graph, t1: int, t2: int, t3: int, budget: Budget
 ) -> Optional[PatternMatch]:
     """Lexicographically first induced copy of the three-legged spider with
     the given leg lengths: the engine's first mapping, searched once, with
     the root matched first."""
-    return _engine_match(g, subdivided_claw(t1, t2, t3), budget or Budget())
+    return _engine_match(g, subdivided_claw(t1, t2, t3), budget)
 
 
 # -- creatures -----------------------------------------------------------------
 
 
 def find_creature(
-    g: Graph, k: int, t: int, budget: Optional[Budget] = None
+    g: Graph, k: int, t: int, budget: Budget
 ) -> Optional[PatternMatch]:
     """A connected body plus k pairwise anticomplete induced length-t paths,
     each touching the body only through its joint end.  The match's roles
@@ -696,7 +694,7 @@ def find_creature(
     for joint in range(size, paths.n, size):
         above[joint] = 1 << (joint - size)
     full = g.full_mask()
-    for mapping in iter_induced_maps(g, paths, budget or Budget(), above):
+    for mapping in iter_induced_maps(g, paths, budget, above):
         chosen = [mapping[i : i + size] for i in range(0, paths.n, size)]
         taken = blocked = mask_of(mapping)
         for p in chosen:
@@ -715,7 +713,7 @@ def find_creature(
 
 
 def find_line_of_subdivided_wall(
-    g: Graph, k: int, budget: Optional[Budget] = None
+    g: Graph, k: int, budget: Budget
 ) -> Optional[PatternMatch]:
     """Induced copy of the line graph of some subdivision of the k x k wall.
 
@@ -772,19 +770,19 @@ class ForcerReport:
     counterexample: Optional[tuple[int, ...]] = None
 
 
-def verify_forcer(g: Graph, forcer_pattern: Graph, x_pattern: Graph) -> ForcerReport:
+def verify_forcer(
+    g: Graph, forcer_pattern: Graph, x_pattern: Graph, budget: Budget
+) -> ForcerReport:
     """Check that every induced copy Y of the forcer contains an induced copy
     X' of the inner pattern with X' breaking Y minus X'.  The first violating
-    copy is returned as a counterexample.  The search runs under the default
-    budget (see `Budget`)."""
-    bud = Budget()
+    copy is returned as a counterexample.  Both searches charge `budget`."""
     count = 0
-    for y in induced_copies(g, forcer_pattern, bud):
+    for y in induced_copies(g, forcer_pattern, budget):
         count += 1
         y_set = set(y)
         sub, sub_vs = g.induced_subgraph(y)
         found = False
-        for inner in induced_copies(sub, x_pattern, bud):
+        for inner in induced_copies(sub, x_pattern, budget):
             x_prime = tuple(sorted(sub_vs[i] for i in inner))
             rest = tuple(sorted(y_set - set(x_prime)))
             if not rest:

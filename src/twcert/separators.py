@@ -421,9 +421,7 @@ def balanced_separator_from_td(
 
 
 def harvey_wood_check(
-    g: Graph,
-    c: Fraction,
-    seed: int,
+    g: Graph, c: Fraction, seed: int, budget: Budget
 ) -> HarveyWoodReport:
     """Cross-check the separation-number and balanced-separator bridges.
 
@@ -438,12 +436,12 @@ def harvey_wood_check(
     at most c exactly when |comp & Y| <= c|Y|, separation_number's test for
     S = Y.  The worst minimum uniform-weight separator over all Y is
     therefore the separation number (S = empty needs X = empty).
-    Every search here is exhaustive; the separation number runs under the
-    default `Budget`, and callers keep g small enough for exact treewidth.
+    Every search here is exhaustive; the separation number charges
+    `budget`, and callers keep g small enough for exact treewidth.
     """
     check_balance_parameter(c)
     tw, td = exact_treewidth(g, cap=g.n)
-    sep = separation_number(g, c, Budget())
+    sep = separation_number(g, c, budget)
     upper = Fraction(tw + 1) <= Fraction(sep) / (1 - c)
     uniform_ok = Fraction(tw) <= Fraction(sep) / (1 - c)
 

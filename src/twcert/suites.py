@@ -173,7 +173,7 @@ def pattern_free_corpus(
     return out[:count]
 
 
-def creature_exists_bruteforce(g: Graph, k: int, t: int) -> bool:
+def creature_exists_bruteforce(g: Graph, k: int, t: int, budget: Budget) -> bool:
     """Body-first enumeration: fix a connected candidate body, then pack k
     admissible joint-oriented paths around it.
 
@@ -184,7 +184,7 @@ def creature_exists_bruteforce(g: Graph, k: int, t: int) -> bool:
     paths are disjoint and anticomplete."""
     nbr = g.neighbor_mask
     paths = []
-    for p in iter_induced_maps(g, path_graph(t + 1), Budget()):
+    for p in iter_induced_maps(g, path_graph(t + 1), budget):
         pm = mask_of(p)
         rest = 0
         for v in p[1:]:
@@ -293,8 +293,9 @@ def suite_harvey_wood(cfg: RunConfig) -> Certificate:
     violations: list[int] = []
     weight_fails: list[int] = []
     uniform_fails: list[int] = []
+    budget = Budget(cfg.search_budget)
     for idx, g in enumerate(catalog):
-        rep = harvey_wood_check(g, c, seed=cfg.seed + idx)
+        rep = harvey_wood_check(g, c, seed=cfg.seed + idx, budget=budget)
         if not rep.upper_bound_holds:
             violations.append(idx)
         if not rep.uniform_bound_holds:
@@ -346,8 +347,9 @@ def suite_bag_algebra(cfg: RunConfig) -> Certificate:
     bag is connected, and the propagated weights sum to exactly one."""
     cert = _new_cert("bag-algebra", cfg)
     bad: list[int] = []
+    budget = Budget(cfg.search_budget)
     for idx, (g, pattern, w) in enumerate(_bag_corpus(cfg, 200)):
-        seq = covering_sequence(g, w, pattern)
+        seq = covering_sequence(g, w, pattern, budget)
         result = central_bag(g, w, seq, dimension_partition(seq))
         if not result.algebra_holds or result.escaped_weight != 0:
             bad.append(idx)
@@ -366,8 +368,9 @@ def suite_bag_audit(cfg: RunConfig) -> Certificate:
     cert = _new_cert("bag-audit", cfg)
     bad: list[int] = []
     total_drops = 0
+    budget = Budget(cfg.search_budget)
     for idx, (g, pattern, w) in enumerate(_bag_corpus(cfg, 120)):
-        seq = covering_sequence(g, w, pattern)
+        seq = covering_sequence(g, w, pattern, budget)
         result = central_bag(g, w, seq, dimension_partition(seq))
         total_drops += len(result.drops)
         if not audit_is_complete(seq, result):
@@ -409,9 +412,10 @@ def suite_conditional_bags(cfg: RunConfig) -> Certificate:
     cert = _new_cert("conditional-bags", cfg)
     n_no_sep_met = 0
     n_all_conclusions_true = 0
+    budget = Budget(cfg.search_budget)
     for name, g, w, pattern, d in _conditional_instances(cfg):
         no_sep = no_small_separator(g, w, cfg.c, d)
-        seq = covering_sequence(g, w, pattern)
+        seq = covering_sequence(g, w, pattern, budget)
         classes = dimension_partition(seq)
         result = central_bag(g, w, seq, classes)
         _, t = seq.goodness(g)
@@ -451,9 +455,10 @@ def suite_forcer_claw(cfg: RunConfig) -> Certificate:
     shortened spider."""
     cert = _new_cert("forcer-claw", cfg)
     count = 50
+    budget = Budget(cfg.search_budget)
     for b in (1, 2):
         def clean(g: Graph, b=b) -> bool:
-            return find_subdivided_claw(g, 2, b, b) is None
+            return find_subdivided_claw(g, 2, b, b, budget) is None
 
         inner = subdivided_claw(1, b, b).graph
         forcer = disjoint_union(inner, Graph(1, []))  # plus an isolated vertex
@@ -484,7 +489,7 @@ def suite_forcer_claw(cfg: RunConfig) -> Certificate:
         holds = []
         nonvacuous = 0
         for g in corpus:
-            rep = verify_forcer(g, forcer, x_pattern)
+            rep = verify_forcer(g, forcer, x_pattern, budget)
             holds.append(rep.holds)
             nonvacuous += int(rep.copies_checked > 0)
         cert.expect(
@@ -501,9 +506,10 @@ def suite_forcer_theta(cfg: RunConfig) -> Certificate:
     forces the claw."""
     cert = _new_cert("forcer-theta", cfg)
     count = 50
+    budget = Budget(cfg.search_budget)
 
     def clean(g: Graph) -> bool:
-        return find_t_theta(g, 2) is None and find_t_pyramid(g, 2) is None
+        return find_t_theta(g, 2, budget) is None and find_t_pyramid(g, 2, budget) is None
 
     forcer = subdivided_claw(2, 2, 2).graph
     x_pattern = star_graph(3)
@@ -521,7 +527,7 @@ def suite_forcer_theta(cfg: RunConfig) -> Certificate:
     holds = []
     nonvacuous = 0
     for g in corpus:
-        rep = verify_forcer(g, forcer, x_pattern)
+        rep = verify_forcer(g, forcer, x_pattern, budget)
         holds.append(rep.holds)
         nonvacuous += int(rep.copies_checked > 0)
     cert.expect(
@@ -634,33 +640,34 @@ def suite_detectors(cfg: RunConfig) -> Certificate:
     instances."""
     cert = _new_cert("detectors", cfg)
     catalog = seeded_catalog(8, cfg.seed, per_n=4)
+    budget = Budget(cfg.search_budget)
     mism: dict[str, list[int]] = {"theta": [], "pyramid": [], "claw": [], "creature": [], "wall-line": []}
     for idx, g in enumerate(catalog):
         subs = [vs for r in range(1, g.n + 1) for vs in combinations(range(g.n), r)]
         oracle_theta = any(
             is_subdivision_set(g, vs, THETA_SHAPE) for vs in subs if len(vs) >= 5
         )
-        if oracle_theta != (find_t_theta(g, 2) is not None):
+        if oracle_theta != (find_t_theta(g, 2, budget) is not None):
             mism["theta"].append(idx)
         oracle_pyr = any(
             is_subdivision_set(g, vs, PYRAMID_SHAPE) for vs in subs if len(vs) >= 6
         )
-        if oracle_pyr != (find_t_pyramid(g, 1) is not None):
+        if oracle_pyr != (find_t_pyramid(g, 1, budget) is not None):
             mism["pyramid"].append(idx)
         for lens in ((1, 1, 1), (2, 1, 1), (0, 2, 1)):
             size, shape = 1 + sum(lens), claw_shape(lens)
             oracle_claw = any(
                 is_subdivision_set(g, vs, shape) for vs in subs if len(vs) == size
             )
-            if oracle_claw != (find_subdivided_claw(g, *lens) is not None):
+            if oracle_claw != (find_subdivided_claw(g, *lens, budget) is not None):
                 mism["claw"].append(idx)
         for k, t in ((3, 0), (3, 1)):
-            if creature_exists_bruteforce(g, k, t) != (
-                find_creature(g, k, t) is not None
+            if creature_exists_bruteforce(g, k, t, budget) != (
+                find_creature(g, k, t, budget) is not None
             ):
                 mism["creature"].append(idx)
         hole_found = find_hole(g) is not None
-        if hole_found != (find_line_of_subdivided_wall(g, 2) is not None):
+        if hole_found != (find_line_of_subdivided_wall(g, 2, budget) is not None):
             mism["wall-line"].append(idx)
     for key, lst in mism.items():
         cert.expect(
@@ -670,7 +677,7 @@ def suite_detectors(cfg: RunConfig) -> Certificate:
             [],
         )
     k23 = complete_bipartite(2, 3)
-    hit = find_t_theta(k23, 2)
+    hit = find_t_theta(k23, 2, budget)
     cert.expect(
         "detect.k23",
         "the complete bipartite graph on 2+3 vertices is a 2-theta",
@@ -680,7 +687,7 @@ def suite_detectors(cfg: RunConfig) -> Certificate:
     spiders_ok = True
     for t in (0, 1, 2):
         sp = subdivided_claw(t + 1, t + 1, t + 1).graph
-        if find_creature(sp, 3, t) is None:
+        if find_creature(sp, 3, t, budget) is None:
             spiders_ok = False
     cert.expect(
         "detect.spider-creature",
@@ -690,7 +697,7 @@ def suite_detectors(cfg: RunConfig) -> Certificate:
     )
     mono_bad: list[int] = []
     for idx, g in enumerate(catalog):
-        if find_t_theta(g, 3) is not None and find_t_theta(g, 2) is None:
+        if find_t_theta(g, 3, budget) is not None and find_t_theta(g, 2, budget) is None:
             mono_bad.append(idx)
     cert.expect(
         "detect.monotone",
@@ -712,9 +719,10 @@ def suite_pipeline(cfg: RunConfig) -> Certificate:
         g12 = random_connected(rng, 12, 0.25)
     instances.append(("seeded-12", g12, path_graph(3)))
     instances.append(("wall33", wall(3, 3), path_graph(1)))
+    budget = Budget(cfg.search_budget)
     for name, g, pattern in instances:
         rep = run_master_pipeline(
-            g, pattern, forcers=[], c=cfg.c, d=cfg.d, tw_cap=cfg.max_tw_n
+            g, pattern, forcers=[], c=cfg.c, d=cfg.d, tw_cap=cfg.max_tw_n, budget=budget
         )
         cert.expect(
             f"pipeline.{name}",
@@ -735,7 +743,8 @@ def suite_pipeline(cfg: RunConfig) -> Certificate:
     inner = subdivided_claw(1, 1, 1).graph
     forcer = Graph(inner.n + 1, list(inner.edges))
     rep = run_master_pipeline(
-        host, path_graph(3), forcers=[forcer], c=cfg.c, d=cfg.d, tw_cap=cfg.max_tw_n
+        host, path_graph(3), forcers=[forcer], c=cfg.c, d=cfg.d, tw_cap=cfg.max_tw_n,
+        budget=budget,
     )
     (chk,) = rep.forcer_checks
     cert.expect(
@@ -751,10 +760,11 @@ def suite_creatures(cfg: RunConfig) -> Certificate:
     """Creature generators round-trip through the detector, and generated
     creatures contain a subdivision of a small caterpillar or its line graph."""
     cert = _new_cert("creatures", cfg)
+    budget = Budget(cfg.search_budget)
     ok = True
     for k, t, spacing in ((3, 0, 2), (3, 1, 2), (4, 2, 2), (2, 3, 3)):
         wit = creature(k, t, spacing)
-        if find_creature(wit.graph, k, t) is None:
+        if find_creature(wit.graph, k, t, budget) is None:
             ok = False
     cert.expect(
         "creature.roundtrip",
@@ -769,13 +779,13 @@ def suite_creatures(cfg: RunConfig) -> Certificate:
         g = wit.graph
         # a subdivision of the claw is any spider; its line graph contains a triangle
         spider = any(
-            find_subdivided_claw(g, a, b, c) is not None
+            find_subdivided_claw(g, a, b, c, budget) is not None
             for a in (1, 2)
             for b in (1, 2)
             for c in (1, 2)
             if a <= b <= c
         )
-        tri = find_induced(g, cycle_graph(3)) is not None
+        tri = find_induced(g, cycle_graph(3), budget) is not None
         if not (spider or tri):
             found = False
     cert.expect(

@@ -47,7 +47,7 @@ from itertools import combinations, permutations
 import networkx as nx
 import pytest
 
-from twcert.config import Budget
+from twcert.config import Budget, RunConfig
 from twcert.decompose import NotChordal, chordal_td
 from twcert.detect import (
     find_creature,
@@ -174,7 +174,7 @@ def test_detectors_match_brute_force_on_the_atlas(name):
     positives = claw_free = 0
     for atlas, shaped in zip(ATLAS, shaped_subsets()):
         g = Graph(len(atlas), [tuple(sorted(e)) for e in atlas.edges])
-        budget = Budget()
+        budget = Budget(RunConfig.search_budget)
         match = detect(g, budget)
         passing = [vs for vs in shaped.get(threes, []) if oracle(atlas.subgraph(vs))]
         assert (match is not None) == bool(passing), (name, atlas.name)
@@ -220,7 +220,7 @@ def test_claw_detector_matches_brute_force_on_the_atlas(legs):
     degrees = sorted(d for _, d in pattern.degree)
     positives = 0
     for atlas, g in hosts():
-        match = find_subdivided_claw(g, *legs)
+        match = find_subdivided_claw(g, *legs, Budget(RunConfig.search_budget))
         subsets = profiled(atlas, degrees)
         if match is None:
             passing = [
@@ -299,7 +299,7 @@ def test_creature_detector_matches_brute_force_on_the_atlas(k, t):
     for atlas, g in hosts():
         nbr = masks(atlas)
         paths = induced_paths(nbr, t)
-        match = find_creature(g, k, t)
+        match = find_creature(g, k, t, Budget(RunConfig.search_budget))
         assert (match is not None) == has_creature(nbr, paths, k), atlas.name
         if match is not None:
             roles = dict(match.roles)

@@ -39,7 +39,7 @@ from twcert.centralbag import (
     no_small_separator,
     run_master_pipeline,
 )
-from twcert.config import RunConfig
+from twcert.config import Budget, RunConfig
 from twcert.generators import (
     complete_graph,
     cycle_graph,
@@ -52,6 +52,10 @@ from twcert.suites import _bag_corpus, random_weights
 from twcert.weights import WeightFunction
 
 HALF = Fraction(1, 2)
+
+
+def _budget() -> Budget:
+    return Budget(RunConfig.search_budget)
 
 
 def assert_separation(g: Graph, s: Separation) -> None:
@@ -161,14 +165,14 @@ def test_make_primordial_keeps_earliest():
 
 def test_covering_sequence_p7(p7):
     g, w = p7
-    seq = covering_sequence(g, w, path_graph(1))
+    seq = covering_sequence(g, w, path_graph(1), _budget())
     assert len(seq.separations) == 7 and not seq.skipped
     assert seq.goodness(g) == (1, 1)
 
 
 def test_covering_sequence_skips_degenerate():
     g = complete_graph(4)
-    seq = covering_sequence(g, WeightFunction.uniform(g), path_graph(1))
+    seq = covering_sequence(g, WeightFunction.uniform(g), path_graph(1), _budget())
     assert len(seq.separations) == 0 and seq.skipped == ((0,), (1,), (2,), (3,))
     for copy in seq.skipped:
         with pytest.raises(DegenerateSeparation):
@@ -177,7 +181,7 @@ def test_covering_sequence_skips_degenerate():
 
 def test_no_pattern_copies_leaves_whole_graph(p7):
     g, w = p7
-    seq = covering_sequence(g, w, complete_graph(3))
+    seq = covering_sequence(g, w, complete_graph(3), _budget())
     assert len(seq.separations) == 0
     result = central_bag(g, w, seq, dimension_partition(seq))
     assert result.bag == tuple(range(7))
@@ -187,7 +191,7 @@ def test_no_pattern_copies_leaves_whole_graph(p7):
 @pytest.mark.parametrize("count", [6, 8])
 def test_central_bag_weight_count_must_match_vertex_count(p7, count):
     g, w = p7
-    seq = covering_sequence(g, w, path_graph(1))
+    seq = covering_sequence(g, w, path_graph(1), _budget())
     other = WeightFunction.from_mapping({v: Fraction(1, count) for v in range(count)})
     with pytest.raises(ValueError, match=f"^{count} weights for 7 vertices$"):
         central_bag(g, other, seq, dimension_partition(seq))
@@ -195,7 +199,7 @@ def test_central_bag_weight_count_must_match_vertex_count(p7, count):
 
 def test_dimension_partition_p7(p7):
     g, w = p7
-    seq = covering_sequence(g, w, path_graph(1))
+    seq = covering_sequence(g, w, path_graph(1), _budget())
     classes = dimension_partition(seq)
     assert classes == ((0, 2, 5), (1, 4, 6), (3,))
     a, t = seq.goodness(g)
@@ -213,7 +217,7 @@ def test_dimension_partition_p7(p7):
 
 def test_central_bag_p7_full_trace(p7):
     g, w = p7
-    seq = covering_sequence(g, w, path_graph(1))
+    seq = covering_sequence(g, w, path_graph(1), _budget())
     result = central_bag(g, w, seq, dimension_partition(seq))
     assert result.bag == (2, 3)
     assert result.weights == {2: Fraction(3, 7), 3: Fraction(4, 7)}
@@ -236,7 +240,7 @@ def test_central_bag_single_separation(p7):
 
 def test_cut_stays_in_level_bag(p7):
     g, w = p7
-    seq = covering_sequence(g, w, path_graph(1))
+    seq = covering_sequence(g, w, path_graph(1), _budget())
     result = central_bag(g, w, seq, dimension_partition(seq))
     for lvl in result.levels:
         assert lvl.cut_in_bag and lvl.bag_connected and lvl.weight_total_one
@@ -246,7 +250,7 @@ def test_cut_stays_in_level_bag(p7):
 @settings(max_examples=40, deadline=None)
 def test_audit_complete_on_random_graphs(g):
     w = WeightFunction.uniform(g)
-    seq = covering_sequence(g, w, path_graph(2))
+    seq = covering_sequence(g, w, path_graph(2), _budget())
     result = central_bag(g, w, seq, dimension_partition(seq))
     assert audit_is_complete(seq, result)
     assert result.recompute_bag(g, seq) == result.bag
@@ -310,7 +314,7 @@ def test_audit_rejects_tampered_drops():
     """Each way a drop record can be wrong makes the audit fail; the run it
     came from passes."""
     g, pattern, w = _bag_corpus(RunConfig(), 120)[3]
-    seq = covering_sequence(g, w, pattern)
+    seq = covering_sequence(g, w, pattern, _budget())
     result = central_bag(g, w, seq, dimension_partition(seq))
     drops = result.drops
     assert {d.reason for d in drops} == {"shield", "center_hit"}
@@ -361,7 +365,7 @@ def test_clique_bag_one_pass_matches_two_pass():
 def test_transfer_checks_never_fail_with_met_hypotheses():
     g = cycle_graph(9)
     w = WeightFunction.uniform(g)
-    seq = covering_sequence(g, w, path_graph(1))
+    seq = covering_sequence(g, w, path_graph(1), _budget())
     classes = dimension_partition(seq)
     result = central_bag(g, w, seq, classes)
     no_sep = no_small_separator(g, w, HALF, 1)
@@ -375,7 +379,7 @@ def test_transfer_checks_never_fail_with_met_hypotheses():
 def test_transfer_reports_hypothesis_unmet_not_pass():
     g = path_graph(6)  # has small balanced separators: hypothesis fails
     w = WeightFunction.uniform(g)
-    seq = covering_sequence(g, w, path_graph(1))
+    seq = covering_sequence(g, w, path_graph(1), _budget())
     classes = dimension_partition(seq)
     result = central_bag(g, w, seq, classes)
     no_sep = no_small_separator(g, w, HALF, 2)
@@ -390,9 +394,9 @@ def test_forcer_elimination_on_spider_free_host():
     pattern = path_graph(3)
     inner = subdivided_claw(1, 1, 1).graph
     forcer = Graph(inner.n + 1, list(inner.edges))
-    seq = covering_sequence(host, w, pattern)
+    seq = covering_sequence(host, w, pattern, _budget())
     result = central_bag(host, w, seq, dimension_partition(seq))
-    chk = forcer_elimination_check(host, pattern, forcer, result)
+    chk = forcer_elimination_check(host, pattern, forcer, result, _budget())
     assert chk.hypothesis_met
     assert chk.conclusion_holds in (True, None)
 
@@ -401,9 +405,9 @@ def test_forcer_elimination_premise_gate():
     # on a long path, one endpoint of an edge does not break the other
     g = path_graph(8)
     w = WeightFunction.uniform(g)
-    seq = covering_sequence(g, w, path_graph(1))
+    seq = covering_sequence(g, w, path_graph(1), _budget())
     result = central_bag(g, w, seq, dimension_partition(seq))
-    chk = forcer_elimination_check(g, path_graph(1), path_graph(2), result)
+    chk = forcer_elimination_check(g, path_graph(1), path_graph(2), result, _budget())
     assert not chk.hypothesis_met and chk.conclusion_holds is None
 
 
@@ -417,7 +421,9 @@ def test_leq_power_bound_lazy():
 
 def test_master_pipeline_wall():
     g = wall(3, 3)
-    rep = run_master_pipeline(g, path_graph(1), [], c=HALF, d=2, tw_cap=14)
+    rep = run_master_pipeline(
+        g, path_graph(1), [], c=HALF, d=2, tw_cap=14, budget=_budget()
+    )
     assert len(rep.sequence.separations) == 12
     assert rep.result.algebra_holds and rep.audit_complete
     assert rep.dimension_bound_holds and rep.anchor_bound_holds
@@ -427,7 +433,9 @@ def test_master_pipeline_wall():
 
 def test_master_pipeline_empty_covering():
     g = path_graph(5)
-    rep = run_master_pipeline(g, complete_graph(3), [], c=HALF, d=1, tw_cap=14)
+    rep = run_master_pipeline(
+        g, complete_graph(3), [], c=HALF, d=1, tw_cap=14, budget=_budget()
+    )
     assert len(rep.sequence.separations) == 0
     assert rep.result.bag == tuple(range(5))
 
@@ -451,7 +459,7 @@ def test_relation_identical_empty_a_all_flags():
 def test_wall_covering_goodness():
     g = wall(3, 3)
     w = WeightFunction.uniform(g)
-    seq = covering_sequence(g, w, path_graph(1))
+    seq = covering_sequence(g, w, path_graph(1), _budget())
     a, t = seq.goodness(g)
     assert a == 1  # every vertex anchors exactly its own separation
     full = g.full_mask()

@@ -25,7 +25,7 @@ from twcert.centralbag import (
     covering_sequence,
     dimension_partition,
 )
-from twcert.config import RunConfig
+from twcert.config import Budget, RunConfig
 from twcert.generators import path_graph, wall
 from twcert.suites import _bag_corpus
 from twcert.weights import WeightFunction
@@ -63,7 +63,7 @@ def test_dimension_partition_matches_reference_on_corpus_and_walls():
     cases += [(g, p, WeightFunction.uniform(g)) for g, p in WALLS]
     many = 0
     for g, pattern, w in cases:
-        seq = covering_sequence(g, w, pattern)
+        seq = covering_sequence(g, w, pattern, Budget(RunConfig.search_budget))
         classes = dimension_partition(seq)
         assert classes == ref_dimension_partition(seq)
         many += len(classes) > 1

@@ -30,6 +30,7 @@ from twcert.centralbag import (
     is_laminar,
     no_small_separator,
 )
+from twcert.config import Budget, RunConfig
 from twcert.generators import path_graph
 from twcert.graphs import geometric_ball_bound
 from twcert.suites import random_connected, random_weights
@@ -97,7 +98,7 @@ def restricted_levels(g, seq, result):
 def corpus():
     out = []
     for g, w, pattern, d in instances():
-        seq = covering_sequence(g, w, pattern)
+        seq = covering_sequence(g, w, pattern, Budget(RunConfig.search_budget))
         classes = dimension_partition(seq)
         result = central_bag(g, w, seq, classes)
         out.append((g, w, d, seq, classes, result))

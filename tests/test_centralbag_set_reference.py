@@ -41,7 +41,7 @@ from twcert.centralbag import (
     covering_sequence,
     dimension_partition,
 )
-from twcert.config import RunConfig
+from twcert.config import Budget, RunConfig
 from twcert.generators import path_graph, wall
 from twcert.graphs import Graph, mask_of
 from twcert.suites import _bag_corpus, random_weights
@@ -230,7 +230,7 @@ TRIPLES = list(_triples())
 def test_corpus_exercises_every_drop_and_level_kind():
     reasons, levels = set(), 0
     for g, pattern, w in TRIPLES:
-        seq = covering_sequence(g, w, pattern)
+        seq = covering_sequence(g, w, pattern, Budget(RunConfig.search_budget))
         result = central_bag(g, w, seq, dimension_partition(seq))
         reasons |= {d.reason for d in result.drops}
         levels = max(levels, len(result.levels))
@@ -241,7 +241,7 @@ def test_corpus_exercises_every_drop_and_level_kind():
 @pytest.mark.parametrize("idx", range(len(TRIPLES)))
 def test_mask_engine_matches_set_reference(idx):
     g, pattern, w = TRIPLES[idx]
-    seq = covering_sequence(g, w, pattern)
+    seq = covering_sequence(g, w, pattern, Budget(RunConfig.search_budget))
     for s in seq.separations:
         assert (s.a_mask, s.c_mask, s.b_mask) == (mask_of(s.a), mask_of(s.c), mask_of(s.b))
     for s1 in seq.separations:

@@ -1,6 +1,7 @@
 """Every subcommand that hits a cap or a budget exits 2 with a `budget`
 status, and `detect` and `sep` search under the configured budget."""
 
+import ast
 import json
 import os
 import random
@@ -15,6 +16,7 @@ import pytest
 
 from twcert.check import THETA_SHAPE, recheck
 from twcert.cli import main
+import twcert
 from twcert import generators
 from twcert.config import RunConfig
 from twcert.graphs import Graph, full_subdivision, line_graph
@@ -93,6 +95,59 @@ def test_sep_honours_search_budget(tmp_path):
     code, payload = _run(tmp_path, argv, config="search_budget=10\n")
     assert code == 2
     assert payload == {"status": "budget", "detail": "search budget of 10 nodes exhausted"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["centralbag"],
+        ["verify", "forcer-theta"],
+        ["verify", "detectors"],
+        ["verify", "harvey-wood"],
+        ["verify", "pipeline"],
+    ],
+    ids=["centralbag", "forcer-theta", "detectors", "harvey-wood", "pipeline"],
+)
+def test_centralbag_and_verify_honour_search_budget(tmp_path, argv):
+    """Every search of `centralbag` on the 3x3 wall and of these `verify`
+    suites charges the one budget its command builds from `search_budget`."""
+    if argv == ["centralbag"]:
+        pattern = tmp_path / "p2.json"
+        pattern.write_text('{"n": 2, "edges": [[0, 1]]}\n')
+        argv = [*argv, "-i", _wall(tmp_path, 3, 3), "--pattern", str(pattern)]
+    code, payload = _run(tmp_path, argv, config="search_budget=1\n")
+    assert code == 2
+    assert payload == {"status": "budget", "detail": "search budget of 1 nodes exhausted"}
+    _, payload = _run(tmp_path, argv)
+    assert payload.get("status") != "budget"
+
+
+def test_search_budget_is_the_only_budget_source():
+    """Every `Budget(...)` in the package is built from `cfg.search_budget`,
+    and no `Budget` parameter has a default, so every search charges the
+    budget of the command that runs it."""
+    built, defaulted = [], []
+    for path in sorted(Path(twcert.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "Budget":
+                built.append((path.stem, ast.unparse(node)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = [
+                    *zip(positional[len(positional) - len(args.defaults) :], args.defaults),
+                    *zip(args.kwonlyargs, args.kw_defaults),
+                ]
+                defaulted += [
+                    (path.stem, node.name, arg.arg)
+                    for arg, default in pairs
+                    if default is not None
+                    and arg.annotation is not None
+                    and ast.unparse(arg.annotation).strip("'\"")
+                    in ("Budget", "Optional[Budget]", "Budget | None")
+                ]
+    assert built and all(call == "Budget(cfg.search_budget)" for _, call in built), built
+    assert defaulted == []
 
 
 def test_wall_line_k_below_two_is_a_usage_error(tmp_path):
@@ -244,15 +299,15 @@ def test_members_without_a_copy_run_out_quickly(tmp_path, argv, g, outcome):
 
 
 # runs theta t = 3 on the 5x6 wall and pyramid t = 1 on the 5x5 wall at the
-# default budget, then prints each match and the steps it used as JSON
+# default budget, then prints each match and the ticks it used as JSON
 TICKS = (
     "import json\n"
-    "from twcert.config import Budget\n"
+    "from twcert.config import Budget, RunConfig\n"
     "from twcert.detect import find_t_pyramid, find_t_theta\n"
     "from twcert.generators import wall\n"
     "out = []\n"
     "for search, g, t in ((find_t_theta, wall(5, 6), 3), (find_t_pyramid, wall(5, 5), 1)):\n"
-    "    budget = Budget()\n"
+    "    budget = Budget(RunConfig.search_budget)\n"
     "    match = search(g, t, budget)\n"
     "    out.append([match and [match.image, match.roles], budget.used])\n"
     "print(json.dumps(out))\n"

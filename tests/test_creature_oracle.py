@@ -16,17 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from twcert.config import Budget
+from twcert.config import Budget, RunConfig
 from twcert.detect import iter_induced_maps
 from twcert.generators import path_graph, subdivided_claw
 from twcert.graphs import Graph, mask_of
 from twcert.suites import creature_exists_bruteforce
 
 
-def ref_creature_exists_bruteforce(g: Graph, k: int, t: int) -> bool:
+def _budget() -> Budget:
+    return Budget(RunConfig.search_budget)
+
+
+def ref_creature_exists_bruteforce(g: Graph, k: int, t: int, budget: Budget) -> bool:
     """Body-first enumeration: fix a connected candidate body, then pack k
     admissible joint-oriented paths around it."""
-    paths = list(iter_induced_maps(g, path_graph(t + 1), Budget()))
+    paths = list(iter_induced_maps(g, path_graph(t + 1), budget))
     full = g.full_mask()
     for body_mask in range(1, full + 1):
         if g.reach_mask(body_mask & -body_mask, body_mask) != body_mask:
@@ -75,8 +79,8 @@ def sparse_graphs(draw, max_n=8):
 def test_creature_oracle_matches_reference(g):
     for k in (1, 2, 3):
         for t in (0, 1, 2):
-            got = creature_exists_bruteforce(g, k, t)
-            assert got == ref_creature_exists_bruteforce(g, k, t), (k, t)
+            got = creature_exists_bruteforce(g, k, t, _budget())
+            assert got == ref_creature_exists_bruteforce(g, k, t, _budget()), (k, t)
 
 
 def test_oracles_find_long_legs():
@@ -86,9 +90,9 @@ def test_oracles_find_long_legs():
         subdivided_claw(*legs).graph for legs in ((1, 1, 1), (2, 2, 2), (2, 2, 1))
     )
     for oracle in (creature_exists_bruteforce, ref_creature_exists_bruteforce):
-        assert oracle(claw111, 3, 0)
-        assert oracle(claw222, 3, 1)
-        assert not oracle(claw222, 4, 1)
-        assert not oracle(claw221, 3, 1)
-        assert oracle(path_graph(7), 2, 2)
-        assert not oracle(path_graph(7), 3, 1)
+        assert oracle(claw111, 3, 0, _budget())
+        assert oracle(claw222, 3, 1, _budget())
+        assert not oracle(claw222, 4, 1, _budget())
+        assert not oracle(claw221, 3, 1, _budget())
+        assert oracle(path_graph(7), 2, 2, _budget())
+        assert not oracle(path_graph(7), 3, 1, _budget())

@@ -99,7 +99,7 @@ def test_induced_copies_match_networkx(g):
             tuple(sorted(m))
             for m in GraphMatcher(host, _to_nx(p)).subgraph_isomorphisms_iter()
         }
-        assert induced_copies(g, p) == sorted(theirs)
+        assert induced_copies(g, p, Budget(RunConfig.search_budget)) == sorted(theirs)
 
 
 @given(graphs(max_n=7), graphs(max_n=5))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import connected_graphs, graphs, random_graph, subdivided
 from test_exact_dp import relabel
 from twcert.cli import main
-from twcert.config import Budget
+from twcert.config import Budget, RunConfig
 from twcert.detect import (
     Family,
     PatternMatch,
@@ -45,25 +45,29 @@ from twcert.graphs import BudgetExhausted, Graph, bits, line_graph, mask_of
 from twcert.io import write_graph_json
 
 
+def _budget() -> Budget:
+    return Budget(RunConfig.search_budget)
+
+
 def test_find_induced_semantics():
     k13 = star_graph(3)
-    hit = find_induced(k13, k13)
+    hit = find_induced(k13, k13, _budget())
     assert hit is not None and hit.image == (0, 1, 2, 3)
-    assert find_induced(cycle_graph(4), cycle_graph(3)) is None
+    assert find_induced(cycle_graph(4), cycle_graph(3), _budget()) is None
     # induced semantics: a chorded 4-cycle is not a hole
-    assert find_induced(complete_graph(4), cycle_graph(4)) is None
-    assert find_induced(complete_graph(4), path_graph(3)) is None
+    assert find_induced(complete_graph(4), cycle_graph(4), _budget()) is None
+    assert find_induced(complete_graph(4), path_graph(3), _budget()) is None
 
 
 def test_find_induced_lexicographic_first():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    hit = find_induced(g, path_graph(3))
+    hit = find_induced(g, path_graph(3), _budget())
     assert dict(hit.roles)["mapping"] == (0, 1, 2)
 
 
 def test_induced_copies_are_sets_in_order():
     g = cycle_graph(5)
-    copies = induced_copies(g, path_graph(3))
+    copies = induced_copies(g, path_graph(3), _budget())
     assert copies == sorted(copies)
     assert len(copies) == 5
 
@@ -77,46 +81,46 @@ def test_budget_exhaustion_is_distinct():
 
 
 def test_theta_detector():
-    assert find_t_theta(complete_bipartite(2, 3), 2) is not None
-    assert find_t_theta(theta(3, 3, 3).graph, 4) is None
-    assert find_t_theta(theta(3, 3, 3).graph, 3) is not None
-    assert find_t_theta(complete_graph(5), 2) is None
-    m = find_t_theta(complete_bipartite(2, 3), 2)
+    assert find_t_theta(complete_bipartite(2, 3), 2, _budget()) is not None
+    assert find_t_theta(theta(3, 3, 3).graph, 4, _budget()) is None
+    assert find_t_theta(theta(3, 3, 3).graph, 3, _budget()) is not None
+    assert find_t_theta(complete_graph(5), 2, _budget()) is None
+    m = find_t_theta(complete_bipartite(2, 3), 2, _budget())
     a, b = dict(m.roles)["ends"]
     assert not complete_bipartite(2, 3).has_edge(a, b)
 
 
 def test_pyramid_detector():
-    assert find_t_pyramid(complete_graph(4), 2) is None
+    assert find_t_pyramid(complete_graph(4), 2, _budget()) is None
     g = pyramid(2, 2, 2).graph
-    assert find_t_pyramid(g, 2) is not None
-    assert find_t_pyramid(g, 3) is None
-    assert find_t_pyramid(pyramid(1, 2, 2).graph, 1) is not None
+    assert find_t_pyramid(g, 2, _budget()) is not None
+    assert find_t_pyramid(g, 3, _budget()) is None
+    assert find_t_pyramid(pyramid(1, 2, 2).graph, 1, _budget()) is not None
 
 
 def test_subdivided_claw_detector():
     w33 = wall(3, 3)
-    hit = find_subdivided_claw(w33, 1, 1, 1)
+    hit = find_subdivided_claw(w33, 1, 1, 1, _budget())
     assert hit is not None
     root = dict(hit.roles)["root"][0]
     assert w33.degree(root) == 3
-    assert find_subdivided_claw(cycle_graph(3), 1, 1, 1) is None
+    assert find_subdivided_claw(cycle_graph(3), 1, 1, 1, _budget()) is None
     s = subdivided_claw(2, 2, 2)
-    hit = find_subdivided_claw(s.graph, 2, 2, 2)
+    hit = find_subdivided_claw(s.graph, 2, 2, 2, _budget())
     assert dict(hit.roles)["root"] == (0,)
 
 
 def test_creature_detector():
     for t in (0, 1, 2):
         sp = subdivided_claw(t + 1, t + 1, t + 1).graph
-        got = find_creature(sp, 3, t)
+        got = find_creature(sp, 3, t, _budget())
         assert got is not None
         assert [name for name, _ in got.roles] == ["body", "path1", "path2", "path3"]
         for _, p in got.roles[1:]:
             assert len(p) == t + 1
-    assert find_creature(cycle_graph(3), 3, 0) is None
+    assert find_creature(cycle_graph(3), 3, 0, _budget()) is None
     wit = creature(4, 2, 2)
-    assert find_creature(wit.graph, 4, 2) is not None
+    assert find_creature(wit.graph, 4, 2, _budget()) is not None
 
 
 def recursive_paths(g: Graph, t: int) -> tuple[list[tuple[int, ...]], int]:
@@ -162,7 +166,7 @@ def test_creature_paths_match_recursive_reference(g, t):
     assert list(iter_induced_maps(g, path_graph(t + 1), bud)) == want
     assert bud.used == expanded
     # the brute-force oracle's call, under the default budget
-    assert list(iter_induced_maps(g, path_graph(t + 1), Budget())) == want
+    assert list(iter_induced_maps(g, path_graph(t + 1), _budget())) == want
 
 
 def test_creature_path_enumeration_is_charged_to_the_budget():
@@ -200,17 +204,17 @@ def test_creature_path_length_needs_no_recursion_depth(tmp_path):
     assert len(json.loads(out.read_text())["roles"]["path1"]) == 151
 
 
-def test_creature_search_steps_are_its_nodes():
+def test_creature_search_ticks_are_its_nodes():
     # one tick per search-tree node: the root and each valid placement of
     # 1..K-1 path vertices, K = k(t+1).  On the 200-edge spine the path
     # from vertex 0 has no body and the one from vertex 1 has: 1 + 150 +
     # 150 nodes.
     spine = caterpillar(CaterpillarSpec(200, ())).graph
-    bud = Budget()
+    bud = _budget()
     match = find_creature(spine, 1, 150, bud)
     assert dict(match.roles)["path1"] == tuple(range(1, 152))
     assert bud.used == 301
-    bud = Budget()
+    bud = _budget()
     assert find_creature(wall(6, 6), 3, 2, bud) is not None
     assert bud.used == 14
 
@@ -229,7 +233,7 @@ def test_long_creature_path_search_takes_under_a_second(tmp_path):
 
 
 def test_empty_host_expands_no_node():
-    bud = Budget()
+    bud = _budget()
     got = find_induced(Graph(0, []), Graph(0, []), bud)
     assert got is not None and got.image == ()
     assert bud.used == 0
@@ -362,13 +366,13 @@ def test_creature_count_needs_no_recursion_depth(tmp_path):
 
 def test_wall_line_detector():
     lw = line_graph(wall(3, 3))
-    assert find_line_of_subdivided_wall(lw, 3) is not None
-    assert find_line_of_subdivided_wall(cycle_graph(3), 3) is None
+    assert find_line_of_subdivided_wall(lw, 3, _budget()) is not None
+    assert find_line_of_subdivided_wall(cycle_graph(3), 3, _budget()) is None
     # walls are triangle-free, so no line graph of a subdivided wall embeds
-    assert find_line_of_subdivided_wall(wall(3, 3), 3) is None
+    assert find_line_of_subdivided_wall(wall(3, 3), 3, _budget()) is None
     # k = 2: the family is exactly the holes
-    assert find_line_of_subdivided_wall(cycle_graph(5), 2) is not None
-    assert find_line_of_subdivided_wall(complete_graph(4), 2) is None
+    assert find_line_of_subdivided_wall(cycle_graph(5), 2, _budget()) is not None
+    assert find_line_of_subdivided_wall(complete_graph(4), 2, _budget()) is None
 
 
 def wall_line_family(k: int) -> Family:
@@ -490,10 +494,10 @@ def test_breaks_examples():
 def test_verify_forcer_vacuous_and_real():
     c6 = cycle_graph(6)
     forcer = Graph(5, list(star_graph(3).edges))  # claw plus isolated vertex
-    rep = verify_forcer(c6, forcer, path_graph(3))
+    rep = verify_forcer(c6, forcer, path_graph(3), _budget())
     assert rep.holds and rep.copies_checked == 0
     host = subdivided_claw(3, 3, 3).graph
-    rep = verify_forcer(host, subdivided_claw(2, 2, 2).graph, star_graph(3))
+    rep = verify_forcer(host, subdivided_claw(2, 2, 2).graph, star_graph(3), _budget())
     assert rep.holds and rep.copies_checked >= 1
 
 
@@ -502,19 +506,19 @@ def test_verify_forcer_skips_the_whole_copy_as_inner_copy():
     # nothing to break; in P3 itself, where N[X'] is the whole host, an empty
     # rest would break vacuously
     for host in (wall(3, 3), path_graph(3)):
-        rep = verify_forcer(host, path_graph(3), path_graph(3))
+        rep = verify_forcer(host, path_graph(3), path_graph(3), _budget())
         assert (rep.holds, rep.copies_checked, rep.counterexample) == (False, 1, (0, 1, 2))
 
 
 def test_verify_forcer_counterexample_is_genuine():
     # a 4-cycle: each edge (as pattern) never breaks the opposite edge
     c4 = cycle_graph(4)
-    rep = verify_forcer(c4, c4, path_graph(2))
+    rep = verify_forcer(c4, c4, path_graph(2), _budget())
     if not rep.holds:
         y = rep.counterexample
         assert y is not None
         sub, sub_vs = c4.induced_subgraph(y)
-        for inner in induced_copies(sub, path_graph(2)):
+        for inner in induced_copies(sub, path_graph(2), _budget()):
             xs = tuple(sorted(sub_vs[i] for i in inner))
             rest = tuple(sorted(set(y) - set(xs)))
             assert not breaks(c4, xs, rest)
@@ -523,5 +527,5 @@ def test_verify_forcer_counterexample_is_genuine():
 @given(connected_graphs(max_n=7))
 @settings(max_examples=30, deadline=None)
 def test_theta_monotone_in_t(g):
-    if find_t_theta(g, 3) is not None:
-        assert find_t_theta(g, 2) is not None
+    if find_t_theta(g, 3, _budget()) is not None:
+        assert find_t_theta(g, 2, _budget()) is not None

@@ -7,7 +7,7 @@ before `BudgetExhausted` under every limit; the recursive one also the same
 `Budget.used` at every yield, and the same outcome when the caller ticks
 the budget between yields."""
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,13 +114,10 @@ def test_engine_ticks_match_reference(g, pattern, data):
         assert _until_exhausted(reference_maps, g, pattern, limit) == maps[:cut]
 
 
-def recursive_maps(
-    g: Graph, pattern: Graph, budget: Optional[Budget] = None
-) -> Iterator[tuple[int, ...]]:
+def recursive_maps(g: Graph, pattern: Graph, bud: Budget) -> Iterator[tuple[int, ...]]:
     """The bitmask engine as it was before the one-loop rewrite: a chain of
     recursive generators, each ticking once before it computes its
     candidates."""
-    bud = budget or Budget()
     n, k = g.n, pattern.n
     if k > n:
         return

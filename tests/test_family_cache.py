@@ -252,16 +252,15 @@ def stored_nodes(search, g):
 
 @pytest.mark.parametrize("host", sorted(WALLS))
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_walls_store_one_node_per_n_steps(family, host):
-    """At most one stored node per tick charged (named for the old unit of
-    n ticks per node)."""
+def test_walls_store_at_most_one_node_per_tick(family, host):
+    """At most one stored node per tick charged."""
     stored, used = stored_nodes(FAMILIES[family], WALLS[host])
     assert 1 <= stored <= used + 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=subcubic_graphs(), family=st.sampled_from(sorted(FAMILIES)))
-def test_random_hosts_store_one_node_per_n_steps(g, family):
+def test_random_hosts_store_at_most_one_node_per_tick(g, family):
     stored, used = stored_nodes(FAMILIES[family], g)
     assert stored <= used + 1
 

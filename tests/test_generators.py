@@ -31,9 +31,11 @@ from twcert.generators import (
 
 
 def _isomorphic_small(g1, g2):
+    from twcert.config import Budget, RunConfig
     from twcert.detect import find_induced
 
-    return g1.n == g2.n and g1.m == g2.m and find_induced(g1, g2) is not None
+    budget = Budget(RunConfig.search_budget)
+    return g1.n == g2.n and g1.m == g2.m and find_induced(g1, g2, budget) is not None
 
 
 def test_wall_shapes():
@@ -137,11 +139,12 @@ def test_caterpillar_specs():
 
 
 def test_creature_witnesses():
+    from twcert.config import Budget, RunConfig
     from twcert.detect import find_creature
 
     for k, t in ((3, 1), (4, 2)):
         wit = creature(k, t, 2)
-        assert find_creature(wit.graph, k, t) is not None
+        assert find_creature(wit.graph, k, t, Budget(RunConfig.search_budget)) is not None
         # structural witness properties hold directly
         (name, body), *numbered = wit.roles
         assert name == "body"

@@ -19,7 +19,7 @@ import networkx as nx
 import pytest
 
 from twcert.check import PYRAMID_SHAPE, THETA_SHAPE, recheck
-from twcert.config import Budget, BudgetExhausted
+from twcert.config import Budget, BudgetExhausted, RunConfig
 from twcert.detect import find_line_of_subdivided_wall, find_t_pyramid, find_t_theta
 from twcert.generators import wall
 from twcert.graphs import full_subdivision, line_graph
@@ -101,7 +101,7 @@ def test_verdict_at_the_default_budget(row):
     family, k, search, verdict = ROWS[row]
     g = host(family, k)
     try:
-        match = SEARCHES[search](g, Budget())
+        match = SEARCHES[search](g, Budget(RunConfig.search_budget))
     except BudgetExhausted:
         assert verdict == "B"
         return
@@ -117,6 +117,6 @@ def test_verdict_at_the_default_budget(row):
 @pytest.mark.parametrize("k", range(3, 11))
 @pytest.mark.parametrize("search", sorted(SHAPES))
 def test_theta_and_pyramid_are_absent_on_line_hosts_at_no_cost(search, k):
-    budget = Budget()
+    budget = Budget(RunConfig.search_budget)
     assert SEARCHES[search](host("L", k), budget) is None
     assert budget.used == 0

@@ -491,7 +491,7 @@ def test_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, detail
 
 def test_sep_and_centralbag_read_c_and_d_from_config(tmp_path, capsys, monkeypatch):
     conf = tmp_path / "run.conf"
-    conf.write_text("c=2/3\nd=0\n")
+    conf.write_text("c=2/3\nd=0\nsearch_budget=123456\n")
     g = tmp_path / "w.json"
     pat = tmp_path / "p1.json"
     main(["gen", "wall", "--n", "2", "--m", "2", "-o", str(g)])
@@ -504,14 +504,14 @@ def test_sep_and_centralbag_read_c_and_d_from_config(tmp_path, capsys, monkeypat
     real = centralbag.run_master_pipeline
 
     def record(*args, **kwargs):
-        seen.append((kwargs["c"], kwargs["d"]))
+        seen.append((kwargs["c"], kwargs["d"], kwargs["budget"].limit))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(centralbag, "run_master_pipeline", record)
     argv = ["--config", str(conf), "centralbag", "-i", str(g), "--pattern", str(pat),
             "-o", str(tmp_path / "cb.json")]
     assert main(argv) in (0, 2)
-    assert seen == [(Fraction(2, 3), 0)]
+    assert seen == [(Fraction(2, 3), 0, 123456)]
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from twcert.centralbag import (
     clique_separation,
     covering_sequence,
 )
+from twcert.config import Budget, RunConfig
 from twcert.generators import path_graph
 from twcert.graphs import Graph, bits, mask_of
 from twcert.weights import WeightFunction
@@ -154,7 +155,9 @@ def graph_and_path(draw, max_n=9):
 @given(graph_and_path())
 def test_goodness_diameter_matches_reference(case):
     g, k = case
-    seq = covering_sequence(g, WeightFunction.uniform(g), path_graph(k))
+    seq = covering_sequence(
+        g, WeightFunction.uniform(g), path_graph(k), Budget(RunConfig.search_budget)
+    )
     _, t = seq.goodness(g)
     assert t == max((ref_diameter_of(g, s.c) for s in seq.separations), default=0)
 

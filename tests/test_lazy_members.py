@@ -20,10 +20,15 @@ from hypothesis import strategies as st
 from conftest import graphs, subdivided
 from test_detect import recursive_compositions
 from twcert import detect
-from twcert.config import Budget
+from twcert.config import Budget, RunConfig
 from twcert.detect import find_line_of_subdivided_wall, find_t_pyramid, find_t_theta
 from twcert.generators import Instance, pyramid, subdivided_claw, theta, wall
 from twcert.graphs import Graph, line_graph
+
+
+def _budget() -> Budget:
+    return Budget(RunConfig.search_budget)
+
 
 # the line graph of the 2x2 wall with two edges subdivided, which holds a copy
 LINE_HOST = line_graph(subdivided(wall(2, 2), {(0, 1): 3, (1, 3): 2}))
@@ -151,11 +156,11 @@ def length_triples(t: int, floor2: int, max_sum: int):
     [
         # thetas with t = 2 and pyramids with t = 1, path lengths summing to
         # 40 at most: the families offered on hosts of 39 and 41 vertices
-        (lambda g: find_t_theta(g, 2), 39, theta, length_triples(2, 2, 40)),
-        (lambda g: find_t_pyramid(g, 1), 41, pyramid, length_triples(1, 2, 40)),
-        (lambda g: find_t_theta(g, 3), 39, theta, length_triples(3, 3, 40)),
+        (lambda g: find_t_theta(g, 2, _budget()), 39, theta, length_triples(2, 2, 40)),
+        (lambda g: find_t_pyramid(g, 1, _budget()), 41, pyramid, length_triples(1, 2, 40)),
+        (lambda g: find_t_theta(g, 3, _budget()), 39, theta, length_triples(3, 3, 40)),
         # t = 2 gives every pyramid path the same floor
-        (lambda g: find_t_pyramid(g, 2), 41, pyramid, length_triples(2, 2, 40)),
+        (lambda g: find_t_pyramid(g, 2, _budget()), 41, pyramid, length_triples(2, 2, 40)),
     ],
     ids=["theta-t2", "pyramid-t1", "theta-t3", "pyramid-t2"],
 )
@@ -227,7 +232,7 @@ def test_line_edges_match_the_line_graph(k):
     base = wall(k, k)
     for extra in range(4):
         members = family_members(
-            lambda g: find_line_of_subdivided_wall(g, k), base.m + extra
+            lambda g: find_line_of_subdivided_wall(g, k, _budget()), base.m + extra
         )
         # the new vertices per base edge, in the family's order; at k = 2
         # every spread of one total gives the same cycle, and only the first

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twcert import detect
+from twcert.config import Budget, RunConfig
 from twcert.detect import find_line_of_subdivided_wall
 from twcert.generators import wall
 from twcert.graphs import Graph, line_edges, subdivision
@@ -22,7 +23,7 @@ def line_family(k: int) -> detect.Family:
     families = []
     host = Graph(2 * k * (k - 1), [(0, 1), (0, 2), (1, 2)])
     with mock.patch.object(detect, "_find", lambda g, family, b: families.append(family)):
-        find_line_of_subdivided_wall(host, k)
+        find_line_of_subdivided_wall(host, k, Budget(RunConfig.search_budget))
     return families[0]
 
 

@@ -24,7 +24,7 @@ from conftest import random_graph
 from test_exact_dp import relabel
 from twcert.certify import graph_witness
 from twcert.check import recheck
-from twcert.config import Budget
+from twcert.config import Budget, RunConfig
 from twcert.detect import PatternMatch, find_subdivided_claw, find_t_pyramid, find_t_theta
 from twcert.generators import wall
 from twcert.graphs import Graph
@@ -62,12 +62,12 @@ def matches() -> list[tuple[str, Graph, PatternMatch, list[list], tuple[int, ...
     for seed in range(120):
         g = random_graph(7 + seed % 8, 0.35, seed)
         for t in (1, 2):
-            m = find_t_pyramid(g, t)
+            m = find_t_pyramid(g, t, Budget(RunConfig.search_budget))
             floors = (t, max(t, 2), max(t, 2))
             if m is not None:
                 out.append((f"pyramid{t}-{seed}", g, m, pyramid_shape(t), floors))
         for legs in CLAW_LEGS:
-            m = find_subdivided_claw(g, *legs)
+            m = find_subdivided_claw(g, *legs, Budget(RunConfig.search_budget))
             if m is not None:
                 out.append((f"claw{''.join(map(str, legs))}-{seed}", g, m, claw_shape(legs), ()))
     return out

@@ -14,15 +14,20 @@ from hypothesis import strategies as st
 from conftest import graphs
 from test_family_cache import subcubic_graphs
 from twcert import detect
-from twcert.config import Budget
+from twcert.config import Budget, RunConfig
 from twcert.detect import find_t_pyramid, find_t_theta
 from twcert.generators import wall
 
+
+def _budget() -> Budget:
+    return Budget(RunConfig.search_budget)
+
+
 SEARCHES = {
-    "theta-t2": lambda g: find_t_theta(g, 2),
-    "theta-t3": lambda g: find_t_theta(g, 3),
-    "pyramid-t1": lambda g: find_t_pyramid(g, 1),
-    "pyramid-t2": lambda g: find_t_pyramid(g, 2),
+    "theta-t2": lambda g: find_t_theta(g, 2, _budget()),
+    "theta-t3": lambda g: find_t_theta(g, 3, _budget()),
+    "pyramid-t1": lambda g: find_t_pyramid(g, 1, _budget()),
+    "pyramid-t2": lambda g: find_t_pyramid(g, 2, _budget()),
 }
 
 

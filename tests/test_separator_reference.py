@@ -119,7 +119,7 @@ def check_against_reference(g: Graph, c: Fraction, seed: int) -> None:
         uniform_k = max(uniform_k, len(ref))
     assert uniform_k == separation_number(g, c, Budget(RunConfig.search_budget)) == ref_separation_number(g, c)
     report = ref_harvey_wood(g, c, seed, uniform_k)
-    assert harvey_wood_check(g, c, seed=seed) == report
+    assert harvey_wood_check(g, c, seed=seed, budget=Budget(RunConfig.search_budget)) == report
 
 
 def test_uniform_on_support_reference():

@@ -183,14 +183,14 @@ def test_cap_exceeded_reports():
 
 
 def test_harvey_wood_examples():
-    rep = harvey_wood_check(path_graph(5), HALF, seed=7)
+    rep = harvey_wood_check(path_graph(5), HALF, seed=7, budget=_budget())
     tw, sep = exact_treewidth(path_graph(5), cap=14)[0], separation_number(path_graph(5), HALF, _budget())
     assert tw == 1 and rep.upper_bound_holds
     assert Fraction(tw + 1) <= Fraction(sep) / (1 - HALF)
-    rep = harvey_wood_check(complete_graph(4), HALF, seed=7)
+    rep = harvey_wood_check(complete_graph(4), HALF, seed=7, budget=_budget())
     tw, sep = exact_treewidth(complete_graph(4), cap=14)[0], separation_number(complete_graph(4), HALF, _budget())
     assert tw == 3 and sep == 2 and rep.upper_bound_holds  # tight: 4 <= 4
-    rep = harvey_wood_check(cycle_graph(4), HALF, seed=7)
+    rep = harvey_wood_check(cycle_graph(4), HALF, seed=7, budget=_budget())
     assert rep.upper_bound_holds and rep.small_separator_found_for_all
 
 
