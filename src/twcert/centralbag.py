@@ -301,13 +301,6 @@ class CentralBagResult:
             for lvl in self.levels
         )
 
-    def recompute_bag(self, g: Graph, seq: SeparationSequence) -> tuple[int, ...]:
-        cur = g.full_mask()
-        for cls in self.generator:
-            for i in cls:
-                cur &= seq.separations[i].b_mask | seq.separations[i].c_mask
-        return tuple(bits(cur))
-
 
 def _require_connected_and_normal(g: Graph, w: WeightFunction) -> None:
     if not g.is_connected():
@@ -652,17 +645,9 @@ def clique_central_bag(
 
 
 def leq_power_bound(value: int, coeff: int, base: int, exponent: int) -> bool:
-    """Decide value <= coeff * base**exponent without building huge powers."""
-    if value <= coeff:
-        return True
-    if base <= 1 or exponent <= 0:
-        return value <= coeff
-    acc = 1
-    for _ in range(exponent):
-        acc *= base
-        if coeff * acc >= value:
-            return True
-    return False
+    """Decide value <= coeff * base**exponent for value, exponent >= 0 and
+    coeff, base >= 1: a base >= 2 to the bit length of value exceeds value."""
+    return value <= coeff * base ** min(exponent, value.bit_length())
 
 
 @dataclass(frozen=True)

@@ -182,9 +182,9 @@ def _recheck_pattern_found(w: dict[str, Any]) -> bool:
     return is_subdivision_set(g, image, shape)
 
 
-# One validator per re-derivable witness kind: `td-valid` is written today and
-# `pattern-found` is reserved for witnessed detections.  A record of any other
-# kind is reported as a problem by `recheck`.
+# One validator per re-derivable witness kind.  `tw` writes `td-valid` records;
+# a `pattern-found` record is rechecked wherever a certificate holds one, and no
+# command writes one yet (ROADMAP item 4).  Any other kind is a `recheck` problem.
 _RECHECKERS: dict[str, Callable[[dict[str, Any]], bool]] = {
     "td-valid": _recheck_td,
     "pattern-found": _recheck_pattern_found,

@@ -99,6 +99,12 @@ def _dump_json(payload: Any, path: Optional[str]) -> None:
         fh.write(text)
 
 
+def _out_of_budget(exc: Exception, path: Optional[str]) -> int:
+    """Write the `budget` payload of a run that hit a budget or a cap; exit 2."""
+    _dump_json({"status": "budget", "detail": str(exc)}, path)
+    return 2
+
+
 # -- gen ------------------------------------------------------------------------
 
 
@@ -402,14 +408,17 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     worst = 0
     for name in names:
+        out = None
+        if args.output and args.output != "-":  # "-" is standard output
+            out = args.output if len(names) == 1 else f"{args.output}.{name}.json"
         try:
             cert = verify_suite(name, cfg)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return USAGE_ERROR
-        out = None
-        if args.output and args.output != "-":  # "-" is standard output
-            out = args.output if len(names) == 1 else f"{args.output}.{name}.json"
+        except (BudgetExhausted, CapExceeded) as exc:  # the later suites still run
+            worst = max(worst, _out_of_budget(exc, out))
+            continue
         _dump_json(cert.to_json(), out)
         worst = max(worst, cert.exit_code())
     return worst
@@ -551,8 +560,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:
             return COMMANDS[args.command](args, cfg)
         except (BudgetExhausted, CapExceeded) as exc:
-            _dump_json({"status": "budget", "detail": str(exc)}, args.output)
-            return 2
+            return _out_of_budget(exc, args.output)
     except OSError as exc:
         if exc.filename is None:
             raise

@@ -285,7 +285,7 @@ def _first_copy(
     embeds in g, as its image and its instance's roles mapped into g.
     Members are tried in order under one budget: each costs k ticks, its
     vertex count, when it is offered, and one per search-tree node it
-    expands.  A member larger than g costs nothing.
+    expands.
 
     The search tree down to pattern vertex i depends only on g and,
     for each of the vertices 0..i, its degree, its earlier neighbours and
@@ -307,10 +307,8 @@ def _first_copy(
     The family is sent, for each member with no copy, the depth d of the
     empty level its search ended on: its first d vertices have no
     placement in g, so a later member whose first d entries are the same
-    has no copy either (see `_members`).  It is sent None for a member
-    larger than g.
+    has no copy either (see `_members`).
     """
-    n = g.n
     host = _host_masks(g)
     root = _Level(None, array("i", [-1]), array("i", [-1]))
     died = None  # the depth the last member's search died at
@@ -319,9 +317,6 @@ def _first_copy(
             k, signature, build = family.send(died)
         except StopIteration:
             return None
-        died = None
-        if k > n:
-            continue  # no copy
         budget.tick(k)
         signature = iter(signature)  # read once, by the walk and then by _grow
         walked = []  # the signature entries read so far

@@ -203,10 +203,8 @@ class Graph:
         return self.is_connected_mask(self.full_mask())
 
     def bfs_distances(self, source: int, allowed: int) -> list[int]:
-        """Distances from source within `allowed` (-1 for unreachable)."""
+        """Distances within `allowed` from a source in it (-1 for unreachable)."""
         dist = [-1] * self.n
-        if not allowed >> source & 1:
-            return dist
         dist[source] = 0
         frontier = 1 << source
         seen = frontier

@@ -16,7 +16,7 @@ from twcert.centralbag import (
     make_primordial,
 )
 from twcert.decompose import maximum_cardinality_search
-from twcert.graphs import Graph, TreeDecomposition, mask_of, subdivision
+from twcert.graphs import Graph, TreeDecomposition, bits, mask_of, subdivision
 from twcert.separators import along, eliminate
 from twcert.weights import WeightFunction
 
@@ -174,6 +174,18 @@ def clique_bag(
         for comp in (g.components(outside) if outside else [])
     )
     return seq, result, not clique_cutsets(sub), cliques
+
+
+def recompute_bag(
+    g: Graph, seq: SeparationSequence, result: CentralBagResult
+) -> tuple[int, ...]:
+    """The bag read back from the kept members alone: the intersection of
+    B(S) | C(S) over every member of `result.generator`."""
+    cur = g.full_mask()
+    for cls in result.generator:
+        for i in cls:
+            cur &= seq.separations[i].b_mask | seq.separations[i].c_mask
+    return tuple(bits(cur))
 
 
 def last_name(node: ast.expr) -> str:

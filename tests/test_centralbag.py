@@ -15,6 +15,7 @@ from conftest import (
     clique_covering,
     connected_graphs,
     primordial,
+    recompute_bag,
     relation,
     sep,
 )
@@ -225,7 +226,7 @@ def test_central_bag_p7_full_trace(p7):
     assert result.algebra_holds
     assert result.escaped_weight == 0
     assert audit_is_complete(seq, result)
-    assert result.recompute_bag(g, seq) == result.bag
+    assert recompute_bag(g, seq, result) == result.bag
 
 
 def test_central_bag_single_separation(p7):
@@ -253,7 +254,7 @@ def test_audit_complete_on_random_graphs(g):
     seq = covering_sequence(g, w, path_graph(2), _budget())
     result = central_bag(g, w, seq, dimension_partition(seq))
     assert audit_is_complete(seq, result)
-    assert result.recompute_bag(g, seq) == result.bag
+    assert recompute_bag(g, seq, result) == result.bag
     # kept separations are pairwise cut-disjoint within each class
     for cls in result.generator:
         cuts = [set(seq.separations[i].c) for i in cls]
@@ -303,7 +304,7 @@ def test_clique_bag_bookkeeping(g):
     assert checks[1].conclusion_holds == no_cutset
     assert sum(res.weights.values()) + res.escaped_weight == 1
     assert audit_is_complete(covering, res)
-    assert res.recompute_bag(g, covering) == res.bag
+    assert recompute_bag(g, covering, res) == res.bag
     if all(lvl.restricted_a_loosely_laminar for lvl in res.levels):
         assert sum(res.weights.values()) == 1
         assert no_cutset
@@ -417,6 +418,16 @@ def test_leq_power_bound_lazy():
     assert not leq_power_bound(9, 8, 1, 5)  # base 1: the bound is coeff
     assert not leq_power_bound(9, 2, 2, 2)
     assert leq_power_bound(8, 2, 2, 2)
+
+
+def test_leq_power_bound_equals_the_literal_power():
+    # the domain of its one call: value a treewidth, coeff 2(t + 1), base gamma
+    for value in range(300):
+        for coeff in range(1, 14):
+            for base in range(1, 7):
+                for exponent in range(14):
+                    literal = value <= coeff * base**exponent
+                    assert leq_power_bound(value, coeff, base, exponent) == literal
 
 
 def test_master_pipeline_wall():

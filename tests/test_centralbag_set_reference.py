@@ -29,7 +29,7 @@ from typing import Sequence
 
 import pytest
 
-from conftest import bc_union, relation, restricted, sep
+from conftest import bc_union, recompute_bag, relation, restricted, sep
 from twcert import centralbag as cb
 from twcert.centralbag import (
     CentralBagResult,
@@ -256,7 +256,7 @@ def test_mask_engine_matches_set_reference(idx):
     result = cb.central_bag(g, w, seq, classes)
     assert result == central_bag(g, w, seq, classes)
     assert cb.audit_is_complete(seq, result) == audit_is_complete(g, seq, result)
-    assert result.recompute_bag(g, seq) == result.bag
+    assert recompute_bag(g, seq, result) == result.bag
 
 
 def test_level_flag_restricts_to_previous_bag():

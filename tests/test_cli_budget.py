@@ -21,7 +21,7 @@ from twcert import generators
 from twcert.config import RunConfig
 from twcert.graphs import Graph, full_subdivision, line_graph
 from twcert.io import graph_to_json
-from twcert.suites import random_tree
+from twcert.suites import SUITES, random_tree
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -120,6 +120,29 @@ def test_centralbag_and_verify_honour_search_budget(tmp_path, argv):
     assert payload == {"status": "budget", "detail": "search budget of 1 nodes exhausted"}
     _, payload = _run(tmp_path, argv)
     assert payload.get("status") != "budget"
+
+
+def test_verify_all_runs_every_suite_when_one_runs_out_of_budget(tmp_path):
+    """A suite that runs out writes the `budget` payload where its certificate
+    would go, and the suites after it still run."""
+    conf = tmp_path / "run.conf"
+    conf.write_text("search_budget=3000\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(conf), "verify", "all", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.glob("out.*.json")) == sorted(
+        f"out.{name}.json" for name in SUITES
+    )
+    ran_out = {"detectors", "forcer-claw", "forcer-theta", "harvey-wood"}
+    corpus = ROOT / "tests" / "data" / "certificates"
+    for name in SUITES:
+        text = (tmp_path / f"out.{name}.json").read_text(encoding="utf-8")
+        if name in ran_out:
+            assert json.loads(text) == {
+                "detail": "search budget of 3000 nodes exhausted", "status": "budget"
+            }
+        else:
+            assert text == (corpus / f"all.{name}.json").read_text(encoding="utf-8")
 
 
 def test_search_budget_is_the_only_budget_source():

@@ -118,8 +118,6 @@ def reference_detectors():
     def first_copy(g, family, budget):
         seen: set = set()
         for k, signature, build in family:
-            if k > g.n:
-                continue
             budget.tick(k)
             entries = tuple(signature)
             leaf, added = first_leaf(g, entries, seen)
@@ -172,10 +170,13 @@ def assert_matches_reference(search, g, limits, exact):
 
 
 def first_copy_of(patterns):
-    """A search over the family of the given patterns, in that order."""
+    """A search over the family of the given patterns, in that order; as
+    `detect._members` does, it offers only those no larger than the host."""
 
     def search(g, b):
-        members = (detect._edge_member(p.n, p.edges) for p in patterns)
+        members = (
+            detect._edge_member(p.n, p.edges) for p in patterns if p.n <= g.n
+        )
         return detect._first_copy(g, members, b)
 
     return search

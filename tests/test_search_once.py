@@ -43,10 +43,13 @@ def claw_search(legs):
 
 def claw_reference(legs):
     """The claw search as a one-member family: the member's signature read
-    from the claw's edge list, its instance the generator's."""
+    from the claw's edge list, its instance the generator's.  A family
+    offers no member larger than the host, so there it has no copy."""
     wit = subdivided_claw(*legs)
 
     def search(g, b):
+        if wit.graph.n > g.n:
+            return None
         k, signature, _ = detect._edge_member(wit.graph.n, wit.graph.edges)
         return detect._first_copy(g, (m for m in [(k, signature, lambda: wit)]), b)
 
@@ -58,9 +61,12 @@ def induced_search(pattern):
 
 
 def induced_reference(pattern):
-    """The induced search as a one-member family."""
+    """The induced search as a one-member family, with no copy in a
+    smaller host."""
 
     def search(g, b):
+        if pattern.n > g.n:
+            return None
         member = detect._edge_member(pattern.n, pattern.edges)
         return detect._first_copy(g, (m for m in [member]), b)
 
