@@ -15,11 +15,16 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
-from .check import BUDGET, FAIL, HYPOTHESIS_UNMET, STATUSES, status_of
+from .check import EXIT_CODE, status_of
 from .graphs import Graph, TreeDecomposition
 from .io import graph_to_json
+
+
+def worst(codes: Iterable[int]) -> int:
+    """A run's exit code from its results' codes: 1 above 2 above 0; 0 for none."""
+    return max(codes, key=(0, 2, 1).index, default=0)
 
 
 @dataclass
@@ -67,18 +72,13 @@ class Certificate:
 
     @property
     def counts(self) -> dict[str, int]:
-        out = {s: 0 for s in sorted(STATUSES)}
+        out = {s: 0 for s in sorted(EXIT_CODE)}
         for a in self.assertions:
             out[a["status"]] += 1
         return out
 
     def exit_code(self) -> int:
-        c = self.counts
-        if c[FAIL]:
-            return 1
-        if c[BUDGET] or c[HYPOTHESIS_UNMET]:
-            return 2
-        return 0
+        return worst(EXIT_CODE[a["status"]] for a in self.assertions)
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -24,7 +24,7 @@ FAIL = "fail"
 HYPOTHESIS_UNMET = "hypothesis-unmet"
 BUDGET = "budget"
 
-STATUSES = {PASS, FAIL, HYPOTHESIS_UNMET, BUDGET}
+EXIT_CODE = {PASS: 0, HYPOTHESIS_UNMET: 2, BUDGET: 2, FAIL: 1}
 
 
 def status_of(holds: object, hypothesis_met: bool) -> str:
@@ -197,7 +197,7 @@ def _is_record(a: Any) -> bool:
         isinstance(a, dict)
         and isinstance(a.get("check"), str)
         and isinstance(a.get("status"), str)
-        and a["status"] in STATUSES
+        and a["status"] in EXIT_CODE
         and isinstance(a.get("witness", {}), dict)
     )
 

@@ -1,16 +1,16 @@
 """Command-line entry point.
 
 Subcommands: gen, detect, tw, sep, centralbag, decompose, verify, recheck.
-Exit codes: 0 all-pass / found, 1 any-fail / absent, 2 budget or hypothesis
-unmet, 64 usage error (a malformed input, or a path that cannot be opened,
-read or written).  Every run that produces verdicts can write a
-certificate JSON; `recheck` re-derives each entry whose witness names a kind.
+Exit codes: 0 all-pass / found, 1 any-fail / absent, 2 budget, hypothesis
+unmet or `tw` bounds only, 64 usage error (a malformed input, or a path that
+cannot be opened, read or written); a run exits with the `worst` of its
+results' codes, 1 above 2 above 0.  Every verdict run can write a certificate
+JSON; `recheck` re-derives each entry whose witness names a kind.
 
 Each command imports the modules it runs when it runs, so a one-shot process
 loads only those: `tw` adds `separators` alone, and only `verify` loads
-`suites`, which imports every module.  At import this module loads what `main`
-and the shared readers and writers need: `config`, `graphs`, `io`, `weights`,
-and `certify` with the `check` it imports.
+`suites`, which imports every module.  `main` and the shared readers and
+writers load `certify`, `check`, `config`, `graphs`, `io` and `weights`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, TextIO, TypeVar
 
-from .certify import canonical_json
+from .certify import canonical_json, worst
+from .check import BUDGET, EXIT_CODE
 from .config import Budget, RunConfig, load_config
 from .graphs import BudgetExhausted, CapExceeded, Graph
 from .io import graph_from_json, read_gr
@@ -101,8 +102,8 @@ def _dump_json(payload: Any, path: Optional[str]) -> None:
 
 def _out_of_budget(exc: Exception, path: Optional[str]) -> int:
     """Write the `budget` payload of a run that hit a budget or a cap; exit 2."""
-    _dump_json({"status": "budget", "detail": str(exc)}, path)
-    return 2
+    _dump_json({"status": BUDGET, "detail": str(exc)}, path)
+    return EXIT_CODE[BUDGET]
 
 
 # -- gen ------------------------------------------------------------------------
@@ -232,7 +233,7 @@ def cmd_tw(args: argparse.Namespace, cfg: RunConfig) -> int:
         "certificate": cert.to_json(),
     }
     _dump_json(payload, args.output)
-    return cert.exit_code() if bounds.exact is not None else 2
+    return worst([cert.exit_code(), 2 if bounds.exact is None else 0])
 
 
 def cmd_sep(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -406,22 +407,19 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .suites import SUITES, verify_suite
 
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    worst = 0
+    codes = []
     for name in names:
         out = None
         if args.output and args.output != "-":  # "-" is standard output
             out = args.output if len(names) == 1 else f"{args.output}.{name}.json"
         try:
-            cert = verify_suite(name, cfg)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return USAGE_ERROR
+            cert = verify_suite(name, cfg)  # `main` makes an unknown name exit 64
         except (BudgetExhausted, CapExceeded) as exc:  # the later suites still run
-            worst = max(worst, _out_of_budget(exc, out))
+            codes.append(_out_of_budget(exc, out))
             continue
         _dump_json(cert.to_json(), out)
-        worst = max(worst, cert.exit_code())
-    return worst
+        codes.append(cert.exit_code())
+    return worst(codes)
 
 
 def _certificate_from_json(data: Any) -> dict[str, Any]:

@@ -28,6 +28,8 @@ def test_exit_codes():
     assert _cert_with("pass").exit_code() == 0
     assert _cert_with("pass", "hypothesis-unmet").exit_code() == 2
     assert _cert_with("pass", "hypothesis-unmet", "fail").exit_code() == 1
+    assert _cert_with("pass", "budget").exit_code() == 2
+    assert _cert_with("budget", "fail").exit_code() == 1
 
 
 def test_assertions_are_the_records_written():

@@ -14,12 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from twcert.check import THETA_SHAPE, recheck
+from twcert.certify import Certificate, worst
+from twcert.check import EXIT_CODE, THETA_SHAPE, recheck
 from twcert.cli import main
 import twcert
-from twcert import generators
+from twcert import generators, suites
 from twcert.config import RunConfig
-from twcert.graphs import Graph, full_subdivision, line_graph
+from twcert.graphs import BudgetExhausted, Graph, full_subdivision, line_graph
 from twcert.io import graph_to_json
 from twcert.suites import SUITES, random_tree
 
@@ -143,6 +144,38 @@ def test_verify_all_runs_every_suite_when_one_runs_out_of_budget(tmp_path):
             }
         else:
             assert text == (corpus / f"all.{name}.json").read_text(encoding="utf-8")
+
+
+def _fails(cfg):
+    cert = Certificate(command=["verify", "planted"], seed=cfg.seed)
+    cert.add("planted", "a check that fails", False, {})
+    return cert
+
+
+def _runs_out(cfg):
+    raise BudgetExhausted("search budget of 1 nodes exhausted")
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("fails", "runs-out"), ("z-fails", "a-runs-out")],
+    ids=["fail-first", "fail-last"],
+)
+def test_verify_all_ranks_a_fail_above_a_budget(tmp_path, monkeypatch, names):
+    """A suite's fail (1) is not hidden by another suite's `budget` (2),
+    whichever runs first, and both suites still write their files."""
+    failing, running_out = names
+    monkeypatch.setattr(suites, "SUITES", {failing: _fails, running_out: _runs_out})
+    out = tmp_path / "out"
+    assert main(["verify", "all", "-o", str(out)]) == 1
+    assert json.loads((tmp_path / f"out.{failing}.json").read_text()) == _fails(
+        RunConfig()
+    ).to_json()
+    assert json.loads((tmp_path / f"out.{running_out}.json").read_text()) == {
+        "detail": "search budget of 1 nodes exhausted", "status": "budget"
+    }
+    monkeypatch.setattr(suites, "SUITES", {running_out: _runs_out})
+    assert main(["verify", "all", "-o", str(out)]) == 2
 
 
 def test_search_budget_is_the_only_budget_source():
@@ -409,3 +442,31 @@ def test_readme_states_the_default_budget():
     ]
     assert stated, "the Configuration section states the default budget"
     assert stated == [RunConfig.search_budget] * len(stated)
+
+
+def test_readme_states_the_exit_codes_and_their_order():
+    """The README's "Command line" paragraph gives each record status the
+    exit code of `EXIT_CODE`, and ranks the codes as `worst` does."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("\n## Command line\n") + len("\n## Command line\n")
+    paragraph = " ".join(text[start : text.index("\n\n", start + 1)].split())
+    stated = re.search(r"Exit codes: (.*?)\. ", paragraph)
+    assert stated, "the Command line paragraph states the exit codes"
+    parts = re.split(r"`(\d+)` ", stated.group(1))[1:]
+    meanings = {int(code): words for code, words in zip(parts[::2], parts[1::2])}
+    for status, code in EXIT_CODE.items():
+        naming = [c for c, words in meanings.items() if status.replace("-", " ") in words]
+        assert naming == [code], status
+    order = re.search(
+        r"in one order for every command: " + r" above ".join([r"`(\d)` \(([^)]*)\)"] * 3),
+        paragraph,
+    )
+    assert order, "the Command line paragraph states the order of the exit codes"
+    codes = [int(c) for c in order.groups()[::2]]
+    assert sorted(codes) == sorted(set(EXIT_CODE.values()))
+    for code, words in zip(codes, order.groups()[1::2]):
+        for status in (s for s, c in EXIT_CODE.items() if c == code):
+            assert status.split("-")[0] in words, status
+    for i, higher in enumerate(codes):
+        for lower in codes[i + 1 :]:
+            assert worst([higher, lower]) == worst([lower, higher]) == higher
